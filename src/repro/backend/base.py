@@ -11,13 +11,13 @@ A backend supplies the four execution facets the protocol layer
 * **compute** — how a compute slice burns "work" (simulated load-model
   time vs. synthetic CPU-burn kernels).
 
-The protocol objects emit commands; the backend interprets them.  Two
-interpreters ship today: :class:`~repro.backend.sim.SimBackend` (the
-original discrete-event kernel, bit-identical to the pre-seam runtime)
-and :class:`~repro.backend.thread.ThreadBackend` (real threads, real
-queues, wall-clock time).  Future backends (async, multiprocess,
-sharded balancers) implement this same interface without touching
-protocol logic.
+The protocol objects emit commands; the backend interprets them.
+:class:`~repro.backend.sim.SimBackend` maps them onto the discrete-event
+kernel (bit-identical to the pre-seam runtime); the thread, process and
+socket backends share one interpreter, :mod:`repro.backend.driver`, and
+differ only in how they wait for a message and burn an iteration.  Which
+feature runs on which backend is one table:
+:data:`repro.backend.capabilities.CAPABILITIES`.
 """
 
 from __future__ import annotations
@@ -34,9 +34,29 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.stats import LoopRunStats
 
 __all__ = ["ExecutionBackend", "BackendError", "get_backend",
-           "join_or_terminate"]
+           "join_or_terminate", "mp_context", "WATCHDOG_SECONDS",
+           "CRASH_EXIT_CODE", "POLL_SECONDS", "DRAIN_GRACE_SECONDS"]
 
 StrategyLike = Union[str, "StrategySpec"]
+
+#: Safety net: no single blocking wait may exceed this many wall
+#: seconds.  The fault-free protocol never waits unboundedly unless a
+#: peer died without notice; this converts such a hang into a
+#: diagnosable error.
+WATCHDOG_SECONDS = 120.0
+
+#: Exit code of a fault-injected fail-stop; distinguishes a scheduled
+#: crash from a worker that died of a bug (one value on every backend,
+#: so tooling treats scheduled crashes uniformly).
+CRASH_EXIT_CODE = 17
+
+#: Poll granularity of the supervising side (process parent, socket hub).
+POLL_SECONDS = 0.02
+
+#: Grace for a terminal worker's last records to drain before the
+#: supervisor gives up waiting for an explanation, and between coverage
+#: completion and dismissing stragglers.
+DRAIN_GRACE_SECONDS = 2.0
 
 
 class BackendError(ValueError):
@@ -70,26 +90,34 @@ class ExecutionBackend(ABC):
 
 def get_backend(backend: Union[str, ExecutionBackend, None]
                 ) -> ExecutionBackend:
-    """Resolve a backend name or instance.
-
-    Known names: ``"sim"``, ``"thread"``, ``"process"``, ``"socket"``.
-    """
+    """Resolve a backend name (a key of
+    :data:`~repro.backend.capabilities.CAPABILITIES`; ``None`` means
+    ``"sim"``) or pass an instance through."""
     if isinstance(backend, ExecutionBackend):
         return backend
-    if backend is None or backend == "sim":
-        from .sim import SimBackend
-        return SimBackend()
-    if backend == "thread":
-        from .thread import ThreadBackend
-        return ThreadBackend()
-    if backend == "process":
-        from .process import ProcessBackend
-        return ProcessBackend()
-    if backend == "socket":
-        from .socket import SocketBackend
-        return SocketBackend()
-    raise BackendError(f"unknown backend {backend!r} "
-                       "(expected 'sim', 'thread', 'process' or 'socket')")
+    classes = {"sim": "SimBackend", "thread": "ThreadBackend",
+               "process": "ProcessBackend", "socket": "SocketBackend"}
+    name = backend or "sim"
+    if name not in classes:
+        raise BackendError(f"unknown backend {backend!r} (expected "
+                           f"{', '.join(repr(b) for b in classes)})")
+    # Imported here: the backends import this module.
+    from importlib import import_module
+    return getattr(import_module(f"{__package__}.{name}"), classes[name])()
+
+
+def mp_context(start_method: Optional[str]):
+    """The ``multiprocessing`` context for ``start_method`` (``None``:
+    fork where available, else the platform default)."""
+    import multiprocessing
+    if start_method is None:
+        methods = multiprocessing.get_all_start_methods()
+        start_method = "fork" if "fork" in methods else methods[0]
+    try:
+        return multiprocessing.get_context(start_method)
+    except ValueError as exc:
+        raise BackendError(
+            f"unknown start method {start_method!r}") from exc
 
 
 def join_or_terminate(participants: Iterable, *, timeout: float = 5.0,

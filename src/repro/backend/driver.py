@@ -1,0 +1,598 @@
+"""The one worker driver of the thread, process and socket backends.
+
+The paper's run-time library is one Figure-3 slave loop whatever the
+workstation underneath (§5.1); :mod:`repro.protocol` holds that loop as
+a pure state machine, and this module is the *single* interpreter of
+its commands for every real backend (docs/ARCHITECTURE.md has the
+tour).  It is sans-IO: :func:`drive` is a generator that runs every
+command against a small port (:class:`Reporter`) and **yields** only
+the two things a backend alone can do — wait for a message and burn one
+iteration — so a backend is a ten-line loop around it
+(:func:`run_blocking`, or the same loop with ``await``).  Around it:
+:class:`Inbox`, the one mailbox rule; :class:`Reporter` /
+:class:`RunLedger`, stats records built once and booked once however
+they travel; :class:`WorkerSpec` and :func:`prepare_run`, the shared
+construction recipe and run set-up.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Generator, Optional, Sequence, Union
+
+from ..apps.workload import LoopSpec, WorkTable
+from ..core.policy import DlbPolicy
+from ..core.redistribution import (
+    MovementCostFn,
+    PlannerFn,
+    make_movement_cost_estimator,
+)
+from ..core.strategies.base import StrategySpec
+from ..core.strategies.registry import get_strategy
+from ..faults.plan import FaultPlan
+from ..machine.cluster import ClusterSpec, build_groups
+from ..message.frames import (
+    ft_from_wire,
+    ft_to_wire,
+    policy_from_wire,
+    policy_to_wire,
+)
+from ..message.messages import Message, Tag
+from ..obs.metrics import CounterDict, MetricsRegistry
+from ..obs.trace import NULL_RECORDER
+from ..protocol import (
+    AwaitMessage,
+    BalancerProtocol,
+    Charge,
+    Command,
+    ComputeDone,
+    DeclareDead,
+    Done,
+    Emit,
+    MessageReceived,
+    ProtocolEvent,
+    RecordSync,
+    Send,
+    Start,
+    StartCompute,
+    TimerFired,
+    WorkerProtocol,
+)
+from ..runtime.assignment import Assignment, equal_block_partition
+from ..runtime.options import FaultToleranceConfig, RunOptions
+from ..runtime.stats import LoopRunStats, SyncRecord, environment_fingerprint
+from .base import WATCHDOG_SECONDS, BackendError, StrategyLike
+from .capabilities import validate
+
+__all__ = ["Burn", "Inbox", "Deadline", "Reporter", "RunLedger",
+           "WorkerSpec", "RunPlan", "drive", "execute",
+           "run_blocking", "prepare_run", "pairs", "movement_estimator"]
+
+Range = tuple[int, int]
+
+
+def pairs(value) -> tuple[Range, ...]:
+    """Iteration ranges as int pairs, whatever container carried them."""
+    return tuple((int(s), int(e)) for s, e in value or ())
+
+
+# ---------------------------------------------------------------------------
+# Inbound: the one mailbox rule.
+# ---------------------------------------------------------------------------
+class Inbox:
+    """One participant's inbox; a transport adds the wait primitive.
+
+    Messages that do not match the current wait stay buffered in arrival
+    order.  INTERRUPTs never surface: they fold into per-epoch flags the
+    compute loop polls at iteration boundaries (the simulator's mailbox
+    ``notify`` hook, on a real transport).  Membership notices — the
+    ``PeerDead`` / ``PeerLeft`` / ``PeerJoined`` events a backend's
+    failure detector posts — pre-empt any buffered message.
+
+    ``post`` / ``take`` need the transport's own exclusion.  The flags
+    may be polled by a computing thread while another posts: nothing
+    iterates the flag set (draining raises a floor instead of
+    rebuilding it), so the two sides share no compound operation.
+    """
+
+    def __init__(self) -> None:
+        self._buffer: list[Message] = []
+        self._notices: list[ProtocolEvent] = []
+        self._interrupts: set[int] = set()
+        self._drained = -1
+
+    def post(self, item: Union[Message, ProtocolEvent]) -> None:
+        if not isinstance(item, Message):
+            self._notices.append(item)
+        elif item.tag is Tag.INTERRUPT:
+            self._interrupts.add(item.epoch)
+        else:
+            self._buffer.append(item)
+
+    def take(self, spec: AwaitMessage
+             ) -> Union[Message, ProtocolEvent, None]:
+        """The next notice, else the oldest message matching ``spec``,
+        else ``None`` (nothing deliverable yet)."""
+        if self._notices:
+            return self._notices.pop(0)
+        for i, msg in enumerate(self._buffer):
+            if spec.matches(msg):
+                return self._buffer.pop(i)
+        return None
+
+    def has_interrupt(self, epoch: int) -> bool:
+        return epoch > self._drained and epoch in self._interrupts
+
+    def drain_interrupts(self, up_to_epoch: int) -> None:
+        """Forget interrupt flags for ``up_to_epoch`` and older."""
+        self._drained = max(self._drained, up_to_epoch)
+
+
+class Deadline:
+    """How long a transport may still block on one ``AwaitMessage``."""
+
+    def __init__(self, spec: AwaitMessage, suspect: str) -> None:
+        self._spec = spec
+        self._suspect = suspect
+        self._at = time.perf_counter() + (
+            spec.timeout if spec.timeout is not None else WATCHDOG_SECONDS)
+
+    def remaining(self) -> Optional[float]:
+        """Seconds left; ``None`` once a timed wait expired (the driver
+        then feeds ``TimerFired``).  An *untimed* wait that outlives the
+        watchdog raises: somebody died without notice."""
+        left = self._at - time.perf_counter()
+        if left > 0:
+            return left
+        if self._spec.timeout is None:
+            raise BackendError(
+                f"watchdog: no message matching {self._spec} within "
+                f"{WATCHDOG_SECONDS}s — {self._suspect} likely died; see "
+                "the first reported error")
+        return None
+
+
+# ---------------------------------------------------------------------------
+# Outbound: stats records built once, consumed once.
+# ---------------------------------------------------------------------------
+class Reporter:
+    """One participant's port: where its commands take effect.
+
+    Counts the *modelled* traffic (the paper's message economy,
+    identical across backends) and builds every stats record once, in
+    the shape of the wire protocol's STAT bodies
+    (docs/WIRE_PROTOCOL.md).  A backend subclasses it with
+    ``deliver(msg)`` — put a message on its transport — and
+    ``emit(body)`` — hand a record to the supervising side's
+    :class:`RunLedger`.
+    """
+
+    def __init__(self, me: Optional[int], t0: float,
+                 recorder=NULL_RECORDER) -> None:
+        #: Node id; ``None`` for a balancer.
+        self.me = me
+        self.t0 = t0
+        self.recorder = recorder
+        self.messages = 0
+        self.bytes = 0
+        self.retries = 0
+        self.by_tag = CounterDict()
+
+    def now(self) -> float:
+        return time.perf_counter() - self.t0
+
+    def send(self, msg: Message) -> None:
+        self.messages += 1
+        self.bytes += msg.nbytes
+        self.by_tag.inc(msg.tag.value)
+        self.deliver(msg)
+
+    def executed(self, ranges: Sequence[Range]) -> None:
+        self.emit({"k": "exec", "ranges": [[s, e] for s, e in ranges]})
+
+    def sync(self, group: int, epoch: int, plan) -> None:
+        self.emit({"k": "sync", "group": group, "epoch": epoch, "row": {
+            "time": self.now(), "reason": plan.reason,
+            "moved_work": plan.work_to_move if plan.move else 0.0,
+            "n_transfers": len(plan.transfers),
+            "retired": list(plan.retire),
+            "predicted_current": plan.predicted_current,
+            "predicted_balanced": plan.predicted_balanced}})
+
+    def declared(self, peer: int) -> None:
+        self.emit({"k": "declared", "peer": peer})
+
+    def counters(self) -> dict:
+        return {"messages": self.messages, "bytes": self.bytes,
+                "by_tag": dict(self.by_tag), "retries": self.retries}
+
+    def finish(self, reason: str) -> None:
+        self.emit({"k": "finish", "reason": reason,
+                   "counters": self.counters()})
+
+    def error(self, text: str) -> None:
+        self.emit({"k": "error", "text": text})
+
+
+class RunLedger:
+    """The supervising side's sink for :class:`Reporter` records."""
+
+    def __init__(self, stats: LoopRunStats, *, trace: bool) -> None:
+        self.stats = stats
+        self.trace = trace
+        self.declared: set[int] = set()
+        self.exec_total = 0
+        self._syncs_seen: set[tuple[int, int]] = set()
+
+    def record(self, node: Optional[int], body: dict, now: float) -> str:
+        """Book one record from ``node`` (``None``: a balancer) and
+        return its kind; ``"error"`` and unknown kinds are the caller's
+        to report."""
+        stats = self.stats
+        kind = body.get("k")
+        if kind == "exec":
+            ranges = pairs(body.get("ranges"))
+            stats.executed_by_node.setdefault(node, []).extend(ranges)
+            self.exec_total += sum(e - s for s, e in ranges)
+        elif kind == "sync":
+            key = (int(body["group"]), int(body["epoch"]))
+            # Every replica of a distributed plan reports the same sync.
+            if self.trace and key not in self._syncs_seen:
+                self._syncs_seen.add(key)
+                row = body["row"]
+                stats.record_sync(SyncRecord(
+                    time=float(row["time"]), group=key[0], epoch=key[1],
+                    reason=row["reason"],
+                    moved_work=float(row["moved_work"]),
+                    n_transfers=int(row["n_transfers"]),
+                    retired=tuple(int(n) for n in row["retired"]),
+                    predicted_current=float(row["predicted_current"]),
+                    predicted_balanced=float(row["predicted_balanced"])))
+        elif kind == "declared":
+            self.declared.add(int(body["peer"]))
+        elif kind == "finish":
+            if node is not None:
+                stats.node_finish_times[node] = now
+            counters = body.get("counters", {})
+            stats.network_messages += counters.get("messages", 0)
+            stats.network_bytes += counters.get("bytes", 0)
+            stats.fault_retries += counters.get("retries", 0)
+            stats.transport_payload_bytes += counters.get("payload_bytes", 0)
+            stats.shm_data_bytes += counters.get("shm_bytes", 0)
+            stats.messages_by_tag.merge(counters.get("by_tag", {}))
+        return kind
+
+
+# ---------------------------------------------------------------------------
+# The driver.
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Burn:
+    """Yielded by :func:`drive`: burn ``cost`` nominal seconds of CPU
+    for ``iteration`` now (the backend scales and picks the kernel)."""
+
+    iteration: int
+    cost: float
+
+
+def execute(commands: Sequence[Command], port: Reporter,
+            track: str) -> Optional[Command]:
+    """Run one batch of protocol commands against ``port``.
+
+    Returns the batch's continuation — its ``StartCompute``,
+    ``AwaitMessage`` or ``Done`` (always the last command of a batch) —
+    for the caller to act on, or ``None`` when the batch had none (a
+    membership event that changed nothing).
+    """
+    then = None
+    for cmd in commands:
+        if isinstance(cmd, Send):
+            port.send(cmd.msg)
+        elif isinstance(cmd, RecordSync):
+            port.sync(cmd.group, cmd.epoch, cmd.plan)
+        elif isinstance(cmd, DeclareDead):
+            port.declared(cmd.peer)
+        elif isinstance(cmd, Emit):
+            port.recorder.event(cmd.name, track=track, **cmd.args())
+        elif isinstance(cmd, (StartCompute, AwaitMessage, Done)):
+            then = cmd
+        elif not isinstance(cmd, Charge):
+            # Charge: planning costs real time on a real backend.
+            raise BackendError(f"unhandled command {cmd!r}")
+    return then
+
+
+def _compute(proto: WorkerProtocol, port: Reporter, inbox: Inbox,
+             track: str, boundary: Optional[Callable]
+             ) -> Generator[Burn, None, ProtocolEvent]:
+    """Run the assignment an iteration at a time.
+
+    Honors synchronization interrupts at iteration boundaries (the
+    paper's ``DLB_slave_sync`` poll) and books the performance window
+    so measured rates feed the §3.2 profiles.  ``boundary(proto)`` is
+    the backend's own between-iterations business (fail-stop checks,
+    queue polls, elastic grants); an event it returns ends the slice.
+    """
+    assignment = proto.assignment
+    table = proto.table
+    inbox.drain_interrupts(proto.epoch - 1)
+    while True:
+        if boundary is not None:
+            event = boundary(proto)
+            if event is not None:
+                return event
+        if assignment.empty:
+            return ComputeDone("finished")
+        if proto.is_dlb and inbox.has_interrupt(proto.epoch):
+            return ComputeDone("interrupted")
+        taken = assignment.take_head(1)
+        start = taken[0][0]
+        cost = table.range_work(start, start + 1)
+        t0 = port.now()
+        yield Burn(start, cost)
+        busy = port.now() - t0
+        proto.note_busy(busy)
+        port.recorder.complete("compute", t0, busy, track=track,
+                               iteration=start)
+        proto.note_work(cost)
+        port.executed(taken)
+
+
+def drive(proto: Union[WorkerProtocol, BalancerProtocol], port: Reporter,
+          inbox: Inbox, *, track: str, boundary: Optional[Callable] = None
+          ) -> Generator[Union[AwaitMessage, Burn], object, str]:
+    """Pump ``proto`` from ``Start`` to ``Done``; returns Done's reason.
+
+    Yields an :class:`AwaitMessage` and expects back a message, a
+    membership event, or ``None`` for "the wait's timeout expired";
+    yields a :class:`Burn` and expects the iteration burnt.
+    """
+    waiting: Optional[AwaitMessage] = None
+    commands = proto.on_event(Start())
+    while True:
+        then = execute(commands, port, track)
+        if isinstance(then, Done):
+            port.finish(then.reason)
+            return then.reason
+        if isinstance(then, StartCompute):
+            event = yield from _compute(proto, port, inbox, track, boundary)
+        else:
+            # A membership pump can return no commands (the change was
+            # irrelevant to the current phase): the previous wait stays
+            # armed.
+            waiting = then or waiting
+            if waiting is None:  # pragma: no cover - defensive
+                raise BackendError(
+                    "protocol yielded neither wait nor compute")
+            got = yield waiting
+            if got is None:
+                port.retries += 1
+                event = TimerFired()
+            elif isinstance(got, Message):
+                event = MessageReceived(got)
+            else:
+                event = got
+        commands = proto.on_event(event)
+
+
+def run_blocking(pump: Generator, wait: Callable[[AwaitMessage], object],
+                 burn: Callable[[Burn], None]) -> str:
+    """The whole blocking shell: thread and process workers differ only
+    in how they ``wait`` for a message and ``burn`` an iteration."""
+    reply = None
+    try:
+        while True:
+            want = pump.send(reply)
+            reply = burn(want) if isinstance(want, Burn) else wait(want)
+    except StopIteration as stop:
+        return stop.value
+
+
+# ---------------------------------------------------------------------------
+# Construction recipes and run set-up.
+# ---------------------------------------------------------------------------
+def movement_estimator(movement: Optional[tuple[float, float]],
+                       dc_bytes: int, mean_iteration_time: float
+                       ) -> Optional[MovementCostFn]:
+    """The shared-medium movement-cost estimate for ``(latency,
+    bandwidth)``; ``None`` when the policy does not price movement."""
+    if movement is None:
+        return None
+    latency, bandwidth = movement
+    return make_movement_cost_estimator(
+        latency=latency, bandwidth=bandwidth, dc_bytes=dc_bytes,
+        mean_iteration_time=mean_iteration_time)
+
+
+@dataclass(frozen=True)
+class WorkerSpec:
+    """Everything one worker needs, picklable and wire-codable.
+
+    Protocol objects are built *inside* the worker from this spec
+    (:meth:`build_protocol`), so nothing with lambdas or thread state
+    ever crosses a spawn boundary or a socket; :meth:`to_wire` /
+    :meth:`from_wire` are the WELCOME frame's ``run`` body, whose keys
+    are the field names.
+    """
+
+    node: int
+    members: tuple[int, ...]
+    group: int
+    centralized: bool
+    lb_host: int
+    policy: DlbPolicy
+    n_iterations: int
+    iteration_time: Union[float, tuple[float, ...]]
+    dc_bytes: int
+    mean_iteration_time: float
+    movement: Optional[tuple[float, float]]  # (latency, bandwidth)
+    ft: FaultToleranceConfig
+    profile_window_reset: bool
+    ranges: tuple[Range, ...]
+    is_dlb: bool
+    epoch: int  # non-zero only for an elastic joiner
+    time_scale: float
+    crash_at: Optional[float]  # wall seconds after t0; None = reliable
+    trace_events: bool  # record a worker-side trace; ship it at Done
+
+    def build_protocol(self, *, table: Optional[WorkTable] = None,
+                       movement_cost_fn: Optional[MovementCostFn] = None,
+                       planner: Optional[PlannerFn] = None
+                       ) -> WorkerProtocol:
+        """The worker state machine.  In-process callers may share one
+        ``table`` and pass the non-picklable pieces (a topology-aware
+        cost estimator, the diffusion planner)."""
+        if table is None:
+            it = self.iteration_time
+            table = (WorkTable(list(it)) if isinstance(it, tuple)
+                     else WorkTable(float(it), self.n_iterations))
+        if movement_cost_fn is None:
+            movement_cost_fn = movement_estimator(
+                self.movement, self.dc_bytes, self.mean_iteration_time)
+        proto = WorkerProtocol(
+            self.node, self.members, group=self.group,
+            centralized=self.centralized, lb_host=self.lb_host,
+            policy=self.policy, table=table,
+            mean_iteration_time=self.mean_iteration_time,
+            dc_bytes=self.dc_bytes, movement_cost_fn=movement_cost_fn,
+            planner=planner, ft=self.ft,
+            profile_window_reset=self.profile_window_reset,
+            assignment=Assignment(self.ranges), is_dlb=self.is_dlb,
+            initial_epoch=self.epoch)
+        proto.emit_trace = self.trace_events
+        return proto
+
+    def build_balancer(self, groups: Sequence[Sequence[int]], *,
+                       movement_cost_fn: Optional[MovementCostFn] = None,
+                       planner: Optional[PlannerFn] = None
+                       ) -> BalancerProtocol:
+        """The central balancer this worker's lb host runs for ``groups``
+        (it shares the worker's policy and fault-tolerance config)."""
+        if movement_cost_fn is None:
+            # Built from the spec alone, the balancer prices a transfer's
+            # latency but not its data bytes (it is told no DC).
+            movement_cost_fn = movement_estimator(
+                self.movement, 0, self.mean_iteration_time)
+        proto = BalancerProtocol(
+            self.lb_host, [list(g) for g in groups], policy=self.policy,
+            mean_iteration_time=self.mean_iteration_time,
+            movement_cost_fn=movement_cost_fn, planner=planner, ft=self.ft)
+        proto.emit_trace = self.trace_events
+        return proto
+
+    def to_wire(self) -> dict:
+        """Every field but ``node``, under its own name (JSON turns the
+        tuples into lists)."""
+        run = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "node"}
+        run.update(members=sorted(self.members), ft=ft_to_wire(self.ft),
+                   policy=policy_to_wire(self.policy))
+        return run
+
+    @classmethod
+    def from_wire(cls, node: int, run: dict) -> "WorkerSpec":
+        it = run["iteration_time"]
+        return cls(
+            node=int(node),
+            members=tuple(int(m) for m in run["members"]),
+            group=int(run["group"]),
+            centralized=bool(run["centralized"]),
+            lb_host=int(run["lb_host"]),
+            policy=policy_from_wire(run["policy"]),
+            n_iterations=int(run["n_iterations"]),
+            iteration_time=tuple(it) if isinstance(it, list) else float(it),
+            dc_bytes=int(run["dc_bytes"]),
+            mean_iteration_time=float(run["mean_iteration_time"]),
+            movement=tuple(run["movement"]) if run.get("movement") else None,
+            ft=ft_from_wire(run["ft"]),
+            profile_window_reset=bool(run["profile_window_reset"]),
+            ranges=pairs(run["ranges"]),
+            is_dlb=bool(run["is_dlb"]),
+            epoch=int(run["epoch"]),
+            time_scale=float(run["time_scale"]),
+            crash_at=run.get("crash_at"),
+            # Absent from a pre-tracing hub's WELCOME: default off.
+            trace_events=bool(run.get("trace_events", False)))
+
+
+@dataclass
+class RunPlan:
+    """What :func:`prepare_run` sets up.  Run-wide parameters (``ft``,
+    ``time_scale``, ``movement``, ``centralized`` …) are read off any
+    of the ``workers``."""
+
+    loop: LoopSpec
+    spec: StrategySpec
+    options: RunOptions
+    table: WorkTable
+    groups: list[list[int]]
+    #: The initial roster, one spec per node.
+    workers: list[WorkerSpec]
+    #: ``{node: wall seconds after t0}`` of the plan's scheduled crashes.
+    crash_at: dict[int, float]
+    stats: LoopRunStats
+    recorder: object
+
+
+def prepare_run(backend: str, loop: LoopSpec, cluster: ClusterSpec,
+                strategy: StrategyLike, options: Optional[RunOptions],
+                selector: Optional[Callable],
+                fault_plan: Optional[FaultPlan], *, time_scale: float,
+                harden: bool = False, **environment) -> RunPlan:
+    """Validate a run against ``backend``'s capabilities and set up what
+    every real backend needs: strategy, groups, each node's spec with
+    its block of the initial partition, the fault-tolerance config
+    (armed by a crash plan, or ``harden``) and the stats object
+    (``environment`` goes into its fingerprint)."""
+    options = options or RunOptions()
+    spec = strategy if isinstance(strategy, StrategySpec) \
+        else get_strategy(strategy)
+    n = cluster.n_processors
+    if fault_plan is not None and fault_plan.empty:
+        fault_plan = None
+    validate(backend, spec, n, options, selector, fault_plan)
+    ft = options.fault_tolerance
+    if fault_plan is not None:
+        fault_plan.validate_for(n)
+    if (fault_plan is not None or harden) and not ft.enabled:
+        ft = replace(ft, enabled=True)
+    crash_at = {c.node: c.time * time_scale
+                for c in fault_plan.crashes} if fault_plan else {}
+
+    table = loop.work_table()
+    k = options.effective_group_size(n, spec.group_size)
+    if spec.global_scope or not spec.is_dlb:
+        groups: list[list[int]] = [list(range(n))]
+    else:
+        groups = build_groups(n, k, formation=options.group_formation,
+                              seed=options.group_seed)
+    stats = LoopRunStats(loop_name=loop.name, strategy=spec.name,
+                         n_processors=n, group_size=k, backend=backend)
+    # The registry's counter *is* the stats field (a live view).
+    stats.messages_by_tag = MetricsRegistry().counter("messages_by_tag")
+    stats.environment = environment_fingerprint(**environment)
+    stats.start_time = 0.0
+    recorder = options.recorder or NULL_RECORDER
+    movement = None
+    if options.policy.include_movement_cost:
+        movement = (options.network.latency, options.network.bandwidth)
+    it = loop.iteration_time
+    parts = equal_block_partition(loop.n_iterations, n)
+    workers = [WorkerSpec(
+        node=node, members=tuple(members), group=gid,
+        centralized=bool(spec.is_dlb and spec.centralized), lb_host=0,
+        policy=options.policy, n_iterations=loop.n_iterations,
+        iteration_time=it if isinstance(it, tuple) else float(it),
+        dc_bytes=loop.dc_bytes,
+        mean_iteration_time=table.total_work / table.n,
+        movement=movement, ft=ft,
+        profile_window_reset=options.profile_window_reset,
+        ranges=tuple(parts[node].ranges), is_dlb=bool(spec.is_dlb),
+        epoch=0, time_scale=time_scale, crash_at=crash_at.get(node),
+        trace_events=recorder.enabled)
+        for gid, members in enumerate(groups) for node in members]
+    workers.sort(key=lambda w: w.node)
+    return RunPlan(loop=loop, spec=spec, options=options, table=table,
+                   groups=groups, workers=workers, crash_at=crash_at,
+                   stats=stats, recorder=recorder)

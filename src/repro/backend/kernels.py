@@ -40,9 +40,11 @@ except ImportError:  # pragma: no cover - image always ships numpy
 __all__ = [
     "HAVE_NUMPY",
     "KERNELS",
+    "burn",
     "burn_ops",
     "burn_vec",
     "burn_wall",
+    "calibrate",
     "calibrate_ops_rate",
     "calibrate_vec_rate",
     "shm_row_view",
@@ -222,3 +224,26 @@ def calibrate_vec_rate(elems: Optional[int] = None,
         best = 1e8
     _cached_vec_rates[elems] = best
     return best
+
+
+def calibrate(kernel: str, elems: Optional[int] = None) -> float:
+    """Ops per nominal second of ``kernel`` on this host (``"wall"``
+    needs none: it spins to a deadline)."""
+    if kernel == "ops":
+        return calibrate_ops_rate()
+    if kernel == "numpy":
+        return calibrate_vec_rate(elems)
+    return 1.0
+
+
+def burn(kernel: str, seconds: float, ops_rate: float,
+         out: Optional["_np.ndarray"] = None,
+         should_abort: Optional[Callable[[], bool]] = None) -> None:
+    """Burn ``seconds`` of nominal CPU with ``kernel`` (``ops_rate`` from
+    :func:`calibrate`; ``out`` is the numpy kernel's in-place view)."""
+    if kernel == "wall":
+        burn_wall(seconds, should_abort)
+    elif kernel == "numpy":
+        burn_vec(seconds * ops_rate, out, should_abort)
+    else:
+        burn_ops(seconds * ops_rate, should_abort)

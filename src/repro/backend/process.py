@@ -41,19 +41,19 @@ Fault injection
 Crash faults from a :class:`~repro.faults.plan.FaultPlan` are *lifted*
 (ThreadBackend rejects them): the victim process fail-stops via
 ``os._exit`` once its wall clock passes ``time * time_scale`` — also
-mid-iteration, between op chunks — so it reports nothing further.  The
+mid-iteration, between op chunks — so it reports nothing further
+(what it had already handed to a queue is flushed first).  The
 parent detects the distinctive exit code, broadcasts peer-death notices
 (the backend's failure detector), and the surviving workers' hardened
 protocol (timed receives, resends, death declarations) reshapes the
 group exactly as on the other backends.  Iterations the victim executed
 but never reported — and those still in its assignment — are salvaged:
 re-executed by the parent and credited to the lowest-numbered survivor,
-so exactly-once coverage holds for every crash plan.  Slowdown, drop,
-and delay faults remain simulation-only (:class:`BackendError`).
+so exactly-once coverage holds for every crash plan.
 
-Deliberate non-goals (raise :class:`BackendError`), as for threads:
-the simulated external-load model, CUSTOM selection, the WS baseline,
-periodic synchronization, and staged scatter/gather.
+What this backend refuses (:class:`BackendError`) is one row of the
+capability matrix in ``docs/ARCHITECTURE.md``
+(:data:`repro.backend.capabilities.CAPABILITIES`).
 """
 
 from __future__ import annotations
@@ -68,149 +68,92 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..apps.workload import LoopSpec, WorkTable
-from ..core.policy import DlbPolicy
-from ..core.redistribution import make_movement_cost_estimator
-from ..core.strategies.base import StrategySpec
-from ..core.strategies.registry import get_strategy
 from ..faults.plan import FaultPlan
-from ..machine.cluster import ClusterSpec, build_groups
+from ..machine.cluster import ClusterSpec
 from ..message.messages import Message, Tag
-from ..protocol import (
-    AwaitMessage,
-    BalancerProtocol,
-    Charge,
-    ComputeDone,
-    DeclareDead,
-    Done,
-    MessageReceived,
-    PeerDead,
-    RecordSync,
-    Send,
-    Start,
-    StartCompute,
-    TimerFired,
-    WorkerProtocol,
-)
-from ..obs.metrics import CounterDict, MetricsRegistry
-from ..obs.trace import NULL_RECORDER, TraceRecorder
-from ..protocol.commands import Emit
-from ..runtime.assignment import (
-    Assignment,
-    equal_block_partition,
-    merge_ranges,
-)
-from ..runtime.options import FaultToleranceConfig, RunOptions
-from ..runtime.stats import LoopRunStats, SyncRecord, environment_fingerprint
+from ..obs.trace import TraceRecorder
+from ..protocol import AwaitMessage, PeerDead, WorkerProtocol
+from ..runtime.assignment import check_coverage, merge_ranges, uncovered
+from ..runtime.options import RunOptions
+from ..runtime.stats import LoopRunStats
 from .base import (
+    CRASH_EXIT_CODE,
+    DRAIN_GRACE_SECONDS,
+    POLL_SECONDS,
+    WATCHDOG_SECONDS,
     BackendError,
     ExecutionBackend,
     StrategyLike,
     join_or_terminate,
+    mp_context,
 )
-from .kernels import (
-    HAVE_NUMPY,
-    burn_ops,
-    burn_vec,
-    calibrate_ops_rate,
-    calibrate_vec_rate,
-    shm_row_view,
+from .capabilities import require_kernel
+from .driver import (
+    Burn,
+    Deadline,
+    Inbox,
+    Reporter,
+    RunLedger,
+    WorkerSpec,
+    drive,
+    prepare_run,
+    run_blocking,
 )
+from .kernels import burn, calibrate, shm_row_view
 
 __all__ = ["ProcessBackend"]
 
 Range = tuple[int, int]
 
-#: Safety net on every blocking wait, as in the thread backend.
-WATCHDOG_SECONDS = 120.0
-
-#: Exit code of a fault-injected fail-stop; distinguishes a scheduled
-#: crash from a worker that died of a bug.
-CRASH_EXIT_CODE = 17
-
 #: Bytes of the per-iteration ownership stamp at the head of each row.
 STAMP_BYTES = 8
 
-#: Parent poll granularity while supervising children.
-POLL_SECONDS = 0.02
-
-#: Grace for a dead child's last queue records to drain before the
-#: parent gives up waiting for an explanation.
-DRAIN_GRACE_SECONDS = 2.0
-
 
 @dataclass(frozen=True)
-class _PeerDeadNotice:
-    """Parent-injected failure notice, delivered through a mailbox."""
+class _ChildConfig:
+    """What a child process needs beyond its protocol spec."""
 
-    node: int
-
-
-@dataclass(frozen=True)
-class _WorkerConfig:
-    """Everything one worker process needs, in picklable form.
-
-    Protocol objects are built *inside* the child from this config, so
-    nothing with lambdas or thread state ever crosses the spawn
-    boundary.
-    """
-
-    node: int
-    members: tuple[int, ...]
-    group: int
-    centralized: bool
-    lb_host: int
-    policy: DlbPolicy
-    table: WorkTable
-    mean_iteration_time: float
-    dc_bytes: int
-    movement: Optional[tuple[float, float]]  # (latency, bandwidth)
-    ft: FaultToleranceConfig
-    profile_window_reset: bool
-    ranges: tuple[Range, ...]
-    is_dlb: bool
-    time_scale: float
+    spec: WorkerSpec
+    #: Set for the balancer child: it runs the lb host's balancer for
+    #: these groups instead of ``spec``'s worker.
+    groups: Optional[tuple[tuple[int, ...], ...]]
     kernel: str  # "ops" (scalar burn) or "numpy" (vectorized, in-row)
     ops_rate: float  # calibrated rate of the chosen kernel
-    shm_name: Optional[str]
+    shm_name: str
     row_bytes: int
-    crash_at: Optional[float]  # wall seconds after t0; None = reliable
     stream_records: bool  # per-iteration exec records (fault runs)
     fail_after: Optional[int]  # test hook: raise after N iterations
-    trace_events: bool  # build a child TraceRecorder; ship it at exit
-
-
-@dataclass(frozen=True)
-class _BalancerConfig:
-    """Picklable constructor arguments of the balancer process."""
-
-    host: int
-    groups: tuple[tuple[int, ...], ...]
-    policy: DlbPolicy
-    mean_iteration_time: float
-    movement: Optional[tuple[float, float]]
-    ft: FaultToleranceConfig
-    trace_events: bool
 
 
 class _CrashClock:
     """The child-local realization of a scheduled fail-stop."""
 
-    def __init__(self, crash_at: Optional[float], t0: float) -> None:
+    def __init__(self, crash_at: Optional[float], t0: float,
+                 outbound: Sequence) -> None:
         self.crash_at = crash_at
         self.t0 = t0
-
-    @property
-    def armed(self) -> bool:
-        return self.crash_at is not None
+        #: Every queue this process may have written to.
+        self._outbound = outbound
 
     def due(self) -> bool:
         return (self.crash_at is not None
                 and time.perf_counter() - self.t0 >= self.crash_at)
 
+    def exit(self, code: int) -> None:
+        """Leave now — *between* messages, never inside one: a queue's
+        feeder thread killed mid-write would take the queue's
+        cross-process write lock with it, and every survivor's next
+        ``put`` to that queue (the stats stream above all) would block
+        forever.  (``os._exit`` also skips the feeders' atexit flush.)"""
+        for q in self._outbound:
+            q.close()
+            q.join_thread()
+        os._exit(code)
+
     def check(self) -> None:
         """Fail-stop right now if the schedule says so."""
         if self.due():
-            os._exit(CRASH_EXIT_CODE)
+            self.exit(CRASH_EXIT_CODE)
 
 
 def _attach_shm(name: str):
@@ -239,394 +182,175 @@ def _attach_shm(name: str):
 
 
 class _ChildMailbox:
-    """One process's inbox over its ``multiprocessing`` queue.
-
-    Messages that do not match the current :class:`AwaitMessage` are
-    buffered; INTERRUPTs never surface — they fold into an epoch set
-    polled at iteration boundaries (same contract as the simulator's
-    mailbox hook and the thread backend's flags).  Parent-injected
-    :class:`_PeerDeadNotice` objects pre-empt any wait.
+    """One process's :class:`~repro.backend.driver.Inbox` over its
+    ``multiprocessing`` queue; the parent's failure detector posts
+    :class:`~repro.protocol.events.PeerDead` events into the same queue.
     """
 
     def __init__(self, q, crash: _CrashClock) -> None:
+        self.inbox = Inbox()
         self._q = q
         self._crash = crash
-        self._buffer: list[Message] = []
-        self._interrupts: set[int] = set()
-        self._notices: list[_PeerDeadNotice] = []
-
-    # -- queue intake ----------------------------------------------------
-    def _absorb(self, item) -> None:
-        if isinstance(item, _PeerDeadNotice):
-            self._notices.append(item)
-        elif item.tag is Tag.INTERRUPT:
-            self._interrupts.add(item.epoch)
-        else:
-            self._buffer.append(item)
 
     def poll(self) -> None:
         """Drain everything currently queued, without blocking."""
         while True:
             try:
-                self._absorb(self._q.get_nowait())
+                self.inbox.post(self._q.get_nowait())
             except queue_mod.Empty:
                 return
 
-    def take_notices(self) -> list[_PeerDeadNotice]:
-        self.poll()
-        notices, self._notices = self._notices, []
-        return notices
-
-    # -- interrupt flags -------------------------------------------------
-    def has_interrupt(self, epoch: int) -> bool:
-        return epoch in self._interrupts
-
-    def drain_interrupts(self, up_to_epoch: int) -> None:
-        self._interrupts = {e for e in self._interrupts if e > up_to_epoch}
-
-    # -- filtered receive ------------------------------------------------
-    @staticmethod
-    def _matches(msg: Message, spec: AwaitMessage) -> bool:
-        if spec.tags is not None and msg.tag not in spec.tags:
-            return False
-        if spec.epoch is not None and msg.epoch != spec.epoch:
-            return False
-        if spec.srcs is not None and msg.src not in spec.srcs:
-            return False
-        return True
-
     def get(self, spec: AwaitMessage):
-        """Next notice or matching message; ``None`` on spec timeout.
-
-        Raises :class:`BackendError` when an untimed wait outlives the
-        watchdog (a peer process most likely died without notice).
-        """
-        deadline = time.perf_counter() + (
-            spec.timeout if spec.timeout is not None else WATCHDOG_SECONDS)
+        """Next notice or matching message; ``None`` on spec timeout."""
+        deadline = Deadline(spec, "a peer process")
+        self.poll()
         while True:
-            if self._notices:
-                return self._notices.pop(0)
-            for i, msg in enumerate(self._buffer):
-                if self._matches(msg, spec):
-                    return self._buffer.pop(i)
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                if spec.timeout is None:
-                    raise BackendError(
-                        f"watchdog: no message matching {spec} within "
-                        f"{WATCHDOG_SECONDS}s — a peer process likely "
-                        "died; see the first reported error")
+            got = self.inbox.take(spec)
+            if got is not None:
+                return got
+            remaining = deadline.remaining()
+            if remaining is None:
                 return None
             self._crash.check()
             try:
-                self._absorb(self._q.get(timeout=min(remaining,
-                                                     POLL_SECONDS * 2.5)))
+                self.inbox.post(self._q.get(
+                    timeout=min(remaining, POLL_SECONDS * 2.5)))
             except queue_mod.Empty:
                 continue
 
 
-class _ChildReporter:
-    """Child-side sink: routes messages, counts traffic, streams stats."""
+class _ChildReporter(Reporter):
+    """A child's port: routes messages onto peer queues, streams stats
+    records to the parent, stamps executed rows in the shared block."""
 
-    def __init__(self, me, queues, balancer_q, stats_q, *,
-                 centralized: bool, lb_host: int, t0: float) -> None:
-        self.me = me
+    def __init__(self, cfg: _ChildConfig, queues, balancer_q, stats_q,
+                 crash: _CrashClock) -> None:
+        me = cfg.spec.node if cfg.groups is None else None
+        super().__init__(me, crash.t0)
+        self._cfg = cfg
         self._queues = queues
         self._balancer_q = balancer_q
         self._stats_q = stats_q
-        self._centralized = centralized
-        self._lb_host = lb_host
-        self._t0 = t0
-        self.messages = 0
-        self.bytes = 0
+        self._crash = crash
+        #: Centralized workers' PROFILEs feed the balancer process.
+        self._lb_host = cfg.spec.lb_host \
+            if me is not None and cfg.spec.centralized else None
+        self.shm = None
         self.payload_bytes = 0
         self.shm_bytes = 0
-        self.retries = 0
-        self.by_tag = CounterDict()
+        self._batch: list[Range] = []
+        self._executed = 0
+        self._row_pattern = b""
+        if me is not None:
+            self._row_pattern = struct.pack("<Q", me + 1)
+            if cfg.kernel != "numpy":
+                # The scalar kernels never touch the row payload, so
+                # stamp the whole row; the numpy kernel computed *into*
+                # it, so write only the ownership stamp and keep the
+                # results.
+                self._row_pattern += b"\x5a" * (cfg.row_bytes - STAMP_BYTES)
 
-    def now(self) -> float:
-        return time.perf_counter() - self._t0
-
-    def send(self, msg: Message) -> None:
-        self.messages += 1
-        self.bytes += msg.nbytes
-        self.by_tag.inc(msg.tag.value)
+    def deliver(self, msg: Message) -> None:
+        self._crash.check()
         self.payload_bytes += len(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
         if msg.tag is Tag.WORK:
             # The ranges ride the pipe; the data rows stay in shm.
             self.shm_bytes += msg.data_bytes
-        if (self._centralized and msg.tag is Tag.PROFILE
-                and msg.dst == self._lb_host):
+        if msg.tag is Tag.PROFILE and msg.dst == self._lb_host:
             self._balancer_q.put(msg)
         else:
             self._queues[msg.dst].put(msg)
 
-    # -- stats stream ----------------------------------------------------
+    def emit(self, body: dict) -> None:
+        if self._batch:
+            # Reliable runs report executed ranges in bulk, ahead of the
+            # next record (re-enters with the batch already empty).
+            batch, self._batch = self._batch, []
+            super().executed(merge_ranges(batch))
+        self._stats_q.put((self.me, self.now(), body))
+
     def executed(self, ranges: Sequence[Range]) -> None:
-        self._stats_q.put(("exec", self.me, tuple(ranges)))
-
-    def sync(self, group: int, epoch: int, plan) -> None:
-        self._stats_q.put(("sync", group, epoch, {
-            "time": self.now(), "reason": plan.reason,
-            "moved_work": plan.work_to_move if plan.move else 0.0,
-            "n_transfers": len(plan.transfers),
-            "retired": tuple(plan.retire),
-            "predicted_current": plan.predicted_current,
-            "predicted_balanced": plan.predicted_balanced}))
-
-    def declared(self, peer: int) -> None:
-        self._stats_q.put(("declared", self.me, peer))
-
-    def trace(self, payload: dict) -> None:
-        """Ship this child's trace buffer to the parent (pre-finish)."""
-        self._stats_q.put(("trace", self.me, payload))
+        cfg = self._cfg
+        for start, end in ranges:
+            for i in range(start, end):
+                off = i * cfg.row_bytes
+                self.shm.buf[off:off + len(self._row_pattern)] = \
+                    self._row_pattern
+        self._executed += sum(e - s for s, e in ranges)
+        if cfg.fail_after is not None and self._executed >= cfg.fail_after:
+            raise RuntimeError(
+                f"injected test failure on node {self.me} "
+                f"after {self._executed} iterations")
+        if cfg.stream_records:
+            super().executed(ranges)
+        else:
+            self._batch.extend(ranges)
 
     def counters(self) -> dict:
-        return {"messages": self.messages, "bytes": self.bytes,
-                "by_tag": dict(self.by_tag),
-                "payload_bytes": self.payload_bytes,
-                "shm_bytes": self.shm_bytes, "retries": self.retries}
+        return {**super().counters(), "payload_bytes": self.payload_bytes,
+                "shm_bytes": self.shm_bytes}
 
-    def finish(self, kind: str = "finish") -> None:
-        self._stats_q.put((kind, self.me, self.now(), self.counters()))
-
-    def error(self, text: str) -> None:
-        self._stats_q.put(("error", self.me, text))
-
-    def flush(self) -> None:
-        """Block until the stats queue's feeder drained (pre-exit)."""
-        self._stats_q.close()
-        self._stats_q.join_thread()
+    def finish(self, reason: str) -> None:
+        if self.recorder.enabled:
+            # Ship the trace buffer before the finish record so the
+            # parent merges it ahead of run teardown.
+            self.emit({"k": "trace", "payload": self.recorder.to_payload()})
+        super().finish(reason)
 
 
 # ---------------------------------------------------------------------------
-# Child entry points (module-level: spawn start methods must import them).
+# Child entry point (module-level: spawn start methods must import it).
 # ---------------------------------------------------------------------------
-def _compute_slice(proto: WorkerProtocol, cfg: _WorkerConfig,
-                   mailbox: _ChildMailbox, reporter: _ChildReporter,
-                   crash: _CrashClock, shm, row_pattern: bytes,
-                   rec=NULL_RECORDER) -> str:
-    """Burn real CPU through the assignment, iteration by iteration."""
-    assignment = proto.assignment
-    table = proto.table
-    mailbox.drain_interrupts(proto.epoch - 1)
-    if assignment.empty:
-        return "finished"
-    probe = crash.due if crash.armed else None
-    done_batch: list[Range] = []
-    executed = 0
-    vectorized = cfg.kernel == "numpy"
+def _child_main(cfg: _ChildConfig, queues, balancer_q, stats_q,
+                t0: float) -> None:
+    """One worker (reading its own queue) or, with ``cfg.groups`` set,
+    the balancer (reading ``balancer_q``; it is never crashed)."""
+    spec = cfg.spec
+    is_worker = cfg.groups is None
+    crash = _CrashClock(spec.crash_at if is_worker else None, t0,
+                        (*queues, balancer_q, stats_q))
+    reporter = _ChildReporter(cfg, queues, balancer_q, stats_q, crash)
     try:
-        while not assignment.empty:
+        if is_worker:
+            reporter.shm = _attach_shm(cfg.shm_name)
+        proto = spec.build_protocol() if is_worker \
+            else spec.build_balancer(cfg.groups)
+        if spec.trace_events:
+            reporter.recorder = TraceRecorder(clock=reporter.now)
+        mailbox = _ChildMailbox(
+            queues[spec.node] if is_worker else balancer_q, crash)
+        probe = crash.due if crash.crash_at is not None else None
+
+        def boundary(_proto: WorkerProtocol) -> None:
             crash.check()
             mailbox.poll()
-            if proto.is_dlb and mailbox.has_interrupt(proto.epoch):
-                return "interrupted"
-            taken = assignment.take_head(1)
-            start, _end = taken[0]
-            cost = table.range_work(start, start + 1)
-            t0 = time.perf_counter()
-            if vectorized:
-                # Compute *in* the iteration's own data row: a zero-copy
-                # float64 view of the shared block past the ownership
-                # stamp (None when the row payload is too small — the
-                # kernel then burns on private scratch instead).
-                view = None
-                if shm is not None:
-                    view = shm_row_view(
-                        shm.buf, start * cfg.row_bytes + STAMP_BYTES,
-                        cfg.row_bytes - STAMP_BYTES)
-                burn_vec(cost * cfg.time_scale * cfg.ops_rate,
-                         out=view, should_abort=probe)
-            else:
-                burn_ops(cost * cfg.time_scale * cfg.ops_rate,
-                         should_abort=probe)
+
+        def burn_one(want: Burn) -> None:
+            # The numpy kernel computes *in* the iteration's own data
+            # row: a zero-copy float64 view of the shared block past the
+            # ownership stamp (None when the row payload is too small —
+            # the kernel then burns on private scratch instead).
+            view = None
+            if cfg.kernel == "numpy":
+                view = shm_row_view(
+                    reporter.shm.buf,
+                    want.iteration * cfg.row_bytes + STAMP_BYTES,
+                    cfg.row_bytes - STAMP_BYTES)
+            burn(cfg.kernel, want.cost * spec.time_scale, cfg.ops_rate,
+                 out=view, should_abort=probe)
             crash.check()  # fail-stop before the iteration is recorded
-            t1 = time.perf_counter()
-            proto.note_busy(t1 - t0)
-            rec.complete("compute", t0 - crash.t0, t1 - t0,
-                         track=f"node{cfg.node}", iteration=start)
-            proto.note_work(cost)
-            if shm is not None:
-                off = start * cfg.row_bytes
-                shm.buf[off:off + len(row_pattern)] = row_pattern
-            executed += 1
-            if cfg.fail_after is not None and executed >= cfg.fail_after:
-                raise RuntimeError(
-                    f"injected test failure on node {cfg.node} "
-                    f"after {executed} iterations")
-            if cfg.stream_records:
-                reporter.executed(taken)
-            else:
-                done_batch.extend(taken)
-        return "finished"
-    finally:
-        if done_batch:
-            reporter.executed(merge_ranges(done_batch))
 
-
-def _drive_worker(proto: WorkerProtocol, cfg: _WorkerConfig,
-                  mailbox: _ChildMailbox, reporter: _ChildReporter,
-                  crash: _CrashClock, shm, row_pattern: bytes,
-                  rec=NULL_RECORDER) -> None:
-    last_await: Optional[AwaitMessage] = None
-    commands = proto.on_event(Start())
-    while True:
-        await_spec: Optional[AwaitMessage] = None
-        next_event = None
-        for cmd in commands:
-            if isinstance(cmd, Send):
-                crash.check()
-                reporter.send(cmd.msg)
-            elif isinstance(cmd, StartCompute):
-                status = _compute_slice(proto, cfg, mailbox, reporter,
-                                        crash, shm, row_pattern, rec)
-                next_event = ComputeDone(status)
-            elif isinstance(cmd, AwaitMessage):
-                await_spec = cmd
-                last_await = cmd
-            elif isinstance(cmd, RecordSync):
-                reporter.sync(cmd.group, cmd.epoch, cmd.plan)
-            elif isinstance(cmd, Charge):
-                pass  # planning costs real time on a real backend
-            elif isinstance(cmd, DeclareDead):
-                reporter.declared(cmd.peer)
-            elif isinstance(cmd, Emit):
-                rec.event(cmd.name, track=f"node{cfg.node}", **cmd.args())
-            elif isinstance(cmd, Done):
-                if rec.enabled:
-                    # Ship the trace buffer before the finish record so
-                    # the parent merges it ahead of run teardown.
-                    reporter.trace(rec.to_payload())
-                reporter.finish()
-                return
-            else:  # pragma: no cover - defensive
-                raise BackendError(f"unhandled command {cmd!r}")
-        if next_event is None:
-            notices = mailbox.take_notices()
-            if notices:
-                next_event = PeerDead(notices[0].node)
-                for late in notices[1:]:
-                    mailbox._notices.append(late)
-            else:
-                if await_spec is None:
-                    # A PeerDead pump can return no commands (the death
-                    # was irrelevant to the current phase): keep the
-                    # previous wait armed.
-                    await_spec = last_await
-                if await_spec is None:  # pragma: no cover - defensive
-                    raise BackendError(
-                        "protocol yielded neither wait nor compute")
-                got = mailbox.get(await_spec)
-                if got is None:
-                    reporter.retries += 1
-                    next_event = TimerFired()
-                elif isinstance(got, _PeerDeadNotice):
-                    next_event = PeerDead(got.node)
-                else:
-                    next_event = MessageReceived(got)
-        commands = proto.on_event(next_event)
-
-
-def _movement_fn(movement: Optional[tuple[float, float]], dc_bytes: int,
-                 mean_iteration_time: float):
-    if movement is None:
-        return None
-    latency, bandwidth = movement
-    return make_movement_cost_estimator(
-        latency=latency, bandwidth=bandwidth, dc_bytes=dc_bytes,
-        mean_iteration_time=mean_iteration_time)
-
-
-def _worker_main(cfg: _WorkerConfig, queues, balancer_q, stats_q,
-                 t0: float) -> None:
-    crash = _CrashClock(cfg.crash_at, t0)
-    reporter = _ChildReporter(cfg.node, queues, balancer_q, stats_q,
-                              centralized=cfg.centralized,
-                              lb_host=cfg.lb_host, t0=t0)
-    shm = None
-    try:
-        if cfg.shm_name is not None:
-            shm = _attach_shm(cfg.shm_name)
-        row_pattern = struct.pack("<Q", cfg.node + 1)
-        if cfg.kernel != "numpy":
-            # The scalar kernels never touch the row payload, so stamp
-            # the whole row; the numpy kernel computed *into* it, so
-            # write only the ownership stamp and keep the results.
-            row_pattern += b"\x5a" * (cfg.row_bytes - STAMP_BYTES)
-        proto = WorkerProtocol(
-            cfg.node, cfg.members, group=cfg.group,
-            centralized=cfg.centralized, lb_host=cfg.lb_host,
-            policy=cfg.policy, table=cfg.table,
-            mean_iteration_time=cfg.mean_iteration_time,
-            dc_bytes=cfg.dc_bytes,
-            movement_cost_fn=_movement_fn(cfg.movement, cfg.dc_bytes,
-                                          cfg.mean_iteration_time),
-            ft=cfg.ft, profile_window_reset=cfg.profile_window_reset,
-            assignment=Assignment(cfg.ranges), is_dlb=cfg.is_dlb)
-        proto.emit_trace = cfg.trace_events
-        rec = TraceRecorder(clock=reporter.now) if cfg.trace_events \
-            else NULL_RECORDER
-        mailbox = _ChildMailbox(queues[cfg.node], crash)
-        _drive_worker(proto, cfg, mailbox, reporter, crash, shm,
-                      row_pattern, rec)
+        run_blocking(
+            drive(proto, reporter, mailbox.inbox,
+                  track=f"node{spec.node}" if is_worker else "balancer",
+                  boundary=boundary),
+            mailbox.get, burn_one)
     except BaseException:
         reporter.error(traceback.format_exc())
-        reporter.flush()  # os._exit skips the feeder's atexit flush
-        os._exit(1)
+        crash.exit(1)
     finally:
-        if shm is not None:
-            shm.close()
-
-
-def _balancer_main(cfg: _BalancerConfig, queues, balancer_q, stats_q,
-                   t0: float) -> None:
-    crash = _CrashClock(None, t0)
-    reporter = _ChildReporter(-1, queues, balancer_q, stats_q,
-                              centralized=True, lb_host=cfg.host, t0=t0)
-    try:
-        proto = BalancerProtocol(
-            cfg.host, [list(g) for g in cfg.groups], policy=cfg.policy,
-            mean_iteration_time=cfg.mean_iteration_time,
-            movement_cost_fn=_movement_fn(
-                cfg.movement, 0, cfg.mean_iteration_time),
-            ft=cfg.ft)
-        proto.emit_trace = cfg.trace_events
-        rec = TraceRecorder(clock=reporter.now) if cfg.trace_events \
-            else NULL_RECORDER
-        mailbox = _ChildMailbox(balancer_q, crash)
-        commands = proto.on_event(Start())
-        while True:
-            await_spec = None
-            for cmd in commands:
-                if isinstance(cmd, Send):
-                    reporter.send(cmd.msg)
-                elif isinstance(cmd, AwaitMessage):
-                    await_spec = cmd
-                elif isinstance(cmd, RecordSync):
-                    reporter.sync(cmd.group, cmd.epoch, cmd.plan)
-                elif isinstance(cmd, Charge):
-                    pass
-                elif isinstance(cmd, Emit):
-                    rec.event(cmd.name, track="balancer", **cmd.args())
-                elif isinstance(cmd, Done):
-                    if rec.enabled:
-                        reporter.trace(rec.to_payload())
-                    reporter.finish(kind="bfinish")
-                    return
-                else:  # pragma: no cover - defensive
-                    raise BackendError(f"unhandled command {cmd!r}")
-            if await_spec is None:  # pragma: no cover - defensive
-                raise BackendError("balancer yielded no wait")
-            got = mailbox.get(await_spec)
-            if isinstance(got, _PeerDeadNotice):
-                commands = proto.on_event(PeerDead(got.node))
-            else:
-                commands = proto.on_event(MessageReceived(got))
-    except BaseException:
-        reporter.error(traceback.format_exc())
-        reporter.flush()
-        os._exit(1)
+        if reporter.shm is not None:
+            reporter.shm.close()
 
 
 # ---------------------------------------------------------------------------
@@ -642,13 +366,7 @@ class ProcessBackend(ExecutionBackend):
                  kernel: str = "ops") -> None:
         if time_scale <= 0:
             raise BackendError("time_scale must be positive")
-        if kernel not in ("ops", "numpy"):
-            raise BackendError(
-                f"unknown kernel {kernel!r} (the process backend burns "
-                "real CPU work: 'ops' or 'numpy'; 'wall' is thread-only)")
-        if kernel == "numpy" and not HAVE_NUMPY:
-            raise BackendError(
-                "the 'numpy' kernel needs numpy installed; use 'ops'")
+        require_kernel(self.name, kernel)
         self.time_scale = time_scale
         self.start_method = start_method
         #: ``"ops"`` burns scalar multiply-adds; ``"numpy"`` burns the
@@ -659,162 +377,63 @@ class ProcessBackend(ExecutionBackend):
         #: raises, exercising the shutdown/teardown path.
         self._fail_after: dict[int, int] = {}
 
-    def _context(self):
-        import multiprocessing
-        method = self.start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else methods[0]
-        try:
-            return multiprocessing.get_context(method)
-        except ValueError as exc:
-            raise BackendError(f"unknown start method {method!r}") from exc
-
-    # -- validation ------------------------------------------------------
-    def _validate(self, spec: StrategySpec, n: int, options: RunOptions,
-                  selector, fault_plan: Optional[FaultPlan]) -> None:
-        if spec.code == "WS":
-            raise BackendError(
-                "the work-stealing baseline is simulation-only")
-        if spec.code == "CUSTOM" or selector is not None:
-            raise BackendError(
-                "the CUSTOM model-based selection consults the simulated "
-                "load model; pick a concrete strategy for "
-                "--backend process")
-        if fault_plan is not None and not fault_plan.empty:
-            if fault_plan.slowdowns or fault_plan.drops or fault_plan.delays:
-                raise BackendError(
-                    "the process backend lifts crash faults only; "
-                    "slowdowns, drops and delays remain simulation-only")
-        if options.sync_mode != "interrupt":
-            raise BackendError(
-                "periodic synchronization is simulation-only")
-        if options.include_staging:
-            raise BackendError("staged scatter/gather is simulation-only")
-        if options.topology is not None or spec.code == "DIFF":
-            raise BackendError(
-                "graph topologies (and the diffusion strategy) run on the "
-                "sim and thread backends; the process transport is a flat "
-                "shared-memory mesh")
-        if spec.is_dlb and spec.code != "NONE" and n < 2:
-            raise ValueError(
-                "dynamic load balancing needs at least 2 processors")
-
     # -- entry point -----------------------------------------------------
     def run_loop(self, loop: LoopSpec, cluster: ClusterSpec,
                  strategy: StrategyLike,
                  options: Optional[RunOptions] = None,
                  selector: Optional[Callable] = None,
                  fault_plan: Optional[FaultPlan] = None) -> LoopRunStats:
-        options = options or RunOptions()
-        spec = strategy if isinstance(strategy, StrategySpec) \
-            else get_strategy(strategy)
-        n = cluster.n_processors
-        if fault_plan is not None and fault_plan.empty:
-            fault_plan = None
-        self._validate(spec, n, options, selector, fault_plan)
-        ft = options.fault_tolerance
-        if fault_plan is not None:
-            fault_plan.validate_for(n)
-            if not ft.enabled:
-                from dataclasses import replace
-                ft = replace(ft, enabled=True)
-
-        table = loop.work_table()
-        mean_iteration_time = table.total_work / table.n
-        k = options.effective_group_size(n, spec.group_size)
-        if spec.global_scope or not spec.is_dlb:
-            groups: list[list[int]] = [list(range(n))]
-        else:
-            groups = build_groups(n, k, formation=options.group_formation,
-                                  seed=options.group_seed)
-        group_of = {node: g for g, members in enumerate(groups)
-                    for node in members}
-        movement = None
-        if options.policy.include_movement_cost:
-            movement = (options.network.latency, options.network.bandwidth)
-
-        stats = LoopRunStats(loop_name=loop.name, strategy=spec.name,
-                             n_processors=n, group_size=k,
-                             backend=self.name)
-        registry = MetricsRegistry()
-        # A live view: _supervise merges each child's counters into the
-        # registry's storage, which *is* this stats field.
-        stats.messages_by_tag = registry.counter("messages_by_tag")
-        recorder = options.recorder or NULL_RECORDER
-        parts = equal_block_partition(loop.n_iterations, n)
+        ctx = mp_context(self.start_method)
+        plan = prepare_run(
+            self.name, loop, cluster, strategy, options, selector,
+            fault_plan, time_scale=self.time_scale,
+            start_method=getattr(ctx, "_name", None) or self.start_method,
+            kernel=self.kernel)
+        stats, recorder = plan.stats, plan.recorder
         row_bytes = max(STAMP_BYTES, loop.dc_bytes)
-        if self.kernel == "numpy":
-            # Calibrate at the element count the workers actually burn
-            # over (the row payload), so per-iteration wall time stays
-            # cost * time_scale whatever the row width.
-            ops_rate = calibrate_vec_rate((row_bytes - STAMP_BYTES) // 8)
-        else:
-            ops_rate = calibrate_ops_rate()
-        crash_at = {c.node: c.time * self.time_scale
-                    for c in fault_plan.crashes} if fault_plan else {}
+        # Calibrate the numpy kernel at the element count the workers
+        # actually burn over (the row payload), so per-iteration wall
+        # time stays cost * time_scale whatever the row width.
+        ops_rate = calibrate(self.kernel, (row_bytes - STAMP_BYTES) // 8)
 
-        ctx = self._context()
         from multiprocessing import shared_memory
         shm = shared_memory.SharedMemory(
             create=True, size=max(1, loop.n_iterations * row_bytes))
-        queues = [ctx.Queue() for _ in range(n)]
+        queues = [ctx.Queue() for _ in plan.workers]
         balancer_q = ctx.Queue()
         stats_q = ctx.Queue()
-        centralized = bool(spec.is_dlb and spec.centralized)
 
         t0 = time.perf_counter()
-        stats.start_time = 0.0
-        ctx_method = getattr(ctx, "_name", None) or self.start_method
-        stats.environment = environment_fingerprint(
-            start_method=ctx_method, kernel=self.kernel)
         if recorder.enabled:
             # Children timestamp against the same parent-stamped origin
             # (perf_counter is CLOCK_MONOTONIC: comparable across
             # processes), so merged buffers share one time domain.
             recorder.set_clock(lambda: time.perf_counter() - t0)
+        cast: dict[object, WorkerSpec] = dict(enumerate(plan.workers))
+        if plan.workers[0].centralized:
+            cast["balancer"] = plan.workers[0]
         procs: dict[object, object] = {}
         try:
-            for node in range(n):
-                gid = group_of[node]
-                cfg = _WorkerConfig(
-                    node=node, members=tuple(groups[gid]), group=gid,
-                    centralized=centralized, lb_host=0,
-                    policy=options.policy, table=table,
-                    mean_iteration_time=mean_iteration_time,
-                    dc_bytes=loop.dc_bytes, movement=movement, ft=ft,
-                    profile_window_reset=options.profile_window_reset,
-                    ranges=tuple(parts[node].ranges), is_dlb=spec.is_dlb,
-                    time_scale=self.time_scale, kernel=self.kernel,
-                    ops_rate=ops_rate,
+            for key, spec in cast.items():
+                cfg = _ChildConfig(
+                    spec=spec, groups=tuple(map(tuple, plan.groups))
+                    if key == "balancer" else None,
+                    kernel=self.kernel, ops_rate=ops_rate,
                     shm_name=shm.name, row_bytes=row_bytes,
-                    crash_at=crash_at.get(node),
-                    stream_records=bool(fault_plan),
-                    fail_after=self._fail_after.get(node),
-                    trace_events=recorder.enabled)
-                p = ctx.Process(target=_worker_main,
-                                args=(cfg, queues, balancer_q, stats_q, t0),
-                                name=f"dlb-node{node}", daemon=True)
-                procs[node] = p
-            if centralized:
-                bcfg = _BalancerConfig(
-                    host=0,
-                    groups=tuple(tuple(g) for g in groups),
-                    policy=options.policy,
-                    mean_iteration_time=mean_iteration_time,
-                    movement=movement, ft=ft,
-                    trace_events=recorder.enabled)
-                procs["balancer"] = ctx.Process(
-                    target=_balancer_main,
-                    args=(bcfg, queues, balancer_q, stats_q, t0),
-                    name="dlb-balancer", daemon=True)
+                    stream_records=bool(plan.crash_at),
+                    fail_after=self._fail_after.get(key))
+                procs[key] = ctx.Process(
+                    target=_child_main,
+                    args=(cfg, queues, balancer_q, stats_q, t0),
+                    name="dlb-balancer" if key == "balancer"
+                    else f"dlb-node{key}", daemon=True)
             for p in procs.values():
                 p.start()
 
-            crashed, declared = self._supervise(
-                stats, procs, queues, balancer_q, stats_q,
-                expected_crashes=set(crash_at), options=options,
-                recorder=recorder)
+            ledger = RunLedger(plan.stats, trace=plan.options.trace)
+            crashed = self._supervise(ledger, recorder, procs, queues,
+                                      balancer_q, stats_q,
+                                      set(plan.crash_at))
             for node in sorted(crashed):
                 # A crashed child's buffer died with it (os._exit ships
                 # nothing): mark the truncation explicitly rather than
@@ -824,13 +443,13 @@ class ProcessBackend(ExecutionBackend):
 
             for p in procs.values():
                 p.join(timeout=5.0)
-            salvaged = self._salvage(stats, loop, table, crashed,
+            salvaged = self._salvage(stats, loop, plan.table, crashed,
                                      ops_rate, shm, row_bytes)
             stats.end_time = time.perf_counter() - t0
             stats.crashed_nodes = tuple(sorted(crashed))
-            stats.declared_dead = tuple(sorted(declared))
+            stats.declared_dead = tuple(sorted(ledger.declared))
             stats.salvaged_iterations = salvaged
-            self._verify_coverage(stats, loop)
+            check_coverage(stats.executed_by_node, loop.n_iterations)
             self._verify_shm(stats, shm, row_bytes)
             return stats
         finally:
@@ -844,62 +463,30 @@ class ProcessBackend(ExecutionBackend):
             shm.unlink()
 
     # -- supervision -----------------------------------------------------
-    def _supervise(self, stats: LoopRunStats, procs, queues, balancer_q,
-                   stats_q, *, expected_crashes: set[int],
-                   options: RunOptions,
-                   recorder=NULL_RECORDER) -> tuple[set[int], set[int]]:
+    def _supervise(self, ledger: RunLedger, recorder, procs, queues,
+                   balancer_q, stats_q,
+                   expected_crashes: set[int]) -> set[int]:
         """Drain the stats stream and police child liveness.
 
-        Returns ``(crashed, declared_dead)``.  Raises
+        Returns the nodes that fail-stopped on schedule.  Raises
         :class:`BackendError` when a child dies outside the fault plan.
         """
-        sync_seen: set[tuple[int, int]] = set()
         crashed: set[int] = set()
-        declared: set[int] = set()
-        finished: set = set()
         suspect_since: dict = {}
         pending = set(procs)
         deadline = time.perf_counter() + WATCHDOG_SECONDS * 2
 
-        def handle(rec) -> None:
-            kind = rec[0]
-            if kind == "exec":
-                _, node, ranges = rec
-                stats.executed_by_node.setdefault(node, []).extend(ranges)
-            elif kind == "sync":
-                _, group, epoch, row = rec
-                if options.trace and (group, epoch) not in sync_seen:
-                    sync_seen.add((group, epoch))
-                    stats.record_sync(SyncRecord(
-                        time=row["time"], group=group, epoch=epoch,
-                        reason=row["reason"],
-                        moved_work=row["moved_work"],
-                        n_transfers=row["n_transfers"],
-                        retired=row["retired"],
-                        predicted_current=row["predicted_current"],
-                        predicted_balanced=row["predicted_balanced"]))
-            elif kind == "declared":
-                declared.add(rec[2])
-            elif kind == "trace":
-                recorder.merge_payload(rec[2])
-            elif kind in ("finish", "bfinish"):
-                _, node, now, counters = rec
-                key = "balancer" if kind == "bfinish" else node
-                finished.add(key)
-                pending.discard(key)
-                if kind == "finish":
-                    stats.node_finish_times[node] = now
-                stats.network_messages += counters["messages"]
-                stats.network_bytes += counters["bytes"]
-                stats.transport_payload_bytes += counters["payload_bytes"]
-                stats.shm_data_bytes += counters["shm_bytes"]
-                stats.fault_retries += counters["retries"]
-                stats.messages_by_tag.merge(counters["by_tag"])
+        def handle(record) -> None:
+            node, now, body = record
+            kind = ledger.record(node, body, now)
+            if kind == "trace":
+                recorder.merge_payload(body["payload"])
+            elif kind == "finish":
+                pending.discard("balancer" if node is None else node)
             elif kind == "error":
                 raise BackendError(
-                    f"worker {rec[1]} failed:\n{rec[2]}")
-            else:  # pragma: no cover - defensive
-                raise BackendError(f"unknown stats record {rec!r}")
+                    f"worker {'balancer' if node is None else node} "
+                    f"failed:\n{body['text']}")
 
         while pending:
             try:
@@ -914,13 +501,13 @@ class ProcessBackend(ExecutionBackend):
                     "never finished")
             for key in list(pending):
                 p = procs[key]
-                if p.is_alive() or key in finished:
+                if p.is_alive():
                     continue
                 code = p.exitcode
                 if code == CRASH_EXIT_CODE and key in expected_crashes:
                     crashed.add(key)
                     pending.discard(key)
-                    notice = _PeerDeadNotice(key)
+                    notice = PeerDead(key)
                     for node, q in enumerate(queues):
                         if node != key and node not in crashed:
                             q.put(notice)
@@ -941,25 +528,15 @@ class ProcessBackend(ExecutionBackend):
             try:
                 handle(stats_q.get_nowait())
             except queue_mod.Empty:
-                return crashed, declared
+                return crashed
 
     # -- salvage / verification -----------------------------------------
     def _salvage(self, stats: LoopRunStats, loop: LoopSpec,
                  table: WorkTable, crashed: set[int], ops_rate: float,
                  shm, row_bytes: int) -> int:
         """Re-execute orphaned iterations; credit the lowest survivor."""
-        if not crashed:
-            return 0
-        executed = merge_ranges(
-            [r for ranges in stats.executed_by_node.values()
-             for r in ranges])
-        orphans: list[Range] = []
-        cursor = 0
-        for start, end in executed + [(loop.n_iterations,
-                                       loop.n_iterations)]:
-            if cursor < start:
-                orphans.append((cursor, start))
-            cursor = max(cursor, end)
+        orphans = uncovered(stats.executed_by_node, loop.n_iterations) \
+            if crashed else []
         if not orphans:
             return 0
         survivor = min(node for node in range(stats.n_processors)
@@ -968,32 +545,21 @@ class ProcessBackend(ExecutionBackend):
                    + b"\x5a" * (row_bytes - STAMP_BYTES))
         count = 0
         for start, end in orphans:
-            work = table.range_work(start, end)
+            view = None
             if self.kernel == "numpy":
                 # Burn over the first orphaned row's payload — the same
                 # element count the rate was calibrated at.
                 view = shm_row_view(shm.buf,
                                     start * row_bytes + STAMP_BYTES,
                                     row_bytes - STAMP_BYTES)
-                burn_vec(work * self.time_scale * ops_rate, out=view)
-            else:
-                burn_ops(work * self.time_scale * ops_rate)
+            burn(self.kernel, table.range_work(start, end) * self.time_scale,
+                 ops_rate, out=view)
             for i in range(start, end):
                 off = i * row_bytes
                 shm.buf[off:off + len(pattern)] = pattern
             count += end - start
         stats.executed_by_node.setdefault(survivor, []).extend(orphans)
         return count
-
-    @staticmethod
-    def _verify_coverage(stats: LoopRunStats, loop: LoopSpec) -> None:
-        all_ranges = [r for ranges in stats.executed_by_node.values()
-                      for r in ranges]
-        merged = merge_ranges(all_ranges)  # raises on overlap (duplicates)
-        expected = [(0, loop.n_iterations)]
-        if merged != expected:
-            raise AssertionError(
-                f"lost iterations: executed {merged}, expected {expected}")
 
     @staticmethod
     def _verify_shm(stats: LoopRunStats, shm, row_bytes: int) -> None:

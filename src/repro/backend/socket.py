@@ -52,9 +52,9 @@ salvages any coverage gap (crash orphans, grants dropped by a retiring
 receiver) by re-executing it and crediting the lowest finished
 survivor, then audits the merged coverage ledger.
 
-Deliberate non-goals (raise :class:`BackendError`), as for processes:
-the simulated load model, CUSTOM selection, the WS baseline, periodic
-synchronization, staged scatter/gather, and non-crash fault kinds.
+What this backend refuses (:class:`BackendError`) is one row of the
+capability matrix in ``docs/ARCHITECTURE.md``
+(:data:`repro.backend.capabilities.CAPABILITIES`).
 """
 
 from __future__ import annotations
@@ -66,77 +66,67 @@ import traceback
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from ..apps.workload import LoopSpec, WorkTable
-from ..core.redistribution import make_movement_cost_estimator
-from ..core.strategies.base import StrategySpec
-from ..core.strategies.registry import get_strategy
+from ..apps.workload import LoopSpec
 from ..faults.liveness import HeartbeatMonitor
 from ..faults.plan import FaultPlan
-from ..machine.cluster import ClusterSpec, build_groups
+from ..machine.cluster import ClusterSpec
 from ..message.frames import (
     PROTOCOL_VERSION,
     FrameDecoder,
     FrameError,
     FrameType,
     encode_frame,
-    ft_from_wire,
-    ft_to_wire,
     message_from_wire,
     message_to_wire,
-    policy_from_wire,
-    policy_to_wire,
 )
 from ..message.messages import ControlMsg, Message, Tag
-from ..obs.metrics import CounterDict, MetricsRegistry
-from ..obs.trace import NULL_RECORDER, TraceRecorder
+from ..obs.metrics import CounterDict
+from ..obs.trace import TraceRecorder
 from ..protocol import (
     AwaitMessage,
     BalancerProtocol,
-    Charge,
-    ComputeDone,
-    DeclareDead,
     Done,
-    Emit,
     LeaveRequested,
     MessageReceived,
     PeerDead,
     PeerJoined,
     PeerLeft,
-    RecordSync,
-    Send,
+    ProtocolEvent,
     Start,
-    StartCompute,
-    TimerFired,
     WorkerProtocol,
 )
-from ..runtime.assignment import Assignment, equal_block_partition, merge_ranges
-from ..runtime.options import FaultToleranceConfig, RunOptions
-from ..runtime.stats import LoopRunStats, SyncRecord, environment_fingerprint
+from ..runtime.assignment import CoverageError, check_coverage, uncovered
+from ..runtime.options import RunOptions
+from ..runtime.stats import LoopRunStats
 from .base import (
+    CRASH_EXIT_CODE,
+    DRAIN_GRACE_SECONDS,
+    POLL_SECONDS,
+    WATCHDOG_SECONDS,
     BackendError,
     ExecutionBackend,
     StrategyLike,
     join_or_terminate,
+    mp_context,
+)
+from .driver import (
+    Burn,
+    Deadline,
+    Inbox,
+    Reporter,
+    RunLedger,
+    RunPlan,
+    WorkerSpec,
+    drive,
+    execute,
+    pairs,
+    prepare_run,
 )
 
 __all__ = ["SocketBackend", "JoinEvent", "LeaveEvent", "KillEvent",
            "run_worker"]
 
 Range = tuple[int, int]
-
-#: Safety net on every blocking wait, as in the thread/process backends.
-WATCHDOG_SECONDS = 120.0
-
-#: Exit code of a fail-stopped worker subprocess (same value as the
-#: process backend's, so tooling treats scheduled crashes uniformly).
-CRASH_EXIT_CODE = 17
-
-#: Hub poll granularity (completion monitor, liveness loop).
-POLL_SECONDS = 0.02
-
-#: Grace between coverage completion and dismissing stragglers, and for
-#: a terminal worker's last frames to drain.
-DRAIN_GRACE_SECONDS = 2.0
 
 #: Distributed join fence: the announcement becomes effective this many
 #: epochs past the newest profile the hub has routed, so no member can
@@ -183,100 +173,35 @@ class _Dismissed(Exception):
     """Internal: the hub ended the run (BYE) while this worker waited."""
 
 
-def _pairs(value) -> tuple[Range, ...]:
-    return tuple((int(s), int(e)) for s, e in value or ())
-
-
-def _movement_fn(movement: Optional[tuple[float, float]], dc_bytes: int,
-                 mean_iteration_time: float):
-    if movement is None:
-        return None
-    latency, bandwidth = movement
-    return make_movement_cost_estimator(
-        latency=latency, bandwidth=bandwidth, dc_bytes=dc_bytes,
-        mean_iteration_time=mean_iteration_time)
+async def _first_frames(reader: asyncio.StreamReader,
+                        dec: FrameDecoder) -> list:
+    """Read until at least one whole frame arrived; ``[]`` on EOF."""
+    while True:
+        chunk = await reader.read(65536)
+        if not chunk:
+            return []
+        frames = list(dec.feed(chunk))
+        if frames:
+            return frames
 
 
 # ---------------------------------------------------------------------------
 # Worker client.
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class _ClientConfig:
-    """One worker's run configuration, as decoded from WELCOME."""
+class _ClientReporter(Reporter):
+    """A worker's port: everything leaves as a frame.
 
-    node: int
-    members: tuple[int, ...]
-    group: int
-    centralized: bool
-    lb_host: int
-    policy: object
-    table: WorkTable
-    mean_iteration_time: float
-    dc_bytes: int
-    movement: Optional[tuple[float, float]]
-    ft: FaultToleranceConfig
-    profile_window_reset: bool
-    ranges: tuple[Range, ...]
-    is_dlb: bool
-    epoch: int
-    time_scale: float
-    crash_at: Optional[float]
-    leave_after: Optional[int]
-    trace_events: bool
-
-
-def _config_from_welcome(body: dict,
-                         leave_after: Optional[int]) -> _ClientConfig:
-    run = body["run"]
-    it = run["iteration_time"]
-    table = (WorkTable(float(it), int(run["n_iterations"]))
-             if not isinstance(it, list) else WorkTable(it))
-    movement = tuple(run["movement"]) if run.get("movement") else None
-    return _ClientConfig(
-        node=int(body["node"]),
-        members=tuple(int(m) for m in run["members"]),
-        group=int(run["group"]),
-        centralized=bool(run["centralized"]),
-        lb_host=int(run["lb_host"]),
-        policy=policy_from_wire(run["policy"]),
-        table=table,
-        mean_iteration_time=float(run["mean_iteration_time"]),
-        dc_bytes=int(run["dc_bytes"]),
-        movement=movement,
-        ft=ft_from_wire(run["ft"]),
-        profile_window_reset=bool(run["profile_window_reset"]),
-        ranges=_pairs(run["ranges"]),
-        is_dlb=bool(run["is_dlb"]),
-        epoch=int(run["epoch"]),
-        time_scale=float(run["time_scale"]),
-        crash_at=run.get("crash_at"),
-        leave_after=leave_after,
-        # Absent from a pre-tracing hub's WELCOME: default off.
-        trace_events=bool(run.get("trace_events", False)))
-
-
-class _ClientReporter:
-    """Worker-side sink: writes frames, counts both measurement layers.
-
-    ``messages``/``bytes``/``by_tag`` are the *modeled* counters (the
-    paper's message economy, identical across backends); ``frames`` is
-    the *transport* layer — bytes actually written per frame type,
-    length prefix included.
+    On top of the base class's *modeled* counters (the paper's message
+    economy, identical across backends), ``frames`` is the *transport*
+    layer — bytes actually written per frame type, length prefix
+    included.
     """
 
     def __init__(self, writer: asyncio.StreamWriter, me: int) -> None:
+        super().__init__(me, time.perf_counter())
         self.writer = writer
-        self.me = me
-        self.messages = 0
-        self.bytes = 0
-        self.by_tag = CounterDict()
-        self.retries = 0
         self.frames = CounterDict()
         self.executed_total = 0
-        self.t0 = time.perf_counter()
-
-    def now(self) -> float:
-        return time.perf_counter() - self.t0
 
     def write(self, ftype: FrameType, body: Optional[dict] = None) -> None:
         data = encode_frame(ftype, body)
@@ -284,50 +209,32 @@ class _ClientReporter:
         if not self.writer.is_closing():
             self.writer.write(data)
 
-    def send(self, msg: Message) -> None:
-        self.messages += 1
-        self.bytes += msg.nbytes
-        self.by_tag.inc(msg.tag.value)
-        self.write(FrameType.MSG, message_to_wire(msg))
+    def deliver(self, msg: Message) -> None:
+        if isinstance(msg, ControlMsg) and msg.kind == "leave":
+            # The protocol's ``leave`` control rides a LEAVE frame.
+            self.write(FrameType.LEAVE, {
+                "node": self.me,
+                "ranges": [[s, e] for s, e in (msg.payload or ())]})
+        else:
+            self.write(FrameType.MSG, message_to_wire(msg))
 
-    def send_leave(self, msg: ControlMsg) -> None:
-        """The protocol's ``leave`` control rides a LEAVE frame."""
-        self.messages += 1
-        self.bytes += msg.nbytes
-        self.by_tag.inc(msg.tag.value)
-        self.write(FrameType.LEAVE, {
-            "node": self.me,
-            "ranges": [[s, e] for s, e in (msg.payload or ())]})
+    def emit(self, body: dict) -> None:
+        self.write(FrameType.STAT, body)
 
-    # -- stats stream ----------------------------------------------------
     def executed(self, ranges: Sequence[Range]) -> None:
         self.executed_total += sum(e - s for s, e in ranges)
-        self.write(FrameType.STAT,
-                   {"k": "exec", "ranges": [[s, e] for s, e in ranges]})
+        super().executed(ranges)
 
-    def sync(self, group: int, epoch: int, plan) -> None:
-        self.write(FrameType.STAT, {
-            "k": "sync", "group": group, "epoch": epoch,
-            "row": {"time": self.now(), "reason": plan.reason,
-                    "moved_work": plan.work_to_move if plan.move else 0.0,
-                    "n_transfers": len(plan.transfers),
-                    "retired": list(plan.retire),
-                    "predicted_current": plan.predicted_current,
-                    "predicted_balanced": plan.predicted_balanced}})
-
-    def declared(self, peer: int) -> None:
-        self.write(FrameType.STAT, {"k": "declared", "peer": peer})
+    def counters(self) -> dict:
+        return {**super().counters(), "frames": dict(self.frames)}
 
     def finish(self, reason: str) -> None:
-        self.write(FrameType.STAT, {
-            "k": "finish", "reason": reason,
-            "counters": {"messages": self.messages, "bytes": self.bytes,
-                         "by_tag": dict(self.by_tag),
-                         "retries": self.retries,
-                         "frames": dict(self.frames)}})
-
-    def error(self, text: str) -> None:
-        self.write(FrameType.STAT, {"k": "error", "text": text})
+        if self.recorder.enabled:
+            # Ship the trace buffer ahead of the finish record so the
+            # hub merges it before the peer turns terminal.
+            self.write(FrameType.TRACE,
+                       {"node": self.me, **self.recorder.to_payload()})
+        super().finish(reason)
 
     async def drain(self) -> None:
         try:
@@ -339,18 +246,15 @@ class _ClientReporter:
 class _ClientMailbox:
     """Worker-side inbox: the reader task sorts frames in here.
 
-    Protocol messages buffer until an :class:`AwaitMessage` matches;
-    INTERRUPTs fold into per-epoch flags polled at iteration boundaries
-    (the same contract as the other backends' mailboxes); DEATH notices
-    pre-empt any wait; MEMBER announcements and GRANTs apply at epoch /
-    iteration boundaries; resend requests are answered from the
-    protocol caches without waking the driver's state machine.
+    Protocol messages and DEATH notices go through the shared
+    :class:`~repro.backend.driver.Inbox`; MEMBER announcements and
+    GRANTs apply at epoch / iteration boundaries; resend requests are
+    answered from the protocol caches without waking the driver's
+    state machine.
     """
 
     def __init__(self) -> None:
-        self.buffer: list[Message] = []
-        self.interrupts: set[int] = set()
-        self.notices: list[tuple[str, int]] = []   # ("dead"|"left", node)
+        self.inbox = Inbox()
         self.requests: list[ControlMsg] = []
         self.grants: list[tuple[Range, ...]] = []
         self.admits: list[tuple[int, int]] = []    # (node, effective epoch)
@@ -363,14 +267,6 @@ class _ClientMailbox:
         self.answer: Optional[Callable[[ControlMsg], None]] = None
         self.crash_due: Optional[Callable[[], bool]] = None
 
-    # -- interrupt flags -------------------------------------------------
-    def has_interrupt(self, epoch: int) -> bool:
-        return epoch in self.interrupts
-
-    def drain_interrupts(self, up_to_epoch: int) -> None:
-        self.interrupts = {e for e in self.interrupts if e > up_to_epoch}
-
-    # -- elastic bookkeeping ---------------------------------------------
     def pop_due_admit(self, epoch: int) -> Optional[int]:
         for i, (node, eff) in enumerate(self.admits):
             if epoch >= eff:
@@ -378,50 +274,28 @@ class _ClientMailbox:
                 return node
         return None
 
-    def pop_notice(self) -> Optional[tuple[str, int]]:
-        return self.notices.pop(0) if self.notices else None
-
     def check_stop(self) -> None:
         if self.die or (self.crash_due is not None and self.crash_due()):
             raise _AbruptStop()
 
-    # -- filtered receive ------------------------------------------------
-    @staticmethod
-    def _matches(msg: Message, spec: AwaitMessage) -> bool:
-        if spec.tags is not None and msg.tag not in spec.tags:
-            return False
-        if spec.epoch is not None and msg.epoch != spec.epoch:
-            return False
-        if spec.srcs is not None and msg.src not in spec.srcs:
-            return False
-        return True
-
     async def get(self, spec: AwaitMessage):
-        """Next notice tuple or matching message; ``None`` on timeout."""
-        deadline = time.perf_counter() + (
-            spec.timeout if spec.timeout is not None else WATCHDOG_SECONDS)
+        """Next notice or matching message; ``None`` on timeout."""
+        deadline = Deadline(spec, "the hub or a peer")
         while True:
             self.check_stop()
             while self.requests and self.answer is not None:
                 self.answer(self.requests.pop(0))
-            if self.notices:
-                return self.notices.pop(0)
-            for i, msg in enumerate(self.buffer):
-                if self._matches(msg, spec):
-                    return self.buffer.pop(i)
+            got = self.inbox.take(spec)
+            if got is not None:
+                return got
             if self.bye.is_set():
                 raise _Dismissed()
             if self.closed:
                 raise BackendError(
                     "connection to the hub lost" +
                     (f": {self.error_text}" if self.error_text else ""))
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                if spec.timeout is None:
-                    raise BackendError(
-                        f"watchdog: no message matching {spec} within "
-                        f"{WATCHDOG_SECONDS}s — the hub or a peer likely "
-                        "died; see the first reported error")
+            remaining = deadline.remaining()
+            if remaining is None:
                 return None
             self.wake.clear()
             try:
@@ -438,23 +312,21 @@ async def _client_reader(mbox: _ClientMailbox, reporter: _ClientReporter,
     def dispatch(ftype: FrameType, body: dict) -> None:
         if ftype is FrameType.MSG:
             msg = message_from_wire(body)
-            if msg.tag is Tag.INTERRUPT:
-                mbox.interrupts.add(msg.epoch)
-            elif (msg.tag is Tag.CONTROL
-                  and msg.kind in ("resend-profile", "resend-work")):
+            if (msg.tag is Tag.CONTROL
+                    and msg.kind in ("resend-profile", "resend-work")):
                 mbox.requests.append(msg)
             else:
-                mbox.buffer.append(msg)
+                mbox.inbox.post(msg)
         elif ftype is FrameType.PING:
             reporter.write(FrameType.PONG, {"t": body.get("t")})
         elif ftype is FrameType.MEMBER:
             mbox.admits.append((int(body["node"]), int(body["epoch"])))
         elif ftype is FrameType.DEATH:
-            mbox.notices.append(
-                ("left" if body.get("planned") else "dead",
-                 int(body["node"])))
+            node = int(body["node"])
+            mbox.inbox.post(PeerLeft(node) if body.get("planned")
+                            else PeerDead(node))
         elif ftype is FrameType.GRANT:
-            mbox.grants.append(_pairs(body.get("ranges")))
+            mbox.grants.append(pairs(body.get("ranges")))
         elif ftype is FrameType.CTRL:
             op = body.get("op")
             if op == "leave":
@@ -498,45 +370,6 @@ async def _client_burn(seconds: float, mbox: _ClientMailbox) -> None:
         await asyncio.sleep(min(remaining, 0.02))
 
 
-async def _client_compute(proto: WorkerProtocol, cfg: _ClientConfig,
-                          mbox: _ClientMailbox, reporter: _ClientReporter,
-                          rec=NULL_RECORDER) -> str:
-    """Run the assignment an iteration at a time; all the elastic hooks
-    (admits, grants, leave, fail-stop) apply at iteration boundaries."""
-    mbox.drain_interrupts(proto.epoch - 1)
-    while True:
-        mbox.check_stop()
-        while True:
-            joiner = mbox.pop_due_admit(proto.epoch)
-            if joiner is None:
-                break
-            proto.on_event(PeerJoined(joiner))
-        while mbox.grants:
-            granted = mbox.grants.pop(0)
-            if granted:
-                proto.assignment.add(granted)
-        if mbox.leave or (cfg.leave_after is not None
-                          and reporter.executed_total >= cfg.leave_after):
-            return "leave"
-        if proto.assignment.empty:
-            return "finished"
-        if proto.is_dlb and mbox.has_interrupt(proto.epoch):
-            return "interrupted"
-        taken = proto.assignment.take_head(1)
-        start, _end = taken[0]
-        cost = proto.table.range_work(start, start + 1)
-        t0 = time.perf_counter()
-        await _client_burn(cost * cfg.time_scale, mbox)
-        mbox.check_stop()  # fail-stop before the iteration is recorded
-        t1 = time.perf_counter()
-        proto.note_busy(t1 - t0)
-        rec.complete("compute", t0 - reporter.t0, t1 - t0,
-                     track=f"node{cfg.node}", iteration=start)
-        proto.note_work(cost)
-        reporter.executed(taken)
-        await reporter.drain()
-
-
 def _answer_resend(proto: WorkerProtocol, reporter: _ClientReporter,
                    req: ControlMsg) -> None:
     """Serve a peer's recovery request from the protocol caches."""
@@ -555,83 +388,52 @@ def _answer_resend(proto: WorkerProtocol, reporter: _ClientReporter,
             reporter.send(reply)
 
 
-async def _client_drive(proto: WorkerProtocol, cfg: _ClientConfig,
+async def _client_drive(proto: WorkerProtocol, spec: WorkerSpec,
                         mbox: _ClientMailbox, reporter: _ClientReporter,
-                        rec=NULL_RECORDER) -> str:
-    """The worker event pump; mirrors the process backend's driver."""
-    last_await: Optional[AwaitMessage] = None
-    commands = proto.on_event(Start())
-    while True:
-        await_spec: Optional[AwaitMessage] = None
-        next_event = None
-        for cmd in commands:
-            if isinstance(cmd, Send):
-                if isinstance(cmd.msg, ControlMsg) and cmd.msg.kind == "leave":
-                    reporter.send_leave(cmd.msg)
-                else:
-                    reporter.send(cmd.msg)
-            elif isinstance(cmd, StartCompute):
-                status = await _client_compute(proto, cfg, mbox, reporter,
-                                               rec)
-                if status == "leave":
-                    next_event = LeaveRequested()
-                else:
-                    next_event = ComputeDone(status)
-            elif isinstance(cmd, AwaitMessage):
-                await_spec = cmd
-                last_await = cmd
-            elif isinstance(cmd, RecordSync):
-                reporter.sync(cmd.group, cmd.epoch, cmd.plan)
-            elif isinstance(cmd, Charge):
-                pass  # planning costs real time on a real backend
-            elif isinstance(cmd, DeclareDead):
-                reporter.declared(cmd.peer)
-            elif isinstance(cmd, Emit):
-                rec.event(cmd.name, track=f"node{proto.me}", **cmd.args())
-            elif isinstance(cmd, Done):
-                if rec.enabled:
-                    # Ship the trace buffer ahead of the finish record so
-                    # the hub merges it before the peer turns terminal.
-                    reporter.write(FrameType.TRACE,
-                                   {"node": proto.me, **rec.to_payload()})
-                reporter.finish(cmd.reason)
-                await reporter.drain()
-                try:
-                    await asyncio.wait_for(mbox.bye.wait(), WATCHDOG_SECONDS)
-                except asyncio.TimeoutError:
-                    pass
-                return cmd.reason
-            else:  # pragma: no cover - defensive
-                raise BackendError(f"unhandled command {cmd!r}")
-        await reporter.drain()
-        if next_event is None:
+                        leave_after: Optional[int]) -> str:
+    """The asyncio shell around the shared driver."""
+
+    def boundary(proto: WorkerProtocol) -> Optional[ProtocolEvent]:
+        """All the elastic hooks (admits, grants, leave, fail-stop)
+        apply at iteration boundaries."""
+        mbox.check_stop()
+        while True:
             joiner = mbox.pop_due_admit(proto.epoch)
-            notice = None if joiner is not None else mbox.pop_notice()
-            if joiner is not None:
-                next_event = PeerJoined(joiner)
-            elif notice is not None:
-                kind, who = notice
-                next_event = PeerDead(who) if kind == "dead" \
-                    else PeerLeft(who)
+            if joiner is None:
+                break
+            proto.on_event(PeerJoined(joiner))
+        while mbox.grants:
+            granted = mbox.grants.pop(0)
+            if granted:
+                proto.assignment.add(granted)
+        if mbox.leave or (leave_after is not None
+                          and reporter.executed_total >= leave_after):
+            return LeaveRequested()
+        return None
+
+    pump = drive(proto, reporter, mbox.inbox, track=f"node{spec.node}",
+                 boundary=boundary)
+    reply = None
+    try:
+        while True:
+            want = pump.send(reply)
+            await reporter.drain()
+            if isinstance(want, Burn):
+                await _client_burn(want.cost * spec.time_scale, mbox)
+                mbox.check_stop()  # fail-stop before the iteration is recorded
+                reply = None
             else:
-                if await_spec is None:
-                    # A membership pump can return no commands: keep the
-                    # previous wait armed.
-                    await_spec = last_await
-                if await_spec is None:  # pragma: no cover - defensive
-                    raise BackendError(
-                        "protocol yielded neither wait nor compute")
-                got = await mbox.get(await_spec)
-                if got is None:
-                    reporter.retries += 1
-                    next_event = TimerFired()
-                elif isinstance(got, tuple):
-                    kind, who = got
-                    next_event = PeerDead(who) if kind == "dead" \
-                        else PeerLeft(who)
-                else:
-                    next_event = MessageReceived(got)
-        commands = proto.on_event(next_event)
+                joiner = mbox.pop_due_admit(proto.epoch)
+                reply = PeerJoined(joiner) if joiner is not None \
+                    else await mbox.get(want)
+    except StopIteration as stop:
+        reason = stop.value
+    await reporter.drain()
+    try:
+        await asyncio.wait_for(mbox.bye.wait(), WATCHDOG_SECONDS)
+    except asyncio.TimeoutError:
+        pass
+    return reason
 
 
 async def _connect(host: str, port: int, *, attempts: int = 40,
@@ -653,15 +455,13 @@ async def _run_client(host: str, port: int, *,
     reader, writer = await _connect(host, port)
     dec = FrameDecoder()
     try:
-        writer.write(encode_frame(FrameType.HELLO, {"v": PROTOCOL_VERSION}))
+        hello = encode_frame(FrameType.HELLO, {"v": PROTOCOL_VERSION})
+        writer.write(hello)
         await writer.drain()
-        pending: list = []
-        while not pending:
-            chunk = await reader.read(65536)
-            if not chunk:
-                raise BackendError("hub closed the connection before "
-                                   "answering HELLO")
-            pending = list(dec.feed(chunk))
+        pending = await _first_frames(reader, dec)
+        if not pending:
+            raise BackendError("hub closed the connection before "
+                               "answering HELLO")
         ftype, body = pending.pop(0)
         if ftype is FrameType.BYE:
             return "dismissed"
@@ -670,37 +470,25 @@ async def _run_client(host: str, port: int, *,
                 f"hub refused registration: {body.get('text')}")
         if ftype is not FrameType.WELCOME:
             raise BackendError(f"expected WELCOME, got {ftype.name}")
-        cfg = _config_from_welcome(body, leave_after)
+        spec = WorkerSpec.from_wire(body["node"], body["run"])
 
-        reporter = _ClientReporter(writer, cfg.node)
+        reporter = _ClientReporter(writer, spec.node)
         # HELLO went out before the reporter existed; count it by hand.
-        hello_len = len(encode_frame(FrameType.HELLO,
-                                     {"v": PROTOCOL_VERSION}))
-        reporter.frames[FrameType.HELLO.name] = hello_len
+        reporter.frames[FrameType.HELLO.name] = len(hello)
         mbox = _ClientMailbox()
-        proto = WorkerProtocol(
-            cfg.node, cfg.members, group=cfg.group,
-            centralized=cfg.centralized, lb_host=cfg.lb_host,
-            policy=cfg.policy, table=cfg.table,
-            mean_iteration_time=cfg.mean_iteration_time,
-            dc_bytes=cfg.dc_bytes,
-            movement_cost_fn=_movement_fn(cfg.movement, cfg.dc_bytes,
-                                          cfg.mean_iteration_time),
-            ft=cfg.ft, profile_window_reset=cfg.profile_window_reset,
-            assignment=Assignment(cfg.ranges), is_dlb=cfg.is_dlb,
-            initial_epoch=cfg.epoch)
+        proto = spec.build_protocol()
         mbox.answer = lambda req: _answer_resend(proto, reporter, req)
-        proto.emit_trace = cfg.trace_events
-        rec = (TraceRecorder(clock=reporter.now) if cfg.trace_events
-               else NULL_RECORDER)
-        if cfg.crash_at is not None:
+        if spec.trace_events:
+            reporter.recorder = TraceRecorder(clock=reporter.now)
+        if spec.crash_at is not None:
             t0 = time.perf_counter()
             mbox.crash_due = \
-                lambda: time.perf_counter() - t0 >= cfg.crash_at
+                lambda: time.perf_counter() - t0 >= spec.crash_at
         reader_task = asyncio.create_task(
             _client_reader(mbox, reporter, reader, dec, pending))
         try:
-            return await _client_drive(proto, cfg, mbox, reporter, rec)
+            return await _client_drive(proto, spec, mbox, reporter,
+                                       leave_after)
         except _AbruptStop:
             writer.transport.abort()
             return "crashed"
@@ -739,78 +527,73 @@ def _worker_proc_entry(host: str, port: int) -> None:
 # ---------------------------------------------------------------------------
 # Hub.
 # ---------------------------------------------------------------------------
+@dataclass
 class _Peer:
     """Hub-side connection state of one registered worker."""
 
-    __slots__ = ("node", "writer", "group", "status")
+    node: int
+    writer: asyncio.StreamWriter
+    group: int
+    #: "active" | "finished" | "departed" | "crashed" | "dismissed"
+    status: str = "active"
 
-    def __init__(self, node: int, writer: asyncio.StreamWriter,
-                 group: int) -> None:
-        self.node = node
-        self.writer = writer
-        self.group = group
-        #: "active" | "finished" | "departed" | "crashed" | "dismissed"
-        self.status = "active"
+
+class _HubPort(Reporter):
+    """The hub-resident balancer's port: instructions leave as MSG
+    frames, records go straight into the hub's ledger."""
+
+    def __init__(self, hub: "_Hub") -> None:
+        super().__init__(None, 0.0, hub.recorder)
+        self._hub = hub
+
+    def now(self) -> float:
+        return self._hub.now()
+
+    def deliver(self, msg: Message) -> None:
+        target = self._hub.peers.get(msg.dst)
+        if target is not None and target.status == "active":
+            self._hub._write(target, FrameType.MSG, message_to_wire(msg))
+
+    def emit(self, body: dict) -> None:
+        if self._hub.ledger.record(None, body, self.now()) == "finish":
+            self._hub.bal_done = True
 
 
 class _Hub:
     """Listener, router, registrar, failure detector, stats collector."""
 
-    def __init__(self, *, loop_spec: LoopSpec, table: WorkTable,
-                 spec: StrategySpec, options: RunOptions,
-                 ft: FaultToleranceConfig, groups: list[list[int]],
-                 parts: Sequence[Assignment], time_scale: float,
-                 crash_at: dict[int, float],
-                 script: Sequence[object], stats: LoopRunStats,
-                 strict: bool, recorder=NULL_RECORDER) -> None:
-        self.loop_spec = loop_spec
-        self.table = table
-        self.spec = spec
-        self.options = options
-        self.ft = ft
-        self.time_scale = time_scale
-        self.crash_at = dict(crash_at)
+    def __init__(self, plan: RunPlan, script: Sequence[object],
+                 strict: bool) -> None:
+        self.plan = plan
         self.script = list(script)
-        self.stats = stats
+        self.stats = plan.stats
         self.strict = strict
-        self.recorder = recorder
+        self.recorder = plan.recorder
+        self.ledger = RunLedger(plan.stats, trace=plan.options.trace)
 
-        self.n = sum(len(g) for g in groups)
-        self.group_members = {g: list(m) for g, m in enumerate(groups)}
-        self.group_of = {node: g for g, members in enumerate(groups)
+        self.n = len(plan.workers)
+        self.group_members = {g: list(m) for g, m in enumerate(plan.groups)}
+        self.group_of = {node: g for g, members in enumerate(plan.groups)
                          for node in members}
-        self.centralized = bool(spec.is_dlb and spec.centralized)
-        self.parts = [tuple(p.ranges) for p in parts]
         self.balancer: Optional[BalancerProtocol] = None
-        if self.centralized:
-            movement = None
-            if options.policy.include_movement_cost:
-                movement = (options.network.latency,
-                            options.network.bandwidth)
-            self.balancer = BalancerProtocol(
-                0, [list(g) for g in groups], policy=options.policy,
-                mean_iteration_time=table.total_work / table.n,
-                movement_cost_fn=_movement_fn(
-                    movement, 0, table.total_work / table.n),
-                ft=ft)
-            self.balancer.emit_trace = recorder.enabled
-        self.bal_done = not self.centralized
+        if plan.workers[0].centralized:
+            self.balancer = plan.workers[0].build_balancer(plan.groups)
+        self.port = _HubPort(self)
+        self.bal_done = self.balancer is None
 
         self.peers: dict[int, _Peer] = {}
         self.frames = CounterDict()
-        self.expected_crashes: set[int] = set(self.crash_at)
-        self.declared: set[int] = set()
+        self.expected_crashes: set[int] = set(plan.crash_at)
         self.crashed: list[int] = []
         self.left: list[int] = []
         self.joined: list[int] = []
         self.group_profile_epoch: dict[int, int] = {}
-        self.exec_total = 0
         self.errors: list[str] = []
         self.done = asyncio.Event()
         self.spawner: Optional[Callable[[], None]] = None
+        ft = plan.workers[0].ft
         self.monitor = HeartbeatMonitor.from_ft(ft) if ft.enabled else None
         self._fired: set[int] = set()
-        self._sync_seen: set[tuple[int, int]] = set()
         self._next_initial = 0
         self._next_node = self.n
         self._server: Optional[asyncio.AbstractServer] = None
@@ -850,35 +633,6 @@ class _Hub:
             pass
 
     # -- registration ----------------------------------------------------
-    def _welcome_body(self, node: int, gid: int,
-                      ranges: tuple[Range, ...], epoch: int,
-                      members: Sequence[int]) -> dict:
-        movement = None
-        if self.options.policy.include_movement_cost:
-            movement = [self.options.network.latency,
-                        self.options.network.bandwidth]
-        it = self.loop_spec.iteration_time
-        return {"v": PROTOCOL_VERSION, "node": node, "run": {
-            "members": sorted(members),
-            "group": gid,
-            "centralized": self.centralized,
-            "lb_host": 0,
-            "policy": policy_to_wire(self.options.policy),
-            "n_iterations": self.loop_spec.n_iterations,
-            "iteration_time": (float(it) if not isinstance(it, tuple)
-                               else list(it)),
-            "dc_bytes": self.loop_spec.dc_bytes,
-            "mean_iteration_time": self.table.total_work / self.table.n,
-            "movement": movement,
-            "ft": ft_to_wire(self.ft),
-            "profile_window_reset": self.options.profile_window_reset,
-            "ranges": [[s, e] for s, e in ranges],
-            "is_dlb": bool(self.spec.is_dlb),
-            "epoch": epoch,
-            "time_scale": self.time_scale,
-            "crash_at": self.crash_at.get(node),
-            "trace_events": self.recorder.enabled}}
-
     def _active_members(self, gid: int) -> list[int]:
         out = []
         for node in self.group_members.get(gid, []):
@@ -889,19 +643,22 @@ class _Hub:
                 out.append(node)
         return out
 
-    def _register(self, hello: dict):
-        """Assign a node id; returns (node, gid, ranges, epoch) or an
-        ERR/BYE marker string."""
+    def _register(self, ftype: FrameType, hello: dict):
+        """Assign a node id to a newcomer's first frame; returns its
+        :class:`~repro.backend.driver.WorkerSpec`, or the
+        ``(frame type, body)`` that turns it away."""
+        if ftype is not FrameType.HELLO:
+            return FrameType.ERR, {"text": f"expected HELLO, "
+                                           f"got {ftype.name}"}
         if int(hello.get("v", -1)) != PROTOCOL_VERSION:
-            return "version"
+            return FrameType.ERR, {
+                "text": f"protocol version {hello.get('v')!r} unsupported "
+                        f"(hub speaks {PROTOCOL_VERSION})"}
         if self.done.is_set():
-            return "over"
+            return FrameType.BYE, None
         if self._next_initial < self.n:
-            node = self._next_initial
             self._next_initial += 1
-            gid = self.group_of[node]
-            return (node, gid, self.parts[node], 0,
-                    self.group_members[gid])
+            return self.plan.workers[self._next_initial - 1]
         # Elastic join: new node id, group 0 by convention.
         node = self._next_node
         self._next_node += 1
@@ -911,7 +668,7 @@ class _Hub:
                 self._run_balancer_cmds(
                     self.balancer.on_event(PeerJoined(node, gid)))
             except Exception:
-                return "over"
+                return FrameType.BYE, None
             epoch = self.balancer.group_epoch.get(gid, 0)
             members = sorted(self.balancer.group_active[gid] | {node})
         else:
@@ -925,46 +682,30 @@ class _Hub:
         self.group_members.setdefault(gid, []).append(node)
         self.group_of[node] = gid
         self.joined.append(node)
-        return (node, gid, (), epoch, members)
+        return replace(self.plan.workers[0], node=node, group=gid,
+                       members=tuple(members), ranges=(), epoch=epoch,
+                       crash_at=None)
 
     async def _serve_conn(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
         peer: Optional[_Peer] = None
         dec = FrameDecoder()
         try:
-            pending: list = []
-            while not pending:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    return
-                pending = list(dec.feed(chunk))
-            ftype, body = pending.pop(0)
-            if ftype is not FrameType.HELLO:
-                writer.write(encode_frame(
-                    FrameType.ERR, {"text": f"expected HELLO, "
-                                            f"got {ftype.name}"}))
+            pending = await _first_frames(reader, dec)
+            if not pending:
+                return
+            assigned = self._register(*pending.pop(0))
+            if not isinstance(assigned, WorkerSpec):
+                writer.write(encode_frame(*assigned))
                 await writer.drain()
                 return
-            assigned = self._register(body)
-            if assigned == "version":
-                writer.write(encode_frame(FrameType.ERR, {
-                    "text": f"protocol version {body.get('v')!r} "
-                            f"unsupported (hub speaks "
-                            f"{PROTOCOL_VERSION})"}))
-                await writer.drain()
-                return
-            if assigned == "over":
-                writer.write(encode_frame(FrameType.BYE))
-                await writer.drain()
-                return
-            node, gid, ranges, epoch, members = assigned
-            peer = _Peer(node, writer, gid)
-            self.peers[node] = peer
+            peer = _Peer(assigned.node, writer, assigned.group)
+            self.peers[peer.node] = peer
             if self.monitor is not None:
-                self.monitor.watch(node, time.perf_counter())
+                self.monitor.watch(peer.node, time.perf_counter())
             self._write(peer, FrameType.WELCOME,
-                        self._welcome_body(node, gid, tuple(ranges),
-                                           epoch, members))
+                        {"v": PROTOCOL_VERSION, "node": peer.node,
+                         "run": assigned.to_wire()})
             for ftype, body in pending:  # pipelined after HELLO
                 self._on_frame(peer, ftype, body)
             while True:
@@ -1045,72 +786,20 @@ class _Hub:
         # Traffic to terminal/unknown peers is stale; drop it.
 
     def _run_balancer_cmds(self, cmds) -> None:
-        for cmd in cmds:
-            if isinstance(cmd, Send):
-                msg = cmd.msg
-                self.stats.network_messages += 1
-                self.stats.network_bytes += msg.nbytes
-                self.stats.messages_by_tag.inc(msg.tag.value)
-                target = self.peers.get(msg.dst)
-                if target is not None and target.status == "active":
-                    self._write(target, FrameType.MSG,
-                                message_to_wire(msg))
-            elif isinstance(cmd, RecordSync):
-                self._record_sync(cmd.group, cmd.epoch, {
-                    "time": self.now(), "reason": cmd.plan.reason,
-                    "moved_work": cmd.plan.work_to_move
-                    if cmd.plan.move else 0.0,
-                    "n_transfers": len(cmd.plan.transfers),
-                    "retired": list(cmd.plan.retire),
-                    "predicted_current": cmd.plan.predicted_current,
-                    "predicted_balanced": cmd.plan.predicted_balanced})
-            elif isinstance(cmd, Emit):
-                self.recorder.event(cmd.name, track="balancer",
-                                    **cmd.args())
-            elif isinstance(cmd, (AwaitMessage, Charge)):
-                pass  # the hub is event-driven; planning costs real time
-            elif isinstance(cmd, Done):
-                self.bal_done = True
-            else:  # pragma: no cover - defensive
-                raise BackendError(f"unhandled balancer command {cmd!r}")
-
-    def _record_sync(self, group: int, epoch: int, row: dict) -> None:
-        if not self.options.trace or (group, epoch) in self._sync_seen:
-            return
-        self._sync_seen.add((group, epoch))
-        self.stats.record_sync(SyncRecord(
-            time=float(row["time"]), group=group, epoch=epoch,
-            reason=row["reason"], moved_work=float(row["moved_work"]),
-            n_transfers=int(row["n_transfers"]),
-            retired=tuple(int(n) for n in row["retired"]),
-            predicted_current=float(row["predicted_current"]),
-            predicted_balanced=float(row["predicted_balanced"])))
+        """The hub is event-driven: it feeds the balancer as frames
+        arrive, so a batch's ``AwaitMessage`` needs no action."""
+        then = execute(cmds, self.port, "balancer")
+        if isinstance(then, Done):
+            self.port.finish(then.reason)
 
     def _on_stat(self, peer: _Peer, body: dict) -> None:
-        kind = body.get("k")
+        kind = self.ledger.record(peer.node, body, self.now())
         if kind == "exec":
-            ranges = _pairs(body.get("ranges"))
-            self.stats.executed_by_node.setdefault(
-                peer.node, []).extend(ranges)
-            self.exec_total += sum(e - s for s, e in ranges)
             self._fire_script()
-        elif kind == "sync":
-            self._record_sync(int(body["group"]), int(body["epoch"]),
-                              body["row"])
-        elif kind == "declared":
-            self.declared.add(int(body["peer"]))
         elif kind == "finish":
-            was_active = peer.status == "active"
-            if was_active:
+            self.frames.merge(body.get("counters", {}).get("frames", {}))
+            if peer.status == "active":
                 peer.status = "finished"
-            self.stats.node_finish_times[peer.node] = self.now()
-            counters = body.get("counters", {})
-            self.stats.network_messages += counters.get("messages", 0)
-            self.stats.network_bytes += counters.get("bytes", 0)
-            self.stats.fault_retries += counters.get("retries", 0)
-            self.stats.messages_by_tag.merge(counters.get("by_tag", {}))
-            self.frames.merge(counters.get("frames", {}))
-            if was_active:
                 if self.monitor is not None:
                     self.monitor.forget(peer.node)
                 # A retired peer can no longer answer profiles: announce
@@ -1121,7 +810,7 @@ class _Hub:
         elif kind == "error":
             self.errors.append(
                 f"worker {peer.node} failed:\n{body.get('text')}")
-        else:
+        elif kind not in ("sync", "declared"):
             self.errors.append(
                 f"unknown stats record {body!r} from {peer.node}")
 
@@ -1143,7 +832,7 @@ class _Hub:
         if self.balancer is not None:
             self._run_balancer_cmds(
                 self.balancer.on_event(PeerLeft(peer.node)))
-        ranges = _pairs(body.get("ranges"))
+        ranges = pairs(body.get("ranges"))
         if ranges:
             self._grant(peer, ranges)
 
@@ -1188,7 +877,7 @@ class _Hub:
         for event in self.script:
             if id(event) in self._fired:
                 continue
-            if self.exec_total < event.after_iterations:
+            if self.ledger.exec_total < event.after_iterations:
                 continue
             self._fired.add(id(event))
             if isinstance(event, JoinEvent):
@@ -1222,16 +911,15 @@ class _Hub:
                     self._mark_crashed(
                         peer, expected=node in self.expected_crashes)
 
-    def _coverage_complete(self) -> Optional[bool]:
-        """True when every iteration is covered; None on overlap."""
-        all_ranges = [r for ranges in self.stats.executed_by_node.values()
-                      for r in ranges]
+    def _orphans(self) -> Optional[list[Range]]:
+        """Iterations nobody has reported yet; ``None`` (and an error)
+        when the ledger holds a duplicate."""
         try:
-            merged = merge_ranges(all_ranges)
-        except ValueError as exc:
-            self.errors.append(f"duplicated iterations: {exc}")
+            return uncovered(self.stats.executed_by_node,
+                             self.plan.loop.n_iterations)
+        except CoverageError as exc:
+            self.errors.append(str(exc))
             return None
-        return merged == [(0, self.loop_spec.n_iterations)]
 
     async def run_completion(self) -> None:
         """Declare the run over; dismiss stragglers once coverage holds."""
@@ -1250,10 +938,10 @@ class _Hub:
                         and self.balancer.all_done)):
                 break
             if started and active:
-                covered = self._coverage_complete()
-                if covered is None:
+                orphans = self._orphans()
+                if orphans is None:
                     break
-                if covered:
+                if not orphans:
                     now = time.perf_counter()
                     if grace_start is None:
                         grace_start = now
@@ -1288,45 +976,27 @@ class _Hub:
                 await peer.writer.drain()
             except (ConnectionError, OSError):
                 pass
+        if not self.bal_done:
+            # Stragglers were dismissed with the balancer still serving:
+            # its traffic counts all the same.
+            self.port.finish("dismissed")
         self.stats.end_time = self.now()
         self.stats.crashed_nodes = tuple(sorted(self.crashed))
-        self.stats.declared_dead = tuple(sorted(self.declared))
+        self.stats.declared_dead = tuple(sorted(self.ledger.declared))
         self.stats.joined_nodes = tuple(sorted(self.joined))
         self.stats.left_nodes = tuple(sorted(self.left))
         self.stats.payload_by_frame = dict(sorted(self.frames.items()))
         self.stats.transport_payload_bytes = sum(self.frames.values())
         if not self.errors:
-            all_ranges = [r for rs in self.stats.executed_by_node.values()
-                          for r in rs]
             try:
-                merged = merge_ranges(all_ranges)
-            except ValueError as exc:
-                self.errors.append(f"duplicated iterations: {exc}")
-                return
-            expected = [(0, self.loop_spec.n_iterations)]
-            if merged != expected:
-                self.errors.append(
-                    f"lost iterations: executed {merged}, "
-                    f"expected {expected}")
+                check_coverage(self.stats.executed_by_node,
+                               self.plan.loop.n_iterations)
+            except CoverageError as exc:
+                self.errors.append(str(exc))
 
     async def _salvage(self) -> int:
         """Re-execute orphaned iterations; credit the lowest survivor."""
-        if self.errors:
-            return 0
-        try:
-            executed = merge_ranges(
-                [r for ranges in self.stats.executed_by_node.values()
-                 for r in ranges])
-        except ValueError as exc:
-            self.errors.append(f"duplicated iterations: {exc}")
-            return 0
-        orphans: list[Range] = []
-        cursor = 0
-        n_iter = self.loop_spec.n_iterations
-        for start, end in executed + [(n_iter, n_iter)]:
-            if cursor < start:
-                orphans.append((cursor, start))
-            cursor = max(cursor, end)
+        orphans = None if self.errors else self._orphans()
         if not orphans:
             return 0
         survivors = [p.node for p in self.peers.values()
@@ -1338,14 +1008,13 @@ class _Hub:
                 f"orphaned iterations {orphans} with no survivor "
                 "to credit")
             return 0
-        survivor = min(survivors)
         count = 0
         for start, end in orphans:
-            work = self.table.range_work(start, end)
-            await asyncio.sleep(work * self.time_scale)
+            work = self.plan.table.range_work(start, end)
+            await asyncio.sleep(work * self.plan.workers[0].time_scale)
             count += end - start
         self.stats.executed_by_node.setdefault(
-            survivor, []).extend(orphans)
+            min(survivors), []).extend(orphans)
         return count
 
 
@@ -1374,47 +1043,6 @@ class SocketBackend(ExecutionBackend):
         #: Membership script: JoinEvent / LeaveEvent / KillEvent, fired
         #: by cumulative executed-iteration count.
         self.script = tuple(script)
-
-    def _context(self):
-        import multiprocessing
-        method = self.start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else methods[0]
-        try:
-            return multiprocessing.get_context(method)
-        except ValueError as exc:
-            raise BackendError(f"unknown start method {method!r}") from exc
-
-    # -- validation ------------------------------------------------------
-    def _validate(self, spec: StrategySpec, n: int, options: RunOptions,
-                  selector, fault_plan: Optional[FaultPlan]) -> None:
-        if spec.code == "WS":
-            raise BackendError(
-                "the work-stealing baseline is simulation-only")
-        if spec.code == "CUSTOM" or selector is not None:
-            raise BackendError(
-                "the CUSTOM model-based selection consults the simulated "
-                "load model; pick a concrete strategy for "
-                "--backend socket")
-        if fault_plan is not None and not fault_plan.empty:
-            if fault_plan.slowdowns or fault_plan.drops or fault_plan.delays:
-                raise BackendError(
-                    "the socket backend lifts crash faults only; "
-                    "slowdowns, drops and delays remain simulation-only")
-        if options.sync_mode != "interrupt":
-            raise BackendError(
-                "periodic synchronization is simulation-only")
-        if options.include_staging:
-            raise BackendError("staged scatter/gather is simulation-only")
-        if options.topology is not None or spec.code == "DIFF":
-            raise BackendError(
-                "graph topologies (and the diffusion strategy) run on the "
-                "sim and thread backends; the socket transport is a flat "
-                "TCP mesh")
-        if spec.is_dlb and spec.code != "NONE" and n < 2:
-            raise ValueError(
-                "dynamic load balancing needs at least 2 processors")
 
     # -- entry points ----------------------------------------------------
     def run_loop(self, loop: LoopSpec, cluster: ClusterSpec,
@@ -1460,51 +1088,33 @@ class SocketBackend(ExecutionBackend):
                  strategy: StrategyLike, options: Optional[RunOptions],
                  selector, fault_plan: Optional[FaultPlan],
                  *, strict: bool) -> tuple[_Hub, LoopRunStats]:
-        options = options or RunOptions()
-        spec = strategy if isinstance(strategy, StrategySpec) \
-            else get_strategy(strategy)
-        n = cluster.n_processors
-        if fault_plan is not None and fault_plan.empty:
-            fault_plan = None
-        self._validate(spec, n, options, selector, fault_plan)
-        ft = options.fault_tolerance
-        kills = [ev for ev in self.script if isinstance(ev, KillEvent)]
-        if fault_plan is not None:
-            fault_plan.validate_for(n)
-        if (fault_plan is not None and fault_plan.crashes) or kills:
-            if not ft.enabled:
-                ft = replace(ft, enabled=True)
+        # A scripted kill is a crash: survivors need the hardened protocol.
+        kills = any(isinstance(ev, KillEvent) for ev in self.script)
+        plan = prepare_run(self.name, loop, cluster, strategy, options,
+                           selector, fault_plan, time_scale=self.time_scale,
+                           harden=kills, workers=self.workers)
+        return _Hub(plan, self.script, strict), plan.stats
 
-        table = loop.work_table()
-        k = options.effective_group_size(n, spec.group_size)
-        if spec.global_scope or not spec.is_dlb:
-            groups: list[list[int]] = [list(range(n))]
-        else:
-            groups = build_groups(n, k, formation=options.group_formation,
-                                  seed=options.group_seed)
-        stats = LoopRunStats(loop_name=loop.name, strategy=spec.name,
-                             n_processors=n, group_size=k,
-                             backend=self.name)
-        registry = MetricsRegistry()
-        # The stats field holds the registry's own storage: every bump
-        # through the registry is immediately visible in the stats.
-        stats.messages_by_tag = registry.counter("messages_by_tag")
-        stats.environment = environment_fingerprint(workers=self.workers)
-        recorder = options.recorder or NULL_RECORDER
-        parts = equal_block_partition(loop.n_iterations, n)
-        crash_at = {c.node: c.time * self.time_scale
-                    for c in fault_plan.crashes} if fault_plan else {}
-        hub = _Hub(loop_spec=loop, table=table, spec=spec,
-                   options=options, ft=ft, groups=groups, parts=parts,
-                   time_scale=self.time_scale, crash_at=crash_at,
-                   script=self.script, stats=stats, strict=strict,
-                   recorder=recorder)
-        return hub, stats
+    async def _await_done(self, hub: _Hub, timeout: float,
+                          stalled: str) -> None:
+        """Run the hub's monitors until the run is over, then close it."""
+        background = [asyncio.create_task(hub.run_completion())]
+        if hub.monitor is not None:
+            background.append(asyncio.create_task(hub.run_liveness()))
+        try:
+            await asyncio.wait_for(hub.done.wait(), timeout)
+        except asyncio.TimeoutError:
+            hub.errors.append(f"hub watchdog: {stalled}")
+        finally:
+            for task in background:
+                task.cancel()
+            await hub.close()
 
     async def _run_async(self, hub: _Hub, procs: list) -> None:
         port = await hub.start(self.host, 0)
         worker_tasks: list[asyncio.Task] = []
-        ctx = self._context() if self.workers == "procs" else None
+        ctx = mp_context(self.start_method) \
+            if self.workers == "procs" else None
 
         def spawn() -> None:
             if ctx is not None:
@@ -1520,18 +1130,10 @@ class SocketBackend(ExecutionBackend):
         hub.spawner = spawn
         for _ in range(hub.n):
             spawn()
-        background = [asyncio.create_task(hub.run_completion())]
-        if hub.monitor is not None:
-            background.append(asyncio.create_task(hub.run_liveness()))
         try:
-            await asyncio.wait_for(hub.done.wait(),
-                                   WATCHDOG_SECONDS * 2 + 30.0)
-        except asyncio.TimeoutError:
-            hub.errors.append("hub watchdog: completion monitor stalled")
+            await self._await_done(hub, WATCHDOG_SECONDS * 2 + 30.0,
+                                   "completion monitor stalled")
         finally:
-            for task in background:
-                task.cancel()
-            await hub.close()
             if worker_tasks:
                 done, still = await asyncio.wait(worker_tasks, timeout=5.0)
                 for task in still:
@@ -1549,15 +1151,5 @@ class SocketBackend(ExecutionBackend):
         bound = await hub.start(self.host, port)
         if on_ready is not None:
             on_ready(bound)
-        background = [asyncio.create_task(hub.run_completion())]
-        if hub.monitor is not None:
-            background.append(asyncio.create_task(hub.run_liveness()))
-        try:
-            await asyncio.wait_for(hub.done.wait(),
-                                   WATCHDOG_SECONDS * 4)
-        except asyncio.TimeoutError:
-            hub.errors.append("hub watchdog: no run completed")
-        finally:
-            for task in background:
-                task.cancel()
-            await hub.close()
+        await self._await_done(hub, WATCHDOG_SECONDS * 4,
+                               "no run completed")

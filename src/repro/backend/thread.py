@@ -2,14 +2,15 @@
 
 ``ThreadBackend`` drives the *same* protocol state machines as the
 simulator — :class:`~repro.protocol.worker.WorkerProtocol` and
-:class:`~repro.protocol.balancer.BalancerProtocol` — but interprets
-their commands against reality instead of an event heap:
+:class:`~repro.protocol.balancer.BalancerProtocol` — through the shared
+:mod:`~repro.backend.driver`, and supplies what only threads can:
 
 * **clock** — ``time.perf_counter()``; durations in the returned stats
   are wall-clock seconds,
 * **timers** — condition-variable waits with timeouts,
-* **transport** — per-node in-process mailboxes (lock + condition);
-  a ``Send`` is an append to the destination's queue,
+* **transport** — per-node in-process mailboxes (lock + condition
+  around the driver's :class:`~repro.backend.driver.Inbox`); a ``Send``
+  is an append to the destination's inbox,
 * **compute** — synthetic CPU-burn kernels: each iteration spins the
   CPU for its :class:`~repro.apps.workload.WorkTable` cost (scaled by
   ``time_scale``), and synchronization interrupts are honored at
@@ -20,16 +21,9 @@ is the whole §3 semantics: receiver-initiated interrupts, epochs,
 profile exchange, the redistribution planner, retirement, and the
 exactly-once coverage invariant (verified after every run).
 
-Deliberate non-goals of this backend (raise :class:`BackendError`):
-
-* the simulated external-load model — on real threads the "external
-  load" is whatever your machine is actually doing;
-* the CUSTOM model-based selection and the WS baseline (both reach
-  into simulation-only machinery);
-* fault injection / the hardened protocol (crashing a thread cannot be
-  done safely from outside; the protocol transitions exist and are
-  exercised by the scripted ``tests/protocol`` suite);
-* periodic (Dome-style) synchronization and staged scatter/gather.
+What this backend refuses (:class:`BackendError`) is one row of the
+capability matrix in ``docs/ARCHITECTURE.md``
+(:data:`repro.backend.capabilities.CAPABILITIES`).
 """
 
 from __future__ import annotations
@@ -40,75 +34,45 @@ from typing import Callable, Optional
 
 from ..apps.workload import LoopSpec
 from ..core.diffusion import make_diffusion_planner
-from ..core.redistribution import (
-    make_movement_cost_estimator,
-    make_topology_movement_cost_estimator,
-)
-from ..core.strategies.base import StrategySpec
-from ..core.strategies.registry import get_strategy
+from ..core.redistribution import make_topology_movement_cost_estimator
 from ..faults.plan import FaultPlan
-from ..machine.cluster import ClusterSpec, build_groups
-from ..message.messages import Message, Tag
-from ..protocol import (
-    AwaitMessage,
-    BalancerProtocol,
-    Charge,
-    ComputeDone,
-    DeclareDead,
-    Done,
-    MessageReceived,
-    RecordSync,
-    Send,
-    Start,
-    StartCompute,
-    TimerFired,
-    WorkerProtocol,
-)
+from ..machine.cluster import ClusterSpec
+from ..message.messages import Message
 from ..network.topology import Topology, resolve_topology
-from ..obs.metrics import CounterDict, MetricsRegistry
-from ..obs.trace import NULL_RECORDER
-from ..protocol.commands import Emit
-from ..runtime.assignment import equal_block_partition, merge_ranges
+from ..protocol import AwaitMessage
+from ..runtime.assignment import check_coverage
 from ..runtime.options import RunOptions
-from ..runtime.stats import LoopRunStats, SyncRecord, environment_fingerprint
+from ..runtime.stats import LoopRunStats
 from .base import (
+    WATCHDOG_SECONDS,
     BackendError,
     ExecutionBackend,
     StrategyLike,
     join_or_terminate,
 )
-from .kernels import (
-    HAVE_NUMPY,
-    KERNELS,
-    burn_ops,
-    burn_vec,
-    burn_wall,
-    calibrate_ops_rate,
-    calibrate_vec_rate,
+from .capabilities import require_kernel
+from .driver import (
+    Burn,
+    Deadline,
+    Inbox,
+    Reporter,
+    RunLedger,
+    drive,
+    movement_estimator,
+    prepare_run,
+    run_blocking,
 )
+from .kernels import burn, calibrate
 
 __all__ = ["ThreadBackend"]
 
-#: Safety net: no single blocking wait may exceed this many wall
-#: seconds.  The fault-free protocol never waits unboundedly unless a
-#: peer thread died with an exception; this converts such a hang into a
-#: diagnosable error.
-WATCHDOG_SECONDS = 120.0
-
 
 class _Mailbox:
-    """One node's inbox: a queue plus the interrupt-epoch flags.
-
-    INTERRUPT messages never enter the queue — the transport folds them
-    into a set of epochs that the compute kernel polls at iteration
-    boundaries, mirroring the simulator's mailbox ``notify`` hook.
-    """
+    """One node's inbox behind a lock and a condition variable."""
 
     def __init__(self, abort: threading.Event) -> None:
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._queue: list[Message] = []
-        self._interrupts: set[int] = set()
+        self.inbox = Inbox()
+        self._cond = threading.Condition()
         self._abort = abort
 
     def wake(self) -> None:
@@ -117,113 +81,43 @@ class _Mailbox:
 
     def post(self, msg: Message) -> None:
         with self._cond:
-            if msg.tag is Tag.INTERRUPT:
-                self._interrupts.add(msg.epoch)
-            else:
-                self._queue.append(msg)
+            self.inbox.post(msg)
             self._cond.notify_all()
-
-    def has_interrupt(self, epoch: int) -> bool:
-        with self._lock:
-            return epoch in self._interrupts
-
-    def drain_interrupts(self, up_to_epoch: int) -> None:
-        """Forget interrupt flags for ``up_to_epoch`` and older."""
-        with self._lock:
-            self._interrupts = {e for e in self._interrupts
-                                if e > up_to_epoch}
 
     def get(self, spec: AwaitMessage) -> Optional[Message]:
         """Block until a message matches ``spec``; None on timeout."""
-
-        def matches(msg: Message) -> bool:
-            if spec.tags is not None and msg.tag not in spec.tags:
-                return False
-            if spec.epoch is not None and msg.epoch != spec.epoch:
-                return False
-            if spec.srcs is not None and msg.src not in spec.srcs:
-                return False
-            return True
-
-        deadline = time.perf_counter() + (
-            spec.timeout if spec.timeout is not None else WATCHDOG_SECONDS)
+        deadline = Deadline(spec, "a peer thread")
         with self._cond:
             while True:
                 if self._abort.is_set():
                     raise BackendError("aborted: a peer thread failed")
-                for i, msg in enumerate(self._queue):
-                    if matches(msg):
-                        return self._queue.pop(i)
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    if spec.timeout is None:
-                        raise BackendError(
-                            f"watchdog: no message matching {spec} within "
-                            f"{WATCHDOG_SECONDS}s — a peer thread likely "
-                            "died; see the first reported error")
+                got = self.inbox.take(spec)
+                if got is not None:
+                    return got
+                remaining = deadline.remaining()
+                if remaining is None:
                     return None
                 self._cond.wait(remaining)
 
 
-class _Transport:
-    """Routes messages between mailboxes; counts traffic."""
+class _ThreadReporter(Reporter):
+    """A thread's port: posts into peer mailboxes, books records
+    straight into the run's ledger (threads share one address space)."""
 
-    def __init__(self, n: int,
-                 by_tag: Optional[CounterDict] = None) -> None:
-        self.abort = threading.Event()
-        self.mailboxes = [_Mailbox(self.abort) for _ in range(n)]
-        self._lock = threading.Lock()
-        self.messages = 0
-        self.bytes = 0
-        # A registry-owned counter when the caller wires one in, so the
-        # final stats field is a live view over the same storage.
-        self.by_tag: CounterDict = by_tag if by_tag is not None \
-            else CounterDict()
+    def __init__(self, me: Optional[int], t0: float, recorder,
+                 mailboxes: list[_Mailbox], ledger: RunLedger,
+                 lock: threading.Lock) -> None:
+        super().__init__(me, t0, recorder)
+        self._mailboxes = mailboxes
+        self._ledger = ledger
+        self._lock = lock
 
-    def post(self, msg: Message) -> None:
+    def deliver(self, msg: Message) -> None:
+        self._mailboxes[msg.dst].post(msg)
+
+    def emit(self, body: dict) -> None:
         with self._lock:
-            self.messages += 1
-            self.bytes += msg.nbytes
-            self.by_tag.inc(msg.tag.value)
-        self.mailboxes[msg.dst].post(msg)
-
-
-class _SharedStats:
-    """Thread-safe sink for executed ranges and sync records."""
-
-    def __init__(self, stats: LoopRunStats, trace: bool,
-                 recorder=NULL_RECORDER) -> None:
-        self.stats = stats
-        self.trace = trace
-        self.recorder = recorder
-        self._lock = threading.Lock()
-        self._recorded: set[tuple[int, int]] = set()
-        self.t0 = time.perf_counter()
-
-    def now(self) -> float:
-        return time.perf_counter() - self.t0
-
-    def record_executed(self, node: int, ranges) -> None:
-        with self._lock:
-            self.stats.executed_by_node.setdefault(node, []).extend(ranges)
-
-    def record_sync(self, group: int, epoch: int, plan) -> None:
-        key = (group, epoch)
-        with self._lock:
-            if key in self._recorded or not self.trace:
-                return
-            self._recorded.add(key)
-            self.stats.record_sync(SyncRecord(
-                time=self.now(), group=group, epoch=epoch,
-                reason=plan.reason,
-                moved_work=plan.work_to_move if plan.move else 0.0,
-                n_transfers=len(plan.transfers), retired=plan.retire,
-                predicted_current=plan.predicted_current,
-                predicted_balanced=plan.predicted_balanced))
-
-    def record_finish(self, node: int) -> None:
-        with self._lock:
-            self.stats.node_finish_times[node] = self.now()
+            self._ledger.record(self.me, body, self.now())
 
 
 class ThreadBackend(ExecutionBackend):
@@ -238,14 +132,7 @@ class ThreadBackend(ExecutionBackend):
         #: *ratios* the balancer sees.
         if time_scale <= 0:
             raise BackendError("time_scale must be positive")
-        if kernel not in KERNELS:
-            raise BackendError(
-                f"unknown kernel {kernel!r} (expected one of "
-                f"{', '.join(repr(k) for k in KERNELS)})")
-        if kernel == "numpy" and not HAVE_NUMPY:
-            raise BackendError(
-                "the 'numpy' kernel needs numpy installed; "
-                "use 'wall' or 'ops'")
+        require_kernel(self.name, kernel)
         self.time_scale = time_scale
         #: ``"wall"`` spins each iteration to a wall-clock deadline
         #: (exact timing, but GIL threads overlap "for free");
@@ -255,160 +142,91 @@ class ThreadBackend(ExecutionBackend):
         #: ``"numpy"`` executes the same op count as vectorized passes
         #: that release the GIL, so threads overlap on real cores.
         self.kernel = kernel
-        self._ops_rate: Optional[float] = None
 
-    # -- validation ---------------------------------------------------------
-    def _validate(self, spec: StrategySpec, n: int, options: RunOptions,
-                  selector, fault_plan: Optional[FaultPlan]) -> None:
-        if spec.code == "WS":
-            raise BackendError(
-                "the work-stealing baseline is simulation-only")
-        if spec.code == "CUSTOM" or selector is not None:
-            raise BackendError(
-                "the CUSTOM model-based selection consults the simulated "
-                "load model; pick a concrete strategy for --backend thread")
-        if fault_plan is not None and not fault_plan.empty:
-            raise BackendError(
-                "fault injection is simulation-only (threads cannot be "
-                "crashed safely from outside)")
-        if options.fault_tolerance.enabled:
-            raise BackendError(
-                "the hardened protocol needs injectable faults; run it on "
-                "the sim backend (tests/protocol exercises the transitions)")
-        if options.sync_mode != "interrupt":
-            raise BackendError(
-                "periodic synchronization is simulation-only")
-        if options.include_staging:
-            raise BackendError("staged scatter/gather is simulation-only")
-        if spec.is_dlb and spec.code != "NONE" and n < 2:
-            raise ValueError(
-                "dynamic load balancing needs at least 2 processors")
-
-    # -- entry point --------------------------------------------------------
     def run_loop(self, loop: LoopSpec, cluster: ClusterSpec,
                  strategy: StrategyLike,
                  options: Optional[RunOptions] = None,
                  selector: Optional[Callable] = None,
                  fault_plan: Optional[FaultPlan] = None) -> LoopRunStats:
-        options = options or RunOptions()
-        spec = strategy if isinstance(strategy, StrategySpec) \
-            else get_strategy(strategy)
-        n = cluster.n_processors
-        self._validate(spec, n, options, selector, fault_plan)
-
-        table = loop.work_table()
-        mean_iteration_time = table.total_work / table.n
-        k = options.effective_group_size(n, spec.group_size)
-        if spec.global_scope or not spec.is_dlb:
-            groups: list[list[int]] = [list(range(n))]
-        else:
-            groups = build_groups(n, k, formation=options.group_formation,
-                                  seed=options.group_seed)
-        group_of = {node: g for g, members in enumerate(groups)
-                    for node in members}
+        plan = prepare_run(self.name, loop, cluster, strategy, options,
+                           selector, fault_plan, time_scale=self.time_scale,
+                           kernel=self.kernel)
+        options, stats, lead = plan.options, plan.stats, plan.workers[0]
+        n = len(plan.workers)
         # Threads share one address space, so the topology is *logical*
         # here: it shapes the planner (where work may flow) and the
         # movement-cost estimate, not the transport.
         topology = None
         if options.topology is not None:
             topology = resolve_topology(options.topology, n)
-        movement_cost_fn = None
-        if options.policy.include_movement_cost:
-            if topology is not None and not topology.shared_medium:
-                movement_cost_fn = make_topology_movement_cost_estimator(
-                    options.network, topology,
-                    dc_bytes=loop.dc_bytes,
-                    mean_iteration_time=mean_iteration_time)
-            else:
-                movement_cost_fn = make_movement_cost_estimator(
-                    latency=options.network.latency,
-                    bandwidth=options.network.bandwidth,
-                    dc_bytes=loop.dc_bytes,
-                    mean_iteration_time=mean_iteration_time)
+        movement_cost_fn = movement_estimator(
+            lead.movement, loop.dc_bytes, lead.mean_iteration_time)
+        if (movement_cost_fn is not None and topology is not None
+                and not topology.shared_medium):
+            movement_cost_fn = make_topology_movement_cost_estimator(
+                options.network, topology, dc_bytes=loop.dc_bytes,
+                mean_iteration_time=lead.mean_iteration_time)
         planner = None
-        if spec.code == "DIFF":
+        if plan.spec.code == "DIFF":
             planner = make_diffusion_planner(
                 topology if topology is not None else Topology.bus(n),
-                options.policy, mean_iteration_time, movement_cost_fn)
+                options.policy, lead.mean_iteration_time, movement_cost_fn)
 
-        stats = LoopRunStats(loop_name=loop.name, strategy=spec.name,
-                             n_processors=n, group_size=k,
-                             backend=self.name)
-        stats.environment = environment_fingerprint(kernel=self.kernel)
-        recorder = options.recorder or NULL_RECORDER
-        registry = MetricsRegistry()
-        shared = _SharedStats(stats, options.trace, recorder)
-        transport = _Transport(n, registry.counter("messages_by_tag"))
-        parts = equal_block_partition(loop.n_iterations, n)
+        # (protocol, node id, whose mailbox it reads, track); the
+        # balancer reads node 0's mailbox: in centralized mode PROFILEs
+        # are addressed to the lb host and nothing else there matches
+        # its wait.
+        cast = [(worker.build_protocol(
+                     table=plan.table, movement_cost_fn=movement_cost_fn,
+                     planner=planner), node, node, f"node{node}")
+                for node, worker in enumerate(plan.workers)]
+        if lead.centralized:
+            cast.insert(0, (lead.build_balancer(
+                plan.groups, movement_cost_fn=movement_cost_fn,
+                planner=planner), None, 0, "balancer"))
 
-        workers = []
-        for node in range(n):
-            gid = group_of[node]
-            workers.append(WorkerProtocol(
-                node, groups[gid], group=gid,
-                centralized=spec.centralized,
-                lb_host=0,
-                policy=options.policy,
-                table=table,
-                mean_iteration_time=mean_iteration_time,
-                dc_bytes=loop.dc_bytes,
-                movement_cost_fn=movement_cost_fn,
-                planner=planner,
-                profile_window_reset=options.profile_window_reset,
-                assignment=parts[node],
-                is_dlb=spec.is_dlb))
-            workers[-1].emit_trace = recorder.enabled
-
+        abort = threading.Event()
+        mailboxes = [_Mailbox(abort) for _ in range(n)]
+        ledger = RunLedger(plan.stats, trace=plan.options.trace)
+        lock = threading.Lock()
         errors: list[BaseException] = []
-        err_lock = threading.Lock()
+        ops_rate = calibrate(self.kernel)
 
-        def guarded(fn, *args):
-            def runner():
-                try:
-                    fn(*args)
-                except BaseException as exc:  # noqa: BLE001 - reported below
-                    with err_lock:
-                        errors.append(exc)
-                    # Unblock every waiter: peers abort instead of
-                    # hanging until the watchdog.
-                    transport.abort.set()
-                    for box in transport.mailboxes:
-                        box.wake()
-            return runner
+        def abort_all() -> None:
+            # Unblock every waiter and stop every compute loop at its
+            # next poll: peers abort instead of hanging to the watchdog.
+            abort.set()
+            for box in mailboxes:
+                box.wake()
 
-        threads = [threading.Thread(
-            target=guarded(self._drive_worker, workers[node],
-                           transport, shared, errors),
-            name=f"dlb-node{node}", daemon=True)
-            for node in range(n)]
-        balancer_thread = None
-        if spec.is_dlb and spec.centralized:
-            balancer = BalancerProtocol(
-                0, groups, policy=options.policy,
-                mean_iteration_time=mean_iteration_time,
-                movement_cost_fn=movement_cost_fn,
-                planner=planner)
-            balancer.emit_trace = recorder.enabled
-            balancer_thread = threading.Thread(
-                target=guarded(self._drive_balancer, balancer,
-                               transport, shared, errors),
-                name="dlb-balancer", daemon=True)
+        def burn_one(want: Burn) -> None:
+            if abort.is_set():
+                raise BackendError("aborted: a peer thread failed")
+            burn(self.kernel, want.cost * self.time_scale, ops_rate,
+                 should_abort=abort.is_set)
 
-        all_threads = threads + ([balancer_thread]
-                                 if balancer_thread is not None else [])
-        if self.kernel == "ops":
-            self._ops_rate = calibrate_ops_rate()
-        elif self.kernel == "numpy":
-            self._ops_rate = calibrate_vec_rate()
-        stats.start_time = 0.0
+        def run(proto, port: _ThreadReporter, box: _Mailbox,
+                track: str) -> None:
+            try:
+                run_blocking(drive(proto, port, box.inbox, track=track),
+                             box.get, burn_one)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                with lock:
+                    errors.append(exc)
+                abort_all()
+
         # All trace timestamps on this backend share one zero-based
         # perf_counter domain anchored just before the threads start.
-        shared.t0 = time.perf_counter()
-        if recorder.enabled:
-            recorder.set_clock(shared.now)
+        t0 = time.perf_counter()
+        if plan.recorder.enabled:
+            plan.recorder.set_clock(lambda: time.perf_counter() - t0)
+        threads = [threading.Thread(
+            target=run, name=f"dlb-{track}", daemon=True,
+            args=(proto, _ThreadReporter(me, t0, plan.recorder, mailboxes,
+                                         ledger, lock),
+                  mailboxes[reads], track))
+            for proto, me, reads, track in cast]
         try:
-            if balancer_thread is not None:
-                balancer_thread.start()
             for t in threads:
                 t.start()
             for t in threads:
@@ -416,156 +234,14 @@ class ThreadBackend(ExecutionBackend):
                 if t.is_alive():
                     raise BackendError(
                         f"{t.name} did not finish (deadlock?)")
-            if balancer_thread is not None:
-                balancer_thread.join(timeout=WATCHDOG_SECONDS)
-                if balancer_thread.is_alive():
-                    raise BackendError("balancer thread did not finish")
-            stats.end_time = shared.now()
+            stats.end_time = time.perf_counter() - t0
             if errors:
                 raise errors[0]
         except BaseException:
             # Shutdown contract: never leave dlb-* threads running —
-            # CI hangs on orphans.  Abort unblocks every mailbox wait
-            # and stops every compute loop at its next poll.
-            transport.abort.set()
-            for box in transport.mailboxes:
-                box.wake()
-            join_or_terminate(all_threads, timeout=5.0)
+            # CI hangs on orphans.
+            abort_all()
+            join_or_terminate(threads, timeout=5.0)
             raise
-
-        # The registry's counter *is* the stats field (a live view).
-        stats.messages_by_tag = transport.by_tag
-        stats.network_messages = transport.messages
-        stats.network_bytes = transport.bytes
-        self._verify_coverage(stats, loop)
+        check_coverage(stats.executed_by_node, loop.n_iterations)
         return stats
-
-    @staticmethod
-    def _verify_coverage(stats: LoopRunStats, loop: LoopSpec) -> None:
-        all_ranges = [r for ranges in stats.executed_by_node.values()
-                      for r in ranges]
-        merged = merge_ranges(all_ranges)  # raises on overlap (duplicates)
-        expected = [(0, loop.n_iterations)]
-        if merged != expected:
-            raise AssertionError(
-                f"lost iterations: executed {merged}, expected {expected}")
-
-    # -- drivers ------------------------------------------------------------
-    def _drive_worker(self, proto: WorkerProtocol, transport: _Transport,
-                      shared: _SharedStats,
-                      errors: list[BaseException]) -> None:
-        mailbox = transport.mailboxes[proto.me]
-        abort = transport.abort
-        commands = proto.on_event(Start())
-        while True:
-            await_spec: Optional[AwaitMessage] = None
-            next_event = None
-            for cmd in commands:
-                if isinstance(cmd, Send):
-                    transport.post(cmd.msg)
-                elif isinstance(cmd, StartCompute):
-                    status = self._compute(proto, mailbox, shared, abort)
-                    next_event = ComputeDone(status)
-                elif isinstance(cmd, AwaitMessage):
-                    await_spec = cmd
-                elif isinstance(cmd, RecordSync):
-                    shared.record_sync(cmd.group, cmd.epoch, cmd.plan)
-                elif isinstance(cmd, Charge):
-                    pass  # wall-clock time is charged by reality
-                elif isinstance(cmd, Emit):
-                    shared.recorder.event(cmd.name,
-                                          track=f"node{proto.me}",
-                                          **cmd.args())
-                elif isinstance(cmd, Done):
-                    shared.record_finish(proto.me)
-                    return
-                elif isinstance(cmd, DeclareDead):  # pragma: no cover
-                    raise BackendError(
-                        "DeclareDead without fault tolerance")
-                else:  # pragma: no cover - defensive
-                    raise BackendError(f"unhandled command {cmd!r}")
-            if next_event is None:
-                if await_spec is None:  # pragma: no cover - defensive
-                    raise BackendError(
-                        "protocol yielded neither wait nor compute")
-                if errors:
-                    return  # a peer died; stop pumping
-                msg = mailbox.get(await_spec)
-                next_event = (TimerFired() if msg is None
-                              else MessageReceived(msg))
-            commands = proto.on_event(next_event)
-
-    def _drive_balancer(self, proto: BalancerProtocol,
-                        transport: _Transport, shared: _SharedStats,
-                        errors: list[BaseException]) -> None:
-        mailbox = transport.mailboxes[proto.host]
-        commands = proto.on_event(Start())
-        while True:
-            await_spec = None
-            for cmd in commands:
-                if isinstance(cmd, Send):
-                    transport.post(cmd.msg)
-                elif isinstance(cmd, AwaitMessage):
-                    await_spec = cmd
-                elif isinstance(cmd, RecordSync):
-                    shared.record_sync(cmd.group, cmd.epoch, cmd.plan)
-                elif isinstance(cmd, Charge):
-                    pass
-                elif isinstance(cmd, Emit):
-                    shared.recorder.event(cmd.name, track="balancer",
-                                          **cmd.args())
-                elif isinstance(cmd, Done):
-                    return
-                else:  # pragma: no cover - defensive
-                    raise BackendError(f"unhandled command {cmd!r}")
-            if await_spec is None:  # pragma: no cover - defensive
-                raise BackendError("balancer yielded no wait")
-            if errors:
-                return
-            # The balancer's mailbox also receives PROFILEs addressed to
-            # node 0's *worker* in distributed mode — cannot happen here
-            # (centralized only), so a plain filtered get is correct.
-            msg = mailbox.get(await_spec)
-            commands = proto.on_event(TimerFired() if msg is None
-                                      else MessageReceived(msg))
-
-    # -- compute ------------------------------------------------------------
-    def _compute(self, proto: WorkerProtocol, mailbox: _Mailbox,
-                 shared: _SharedStats, abort: threading.Event) -> str:
-        """Burn CPU through the assignment, iteration by iteration.
-
-        Honors synchronization interrupts at iteration boundaries (the
-        paper's ``DLB_slave_sync`` poll) and books the performance
-        window so measured rates feed the §3.2 profiles.
-        """
-        assignment = proto.assignment
-        table = proto.table
-        mailbox.drain_interrupts(proto.epoch - 1)
-        if assignment.empty:
-            return "finished"
-        while not assignment.empty:
-            if abort.is_set():
-                raise BackendError("aborted: a peer thread failed")
-            if proto.is_dlb and mailbox.has_interrupt(proto.epoch):
-                return "interrupted"
-            taken = assignment.take_head(1)
-            start, _end = taken[0]
-            cost = table.range_work(start, start + 1)
-            t0 = time.perf_counter()
-            if self.kernel == "ops":
-                burn_ops(cost * self.time_scale * self._ops_rate,
-                         should_abort=abort.is_set)
-            elif self.kernel == "numpy":
-                burn_vec(cost * self.time_scale * self._ops_rate,
-                         should_abort=abort.is_set)
-            else:
-                burn_wall(cost * self.time_scale,
-                          should_abort=abort.is_set)
-            t1 = time.perf_counter()
-            proto.note_busy(t1 - t0)
-            shared.recorder.complete("compute", t0 - shared.t0, t1 - t0,
-                                     track=f"node{proto.me}",
-                                     iteration=start)
-            proto.note_work(cost)
-            shared.record_executed(proto.me, taken)
-        return "finished"

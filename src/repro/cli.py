@@ -321,6 +321,7 @@ def _build_fault_plan(args: argparse.Namespace):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from .backend.base import BackendError
+    from .backend.capabilities import CAPABILITIES, backends_with
     from .runtime.executor import run_application, run_loop
     from .runtime.options import FaultToleranceConfig, RunOptions
     cluster = ClusterSpec.homogeneous(
@@ -353,7 +354,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"bad --topology: {exc}", file=sys.stderr)
         return 2
     backend: object = args.backend
-    if args.backend in ("thread", "process", "socket"):
+    kernels = CAPABILITIES[args.backend]["kernels"]
+    if args.kernel is not None and not kernels:
+        print("--kernel applies to the "
+              f"{' and '.join(backends_with('kernels'))} backends only",
+              file=sys.stderr)
+        return 2
+    if args.backend != "sim":
         if args.app != "mxm":
             print(f"--backend {args.backend} supports single-loop apps "
                   "only (use --app mxm)", file=sys.stderr)
@@ -362,17 +369,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if args.backend == "thread":
                 from .backend import ThreadBackend
                 backend = ThreadBackend(time_scale=args.time_scale,
-                                        kernel=args.kernel or "wall")
+                                        kernel=args.kernel or kernels[0])
             elif args.backend == "process":
                 from .backend import ProcessBackend
                 backend = ProcessBackend(time_scale=args.time_scale,
                                          start_method=args.start_method,
-                                         kernel=args.kernel or "ops")
+                                         kernel=args.kernel or kernels[0])
             else:
-                if args.kernel is not None:
-                    print("--kernel applies to the thread and process "
-                          "backends only", file=sys.stderr)
-                    return 2
                 from .backend import SocketBackend
                 backend = SocketBackend(time_scale=args.time_scale,
                                         workers=args.workers,
@@ -380,10 +383,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except BackendError as exc:
             print(f"backend error: {exc}", file=sys.stderr)
             return 2
-    elif args.kernel is not None:
-        print("--kernel applies to the thread and process backends only",
-              file=sys.stderr)
-        return 2
     if args.app == "mxm":
         try:
             r, c, r2 = (int(x) for x in args.size.lower().split("x"))

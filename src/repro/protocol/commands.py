@@ -69,6 +69,14 @@ class AwaitMessage(Command):
     srcs: Optional[tuple[int, ...]] = None
     timeout: Optional[float] = None
 
+    def matches(self, msg: Message) -> bool:
+        """Whether ``msg`` satisfies this wait (a ``None`` filter admits
+        everything) — the one matching rule of every real backend's
+        inbox."""
+        return ((self.tags is None or msg.tag in self.tags)
+                and (self.epoch is None or msg.epoch == self.epoch)
+                and (self.srcs is None or msg.src in self.srcs))
+
 
 @dataclass(frozen=True)
 class Charge(Command):

@@ -12,13 +12,18 @@ so uniform and non-uniform loops share one code path.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..apps.workload import WorkTable
 
-__all__ = ["Assignment", "equal_block_partition", "merge_ranges"]
+__all__ = ["Assignment", "CoverageError", "check_coverage",
+           "equal_block_partition", "merge_ranges", "uncovered"]
 
 Range = tuple[int, int]
+
+
+class CoverageError(AssertionError):
+    """Iterations were lost or duplicated during redistribution."""
 
 
 def merge_ranges(ranges: Iterable[Range]) -> list[Range]:
@@ -34,6 +39,45 @@ def merge_ranges(ranges: Iterable[Range]) -> list[Range]:
         else:
             out.append((start, end))
     return out
+
+
+def _merged_ledger(executed_by_node: Mapping[object, Iterable[Range]]
+                   ) -> list[Range]:
+    try:
+        return merge_ranges(r for ranges in executed_by_node.values()
+                            for r in ranges)
+    except ValueError as exc:
+        raise CoverageError(f"duplicated iterations: {exc}") from exc
+
+
+def uncovered(executed_by_node: Mapping[object, Iterable[Range]],
+              n_iterations: int) -> list[Range]:
+    """The gaps of ``[0, n_iterations)`` nobody in the ledger executed.
+
+    What a salvage pass must still run (crash orphans, grants dropped by
+    a retiring receiver).  Raises :class:`CoverageError` when two ledger
+    entries overlap: a duplicate cannot be salvaged away.
+    """
+    gaps: list[Range] = []
+    cursor = 0
+    for start, end in (_merged_ledger(executed_by_node)
+                       + [(n_iterations, n_iterations)]):
+        if cursor < start:
+            gaps.append((cursor, start))
+        cursor = max(cursor, end)
+    return gaps
+
+
+def check_coverage(executed_by_node: Mapping[object, Iterable[Range]],
+                   n_iterations: int) -> None:
+    """The exactly-once invariant, checked the same way on every backend:
+    the per-node ledger must tile ``[0, n_iterations)`` with no gap and
+    no overlap, else :class:`CoverageError`."""
+    merged = _merged_ledger(executed_by_node)
+    expected = [(0, n_iterations)]
+    if merged != expected:
+        raise CoverageError(
+            f"lost iterations: executed {merged}, expected {expected}")
 
 
 def equal_block_partition(n_iterations: int, n_processors: int

@@ -34,6 +34,8 @@ from ..network.graph import build_network
 from ..obs.trace import NULL_RECORDER
 from ..simulation import Environment, SimulationError
 from .assignment import (
+    CoverageError,
+    check_coverage,
     equal_block_partition,
     merge_ranges,
     proportional_block_partition,
@@ -54,27 +56,10 @@ __all__ = ["run_loop", "run_application", "CoverageError"]
 StrategyLike = Union[str, StrategySpec]
 
 
-class CoverageError(AssertionError):
-    """Iterations were lost or duplicated during redistribution."""
-
-
 def _resolve(strategy: StrategyLike) -> StrategySpec:
     if isinstance(strategy, StrategySpec):
         return strategy
     return get_strategy(strategy)
-
-
-def _verify_coverage(session: LoopSession) -> None:
-    all_ranges = [r for ranges in session.stats.executed_by_node.values()
-                  for r in ranges]
-    try:
-        merged = merge_ranges(all_ranges)
-    except ValueError as exc:
-        raise CoverageError(f"duplicated iterations: {exc}") from exc
-    expected = [(0, session.loop.n_iterations)]
-    if merged != expected:
-        raise CoverageError(
-            f"lost iterations: executed {merged}, expected {expected}")
 
 
 def _salvage(session: LoopSession, controller: FaultController) -> None:
@@ -85,7 +70,7 @@ def _salvage(session: LoopSession, controller: FaultController) -> None:
     can, any iteration still unexecuted (stranded parcels, unconsumed
     WORK in dead mailboxes, late reclaims) is run — and charged its
     simulated compute time — on one surviving workstation, so
-    :func:`_verify_coverage` holds for every plan with a survivor.
+    :func:`check_coverage` holds for every plan with a survivor.
     """
     orphans = controller.sweep_orphans()
     if not orphans:
@@ -243,7 +228,7 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
     # Detach mailbox hooks so a later stage can re-register.
     for i in range(session.n):
         vm.inbox[i].notify = None
-    _verify_coverage(session)
+    check_coverage(session.stats.executed_by_node, session.loop.n_iterations)
     return session.stats
 
 

@@ -59,9 +59,10 @@ class LoopRunStats:
     strategy: str
     n_processors: int
     group_size: int
-    #: Which ExecutionBackend produced this run ("sim": virtual seconds
-    #: on the DES kernel; "thread": wall-clock seconds on real threads).
-    #: Exported to CSV/JSON so runs stay distinguishable post-hoc.
+    #: Which ExecutionBackend produced this run: "sim" (durations are
+    #: virtual seconds on the DES kernel) or "thread" / "process" /
+    #: "socket" (wall-clock seconds).  Exported to CSV/JSON so runs stay
+    #: distinguishable post-hoc.
     backend: str = "sim"
     start_time: float = 0.0
     end_time: float = 0.0

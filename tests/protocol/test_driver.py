@@ -1,0 +1,332 @@
+"""The shared backend driver against an in-memory fake port.
+
+No threads and no clock: a deterministic round-robin scheduler steps
+each participant's :func:`~repro.backend.driver.drive` generator, a
+fake port routes ``Send`` into the destination's
+:class:`~repro.backend.driver.Inbox` and books records into a
+:class:`~repro.backend.driver.RunLedger`, and time is a counter that
+advances one tick per burnt iteration.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.backend.driver import Burn, Inbox, Reporter, RunLedger, drive
+from repro.core.policy import DlbPolicy
+from repro.message.messages import (
+    ControlMsg,
+    InterruptMsg,
+    ProfileMsg,
+    Tag,
+    WorkMsg,
+)
+from repro.obs.metrics import CounterDict
+from repro.protocol import (
+    AwaitMessage,
+    BalancerProtocol,
+    ComputeDone,
+    PeerDead,
+    TimerFired,
+)
+from repro.runtime.assignment import check_coverage
+from repro.runtime.options import FaultToleranceConfig
+from repro.runtime.stats import LoopRunStats
+
+from .conftest import COST, make_worker
+
+FT = FaultToleranceConfig(enabled=True, request_timeout=0.05, backoff=2.0,
+                          max_retries=2)
+
+
+class FakeClock:
+    def __init__(self):
+        self.t = 0.0
+
+
+class FakePort(Reporter):
+    """Routes into peer inboxes, logs every port call."""
+
+    def __init__(self, me, cluster):
+        super().__init__(me, 0.0)
+        self.cluster = cluster
+        self.calls = []
+
+    def now(self):
+        return self.cluster.clock.t
+
+    def deliver(self, msg):
+        self.calls.append(("send", msg.tag, msg.dst))
+        self.cluster.route(msg)
+
+    def emit(self, body):
+        self.calls.append((body["k"],))
+        self.cluster.ledger.record(self.me, body, self.now())
+
+
+class FakeCluster:
+    """N workers (+ a balancer when centralized), stepped round-robin."""
+
+    def __init__(self, table, blocks, *, centralized):
+        n = len(blocks)
+        self.clock = FakeClock()
+        stats = LoopRunStats(loop_name="fake", strategy="?",
+                             n_processors=n, group_size=n, backend="fake")
+        stats.messages_by_tag = CounterDict()
+        self.ledger = RunLedger(stats, trace=True)
+        self.centralized = centralized
+        self.inboxes = {node: Inbox() for node in range(n)}
+        self.ports = {node: FakePort(node, self) for node in range(n)}
+        self.events = {node: [] for node in range(n)}
+        self.protos = {}
+        self.pumps = {}
+        for node, ranges in enumerate(blocks):
+            proto = make_worker(node, tuple(range(n)), table=table,
+                                centralized=centralized, ranges=ranges)
+            self._spy(node, proto)
+            self.protos[node] = proto
+            self.pumps[node] = drive(proto, self.ports[node],
+                                     self.inboxes[node], track=f"node{node}")
+        if centralized:
+            self.inboxes["balancer"] = Inbox()
+            self.ports["balancer"] = FakePort(None, self)
+            self.pumps["balancer"] = drive(
+                BalancerProtocol(0, [list(range(n))], policy=DlbPolicy(),
+                                 mean_iteration_time=COST),
+                self.ports["balancer"], self.inboxes["balancer"],
+                track="balancer")
+
+    def _spy(self, node, proto):
+        real = proto.on_event
+
+        def on_event(event):
+            self.events[node].append(event)
+            return real(event)
+        proto.on_event = on_event
+
+    def route(self, msg):
+        to_balancer = (self.centralized and msg.tag is Tag.PROFILE
+                       and msg.dst == 0)
+        self.inboxes["balancer" if to_balancer else msg.dst].post(msg)
+
+    def run(self, max_steps=10_000):
+        """Step every runnable participant until all returned."""
+        wants = {key: pump.send(None) for key, pump in self.pumps.items()}
+        reasons = {}
+        for _ in range(max_steps):
+            if not wants:
+                return reasons
+            progressed = False
+            for key in list(wants):
+                want = wants[key]
+                if isinstance(want, Burn):
+                    self.clock.t += 1.0
+                    reply = None
+                else:
+                    reply = self.inboxes[key].take(want)
+                    if reply is None:
+                        continue  # blocked on its wait
+                progressed = True
+                try:
+                    wants[key] = self.pumps[key].send(reply)
+                except StopIteration as stop:
+                    reasons[key] = stop.value
+                    del wants[key]
+            assert progressed, f"deadlock: everyone waits ({wants})"
+        raise AssertionError("fake cluster did not terminate")
+
+
+def test_distributed_exchange_through_the_driver(table):
+    """2-node GDDLB: node 1's short block finishes first, interrupts node
+    0 at an iteration boundary, both plan, work moves, both finish."""
+    cluster = FakeCluster(table, [[(0, 12)], [(12, 14)]], centralized=False)
+    reasons = cluster.run()
+    assert set(reasons) == {0, 1}
+    check_coverage(cluster.ledger.stats.executed_by_node, 14)
+
+    exe, fin, sync = ("exec",), ("finish",), ("sync",)
+
+    def sent(tag, dst):
+        return ("send", tag, dst)
+    # Node 1: two iterations, then the receiver-initiated sync (§3.1);
+    # four moved iterations later it finishes first again and the
+    # second sync agrees the loop is done.
+    assert cluster.ports[1].calls == [
+        exe, exe, sent(Tag.INTERRUPT, 0), sent(Tag.PROFILE, 0), sync,
+        exe, exe, exe, exe,
+        sent(Tag.INTERRUPT, 0), sent(Tag.PROFILE, 0), sync, fin]
+    # Node 0 stopped *between* iterations — after its third — because
+    # the flag for its current epoch was set, not because its block ran
+    # out; it answered with a profile, planned, and shipped work.
+    assert ComputeDone("interrupted") in cluster.events[0]
+    assert cluster.ports[0].calls == [
+        exe, exe, exe, sent(Tag.PROFILE, 1), sync, sent(Tag.WORK, 1),
+        exe, exe, exe, exe, exe,
+        sent(Tag.INTERRUPT, 1), sent(Tag.PROFILE, 1), sync, fin]
+    # The ledger booked each sync once although both replicas reported
+    # it, and every participant's counters exactly once, at Done.
+    syncs = cluster.ledger.stats.syncs
+    assert [(s.group, s.epoch) for s in syncs] == [(0, 0), (0, 1)]
+    assert cluster.ledger.stats.network_messages == sum(
+        p.messages for p in cluster.ports.values())
+    assert set(cluster.ledger.stats.node_finish_times) == {0, 1}
+
+
+def test_centralized_exchange_through_the_driver(table):
+    """GCDLB: profiles feed the balancer's own drive() pump; only it
+    records syncs; workers never wait on each other's profiles."""
+    cluster = FakeCluster(table, [[(0, 12)], [(12, 14)], [(14, 16)]],
+                          centralized=True)
+    reasons = cluster.run()
+    assert set(reasons) == {0, 1, 2, "balancer"}
+    check_coverage(cluster.ledger.stats.executed_by_node, 16)
+    balancer_calls = cluster.ports["balancer"].calls
+    assert ("sync",) in balancer_calls
+    assert {call[1] for call in balancer_calls if call[0] == "send"} == \
+        {Tag.INSTRUCTION}
+    for node in range(3):
+        assert ("sync",) not in cluster.ports[node].calls
+        assert ("send", Tag.PROFILE, 0) in cluster.ports[node].calls
+    # The balancer finishes without a node id: no finish time for it.
+    assert set(cluster.ledger.stats.node_finish_times) == {0, 1, 2}
+
+
+def _waiting_worker(table, ft=None):
+    """A distributed worker driven up to its first profile wait."""
+    inbox = Inbox()
+    proto = make_worker(0, (0, 1, 2), centralized=False, table=table,
+                        ranges=[(0, 1)], ft=ft)
+    seen = []
+    real = proto.on_event
+    proto.on_event = lambda event: (seen.append(event), real(event))[1]
+
+    class Port(Reporter):
+        def deliver(self, msg):
+            pass
+
+        def emit(self, body):
+            pass
+
+        def now(self):
+            return 0.0
+
+    port = Port(0, 0.0)
+    pump = drive(proto, port, inbox, track="node0")
+    want = pump.send(None)
+    assert isinstance(want, Burn) and want == Burn(0, COST)
+    want = pump.send(None)
+    assert isinstance(want, AwaitMessage) and want.tags == (Tag.PROFILE,)
+    return pump, port, seen, want
+
+
+def test_none_receive_feeds_timer_fired(table):
+    pump, port, seen, want = _waiting_worker(table, ft=FT)
+    assert want.timeout is not None
+    again = pump.send(None)  # the transport's "timed out"
+    assert isinstance(seen[-1], TimerFired)
+    assert port.retries == 1
+    assert isinstance(again, AwaitMessage)
+
+
+def test_commandless_membership_event_rearms_the_previous_wait(table):
+    pump, _port, seen, want = _waiting_worker(table)
+    # Peer 7 was never a member: the protocol has nothing to do.
+    again = pump.send(PeerDead(7))
+    assert seen[-1] == PeerDead(7)
+    assert again is want
+
+
+def test_interrupt_for_a_later_epoch_does_not_stop_this_one(table):
+    inbox = Inbox()
+    inbox.post(InterruptMsg(src=1, dst=0, epoch=3, group=0))
+    proto = make_worker(0, (0, 1), centralized=False, table=table,
+                        ranges=[(0, 3)])
+
+    class Port(Reporter):
+        def deliver(self, msg):
+            pass
+
+        def emit(self, body):
+            pass
+
+        def now(self):
+            return 0.0
+
+    pump = drive(proto, Port(0, 0.0), inbox, track="node0")
+    burns = []
+    want = pump.send(None)
+    while isinstance(want, Burn):
+        burns.append(want.iteration)
+        want = pump.send(None)
+    assert burns == [0, 1, 2]  # ran to the end of the block
+
+
+# -- AwaitMessage.matches: the one matching rule ---------------------------
+_MSG = ProfileMsg(src=2, dst=0, epoch=5, group=0, remaining_work=1.0,
+                  remaining_count=1, rate=1.0)
+
+
+@pytest.mark.parametrize("spec,expected", [
+    (AwaitMessage(tags=None), True),
+    (AwaitMessage(tags=(Tag.PROFILE,)), True),
+    (AwaitMessage(tags=(Tag.WORK, Tag.CONTROL)), False),
+    (AwaitMessage(tags=(Tag.PROFILE,), epoch=None), True),
+    (AwaitMessage(tags=(Tag.PROFILE,), epoch=5), True),
+    (AwaitMessage(tags=(Tag.PROFILE,), epoch=4), False),
+    (AwaitMessage(tags=(Tag.PROFILE,), srcs=None), True),
+    (AwaitMessage(tags=(Tag.PROFILE,), srcs=(1, 2)), True),
+    (AwaitMessage(tags=(Tag.PROFILE,), srcs=(1, 3)), False),
+    (AwaitMessage(tags=(Tag.PROFILE,), epoch=5, srcs=(3,)), False),
+    (AwaitMessage(tags=None, epoch=None, srcs=None, timeout=0.1), True),
+])
+def test_await_message_matches(spec, expected):
+    assert spec.matches(_MSG) is expected
+
+
+# -- Inbox -----------------------------------------------------------------
+def _work(src, epoch):
+    return WorkMsg(src=src, dst=0, epoch=epoch, ranges=((0, 1),),
+                   data_bytes=0)
+
+
+def test_inbox_interrupts_fold_into_epoch_flags_and_never_surface():
+    inbox = Inbox()
+    for epoch in (1, 2, 4):
+        inbox.post(InterruptMsg(src=1, dst=0, epoch=epoch, group=0))
+    assert inbox.take(AwaitMessage(tags=None)) is None
+    assert [inbox.has_interrupt(e) for e in range(6)] == \
+        [False, True, True, False, True, False]
+    inbox.drain_interrupts(2)  # forgets <= 2 only
+    assert [inbox.has_interrupt(e) for e in range(6)] == \
+        [False, False, False, False, True, False]
+    inbox.drain_interrupts(1)  # draining never un-forgets
+    assert not inbox.has_interrupt(2) and inbox.has_interrupt(4)
+
+
+def test_inbox_notices_preempt_buffered_messages():
+    inbox = Inbox()
+    inbox.post(_work(1, 0))
+    inbox.post(PeerDead(3))
+    inbox.post(PeerDead(4))
+    spec = AwaitMessage(tags=(Tag.WORK,))
+    assert inbox.take(spec) == PeerDead(3)
+    assert inbox.take(spec) == PeerDead(4)
+    assert inbox.take(spec) == _work(1, 0)
+    assert inbox.take(spec) is None
+
+
+def test_inbox_non_matching_messages_stay_buffered_in_arrival_order():
+    inbox = Inbox()
+    control = ControlMsg(src=2, dst=0, epoch=1, kind="no-work")
+    for msg in (_work(1, 0), control, _work(2, 1), _work(3, 1)):
+        inbox.post(msg)
+    epoch1 = AwaitMessage(tags=(Tag.WORK,), epoch=1)
+    assert inbox.take(epoch1) == _work(2, 1)
+    assert inbox.take(AwaitMessage(tags=(Tag.INSTRUCTION,))) is None
+    assert inbox.take(epoch1) == _work(3, 1)
+    assert inbox.take(epoch1) is None
+    # What was skipped is still there, oldest first.
+    anything = AwaitMessage(tags=None)
+    assert inbox.take(anything) == _work(1, 0)
+    assert inbox.take(anything) == control
+    assert inbox.take(anything) is None

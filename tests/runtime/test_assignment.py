@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.workload import WorkTable
 from repro.runtime.assignment import (
     Assignment,
+    CoverageError,
+    check_coverage,
     equal_block_partition,
     merge_ranges,
+    uncovered,
 )
 
 
@@ -27,6 +30,50 @@ def test_merge_drops_empty():
 def test_merge_rejects_overlap():
     with pytest.raises(ValueError):
         merge_ranges([(0, 3), (2, 5)])
+
+
+# -- the exactly-once check every backend shares ---------------------------
+def test_check_coverage_accepts_an_exact_tiling():
+    check_coverage({0: [(0, 4), (6, 8)], 2: [(4, 6)], 1: []}, 8)
+
+
+def test_check_coverage_reports_a_gap_as_lost():
+    with pytest.raises(CoverageError, match="lost iterations"):
+        check_coverage({0: [(0, 4)], 1: [(5, 8)]}, 8)
+
+
+def test_check_coverage_reports_an_overlap_as_duplicated():
+    with pytest.raises(CoverageError, match="duplicated iterations"):
+        check_coverage({0: [(0, 5)], 1: [(4, 8)]}, 8)
+
+
+def test_check_coverage_rejects_an_empty_ledger():
+    with pytest.raises(CoverageError, match="lost iterations"):
+        check_coverage({}, 8)
+    # ... as an AssertionError, what callers have always caught.
+    with pytest.raises(AssertionError):
+        check_coverage({0: []}, 1)
+
+
+def test_uncovered_finds_orphans_in_the_middle():
+    assert uncovered({0: [(0, 3), (9, 12)], 2: [(5, 7)]}, 12) == \
+        [(3, 5), (7, 9)]
+
+
+def test_uncovered_finds_an_orphaned_tail_and_an_empty_ledger():
+    assert uncovered({0: [(0, 3)], 1: [(3, 6)]}, 10) == [(6, 10)]
+    assert uncovered({}, 4) == [(0, 4)]
+    assert uncovered({0: [(0, 4)]}, 4) == []
+
+
+def test_uncovered_refuses_to_salvage_over_a_duplicate():
+    with pytest.raises(CoverageError, match="duplicated iterations"):
+        uncovered({0: [(0, 3)], 1: [(2, 4)]}, 8)
+
+
+def test_coverage_error_is_still_exported_by_the_executor():
+    from repro.runtime import executor
+    assert executor.CoverageError is CoverageError
 
 
 def test_equal_block_partition_covers_all():
