@@ -1,20 +1,12 @@
 """Execution backends for the DLB protocol core.
 
 The protocol layer (:mod:`repro.protocol`) is pure; a backend decides
-what clock, timers, transport, and compute mean:
-
-* :class:`SimBackend` — the deterministic discrete-event kernel
-  (default; bit-identical to the pre-seam runtime on seeded runs).
-* :class:`ThreadBackend` — real threads, in-process queues, wall-clock
-  time, synthetic CPU-burn kernels.
-* :class:`ProcessBackend` — one OS process per worker plus a balancer
-  process: queue mailboxes for control traffic, a shared-memory block
-  for iteration data (redistribution ships offsets, not arrays), true
-  multi-core parallelism, and liftable crash-fault injection.
-* :class:`SocketBackend` — the protocol over real TCP: a hub routes
-  length-prefixed JSON frames (docs/WIRE_PROTOCOL.md) between asyncio
-  worker peers, with elastic membership (join / planned leave / crash)
-  and ping/pong liveness feeding the death-declaration path.
+what clock, timers, transport, and compute mean.  :class:`SimBackend`
+is the deterministic discrete-event kernel (the default);
+:class:`ThreadBackend`, :class:`ProcessBackend` and
+:class:`SocketBackend` run the same state machines on real threads,
+processes and TCP sockets through one shared driver.  What each one is,
+and which feature runs on which, is in ``docs/ARCHITECTURE.md``.
 
 Select one via ``run_loop(..., backend="process")`` or the CLI's
 ``python -m repro run --backend process``.

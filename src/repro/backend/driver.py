@@ -189,7 +189,7 @@ class Reporter:
         self.deliver(msg)
 
     def executed(self, ranges: Sequence[Range]) -> None:
-        self.emit({"k": "exec", "ranges": [[s, e] for s, e in ranges]})
+        self.emit({"k": "exec", "ranges": list(ranges)})
 
     def sync(self, group: int, epoch: int, plan) -> None:
         self.emit({"k": "sync", "group": group, "epoch": epoch, "row": {

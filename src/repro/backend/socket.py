@@ -173,16 +173,15 @@ class _Dismissed(Exception):
     """Internal: the hub ended the run (BYE) while this worker waited."""
 
 
-async def _first_frames(reader: asyncio.StreamReader,
-                        dec: FrameDecoder) -> list:
-    """Read until at least one whole frame arrived; ``[]`` on EOF."""
+async def _frames(reader: asyncio.StreamReader):
+    """Every ``(type, body)`` frame of a connection, until EOF."""
+    dec = FrameDecoder()
     while True:
         chunk = await reader.read(65536)
         if not chunk:
-            return []
-        frames = list(dec.feed(chunk))
-        if frames:
-            return frames
+            return
+        for frame in dec.feed(chunk):
+            yield frame
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +305,8 @@ class _ClientMailbox:
 
 
 async def _client_reader(mbox: _ClientMailbox, reporter: _ClientReporter,
-                         reader: asyncio.StreamReader, dec: FrameDecoder,
-                         pending: list) -> None:
-    """Sort incoming frames into the mailbox until EOF."""
+                         frames) -> None:
+    """Sort the rest of the hub's frames into the mailbox until EOF."""
     def dispatch(ftype: FrameType, body: dict) -> None:
         if ftype is FrameType.MSG:
             msg = message_from_wire(body)
@@ -341,15 +339,8 @@ async def _client_reader(mbox: _ClientMailbox, reporter: _ClientReporter,
         # Unknown-to-this-role frames are ignored (forward compatibility).
 
     try:
-        for ftype, body in pending:
+        async for ftype, body in frames:
             dispatch(ftype, body)
-        mbox.wake.set()
-        while True:
-            chunk = await reader.read(65536)
-            if not chunk:
-                break
-            for ftype, body in dec.feed(chunk):
-                dispatch(ftype, body)
             mbox.wake.set()
     except (ConnectionError, OSError, FrameError):
         pass
@@ -393,7 +384,7 @@ async def _client_drive(proto: WorkerProtocol, spec: WorkerSpec,
                         leave_after: Optional[int]) -> str:
     """The asyncio shell around the shared driver."""
 
-    def boundary(proto: WorkerProtocol) -> Optional[ProtocolEvent]:
+    def boundary(_proto: WorkerProtocol) -> Optional[ProtocolEvent]:
         """All the elastic hooks (admits, grants, leave, fail-stop)
         apply at iteration boundaries."""
         mbox.check_stop()
@@ -453,16 +444,16 @@ async def _run_client(host: str, port: int, *,
                       leave_after: Optional[int] = None) -> str:
     """One worker, HELLO to BYE.  Returns the terminal reason."""
     reader, writer = await _connect(host, port)
-    dec = FrameDecoder()
+    frames = _frames(reader)
     try:
         hello = encode_frame(FrameType.HELLO, {"v": PROTOCOL_VERSION})
         writer.write(hello)
         await writer.drain()
-        pending = await _first_frames(reader, dec)
-        if not pending:
+        first = await anext(frames, None)
+        if first is None:
             raise BackendError("hub closed the connection before "
                                "answering HELLO")
-        ftype, body = pending.pop(0)
+        ftype, body = first
         if ftype is FrameType.BYE:
             return "dismissed"
         if ftype is FrameType.ERR:
@@ -485,7 +476,7 @@ async def _run_client(host: str, port: int, *,
             mbox.crash_due = \
                 lambda: time.perf_counter() - t0 >= spec.crash_at
         reader_task = asyncio.create_task(
-            _client_reader(mbox, reporter, reader, dec, pending))
+            _client_reader(mbox, reporter, frames))
         try:
             return await _client_drive(proto, spec, mbox, reporter,
                                        leave_after)
@@ -689,12 +680,12 @@ class _Hub:
     async def _serve_conn(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
         peer: Optional[_Peer] = None
-        dec = FrameDecoder()
+        frames = _frames(reader)
         try:
-            pending = await _first_frames(reader, dec)
-            if not pending:
+            first = await anext(frames, None)
+            if first is None:
                 return
-            assigned = self._register(*pending.pop(0))
+            assigned = self._register(*first)
             if not isinstance(assigned, WorkerSpec):
                 writer.write(encode_frame(*assigned))
                 await writer.drain()
@@ -706,14 +697,8 @@ class _Hub:
             self._write(peer, FrameType.WELCOME,
                         {"v": PROTOCOL_VERSION, "node": peer.node,
                          "run": assigned.to_wire()})
-            for ftype, body in pending:  # pipelined after HELLO
+            async for ftype, body in frames:
                 self._on_frame(peer, ftype, body)
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                for ftype, body in dec.feed(chunk):
-                    self._on_frame(peer, ftype, body)
         except asyncio.CancelledError:
             # Event-loop teardown at run end: the run is already over,
             # so a cancelled handler is not a peer failure.
@@ -1050,8 +1035,8 @@ class SocketBackend(ExecutionBackend):
                  options: Optional[RunOptions] = None,
                  selector: Optional[Callable] = None,
                  fault_plan: Optional[FaultPlan] = None) -> LoopRunStats:
-        hub, stats = self._prepare(loop, cluster, strategy, options,
-                                   selector, fault_plan, strict=True)
+        hub = self._hub(loop, cluster, strategy, options, selector,
+                        fault_plan, strict=True)
         procs: list = []
         try:
             asyncio.run(self._run_async(hub, procs))
@@ -1062,7 +1047,7 @@ class SocketBackend(ExecutionBackend):
                                   kill=lambda p: p.kill())
         if hub.errors:
             raise BackendError("; ".join(hub.errors))
-        return stats
+        return hub.stats
 
     def serve(self, loop: LoopSpec, cluster: ClusterSpec,
               strategy: StrategyLike,
@@ -1077,23 +1062,23 @@ class SocketBackend(ExecutionBackend):
         hosts) via ``python -m repro worker``.  Unexpected disconnects
         are tolerated (marked crashed, salvaged), not errors.
         """
-        hub, stats = self._prepare(loop, cluster, strategy, options,
-                                   None, fault_plan, strict=False)
+        hub = self._hub(loop, cluster, strategy, options, None, fault_plan,
+                        strict=False)
         asyncio.run(self._serve_async(hub, port, on_ready))
         if hub.errors:
             raise BackendError("; ".join(hub.errors))
-        return stats
+        return hub.stats
 
-    def _prepare(self, loop: LoopSpec, cluster: ClusterSpec,
-                 strategy: StrategyLike, options: Optional[RunOptions],
-                 selector, fault_plan: Optional[FaultPlan],
-                 *, strict: bool) -> tuple[_Hub, LoopRunStats]:
+    def _hub(self, loop: LoopSpec, cluster: ClusterSpec,
+             strategy: StrategyLike, options: Optional[RunOptions],
+             selector, fault_plan: Optional[FaultPlan], *,
+             strict: bool) -> _Hub:
         # A scripted kill is a crash: survivors need the hardened protocol.
         kills = any(isinstance(ev, KillEvent) for ev in self.script)
         plan = prepare_run(self.name, loop, cluster, strategy, options,
                            selector, fault_plan, time_scale=self.time_scale,
                            harden=kills, workers=self.workers)
-        return _Hub(plan, self.script, strict), plan.stats
+        return _Hub(plan, self.script, strict)
 
     async def _await_done(self, hub: _Hub, timeout: float,
                           stalled: str) -> None:

@@ -172,22 +172,19 @@ class ThreadBackend(ExecutionBackend):
                 topology if topology is not None else Topology.bus(n),
                 options.policy, lead.mean_iteration_time, movement_cost_fn)
 
-        # (protocol, node id, whose mailbox it reads, track); the
-        # balancer reads node 0's mailbox: in centralized mode PROFILEs
-        # are addressed to the lb host and nothing else there matches
-        # its wait.
+        # (protocol, node id — None for the balancer —, track)
         cast = [(worker.build_protocol(
                      table=plan.table, movement_cost_fn=movement_cost_fn,
-                     planner=planner), node, node, f"node{node}")
+                     planner=planner), node, f"node{node}")
                 for node, worker in enumerate(plan.workers)]
         if lead.centralized:
             cast.insert(0, (lead.build_balancer(
                 plan.groups, movement_cost_fn=movement_cost_fn,
-                planner=planner), None, 0, "balancer"))
+                planner=planner), None, "balancer"))
 
         abort = threading.Event()
         mailboxes = [_Mailbox(abort) for _ in range(n)]
-        ledger = RunLedger(plan.stats, trace=plan.options.trace)
+        ledger = RunLedger(stats, trace=options.trace)
         lock = threading.Lock()
         errors: list[BaseException] = []
         ops_rate = calibrate(self.kernel)
@@ -220,12 +217,15 @@ class ThreadBackend(ExecutionBackend):
         t0 = time.perf_counter()
         if plan.recorder.enabled:
             plan.recorder.set_clock(lambda: time.perf_counter() - t0)
+        # The balancer reads the lb host's (node 0's) mailbox: in
+        # centralized mode PROFILEs are addressed there and nothing else
+        # in it matches the balancer's wait.
         threads = [threading.Thread(
             target=run, name=f"dlb-{track}", daemon=True,
             args=(proto, _ThreadReporter(me, t0, plan.recorder, mailboxes,
                                          ledger, lock),
-                  mailboxes[reads], track))
-            for proto, me, reads, track in cast]
+                  mailboxes[me or 0], track))
+            for proto, me, track in cast]
         try:
             for t in threads:
                 t.start()

@@ -39,9 +39,17 @@ FT = FaultToleranceConfig(enabled=True, request_timeout=0.05, backoff=2.0,
                           max_retries=2)
 
 
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
+class NullPort(Reporter):
+    """Swallows everything; time stands still."""
+
+    def now(self):
+        return 0.0
+
+    def deliver(self, msg):
+        pass
+
+    def emit(self, body):
+        pass
 
 
 class FakePort(Reporter):
@@ -53,7 +61,7 @@ class FakePort(Reporter):
         self.calls = []
 
     def now(self):
-        return self.cluster.clock.t
+        return self.cluster.ticks
 
     def deliver(self, msg):
         self.calls.append(("send", msg.tag, msg.dst))
@@ -69,7 +77,7 @@ class FakeCluster:
 
     def __init__(self, table, blocks, *, centralized):
         n = len(blocks)
-        self.clock = FakeClock()
+        self.ticks = 0.0
         stats = LoopRunStats(loop_name="fake", strategy="?",
                              n_processors=n, group_size=n, backend="fake")
         stats.messages_by_tag = CounterDict()
@@ -120,7 +128,7 @@ class FakeCluster:
             for key in list(wants):
                 want = wants[key]
                 if isinstance(want, Burn):
-                    self.clock.t += 1.0
+                    self.ticks += 1.0
                     reply = None
                 else:
                     reply = self.inboxes[key].take(want)
@@ -200,17 +208,7 @@ def _waiting_worker(table, ft=None):
     real = proto.on_event
     proto.on_event = lambda event: (seen.append(event), real(event))[1]
 
-    class Port(Reporter):
-        def deliver(self, msg):
-            pass
-
-        def emit(self, body):
-            pass
-
-        def now(self):
-            return 0.0
-
-    port = Port(0, 0.0)
+    port = NullPort(0, 0.0)
     pump = drive(proto, port, inbox, track="node0")
     want = pump.send(None)
     assert isinstance(want, Burn) and want == Burn(0, COST)
@@ -242,17 +240,7 @@ def test_interrupt_for_a_later_epoch_does_not_stop_this_one(table):
     proto = make_worker(0, (0, 1), centralized=False, table=table,
                         ranges=[(0, 3)])
 
-    class Port(Reporter):
-        def deliver(self, msg):
-            pass
-
-        def emit(self, body):
-            pass
-
-        def now(self):
-            return 0.0
-
-    pump = drive(proto, Port(0, 0.0), inbox, track="node0")
+    pump = drive(proto, NullPort(0, 0.0), inbox, track="node0")
     burns = []
     want = pump.send(None)
     while isinstance(want, Burn):
