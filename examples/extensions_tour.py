@@ -12,7 +12,9 @@ Run with::
 
 from repro import ClusterSpec, run_loop
 from repro.apps import MxmConfig, mxm_loop
-from repro.runtime import RunOptions, render_gantt, render_sync_timeline
+from repro.obs import TraceRecorder
+from repro.obs.export import render_trace_gantt, render_trace_summary
+from repro.runtime import RunOptions
 
 
 def main() -> None:
@@ -49,11 +51,16 @@ def main() -> None:
         print(f"  {formation:>12s}: {stats.duration:6.2f}s")
 
     print("\n== execution timeline (GDDLB under the striped load) ==")
-    stations = stripe.build()
-    stats = run_loop(loop, stripe, "GDDLB")
-    print(render_gantt(stats, loop, stripe.build()))
+    recorder = TraceRecorder()
+    stats = run_loop(loop, stripe, "GDDLB",
+                     options=RunOptions(recorder=recorder))
+    events = recorder.events()
+    assert {e["track"] for e in events if e["name"] == "compute"} == \
+        {f"node{i}" for i in range(4)}
+    assert sum(e["name"] == "decision" for e in events) == stats.n_syncs
+    print(render_trace_gantt(events))    # #compute  |sync  !fault
     print()
-    print(render_sync_timeline(stats, limit=6))
+    print(render_trace_summary(events, limit=6))
 
 
 if __name__ == "__main__":

@@ -45,6 +45,7 @@ from ..protocol import (
     AwaitMessage,
     BalancerProtocol,
     Charge,
+    Charged,
     Command,
     ComputeDone,
     DeclareDead,
@@ -281,9 +282,9 @@ def execute(commands: Sequence[Command], port: Reporter,
     """Run one batch of protocol commands against ``port``.
 
     Returns the batch's continuation — its ``StartCompute``,
-    ``AwaitMessage`` or ``Done`` (always the last command of a batch) —
-    for the caller to act on, or ``None`` when the batch had none (a
-    membership event that changed nothing).
+    ``AwaitMessage``, ``Charge`` or ``Done`` (always the last command
+    of a batch) — for the caller to act on, or ``None`` when the batch
+    had none (a membership event that changed nothing).
     """
     then = None
     for cmd in commands:
@@ -295,10 +296,9 @@ def execute(commands: Sequence[Command], port: Reporter,
             port.declared(cmd.peer)
         elif isinstance(cmd, Emit):
             port.recorder.event(cmd.name, track=track, **cmd.args())
-        elif isinstance(cmd, (StartCompute, AwaitMessage, Done)):
+        elif isinstance(cmd, (StartCompute, AwaitMessage, Done, Charge)):
             then = cmd
-        elif not isinstance(cmd, Charge):
-            # Charge: planning costs real time on a real backend.
+        else:
             raise BackendError(f"unhandled command {cmd!r}")
     return then
 
@@ -357,6 +357,10 @@ def drive(proto: Union[WorkerProtocol, BalancerProtocol], port: Reporter,
             return then.reason
         if isinstance(then, StartCompute):
             event = yield from _compute(proto, port, inbox, track, boundary)
+        elif isinstance(then, Charge):
+            # Planning costs real time on a real backend: nothing to
+            # spend before the plan.
+            event = Charged()
         else:
             # A membership pump can return no commands (the change was
             # irrelevant to the current phase): the previous wait stays

@@ -361,24 +361,6 @@ async def _client_burn(seconds: float, mbox: _ClientMailbox) -> None:
         await asyncio.sleep(min(remaining, 0.02))
 
 
-def _answer_resend(proto: WorkerProtocol, reporter: _ClientReporter,
-                   req: ControlMsg) -> None:
-    """Serve a peer's recovery request from the protocol caches."""
-    if req.kind == "resend-profile":
-        reply = proto.profile_reply(req.epoch, req.src)
-        if reply is not None:
-            reporter.send(reply)
-    else:
-        reply = proto.work_reply(req.src, req.epoch)
-        if reply is None:
-            # We never owed this parcel (plan divergence): say so, at
-            # the requester's epoch so its timed receive consumes it.
-            reporter.send(proto.stamp(ControlMsg, dst=req.src,
-                                      epoch=req.epoch, kind="no-work"))
-        else:
-            reporter.send(reply)
-
-
 async def _client_drive(proto: WorkerProtocol, spec: WorkerSpec,
                         mbox: _ClientMailbox, reporter: _ClientReporter,
                         leave_after: Optional[int]) -> str:
@@ -468,7 +450,12 @@ async def _run_client(host: str, port: int, *,
         reporter.frames[FrameType.HELLO.name] = len(hello)
         mbox = _ClientMailbox()
         proto = spec.build_protocol()
-        mbox.answer = lambda req: _answer_resend(proto, reporter, req)
+
+        def answer(req: ControlMsg) -> None:
+            reply = proto.answer_resend(req)
+            if reply is not None:
+                reporter.send(reply)
+        mbox.answer = answer
         if spec.trace_events:
             reporter.recorder = TraceRecorder(clock=reporter.now)
         if spec.crash_at is not None:

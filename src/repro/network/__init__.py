@@ -1,6 +1,5 @@
 """Network substrate (S3): graph-topology transport and Figure-4 costs."""
 
-from .bus import NetworkStats, SharedBusNetwork
 from .characterization import (
     CommCostModel,
     DEFAULT_PROBE_BYTES,
@@ -9,7 +8,13 @@ from .characterization import (
     characterize_network,
     probe_link_parameters,
 )
-from .graph import GraphNetwork, NetworkModel, build_network
+from .graph import (
+    GraphNetwork,
+    NetworkModel,
+    NetworkStats,
+    SharedBusNetwork,
+    build_network,
+)
 from .parameters import (
     NetworkParameters,
     PAPER_BANDWIDTH_BPS,

@@ -37,7 +37,8 @@ from ..simulation import PRIORITY_URGENT, Environment, Event, Resource
 from .parameters import NetworkParameters
 from .topology import Topology, TopologySpec, resolve_topology
 
-__all__ = ["GraphNetwork", "NetworkModel", "NetworkStats", "build_network"]
+__all__ = ["GraphNetwork", "NetworkModel", "NetworkStats",
+           "SharedBusNetwork", "build_network"]
 
 
 @dataclass
@@ -301,6 +302,34 @@ class GraphNetwork:
 
         self.env.process(runner(), name=f"post:{src}->{dst}")
         return delivered
+
+
+class SharedBusNetwork(GraphNetwork):
+    """The paper's network: hosts sharing one 10 Mbit Ethernet segment.
+
+    Not a special implementation but the *complete graph through one
+    resource* instance of :class:`GraphNetwork`: ``Topology.bus(P)``
+    makes every pair of hosts adjacent (all routes are one hop) and
+    ``shared_medium=True`` maps every edge onto the single
+    ``ethernet-bus`` resource.  Every message crosses three
+    serialization points, mirroring PVM over the shared segment:
+
+    1. the **sender's NIC/protocol stack** (one outgoing message at a
+       time, ``send_overhead`` each — a one-to-all broadcast therefore
+       serializes at the sender);
+    2. the **shared bus** (one frame on the wire at a time,
+       ``wire_latency + nbytes/bandwidth`` each — all-to-all traffic
+       becomes quadratic here);
+    3. the **receiver's NIC/protocol stack** (``recv_overhead`` each —
+       an all-to-one gather serializes at the receiver).
+
+    Same-host transfers (the co-located central load balancer) skip the
+    bus and cost only ``local_overhead``.
+    """
+
+    def __init__(self, env: Environment, n_hosts: int,
+                 params: Optional[NetworkParameters] = None) -> None:
+        super().__init__(env, Topology.bus(n_hosts), params)
 
 
 def build_network(env: Environment, spec: TopologySpec, n_hosts: int,

@@ -35,6 +35,7 @@ from .commands import (
 )
 from .errors import ProtocolError, ProtocolRetryExhausted
 from .events import (
+    Charged,
     ComputeDone,
     LeaveRequested,
     MessageReceived,
@@ -44,6 +45,7 @@ from .events import (
     ProtocolEvent,
     Start,
     TimerFired,
+    WorkReclaimed,
 )
 from .worker import WorkerProtocol
 
@@ -51,6 +53,7 @@ __all__ = [
     "AwaitMessage",
     "BalancerProtocol",
     "Charge",
+    "Charged",
     "Command",
     "ComputeDone",
     "DeclareDead",
@@ -69,5 +72,6 @@ __all__ = [
     "Start",
     "StartCompute",
     "TimerFired",
+    "WorkReclaimed",
     "WorkerProtocol",
 ]

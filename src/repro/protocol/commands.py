@@ -2,10 +2,12 @@
 
 A command is an instruction to the execution backend — send this
 message, run the current assignment, wait for these tags, charge this
-much local computation.  Commands carry no callbacks and no backend
-handles: they are plain data, so a test can assert on them directly
-and any backend (discrete-event simulator, real threads, a future
-async or multiprocess engine) can interpret them.
+much local computation.  The last command of a batch is its
+*continuation* (``StartCompute``, ``AwaitMessage``, ``Charge`` or
+``Done``): it names the event the backend feeds next.  Commands carry
+no callbacks and no backend handles: they are plain data, so a test can
+assert on them directly and any backend (discrete-event simulator, real
+threads, processes, sockets) can interpret them.
 """
 
 from __future__ import annotations
@@ -56,34 +58,56 @@ class StartCompute(Command):
 
 @dataclass(frozen=True)
 class AwaitMessage(Command):
-    """Block until a message matching the filters is delivered.
+    """Block until a message this wait accepts is delivered.
 
-    ``tags`` is the tag whitelist; ``epoch``/``srcs`` further restrict
-    when not ``None``.  ``timeout`` (fault-tolerant mode) bounds the
-    wait: on expiry the backend feeds a ``TimerFired`` event instead of
-    a message.  Exactly one ``AwaitMessage`` is outstanding at a time.
+    The fields say *exactly* what the wait accepts, so that
+    :meth:`matches` can be the mailbox predicate of every backend — the
+    simulator's ``Mailbox`` included — and nothing the pump would have
+    to put back is ever taken out: ``tags`` is the tag whitelist;
+    ``epoch`` (exact) and ``max_epoch`` (ceiling: the hardened gather
+    admits older profiles as liveness evidence, never a later sync's),
+    ``srcs`` and ``control_kind`` (the one CONTROL kind admitted — a
+    work wait takes its sender's ``no-work`` but not its
+    ``resend-work``) restrict further when not ``None``.
+
+    ``timeout`` (fault-tolerant mode) bounds the wait: on expiry the
+    backend feeds a ``TimerFired`` event instead of a message.  Exactly
+    one ``AwaitMessage`` is outstanding at a time.
     """
 
     tags: tuple[Tag, ...]
     epoch: Optional[int] = None
     srcs: Optional[tuple[int, ...]] = None
     timeout: Optional[float] = None
+    max_epoch: Optional[int] = None
+    control_kind: Optional[str] = None
 
     def matches(self, msg: Message) -> bool:
         """Whether ``msg`` satisfies this wait (a ``None`` filter admits
-        everything) — the one matching rule of every real backend's
-        inbox."""
+        everything) — the one matching rule of all four backends."""
         return ((self.tags is None or msg.tag in self.tags)
                 and (self.epoch is None or msg.epoch == self.epoch)
-                and (self.srcs is None or msg.src in self.srcs))
+                and (self.srcs is None or msg.src in self.srcs)
+                and (self.max_epoch is None or msg.epoch <= self.max_epoch)
+                and (self.control_kind is None
+                     or msg.tag is not Tag.CONTROL
+                     or msg.kind == self.control_kind))
 
 
 @dataclass(frozen=True)
 class Charge(Command):
     """Model ``seconds`` of local computation (e.g. the replicated
-    redistribution calculation).  The simulation backend advances the
-    virtual clock through the workstation's load model; a real-time
-    backend may ignore it — its planning computation costs real time.
+    redistribution calculation).
+
+    As the *last* command of a batch it is the batch's continuation:
+    the backend spends the time — the simulator advances the virtual
+    clock through the workstation's load model; a real-time backend
+    spends nothing, its planning costs real time — and then feeds
+    ``Charged``.  The worker pump changes no state until that event, so
+    whatever reaches the participant meanwhile (a ``resend-work``
+    request, a fencing) sees it as it was before the calculation.
+    Anywhere else in a batch (the central balancer's service cost) it
+    is an annotation only the simulator could price.
     """
 
     seconds: float

@@ -21,6 +21,8 @@ __all__ = [
     "ComputeDone",
     "MessageReceived",
     "TimerFired",
+    "Charged",
+    "WorkReclaimed",
     "PeerDead",
     "PeerJoined",
     "PeerLeft",
@@ -56,8 +58,8 @@ class ComputeDone(ProtocolEvent):
 
 @dataclass(frozen=True)
 class MessageReceived(ProtocolEvent):
-    """A protocol message was delivered (already matched to the last
-    ``AwaitMessage`` command's tag filter by the backend)."""
+    """A protocol message was delivered — one the last ``AwaitMessage``
+    command's ``matches`` accepted."""
 
     msg: Message
 
@@ -66,6 +68,21 @@ class MessageReceived(ProtocolEvent):
 class TimerFired(ProtocolEvent):
     """The timeout armed by the last ``AwaitMessage`` expired with no
     matching message (fault-tolerant mode only)."""
+
+
+@dataclass(frozen=True)
+class Charged(ProtocolEvent):
+    """The computation a trailing ``Charge`` command asked for has been
+    spent: immediately on a real backend (the calculation that follows
+    costs real time there), after the workstation's load model has let
+    ``seconds`` of it through in the simulator."""
+
+
+@dataclass(frozen=True)
+class WorkReclaimed(ProtocolEvent):
+    """The backend's recovery registry put reclaimed iteration ranges on
+    this worker's assignment *after* the group's consensus ``Done``: the
+    worker resumes and finishes them alone."""
 
 
 @dataclass(frozen=True)

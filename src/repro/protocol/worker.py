@@ -10,22 +10,26 @@ concern stripped out.  It owns the *protocol state* of one processor:
   synchronization) and the derived rate,
 * the resend caches that answer a peer's recovery requests.
 
-It exposes two API tiers over that single state:
+There is one way to drive it: :meth:`on_event` consumes
+:mod:`~repro.protocol.events` and returns a batch of
+:mod:`~repro.protocol.commands` whose last command is the batch's
+*continuation* — what the backend does next and which event it feeds
+back (``StartCompute`` → ``ComputeDone``, ``AwaitMessage`` →
+``MessageReceived`` / ``TimerFired``, ``Charge`` → ``Charged``,
+``Done`` → nothing).  All four backends run this pump: the simulator
+(:class:`~repro.runtime.node.NodeRuntime`) interprets the commands
+against virtual time, the thread, process and socket workers through
+:func:`repro.backend.driver.drive`, and the scripted ``tests/protocol``
+suite by hand.  Besides the pump a backend may call only what has no
+transition in it: the window accounting (:meth:`note_busy`,
+:meth:`note_work`), :attr:`stamp`, the pure resend service
+(:meth:`answer_resend`) and the state attributes.
 
-1. **An event pump** — :meth:`on_event` consumes
-   :mod:`~repro.protocol.events` and returns
-   :mod:`~repro.protocol.commands`.  This is how the real-time
-   :class:`~repro.backend.thread.ThreadBackend` and the scripted
-   ``tests/protocol`` suite drive a worker: no simulator, no threads,
-   no clock — just events in, commands out.
-2. **Fine-grained transitions** — :meth:`build_profile`,
-   :meth:`plan_outgoing`, :meth:`local_plan`, the window accounting —
-   used by the discrete-event adapter
-   (:class:`~repro.runtime.node.NodeRuntime`), which needs to
-   interleave protocol steps with simulated time at a finer grain
-   (mid-compute steals, co-located balancer preemption, the §4.3
-   mid-run strategy switch).  Both tiers mutate the same state, so the
-   protocol semantics cannot fork between backends.
+State never moves ahead of time the backend has not yet spent: a
+completed gather returns ``Charge(delta)`` and nothing else; the plan is
+computed, work leaves the assignment and the resend cache fills only
+when ``Charged`` arrives, so a ``resend-work`` request served while the
+replicated calculation is still running is answered ``no-work``.
 
 The fault-tolerance hardening (timed receives, exponential backoff,
 declaring silent peers dead — docs/FAULT_MODEL.md) is expressed here
@@ -36,14 +40,13 @@ commands and eventually a ``DeclareDead`` command, on any backend.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..apps.workload import WorkTable
 from ..core.policy import DlbPolicy
 from ..core.redistribution import (
     MovementCostFn,
     PlannerFn,
-    RedistributionPlan,
     SyncProfile,
     plan_redistribution,
 )
@@ -57,7 +60,6 @@ from ..message.messages import (
     Tag,
     TransferOrder,
     WorkMsg,
-    is_stale,
 )
 from ..runtime.assignment import Assignment
 from ..runtime.options import FaultToleranceConfig
@@ -115,7 +117,7 @@ class WorkerProtocol:
         #: exact historical command tuples.
         self.emit_trace = False
 
-        # -- protocol state (shared by both API tiers) ---------------------
+        # -- protocol state ------------------------------------------------
         # ``initial_epoch`` is non-zero only for an elastic joiner, which
         # enters the group at its current synchronization epoch.
         self.epoch = initial_epoch
@@ -129,8 +131,9 @@ class WorkerProtocol:
         self._profile_cache: dict[int, ProfileMsg] = {}
         self._work_cache: dict[tuple[int, int], WorkMsg] = {}
 
-        # -- event-pump bookkeeping ----------------------------------------
+        # -- pump bookkeeping ----------------------------------------------
         self._phase = "init"
+        self._wait: Optional[C.AwaitMessage] = None
         self._attempt = 0
         self._sent_profile: Optional[ProfileMsg] = None
         self._profiles: dict[int, SyncProfile] = {}
@@ -141,11 +144,16 @@ class WorkerProtocol:
         self._retiring = False
 
     # ------------------------------------------------------------------
-    # Fine-grained transitions (used by the DES adapter and internally).
+    # What a backend may touch besides the pump: no transitions here.
     # ------------------------------------------------------------------
     @property
     def ft_enabled(self) -> bool:
         return self.ft.enabled
+
+    @property
+    def phase(self) -> str:
+        """The pump's current phase (observable for tests/debugging)."""
+        return self._phase
 
     def note_busy(self, seconds: float) -> None:
         """Book busy wall time into the current performance window."""
@@ -155,137 +163,51 @@ class WorkerProtocol:
         """Book completed work into the current performance window."""
         self.win_work += work
 
-    def measured_rate(self) -> float:
-        """The §3.2 performance metric over the current window."""
-        if self.win_busy > 0 and self.win_work > 0:
-            self.rate = self.win_work / self.win_busy
-        return self.rate
+    def answer_resend(self, req: ControlMsg) -> Optional[Message]:
+        """The reply to a peer's recovery request, or ``None``.
 
-    def reset_window(self) -> None:
-        if self.profile_window_reset:
-            self.win_work = 0.0
-            self.win_busy = 0.0
+        Pure — it reads the resend caches and moves no pump state — so
+        a backend calls it from wherever requests land (the simulator's
+        delivery hook, the socket reader task) while the pump itself is
+        mid-wait or mid-charge.
 
-    def advance_epoch(self) -> None:
-        self.epoch += 1
-        self.reset_window()
-
-    def declare_peer_dead(self, peer: int) -> None:
-        self.active.discard(peer)
-
-    def admit_peer(self, peer: int) -> None:
-        """Elastic membership: accept ``peer`` into members and active.
-
-        Called at an epoch fence (see :class:`~repro.protocol.events.
-        PeerJoined`), so the next interrupt/profile exchange addresses
-        the joiner like any other member.
+        ``resend-profile`` is answered with the exact epoch's profile,
+        else with the latest one as liveness evidence: the prober must
+        not fence us just because we are stuck in an older epoch
+        (``None`` before the first synchronization).  ``resend-work`` is
+        answered with the cached parcel, else with ``no-work`` stamped at
+        the *requester's* epoch so that its timed wait consumes it: our
+        plan never ordered that transfer (plan divergence under partial
+        failure) and the requester should stop waiting rather than
+        declare us dead.
         """
-        if peer not in self.members:
-            self.members = tuple(sorted((*self.members, peer)))
-        self.active.add(peer)
-
-    # -- profiles ----------------------------------------------------------
-    def build_profile(self, group: Optional[int] = None) -> ProfileMsg:
-        """This node's profile for the current epoch (addressed to self;
-        re-address with ``dataclasses.replace`` per recipient)."""
-        return ProfileMsg(
-            src=self.me, dst=self.me, epoch=self.epoch,
-            group=self.group if group is None else group,
-            remaining_work=self.assignment.work(self.table),
-            remaining_count=self.assignment.count,
-            rate=self.measured_rate())
-
-    def sync_profile(self, profile: ProfileMsg) -> SyncProfile:
-        """The planner-facing view of a profile message."""
-        return SyncProfile(
-            node=profile.src, remaining_work=profile.remaining_work,
-            remaining_count=profile.remaining_count, rate=profile.rate)
-
-    def cache_profile(self, profile: ProfileMsg) -> None:
-        """Remember the profile so resend requests can be answered; only
-        the last two epochs are retained."""
-        if not self.ft_enabled:
-            return
-        self._profile_cache[profile.epoch] = profile
-        for old in [e for e in self._profile_cache if e < profile.epoch - 1]:
-            del self._profile_cache[old]
-
-    def profile_reply(self, epoch: int, dst: int) -> Optional[ProfileMsg]:
-        """Answer a ``resend-profile`` request from the cache.
-
-        Prefers the exact epoch; otherwise the latest cached profile is
-        returned as liveness evidence (the prober must not fence us just
-        because we are stuck in an older epoch).  ``None`` when nothing
-        has been cached yet.
-        """
-        if epoch in self._profile_cache:
-            return replace(self._profile_cache[epoch], dst=dst)
-        if self._profile_cache:
-            latest = self._profile_cache[max(self._profile_cache)]
-            return replace(latest, dst=dst)
+        if req.kind == "resend-profile":
+            cache = self._profile_cache
+            if not cache:
+                return None
+            return replace(cache.get(req.epoch) or cache[max(cache)],
+                           dst=req.src)
+        if req.kind == "resend-work":
+            return (self._work_cache.get((req.src, req.epoch))
+                    or self.stamp(ControlMsg, dst=req.src, epoch=req.epoch,
+                                  kind="no-work"))
         return None
 
-    # -- work movement -----------------------------------------------------
-    def take_outgoing(self, order: TransferOrder, *, retire: bool,
-                      ship_all: bool = False
-                      ) -> tuple[tuple[Range, ...], int]:
-        """Take the iteration ranges realizing one outgoing order.
+    # ------------------------------------------------------------------
+    # The pump.
+    # ------------------------------------------------------------------
+    def on_event(self, event: E.ProtocolEvent) -> tuple[C.Command, ...]:
+        """Feed one event; returns the commands the backend must run,
+        the last of which is the batch's continuation."""
+        handler = _HANDLERS.get(type(event))
+        if handler is None:
+            raise ProtocolError(f"unknown event {event!r}")
+        return tuple(handler(self, event))
 
-        Mutates the assignment.  With ``ship_all`` (a retiring node's
-        final order) everything left is shipped; otherwise roughly
-        ``order.work`` is taken from the tail, and a staying node always
-        keeps at least one iteration.
-        """
-        if ship_all:
-            ranges = self.assignment.take_all()
-            count = sum(e - s for s, e in ranges)
-        else:
-            ranges, count = self.assignment.take_tail_work(
-                self.table, order.work, keep_one=not retire)
-        return tuple(ranges), count
-
-    def plan_outgoing(self, orders: Iterable[TransferOrder], retire: bool
-                      ) -> list[tuple[TransferOrder, tuple[Range, ...], int]]:
-        """Take the iteration ranges realizing each outgoing order.
-
-        A retiring node ships everything left with its final order.
-        """
-        out = []
-        orders = list(orders)
-        for idx, order in enumerate(orders):
-            ranges, count = self.take_outgoing(
-                order, retire=retire,
-                ship_all=retire and idx == len(orders) - 1)
-            out.append((order, ranges, count))
-        return out
-
-    def make_work_msg(self, dst: int, epoch: int,
-                      ranges: Sequence[Range], count: int) -> WorkMsg:
-        return WorkMsg(src=self.me, dst=dst, epoch=epoch,
-                       ranges=tuple(ranges), count=count,
-                       data_bytes=count * self.dc_bytes)
-
-    def cache_work(self, msg: WorkMsg) -> None:
-        """Remember a shipped parcel for ``resend-work`` recovery; only
-        the last two epochs are retained."""
-        if not self.ft_enabled:
-            return
-        self._work_cache[(msg.dst, msg.epoch)] = msg
-        for key in [k for k in self._work_cache if k[1] < msg.epoch - 1]:
-            del self._work_cache[key]
-
-    def work_reply(self, dst: int, epoch: int) -> Optional[WorkMsg]:
-        return self._work_cache.get((dst, epoch))
-
-    def local_plan(self, profiles: Iterable[SyncProfile]
-                   ) -> RedistributionPlan:
-        """The replicated (deterministic) redistribution calculation."""
-        ordered = sorted(profiles, key=lambda p: p.node)
-        if self.planner is not None:
-            return self.planner(ordered)
-        return plan_redistribution(
-            ordered, self.policy, self.mean_iteration_time,
-            self.movement_cost_fn)
+    def _expect(self, phase: str, event: E.ProtocolEvent) -> None:
+        if self._phase != phase:
+            raise ProtocolError(
+                f"{type(event).__name__} while in phase {self._phase!r}")
 
     def _trace(self, name: str, **fields) -> list[C.Command]:
         """One gated :class:`C.Emit` (empty list when tracing is off)."""
@@ -293,142 +215,158 @@ class WorkerProtocol:
             return []
         return [C.emit(name, node=self.me, **fields)]
 
-    # ------------------------------------------------------------------
-    # Event pump (used by real-time backends and scripted tests).
-    # ------------------------------------------------------------------
-    def on_event(self, event: E.ProtocolEvent) -> tuple[C.Command, ...]:
-        """Feed one event; returns the commands the backend must run."""
-        if isinstance(event, E.Start):
-            return self._pump_start()
-        if isinstance(event, E.ComputeDone):
-            return self._pump_compute_done(event.status)
-        if isinstance(event, E.MessageReceived):
-            return self._pump_message(event.msg)
-        if isinstance(event, E.TimerFired):
-            return self._pump_timeout()
-        if isinstance(event, E.PeerDead):
-            return self._pump_peer_dead(event.peer)
-        if isinstance(event, E.PeerJoined):
-            return self._pump_peer_joined(event.peer)
-        if isinstance(event, E.PeerLeft):
-            # A planned departure needs the same surviving transitions
-            # as a death: drop the peer, stop waiting on it.
-            return self._pump_peer_dead(event.peer)
-        if isinstance(event, E.LeaveRequested):
-            return self._pump_leave()
-        raise ProtocolError(f"unknown event {event!r}")
+    def _arm(self, phase: str, spec: C.AwaitMessage) -> C.AwaitMessage:
+        """Enter ``phase`` blocked on ``spec`` — the one wait outstanding,
+        and the only messages :meth:`_on_message` will act on."""
+        self._phase = phase
+        self._wait = spec
+        return spec
 
-    @property
-    def phase(self) -> str:
-        """The pump's current phase (observable for tests/debugging)."""
-        return self._phase
+    def _rearm(self) -> list[C.Command]:
+        return [self._wait] if self._wait is not None else []
 
-    def _pump_start(self) -> tuple[C.Command, ...]:
-        if self._phase != "init":
-            raise ProtocolError(f"Start while in phase {self._phase!r}")
+    def _terminate(self, reason: str) -> list[C.Command]:
+        self.more_work = False
+        self._phase = "done"
+        self._wait = None
+        return [C.Done(reason)]
+
+    def _advance_epoch(self) -> list[C.Command]:
+        self.epoch += 1
+        if self.profile_window_reset:
+            self.win_work = 0.0
+            self.win_busy = 0.0
         self._phase = "computing"
-        return (C.StartCompute(),)
+        self._wait = None
+        return [C.StartCompute()]
 
-    def _pump_compute_done(self, status: str) -> tuple[C.Command, ...]:
-        if self._phase != "computing":
-            raise ProtocolError(
-                f"ComputeDone while in phase {self._phase!r}")
+    # -- compute <-> sync ----------------------------------------------------
+    def _on_start(self, event: E.Start) -> list[C.Command]:
+        self._expect("init", event)
+        self._phase = "computing"
+        return [C.StartCompute()]
+
+    def _on_compute_done(self, event: E.ComputeDone) -> list[C.Command]:
+        self._expect("computing", event)
         if not self.is_dlb:
             # Static baseline: compute the initial block, then stop.
-            self.more_work = False
-            self._phase = "done"
-            return (C.Done("done"),)
-        cmds: list[C.Command] = []
+            return self._terminate("done")
         others = sorted(self.active - {self.me})
-        if status == "finished" and not others and not self.centralized:
-            # Lone distributed node: nothing to exchange with.
-            self.more_work = False
-            self._phase = "done"
-            return (C.Done("lone"),)
-        if status == "finished" and others:
+        cmds: list[C.Command] = []
+        if event.status == "finished":
+            if not others and not self.centralized:
+                # Lone distributed node: nothing to exchange with.
+                return self._terminate("lone")
             # Receiver-initiated sync: interrupt the group (§3.1).
             cmds += [C.Send(self.stamp(InterruptMsg, dst=o, group=self.group))
                      for o in others]
-        cmds += self._enter_sync()
-        return tuple(cmds)
-
-    def _enter_sync(self) -> list[C.Command]:
-        cmds0 = self._trace(
+        cmds += self._trace(
             "sync", epoch=self.epoch, group=self.group,
             mode="centralized" if self.centralized else "distributed")
-        profile = self.build_profile()
-        self.cache_profile(profile)
+        if self.win_busy > 0 and self.win_work > 0:
+            # The §3.2 performance metric over the current window.
+            self.rate = self.win_work / self.win_busy
+        profile = ProfileMsg(
+            src=self.me, dst=self.me, epoch=self.epoch, group=self.group,
+            remaining_work=self.assignment.work(self.table),
+            remaining_count=self.assignment.count, rate=self.rate)
+        if self.ft_enabled:
+            # Resend requests are answered from the last two epochs.
+            self._profile_cache[self.epoch] = profile
+            self._profile_cache.pop(self.epoch - 2, None)
         if self.centralized:
-            self._phase = "await_instruction"
             self._attempt = 0
             self._sent_profile = replace(profile, dst=self.lb_host)
-            return cmds0 + [C.Send(self._sent_profile),
-                            self._await_instruction()]
-        others = sorted(self.active - {self.me})
-        self._profiles = {self.me: self.sync_profile(profile)}
+            return cmds + [C.Send(self._sent_profile),
+                           self._await_instruction()]
+        self._profiles = {self.me: _sync_profile(profile)}
         self._missing = set(others)
         self._rounds = {p: 0 for p in others}
-        cmds = cmds0 + [C.Send(replace(profile, dst=o)) for o in others]
-        if not self._missing:
-            return cmds + self._do_plan()
-        self._phase = "gather"
-        return cmds + [self._await_profiles()]
+        cmds += [C.Send(replace(profile, dst=o)) for o in others]
+        return cmds + self._await_profiles()
 
     # -- awaits ------------------------------------------------------------
     def _await_instruction(self) -> C.AwaitMessage:
         timeout = (self.ft.timeout_for(self._attempt)
                    if self.ft_enabled else None)
-        return C.AwaitMessage(tags=(Tag.INSTRUCTION,), epoch=self.epoch,
-                              timeout=timeout)
+        return self._arm("await_instruction", C.AwaitMessage(
+            tags=(Tag.INSTRUCTION,), epoch=self.epoch, timeout=timeout))
 
-    def _await_profiles(self) -> C.AwaitMessage:
+    def _await_profiles(self) -> list[C.Command]:
+        """Wait for the profiles still missing; once none is, charge the
+        replicated new-distribution calculation (delta) — and change
+        nothing until the backend says it has :class:`E.Charged` it."""
+        if not self._missing:
+            self._phase = "planning"
+            self._wait = None
+            return [C.Charge(self.policy.delta_seconds)]
         srcs = tuple(sorted(self._missing))
         if not self.ft_enabled:
-            return C.AwaitMessage(tags=(Tag.PROFILE,), epoch=self.epoch,
+            spec = C.AwaitMessage(tags=(Tag.PROFILE,), epoch=self.epoch,
                                   srcs=srcs)
-        # Hardened: accept stale profiles too (liveness evidence), so no
-        # epoch filter; staleness is judged on receipt.
-        timeout = self.ft.timeout_for(
-            min(self._rounds[p] for p in self._missing))
-        return C.AwaitMessage(tags=(Tag.PROFILE,), srcs=srcs,
-                              timeout=timeout)
+        else:
+            # Hardened: a profile from an *older* epoch carries no data
+            # but proves its sender alive, so the wait admits everything
+            # up to this epoch (never a later one: that sync is not ours
+            # to consume yet).
+            spec = C.AwaitMessage(
+                tags=(Tag.PROFILE,), srcs=srcs, max_epoch=self.epoch,
+                timeout=self.ft.timeout_for(
+                    min(self._rounds[p] for p in self._missing)))
+        return [self._arm("gather", spec)]
 
-    def _await_work(self) -> C.AwaitMessage:
-        src = self._pending_srcs[0]
-        return C.AwaitMessage(tags=(Tag.WORK, Tag.CONTROL), epoch=self.epoch,
-                              srcs=(src,),
-                              timeout=self.ft.timeout_for(self._attempt))
+    def _await_work(self) -> list[C.Command]:
+        """Wait for the next expected parcel, or finish the sync."""
+        if self.ft_enabled and self._pending_srcs:
+            # One named sender at a time; its ``no-work`` (and no other
+            # CONTROL kind — a peer's resend request is not ours to
+            # swallow) also ends the wait.
+            return [self._arm("recv_work", C.AwaitMessage(
+                tags=(Tag.WORK, Tag.CONTROL), epoch=self.epoch,
+                srcs=(self._pending_srcs[0],), control_kind="no-work",
+                timeout=self.ft.timeout_for(self._attempt)))]
+        if not self.ft_enabled and self._pending_count > 0:
+            return [self._arm("recv_work", C.AwaitMessage(
+                tags=(Tag.WORK,), epoch=self.epoch))]
+        if self._retiring:
+            return self._terminate("retired")
+        return self._advance_epoch()
 
     # -- message handling --------------------------------------------------
-    def _pump_message(self, msg: Message) -> tuple[C.Command, ...]:
-        if msg.tag is Tag.INTERRUPT:
-            # Interrupt timing is the backend's concern (it stops the
-            # compute slice); a queued interrupt reaching the pump is
-            # simply stale traffic.
+    def _on_message(self, event: E.MessageReceived) -> list[C.Command]:
+        msg = event.msg
+        if self._wait is None:
+            if self._phase == "done":
+                return []
+            raise ProtocolError(
+                f"message {msg!r} while in phase {self._phase!r}")
+        if not self._wait.matches(msg):
+            # Not what the wait asked for (a backend with a coarser
+            # mailbox, or a hand-written script): leave it.
             return self._rearm()
         if self._phase == "await_instruction":
             return self._on_instruction(msg)
         if self._phase == "gather":
-            return self._on_gather_profile(msg)
-        if self._phase == "recv_work":
-            return self._on_work(msg)
-        if self._phase == "done":
-            return ()
-        raise ProtocolError(
-            f"message {msg!r} while in phase {self._phase!r}")
+            if msg.epoch == self.epoch:
+                self._profiles[msg.src] = _sync_profile(msg)
+                self._missing.discard(msg.src)
+                self._rounds.pop(msg.src, None)
+            else:
+                # Stale duplicate: liveness evidence only.
+                self._rounds[msg.src] = 0
+            return self._await_profiles()
+        # recv_work: a parcel, or the named sender's "no-work" (it never
+        # owed us one — plan divergence).
+        if isinstance(msg, WorkMsg) and msg.ranges:
+            self.assignment.add(msg.ranges)
+        if self.ft_enabled:
+            self._pending_srcs.pop(0)
+            self._attempt = 0
+        else:
+            self._pending_count -= 1
+        return self._await_work()
 
-    def _rearm(self) -> tuple[C.Command, ...]:
-        if self._phase == "await_instruction":
-            return (self._await_instruction(),)
-        if self._phase == "gather":
-            return (self._await_profiles(),)
-        if self._phase == "recv_work":
-            return (self._await_work(),)
-        return ()
-
-    def _on_instruction(self, msg: Message) -> tuple[C.Command, ...]:
-        if not isinstance(msg, InstructionMsg) or msg.epoch != self.epoch:
-            return self._rearm()
+    def _on_instruction(self, msg: InstructionMsg) -> list[C.Command]:
         if msg.select_scheme:
             raise ProtocolError(
                 "customized selection needs the session-aware adapter "
@@ -440,55 +378,13 @@ class WorkerProtocol:
                 "grant", epoch=self.epoch,
                 iterations=sum(e - s for s, e in msg.grant))
         if msg.done:
-            self.more_work = False
-            self._phase = "done"
-            return tuple(cmds + [C.Done("done")])
-        srcs = msg.incoming_srcs if self.ft_enabled else None
-        return tuple(cmds + self._apply_outcome(
-            msg.outgoing, srcs, msg.incoming, msg.active, msg.retire))
-
-    def _on_gather_profile(self, msg: Message) -> tuple[C.Command, ...]:
-        if isinstance(msg, ProfileMsg) and msg.src in self._missing:
-            if msg.epoch == self.epoch:
-                self._profiles[msg.src] = self.sync_profile(msg)
-                self._missing.discard(msg.src)
-                self._rounds.pop(msg.src, None)
-            elif is_stale(msg, self.epoch):
-                # Stale duplicate: liveness evidence only.
-                self._rounds[msg.src] = 0
-        if not self._missing:
-            return tuple(self._do_plan())
-        return (self._await_profiles(),)
-
-    def _on_work(self, msg: Message) -> tuple[C.Command, ...]:
-        if not self.ft_enabled:
-            if isinstance(msg, WorkMsg) and msg.epoch == self.epoch:
-                if msg.ranges:
-                    self.assignment.add(msg.ranges)
-                self._pending_count -= 1
-                if self._pending_count <= 0:
-                    return tuple(self._finish_sync())
-            return (C.AwaitMessage(tags=(Tag.WORK,), epoch=self.epoch),)
-        src = self._pending_srcs[0]
-        consumed = False
-        if msg.src == src and msg.epoch == self.epoch:
-            if isinstance(msg, WorkMsg):
-                if msg.ranges:
-                    self.assignment.add(msg.ranges)
-                consumed = True
-            elif isinstance(msg, ControlMsg) and msg.kind == "no-work":
-                # The sender never owed us this parcel (plan divergence).
-                consumed = True
-        if not consumed:
-            return (self._await_work(),)
-        self._pending_srcs.pop(0)
-        self._attempt = 0
-        if self._pending_srcs:
-            return (self._await_work(),)
-        return tuple(self._finish_sync())
+            return cmds + self._terminate("done")
+        return cmds + self._apply_outcome(
+            msg.outgoing, msg.incoming_srcs, msg.incoming, msg.active,
+            msg.retire)
 
     # -- timeouts / failure detection --------------------------------------
-    def _pump_timeout(self) -> tuple[C.Command, ...]:
+    def _on_timeout(self, event: E.TimerFired) -> list[C.Command]:
         if not self.ft_enabled:
             raise ProtocolError("TimerFired with fault tolerance disabled")
         if self._phase == "await_instruction":
@@ -499,76 +395,73 @@ class WorkerProtocol:
                     self.me, self.lb_host, "instruction", self._attempt + 1)
             self._attempt += 1
             assert self._sent_profile is not None
-            return (C.Send(self._sent_profile), self._await_instruction())
+            return [C.Send(self._sent_profile), self._await_instruction()]
         if self._phase == "gather":
-            return self._gather_timeout()
+            # Nudge silent peers — which doubles as a lost interrupt —
+            # and, after a per-peer retry budget, declare them dead so
+            # the plan is computed over the survivors.
+            overdue = [p for p in sorted(self._missing)
+                       if self._rounds[p] >= self.ft.max_retries]
+            for peer in overdue:
+                self._drop_peer(peer)
+            cmds: list[C.Command] = [C.DeclareDead(p) for p in overdue]
+            for peer in sorted(self._missing):
+                self._rounds[peer] += 1
+                cmds.append(C.Send(self.stamp(ControlMsg, dst=peer,
+                                              kind="resend-profile")))
+            return cmds + self._await_profiles()
         if self._phase == "recv_work":
-            return self._work_timeout()
-        raise ProtocolError(
-            f"TimerFired while in phase {self._phase!r}")
+            src = self._pending_srcs[0]
+            if self._attempt >= self.ft.max_retries:
+                self._drop_peer(src)
+                return [C.DeclareDead(src)] + self._await_work()
+            self._attempt += 1
+            return [C.Send(self.stamp(ControlMsg, dst=src,
+                                      kind="resend-work"))] \
+                + self._await_work()
+        raise ProtocolError(f"TimerFired while in phase {self._phase!r}")
 
-    def _gather_timeout(self) -> tuple[C.Command, ...]:
-        cmds: list[C.Command] = []
-        overdue = [p for p in sorted(self._missing)
-                   if self._rounds[p] >= self.ft.max_retries]
-        for peer in overdue:
-            self.declare_peer_dead(peer)
-            self._missing.discard(peer)
-            self._rounds.pop(peer, None)
-            cmds.append(C.DeclareDead(peer))
-        if not self._missing:
-            return tuple(cmds + self._do_plan())
-        for peer in sorted(self._missing):
-            self._rounds[peer] += 1
-            cmds.append(C.Send(self.stamp(ControlMsg, dst=peer,
-                                          kind="resend-profile")))
-        return tuple(cmds + [self._await_profiles()])
-
-    def _work_timeout(self) -> tuple[C.Command, ...]:
-        src = self._pending_srcs[0]
-        if self._attempt >= self.ft.max_retries:
-            self.declare_peer_dead(src)
-            self._pending_srcs.pop(0)
-            self._attempt = 0
-            cmds: list[C.Command] = [C.DeclareDead(src)]
-            if self._pending_srcs:
-                return tuple(cmds + [self._await_work()])
-            return tuple(cmds + self._finish_sync())
-        self._attempt += 1
-        return (C.Send(self.stamp(ControlMsg, dst=src, kind="resend-work")),
-                self._await_work())
-
-    def _pump_peer_dead(self, peer: int) -> tuple[C.Command, ...]:
-        self.declare_peer_dead(peer)
+    def _drop_peer(self, peer: int) -> bool:
+        """Stop counting on ``peer``; True when a wait was on it."""
+        self.active.discard(peer)
         if self._phase == "gather" and peer in self._missing:
             self._missing.discard(peer)
             self._rounds.pop(peer, None)
-            if not self._missing:
-                return tuple(self._do_plan())
-            return (self._await_profiles(),)
-        if self._phase == "recv_work" and self._pending_srcs \
-                and self._pending_srcs[0] == peer:
+            return True
+        if self._phase == "recv_work" and self._pending_srcs[:1] == [peer]:
             self._pending_srcs.pop(0)
             self._attempt = 0
-            if self._pending_srcs:
-                return (self._await_work(),)
-            return tuple(self._finish_sync())
-        return ()
+            return True
+        return False
+
+    def _on_peer_gone(self, event) -> list[C.Command]:
+        """``PeerDead``, and ``PeerLeft``: a planned departure needs the
+        same surviving transitions as a death — drop the peer, stop
+        waiting on it."""
+        if not self._drop_peer(event.peer):
+            return []
+        if self._phase == "gather":
+            return self._await_profiles()
+        return self._await_work()
 
     # -- elastic membership -------------------------------------------------
-    def _pump_peer_joined(self, peer: int) -> tuple[C.Command, ...]:
+    def _admit(self, peer: int) -> None:
+        if peer not in self.members:
+            self.members = tuple(sorted((*self.members, peer)))
+
+    def _on_peer_joined(self, event: E.PeerJoined) -> list[C.Command]:
         """Admit a joiner announced by the membership registrar.
 
         Backends deliver this at an epoch fence, normally while the
         worker is computing (no commands needed — the next sync simply
-        includes the joiner); mid-wait delivery just re-arms the wait.
+        addresses the joiner like any other member); mid-wait delivery
+        just re-arms the wait.
         """
-        self.admit_peer(peer)
-        if self._phase == "computing":
-            return ()
+        self._admit(event.peer)
+        self.active.add(event.peer)
         return self._rearm()
 
-    def _pump_leave(self) -> tuple[C.Command, ...]:
+    def _on_leave(self, event: E.LeaveRequested) -> list[C.Command]:
         """Planned departure: hand all remaining work to the registrar.
 
         The backend honors a leave request only at an iteration
@@ -581,73 +474,122 @@ class WorkerProtocol:
                 f"LeaveRequested while in phase {self._phase!r} "
                 "(planned departures happen at iteration boundaries)")
         ranges = tuple(self.assignment.take_all())
-        self.more_work = False
-        self._phase = "done"
-        return tuple(
-            self._trace("leave", epoch=self.epoch,
-                        iterations=sum(e - s for s, e in ranges))
-            + [C.Send(self.stamp(ControlMsg, dst=self.lb_host,
-                                 kind="leave", payload=ranges)),
-               C.Done("left")])
+        return (self._trace("leave", epoch=self.epoch,
+                            iterations=sum(e - s for s, e in ranges))
+                + [C.Send(self.stamp(ControlMsg, dst=self.lb_host,
+                                     kind="leave", payload=ranges))]
+                + self._terminate("left"))
+
+    def _on_work_reclaimed(self, event: E.WorkReclaimed) -> list[C.Command]:
+        """Orphans surfaced after everyone else profiled zero work.
+
+        "Done" is a group consensus — every peer that computed this plan
+        is terminating — so there is nobody left to rebalance with:
+        finish the reclaimed ranges alone, at the next epoch, instead of
+        interrupting peers that will never answer with fresh profiles.
+        """
+        self._expect("done", event)
+        self.active = {self.me}
+        self.more_work = True
+        return self._advance_epoch()
 
     # -- plan application --------------------------------------------------
-    def _do_plan(self) -> list[C.Command]:
-        plan = self.local_plan(self._profiles.values())
-        cmds: list[C.Command] = [C.Charge(self.policy.delta_seconds),
-                                 C.RecordSync(self.group, self.epoch, plan)]
+    def _on_charged(self, event: E.Charged) -> list[C.Command]:
+        """The replicated (deterministic) redistribution calculation,
+        now that its time has been spent."""
+        self._expect("planning", event)
+        ordered = sorted(self._profiles.values(), key=lambda p: p.node)
+        if self.planner is not None:
+            plan = self.planner(ordered)
+        else:
+            plan = plan_redistribution(
+                ordered, self.policy, self.mean_iteration_time,
+                self.movement_cost_fn)
+        cmds: list[C.Command] = [C.RecordSync(self.group, self.epoch, plan)]
         cmds += self._trace(
             "decision", epoch=self.epoch, group=self.group,
             reason=plan.reason,
             moved=plan.work_to_move if plan.move else 0.0,
             n_transfers=len(plan.transfers))
         if plan.done:
-            self.more_work = False
-            self._phase = "done"
-            return cmds + [C.Done("done")]
-        retire_me = self.me in plan.retire
+            return cmds + self._terminate("done")
         srcs = tuple(t.src for t in plan.incoming(self.me))
         return cmds + self._apply_outcome(
-            plan.outgoing(self.me), srcs if self.ft_enabled else None,
-            len(srcs), plan.active, retire_me)
+            plan.outgoing(self.me), srcs, len(srcs), plan.active,
+            self.me in plan.retire)
+
+    def _work_msg(self, dst: int, ranges: Sequence[Range]) -> WorkMsg:
+        count = sum(e - s for s, e in ranges)
+        return WorkMsg(src=self.me, dst=dst, epoch=self.epoch,
+                       ranges=tuple(ranges), count=count,
+                       data_bytes=count * self.dc_bytes)
 
     def _apply_outcome(self, outgoing: Sequence[TransferOrder],
-                       incoming_srcs: Optional[Sequence[int]],
+                       incoming_srcs: Sequence[int],
                        incoming_count: int,
                        new_active: Sequence[int],
                        retire: bool) -> list[C.Command]:
+        """Execute a plan's work movement from this node's viewpoint."""
         cmds: list[C.Command] = []
-        for order, ranges, count in self.plan_outgoing(outgoing, retire):
-            msg = self.make_work_msg(order.dst, self.epoch, ranges, count)
-            self.cache_work(msg)
+        for idx, order in enumerate(outgoing):
+            if retire and idx == len(outgoing) - 1:
+                # A retiring node ships everything left with its final
+                # order.
+                ranges = self.assignment.take_all()
+            else:
+                # Roughly ``order.work`` off the tail; a staying node
+                # always keeps at least one iteration.
+                ranges, _ = self.assignment.take_tail_work(
+                    self.table, order.work, keep_one=not retire)
+            msg = self._work_msg(order.dst, ranges)
+            if self.ft_enabled:
+                # ``resend-work`` is answered from the last two epochs.
+                self._work_cache[(msg.dst, msg.epoch)] = msg
+                for key in [k for k in self._work_cache
+                            if k[1] < msg.epoch - 1]:
+                    del self._work_cache[key]
             cmds += self._trace("redistribute", epoch=self.epoch,
-                                dst=order.dst, iterations=count,
+                                dst=order.dst, iterations=msg.count,
                                 work=order.work)
             cmds.append(C.Send(msg))
         # Elastic membership: a plan's active set may name nodes that
         # joined after this worker's construction — admit them before
         # intersecting, so only nodes *removed* by the plan drop out.
         for node in new_active:
-            if node not in self.members:
-                self.members = tuple(sorted((*self.members, node)))
+            self._admit(node)
         self.active = set(new_active) & set(self.members)
+        if retire and self.ft_enabled and not self.assignment.empty:
+            # Late-arriving reclaimed work on a retiring node: ship it to
+            # the lowest-numbered survivor (it is absorbed at that node's
+            # next sync).  With nobody left it stays on the assignment
+            # for the backend's recovery registry to collect.
+            survivors = sorted(self.active - {self.me})
+            if survivors:
+                cmds.append(C.Send(self._work_msg(
+                    survivors[0], self.assignment.take_all())))
         self._retiring = retire
-        if self.ft_enabled and incoming_srcs:
-            self._pending_srcs = list(incoming_srcs)
-            self._attempt = 0
-            self._phase = "recv_work"
-            return cmds + [self._await_work()]
-        if not self.ft_enabled and incoming_count > 0:
-            self._pending_count = incoming_count
-            self._phase = "recv_work"
-            return cmds + [C.AwaitMessage(tags=(Tag.WORK,),
-                                          epoch=self.epoch)]
-        return cmds + self._finish_sync()
+        self._pending_srcs = list(incoming_srcs)
+        self._pending_count = incoming_count
+        self._attempt = 0
+        return cmds + self._await_work()
 
-    def _finish_sync(self) -> list[C.Command]:
-        if self._retiring:
-            self.more_work = False
-            self._phase = "done"
-            return [C.Done("retired")]
-        self.advance_epoch()
-        self._phase = "computing"
-        return [C.StartCompute()]
+
+def _sync_profile(profile: ProfileMsg) -> SyncProfile:
+    """The planner-facing view of a profile message."""
+    return SyncProfile(
+        node=profile.src, remaining_work=profile.remaining_work,
+        remaining_count=profile.remaining_count, rate=profile.rate)
+
+
+_HANDLERS = {
+    E.Start: WorkerProtocol._on_start,
+    E.ComputeDone: WorkerProtocol._on_compute_done,
+    E.MessageReceived: WorkerProtocol._on_message,
+    E.Charged: WorkerProtocol._on_charged,
+    E.TimerFired: WorkerProtocol._on_timeout,
+    E.PeerDead: WorkerProtocol._on_peer_gone,
+    E.PeerLeft: WorkerProtocol._on_peer_gone,
+    E.PeerJoined: WorkerProtocol._on_peer_joined,
+    E.LeaveRequested: WorkerProtocol._on_leave,
+    E.WorkReclaimed: WorkerProtocol._on_work_reclaimed,
+}

@@ -13,12 +13,6 @@ from .node import NodeRuntime
 from .options import RunOptions
 from .session import LoopSession
 from .stealing import StealingNodeRuntime
-from .tracing import (
-    UtilizationReport,
-    render_gantt,
-    render_sync_timeline,
-    utilization_report,
-)
 from .stats import AppRunStats, LoopRunStats, StageRunStats, SyncRecord
 
 __all__ = [
@@ -34,14 +28,10 @@ __all__ = [
     "StageRunStats",
     "StealingNodeRuntime",
     "SyncRecord",
-    "UtilizationReport",
     "equal_block_partition",
     "merge_ranges",
     "proportional_block_partition",
     "run_application",
     "run_loop",
     "run_loop_stage",
-    "render_gantt",
-    "render_sync_timeline",
-    "utilization_report",
 ]

@@ -1,4 +1,4 @@
-"""The discrete-event adapter for the SPMD slave protocol.
+"""The discrete-event driver of the SPMD slave protocol.
 
 This is the run-time counterpart of the paper's Figure 3 slave loop::
 
@@ -14,32 +14,44 @@ This is the run-time counterpart of the paper's Figure 3 slave loop::
         }
     }
 
-The *protocol* — epochs, profiles, redistribution, the fault-tolerance
-transitions — lives in the backend-agnostic
-:class:`~repro.protocol.worker.WorkerProtocol`; ``NodeRuntime`` is the
-simulation backend's adapter around it.  It owns everything the
-discrete-event kernel cares about: the generator process, simulated
-compute slices through the workstation's load model, mailbox wiring,
-timed receives, and the mid-compute steals a co-located balancer or
-fault injector performs.  Protocol state (epoch, active set,
-assignment, performance window, resend caches) is read and written
-*only* through the protocol object, so every backend shares one
-implementation of the paper's §3 semantics.
+The *protocol* — epochs, profiles, the synchronization exchange,
+redistribution, the fault-tolerance transitions — lives in the
+backend-agnostic :class:`~repro.protocol.worker.WorkerProtocol`, and
+``NodeRuntime`` drives it exactly as :func:`repro.backend.driver.drive`
+does for the thread, process and socket workers: events into
+``protocol.on_event``, the returned commands run against the backend —
+here the simulator (``Send`` is a ``vm.send``, ``AwaitMessage`` a timed
+mailbox receive whose predicate is ``AwaitMessage.matches``, ``Charge``
+a timeout through the workstation's load model).  What stays here is
+what only the simulator knows:
+
+* the analytic compute slice — one timeout per slice instead of one per
+  iteration — with the mid-compute steals of a co-located balancer or
+  fault injector, and the periodic-sync ablation's clock;
+* *when* a sync starts: the mailbox hook that interrupts a computing
+  process, and whether this node initiates (``ComputeDone("finished")``)
+  or answers (``"interrupted"``);
+* the fault controller's hooks at the port: the parcel ledger, the
+  orphan pool, the shared death registry and fencing;
+* the §4.3 customized selection, which regroups the session mid-run.
+
+Protocol state (epoch, active set, assignment, performance window,
+resend caches) is read *only* through the protocol object.
 
 Fault tolerance (docs/FAULT_MODEL.md)
 -------------------------------------
-When ``options.fault_tolerance.enabled`` the same protocol is hardened:
-every blocking receive carries a timeout; on expiry the waiter sends a
-``resend-profile`` / ``resend-work`` control request and backs off
-exponentially; after ``max_retries`` unanswered requests the peer is
-*declared dead* to the session's :class:`~repro.faults.FaultController`
-(which fences it, reclaiming its unfinished iteration ranges into the
-orphan pool).  Syncing survivors claim pooled ranges before profiling
-so reclaimed work re-enters the normal redistribution flow.  A
-``resend-profile`` request addressed to a node that has not reached the
-requested epoch doubles as a synchronization interrupt — which is also
-how a *dropped* interrupt heals.  With fault tolerance disabled (the
-default) none of these paths allocate a single extra event.
+When ``options.fault_tolerance.enabled`` the pump's waits carry
+timeouts; on expiry it re-requests (``resend-profile`` /
+``resend-work``) with exponential backoff and, after ``max_retries``
+unanswered requests, *declares the peer dead* — here to the session's
+:class:`~repro.faults.FaultController`, which fences it and reclaims
+its unfinished iteration ranges into the orphan pool.  Syncing
+survivors claim pooled ranges before profiling so reclaimed work
+re-enters the normal redistribution flow.  A ``resend-profile`` request
+addressed to a node that has not reached the requested epoch doubles as
+a synchronization interrupt — which is also how a *dropped* interrupt
+heals.  With fault tolerance disabled (the default) none of these paths
+allocate a single extra event.
 """
 
 from __future__ import annotations
@@ -47,16 +59,17 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Generator, Optional
 
-from ..core.redistribution import SyncProfile
 from ..message.messages import (
     ControlMsg,
     InstructionMsg,
     InterruptMsg,
     Message,
     Tag,
-    TransferOrder,
     stale_predicate,
 )
+from ..protocol import commands as C
+from ..protocol import events as E
+from ..protocol.errors import ProtocolRetryExhausted
 from ..protocol.worker import WorkerProtocol
 from ..simulation import (Event, Interrupt, Process,
                           RetryExhaustedError, SlotFilter)
@@ -69,7 +82,7 @@ _EPS = 1e-15
 
 
 class NodeRuntime:
-    """Per-processor simulation adapter around the worker protocol."""
+    """One simulated processor: the worker protocol's DES driver."""
 
     def __init__(self, session: LoopSession, node_id: int,
                  assignment: Assignment) -> None:
@@ -102,6 +115,7 @@ class NodeRuntime:
         # oracles hold with recording enabled.
         self.rec = session.recorder
         self.track = f"node{node_id}"
+        self.protocol.emit_trace = self.rec.enabled
         # Periodic synchronization (Dome/Siegell model, §2.2 ablation):
         # the lowest-numbered active group member is the clock.
         self.periodic = session.options.sync_mode == "periodic"
@@ -125,10 +139,6 @@ class NodeRuntime:
     @property
     def active(self) -> set[int]:
         return self.protocol.active
-
-    @active.setter
-    def active(self, value: set[int]) -> None:
-        self.protocol.active = value
 
     @property
     def assignment(self) -> Assignment:
@@ -168,39 +178,20 @@ class NodeRuntime:
 
     def _serve_control(self, msg: ControlMsg) -> None:
         """Answer a peer's resend request (runs inside the delivery hook,
-        so actual sends are detached helper processes)."""
-        env = self.session.env
-        if msg.kind == "resend-profile":
-            if (msg.epoch == self.epoch and self.computing
-                    and self.proc is not None and self.proc.is_alive):
-                # We have not synchronized this epoch yet: the request
-                # doubles as a (possibly lost) synchronization interrupt.
-                self.computing = False
-                self.proc.interrupt("sync")
-            else:
-                # The cache answers with the exact epoch, or our latest
-                # profile as liveness evidence so the prober does not
-                # fence us while we are stuck in an older epoch.
-                cached = self.protocol.profile_reply(msg.epoch, msg.src)
-                if cached is not None:
-                    env.process(self._oneshot_send(cached),
-                                name=f"resend-profile{self.me}->{msg.src}")
-        elif msg.kind == "resend-work":
-            cached = self.protocol.work_reply(msg.src, msg.epoch)
-            if cached is not None:
-                env.process(self._oneshot_send(cached),
-                            name=f"resend-work{self.me}->{msg.src}")
-            else:
-                # Our plan never ordered a transfer to this peer (plan
-                # divergence under partial failure): tell it to stop
-                # waiting rather than let it declare us dead.
-                reply = self.protocol.stamp(ControlMsg, dst=msg.src,
-                                            epoch=msg.epoch, kind="no-work")
-                env.process(self._oneshot_send(reply),
-                            name=f"no-work{self.me}->{msg.src}")
-
-    def _oneshot_send(self, msg: Message) -> Generator[Event, None, None]:
-        yield from self.session.vm.send(msg)
+        so the actual send is a detached helper process)."""
+        if (msg.kind == "resend-profile" and msg.epoch == self.epoch
+                and self.computing and self.proc is not None
+                and self.proc.is_alive):
+            # We have not synchronized this epoch yet: the request
+            # doubles as a (possibly lost) synchronization interrupt.
+            self.computing = False
+            self.proc.interrupt("sync")
+            return
+        reply = self.protocol.answer_resend(msg)
+        if reply is not None:
+            self.session.env.process(
+                self.session.vm.send(reply),
+                name=f"{msg.kind}-reply{self.me}->{msg.src}")
 
     def steal(self, duration: float) -> bool:
         """Pause this node's computation for ``duration`` seconds.
@@ -223,33 +214,32 @@ class NodeRuntime:
         return self.session.vm.inbox[self.me].peek(
             SlotFilter(Tag.INTERRUPT, self.epoch))
 
-    # -- fault-tolerant receive ----------------------------------------------
-    def _recv_timed(self, tag: Optional[Tag], epoch: Optional[int] = None,
-                    match=None, timeout: Optional[float] = None
+    # -- receiving ----------------------------------------------------------
+    def _recv_timed(self, spec: C.AwaitMessage
                     ) -> Generator[Event, None, Optional[Message]]:
-        """Receive with an optional timeout; ``None`` means it expired.
+        """The next message ``spec`` accepts; ``None`` when its timeout
+        expired first.
 
-        A timed-out get request is withdrawn from the mailbox so it can
-        never swallow a later message.  With ``timeout=None`` this is
-        exactly the legacy blocking receive.
+        ``spec.matches`` is the mailbox predicate; a single tag and an
+        exact epoch additionally ride as :class:`SlotFilter` slots so
+        the common receive stays one bucket lookup.  A timed-out get
+        request is withdrawn from the mailbox so it can never swallow a
+        later message.  With ``timeout=None`` this is exactly the legacy
+        blocking receive.
         """
         vm = self.session.vm
-        request = vm.recv(self.me, tag, epoch=epoch, match=match)
-        if timeout is None or request.triggered:
+        request = vm.recv(
+            self.me, spec.tags[0] if len(spec.tags) == 1 else None,
+            epoch=spec.epoch, match=spec.matches)
+        if spec.timeout is None or request.triggered:
             msg = yield request
             return msg
         env = self.session.env
-        yield env.any_of([request, env.timeout(timeout)])
+        yield env.any_of([request, env.timeout(spec.timeout)])
         if request.triggered:
             return request.value
         vm.inbox[self.me].cancel(request)
         return None
-
-    def _declare_dead(self, peer: int) -> None:
-        controller = self.session.controller
-        if controller is not None:
-            controller.declare_dead(peer, by=self.me)
-        self.protocol.declare_peer_dead(peer)
 
     def _claim_orphans(self) -> int:
         """Absorb reclaimed orphan ranges before profiling (distributed
@@ -262,17 +252,17 @@ class NodeRuntime:
         return sum(e - s for s, e in ranges)
 
     def _drain_stale(self) -> None:
-        """Clear superseded traffic; absorb late WORK from past epochs.
+        """Hardened mode: clear superseded control traffic and absorb
+        late WORK from past epochs, before profiling.
 
         Staleness is decided in one place —
         :func:`repro.message.messages.stale_predicate` — not per call
         site.
         """
-        inbox = self.session.vm.inbox[self.me]
-        epoch = self.epoch
-        inbox.drain(stale_predicate(epoch, (Tag.INTERRUPT,), inclusive=True))
         if not self.ft_enabled:
             return
+        inbox = self.session.vm.inbox[self.me]
+        epoch = self.epoch
         inbox.drain(stale_predicate(
             epoch, (Tag.CONTROL, Tag.PROFILE, Tag.INSTRUCTION)))
         controller = self.session.controller
@@ -288,43 +278,174 @@ class NodeRuntime:
 
     # -- main loop ----------------------------------------------------------
     def run(self) -> Generator[Event, None, None]:
-        """The node's top-level simulated process."""
+        """The node's top-level simulated process: pump the protocol
+        from ``Start`` to ``Done``."""
         session = self.session
         env = session.env
+        feed = self.protocol.on_event
         if session.is_crashed(self.me):
             return  # crashed during staging, before the loop began
-        if not session.strategy.is_dlb:
-            # Static baseline: compute the initial block, then stop.
-            yield from self._compute()
-            self.finish_time = env.now
-            return
-        while self.more_work:
+        inbox = session.vm.inbox[self.me]
+        commands = feed(E.Start())
+        synced = False
+        while True:
+            then = yield from self._execute(commands)
+            kind = type(then)
+            if kind is C.StartCompute:
+                if synced:
+                    self.next_deadline = env.now + session.options.sync_period
+                    # The sync is over and the epoch has moved on: the
+                    # interrupts that called for it are spent (the real
+                    # backends' ``Inbox`` drains at the same point).
+                    inbox.drain(stale_predicate(self.epoch, (Tag.INTERRUPT,)))
+                synced = True
+                commands = feed((yield from self._compute_until_sync()))
+            elif kind is C.AwaitMessage:
+                commands = yield from self._await(then)
+            elif kind is C.Charge:
+                # Slowed by this node's current external load.
+                t_end = self.ws.time_to_complete(env.now, then.seconds)
+                yield env.timeout(t_end - env.now)
+                commands = feed(E.Charged())
+            elif (then.reason == "done" and self.ft_enabled
+                    and not session.centralized and self._claim_orphans()):
+                commands = feed(E.WorkReclaimed())
+            else:
+                break
+        inbox.drain(stale_predicate(self.epoch, (Tag.INTERRUPT,),
+                                    inclusive=True))  # the last sync's
+        controller = session.controller
+        if controller is not None and not self.assignment.empty:
+            # A hardened retiree with late reclaimed work and nobody
+            # left to ship it to: orphan it.
+            controller.pool_ranges(self.assignment.take_all())
+        self.finish_time = env.now
+
+    def _execute(self, commands: tuple[C.Command, ...]
+                 ) -> Generator[Event, None, Optional[C.Command]]:
+        """Run one batch of protocol commands against the simulator;
+        returns the batch's continuation (its last command)."""
+        session = self.session
+        controller = session.controller
+        if controller is not None:
+            # Every parcel of the batch enters the ledger *before* the
+            # first command runs: its ranges are already off the
+            # assignment, so a crash between two sends must find them
+            # there.  A receiver declared dead after planning gets its
+            # parcel orphaned instead of shipped into the void.
+            for cmd in commands:
+                if type(cmd) is C.Send and cmd.msg.tag is Tag.WORK \
+                        and cmd.msg.ranges:
+                    msg = cmd.msg
+                    if session.is_dead(msg.dst):
+                        controller.pool_ranges(msg.ranges)
+                    else:
+                        controller.register_parcel(self.me, msg.dst,
+                                                   msg.epoch, msg.ranges)
+        then = None
+        for cmd in commands:
+            kind = type(cmd)
+            if kind is C.Send:
+                if cmd.msg.tag is Tag.WORK and session.is_dead(cmd.msg.dst):
+                    continue  # pooled above, or reclaimed on declaration
+                yield from session.vm.send(cmd.msg)
+            elif kind is C.RecordSync:
+                session.record_plan(cmd.group, cmd.epoch, cmd.plan)
+            elif kind is C.DeclareDead:
+                if controller is not None:
+                    controller.declare_dead(cmd.peer, by=self.me)
+            elif kind is C.Emit:
+                # ``decision``: record_plan above wrote the one deduped
+                # instant for all replicas, on the balancer track.
+                if cmd.name != "decision":
+                    self.rec.event(cmd.name, track=self.track, **cmd.args())
+            else:
+                then = cmd
+        return then
+
+    def _await(self, spec: C.AwaitMessage
+               ) -> Generator[Event, None, tuple[C.Command, ...]]:
+        """Block on ``spec``; returns the pump's answer to what came."""
+        session = self.session
+        controller = session.controller
+        feed = self.protocol.on_event
+        msg = yield from self._recv_timed(spec)
+        if msg is not None:
+            if msg.tag is Tag.WORK and msg.ranges and controller is not None \
+                    and controller.try_consume(msg.src, self.me,
+                                               msg.epoch) is None:
+                # Duplicate of something already absorbed (or swept into
+                # the pool): the wait is over, the ranges are not ours.
+                msg = replace(msg, ranges=())
+            elif msg.tag is Tag.INSTRUCTION and msg.select_scheme:
+                msg = self._adopt_selection(msg)
+            return feed(E.MessageReceived(msg))
+        # Timed out.  Peers the shared registry already holds dead leave
+        # the wait first; the timer fires for whoever is still awaited.
+        dead = [p for p in spec.srcs or () if session.is_dead(p)]
+        commands: tuple[C.Command, ...] = ()
+        for peer in dead:
+            commands = feed(E.PeerDead(peer))
+        if spec.srcs is None or len(dead) < len(spec.srcs):
+            try:
+                commands = feed(E.TimerFired())
+            except ProtocolRetryExhausted as exc:
+                raise RetryExhaustedError(exc.me, exc.peer, exc.what,
+                                          exc.attempts) from exc
+            if controller is not None \
+                    and any(type(c) is C.Send for c in commands):
+                controller.note_retry()  # one per round that re-requests
+        return commands
+
+    def _adopt_selection(self, instr: InstructionMsg) -> InstructionMsg:
+        """§4.3: commit the session — and this worker — to the selected
+        scheme, and hand the pump a plain instruction whose active set
+        is cut to the worker's *new* group."""
+        session = self.session
+        session.apply_selection(instr.select_scheme,
+                                instr.select_group_size)
+        self.gid = session.group_of[self.me]
+        protocol = self.protocol
+        protocol.group = self.gid
+        protocol.members = tuple(session.groups[self.gid])
+        protocol.centralized = session.centralized
+        return replace(
+            instr, select_scheme="", select_group_size=0,
+            active=tuple(n for n in instr.active if n in protocol.members))
+
+    def _compute_until_sync(self) -> Generator[Event, None, E.ComputeDone]:
+        """Compute until a synchronization is due; returns how it began.
+
+        Interrupt *initiation* is the compute side's decision:
+        ``"finished"`` asks the pump to interrupt the group
+        (receiver-initiated, §3.1); when a peer's interrupt is already
+        pending, or the periodic clock did the interrupting, this node
+        only answers.
+        """
+        session = self.session
+        while True:
             status = yield from self._compute()
-            others = sorted(self.active - {self.me})
+            others = self.active - {self.me}
             if status == "finished" and not others \
                     and not session.centralized:
                 if self._claim_orphans():
                     continue  # reclaimed a dead peer's work: keep going
-                # Lone distributed node: nothing to exchange with.
-                self.more_work = False
-                break
+                return E.ComputeDone("finished")  # lone: nothing to sync
             if self.periodic:
-                proceed = yield from self._periodic_trigger(status, others)
+                proceed = yield from self._periodic_trigger(
+                    status, sorted(others))
                 if not proceed:
                     continue
-                others = sorted(self.active - {self.me})
-            elif status == "finished":
-                if others and self._pending_interrupt() is None:
-                    # Receiver-initiated sync: interrupt the group (§3.1).
-                    yield from session.vm.multicast(
-                        self.protocol.stamp(InterruptMsg, dst=o,
-                                            group=self.gid)
-                        for o in others)
-            outcome = yield from self._synchronize()
-            self.next_deadline = env.now + session.options.sync_period
-            if outcome in ("done", "retired"):
-                break
-        self.finish_time = env.now
+                status = "interrupted"
+            elif status == "finished" and others \
+                    and self._pending_interrupt() is not None:
+                status = "interrupted"  # a peer got there first
+            # Late work parcels from previous epochs and reclaimed
+            # orphans re-enter balancing through our profile.
+            self._drain_stale()
+            if self.ft_enabled and not session.centralized:
+                self._claim_orphans()
+            return E.ComputeDone(status)
 
     def _is_clock(self) -> bool:
         """The periodic-mode initiator: lowest-numbered active member."""
@@ -356,26 +477,28 @@ class NodeRuntime:
             # scheme avoids.
             if self._pending_interrupt() is not None:
                 return True
+            wait = C.AwaitMessage(tags=(Tag.INTERRUPT,), epoch=self.epoch)
             if not ft.enabled:
-                yield session.vm.recv(self.me, Tag.INTERRUPT,
-                                      epoch=self.epoch)
+                yield from self._recv_timed(wait)
                 return True
             # Hardened: the clock itself may be dead.  Wait with the
             # retry schedule; give up by declaring the clock dead and
             # (possibly) inheriting its duty.
             attempt = 0
             while True:
-                msg = yield from self._recv_timed(
-                    Tag.INTERRUPT, epoch=self.epoch,
-                    timeout=max(ft.timeout_for(attempt),
-                                session.options.sync_period))
+                msg = yield from self._recv_timed(replace(
+                    wait, timeout=max(ft.timeout_for(attempt),
+                                      session.options.sync_period)))
                 if msg is not None:
                     return True
                 clock = min(self.active)
                 if clock == self.me:
                     return True  # actives shifted: we are the clock now
+                controller = session.controller
                 if attempt >= ft.max_retries:
-                    self._declare_dead(clock)
+                    if controller is not None:
+                        controller.declare_dead(clock, by=self.me)
+                    self.protocol.on_event(E.PeerDead(clock))
                     if self.active and self._is_clock():
                         remaining = sorted(self.active - {self.me})
                         yield from session.vm.multicast(
@@ -383,16 +506,12 @@ class NodeRuntime:
                                                 group=self.gid)
                             for o in remaining)
                     return True
-                if self.session.controller is not None:
-                    self.session.controller.note_retry()
-                yield from self._oneshot_request(clock, "resend-profile")
+                if controller is not None:
+                    controller.note_retry()
+                yield from session.vm.send(self.protocol.stamp(
+                    ControlMsg, dst=clock, kind="resend-profile"))
                 attempt += 1
         return True
-
-    def _oneshot_request(self, peer: int, kind: str
-                         ) -> Generator[Event, None, None]:
-        yield from self.session.vm.send(
-            self.protocol.stamp(ControlMsg, dst=peer, kind=kind))
 
     # -- computing ------------------------------------------------------------
     def _compute(self) -> Generator[Event, None, str]:
@@ -472,277 +591,3 @@ class NodeRuntime:
             executed = self.assignment.take_head(k)
             session.record_executed(self.me, executed)
         return "interrupted"
-
-    # -- synchronizing ------------------------------------------------------
-    def _synchronize(self) -> Generator[Event, None, str]:
-        """One synchronization point: profile, plan, move work."""
-        session = self.session
-        vm = session.vm
-        env = session.env
-        protocol = self.protocol
-        epoch = self.epoch
-        self.rec.event("sync", track=self.track, epoch=epoch,
-                       mode="centralized" if session.centralized
-                       else "distributed")
-        # Consume this epoch's interrupt(s), stale control traffic, and
-        # any late work parcels from previous epochs.
-        self._drain_stale()
-        if self.ft_enabled and not session.centralized:
-            # Reclaimed orphans re-enter balancing through our profile.
-            self._claim_orphans()
-
-        profile = protocol.build_profile(group=self.gid)
-        protocol.cache_profile(profile)
-
-        if session.centralized:
-            yield from vm.send(replace(profile, dst=session.lb_host))
-            instr = yield from self._await_instruction(profile, epoch)
-            if instr.select_scheme:
-                session.apply_selection(instr.select_scheme,
-                                        instr.select_group_size)
-                self.gid = session.group_of[self.me]
-            if instr.grant:
-                self.assignment.add(instr.grant)
-                self.rec.event("grant", track=self.track, epoch=epoch,
-                               iterations=sum(e - s
-                                              for s, e in instr.grant))
-            if instr.done:
-                self.more_work = False
-                return "done"
-            srcs = instr.incoming_srcs if self.ft_enabled else None
-            yield from self._apply(instr.outgoing, instr.incoming,
-                                   instr.active, instr.retire, epoch,
-                                   incoming_srcs=srcs)
-            if instr.retire:
-                self.more_work = False
-                return "retired"
-        else:
-            others = sorted(self.active - {self.me})
-            yield from vm.multicast(replace(profile, dst=o) for o in others)
-            profiles = {self.me: protocol.sync_profile(profile)}
-            yield from self._gather_profiles(profiles, set(others), epoch)
-            # Replicated new-distribution calculation (delta), slowed by
-            # this node's current external load.
-            t_end = self.ws.time_to_complete(
-                env.now, session.policy.delta_seconds)
-            yield env.timeout(t_end - env.now)
-            plan = protocol.local_plan(profiles.values())
-            session.record_plan(self.gid, epoch, plan)
-            if plan.done:
-                if self.ft_enabled and self._claim_orphans():
-                    # Orphans surfaced after everyone else profiled zero
-                    # work.  "Done" is a group consensus — every peer
-                    # that computed this plan is terminating — so there
-                    # is nobody left to rebalance with: finish the
-                    # reclaimed ranges alone instead of interrupting
-                    # peers that will never answer with fresh profiles.
-                    self.active = {self.me}
-                    protocol.advance_epoch()
-                    return "continue"
-                self.more_work = False
-                return "done"
-            retire_me = self.me in plan.retire
-            srcs = None
-            if self.ft_enabled:
-                srcs = tuple(t.src for t in plan.incoming(self.me))
-            yield from self._apply(plan.outgoing(self.me),
-                                   len(plan.incoming(self.me)),
-                                   plan.active, retire_me, epoch,
-                                   incoming_srcs=srcs)
-            if retire_me:
-                self.more_work = False
-                return "retired"
-        protocol.advance_epoch()
-        return "continue"
-
-    def _await_instruction(self, profile, epoch: int
-                           ) -> Generator[Event, None, InstructionMsg]:
-        """Receive the balancer's instruction, re-sending the profile on
-        timeout.  The master is reliable by assumption, so exhaustion
-        here is unrecoverable rather than a declaration."""
-        session = self.session
-        ft = session.ft
-        attempt = 0
-        while True:
-            timeout = ft.timeout_for(attempt) if self.ft_enabled else None
-            instr = yield from self._recv_timed(Tag.INSTRUCTION, epoch=epoch,
-                                                timeout=timeout)
-            if instr is not None:
-                assert isinstance(instr, InstructionMsg)
-                return instr
-            if attempt >= ft.max_retries:
-                raise RetryExhaustedError(self.me, session.lb_host,
-                                          "instruction", attempt + 1)
-            if session.controller is not None:
-                session.controller.note_retry()
-            yield from session.vm.send(
-                replace(profile, dst=session.lb_host))
-            attempt += 1
-
-    def _gather_profiles(self, profiles: dict[int, SyncProfile],
-                         missing: set[int], epoch: int
-                         ) -> Generator[Event, None, None]:
-        """Collect the group's profiles (distributed schemes).
-
-        Hardened mode nudges silent peers — which doubles as a lost
-        interrupt — and, after a per-peer retry budget, declares them
-        dead so the plan is computed over the survivors.  A *stale*
-        profile (the peer is stuck applying an older instruction, e.g.
-        waiting for work a dead node will never send) carries no data
-        but proves the peer is alive, so only truly silent peers burn
-        their budget.
-        """
-        session = self.session
-        ft = session.ft
-        protocol = self.protocol
-        if not self.ft_enabled:
-            while missing:
-                msg = yield from self._recv_timed(
-                    Tag.PROFILE, epoch=epoch,
-                    match=lambda m: m.src in missing, timeout=None)
-                profiles[msg.src] = protocol.sync_profile(msg)
-                missing.discard(msg.src)
-            return
-        rounds: dict[int, int] = {peer: 0 for peer in missing}
-        while missing:
-            timeout = ft.timeout_for(min(rounds[p] for p in missing))
-            msg = yield from self._recv_timed(
-                Tag.PROFILE,
-                match=lambda m: m.src in missing and m.epoch <= epoch,
-                timeout=timeout)
-            if msg is not None:
-                if msg.epoch == epoch:
-                    profiles[msg.src] = protocol.sync_profile(msg)
-                    missing.discard(msg.src)
-                    rounds.pop(msg.src, None)
-                else:
-                    # Stale duplicate: liveness evidence only.
-                    rounds[msg.src] = 0
-                continue
-            dead_now = {peer for peer in missing if session.is_dead(peer)}
-            for peer in dead_now:
-                protocol.declare_peer_dead(peer)
-            missing -= dead_now
-            if not missing:
-                break
-            overdue = [peer for peer in sorted(missing)
-                       if rounds[peer] >= ft.max_retries]
-            for peer in overdue:
-                self._declare_dead(peer)
-                missing.discard(peer)
-                rounds.pop(peer, None)
-            if not missing:
-                break
-            if session.controller is not None:
-                session.controller.note_retry()
-            for peer in sorted(missing):
-                rounds[peer] += 1
-                yield from self._oneshot_request(peer, "resend-profile")
-
-    def _apply(self, outgoing: tuple[TransferOrder, ...], incoming: int,
-               new_active: tuple[int, ...], retire: bool, epoch: int,
-               incoming_srcs: Optional[tuple[int, ...]] = None
-               ) -> Generator[Event, None, None]:
-        """Execute a plan's work movement from this node's viewpoint."""
-        session = self.session
-        vm = session.vm
-        protocol = self.protocol
-        controller = session.controller
-        orders = list(outgoing)
-        for idx, order in enumerate(orders):
-            ranges, count = protocol.take_outgoing(
-                order, retire=retire,
-                ship_all=retire and idx == len(orders) - 1)
-            if controller is not None and session.is_dead(order.dst):
-                # The receiver was declared dead after planning: orphan
-                # the parcel instead of shipping it into the void.
-                controller.pool_ranges(ranges)
-                continue
-            msg = protocol.make_work_msg(order.dst, epoch, ranges, count)
-            if controller is not None and msg.ranges:
-                controller.register_parcel(self.me, order.dst, epoch,
-                                           msg.ranges)
-            protocol.cache_work(msg)
-            self.rec.event("redistribute", track=self.track, epoch=epoch,
-                           dst=order.dst, iterations=count, work=order.work)
-            yield from vm.send(msg)
-        if retire and self.ft_enabled and not self.assignment.empty:
-            # Late-arriving reclaimed work on a retiring node: ship it to
-            # the lowest-numbered survivor (it is absorbed at that node's
-            # next sync), or orphan it if the group died around us.
-            yield from self._ship_leftovers(new_active, epoch)
-        if incoming_srcs is not None:
-            yield from self._receive_work_ft(incoming_srcs, epoch)
-        else:
-            for _ in range(incoming):
-                msg = yield vm.recv(self.me, Tag.WORK, epoch=epoch)
-                if msg.ranges:
-                    if controller is not None:
-                        ranges = controller.try_consume(msg.src, self.me,
-                                                        epoch)
-                        if ranges is None:
-                            continue
-                        self.assignment.add(ranges if ranges else msg.ranges)
-                    else:
-                        self.assignment.add(msg.ranges)
-        self.active = set(new_active) & set(session.groups[self.gid])
-
-    def _ship_leftovers(self, new_active: tuple[int, ...], epoch: int
-                        ) -> Generator[Event, None, None]:
-        session = self.session
-        controller = session.controller
-        survivors = [n for n in sorted(new_active)
-                     if n != self.me and not session.is_dead(n)]
-        ranges = tuple(self.assignment.take_all())
-        if not ranges:
-            return
-        if not survivors:
-            if controller is not None:
-                controller.pool_ranges(ranges)
-            return
-        dst = survivors[0]
-        count = sum(e - s for s, e in ranges)
-        msg = self.protocol.make_work_msg(dst, epoch, ranges, count)
-        if controller is not None:
-            controller.register_parcel(self.me, dst, epoch, ranges)
-        yield from session.vm.send(msg)
-
-    def _receive_work_ft(self, srcs: tuple[int, ...], epoch: int
-                         ) -> Generator[Event, None, None]:
-        """Timed receive of each expected work parcel, with retry."""
-        session = self.session
-        ft = session.ft
-        controller = session.controller
-        for src in srcs:
-            attempt = 0
-            while True:
-                def matcher(m, src=src):
-                    if m.src != src or m.epoch != epoch:
-                        return False
-                    return (m.tag is Tag.WORK
-                            or (m.tag is Tag.CONTROL
-                                and getattr(m, "kind", "") == "no-work"))
-                msg = yield from self._recv_timed(
-                    None, match=matcher, timeout=ft.timeout_for(attempt))
-                if msg is not None:
-                    if msg.tag is Tag.CONTROL:
-                        break  # "no-work": the sender never owed us this
-                    if not msg.ranges:
-                        break
-                    if controller is not None:
-                        ranges = controller.try_consume(src, self.me, epoch)
-                        if ranges is None:
-                            break  # duplicate: already absorbed
-                        self.assignment.add(ranges if ranges else msg.ranges)
-                    else:
-                        self.assignment.add(msg.ranges)
-                    break
-                if session.is_dead(src):
-                    break  # parcel was orphaned into the pool on declare
-                if attempt >= ft.max_retries:
-                    self._declare_dead(src)
-                    break
-                if controller is not None:
-                    controller.note_retry()
-                yield from self._oneshot_request(src, "resend-work")
-                attempt += 1

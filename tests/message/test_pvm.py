@@ -120,7 +120,7 @@ def test_local_send_to_self(env, vm):
 
 
 def test_network_size_mismatch_rejected(env):
-    from repro.network.bus import SharedBusNetwork
+    from repro.network import SharedBusNetwork
     net = SharedBusNetwork(env, 3, PARAMS)
     with pytest.raises(ValueError):
         VirtualMachine(env, 4, PARAMS, network=net)

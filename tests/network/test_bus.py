@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.bus import SharedBusNetwork
+from repro.network import SharedBusNetwork
 from repro.network.parameters import NetworkParameters
 
 

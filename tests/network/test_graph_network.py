@@ -8,7 +8,7 @@ resource-acquisition sequence (one wire, per-host NICs).
 
 import pytest
 
-from repro.network.bus import SharedBusNetwork
+from repro.network import SharedBusNetwork
 from repro.network.graph import GraphNetwork, build_network
 from repro.network.parameters import NetworkParameters
 from repro.network.topology import Topology

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.workload import LoopSpec
 from repro.backend.driver import Burn, Inbox, Reporter, RunLedger, drive
 from repro.core.policy import DlbPolicy
+from repro.machine.cluster import ClusterSpec
 from repro.message.messages import (
     ControlMsg,
     InterruptMsg,
@@ -25,18 +27,35 @@ from repro.obs.metrics import CounterDict
 from repro.protocol import (
     AwaitMessage,
     BalancerProtocol,
+    Charged,
     ComputeDone,
+    MessageReceived,
     PeerDead,
+    Send,
+    Start,
     TimerFired,
+    WorkerProtocol,
 )
-from repro.runtime.assignment import check_coverage
-from repro.runtime.options import FaultToleranceConfig
+from repro.runtime import executor
+from repro.runtime.assignment import Assignment, check_coverage
+from repro.runtime.options import FaultToleranceConfig, RunOptions
 from repro.runtime.stats import LoopRunStats
 
 from .conftest import COST, make_worker
 
 FT = FaultToleranceConfig(enabled=True, request_timeout=0.05, backoff=2.0,
                           max_retries=2)
+
+
+def _turn(event, commands):
+    """One pump turn reduced to what is the same on every backend:
+    the event's type and the commands' types.  *Who* interrupts whom is
+    timing — it depends on which node's clock runs out first — so
+    INTERRUPT sends and the compute status are left out."""
+    return (type(event).__name__, tuple(
+        f"Send:{c.msg.tag.name}" if isinstance(c, Send) else type(c).__name__
+        for c in commands
+        if not (isinstance(c, Send) and c.msg.tag is Tag.INTERRUPT)))
 
 
 class NullPort(Reporter):
@@ -86,6 +105,7 @@ class FakeCluster:
         self.inboxes = {node: Inbox() for node in range(n)}
         self.ports = {node: FakePort(node, self) for node in range(n)}
         self.events = {node: [] for node in range(n)}
+        self.conversation = {node: [] for node in range(n)}
         self.protos = {}
         self.pumps = {}
         for node, ranges in enumerate(blocks):
@@ -109,7 +129,9 @@ class FakeCluster:
 
         def on_event(event):
             self.events[node].append(event)
-            return real(event)
+            commands = real(event)
+            self.conversation[node].append(_turn(event, commands))
+            return commands
         proto.on_event = on_event
 
     def route(self, msg):
@@ -199,6 +221,45 @@ def test_centralized_exchange_through_the_driver(table):
     assert set(cluster.ledger.stats.node_finish_times) == {0, 1, 2}
 
 
+@pytest.mark.parametrize("strategy", ["GDDLB", "GCDLB"])
+def test_simulator_and_driver_hold_the_same_conversation(
+        table, monkeypatch, strategy):
+    """The four backends speak one protocol: node 0's ``on_event``
+    conversation — event in, commands out — in a simulator run is, turn
+    for turn, the one ``drive()`` holds against the fake port for the
+    same loop and the same initial blocks."""
+    blocks = [[(0, 12)], [(12, 14)]]
+    cluster = FakeCluster(table, blocks, centralized=strategy == "GCDLB")
+    cluster.run()
+
+    heard = []
+    real = WorkerProtocol.on_event
+
+    def spy(self, event):
+        commands = real(self, event)
+        if self.me == 0:
+            heard.append(_turn(event, commands))
+        return commands
+    monkeypatch.setattr(WorkerProtocol, "on_event", spy)
+    monkeypatch.setattr(executor, "equal_block_partition",
+                        lambda _n, _p: [Assignment(b) for b in blocks])
+    stats = executor.run_loop(
+        LoopSpec(name="fake", n_iterations=14, iteration_time=COST,
+                 dc_bytes=100),
+        ClusterSpec.homogeneous(2, max_load=0, seed=7), strategy,
+        RunOptions(policy=DlbPolicy()))
+    assert stats.n_syncs == len(cluster.ledger.stats.syncs) == 2
+    assert heard == cluster.conversation[0]
+    # Not vacuous: a sync that moved work, then the one that ended it.
+    names = [name for _event, cmds in heard for name in cmds]
+    assert names.count("Send:PROFILE") == 2 and "Send:WORK" in names
+    assert names[-1] == "Done"
+    if strategy == "GDDLB":
+        assert heard[2:4] == [
+            ("MessageReceived", ("Charge",)),
+            ("Charged", ("RecordSync", "Send:WORK", "StartCompute"))]
+
+
 def _waiting_worker(table, ft=None):
     """A distributed worker driven up to its first profile wait."""
     inbox = Inbox()
@@ -266,9 +327,44 @@ _MSG = ProfileMsg(src=2, dst=0, epoch=5, group=0, remaining_work=1.0,
     (AwaitMessage(tags=(Tag.PROFILE,), srcs=(1, 3)), False),
     (AwaitMessage(tags=(Tag.PROFILE,), epoch=5, srcs=(3,)), False),
     (AwaitMessage(tags=None, epoch=None, srcs=None, timeout=0.1), True),
+    (AwaitMessage(tags=(Tag.PROFILE,), max_epoch=5), True),
+    (AwaitMessage(tags=(Tag.PROFILE,), max_epoch=6), True),   # stale: alive
+    (AwaitMessage(tags=(Tag.PROFILE,), max_epoch=4), False),  # a later sync
+    (AwaitMessage(tags=(Tag.PROFILE,), control_kind="no-work"), True),
 ])
 def test_await_message_matches(spec, expected):
     assert spec.matches(_MSG) is expected
+
+
+def test_hardened_waits_leave_what_is_not_theirs_in_the_mailbox(table):
+    """The waits the pump really arms: a gather takes no later-epoch
+    profile, a work wait takes its sender's ``no-work`` but not its
+    ``resend-*`` requests (on thread/process nobody else would ever
+    see them again)."""
+    a = make_worker(0, (0, 1), centralized=False, table=table,
+                    ranges=[(0, 4)], ft=FT)
+    a.on_event(Start())
+    gather = a.on_event(ComputeDone("finished"))[-1]
+    assert (gather.tags, gather.srcs, gather.max_epoch) == \
+        ((Tag.PROFILE,), (1,), 0)
+
+    def profile(epoch):
+        return ProfileMsg(src=1, dst=0, epoch=epoch, group=0,
+                          remaining_work=8 * COST, remaining_count=8,
+                          rate=1.0)
+    assert not gather.matches(profile(1))
+    assert not gather.matches(
+        ControlMsg(src=1, dst=0, epoch=0, kind="resend-profile"))
+    assert gather.matches(profile(0))
+    a.on_event(MessageReceived(profile(0)))
+    wait = a.on_event(Charged())[-1]
+    assert (wait.tags, wait.srcs, wait.epoch, wait.control_kind) == \
+        ((Tag.WORK, Tag.CONTROL), (1,), 0, "no-work")
+    for kind, expected in (("no-work", True), ("resend-work", False),
+                           ("resend-profile", False)):
+        assert wait.matches(
+            ControlMsg(src=1, dst=0, epoch=0, kind=kind)) is expected
+    assert wait.matches(_work(1, 0)) and not wait.matches(_work(1, 1))
 
 
 # -- Inbox -----------------------------------------------------------------

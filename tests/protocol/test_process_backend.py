@@ -34,8 +34,16 @@ def _cluster(n=4):
 
 def _skewed_loop():
     """Front-loaded costs: node 0's block dominates, forcing the
-    balancer to move work (and therefore data) off it."""
-    times = (0.02,) * 12 + (0.002,) * 36
+    balancer to move work (and therefore data) off it.
+
+    The block *ends* in cheap iterations: a transfer order is rounded
+    down to whole iterations from the tail
+    (``Assignment.take_tail_work``), so with an expensive tail every
+    order a busy host produces can round to an empty parcel — work is
+    "redistributed" and no row moves.  Any order worth 1 ms moves one
+    here, whatever the schedule.
+    """
+    times = (0.03,) * 6 + (0.001,) * 6 + (0.002,) * 36
     return LoopSpec(name="skew", n_iterations=48, iteration_time=times,
                     dc_bytes=256)
 
@@ -55,8 +63,14 @@ def test_redistribution_moves_data_through_shm(strategy):
     assert stats.n_redistributions >= 1
     # Work moved, so iteration rows moved — by remapping, not copying:
     # the shm ledger counts them, and they never inflate the pipe
-    # payload by more than the pickled range descriptors.
-    assert stats.shm_data_bytes >= 256
+    # payload by more than the pickled range descriptors.  Every
+    # iteration executed off its home block (12 per node) was shipped
+    # at least once.
+    off_home = sum(i // 12 != node
+                   for node, ranges in stats.executed_by_node.items()
+                   for s, e in ranges for i in range(s, e))
+    assert off_home >= 1
+    assert stats.shm_data_bytes >= 256 * off_home
     assert stats.shm_data_bytes % 256 == 0
     assert stats.transport_payload_bytes > 0
 

@@ -23,6 +23,7 @@ from repro.message.messages import (
 from repro.protocol import (
     AwaitMessage,
     Charge,
+    Charged,
     ComputeDone,
     DeclareDead,
     Done,
@@ -33,6 +34,7 @@ from repro.protocol import (
     Start,
     StartCompute,
     TimerFired,
+    WorkReclaimed,
 )
 from repro.runtime.options import FaultToleranceConfig
 
@@ -118,17 +120,21 @@ def test_distributed_happy_path(table, members, group):
     profile_b = only(cmds_b, Send).msg
     assert profile_b.tag is Tag.PROFILE and profile_b.dst == a
 
-    # Deliver the profiles; both compute the same plan.
-    cmds_a = wa.on_event(MessageReceived(profile_b))
+    # Deliver the profiles: a complete gather asks for the replicated
+    # calculation's time and nothing else...
+    delta = Charge(wa.policy.delta_seconds)
+    assert wa.on_event(MessageReceived(profile_b)) == (delta,)
     profile_a = [m for m in sends if m.tag is Tag.PROFILE][0]
-    cmds_b = wb.on_event(MessageReceived(profile_a))
+    assert wb.on_event(MessageReceived(profile_a)) == (delta,)
+    # ...and once it is spent, both compute the same plan.
+    cmds_a = wa.on_event(Charged())
+    cmds_b = wb.on_event(Charged())
     plan_a = only(cmds_a, RecordSync).plan
     plan_b = only(cmds_b, RecordSync).plan
     assert plan_a.transfers == plan_b.transfers
     (transfer,) = plan_a.transfers
     assert (transfer.src, transfer.dst) == (b, a)
     assert transfer.work == pytest.approx(0.16)
-    assert isinstance(only(cmds_a, Charge), Charge)
 
     # b ships the tail half; a waits for exactly that parcel.
     work = only(cmds_b, Send).msg
@@ -227,6 +233,8 @@ def test_distributed_silent_peer_declared_dead(table, members, group):
     cmds = w.on_event(TimerFired())
     assert only(cmds, DeclareDead).peer == silent
     assert silent not in w.active
+    assert isinstance(cmds[-1], Charge)
+    cmds = w.on_event(Charged())
     plan = only(cmds, RecordSync).plan
     assert silent not in plan.active
     assert cmds[-1] in (StartCompute(),) or isinstance(cmds[-1],
@@ -244,6 +252,7 @@ def test_distributed_stale_profile_is_liveness_evidence(table):
     fresh = ProfileMsg(src=1, dst=0, epoch=0, remaining_work=16 * COST,
                        remaining_count=16, rate=1.0)
     w.on_event(MessageReceived(fresh))
+    w.on_event(Charged())
     assert w.epoch == 1
 
     w.on_event(ComputeDone("finished"))
@@ -292,3 +301,82 @@ def test_instruction_grant_absorbs_orphans(table):
     cmds = w.on_event(MessageReceived(instr))
     assert w.assignment.count == 16       # 8 own + 8 granted
     assert cmds[-1] == StartCompute()
+
+
+def test_nothing_moves_before_the_planning_charge_has_elapsed(table):
+    """The last profile of a gather ends the batch in ``Charge``; until
+    ``Charged`` is fed the assignment, the work cache and the epoch are
+    untouched — a ``resend-work`` served in between is ``no-work``."""
+    w = make_worker(1, (0, 1), centralized=False, table=table,
+                    ranges=[(32, 64)], ft=FT)
+    w.on_event(Start())
+    w.on_event(ComputeDone("interrupted"))
+    idle = ProfileMsg(src=0, dst=1, epoch=0, remaining_work=0.0,
+                      remaining_count=0, rate=1.0)
+    cmds = w.on_event(MessageReceived(idle))
+    assert cmds == (Charge(w.policy.delta_seconds),)
+    assert w.phase == "planning"
+    assert w.epoch == 0 and w.assignment.count == 32
+
+    ask = ControlMsg(src=0, dst=1, epoch=0, kind="resend-work")
+    reply = w.answer_resend(ask)
+    assert isinstance(reply, ControlMsg) and reply.kind == "no-work"
+    assert (reply.dst, reply.epoch) == (0, 0)
+
+    cmds = w.on_event(Charged())
+    work = only(cmds, Send).msg
+    assert work.tag is Tag.WORK and work.ranges == ((48, 64),)
+    assert cmds[-1] == StartCompute()
+    assert w.epoch == 1 and w.assignment.count == 16
+    # The same request is now answered with the parcel itself.
+    assert w.answer_resend(ask) == work
+
+
+def test_resend_profile_is_answered_exactly_or_with_the_latest(table):
+    w = make_worker(0, (0, 1), centralized=False, table=table,
+                    ranges=[(0, 16)], ft=FT)
+    ask = ControlMsg(src=1, dst=0, epoch=0, kind="resend-profile")
+    assert w.answer_resend(ask) is None          # nothing cached yet
+    w.on_event(Start())
+    w.on_event(ComputeDone("finished"))
+    exact = w.answer_resend(ask)
+    assert isinstance(exact, ProfileMsg)
+    assert (exact.dst, exact.epoch, exact.remaining_count) == (1, 0, 16)
+    # A prober ahead of us gets the latest profile: liveness evidence.
+    ahead = ControlMsg(src=1, dst=0, epoch=3, kind="resend-profile")
+    assert w.answer_resend(ahead) == exact
+    assert w.answer_resend(
+        ControlMsg(src=1, dst=0, epoch=0, kind="no-work")) is None
+
+
+def test_consensus_done_then_reclaimed_work_continues_alone(table):
+    """Orphans surfacing after the group agreed it was done are finished
+    alone at the next epoch: nobody is left to rebalance with."""
+    w = make_worker(0, (0, 1), centralized=False, table=table,
+                    ranges=(), ft=FT)
+    w.on_event(Start())
+    w.on_event(ComputeDone("interrupted"))
+    idle = ProfileMsg(src=1, dst=0, epoch=0, remaining_work=0.0,
+                      remaining_count=0, rate=1.0)
+    w.on_event(MessageReceived(idle))
+    assert w.on_event(Charged())[-1] == Done("done")
+    assert w.more_work is False
+
+    w.assignment.add([(40, 44)])            # the backend's registry
+    assert w.on_event(WorkReclaimed()) == (StartCompute(),)
+    assert w.more_work and w.epoch == 1 and w.active == {0}
+    assert w.on_event(ComputeDone("finished")) == (Done("lone"),)
+
+
+def test_hardened_retiree_ships_late_work_to_the_lowest_survivor(table):
+    w = make_worker(2, (0, 1, 2), centralized=True, table=table,
+                    ranges=(), ft=FT)
+    w.on_event(Start())
+    w.on_event(ComputeDone("finished"))
+    instr = InstructionMsg(src=0, dst=2, epoch=0, grant=((8, 12),),
+                           retire=True, active=(0, 1))
+    cmds = w.on_event(MessageReceived(instr))
+    leftover = only(cmds, Send).msg
+    assert leftover.tag is Tag.WORK and leftover.dst == 0
+    assert leftover.ranges == ((8, 12),) and leftover.count == 4
+    assert cmds[-1] == Done("retired") and w.assignment.empty

@@ -1,78 +1,97 @@
-"""Tests for the execution tracing / utilization reconstruction."""
+"""A simulated run's timeline, read off its recorded trace.
+
+``runtime/tracing.py`` used to *reconstruct* per-processor timelines
+from the run statistics; a run handed a ``TraceRecorder`` now records
+them, and ``repro.obs.export`` renders them (README "Tracing",
+``examples/extensions_tour.py``).  These are the old module's checks
+against the recorded events.
+"""
 
 import pytest
 
 from repro.machine.cluster import ClusterSpec
+from repro.obs import TraceRecorder
+from repro.obs.export import render_trace_gantt, render_trace_summary
 from repro.runtime.executor import run_loop
-from repro.runtime.tracing import (
-    render_gantt,
-    render_sync_timeline,
-    utilization_report,
-)
+
+
+def _traced(loop, cluster, strategy, options):
+    recorder = TraceRecorder()
+    stats = run_loop(loop, cluster, strategy,
+                     options=options.but(recorder=recorder))
+    return stats, recorder.events()
+
+
+def _busy(events):
+    """Seconds of ``compute`` span per node track."""
+    busy = {}
+    for e in events:
+        if e["name"] == "compute":
+            busy[e["track"]] = busy.get(e["track"], 0.0) + e["dur"]
+    return busy
 
 
 @pytest.fixture
 def run(small_loop, cluster4, options):
-    stations = cluster4.build()
-    stats = run_loop(small_loop, cluster4, "GDDLB", options=options)
-    return stats, small_loop, stations
+    return _traced(small_loop, cluster4, "GDDLB", options)
 
 
 def test_utilization_report_counts(run):
-    stats, loop, stations = run
-    report = utilization_report(stats, loop, stations)
-    assert sum(report.executed.values()) == loop.n_iterations
-    assert report.duration == pytest.approx(stats.duration)
-    assert 0.0 < report.busy_fraction <= 1.0
+    stats, events = run
+    assert set(_busy(events)) == {f"node{i}" for i in range(4)}
+    assert all(stats.start_time <= e["ts"]
+               and e["ts"] + e.get("dur", 0.0) <= stats.end_time + 1e-9
+               for e in events)
+    assert 0.0 < sum(_busy(events).values()) / (4 * stats.duration) <= 1.0
 
 
 def test_utilization_busy_bounded_by_wall(run):
-    stats, loop, stations = run
-    report = utilization_report(stats, loop, stations)
-    for node, busy in report.per_node_busy.items():
-        assert 0.0 <= busy <= report.per_node_finish[node] + 1e-9
+    stats, events = run
+    for node, finish in stats.node_finish_times.items():
+        assert 0.0 <= _busy(events)[f"node{node}"] \
+            <= finish - stats.start_time + 1e-9
 
 
 def test_no_load_high_utilization(small_loop, options):
     cluster = ClusterSpec.homogeneous(4, max_load=0)
-    stations = cluster.build()
-    stats = run_loop(small_loop, cluster, "NONE", options=options)
-    report = utilization_report(stats, small_loop, stations)
-    assert report.busy_fraction > 0.95
+    stats, events = _traced(small_loop, cluster, "NONE", options)
+    assert sum(_busy(events).values()) / (4 * stats.duration) > 0.95
 
 
 def test_summary_text(run):
-    stats, loop, stations = run
-    text = utilization_report(stats, loop, stations).summary()
-    assert "node 0" in text and "busy" in text
+    _stats, events = run
+    text = render_trace_summary(events)
+    assert "node0" in text and "busy" in text
 
 
 def test_gantt_renders_all_nodes(run):
-    stats, loop, stations = run
-    chart = render_gantt(stats, loop, stations, width=40)
-    assert chart.count("P") >= 4
-    assert "#" in chart
-    assert "|" in chart  # sync markers
+    _stats, events = run
+    chart = render_trace_gantt(events, width=40)
+    rows = {line.split("|")[0].strip(): line
+            for line in chart.splitlines()[1:-1]}
+    assert {f"node{i}" for i in range(4)} <= set(rows)
+    assert all("#" in rows[f"node{i}"] for i in range(4))
+    assert rows["node0"].count("|") > 2  # sync markers inside the frame
 
 
 def test_gantt_static_has_no_sync_markers(small_loop, options):
     cluster = ClusterSpec.homogeneous(2, max_load=0)
-    stations = cluster.build()
-    stats = run_loop(small_loop, cluster, "NONE", options=options)
-    chart = render_gantt(stats, small_loop, stations, width=30)
+    _stats, events = _traced(small_loop, cluster, "NONE", options)
+    chart = render_trace_gantt(events, width=30)
     # Only the frame pipes at the row edges: rows look like |#####|.
     for line in chart.splitlines()[1:3]:
-        assert line.count("|") == 2
+        assert line.startswith("node") and line.count("|") == 2
 
 
 def test_sync_timeline_lists_records(run):
-    stats, _loop, _stations = run
-    text = render_sync_timeline(stats)
-    assert text.count("t=") == stats.n_syncs
+    stats, events = run
+    decisions = [e for e in events if e["name"] == "decision"]
+    assert [(e["ts"], e["args"]["epoch"], e["args"]["reason"])
+            for e in decisions] == \
+        [(s.time, s.epoch, s.reason) for s in stats.syncs]
 
 
 def test_sync_timeline_limit(run):
-    stats, _loop, _stations = run
-    if stats.n_syncs > 1:
-        text = render_sync_timeline(stats, limit=1)
-        assert "more" in text
+    _stats, events = run
+    last = render_trace_summary(events, limit=1).splitlines()[-1]
+    assert last.startswith("  by name: ") and "," not in last
