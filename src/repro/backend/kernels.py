@@ -1,12 +1,13 @@
-"""Synthetic CPU-burn kernels shared by the real-time backends.
+"""Synthetic compute kernels shared by the real-time backends.
 
 Three kernels realize a "compute this iteration" request:
 
-* **wall** — spin until a wall-clock deadline.  Cheap and exact, but it
-  measures *elapsed time*, not *CPU work*: N GIL-sharing threads each
-  spinning to their own deadline all finish "on time" while doing 1/N
-  of the arithmetic.  Fine for protocol exercise; useless for speedup
-  claims.
+* **wall** — hold until a wall-clock deadline with the GIL released
+  (:func:`burn_wall`; :func:`hold_async` is the same hold for asyncio
+  tasks).  Cheap and exact, but it measures *elapsed time*, not *CPU
+  work*: N GIL-sharing threads each holding to their own deadline all
+  finish on time while doing no arithmetic at all.  Fine for protocol
+  exercise; useless for speedup claims.
 * **ops** — execute a fixed number of floating-point operations,
   calibrated once against this host (:func:`calibrate_ops_rate`).  This
   is real work: N threads contending for the GIL serialize, N processes
@@ -23,12 +24,13 @@ Three kernels realize a "compute this iteration" request:
   copies (not just zero-copy transport).
 
 All kernels honor an optional ``should_abort`` probe between chunks so
-a failing run can tear its workers down instead of spinning until the
+a failing run can tear its workers down instead of computing until the
 watchdog (see the shutdown contract in ``thread.py``/``process.py``).
 """
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Callable, Optional
 
@@ -47,6 +49,7 @@ __all__ = [
     "calibrate",
     "calibrate_ops_rate",
     "calibrate_vec_rate",
+    "hold_async",
     "shm_row_view",
 ]
 
@@ -80,18 +83,59 @@ def burn_ops(n_ops: float,
     return x
 
 
+# ---------------------------------------------------------------------------
+# The deadline hold: how a real backend holds a ``wall`` iteration.
+# Sleep (GIL released, event loop free) in slices to just short of the
+# deadline, probing for an abort before each slice, then close the gap
+# with a tail that yields to whoever else is due on every pass.  A hold
+# never returns early, never keeps another thread or task from its own
+# deadline, and overshoots by microseconds, not by a switch interval.
+# ---------------------------------------------------------------------------
+#: Longest sleep between two abort probes, seconds (blocking, asyncio).
+HOLD_SLICE, HOLD_SLICE_ASYNC = 0.005, 0.02
+
+#: Where sleeping stops short of the deadline: ``time.sleep`` overshoots
+#: by the timer slack (~50-100 us); the epoll selector rounds an
+#: ``asyncio.sleep`` *up* to the next millisecond.
+HOLD_TAIL, HOLD_TAIL_ASYNC = 0.00025, 0.0012
+
+#: One pass of the blocking tail: give up the GIL without sleeping
+#: (``time.sleep(0)`` is a ~60 us ``clock_nanosleep`` on CPython >= 3.11).
+_yield_gil = getattr(os, "sched_yield", None) or (lambda: time.sleep(0))
+
+
 def burn_wall(seconds: float,
               should_abort: Optional[Callable[[], bool]] = None) -> None:
-    """Spin until ``seconds`` of wall time elapsed (or abort fires)."""
+    """Hold until ``seconds`` of wall time elapsed (or abort fires)."""
     if seconds <= 0:
         return
     end = time.perf_counter() + seconds
-    x = 1.0
-    while time.perf_counter() < end:
+    while True:
         if should_abort is not None and should_abort():
             return
-        for _ in range(64):
-            x = x * 1.0000001 + 1e-9
+        remaining = end - time.perf_counter()
+        if remaining <= 0:
+            return
+        if remaining > HOLD_TAIL:
+            time.sleep(min(remaining - HOLD_TAIL, HOLD_SLICE))
+        else:
+            _yield_gil()
+
+
+async def hold_async(seconds: float, check_stop: Callable[[], None]) -> None:
+    """:func:`burn_wall` for an asyncio task; ``check_stop`` raises to
+    stop the hold (a fail-stop lands within one slice)."""
+    # Imported here: pulling asyncio in ahead of the other backends'
+    # imports costs every run 1.4 MiB of peak RSS.
+    from asyncio import sleep
+    end = time.perf_counter() + seconds
+    while True:
+        remaining = end - time.perf_counter()
+        if remaining <= 0:
+            return
+        check_stop()
+        await sleep(max(0.0, min(remaining - HOLD_TAIL_ASYNC,
+                                 HOLD_SLICE_ASYNC)))
 
 
 #: Float64 elements of the fallback scratch vector used when the caller
@@ -228,7 +272,7 @@ def calibrate_vec_rate(elems: Optional[int] = None,
 
 def calibrate(kernel: str, elems: Optional[int] = None) -> float:
     """Ops per nominal second of ``kernel`` on this host (``"wall"``
-    needs none: it spins to a deadline)."""
+    needs none: it holds to a deadline)."""
     if kernel == "ops":
         return calibrate_ops_rate()
     if kernel == "numpy":

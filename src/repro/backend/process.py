@@ -10,9 +10,12 @@ parallel hardware:
 * **clock** — ``time.perf_counter()`` (CLOCK_MONOTONIC: comparable
   across processes on every supported platform), measured from a common
   origin the parent stamps just before forking;
-* **timers** — bounded ``Queue.get`` polls, so fault-tolerance
-  timeouts and crash schedules fire even while blocked;
-* **transport** — one ``multiprocessing`` queue per participant.
+* **timers** — bounded waits on the inbox channel (``poll(timeout)``
+  wakes on arrival), so fault-tolerance timeouts and crash schedules
+  fire even while blocked;
+* **transport** — one :class:`Channel` per participant: a pipe the
+  *sending thread* writes under a cross-process lock, so a message is
+  on its way when ``put`` returns, whatever the sender computes next.
   Control traffic (profiles, instructions, interrupts, work *orders*)
   crosses the pipe pickled; iteration **data** does not — see below;
 * **compute** — calibrated CPU-burn op kernels
@@ -31,7 +34,7 @@ redistribution ships only a :class:`~repro.message.messages.WorkMsg`
 with *iteration ranges* — offsets into the block — while the rows
 themselves never touch a pipe.  Both sides are measured:
 ``LoopRunStats.transport_payload_bytes`` counts the bytes actually
-pickled onto queues and ``LoopRunStats.shm_data_bytes`` the iteration
+pickled onto channels and ``LoopRunStats.shm_data_bytes`` the iteration
 data that moved by remapping instead of copying.  After every run the
 parent audits the block: each executed iteration's row must carry the
 stamp of exactly the node the coverage ledger credits.
@@ -42,7 +45,8 @@ Crash faults from a :class:`~repro.faults.plan.FaultPlan` are *lifted*
 (ThreadBackend rejects them): the victim process fail-stops via
 ``os._exit`` once its wall clock passes ``time * time_scale`` — also
 mid-iteration, between op chunks — so it reports nothing further
-(what it had already handed to a queue is flushed first).  The
+(always *between* messages: a write completes on the thread that
+checks the crash schedule, so a victim never dies inside one).  The
 parent detects the distinctive exit code, broadcasts peer-death notices
 (the backend's failure detector), and the surviving workers' hardened
 protocol (timed receives, resends, death declarations) reshapes the
@@ -101,7 +105,7 @@ from .driver import (
 )
 from .kernels import burn, calibrate, shm_row_view
 
-__all__ = ["ProcessBackend"]
+__all__ = ["ProcessBackend", "Channel"]
 
 Range = tuple[int, int]
 
@@ -125,35 +129,66 @@ class _ChildConfig:
     fail_after: Optional[int]  # test hook: raise after N iterations
 
 
+class Channel:
+    """Many-writer / one-reader message channel between processes.
+
+    A pipe whose write end all senders share under one cross-process
+    lock.  ``put`` pickles and writes **on the calling thread** — no
+    ``multiprocessing.Queue`` feeder thread that must first win the
+    sender's GIL back from a compute loop — so a ``put`` that returned
+    is in the pipe, and a process that fail-stops *between* ``put``
+    calls never dies holding the lock.  One reader: reads take no lock.
+
+    Capacity: once the pipe buffer (>= 64 KiB) is full a write blocks,
+    holding the lock, so readers must keep draining.  They do: control
+    messages are a few hundred bytes, every worker drains its inbox at
+    each iteration boundary (``_ChildMailbox.poll``) and whenever it
+    waits, and the parent drains the stats stream continuously — which
+    is what lets a megabyte of trace payload cross at ``finish``.
+    """
+
+    def __init__(self, ctx) -> None:
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        self._lock = ctx.Lock()
+
+    def put(self, obj) -> int:
+        """Send ``obj``; returns the pickled bytes written."""
+        data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+        with self._lock:
+            self._writer.send_bytes(data)
+        return len(data)
+
+    def get(self, timeout: float):
+        """Next object; ``queue.Empty`` if none arrives in ``timeout``."""
+        if not self._reader.poll(timeout):
+            raise queue_mod.Empty
+        return pickle.loads(self._reader.recv_bytes())
+
+    def get_nowait(self):
+        return self.get(0)
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
+
+
 class _CrashClock:
     """The child-local realization of a scheduled fail-stop."""
 
-    def __init__(self, crash_at: Optional[float], t0: float,
-                 outbound: Sequence) -> None:
+    def __init__(self, crash_at: Optional[float], t0: float) -> None:
         self.crash_at = crash_at
         self.t0 = t0
-        #: Every queue this process may have written to.
-        self._outbound = outbound
 
     def due(self) -> bool:
         return (self.crash_at is not None
                 and time.perf_counter() - self.t0 >= self.crash_at)
 
-    def exit(self, code: int) -> None:
-        """Leave now — *between* messages, never inside one: a queue's
-        feeder thread killed mid-write would take the queue's
-        cross-process write lock with it, and every survivor's next
-        ``put`` to that queue (the stats stream above all) would block
-        forever.  (``os._exit`` also skips the feeders' atexit flush.)"""
-        for q in self._outbound:
-            q.close()
-            q.join_thread()
-        os._exit(code)
-
     def check(self) -> None:
-        """Fail-stop right now if the schedule says so."""
+        """Fail-stop right now if the schedule says so.  Only ever
+        called between two channel writes of this (single-threaded)
+        child, so no cross-process write lock dies with it."""
         if self.due():
-            self.exit(CRASH_EXIT_CODE)
+            os._exit(CRASH_EXIT_CODE)
 
 
 def _attach_shm(name: str):
@@ -183,8 +218,8 @@ def _attach_shm(name: str):
 
 class _ChildMailbox:
     """One process's :class:`~repro.backend.driver.Inbox` over its
-    ``multiprocessing`` queue; the parent's failure detector posts
-    :class:`~repro.protocol.events.PeerDead` events into the same queue.
+    :class:`Channel`; the parent's failure detector posts
+    :class:`~repro.protocol.events.PeerDead` events into the same one.
     """
 
     def __init__(self, q, crash: _CrashClock) -> None:
@@ -220,7 +255,7 @@ class _ChildMailbox:
 
 
 class _ChildReporter(Reporter):
-    """A child's port: routes messages onto peer queues, streams stats
+    """A child's port: routes messages onto peer channels, streams stats
     records to the parent, stamps executed rows in the shared block."""
 
     def __init__(self, cfg: _ChildConfig, queues, balancer_q, stats_q,
@@ -252,14 +287,12 @@ class _ChildReporter(Reporter):
 
     def deliver(self, msg: Message) -> None:
         self._crash.check()
-        self.payload_bytes += len(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
         if msg.tag is Tag.WORK:
             # The ranges ride the pipe; the data rows stay in shm.
             self.shm_bytes += msg.data_bytes
-        if msg.tag is Tag.PROFILE and msg.dst == self._lb_host:
-            self._balancer_q.put(msg)
-        else:
-            self._queues[msg.dst].put(msg)
+        to_balancer = msg.tag is Tag.PROFILE and msg.dst == self._lb_host
+        channel = self._balancer_q if to_balancer else self._queues[msg.dst]
+        self.payload_bytes += channel.put(msg)
 
     def emit(self, body: dict) -> None:
         if self._batch:
@@ -303,12 +336,11 @@ class _ChildReporter(Reporter):
 # ---------------------------------------------------------------------------
 def _child_main(cfg: _ChildConfig, queues, balancer_q, stats_q,
                 t0: float) -> None:
-    """One worker (reading its own queue) or, with ``cfg.groups`` set,
+    """One worker (reading its own channel) or, with ``cfg.groups`` set,
     the balancer (reading ``balancer_q``; it is never crashed)."""
     spec = cfg.spec
     is_worker = cfg.groups is None
-    crash = _CrashClock(spec.crash_at if is_worker else None, t0,
-                        (*queues, balancer_q, stats_q))
+    crash = _CrashClock(spec.crash_at if is_worker else None, t0)
     reporter = _ChildReporter(cfg, queues, balancer_q, stats_q, crash)
     try:
         if is_worker:
@@ -347,7 +379,7 @@ def _child_main(cfg: _ChildConfig, queues, balancer_q, stats_q,
             mailbox.get, burn_one)
     except BaseException:
         reporter.error(traceback.format_exc())
-        crash.exit(1)
+        os._exit(1)
     finally:
         if reporter.shm is not None:
             reporter.shm.close()
@@ -399,9 +431,9 @@ class ProcessBackend(ExecutionBackend):
         from multiprocessing import shared_memory
         shm = shared_memory.SharedMemory(
             create=True, size=max(1, loop.n_iterations * row_bytes))
-        queues = [ctx.Queue() for _ in plan.workers]
-        balancer_q = ctx.Queue()
-        stats_q = ctx.Queue()
+        queues = [Channel(ctx) for _ in plan.workers]
+        balancer_q = Channel(ctx)
+        stats_q = Channel(ctx)
 
         t0 = time.perf_counter()
         if recorder.enabled:
@@ -457,7 +489,6 @@ class ProcessBackend(ExecutionBackend):
                               terminate=lambda p: p.terminate(),
                               kill=lambda p: p.kill())
             for q in (*queues, balancer_q, stats_q):
-                q.cancel_join_thread()
                 q.close()
             shm.close()
             shm.unlink()
@@ -517,7 +548,7 @@ class ProcessBackend(ExecutionBackend):
                     # Clean exit: its finish record is still draining.
                     continue
                 else:
-                    # Errored children report through the stats queue;
+                    # Errored children report through the stats channel;
                     # give the record a moment to surface.
                     since = suspect_since.setdefault(key, now)
                     if now - since > DRAIN_GRACE_SECONDS:

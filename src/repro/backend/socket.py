@@ -122,6 +122,7 @@ from .driver import (
     pairs,
     prepare_run,
 )
+from .kernels import hold_async
 
 __all__ = ["SocketBackend", "JoinEvent", "LeaveEvent", "KillEvent",
            "run_worker"]
@@ -351,14 +352,9 @@ async def _client_reader(mbox: _ClientMailbox, reporter: _ClientReporter,
 
 
 async def _client_burn(seconds: float, mbox: _ClientMailbox) -> None:
-    """Wall-clock compute stand-in, sliced so fail-stops land mid-burn."""
-    end = time.perf_counter() + seconds
-    while True:
-        remaining = end - time.perf_counter()
-        if remaining <= 0:
-            return
-        mbox.check_stop()
-        await asyncio.sleep(min(remaining, 0.02))
+    """Wall-clock compute stand-in: the asyncio deadline hold, so
+    fail-stops land mid-burn.  (bench/tracing.py times it by this name.)"""
+    await hold_async(seconds, mbox.check_stop)
 
 
 async def _client_drive(proto: WorkerProtocol, spec: WorkerSpec,

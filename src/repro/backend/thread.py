@@ -11,10 +11,13 @@ simulator — :class:`~repro.protocol.worker.WorkerProtocol` and
 * **transport** — per-node in-process mailboxes (lock + condition
   around the driver's :class:`~repro.backend.driver.Inbox`); a ``Send``
   is an append to the destination's inbox,
-* **compute** — synthetic CPU-burn kernels: each iteration spins the
-  CPU for its :class:`~repro.apps.workload.WorkTable` cost (scaled by
-  ``time_scale``), and synchronization interrupts are honored at
-  iteration boundaries exactly as in the paper's Figure 3 loop.
+* **compute** — synthetic kernels (:mod:`~repro.backend.kernels`):
+  each iteration holds the thread for its
+  :class:`~repro.apps.workload.WorkTable` cost (scaled by
+  ``time_scale``) — to a wall-clock deadline with the GIL released, or
+  executing a calibrated op count — and synchronization interrupts are
+  honored at iteration boundaries exactly as in the paper's Figure 3
+  loop.
 
 What carries over for free — because it lives in the protocol layer —
 is the whole §3 semantics: receiver-initiated interrupts, epochs,
@@ -134,7 +137,7 @@ class ThreadBackend(ExecutionBackend):
             raise BackendError("time_scale must be positive")
         require_kernel(self.name, kernel)
         self.time_scale = time_scale
-        #: ``"wall"`` spins each iteration to a wall-clock deadline
+        #: ``"wall"`` holds each iteration to a wall-clock deadline
         #: (exact timing, but GIL threads overlap "for free");
         #: ``"ops"`` executes a calibrated op count (real CPU work that
         #: GIL threads must serialize — the honest baseline for

@@ -131,3 +131,25 @@ def test_cli_checks_come_from_the_table(capsys):
 def test_architecture_doc_carries_the_rendered_matrix():
     doc = Path(__file__).resolve().parents[2] / "docs" / "ARCHITECTURE.md"
     assert render_matrix() in doc.read_text(encoding="utf-8")
+
+
+def test_real_backends_keep_the_interpreter_quantum_off_the_critical_path():
+    """Source pins for what no behavioural test can see coming back: a
+    ``multiprocessing.Queue`` (its feeder thread waits for the sender's
+    GIL), a changed switch interval (the diagnosis, never the fix), or
+    a second, private copy of the deadline hold."""
+    backend = Path(__file__).resolve().parents[2] / "src/repro/backend"
+    source = {path.name: path.read_text(encoding="utf-8")
+              for path in sorted(backend.glob("*.py"))}
+    everything = "\n".join(source.values())
+    assert ".Queue(" not in everything
+    assert "setswitchinterval" not in everything
+    assert everything.count("def burn_wall(") == 1
+    assert everything.count("async def hold_async(") == 1
+    # ... and nobody sleeps to a deadline on their own: only the hold
+    # blocks in a sleep, and the socket worker's compute stand-in
+    # delegates to the asyncio flavour.
+    assert all("time.sleep(" not in text for name, text in source.items()
+               if name != "kernels.py")
+    assert "await hold_async(" in source["socket.py"]
+    assert "asyncio.sleep(min(" not in source["socket.py"]
