@@ -3,8 +3,8 @@
 Two halves, one document (``BENCH_scale.json``):
 
 * **des** — seeded simulations at P=64..1024 on bus/ring/torus using the
-  *local* schemes (LCDLB/LDDLB with bounded group size) plus diffusion
-  at moderate P.  Global schemes broadcast P×(P-1) termination
+  *local* schemes (LCDLB/LDDLB with bounded group size) plus
+  neighbour-local diffusion.  Global schemes broadcast P×(P-1) termination
   interrupts, so they are inherently quadratic — exactly the paper's §6
   argument for local/customized strategies at scale; the sweep runs the
   strategies that are *supposed* to scale.  Each case records the
@@ -38,15 +38,16 @@ OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_scale.json"
 
 #: name -> (P, strategy, topology, group_size).  Local schemes with a
-#: bounded group keep sync traffic O(P*k); DIFF is global-scope (its
-#: planning state is replicated all-to-all) so it stays at moderate P.
+#: bounded group keep sync traffic O(P*k); a DIFF sweep costs O(|E|)
+#: one-hop messages, 4 P on a torus.
 DES_CASES = {
     "bus-P64-LCDLB": (64, "LCDLB", None, 32),
     "bus-P256-LCDLB": (256, "LCDLB", None, 32),
     "bus-P1024-LCDLB": (1024, "LCDLB", None, 32),
     "ring-P256-LDDLB": (256, "LDDLB", "ring", 16),
     "torus-P256-LCDLB": (256, "LCDLB", "torus", 32),
-    "torus-P64-DIFF": (64, "DIFF", "torus", 0),
+    "torus-P256-DIFF": (256, "DIFF", "torus", 0),
+    "torus-P1024-DIFF": (1024, "DIFF", "torus", 0),
 }
 
 #: Acceptance budget for the flagship case (ISSUE 8): a seeded P=1024

@@ -100,14 +100,14 @@ class Inbox:
     def __init__(self) -> None:
         self._buffer: list[Message] = []
         self._notices: list[ProtocolEvent] = []
-        self._interrupts: set[int] = set()
+        self._interrupts: dict[int, int] = {}  # epoch -> first sender
         self._drained = -1
 
     def post(self, item: Union[Message, ProtocolEvent]) -> None:
         if not isinstance(item, Message):
             self._notices.append(item)
         elif item.tag is Tag.INTERRUPT:
-            self._interrupts.add(item.epoch)
+            self._interrupts.setdefault(item.epoch, item.src)
         else:
             self._buffer.append(item)
 
@@ -124,6 +124,10 @@ class Inbox:
 
     def has_interrupt(self, epoch: int) -> bool:
         return epoch > self._drained and epoch in self._interrupts
+
+    def interrupter(self, epoch: int) -> Optional[int]:
+        """Who first interrupted ``epoch`` (``None``: nobody did)."""
+        return self._interrupts.get(epoch)
 
     def drain_interrupts(self, up_to_epoch: int) -> None:
         """Forget interrupt flags for ``up_to_epoch`` and older."""
@@ -192,14 +196,19 @@ class Reporter:
     def executed(self, ranges: Sequence[Range]) -> None:
         self.emit({"k": "exec", "ranges": list(ranges)})
 
-    def sync(self, group: int, epoch: int, plan) -> None:
-        self.emit({"k": "sync", "group": group, "epoch": epoch, "row": {
+    def sync(self, group: int, epoch: int, plan, part: bool = False) -> None:
+        body = {"k": "sync", "group": group, "epoch": epoch, "row": {
             "time": self.now(), "reason": plan.reason,
             "moved_work": plan.work_to_move if plan.move else 0.0,
             "n_transfers": len(plan.transfers),
             "retired": list(plan.retire),
             "predicted_current": plan.predicted_current,
-            "predicted_balanced": plan.predicted_balanced}})
+            "predicted_balanced": plan.predicted_balanced}}
+        if part:
+            # One node's share of a neighbour-local sweep: the ledger
+            # adds the parts up instead of de-duplicating replicas.
+            body["part"] = True
+        self.emit(body)
 
     def declared(self, peer: int) -> None:
         self.emit({"k": "declared", "peer": peer})
@@ -224,7 +233,7 @@ class RunLedger:
         self.trace = trace
         self.declared: set[int] = set()
         self.exec_total = 0
-        self._syncs_seen: set[tuple[int, int]] = set()
+        self._syncs: dict[tuple[int, int], SyncRecord] = {}
 
     def record(self, node: Optional[int], body: dict, now: float) -> str:
         """Book one record from ``node`` (``None``: a balancer) and
@@ -238,18 +247,24 @@ class RunLedger:
             self.exec_total += sum(e - s for s, e in ranges)
         elif kind == "sync":
             key = (int(body["group"]), int(body["epoch"]))
-            # Every replica of a distributed plan reports the same sync.
-            if self.trace and key not in self._syncs_seen:
-                self._syncs_seen.add(key)
+            # Every replica of a distributed plan reports the same sync;
+            # the parts of a neighbour-local sweep add up to one.
+            known = self._syncs.get(key)
+            if self.trace and (known is None or body.get("part")):
                 row = body["row"]
-                stats.record_sync(SyncRecord(
+                record = SyncRecord(
                     time=float(row["time"]), group=key[0], epoch=key[1],
                     reason=row["reason"],
                     moved_work=float(row["moved_work"]),
                     n_transfers=int(row["n_transfers"]),
                     retired=tuple(int(n) for n in row["retired"]),
                     predicted_current=float(row["predicted_current"]),
-                    predicted_balanced=float(row["predicted_balanced"])))
+                    predicted_balanced=float(row["predicted_balanced"]))
+                if known is None:
+                    self._syncs[key] = record
+                    stats.record_sync(record)
+                else:
+                    known.absorb(record)
         elif kind == "declared":
             self.declared.add(int(body["peer"]))
         elif kind == "finish":
@@ -291,7 +306,7 @@ def execute(commands: Sequence[Command], port: Reporter,
         if isinstance(cmd, Send):
             port.send(cmd.msg)
         elif isinstance(cmd, RecordSync):
-            port.sync(cmd.group, cmd.epoch, cmd.plan)
+            port.sync(cmd.group, cmd.epoch, cmd.plan, cmd.part)
         elif isinstance(cmd, DeclareDead):
             port.declared(cmd.peer)
         elif isinstance(cmd, Emit):
@@ -325,7 +340,8 @@ def _compute(proto: WorkerProtocol, port: Reporter, inbox: Inbox,
         if assignment.empty:
             return ComputeDone("finished")
         if proto.is_dlb and inbox.has_interrupt(proto.epoch):
-            return ComputeDone("interrupted")
+            return ComputeDone("interrupted",
+                               by=inbox.interrupter(proto.epoch))
         taken = assignment.take_head(1)
         start = taken[0][0]
         cost = table.range_work(start, start + 1)

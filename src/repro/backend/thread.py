@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from typing import Callable, Optional
 
 from ..apps.workload import LoopSpec
-from ..core.diffusion import make_diffusion_planner
+from ..core.diffusion import DiffusionPlanner
 from ..core.redistribution import make_topology_movement_cost_estimator
 from ..faults.plan import FaultPlan
 from ..machine.cluster import ClusterSpec
@@ -170,16 +171,20 @@ class ThreadBackend(ExecutionBackend):
                 options.network, topology, dc_bytes=loop.dc_bytes,
                 mean_iteration_time=lead.mean_iteration_time)
         planner = None
+        workers = plan.workers
         if plan.spec.code == "DIFF":
-            planner = make_diffusion_planner(
+            planner = DiffusionPlanner(
                 topology if topology is not None else Topology.bus(n),
                 options.policy, lead.mean_iteration_time, movement_cost_fn)
+            # A diffusion worker synchronizes with its neighbourhood.
+            workers = [replace(w, members=planner.scope(w.node))
+                       for w in workers]
 
         # (protocol, node id — None for the balancer —, track)
         cast = [(worker.build_protocol(
                      table=plan.table, movement_cost_fn=movement_cost_fn,
                      planner=planner), node, f"node{node}")
-                for node, worker in enumerate(plan.workers)]
+                for node, worker in enumerate(workers)]
         if lead.centralized:
             cast.insert(0, (lead.build_balancer(
                 plan.groups, movement_cost_fn=movement_cost_fn,

@@ -9,7 +9,7 @@
 """
 
 from .decision import SelectionReport, model_based_selector
-from .diffusion import diffusion_alpha, make_diffusion_planner, plan_diffusion
+from .diffusion import DiffusionPlanner, diffusion_alpha, plan_diffusion
 from .policy import DlbPolicy
 from .redistribution import (
     PlannerFn,
@@ -39,6 +39,7 @@ __all__ = [
     "ALL_DLB_STRATEGIES",
     "CUSTOMIZED",
     "DIFFUSION",
+    "DiffusionPlanner",
     "DlbPolicy",
     "GCDLB",
     "GDDLB",
@@ -54,7 +55,6 @@ __all__ = [
     "WORK_STEALING",
     "diffusion_alpha",
     "get_strategy",
-    "make_diffusion_planner",
     "make_movement_cost_estimator",
     "make_topology_movement_cost_estimator",
     "model_based_selector",

@@ -21,19 +21,25 @@ skipped.  This quantization is what makes the scheme terminate in
 finitely many sweeps — once all neighbor differences fall below the
 quantum, the plan reports convergence instead of oscillating.
 
-Integration: :func:`plan_diffusion` returns the same
-:class:`~repro.core.redistribution.RedistributionPlan` the eq.-3
-planner produces, so the existing distributed-sync protocol machinery
-— global profile exchange, replicated deterministic planning,
-fault-hardened WORK parcels, exactly-once coverage verification —
-applies unchanged.  Only the *transfers* are restricted to topology
-edges; profiles still travel all-to-all (the protocol's sync pattern),
-which is what the §4 cost model charges for strategy ``DIFF``.
+Locality: an edge's flow needs only its two endpoints' loads, and the
+leaving rule below only a node's own row of the sweep, so
+:func:`plan_diffusion` over the profiles of a closed neighbourhood
+``N[v]`` yields exactly the transfers incident on ``v`` that the
+whole-graph sweep would (pinned by
+``tests/strategies/test_diffusion.py``).  The protocol layer relies on
+that: a ``DIFF`` worker synchronizes with ``N[v]`` only — interrupts,
+profiles, this calculation, the work parcels and the retirement all
+stay one hop from ``v`` (see :mod:`repro.protocol.worker` and
+docs/TOPOLOGY.md) — and both endpoints of an edge, holding the same two
+profiles, agree on its flow without a global plan.  The whole-graph call
+is what the §4 cost model (:mod:`repro.core.model.predictor`) plays
+forward.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..message.messages import TransferOrder
@@ -41,12 +47,11 @@ from ..network.topology import Topology
 from .policy import DlbPolicy
 from .redistribution import (
     MovementCostFn,
-    PlannerFn,
     RedistributionPlan,
     SyncProfile,
 )
 
-__all__ = ["diffusion_alpha", "plan_diffusion", "make_diffusion_planner"]
+__all__ = ["diffusion_alpha", "plan_diffusion", "DiffusionPlanner"]
 
 _TINY_WORK = 1e-12
 
@@ -68,11 +73,21 @@ def plan_diffusion(profiles: Sequence[SyncProfile],
                    ) -> RedistributionPlan:
     """One diffusion sweep over the topology edges.
 
-    Deterministic pure function of the profiles (edges are processed in
-    sorted order), so replicated planners in the distributed protocol
-    agree without communication.  Nodes absent from ``profiles`` (dead
-    or retired) simply drop out of the sweep: their incident edges carry
-    no flow, and the survivors keep diffusing over the induced subgraph.
+    Deterministic pure function of the profiles, and *edge-local*: the
+    flow on ``(u, v)`` is computed from ``w_u`` and ``w_v`` alone.
+    There is deliberately no cap by what the sender "still holds" after
+    its other edges — such a cap would depend on edges the two endpoints
+    cannot both see — and none is needed: a node's total outflow is at
+    most ``alpha * deg(u) * w_u < w_u`` for ``alpha = 1 / (1 +
+    max_degree)``, before flooring shrinks it further.
+
+    Nodes absent from ``profiles`` (dead or retired) simply drop out of
+    the sweep: their incident edges carry no flow, and the survivors
+    keep diffusing over the induced subgraph.  A node that ends the
+    sweep holding nothing — no work of its own and no inflow — is
+    listed in ``retire``: nothing reaches it before its neighbours have
+    more than a quantum to spare, so it leaves instead of re-opening a
+    sweep it has nothing to compute in (``done`` when that is everyone).
     """
     if not profiles:
         raise ValueError("need at least one profile")
@@ -101,69 +116,66 @@ def plan_diffusion(profiles: Sequence[SyncProfile],
         rates = {p.node: max(p.rate, floor) for p in profiles}
     predicted_current = max(work[n] / rates[n] for n in nodes)
 
-    # -- per-edge flows, floored to whole iterations --------------------
-    present = set(nodes)
+    # -- per-edge flows from the pre-sweep loads (simultaneous FOS),
+    #    floored to whole iterations ------------------------------------
     alpha = diffusion_alpha(topology)
     quantum = max(policy.min_transfer_iterations, 1) * mean_iteration_time
-    pending = dict(work)
+    shares = dict(work)
     transfers: list[TransferOrder] = []
-    for u, v in topology.edges:
-        if u not in present or v not in present:
-            continue
-        # Flows computed from the *pre-sweep* loads (simultaneous FOS),
-        # capped by what the sender still holds once earlier edges in
-        # the deterministic order have drained it.
-        flow = alpha * (work[u] - work[v])
-        src, dst = (u, v) if flow > 0 else (v, u)
-        amount = math.floor(abs(flow) / mean_iteration_time) \
-            * mean_iteration_time
-        if amount < quantum:
-            continue
-        amount = min(amount, pending[src])
-        if amount <= _TINY_WORK:
-            continue
-        pending[src] -= amount
-        pending[dst] += amount
-        transfers.append(TransferOrder(src=src, dst=dst, work=amount))
+    for u in nodes:
+        for v in topology.neighbors(u):
+            if v < u or v not in work:
+                continue
+            flow = alpha * (work[u] - work[v])
+            amount = math.floor(abs(flow) / mean_iteration_time) \
+                * mean_iteration_time
+            if amount < quantum:
+                continue
+            src, dst = (u, v) if flow > 0 else (v, u)
+            shares[src] -= amount
+            shares[dst] += amount
+            transfers.append(TransferOrder(src=src, dst=dst, work=amount))
 
-    work_to_move = sum(t.work for t in transfers)
-
-    if not transfers:
-        # Converged (all neighbor differences below the quantum): idle
-        # nodes retire — nothing will ever flow to them again before the
-        # loaded nodes finish — and the rest simply keep computing.
-        idle = tuple(n for n in nodes if work[n] <= _TINY_WORK)
-        stay = tuple(n for n in nodes if n not in idle)
-        return RedistributionPlan(
-            done=False, move=False, reason="diffusion-converged",
-            shares={n: work[n] for n in stay}, transfers=(),
-            retire=idle, active=stay,
-            predicted_current=predicted_current,
-            predicted_balanced=total / sum(rates[n] for n in nodes),
-            work_to_move=0.0)
-
+    # Converged (all neighbor differences below the quantum) or not,
+    # whoever ends the sweep empty-handed leaves.
+    idle = tuple(n for n in nodes if shares[n] <= _TINY_WORK)
+    stay = tuple(n for n in nodes if shares[n] > _TINY_WORK)
     movement_cost = 0.0
-    if movement_cost_fn is not None:
+    if transfers and movement_cost_fn is not None:
         movement_cost = movement_cost_fn(transfers)
-
-    shares = {n: max(pending[n], 0.0) for n in nodes}
     return RedistributionPlan(
-        done=False, move=True, reason="diffused", shares=shares,
-        transfers=tuple(transfers), retire=(), active=tuple(nodes),
+        done=False, move=bool(transfers),
+        reason="diffused" if transfers else "diffusion-converged",
+        shares={n: shares[n] for n in stay}, transfers=tuple(transfers),
+        retire=idle, active=stay,
         predicted_current=predicted_current,
         predicted_balanced=total / sum(rates[n] for n in nodes),
-        work_to_move=work_to_move, movement_cost=movement_cost)
+        work_to_move=sum(t.work for t in transfers),
+        movement_cost=movement_cost)
 
 
-def make_diffusion_planner(topology: Topology,
-                           policy: DlbPolicy,
-                           mean_iteration_time: float,
-                           movement_cost_fn: Optional[MovementCostFn] = None
-                           ) -> PlannerFn:
-    """Bind a topology into a :data:`PlannerFn` for the protocol layer."""
+@dataclass(frozen=True)
+class DiffusionPlanner:
+    """:func:`plan_diffusion` bound to a topology.
 
-    def planner(profiles: Sequence[SyncProfile]) -> RedistributionPlan:
-        return plan_diffusion(profiles, topology, policy,
-                              mean_iteration_time, movement_cost_fn)
+    A :data:`PlannerFn` that also names the graph it diffuses over:
+    installing one in a :class:`~repro.protocol.worker.WorkerProtocol`
+    is what scopes that worker's synchronization to its closed
+    neighbourhood in ``topology``.
+    """
 
-    return planner
+    topology: Topology
+    policy: DlbPolicy
+    mean_iteration_time: float
+    movement_cost_fn: Optional[MovementCostFn] = None
+
+    def __call__(self, profiles: Sequence[SyncProfile]
+                 ) -> RedistributionPlan:
+        return plan_diffusion(profiles, self.topology, self.policy,
+                              self.mean_iteration_time,
+                              self.movement_cost_fn)
+
+    def scope(self, node: int) -> tuple[int, ...]:
+        """``N[node]``: the nodes ``node`` synchronizes with, itself
+        included."""
+        return tuple(sorted((node, *self.topology.neighbors(node))))

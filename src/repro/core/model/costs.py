@@ -6,7 +6,9 @@ The cost of one synchronization point decomposes into:
   profile exchange, expressed through the characterized communication
   patterns: ``one-to-all(K) + all-to-one(K)`` for the centralized
   schemes and ``one-to-all(K) + all-to-all(K)`` for the distributed
-  ones;
+  ones — except diffusion, whose interrupts and profiles cross each
+  topology edge once and no further: ``interrupt-wave(K) +
+  neighbor-exchange(K)``;
 * **distribution calculation** ``delta`` — small, replicated in the
   distributed schemes (same wall time), plus two context switches when
   the balancer shares the master with a computation slave;
@@ -64,6 +66,8 @@ class SyncCosts:
     policy: DlbPolicy
     centralized: bool
     movement_model: str = "overlap"
+    #: Diffusion: a sync involves a node's topology neighbours only.
+    neighbour_scope: bool = False
 
     def synchronization(self, k_active: int) -> float:
         """``sigma`` for a group with ``k_active`` members."""
@@ -72,6 +76,9 @@ class SyncCosts:
         if self.centralized:
             return (self.comm.one_to_all(k_active)
                     + self.comm.all_to_one(k_active))
+        if self.neighbour_scope:
+            return (self.comm.interrupt_wave(k_active)
+                    + self.comm.neighbor_exchange(k_active))
         return (self.comm.one_to_all(k_active)
                 + self.comm.all_to_all(k_active))
 
@@ -118,4 +125,5 @@ def strategy_sync_costs(strategy: StrategySpec, comm: CommCostModel,
         raise ValueError("movement_model must be 'overlap' or 'serial'")
     return SyncCosts(comm=comm, policy=policy,
                      centralized=strategy.centralized,
-                     movement_model=movement_model)
+                     movement_model=movement_model,
+                     neighbour_scope=strategy.code == "DIFF")

@@ -81,8 +81,8 @@ class StrategySpec:
             return ("random-victim work stealing (receiver-initiated, "
                     "no synchronization points)")
         if self.code == "DIFF":
-            return ("first-order diffusion: replicated planning, work "
-                    "flows only along topology edges")
+            return ("first-order diffusion: every node synchronizes with "
+                    "its topology neighbours only, work flows along edges")
         scope = "global" if self.global_scope else "local"
         place = "centralized" if self.centralized else "distributed"
         return f"{scope} {place} interrupt-based receiver-initiated DLB"

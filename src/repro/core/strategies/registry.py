@@ -48,10 +48,12 @@ CUSTOMIZED = StrategySpec(code="CUSTOM", name="Customized", centralized=True,
 WORK_STEALING = StrategySpec(code="WS", name="WorkStealing",
                              centralized=False, global_scope=True)
 
-#: Diffusion balancing (Demirel & Sbalzarini): distributed, replicated
-#: planning like GDDLB, but work flows only along topology edges in
-#: iterative nearest-neighbor sweeps.  Degenerate on the shared bus
-#: (complete adjacency, one global wire), so it enters the
+#: Diffusion balancing (Demirel & Sbalzarini): distributed, and local
+#: in the strongest sense — every node synchronizes with its topology
+#: neighbours only, and work flows along edges in iterative sweeps.
+#: ``global_scope`` here says only that there are no K-block groups:
+#: the whole machine is one diffusion domain.  Degenerate on the shared
+#: bus (complete adjacency, one global wire), so it enters the
 #: customization repertoire only on graph topologies — see
 #: :func:`strategies_for_topology`.
 DIFFUSION = StrategySpec(code="DIFF", name="Diffusion",
@@ -75,8 +77,8 @@ def strategies_for_topology(topology=None) -> tuple[StrategySpec, ...]:
 
     On the shared bus (``None`` or a ``shared_medium`` topology) this is
     exactly the paper's four schemes — the seed behavior.  On a graph
-    topology, diffusion joins the comparison: its edge-restricted
-    transfers can beat the eq.-3 schemes when routes are long.
+    topology, diffusion joins the comparison: its one-hop, degree-sized
+    synchronization beats the eq.-3 schemes when P is large.
     """
     if topology is None or getattr(topology, "shared_medium", False):
         return ALL_DLB_STRATEGIES

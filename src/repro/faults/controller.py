@@ -130,9 +130,10 @@ class FaultController:
         pending crash timers or drop hooks.
         """
         network = self.session.vm.network
-        if network.fault_hook is self._on_transmit:
+        # ``==``: each attribute access builds a fresh bound method.
+        if network.fault_hook == self._on_transmit:
             network.fault_hook = None
-        if network.on_drop is self._on_drop:
+        if network.on_drop == self._on_drop:
             network.on_drop = None
         for proc in getattr(self, "_injectors", []):
             if proc.is_alive:

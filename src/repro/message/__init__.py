@@ -12,7 +12,6 @@ from .frames import (
 from .messages import (
     ControlMsg,
     DataMsg,
-    EpochStamper,
     InstructionMsg,
     InterruptMsg,
     Message,
@@ -28,7 +27,6 @@ from .pvm import VirtualMachine
 __all__ = [
     "ControlMsg",
     "DataMsg",
-    "EpochStamper",
     "FrameDecoder",
     "FrameError",
     "FrameType",

@@ -29,7 +29,6 @@ __all__ = [
     "ControlMsg",
     "DataMsg",
     "TransferOrder",
-    "EpochStamper",
     "is_stale",
     "stale_predicate",
 ]
@@ -171,33 +170,6 @@ class ControlMsg(Message):
     @property
     def nbytes(self) -> int:
         return HEADER_BYTES + 16
-
-
-class EpochStamper:
-    """Stamps ``src``/``epoch`` onto outgoing messages in one place.
-
-    Every protocol participant used to repeat ``src=self.me,
-    epoch=self.epoch`` at each construction site; a stamper is bound
-    once to the sender's identity and an epoch accessor, so call sites
-    name only what varies (message class, destination, payload)::
-
-        stamp = EpochStamper(me, lambda: self.epoch)
-        msg = stamp(InterruptMsg, dst=peer, group=gid)
-    """
-
-    def __init__(self, src: int, epoch_fn: Callable[[], int]) -> None:
-        self.src = src
-        self._epoch_fn = epoch_fn
-
-    def __call__(self, cls: type, dst: int, *,
-                 epoch: Optional[int] = None, **fields) -> "Message":
-        """Build ``cls`` with ``src`` and the current epoch filled in.
-
-        Pass ``epoch=`` explicitly only for out-of-epoch traffic (e.g.
-        answering a resend request for an older epoch).
-        """
-        stamped = self._epoch_fn() if epoch is None else epoch
-        return cls(src=self.src, dst=dst, epoch=stamped, **fields)
 
 
 def is_stale(msg: "Message", epoch: int, *, inclusive: bool = False) -> bool:

@@ -89,15 +89,25 @@ class CommCostModel:
         return self._eval("AA", n_procs)
 
     def neighbor_exchange(self, n_procs: int) -> float:
-        """Per-sweep diffusion sync cost: each host exchanges profiles
-        with its topology neighbors.  Falls back to all-to-all when no
-        NX fit exists — exact on the bus, where adjacency is complete."""
+        """The profile exchange of a diffusion sweep: each host sends to
+        each of its topology neighbors.  Falls back to all-to-all when
+        no NX fit exists — exact on the bus, where adjacency is
+        complete."""
         if n_procs <= 1:
             return 0.0
         fit = self.fits.get(NEIGHBOR_PATTERN)
         if fit is not None:
             return fit(n_procs)
         return self._eval("AA", n_procs)
+
+    def interrupt_wave(self, n_procs: int) -> float:
+        """The interrupts of a diffusion sweep, as one node pays for
+        them: it is told by a neighbor and tells its own, one more
+        neighbor exchange.  Without an NX fit (the bus) the initiator
+        alone tells everyone — one-to-all, again exact."""
+        if NEIGHBOR_PATTERN in self.fits:
+            return self.neighbor_exchange(n_procs)
+        return self.one_to_all(n_procs)
 
     def _eval(self, pattern: str, n_procs: int) -> float:
         if n_procs <= 1:

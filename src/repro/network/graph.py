@@ -284,6 +284,16 @@ class GraphNetwork:
             self.on_deliver(dst, item)
         delivered.succeed(item)
 
+    def abandon(self) -> None:
+        """Drop the delivery hook and whatever is still in flight: the
+        simulation is over, and both hold this network in a reference
+        cycle (hook -> message layer -> network; queued request -> carry
+        -> network)."""
+        self.on_deliver = None
+        wires = [self.bus] if self._shared else self._links.values()
+        for resource in (*wires, *self.send_nic, *self.recv_nic):
+            resource.abandon()
+
     # -- convenience: fire-and-forget send -------------------------------
     def post(self, src: int, dst: int, nbytes: int, item: Any = None) -> Event:
         """Spawn a detached process performing :meth:`transmit`.

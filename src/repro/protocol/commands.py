@@ -68,7 +68,8 @@ class AwaitMessage(Command):
     admits older profiles as liveness evidence, never a later sync's),
     ``srcs`` and ``control_kind`` (the one CONTROL kind admitted — a
     work wait takes its sender's ``no-work`` but not its
-    ``resend-work``) restrict further when not ``None``.
+    ``resend-work``, a diffusion gather a neighbour's ``retire``)
+    restrict further when not ``None``.
 
     ``timeout`` (fault-tolerant mode) bounds the wait: on expiry the
     backend feeds a ``TimerFired`` event instead of a message.  Exactly
@@ -122,11 +123,19 @@ class DeclareDead(Command):
 
 @dataclass(frozen=True)
 class RecordSync(Command):
-    """Record one synchronization outcome in the run statistics."""
+    """Record one synchronization outcome in the run statistics.
+
+    Every replica of a group plan reports the same outcome, so records
+    of one ``(group, epoch)`` de-duplicate.  With ``part`` set the plan
+    is one node's share of a neighbour-local sweep — its own outgoing
+    transfers, itself under ``retire`` if it leaves — and the records
+    of one ``(group, epoch)`` add up instead.
+    """
 
     group: int
     epoch: int
     plan: RedistributionPlan
+    part: bool = False
 
 
 @dataclass(frozen=True)

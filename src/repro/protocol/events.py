@@ -12,6 +12,7 @@ script).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from ..message.messages import Message
 
@@ -47,9 +48,14 @@ class ComputeDone(ProtocolEvent):
     ``status`` is ``"finished"`` when the whole current assignment was
     executed, or ``"interrupted"`` when the backend stopped at an
     iteration boundary because a synchronization interrupt arrived.
+    ``by`` names the sender of that interrupt when the backend knows it
+    (``None`` otherwise: a timer, or a resend request doubling as an
+    interrupt); only a neighbour-scoped worker reads it, to forward the
+    interrupt no further than it must.
     """
 
     status: str
+    by: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.status not in ("finished", "interrupted"):

@@ -22,7 +22,7 @@ against virtual time, the thread, process and socket workers through
 :func:`repro.backend.driver.drive`, and the scripted ``tests/protocol``
 suite by hand.  Besides the pump a backend may call only what has no
 transition in it: the window accounting (:meth:`note_busy`,
-:meth:`note_work`), :attr:`stamp`, the pure resend service
+:meth:`note_work`), :meth:`stamp`, the pure resend service
 (:meth:`answer_resend`) and the state attributes.
 
 State never moves ahead of time the backend has not yet spent: a
@@ -35,6 +35,42 @@ The fault-tolerance hardening (timed receives, exponential backoff,
 declaring silent peers dead — docs/FAULT_MODEL.md) is expressed here
 as ordinary transitions: a ``TimerFired`` event produces resend
 commands and eventually a ``DeclareDead`` command, on any backend.
+
+Neighbour scope (the diffusion strategy)
+----------------------------------------
+A worker given a :class:`~repro.core.diffusion.DiffusionPlanner`
+synchronizes with its closed topology neighbourhood ``N[v]`` (its
+``members``) instead of a group, and a sweep is a *wave*, not a
+barrier.  A node that finishes — or is interrupted — sends
+``INTERRUPT(e)`` and ``PROFILE(e)`` to its active neighbours, gathers
+theirs, charges ``delta`` and plans over the profiles it holds; the
+flow on an edge depends on its two endpoints' loads only, so sender and
+receiver agree on every parcel without a global plan.  An interrupted
+node forwards the interrupt only to the neighbours its interrupter does
+not itself reach (``N(u) \\ N[v]``): the chain of interrupters ends at
+an initiator, who told all of its neighbours, so by induction along the
+chain every neighbour of a syncing node is told by someone — with one
+message per node on a complete graph and three instead of four on a
+torus.
+
+The one transition the group schemes do not have is *leaving*: a node
+that ends a sweep with nothing to compute sends each active neighbour a
+``retire`` note stamped with the next epoch and terminates.  The
+neighbour's next gather takes that note in place of a profile and drops
+the sender from its active set; a node that has left answers
+``resend-profile`` with the note again, so a lost note cannot strand a
+hardened gather.
+
+No live node waits for a message nobody will send: (1) every active
+neighbour of a node syncing at epoch ``e`` receives ``INTERRUPT(e)``
+(above), stops at its next iteration boundary and profiles; (2) a
+leaver notes every active neighbour before it terminates, and again on
+request; (3) sweep ``e + 1`` needs every active neighbour's
+``PROFILE(e + 1)`` or note, so neighbouring epochs differ by at most
+one and the awaited message is either already sent, or its sender is
+computing in the awaited epoch (1), finishing the previous sweep — whose
+own waits are on epoch ``e - 1`` messages, already sent by the same
+argument — or has left (2).
 """
 
 from __future__ import annotations
@@ -43,16 +79,16 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from ..apps.workload import WorkTable
+from ..core.diffusion import DiffusionPlanner
 from ..core.policy import DlbPolicy
 from ..core.redistribution import (
     MovementCostFn,
-    PlannerFn,
+    RedistributionPlan,
     SyncProfile,
     plan_redistribution,
 )
 from ..message.messages import (
     ControlMsg,
-    EpochStamper,
     InstructionMsg,
     InterruptMsg,
     Message,
@@ -84,7 +120,7 @@ class WorkerProtocol:
                  mean_iteration_time: float,
                  dc_bytes: int = 0,
                  movement_cost_fn: Optional[MovementCostFn] = None,
-                 planner: Optional[PlannerFn] = None,
+                 planner: Optional[DiffusionPlanner] = None,
                  ft: Optional[FaultToleranceConfig] = None,
                  profile_window_reset: bool = True,
                  initial_rate: float = 1.0,
@@ -101,11 +137,11 @@ class WorkerProtocol:
         self.mean_iteration_time = mean_iteration_time
         self.dc_bytes = dc_bytes
         self.movement_cost_fn = movement_cost_fn
-        #: Pluggable redistribution calculation: ``None`` uses the
-        #: paper's eq.-3 proportional planner; the diffusion strategy
-        #: installs a topology-restricted planner here.  Must be a
-        #: deterministic pure function — the distributed schemes rely on
-        #: replicated planners agreeing without communication.
+        #: ``None`` plans with the paper's eq.-3 proportional planner
+        #: over the group.  The diffusion strategy installs its planner
+        #: here, which also makes ``members`` — this node's closed
+        #: neighbourhood in ``planner.topology`` — the scope of every
+        #: synchronization (module docstring, *Neighbour scope*).
         self.planner = planner
         self.ft = ft or FaultToleranceConfig()
         self.profile_window_reset = profile_window_reset
@@ -127,7 +163,6 @@ class WorkerProtocol:
         self.win_work = 0.0
         self.win_busy = 0.0
         self.rate = initial_rate  # optimistic prior before measurements
-        self.stamp = EpochStamper(me, lambda: self.epoch)
         self._profile_cache: dict[int, ProfileMsg] = {}
         self._work_cache: dict[tuple[int, int], WorkMsg] = {}
 
@@ -142,6 +177,10 @@ class WorkerProtocol:
         self._pending_srcs: list[int] = []
         self._pending_count = 0
         self._retiring = False
+        #: Neighbour scope: this node's share of the sweep in progress,
+        #: and — once it has left — the epoch stamped on its note.
+        self._part: Optional[RedistributionPlan] = None
+        self._left_at: Optional[int] = None
 
     # ------------------------------------------------------------------
     # What a backend may touch besides the pump: no transitions here.
@@ -151,9 +190,26 @@ class WorkerProtocol:
         return self.ft.enabled
 
     @property
+    def neighbour_scope(self) -> bool:
+        """Whether this worker synchronizes with its topology
+        neighbourhood (diffusion) rather than with a group."""
+        return self.planner is not None and not self.centralized
+
+    @property
     def phase(self) -> str:
         """The pump's current phase (observable for tests/debugging)."""
         return self._phase
+
+    def stamp(self, cls: type, dst: int, *, epoch: Optional[int] = None,
+              **fields) -> Message:
+        """Build ``cls`` from this worker at its current epoch.
+
+        Pass ``epoch=`` only for out-of-epoch traffic (answering a
+        resend request for an older epoch, a ``retire`` note for the
+        next one).
+        """
+        return cls(src=self.me, dst=dst,
+                   epoch=self.epoch if epoch is None else epoch, **fields)
 
     def note_busy(self, seconds: float) -> None:
         """Book busy wall time into the current performance window."""
@@ -172,10 +228,14 @@ class WorkerProtocol:
         mid-wait or mid-charge.
 
         ``resend-profile`` is answered with the exact epoch's profile,
-        else with the latest one as liveness evidence: the prober must
-        not fence us just because we are stuck in an older epoch
-        (``None`` before the first synchronization).  ``resend-work`` is
-        answered with the cached parcel, else with ``no-work`` stamped at
+        else — by a node that has left its neighbourhood — with its
+        ``retire`` note again, else with the latest profile as liveness
+        evidence: the prober must not fence us just because we are stuck
+        in an older epoch (``None`` before the first synchronization).
+        ``resend-work`` is
+        answered with the cached parcel — by a neighbour-scoped node
+        still gathering, whose plan is yet to come, with its profile as
+        "alive, keep waiting" — else with ``no-work`` stamped at
         the *requester's* epoch so that its timed wait consumes it: our
         plan never ordered that transfer (plan divergence under partial
         failure) and the requester should stop waiting rather than
@@ -183,11 +243,21 @@ class WorkerProtocol:
         """
         if req.kind == "resend-profile":
             cache = self._profile_cache
+            if req.epoch in cache:
+                return replace(cache[req.epoch], dst=req.src)
+            if self._left_at is not None:
+                return self._retire_note(req.src)
             if not cache:
                 return None
-            return replace(cache.get(req.epoch) or cache[max(cache)],
-                           dst=req.src)
+            return replace(cache[max(cache)], dst=req.src)
         if req.kind == "resend-work":
+            if (self.neighbour_scope and req.epoch == self.epoch
+                    and self._phase in ("gather", "planning")
+                    and req.epoch in self._profile_cache):
+                # A wave's gathers end at different times: this node has
+                # not decided the requester's parcel yet.  Its profile
+                # says "alive, keep waiting".
+                return replace(self._profile_cache[req.epoch], dst=req.src)
             return (self._work_cache.get((req.src, req.epoch))
                     or self.stamp(ControlMsg, dst=req.src, epoch=req.epoch,
                                   kind="no-work"))
@@ -260,6 +330,12 @@ class WorkerProtocol:
             # Receiver-initiated sync: interrupt the group (§3.1).
             cmds += [C.Send(self.stamp(InterruptMsg, dst=o, group=self.group))
                      for o in others]
+        elif self.neighbour_scope:
+            # The wave: pass the interrupt on, but only to neighbours
+            # the interrupter does not reach itself.
+            told = () if event.by is None else self.planner.scope(event.by)
+            cmds += [C.Send(self.stamp(InterruptMsg, dst=o, group=self.group))
+                     for o in others if o not in told]
         cmds += self._trace(
             "sync", epoch=self.epoch, group=self.group,
             mode="centralized" if self.centralized else "distributed")
@@ -301,16 +377,21 @@ class WorkerProtocol:
             self._wait = None
             return [C.Charge(self.policy.delta_seconds)]
         srcs = tuple(sorted(self._missing))
+        # Neighbour scope: a neighbour that left after the last sweep
+        # sent its ``retire`` note, stamped with this epoch, instead.
+        tags, kind = ((Tag.PROFILE, Tag.CONTROL), "retire") \
+            if self.neighbour_scope else ((Tag.PROFILE,), None)
         if not self.ft_enabled:
-            spec = C.AwaitMessage(tags=(Tag.PROFILE,), epoch=self.epoch,
-                                  srcs=srcs)
+            spec = C.AwaitMessage(tags=tags, epoch=self.epoch, srcs=srcs,
+                                  control_kind=kind)
         else:
             # Hardened: a profile from an *older* epoch carries no data
             # but proves its sender alive, so the wait admits everything
             # up to this epoch (never a later one: that sync is not ours
             # to consume yet).
             spec = C.AwaitMessage(
-                tags=(Tag.PROFILE,), srcs=srcs, max_epoch=self.epoch,
+                tags=tags, srcs=srcs, max_epoch=self.epoch,
+                control_kind=kind,
                 timeout=self.ft.timeout_for(
                     min(self._rounds[p] for p in self._missing)))
         return [self._arm("gather", spec)]
@@ -320,9 +401,12 @@ class WorkerProtocol:
         if self.ft_enabled and self._pending_srcs:
             # One named sender at a time; its ``no-work`` (and no other
             # CONTROL kind — a peer's resend request is not ours to
-            # swallow) also ends the wait.
+            # swallow) also ends the wait.  Neighbour scope: its profile
+            # renews the wait (the sender is still gathering).
+            tags = (Tag.WORK, Tag.CONTROL, Tag.PROFILE) \
+                if self.neighbour_scope else (Tag.WORK, Tag.CONTROL)
             return [self._arm("recv_work", C.AwaitMessage(
-                tags=(Tag.WORK, Tag.CONTROL), epoch=self.epoch,
+                tags=tags, epoch=self.epoch,
                 srcs=(self._pending_srcs[0],), control_kind="no-work",
                 timeout=self.ft.timeout_for(self._attempt)))]
         if not self.ft_enabled and self._pending_count > 0:
@@ -330,7 +414,27 @@ class WorkerProtocol:
                 tags=(Tag.WORK,), epoch=self.epoch))]
         if self._retiring:
             return self._terminate("retired")
+        if self._part is not None:
+            return self._end_sweep()
         return self._advance_epoch()
+
+    def _retire_note(self, dst: int) -> ControlMsg:
+        return self.stamp(ControlMsg, dst=dst, epoch=self._left_at,
+                          kind="retire")
+
+    def _end_sweep(self) -> list[C.Command]:
+        """Neighbour scope: book this node's share of the sweep, then
+        compute on — or, holding nothing, leave the neighbourhood."""
+        part, self._part = self._part, None
+        if not self.assignment.empty:
+            return [C.RecordSync(self.group, self.epoch, part, part=True)] \
+                + self._advance_epoch()
+        self._left_at = self.epoch + 1
+        return ([C.RecordSync(self.group, self.epoch,
+                              replace(part, retire=(self.me,)), part=True)]
+                + [C.Send(self._retire_note(o))
+                   for o in sorted(self.active - {self.me})]
+                + self._terminate("done"))
 
     # -- message handling --------------------------------------------------
     def _on_message(self, event: E.MessageReceived) -> list[C.Command]:
@@ -347,7 +451,10 @@ class WorkerProtocol:
         if self._phase == "await_instruction":
             return self._on_instruction(msg)
         if self._phase == "gather":
-            if msg.epoch == self.epoch:
+            if msg.tag is Tag.CONTROL:
+                # The neighbour left: no flow on our edge, ever again.
+                self._drop_peer(msg.src)
+            elif msg.epoch == self.epoch:
                 self._profiles[msg.src] = _sync_profile(msg)
                 self._missing.discard(msg.src)
                 self._rounds.pop(msg.src, None)
@@ -355,6 +462,9 @@ class WorkerProtocol:
                 # Stale duplicate: liveness evidence only.
                 self._rounds[msg.src] = 0
             return self._await_profiles()
+        if msg.tag is Tag.PROFILE:
+            self._attempt = 0  # the sender is alive and has yet to plan
+            return self._await_work()
         # recv_work: a parcel, or the named sender's "no-work" (it never
         # owed us one — plan divergence).
         if isinstance(msg, WorkMsg) and msg.ranges:
@@ -499,12 +609,11 @@ class WorkerProtocol:
         now that its time has been spent."""
         self._expect("planning", event)
         ordered = sorted(self._profiles.values(), key=lambda p: p.node)
-        if self.planner is not None:
-            plan = self.planner(ordered)
-        else:
-            plan = plan_redistribution(
-                ordered, self.policy, self.mean_iteration_time,
-                self.movement_cost_fn)
+        if self.neighbour_scope:
+            return self._on_charged_sweep(self.planner(ordered))
+        plan = plan_redistribution(
+            ordered, self.policy, self.mean_iteration_time,
+            self.movement_cost_fn)
         cmds: list[C.Command] = [C.RecordSync(self.group, self.epoch, plan)]
         cmds += self._trace(
             "decision", epoch=self.epoch, group=self.group,
@@ -517,6 +626,28 @@ class WorkerProtocol:
         return cmds + self._apply_outcome(
             plan.outgoing(self.me), srcs, len(srcs), plan.active,
             self.me in plan.retire)
+
+    def _on_charged_sweep(self, plan: RedistributionPlan
+                          ) -> list[C.Command]:
+        """Neighbour scope: of the plan over ``N[me]`` only this node's
+        row is acted on — the parcels it sends and the ones it awaits.
+        Who stays is not the plan's to say (leaving is announced by
+        note, :meth:`_end_sweep`)."""
+        mine = plan.outgoing(self.me)
+        # An edge elsewhere in the neighbourhood may move work; this
+        # node's part says so only of its own outgoing transfers.
+        reason = plan.reason if mine or not plan.move \
+            else "diffusion-converged"
+        self._part = replace(
+            plan, transfers=mine, move=bool(mine), reason=reason,
+            work_to_move=sum(t.work for t in mine), retire=())
+        srcs = tuple(t.src for t in plan.incoming(self.me))
+        return (self._trace("decision", epoch=self.epoch, group=self.group,
+                            reason=self._part.reason,
+                            moved=self._part.work_to_move,
+                            n_transfers=len(mine))
+                + self._apply_outcome(mine, srcs, len(srcs),
+                                      sorted(self.active), False))
 
     def _work_msg(self, dst: int, ranges: Sequence[Range]) -> WorkMsg:
         count = sum(e - s for s, e in ranges)

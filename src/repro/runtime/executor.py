@@ -225,11 +225,25 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
     session.stats.network_bytes = vm.network.stats.bytes - net_before[1]
     session.stats.environment = environment_fingerprint()
 
-    # Detach mailbox hooks so a later stage can re-register.
+    # Detach mailbox hooks so a later stage can re-register, and undo
+    # the session <-> node / controller back-references: the stats are
+    # final, and without the cycles a finished run is freed by
+    # reference counting instead of waiting for the cycle collector.
     for i in range(session.n):
         vm.inbox[i].notify = None
+    session.nodes.clear()
+    session.controller = None
     check_coverage(session.stats.executed_by_node, session.loop.n_iterations)
     return session.stats
+
+
+def _release(env: Environment, vm: VirtualMachine) -> None:
+    """Undo the reference cycles of a finished simulation — the
+    schedule's leftover events (timers that lost their race, messages
+    still in flight) point back at ``env``, the network's delivery hook
+    at ``vm`` — so that it, too, is freed by reference counting."""
+    env.discard_pending()
+    vm.network.abandon()
 
 
 def _build_vm(env: Environment, n: int, options: RunOptions) -> VirtualMachine:
@@ -324,8 +338,11 @@ def run_loop(loop: LoopSpec, cluster: ClusterSpec, strategy: StrategyLike,
     env = Environment()
     stations = cluster.build()
     vm = _build_vm(env, cluster.n_processors, options)
-    return run_loop_stage(env, vm, stations, loop, spec, options, selector,
-                          fault_plan=fault_plan)
+    try:
+        return run_loop_stage(env, vm, stations, loop, spec, options,
+                              selector, fault_plan=fault_plan)
+    finally:
+        _release(env, vm)
 
 
 def run_application(app: ApplicationSpec, cluster: ClusterSpec,
@@ -350,17 +367,20 @@ def run_application(app: ApplicationSpec, cluster: ClusterSpec,
     stats = AppRunStats(app_name=app.name, strategy=spec.name,
                         n_processors=cluster.n_processors)
     pending_plan = fault_plan
-    for stage in app.stages:
-        if isinstance(stage, LoopSpec):
-            stats.stages.append(run_loop_stage(
-                env, vm, stations, stage, spec, options, selector,
-                fault_plan=pending_plan))
-            pending_plan = None
-        elif isinstance(stage, SequentialStage):
-            stats.stages.append(_run_sequential(env, vm, stations, stage,
-                                                options))
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown stage type {type(stage)!r}")
+    try:
+        for stage in app.stages:
+            if isinstance(stage, LoopSpec):
+                stats.stages.append(run_loop_stage(
+                    env, vm, stations, stage, spec, options, selector,
+                    fault_plan=pending_plan))
+                pending_plan = None
+            elif isinstance(stage, SequentialStage):
+                stats.stages.append(_run_sequential(env, vm, stations,
+                                                    stage, options))
+            else:  # pragma: no cover - defensive
+                raise TypeError(f"unknown stage type {type(stage)!r}")
+    finally:
+        _release(env, vm)
     return stats
 
 

@@ -91,7 +91,7 @@ class NodeRuntime:
         self.ws = session.stations[node_id]
         self.gid = session.group_of[node_id]
         self.protocol = WorkerProtocol(
-            node_id, session.groups[self.gid],
+            node_id, session.scope_of(node_id),
             group=self.gid,
             centralized=session.centralized,
             lb_host=session.lb_host,
@@ -350,7 +350,8 @@ class NodeRuntime:
                     continue  # pooled above, or reclaimed on declaration
                 yield from session.vm.send(cmd.msg)
             elif kind is C.RecordSync:
-                session.record_plan(cmd.group, cmd.epoch, cmd.plan)
+                session.record_plan(cmd.group, cmd.epoch, cmd.plan,
+                                    cmd.part)
             elif kind is C.DeclareDead:
                 if controller is not None:
                     controller.declare_dead(cmd.peer, by=self.me)
@@ -407,7 +408,7 @@ class NodeRuntime:
         self.gid = session.group_of[self.me]
         protocol = self.protocol
         protocol.group = self.gid
-        protocol.members = tuple(session.groups[self.gid])
+        protocol.members = tuple(session.scope_of(self.me))
         protocol.centralized = session.centralized
         return replace(
             instr, select_scheme="", select_group_size=0,
@@ -445,7 +446,10 @@ class NodeRuntime:
             self._drain_stale()
             if self.ft_enabled and not session.centralized:
                 self._claim_orphans()
-            return E.ComputeDone(status)
+            interrupt = self._pending_interrupt() \
+                if status == "interrupted" else None
+            return E.ComputeDone(
+                status, by=None if interrupt is None else interrupt.src)
 
     def _is_clock(self) -> bool:
         """The periodic-mode initiator: lowest-numbered active member."""

@@ -9,14 +9,13 @@ selection of §4.3), group membership, and the statistics sink.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Optional, Sequence, TYPE_CHECKING
 
 from ..apps.workload import LoopSpec, WorkTable
-from ..core.diffusion import make_diffusion_planner
+from ..core.diffusion import DiffusionPlanner
 from ..core.policy import DlbPolicy
 from ..core.redistribution import (
     MovementCostFn,
-    PlannerFn,
     RedistributionPlan,
     make_movement_cost_estimator,
     make_topology_movement_cost_estimator,
@@ -96,7 +95,8 @@ class LoopSession:
 
         #: Planner override for the protocol layer: diffusion binds the
         #: topology here; ``None`` means the eq.-3 planner (seed path).
-        self.planner: Optional[PlannerFn] = self._planner_for(strategy)
+        self.planner: Optional[DiffusionPlanner] = \
+            self._planner_for(strategy)
 
         self.stats = LoopRunStats(
             loop_name=loop.name, strategy=strategy.name,
@@ -105,7 +105,7 @@ class LoopSession:
         #: Structured trace sink; the shared no-op singleton unless the
         #: caller supplied a recorder (see docs/OBSERVABILITY.md).
         self.recorder = options.recorder or NULL_RECORDER
-        self._recorded_plans: set[tuple[int, int]] = set()
+        self._sync_records: dict[tuple[int, int], SyncRecord] = {}
         self._selected = False
         #: Fault injection / recovery state; None on a fault-free run
         #: with fault tolerance disabled (the common case).
@@ -140,15 +140,23 @@ class LoopSession:
             return True  # until apply_selection replaces the strategy
         return self.strategy.centralized
 
-    def _planner_for(self, strategy: StrategySpec) -> Optional[PlannerFn]:
+    def _planner_for(self, strategy: StrategySpec
+                     ) -> Optional[DiffusionPlanner]:
         """The protocol planner a strategy needs (``None`` = eq. 3)."""
         if strategy.code != "DIFF":
             return None
         topology = self.topology if self.topology is not None \
             else Topology.bus(self.n)
-        return make_diffusion_planner(topology, self.policy,
-                                      self.mean_iteration_time,
-                                      self.movement_cost_fn)
+        return DiffusionPlanner(topology, self.policy,
+                                self.mean_iteration_time,
+                                self.movement_cost_fn)
+
+    def scope_of(self, node: int) -> Sequence[int]:
+        """The nodes ``node`` synchronizes with, itself included: its
+        group — or, under diffusion, its closed topology neighbourhood."""
+        if self.planner is not None:
+            return self.planner.scope(node)
+        return self.groups[self.group_of[node]]
 
     def apply_selection(self, scheme_code: str, group_size: int) -> None:
         """Commit to the selected scheme (idempotent, §4.3)."""
@@ -176,26 +184,29 @@ class LoopSession:
             runtime.protocol.planner = self.planner
 
     # -- bookkeeping ----------------------------------------------------------
-    def record_plan(self, group: int, epoch: int,
-                    plan: RedistributionPlan) -> None:
-        """Record a sync outcome once (replicated balancers call this P times)."""
+    def record_plan(self, group: int, epoch: int, plan: RedistributionPlan,
+                    part: bool = False) -> None:
+        """Record one synchronization per ``(group, epoch)``: replicated
+        balancers report the same plan P times (booked once); the nodes
+        of a neighbour-local sweep each report their ``part`` of it
+        (added up, :meth:`SyncRecord.absorb`)."""
         key = (group, epoch)
-        if key in self._recorded_plans:
+        record = self._sync_records.get(key)
+        if record is not None:
+            if part:
+                record.absorb(SyncRecord.of_plan(self.env.now, group,
+                                                 epoch, plan))
             return
-        self._recorded_plans.add(key)
+        record = self._sync_records[key] = SyncRecord.of_plan(
+            self.env.now, group, epoch, plan)
+        # For a sweep this instant marks its first local decision; the
+        # sweep's totals are the record's.
         self.recorder.event(
             "decision", track="balancer", group=group, epoch=epoch,
-            reason=plan.reason,
-            moved=plan.work_to_move if plan.move else 0.0,
-            n_transfers=len(plan.transfers))
-        if not self.options.trace:
-            return
-        self.stats.record_sync(SyncRecord(
-            time=self.env.now, group=group, epoch=epoch, reason=plan.reason,
-            moved_work=plan.work_to_move if plan.move else 0.0,
-            n_transfers=len(plan.transfers), retired=plan.retire,
-            predicted_current=plan.predicted_current,
-            predicted_balanced=plan.predicted_balanced))
+            reason=record.reason, moved=record.moved_work,
+            n_transfers=record.n_transfers)
+        if self.options.trace:
+            self.stats.record_sync(record)
 
     def record_executed(self, node: int, ranges: list[tuple[int, int]]) -> None:
         self.stats.executed_by_node.setdefault(node, []).extend(ranges)

@@ -50,6 +50,37 @@ class SyncRecord:
     predicted_current: float = 0.0
     predicted_balanced: float = 0.0
 
+    @classmethod
+    def of_plan(cls, time: float, group: int, epoch: int,
+                plan) -> "SyncRecord":
+        """The record of ``plan`` (a
+        :class:`~repro.core.redistribution.RedistributionPlan`)."""
+        return cls(time=time, group=group, epoch=epoch, reason=plan.reason,
+                   moved_work=plan.work_to_move if plan.move else 0.0,
+                   n_transfers=len(plan.transfers),
+                   retired=tuple(plan.retire),
+                   predicted_current=plan.predicted_current,
+                   predicted_balanced=plan.predicted_balanced)
+
+    def absorb(self, part: "SyncRecord") -> None:
+        """Add another node's part of the same neighbour-local sweep:
+        moved work and transfers sum over the senders, the retirees
+        unite, the predictions keep the worst neighbourhood's, and the
+        reason is the busiest part's (moved work, else work left, else
+        done).  The time stays the first part's."""
+        def busy(record: "SyncRecord") -> tuple[bool, bool]:
+            return record.n_transfers > 0, record.reason != "done"
+
+        if busy(part) > busy(self):
+            self.reason = part.reason
+        self.moved_work += part.moved_work
+        self.n_transfers += part.n_transfers
+        self.retired = tuple(sorted({*self.retired, *part.retired}))
+        self.predicted_current = max(self.predicted_current,
+                                     part.predicted_current)
+        self.predicted_balanced = max(self.predicted_balanced,
+                                      part.predicted_balanced)
+
 
 @dataclass
 class LoopRunStats:

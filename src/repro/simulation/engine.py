@@ -419,6 +419,17 @@ class Environment:
         else:
             heappush(self._queue, (self._now + delay, priority, eid, event))
 
+    def discard_pending(self) -> None:
+        """Drop everything still scheduled, callbacks included: the
+        owner is done with this environment.  Scheduled events point
+        back at it, and their callbacks at whoever waits for them, so a
+        schedule left non-empty keeps the whole simulation in reference
+        cycles."""
+        for pending in (self._queue, *self._buckets):
+            for _when, _priority, _eid, event in pending:
+                event.callbacks = None
+            pending.clear()
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         b0, b1, b2 = self._buckets

@@ -235,6 +235,9 @@ class Mailbox:
         for idx, getter in enumerate(self._getters):
             if getter is request:
                 del self._getters[idx]
+                # It will never fire: stop pointing at whoever waited
+                # (an ``any_of`` with the timeout points back at it).
+                getter.callbacks = None
                 return
 
     def cancel_all(self) -> None:
@@ -244,6 +247,8 @@ class Mailbox:
         match-and-consume the next deposit, delivering the item to a
         callback-less event — i.e. silently destroying it.
         """
+        for getter in self._getters:
+            getter.callbacks = None
         self._getters.clear()
 
     def peek(self, predicate: Optional[Predicate] = None) -> Optional[Any]:

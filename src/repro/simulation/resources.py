@@ -84,6 +84,17 @@ class Resource:
             self._account_wait(nxt)
             nxt.succeed()
 
+    def abandon(self) -> None:
+        """Forget every holder and waiter: the simulation is over.  A
+        queued request's callback points at whoever waits for it, which
+        usually points back at the request and at this resource's owner
+        — reference cycles for as long as the callback stays."""
+        for request in (*self._users, *self._waiting):
+            request.callbacks = None
+        self._users.clear()
+        self._waiting.clear()
+        self._request_times.clear()
+
     def _account_wait(self, req: _Request) -> None:
         start = self._request_times.pop(id(req), None)
         if start is not None:

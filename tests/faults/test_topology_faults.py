@@ -4,14 +4,19 @@ The fault-hardened protocol was built against the shared bus; these
 tests pin that its guarantees — every iteration executed exactly once,
 crash victims reclaimed, the loop terminating on the survivors — are
 topology-independent.  Diffusion rides the same WORK-parcel ledger as
-the eq.-3 strategies, so it is parametrized alongside them.
+the eq.-3 strategies, so it is parametrized alongside them; its own
+neighbour-local conversation is run under seeded crash and drop plans
+on every graph family at the end.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.faults import FaultPlan
+from repro.apps.workload import LoopSpec
+from repro.faults import CrashFault, FaultPlan, MessageDropFault
+from repro.machine.cluster import ClusterSpec
+from repro.network.topology import Topology
 from repro.runtime.executor import run_loop
 
 from .conftest import assert_exact_coverage
@@ -72,3 +77,59 @@ def test_fault_free_diffusion_covers_exactly_once(topology, ft_loop,
                      options=ft_options.but(topology=topology))
     assert_exact_coverage(stats, ft_loop)
     assert stats.n_syncs > 0
+
+
+# -- the neighbour-local wave under crash and drop plans -----------------
+
+def _graph(kind, p):
+    if kind == "random":
+        return Topology.random_graph(p, extra_edges=p // 2, seed=p)
+    return kind
+
+
+@pytest.mark.parametrize("p", [4, 9, 16, 64])
+@pytest.mark.parametrize("kind", ["ring", "mesh", "torus", "random"])
+def test_diffusion_wave_survives_crash_and_drop_plans(kind, p, ft_options):
+    """A node's death is only ever noticed by its neighbours, and every
+    message of the wave — interrupt, profile, parcel, retire note — may
+    be the one that is lost: each seeded plan must still end (no live
+    node waits for a message nobody will send) with exact coverage."""
+    loop = LoopSpec(name="ft-wave", n_iterations=96, iteration_time=0.010,
+                    dc_bytes=800)
+    options = ft_options.but(topology=_graph(kind, p))
+    for seed in range(10):
+        cluster = ClusterSpec.homogeneous(p, max_load=5, persistence=0.5,
+                                          seed=seed)
+        tag = ("control", "interrupt", "profile", "work", None)[seed % 5]
+        plans = (
+            FaultPlan(seed=seed, crashes=(
+                CrashFault(node=1 + seed % (p - 1),
+                           time=0.03 + 0.03 * seed),)),
+            FaultPlan(seed=seed, drops=(
+                MessageDropFault(probability=1.0, max_drops=3, tag=tag),)),
+        )
+        for plan in plans:
+            stats = run_loop(loop, cluster, "DIFF", options=options,
+                             fault_plan=plan)
+            assert_exact_coverage(stats, loop)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_lost_retire_notes_are_healed_by_the_resend_service(topology,
+                                                            ft_loop,
+                                                            ft_options):
+    """Every ``retire`` note is CONTROL traffic, and so is the
+    ``resend-profile`` probe that recovers one: with the first six lost,
+    the waiting neighbours must still learn of the departures without
+    fencing anybody."""
+    cluster = ClusterSpec.homogeneous(9, max_load=5, persistence=0.5,
+                                      seed=3)
+    plan = FaultPlan(seed=5, drops=(
+        MessageDropFault(probability=1.0, max_drops=6, tag="control"),))
+    stats = run_loop(ft_loop, cluster, "DIFF",
+                     options=ft_options.but(topology=topology),
+                     fault_plan=plan)
+    assert_exact_coverage(stats, ft_loop)
+    assert stats.dropped_messages == 6
+    assert stats.fenced_nodes == ()
+    assert stats.fault_retries > 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.model.costs import default_comm_model, strategy_sync_costs
 from repro.core.policy import DlbPolicy
-from repro.core.strategies import GCDLB, GDDLB, LCDLB, LDDLB
+from repro.core.strategies import DIFFUSION, GCDLB, GDDLB, LCDLB, LDDLB
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +27,24 @@ def test_distributed_sync_more_expensive_than_centralized(comm):
 def test_sync_cost_grows_with_group(comm):
     gd = strategy_sync_costs(GDDLB, comm, DlbPolicy())
     assert gd.synchronization(16) > gd.synchronization(4) > 0
+
+
+def test_diffusion_sync_is_priced_by_neighbour_exchange():
+    """DIFF sends interrupts and profiles over topology edges only: on a
+    graph its sigma is two neighbour exchanges, flat in P where the
+    all-to-all of GDDLB grows; on the bus (no NX fit) the same formula
+    falls back to exactly what GDDLB pays."""
+    torus = default_comm_model(topology="torus")
+    diff = strategy_sync_costs(DIFFUSION, torus, DlbPolicy())
+    gd = strategy_sync_costs(GDDLB, torus, DlbPolicy())
+    assert diff.neighbour_scope and not gd.neighbour_scope
+    assert diff.synchronization(16) == pytest.approx(
+        2 * torus.neighbor_exchange(16))
+    assert diff.synchronization(16) < 0.5 * gd.synchronization(16)
+    bus = default_comm_model()
+    assert strategy_sync_costs(DIFFUSION, bus, DlbPolicy()) \
+        .synchronization(8) == pytest.approx(
+            strategy_sync_costs(GDDLB, bus, DlbPolicy()).synchronization(8))
 
 
 def test_single_member_group_syncs_free(comm):

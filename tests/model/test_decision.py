@@ -76,3 +76,19 @@ def test_customized_measures_effective_loads(small_loop, cluster4, options):
     mus = stats.selection_report.measured_effective_loads
     assert set(mus) == {0, 1, 2, 3}
     assert all(mu >= 1.0 for mu in mus.values())
+
+
+def test_customized_selection_picks_diffusion_on_a_large_torus():
+    """Priced by what it sends — neighbour exchanges, not an all-to-all
+    — DIFF is the model's choice at P = 64 on a switched graph, and the
+    run that switches to it mid-loop still covers every iteration
+    (``run_loop`` checks); on the bus it is never offered."""
+    from repro.apps.mxm import MxmConfig, mxm_loop
+    from repro.runtime.options import RunOptions
+    loop = mxm_loop(MxmConfig(240, 100, 100))
+    cluster = ClusterSpec.homogeneous(64, max_load=5, seed=1)
+    on_torus = run_loop(loop, cluster, "CUSTOM",
+                        RunOptions(topology="torus"))
+    assert on_torus.selected_scheme == "Diffusion"
+    on_bus = run_loop(loop, cluster, "CUSTOM", RunOptions())
+    assert on_bus.selected_scheme != "Diffusion"

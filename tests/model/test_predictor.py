@@ -100,6 +100,22 @@ def test_prediction_close_to_simulation(small_loop, cluster4, options):
     assert pred.total_time == pytest.approx(sim.duration, rel=0.5)
 
 
+def test_diffusion_prediction_close_to_simulation_on_torus(small_loop,
+                                                           cluster8,
+                                                           options):
+    """The DIFF row of the model-vs-simulation check, at the tolerance
+    the eq.-3 schemes meet: sigma priced from the neighbour exchange,
+    idle nodes leaving sweep by sweep as in the protocol."""
+    from repro.core.strategies import DIFFUSION
+    from repro.network.topology import Topology
+    from repro.runtime.executor import run_loop
+    sim = run_loop(small_loop, cluster8, "DIFF",
+                   options=options.but(topology="torus"))
+    pred = predict_strategy(small_loop, cluster8, DIFFUSION,
+                            topology=Topology.torus(8))
+    assert pred.total_time == pytest.approx(sim.duration, rel=0.5)
+
+
 def test_movement_model_serial_costs_more():
     cluster = ClusterSpec(speeds=(1.0,) * 4, persistence=1000.0,
                           load_traces=((5,), (0,), (0,), (0,)))

@@ -26,11 +26,12 @@ def table() -> WorkTable:
 
 def make_worker(me, members, *, centralized, table, ranges=(),
                 ft: FaultToleranceConfig | None = None,
-                group: int = 0, is_dlb: bool = True) -> WorkerProtocol:
+                group: int = 0, is_dlb: bool = True,
+                planner=None) -> WorkerProtocol:
     return WorkerProtocol(
         me, members, group=group, centralized=centralized, lb_host=0,
         policy=DlbPolicy(), table=table,
-        mean_iteration_time=COST, dc_bytes=100,
+        mean_iteration_time=COST, dc_bytes=100, planner=planner,
         ft=ft, assignment=Assignment(ranges), is_dlb=is_dlb)
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from repro import ClusterSpec, run_loop
 from repro.apps.mxm import MxmConfig, mxm_loop
+from repro.apps.workload import LoopSpec
 from repro.backend import (
     BackendError,
     ProcessBackend,
@@ -118,6 +119,33 @@ def test_real_backend_exactly_once(backend_name, strategy):
     assert executed == loop.n_iterations
     assert stats.duration > 0.0
     assert len(stats.node_finish_times) == 4
+
+
+@pytest.mark.parametrize("topology,p", [("ring", 4), ("mesh", 9)])
+def test_thread_backend_diffusion_syncs_with_neighbours(topology, p):
+    """DIFF on real threads: each worker's ``members`` are its closed
+    topology neighbourhood — on the 3x3 mesh nobody even knows the
+    whole group — and the wave still covers every iteration once, with
+    one synchronization booked per sweep."""
+    loop = LoopSpec(name="skew", n_iterations=72, iteration_time=tuple(
+        0.0005 + 0.004 * (i / 72) for i in range(72)), dc_bytes=256)
+    cluster = ClusterSpec.homogeneous(p, max_load=0)
+    stats = run_loop(loop, cluster, "DIFF", RunOptions(topology=topology),
+                     backend=ThreadBackend(time_scale=0.5))
+    executed = sorted(r for ranges in stats.executed_by_node.values()
+                      for r in ranges)
+    assert executed[0][0] == 0 and executed[-1][1] == loop.n_iterations
+    assert all(a[1] == b[0] for a, b in zip(executed, executed[1:]))
+    assert len(stats.node_finish_times) == p
+    epochs = [s.epoch for s in stats.syncs]
+    assert epochs and len(epochs) == len(set(epochs))
+    assert sorted(n for s in stats.syncs for n in s.retired) == \
+        list(range(p))
+    # Neighbour traffic only: far fewer than the 2 P (P - 1) per sync of
+    # an all-to-all gather, however many sweeps the wave took.
+    edges = {"ring": 4, "mesh": 12}[topology]
+    assert stats.messages_by_tag["profile"] <= 2 * edges * len(epochs)
+    assert stats.messages_by_tag["interrupt"] <= 2 * edges * len(epochs)
 
 
 def test_thread_backend_rejects_simulation_only_features():

@@ -14,6 +14,7 @@ import pytest
 
 from repro.apps.workload import LoopSpec
 from repro.backend.driver import Burn, Inbox, Reporter, RunLedger, drive
+from repro.core.diffusion import DiffusionPlanner
 from repro.core.policy import DlbPolicy
 from repro.machine.cluster import ClusterSpec
 from repro.message.messages import (
@@ -23,6 +24,7 @@ from repro.message.messages import (
     Tag,
     WorkMsg,
 )
+from repro.network.topology import Topology
 from repro.obs.metrics import CounterDict
 from repro.protocol import (
     AwaitMessage,
@@ -94,7 +96,7 @@ class FakePort(Reporter):
 class FakeCluster:
     """N workers (+ a balancer when centralized), stepped round-robin."""
 
-    def __init__(self, table, blocks, *, centralized):
+    def __init__(self, table, blocks, *, centralized, planner=None):
         n = len(blocks)
         self.ticks = 0.0
         stats = LoopRunStats(loop_name="fake", strategy="?",
@@ -109,7 +111,8 @@ class FakeCluster:
         self.protos = {}
         self.pumps = {}
         for node, ranges in enumerate(blocks):
-            proto = make_worker(node, tuple(range(n)), table=table,
+            members = planner.scope(node) if planner else tuple(range(n))
+            proto = make_worker(node, members, table=table, planner=planner,
                                 centralized=centralized, ranges=ranges)
             self._spy(node, proto)
             self.protos[node] = proto
@@ -188,7 +191,7 @@ def test_distributed_exchange_through_the_driver(table):
     # Node 0 stopped *between* iterations — after its third — because
     # the flag for its current epoch was set, not because its block ran
     # out; it answered with a profile, planned, and shipped work.
-    assert ComputeDone("interrupted") in cluster.events[0]
+    assert ComputeDone("interrupted", by=1) in cluster.events[0]
     assert cluster.ports[0].calls == [
         exe, exe, exe, sent(Tag.PROFILE, 1), sync, sent(Tag.WORK, 1),
         exe, exe, exe, exe, exe,
@@ -221,7 +224,7 @@ def test_centralized_exchange_through_the_driver(table):
     assert set(cluster.ledger.stats.node_finish_times) == {0, 1, 2}
 
 
-@pytest.mark.parametrize("strategy", ["GDDLB", "GCDLB"])
+@pytest.mark.parametrize("strategy", ["GDDLB", "GCDLB", "DIFF"])
 def test_simulator_and_driver_hold_the_same_conversation(
         table, monkeypatch, strategy):
     """The four backends speak one protocol: node 0's ``on_event``
@@ -229,7 +232,10 @@ def test_simulator_and_driver_hold_the_same_conversation(
     for turn, the one ``drive()`` holds against the fake port for the
     same loop and the same initial blocks."""
     blocks = [[(0, 12)], [(12, 14)]]
-    cluster = FakeCluster(table, blocks, centralized=strategy == "GCDLB")
+    planner = DiffusionPlanner(Topology.bus(2), DlbPolicy(), COST) \
+        if strategy == "DIFF" else None
+    cluster = FakeCluster(table, blocks, centralized=strategy == "GCDLB",
+                          planner=planner)
     cluster.run()
 
     heard = []
@@ -250,6 +256,12 @@ def test_simulator_and_driver_hold_the_same_conversation(
         RunOptions(policy=DlbPolicy()))
     assert stats.n_syncs == len(cluster.ledger.stats.syncs) == 2
     assert heard == cluster.conversation[0]
+    if strategy == "DIFF":
+        # One sync per sweep from two parts each, the same on both
+        # sides: node 0 shipped, node 1 left once it ran dry.
+        for syncs in (stats.syncs, cluster.ledger.stats.syncs):
+            assert [s.n_transfers for s in syncs] == [1, 0]
+            assert [s.retired for s in syncs] == [(), (0, 1)]
     # Not vacuous: a sync that moved work, then the one that ended it.
     names = [name for _event, cmds in heard for name in cmds]
     assert names.count("Send:PROFILE") == 2 and "Send:WORK" in names
@@ -308,6 +320,48 @@ def test_interrupt_for_a_later_epoch_does_not_stop_this_one(table):
         burns.append(want.iteration)
         want = pump.send(None)
     assert burns == [0, 1, 2]  # ran to the end of the block
+
+
+def test_inbox_remembers_who_interrupted_first():
+    inbox = Inbox()
+    assert inbox.interrupter(0) is None
+    inbox.post(InterruptMsg(src=2, dst=0, epoch=0, group=0))
+    inbox.post(InterruptMsg(src=1, dst=0, epoch=0, group=0))
+    assert inbox.has_interrupt(0) and inbox.interrupter(0) == 2
+
+
+def test_ledger_adds_up_the_parts_of_a_sweep():
+    """Replicas of one plan de-duplicate; the parts of a neighbour-local
+    sweep sum (moved work, transfers) and unite (retirees)."""
+    stats = LoopRunStats(loop_name="fake", strategy="?", n_processors=3,
+                         group_size=3, backend="fake")
+    ledger = RunLedger(stats, trace=True)
+
+    def row(moved, transfers, retired, reason):
+        return {"time": 1.0, "reason": reason, "moved_work": moved,
+                "n_transfers": transfers, "retired": retired,
+                "predicted_current": moved, "predicted_balanced": 0.0}
+
+    def sync(epoch, part, **kw):
+        body = {"k": "sync", "group": 0, "epoch": epoch, "row": row(**kw)}
+        if part:
+            body["part"] = True
+        return body
+
+    for node in range(3):       # three replicas of one eq.-3 plan
+        ledger.record(node, sync(0, False, moved=0.5, transfers=1,
+                                 retired=[], reason="moved"), 1.0)
+    ledger.record(0, sync(1, True, moved=0.0, transfers=0, retired=[0],
+                          reason="done"), 2.0)
+    ledger.record(1, sync(1, True, moved=0.25, transfers=2, retired=[],
+                          reason="diffused"), 2.1)
+    ledger.record(2, sync(1, True, moved=0.5, transfers=1, retired=[2],
+                          reason="diffused"), 2.2)
+    first, sweep = stats.syncs
+    assert (first.moved_work, first.n_transfers) == (0.5, 1)
+    assert (sweep.moved_work, sweep.n_transfers) == (0.75, 3)
+    assert sweep.retired == (0, 2) and sweep.reason == "diffused"
+    assert sweep.predicted_current == 0.5
 
 
 # -- AwaitMessage.matches: the one matching rule ---------------------------

@@ -88,8 +88,13 @@ EXPECTED = {
     "LCDLB": "6df2948713594c86c20f9ed177c2f4afc037d39768f2b7e95a06126b1dcf8049",
     "LDDLB": "f1254afe023ce341c57c4d81c702223c9a8ac5b62a2f4058c866af527f8ae95c",
     "WS": "bc6cad189d3773f675e17d166921e25361a3c17f8da70fe7d22d1b92d51d60f3",
-    "diff-ring": "31c1e0f6fbbcdeddf6c89e26e1675c3f5e2e369ab78f68b9553a9bb7f42c13d2",
-    "diff-torus": "76d279a7e1bcefa9bd9d4d3d7f373d4893a7fb34bbf25146b326d01a9001cd50",
+    # The two DIFF digests were re-pinned when diffusion's synchronization
+    # became neighbour-local (interrupts, profiles and retirement over
+    # N[v] instead of an all-to-all gather): a deliberate change of
+    # DIFF's conversation, not of the engine.  Every other digest here
+    # and in test_topology_seed_identity.py held untouched across it.
+    "diff-ring": "97439fa2dd2f7ce7faa26180c7742a5ecb8146efcf9a4e5f7f638e270a236da5",
+    "diff-torus": "40886a484064a0ba3ef7d5453e58fd98e85b9d5a70c26b4d40c3c7914772878d",
     "faulted": "24fac2a2fa21b2cbdb712e5c32e71c6f7364633c3f2a8618a06a13f2a4a40fc4",
     "periodic": "f5703bd3173479e1139b927b24b78e12015724b98a5c788bf8a79bf89a26d674",
 }

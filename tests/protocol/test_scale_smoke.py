@@ -40,3 +40,25 @@ def test_p512_bus_local_scheme_smoke():
     # sync traffic stayed O(P*k), nowhere near the global O(P^2).
     assert stats.n_syncs >= 1
     assert stats.network_messages < p * p
+
+
+@pytest.mark.scale
+def test_p256_torus_diffusion_smoke():
+    """Neighbour-local diffusion at P=256: a sweep costs O(|E|) one-hop
+    messages, so the wave finishes — exactly once — in well under 5 s of
+    host time (the all-to-all gather it replaced sent 2 P (P - 1) =
+    130,560 routed messages per sync here)."""
+    p = 256
+    loop = mxm_loop(MxmConfig(64, 32, 32), op_seconds=4e-7)
+    cluster = ClusterSpec.homogeneous(p, max_load=3, persistence=1.0,
+                                      seed=7)
+    t0 = time.perf_counter()
+    stats = run_loop(loop, cluster, "DIFF", RunOptions(topology="torus"))
+    wall = time.perf_counter() - t0
+
+    assert wall < 5.0, f"DIFF torus P=256 took {wall:.1f}s"
+    executed = sum(stats.executed_count(n) for n in stats.executed_by_node)
+    assert executed == loop.n_iterations
+    assert stats.n_syncs >= 1
+    edges = 2 * p
+    assert stats.network_messages <= 6 * edges * stats.n_syncs

@@ -3,7 +3,8 @@
 One happy-path and one crash-recovery trace per strategy shape:
 GCDLB (centralized, global group), LCDLB (centralized, local group),
 GDDLB (distributed, global group), LDDLB (distributed, local group) —
-plus the static NONE baseline and the lone-node edge.  Pure state
+plus the static NONE baseline, the lone-node edge, and the
+neighbour-scoped conversation of the diffusion strategy.  Pure state
 machine throughout: events in, commands out, no simulator.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.diffusion import DiffusionPlanner
+from repro.core.policy import DlbPolicy
 from repro.message.messages import (
     ControlMsg,
     InstructionMsg,
@@ -36,6 +39,7 @@ from repro.protocol import (
     TimerFired,
     WorkReclaimed,
 )
+from repro.network.topology import Topology
 from repro.runtime.options import FaultToleranceConfig
 
 from .conftest import COST, all_of, make_worker, only
@@ -380,3 +384,179 @@ def test_hardened_retiree_ships_late_work_to_the_lowest_survivor(table):
     assert leftover.tag is Tag.WORK and leftover.dst == 0
     assert leftover.ranges == ((8, 12),) and leftover.count == 4
     assert cmds[-1] == Done("retired") and w.assignment.empty
+
+
+# ---------------------------------------------------------------------------
+# Neighbour scope (diffusion): the wave, leaving, the retire note.
+# A 3-node line 0 - 1 - 2; alpha = 1 / (1 + max_degree) = 1/3.
+# ---------------------------------------------------------------------------
+LINE = Topology("line", 3, ((0, 1), (1, 2)))
+
+
+def line_worker(me, table, ranges=(), ft=None):
+    planner = DiffusionPlanner(LINE, DlbPolicy(), COST)
+    return make_worker(me, planner.scope(me), centralized=False,
+                       table=table, ranges=ranges, ft=ft, planner=planner)
+
+
+def _sends(cmds, tag):
+    return [c.msg for c in all_of(cmds, Send) if c.msg.tag is tag]
+
+
+def _profile(src, dst, epoch, count):
+    return ProfileMsg(src=src, dst=dst, epoch=epoch,
+                      remaining_work=count * COST, remaining_count=count,
+                      rate=1.0)
+
+
+def test_neighbour_scope_is_the_closed_neighbourhood(table):
+    assert line_worker(0, table).members == (0, 1)
+    assert line_worker(1, table).members == (0, 1, 2)
+    assert line_worker(1, table).neighbour_scope
+    assert not make_worker(1, (0, 1, 2), centralized=False,
+                           table=table).neighbour_scope
+
+
+def test_interrupted_node_forwards_the_interrupt(table):
+    """The middle node, interrupted by 0, tells 2 — the one neighbour 0
+    does not reach itself — and profiles to both; an initiator tells
+    every neighbour; an unknown interrupter is passed on to all."""
+    w = line_worker(1, table, ranges=[(16, 32)])
+    w.on_event(Start())
+    cmds = w.on_event(ComputeDone("interrupted", by=0))
+    assert [m.dst for m in _sends(cmds, Tag.INTERRUPT)] == [2]
+    assert [m.dst for m in _sends(cmds, Tag.PROFILE)] == [0, 2]
+    wait = only(cmds, AwaitMessage)
+    assert wait.tags == (Tag.PROFILE, Tag.CONTROL)
+    assert (wait.srcs, wait.epoch, wait.control_kind) == \
+        ((0, 2), 0, "retire")
+
+    initiator = line_worker(1, table)
+    initiator.on_event(Start())
+    cmds = initiator.on_event(ComputeDone("finished"))
+    assert [m.dst for m in _sends(cmds, Tag.INTERRUPT)] == [0, 2]
+
+    unknown = line_worker(1, table, ranges=[(16, 32)])
+    unknown.on_event(Start())
+    cmds = unknown.on_event(ComputeDone("interrupted"))
+    assert [m.dst for m in _sends(cmds, Tag.INTERRUPT)] == [0, 2]
+
+
+def test_edge_flows_agree_without_a_global_plan(table):
+    """Node 0 (idle) and node 1 (18 iterations) each plan from what they
+    hold — 1 also sees node 2 — and agree on the parcel over their edge:
+    floor(alpha * 0.18 / 0.01) = 6 iterations."""
+    w0 = line_worker(0, table)
+    w1 = line_worker(1, table, ranges=[(16, 34)])
+    for w in (w0, w1):
+        w.on_event(Start())
+    w0.on_event(ComputeDone("finished"))
+    w1.on_event(ComputeDone("interrupted", by=0))
+    assert w0.on_event(MessageReceived(_profile(1, 0, 0, 18))) == \
+        (Charge(w0.policy.delta_seconds),)
+    w1.on_event(MessageReceived(_profile(0, 1, 0, 0)))
+    w1.on_event(MessageReceived(_profile(2, 1, 0, 18)))
+
+    cmds0 = w0.on_event(Charged())
+    wait = only(cmds0, AwaitMessage)
+    assert wait.tags == (Tag.WORK,) and w0.phase == "recv_work"
+    cmds1 = w1.on_event(Charged())
+    (parcel,) = _sends(cmds1, Tag.WORK)
+    assert (parcel.dst, parcel.count) == (0, 6)
+    # 1 stays: its share of the sweep is its own outgoing transfer.
+    record = only(cmds1, RecordSync)
+    assert record.part and record.plan.retire == ()
+    assert [(t.src, t.dst) for t in record.plan.transfers] == [(1, 0)]
+    assert cmds1[-1] == StartCompute() and w1.epoch == 1
+
+    cmds0 = w0.on_event(MessageReceived(parcel))
+    assert only(cmds0, RecordSync).plan.transfers == ()
+    assert cmds0[-1] == StartCompute() and w0.assignment.count == 6
+
+
+def test_leaving_notes_every_active_neighbour(table):
+    """Nothing to compute and nothing inbound at the end of the sweep:
+    a retire note stamped with the next epoch to each neighbour, this
+    node under ``retire`` in its part of the sweep, Done."""
+    w = line_worker(1, table)
+    w.on_event(Start())
+    w.on_event(ComputeDone("finished"))
+    w.on_event(MessageReceived(_profile(0, 1, 0, 0)))
+    w.on_event(MessageReceived(_profile(2, 1, 0, 0)))
+    cmds = w.on_event(Charged())
+    notes = _sends(cmds, Tag.CONTROL)
+    assert [(n.dst, n.epoch, n.kind) for n in notes] == \
+        [(0, 1, "retire"), (2, 1, "retire")]
+    record = only(cmds, RecordSync)
+    assert record.part and record.plan.retire == (1,)
+    assert cmds[-1] == Done("done") and w.more_work is False
+
+
+def test_retire_note_stands_in_for_a_profile(table):
+    """The next gather takes a neighbour's note in place of its profile
+    and drops the sender from the active set; a note stamped with a
+    later epoch is not this gather's to consume."""
+    w = line_worker(1, table, ranges=[(16, 32)])
+    w.on_event(Start())
+    cmds = w.on_event(ComputeDone("finished"))
+    wait = only(cmds, AwaitMessage)
+    early = ControlMsg(src=0, dst=1, epoch=1, kind="retire")
+    assert not wait.matches(early)
+    assert w.on_event(MessageReceived(early)) == (wait,)   # left alone
+    assert w.active == {0, 1, 2}
+
+    note = ControlMsg(src=0, dst=1, epoch=0, kind="retire")
+    assert wait.matches(note)
+    cmds = w.on_event(MessageReceived(note))
+    assert w.active == {1, 2}
+    assert only(cmds, AwaitMessage).srcs == (2,)
+    # The plan then runs over the survivors: no flow on the dead edge.
+    w.on_event(MessageReceived(_profile(2, 1, 0, 16)))
+    cmds = w.on_event(Charged())
+    assert not _sends(cmds, Tag.WORK)
+    # ...and the next sweep addresses node 2 alone.
+    cmds = w.on_event(ComputeDone("finished"))
+    assert {c.msg.dst for c in all_of(cmds, Send)} == {2}
+
+
+def test_retired_node_answers_resend_profile_with_the_note(table):
+    w = line_worker(0, table, ft=FT)
+    w.on_event(Start())
+    w.on_event(ComputeDone("finished"))
+    w.on_event(MessageReceived(_profile(1, 0, 0, 0)))
+    assert w.on_event(Charged())[-1] == Done("done")
+    # Its last sweep's profile is still served exactly...
+    ask = ControlMsg(src=1, dst=0, epoch=0, kind="resend-profile")
+    assert isinstance(w.answer_resend(ask), ProfileMsg)
+    # ...but a neighbour gathering the next sweep gets the note again.
+    ask = ControlMsg(src=1, dst=0, epoch=1, kind="resend-profile")
+    reply = w.answer_resend(ask)
+    assert isinstance(reply, ControlMsg)
+    assert (reply.kind, reply.dst, reply.epoch) == ("retire", 1, 1)
+
+
+def test_hardened_gather_takes_the_note_and_the_work_wait_a_keepalive(table):
+    w = line_worker(0, table, ft=FT)
+    w.on_event(Start())
+    cmds = w.on_event(ComputeDone("finished"))
+    wait = only(cmds, AwaitMessage)
+    assert wait.max_epoch == 0 and wait.control_kind == "retire"
+    assert wait.matches(ControlMsg(src=1, dst=0, epoch=0, kind="retire"))
+    assert not wait.matches(
+        ControlMsg(src=1, dst=0, epoch=0, kind="resend-profile"))
+    w.on_event(MessageReceived(_profile(1, 0, 0, 18)))
+    cmds = w.on_event(Charged())
+    wait = only(cmds, AwaitMessage)
+    assert wait.tags == (Tag.WORK, Tag.CONTROL, Tag.PROFILE)
+    # The sender is still gathering: asked for the parcel, it says
+    # "alive, keep waiting" with its profile, which renews the wait.
+    sender = line_worker(1, table, ranges=[(16, 34)], ft=FT)
+    sender.on_event(Start())
+    sender.on_event(ComputeDone("interrupted", by=0))
+    w.on_event(TimerFired())
+    ask = ControlMsg(src=0, dst=1, epoch=0, kind="resend-work")
+    alive = sender.answer_resend(ask)
+    assert isinstance(alive, ProfileMsg) and alive.dst == 0
+    cmds = w.on_event(MessageReceived(alive))
+    assert only(cmds, AwaitMessage).timeout == FT.timeout_for(0)
+    assert w.phase == "recv_work"

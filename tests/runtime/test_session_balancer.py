@@ -74,6 +74,33 @@ def test_record_plan_once_per_epoch():
     assert session.stats.n_syncs == 2
 
 
+def test_record_plan_adds_up_the_parts_of_a_sweep():
+    """Diffusion: every node reports its own part of a sweep — its
+    outgoing transfers, itself if it leaves — and the session books the
+    sweep as one synchronization."""
+    from dataclasses import replace
+    from repro.core.diffusion import plan_diffusion
+    from repro.core.redistribution import SyncProfile
+    from repro.core.strategies import DIFFUSION
+    from repro.network.topology import Topology
+    session = make_session(DIFFUSION, options=RunOptions(topology="ring"))
+    assert session.scope_of(0) == (0, 1, 3)
+    whole = plan_diffusion(
+        [SyncProfile(0, 3.0, 300, 1.0), SyncProfile(1, 0.0, 0, 1.0),
+         SyncProfile(2, 0.0, 0, 1.0), SyncProfile(3, 0.0, 0, 1.0)],
+        Topology.ring(4), session.policy, session.mean_iteration_time)
+    for node in range(4):
+        mine = whole.outgoing(node)
+        session.record_plan(0, 0, replace(
+            whole, transfers=mine, move=bool(mine),
+            work_to_move=sum(t.work for t in mine),
+            retire=(2,) if node == 2 else ()), part=True)
+    (sweep,) = session.stats.syncs
+    assert sweep.n_transfers == len(whole.transfers) == 2
+    assert sweep.moved_work == pytest.approx(whole.work_to_move)
+    assert sweep.retired == (2,) and sweep.reason == "diffused"
+
+
 def test_movement_cost_fn_built_when_policy_asks():
     from repro.core.policy import DlbPolicy
     plain = make_session(GDDLB)

@@ -7,10 +7,11 @@ derives from the diffusion matrix spectrum.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.diffusion import (
+    DiffusionPlanner,
     diffusion_alpha,
-    make_diffusion_planner,
     plan_diffusion,
 )
 from repro.core.policy import DlbPolicy
@@ -107,14 +108,58 @@ def test_absent_nodes_drop_out_of_sweep():
 
 
 def test_sender_cannot_overdraw():
-    """A hub poorer than alpha * (sum of differences) ships only what it
-    holds: edges later in the deterministic order get less."""
+    """A hub never ships more than it holds, with no cap on any edge:
+    its outflow is at most alpha * degree * w < w before flooring."""
     star = Topology("star", 4, ((0, 1), (0, 2), (0, 3)))
     plan = _plan([0.05, 0.0, 0.0, 0.0], star,
                  DlbPolicy(min_transfer_iterations=1))
     shipped = sum(t.work for t in plan.transfers)
     assert shipped <= 0.05 + 1e-12
     assert plan.shares[0] >= 0.0
+
+
+def test_idle_nodes_without_inflow_retire_from_a_moving_sweep():
+    """0 feeds its neighbours 1 and 3; node 2 gets nothing, holds
+    nothing, and leaves — the others stay."""
+    plan = _plan([3.0, 0.0, 0.0, 0.0], Topology.ring(4))
+    assert plan.move
+    assert plan.retire == (2,) and plan.active == (0, 1, 3)
+
+
+def _graph(kind: str, n: int, seed: int) -> Topology:
+    if kind == "random":
+        return Topology.random_graph(n, extra_edges=n // 2, seed=seed)
+    return getattr(Topology, kind)(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["ring", "mesh", "torus", "random"]),
+       n=st.integers(3, 16), seed=st.integers(0, 5),
+       loads=st.lists(st.integers(0, 400), min_size=16, max_size=16),
+       absent=st.sets(st.integers(0, 15), max_size=3))
+def test_incident_transfers_need_only_the_neighbourhood(kind, n, seed,
+                                                        loads, absent):
+    """The transfers incident on ``v`` planned from ``N[v]``'s profiles
+    alone are those of the whole-graph sweep — with nodes missing (left
+    or dead) too — and so is whether ``v`` ends the sweep empty."""
+    topology = _graph(kind, n, seed)
+    policy = DlbPolicy(min_transfer_iterations=1)
+    profiles = [p for p in _profiles([w * MEAN_ITER for w in loads[:n]])
+                if p.node not in absent]
+    if not profiles:
+        return
+    whole = plan_diffusion(profiles, topology, policy, MEAN_ITER)
+    for me in (p.node for p in profiles):
+        scope = DiffusionPlanner(topology, policy, MEAN_ITER).scope(me)
+        local = plan_diffusion([p for p in profiles if p.node in scope],
+                               topology, policy, MEAN_ITER)
+        assert sorted(local.outgoing(me), key=lambda t: t.dst) == \
+            sorted(whole.outgoing(me), key=lambda t: t.dst)
+        assert sorted(local.incoming(me), key=lambda t: t.src) == \
+            sorted(whole.incoming(me), key=lambda t: t.src)
+        assert (me in local.retire) == (me in whole.retire)
+        assert sum(t.work for t in whole.outgoing(me)) <= \
+            loads[me] * MEAN_ITER + 1e-12
 
 
 def test_movement_cost_fn_is_consulted():
@@ -124,8 +169,8 @@ def test_movement_cost_fn_is_consulted():
         calls.append(tuple(transfers))
         return 42.0
 
-    planner = make_diffusion_planner(Topology.ring(4), POLICY, MEAN_ITER,
-                                     movement_cost_fn=cost)
+    planner = DiffusionPlanner(Topology.ring(4), POLICY, MEAN_ITER,
+                               movement_cost_fn=cost)
     plan = planner(_profiles([4.0, 0.0, 0.0, 0.0]))
     assert plan.movement_cost == 42.0
     assert calls

@@ -55,6 +55,7 @@ GATES: dict[str, dict[str, tuple[str, str]]] = {
     },
     "BENCH_topology.json": {
         "topologies.*.*": ("lower", "deterministic"),
+        "scale.*.*": ("lower", "deterministic"),
     },
     "BENCH_scale.json": {
         "des.*.virtual_duration": ("lower", "deterministic"),
