@@ -22,10 +22,10 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, Generator, Optional, Sequence, Union
 
 from ..apps.workload import LoopSpec, WorkTable
+from ..core.diffusion import DiffusionPlanner
 from ..core.policy import DlbPolicy
 from ..core.redistribution import (
     MovementCostFn,
-    PlannerFn,
     make_movement_cost_estimator,
 )
 from ..core.strategies.base import StrategySpec
@@ -458,7 +458,7 @@ class WorkerSpec:
 
     def build_protocol(self, *, table: Optional[WorkTable] = None,
                        movement_cost_fn: Optional[MovementCostFn] = None,
-                       planner: Optional[PlannerFn] = None
+                       planner: Optional[DiffusionPlanner] = None
                        ) -> WorkerProtocol:
         """The worker state machine.  In-process callers may share one
         ``table`` and pass the non-picklable pieces (a topology-aware
@@ -484,8 +484,7 @@ class WorkerSpec:
         return proto
 
     def build_balancer(self, groups: Sequence[Sequence[int]], *,
-                       movement_cost_fn: Optional[MovementCostFn] = None,
-                       planner: Optional[PlannerFn] = None
+                       movement_cost_fn: Optional[MovementCostFn] = None
                        ) -> BalancerProtocol:
         """The central balancer this worker's lb host runs for ``groups``
         (it shares the worker's policy and fault-tolerance config)."""
@@ -497,7 +496,7 @@ class WorkerSpec:
         proto = BalancerProtocol(
             self.lb_host, [list(g) for g in groups], policy=self.policy,
             mean_iteration_time=self.mean_iteration_time,
-            movement_cost_fn=movement_cost_fn, planner=planner, ft=self.ft)
+            movement_cost_fn=movement_cost_fn, ft=self.ft)
         proto.emit_trace = self.trace_events
         return proto
 

@@ -187,8 +187,8 @@ class ThreadBackend(ExecutionBackend):
                 for node, worker in enumerate(workers)]
         if lead.centralized:
             cast.insert(0, (lead.build_balancer(
-                plan.groups, movement_cost_fn=movement_cost_fn,
-                planner=planner), None, "balancer"))
+                plan.groups, movement_cost_fn=movement_cost_fn),
+                None, "balancer"))
 
         abort = threading.Event()
         mailboxes = [_Mailbox(abort) for _ in range(n)]

@@ -12,7 +12,6 @@ from .decision import SelectionReport, model_based_selector
 from .diffusion import DiffusionPlanner, diffusion_alpha, plan_diffusion
 from .policy import DlbPolicy
 from .redistribution import (
-    PlannerFn,
     RedistributionPlan,
     SyncProfile,
     make_movement_cost_estimator,
@@ -46,7 +45,6 @@ __all__ = [
     "LCDLB",
     "LDDLB",
     "NO_DLB",
-    "PlannerFn",
     "RedistributionPlan",
     "STRATEGY_ORDER",
     "SelectionReport",

@@ -158,8 +158,10 @@ def plan_diffusion(profiles: Sequence[SyncProfile],
 class DiffusionPlanner:
     """:func:`plan_diffusion` bound to a topology.
 
-    A :data:`PlannerFn` that also names the graph it diffuses over:
-    installing one in a :class:`~repro.protocol.worker.WorkerProtocol`
+    The redistribution calculation of a diffusion worker — profiles in,
+    plan out, a deterministic pure function of the profiles, since both
+    endpoints of an edge replicate the call — which also names the graph
+    it diffuses over: installing one in a :class:`~repro.protocol.worker.WorkerProtocol`
     is what scopes that worker's synchronization to its closed
     neighbourhood in ``topology``.
     """

@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..network.parameters import NetworkParameters
     from ..network.topology import Topology
 
-__all__ = ["SyncProfile", "RedistributionPlan", "PlannerFn",
+__all__ = ["SyncProfile", "RedistributionPlan",
            "plan_redistribution", "make_movement_cost_estimator",
            "make_topology_movement_cost_estimator"]
 
@@ -88,10 +88,6 @@ class RedistributionPlan:
 
 MovementCostFn = Callable[[Sequence[TransferOrder]], float]
 
-#: A redistribution calculation: profiles in, plan out.  Must be a
-#: deterministic pure function of the profiles — the distributed schemes
-#: replicate the call on every node and rely on byte-identical plans.
-PlannerFn = Callable[[Sequence[SyncProfile]], "RedistributionPlan"]
 
 
 def make_movement_cost_estimator(latency: float, bandwidth: float,

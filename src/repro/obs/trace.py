@@ -155,9 +155,13 @@ class TraceRecorder(NullRecorder):
             self.dropped += 1
         buf.append(event)
 
-    def event(self, name: str, track: str = "run", **args) -> None:
-        """One instant event at the current clock reading."""
-        self._push({"name": name, "ph": "i", "ts": self._clock(),
+    def event(self, name: str, track: str = "run", *,
+              ts: Optional[float] = None, **args) -> None:
+        """One instant event at the current clock reading — or at
+        ``ts``, for an instant that is only known in full after the
+        fact (:meth:`events` orders by timestamp, not by insertion)."""
+        self._push({"name": name, "ph": "i",
+                    "ts": self._clock() if ts is None else ts,
                     "track": track, "args": args})
 
     def complete(self, name: str, ts: float, dur: float,

@@ -19,7 +19,6 @@ from typing import Iterable, Optional, Sequence
 from ..core.policy import DlbPolicy
 from ..core.redistribution import (
     MovementCostFn,
-    PlannerFn,
     RedistributionPlan,
     SyncProfile,
     plan_redistribution,
@@ -47,7 +46,6 @@ class BalancerProtocol:
                  policy: DlbPolicy,
                  mean_iteration_time: float,
                  movement_cost_fn: Optional[MovementCostFn] = None,
-                 planner: Optional[PlannerFn] = None,
                  ft: Optional[FaultToleranceConfig] = None) -> None:
         self.host = host
         self.groups = [list(members) for members in groups]
@@ -56,9 +54,6 @@ class BalancerProtocol:
         self.policy = policy
         self.mean_iteration_time = mean_iteration_time
         self.movement_cost_fn = movement_cost_fn
-        #: Pluggable redistribution calculation (``None`` = eq. 3); the
-        #: diffusion strategy installs its topology-restricted planner.
-        self.planner = planner
         self.ft = ft or FaultToleranceConfig()
         #: Same contract as ``WorkerProtocol.emit_trace``: when set, the
         #: pump interleaves :class:`C.Emit` commands into its outputs.
@@ -146,8 +141,6 @@ class BalancerProtocol:
 
     def plan(self, profiles: Iterable[SyncProfile]) -> RedistributionPlan:
         ordered = sorted(profiles, key=lambda p: p.node)
-        if self.planner is not None:
-            return self.planner(ordered)
         return plan_redistribution(
             ordered, self.policy, self.mean_iteration_time,
             self.movement_cost_fn)

@@ -60,7 +60,6 @@ class CentralBalancer:
             policy=session.policy,
             mean_iteration_time=session.mean_iteration_time,
             movement_cost_fn=session.movement_cost_fn,
-            planner=session.planner,
             ft=session.ft)
 
     # -- protocol-state views ------------------------------------------------

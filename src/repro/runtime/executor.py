@@ -217,6 +217,7 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
         env.run(gather)
 
     session.stats.end_time = env.now
+    session.emit_sweep_decisions()
     session.stats.node_finish_times = {
         i: session.nodes[i].finish_time for i in range(session.n)}
     session.stats.messages_by_tag = {

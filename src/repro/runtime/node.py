@@ -117,7 +117,8 @@ class NodeRuntime:
         self.track = f"node{node_id}"
         self.protocol.emit_trace = self.rec.enabled
         # Periodic synchronization (Dome/Siegell model, §2.2 ablation):
-        # the lowest-numbered active group member is the clock.
+        # the lowest-numbered active group member is the clock; under
+        # neighbour scope every node is its own.
         self.periodic = session.options.sync_mode == "periodic"
         self.next_deadline = session.env.now + session.options.sync_period
 
@@ -432,7 +433,12 @@ class NodeRuntime:
                 if self._claim_orphans():
                     continue  # reclaimed a dead peer's work: keep going
                 return E.ComputeDone("finished")  # lone: nothing to sync
-            if self.periodic:
+            by: Optional[int] = None
+            if self.periodic and self.protocol.neighbour_scope:
+                if status == "finished":
+                    by = yield from self._idle_to_deadline()
+                status = "interrupted"
+            elif self.periodic:
                 proceed = yield from self._periodic_trigger(
                     status, sorted(others))
                 if not proceed:
@@ -446,14 +452,31 @@ class NodeRuntime:
             self._drain_stale()
             if self.ft_enabled and not session.centralized:
                 self._claim_orphans()
-            interrupt = self._pending_interrupt() \
-                if status == "interrupted" else None
-            return E.ComputeDone(
-                status, by=None if interrupt is None else interrupt.src)
+            if by is None and status == "interrupted":
+                interrupt = self._pending_interrupt()
+                by = None if interrupt is None else interrupt.src
+            return E.ComputeDone(status, by=by)
 
     def _is_clock(self) -> bool:
-        """The periodic-mode initiator: lowest-numbered active member."""
-        return self.me == min(self.active)
+        """The periodic-mode initiator of a *group*: its lowest-numbered
+        active member.  Under neighbour scope there is no set of nodes
+        that agree on an active set, so every node keeps its own clock."""
+        return self.protocol.neighbour_scope or self.me == min(self.active)
+
+    def _idle_to_deadline(self) -> Generator[Event, None, Optional[int]]:
+        """Periodic mode under neighbour scope: a finisher idles until
+        its own deadline, or until a neighbour's wave reaches it.
+
+        Returns the interrupter (the wave does not go back to whom it
+        came from), ``None`` when this node's clock ran out first: the
+        pump then interrupts every active neighbour, as it does for any
+        node stopped with no interrupt pending.  A lost interrupt costs
+        the rest of the period at most, so the wait needs no hardening.
+        """
+        msg = yield from self._recv_timed(C.AwaitMessage(
+            tags=(Tag.INTERRUPT,), epoch=self.epoch,
+            timeout=max(self.next_deadline - self.session.env.now, 0.0)))
+        return None if msg is None else msg.src
 
     def _periodic_trigger(self, status: str, others: list[int]):
         """Timer-based synchronization entry (sync_mode="periodic").

@@ -128,7 +128,9 @@ class RunOptions:
         ``"periodic"`` — timer-based synchronization every
         ``sync_period`` seconds (the Dome/Siegell model of §2.2), in
         which the lowest-numbered active group member initiates the
-        sync at the first iteration boundary past the deadline.
+        sync at the first iteration boundary past the deadline
+        (diffusion has no group to agree on a clock: every node stops
+        at its own deadline and the wave carries the interrupt on).
     sync_period:
         Period for ``sync_mode="periodic"``, in seconds.
     fault_tolerance:

@@ -106,6 +106,7 @@ class LoopSession:
         #: caller supplied a recorder (see docs/OBSERVABILITY.md).
         self.recorder = options.recorder or NULL_RECORDER
         self._sync_records: dict[tuple[int, int], SyncRecord] = {}
+        self._sweeps: list[SyncRecord] = []
         self._selected = False
         #: Fault injection / recovery state; None on a fault-free run
         #: with fault tolerance disabled (the common case).
@@ -199,14 +200,29 @@ class LoopSession:
             return
         record = self._sync_records[key] = SyncRecord.of_plan(
             self.env.now, group, epoch, plan)
-        # For a sweep this instant marks its first local decision; the
-        # sweep's totals are the record's.
-        self.recorder.event(
-            "decision", track="balancer", group=group, epoch=epoch,
-            reason=record.reason, moved=record.moved_work,
-            n_transfers=record.n_transfers)
+        if part:
+            self._sweeps.append(record)  # its instant: when it is whole
+        else:
+            self._emit_decision(record)
         if self.options.trace:
             self.stats.record_sync(record)
+
+    def _emit_decision(self, record: SyncRecord,
+                       ts: Optional[float] = None) -> None:
+        self.recorder.event(
+            "decision", track="balancer", ts=ts, group=record.group,
+            epoch=record.epoch, reason=record.reason,
+            moved=record.moved_work, n_transfers=record.n_transfers)
+
+    def emit_sweep_decisions(self) -> None:
+        """The ``decision`` instant of every neighbour-local sweep, from
+        its summed record.  A wave is no barrier — nothing says when a
+        sweep's last part is in, short of the run being over — so the
+        executor calls this once the stats are final; each instant is
+        stamped with the time its sweep began."""
+        for record in self._sweeps:
+            self._emit_decision(record, ts=record.time)
+        self._sweeps.clear()
 
     def record_executed(self, node: int, ranges: list[tuple[int, int]]) -> None:
         self.stats.executed_by_node.setdefault(node, []).extend(ranges)

@@ -114,6 +114,36 @@ def test_diffusion_wave_survives_crash_and_drop_plans(kind, p, ft_options):
             assert_exact_coverage(stats, loop)
 
 
+@pytest.mark.parametrize("kind", ["ring", "mesh", "torus", "random"])
+def test_periodic_diffusion_survives_crash_and_drop_plans(kind, ft_options):
+    """The periodic ablation of the wave: every node is its own clock,
+    so neither a crashed nor a departed node takes the trigger with it,
+    and an idling finisher that misses an interrupt syncs at its own
+    deadline anyway."""
+    p = 9
+    loop = LoopSpec(name="ft-tick", n_iterations=96, iteration_time=0.010,
+                    dc_bytes=800)
+    options = ft_options.but(topology=_graph(kind, p),
+                             sync_mode="periodic", sync_period=0.05)
+    for seed in range(10):
+        cluster = ClusterSpec.homogeneous(p, max_load=5, persistence=0.5,
+                                          seed=seed)
+        victim = 1 + seed % (p - 1)
+        crash = FaultPlan(seed=seed, crashes=(
+            CrashFault(node=victim, time=0.03 + 0.03 * seed),))
+        stats = run_loop(loop, cluster, "DIFF", options=options,
+                         fault_plan=crash)
+        assert_exact_coverage(stats, loop)
+        assert set(stats.fenced_nodes) <= {victim}
+        drop = FaultPlan(seed=seed, drops=(MessageDropFault(
+            probability=1.0, max_drops=3,
+            tag=("control", "interrupt", "profile", "work", None)[seed % 5]),))
+        stats = run_loop(loop, cluster, "DIFF", options=options,
+                         fault_plan=drop)
+        assert_exact_coverage(stats, loop)
+        assert stats.fenced_nodes == ()
+
+
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_lost_retire_notes_are_healed_by_the_resend_service(topology,
                                                             ft_loop,

@@ -7,6 +7,8 @@ every graph family, and that a sweep is booked as one synchronization.
 """
 
 import gc
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro import ClusterSpec, run_loop
 from repro.apps.mxm import MxmConfig, mxm_loop
 from repro.apps.workload import LoopSpec
 from repro.network.topology import Topology, resolve_topology
+from repro.obs.trace import TraceRecorder
 from repro.runtime.options import RunOptions
 
 SEEDS = range(10)
@@ -72,6 +75,39 @@ def test_exactly_once_and_termination(kind, p):
         assert sorted(left) == list(range(p))
 
 
+@pytest.mark.parametrize("hardened", [False, True])
+@pytest.mark.parametrize("p", [4, 16, 64])
+@pytest.mark.parametrize("kind", ["ring", "mesh", "torus", "random"])
+def test_periodic_sweeps_run_on_every_nodes_own_clock(kind, p, hardened):
+    """``sync_mode="periodic"``: no two neighbourhoods share an active
+    set, so there is no clock they could agree on — every node stops at
+    its own deadline and the wave does the rest.  A node that leaves
+    takes no duty with it (the lowest-numbered one used to: the run
+    then hung, or fenced the cleanly departed clock when hardened), and
+    a node that multicasts nothing itself sends no interrupt twice."""
+    loop = LoopSpec(name="tick", n_iterations=96, iteration_time=0.004,
+                    dc_bytes=400)
+    topology = graph(kind, p)
+    edges = len(resolve_topology(topology, p).edges)
+    options = RunOptions(topology=topology, sync_mode="periodic",
+                         sync_period=0.02)
+    if hardened:
+        options = options.but(fault_tolerance=replace(
+            options.fault_tolerance, enabled=True))
+    for seed in range(5):
+        stats = run_loop(loop, _cluster(p, seed, max_load=5), "DIFF",
+                         options)
+        assert sum(stats.executed_count(n)
+                   for n in stats.executed_by_node) == loop.n_iterations
+        # Nobody leaves twice (a node outliving all its neighbours ends
+        # "lone", in no sweep at all).
+        left = [n for s in stats.syncs for n in s.retired]
+        assert len(left) == len(set(left))
+        assert stats.declared_dead == () and stats.fenced_nodes == ()
+        assert stats.messages_by_tag["interrupt"] \
+            <= 2 * edges * stats.n_syncs
+
+
 def test_one_sync_record_per_sweep():
     """64 nodes each report their part of a sweep; the run books one
     synchronization per epoch, whose moved work and transfer count are
@@ -87,6 +123,29 @@ def test_one_sync_record_per_sweep():
     assert all(s.reason == "diffused" and s.moved_work > 0 for s in moved)
     assert stats.messages_by_tag["work"] == \
         sum(s.n_transfers for s in stats.syncs)
+
+
+def test_decision_instant_carries_the_sweeps_totals():
+    """The trace's ``decision`` instant means one synchronization, as
+    the record does: the whole sweep's moved work and transfer count
+    (not the first reporter's share), at the time the sweep began."""
+    loop = LoopSpec(name="skew", n_iterations=256, iteration_time=tuple(
+        0.0005 + 0.004 * (i / 256) for i in range(256)), dc_bytes=400)
+    recorder = TraceRecorder()
+    stats = run_loop(loop, _cluster(16, max_load=5), "DIFF",
+                     RunOptions(topology="torus", recorder=recorder))
+    decisions = [e for e in recorder.events() if e["name"] == "decision"]
+    assert [(e["ts"], e["args"]["epoch"], e["args"]["reason"],
+             e["args"]["moved"], e["args"]["n_transfers"])
+            for e in decisions] == \
+        [(s.time, s.epoch, s.reason, s.moved_work, s.n_transfers)
+         for s in stats.syncs]
+    # ... which is what the nodes, between them, actually shipped.
+    shipped = Counter(e["args"]["epoch"] for e in recorder.events()
+                      if e["name"] == "redistribute")
+    assert {e["args"]["epoch"]: e["args"]["n_transfers"]
+            for e in decisions if e["args"]["n_transfers"]} == shipped
+    assert max(shipped.values()) > 4  # more than any one node's share
 
 
 def test_finished_run_is_freed_by_reference_counting():
