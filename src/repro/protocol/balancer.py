@@ -4,26 +4,30 @@
 profile boxes, the ready queue, group epochs and active sets, the
 cached-instruction table that recovers lost INSTRUCTIONs, and the probe
 clocks of the pull-based failure detector.  It has no clock, transport,
-or process model: the discrete-event adapter
-(:class:`~repro.runtime.balancer.CentralBalancer`) drives the
-fine-grained transitions and keeps the simulation-only concerns
-(stealing CPU from the co-located compute slave, the §4.3 customized
-selection); the real-time backend pumps :meth:`on_event`.
+or process model, and one way in: every backend — thread, process,
+socket and the simulator's
+:class:`~repro.runtime.balancer.CentralBalancer` — feeds
+:meth:`BalancerProtocol.on_event` and runs the commands it returns.
+What only one backend can supply reaches the pump through two optional
+ports, ``None`` everywhere but the simulator: :attr:`select` (the §4.3
+customized selection) and :attr:`claim_orphans` (the fault controller's
+reclaim pool).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from dataclasses import replace
+from typing import Callable, Optional, Sequence
 
 from ..core.policy import DlbPolicy
 from ..core.redistribution import (
     MovementCostFn,
-    RedistributionPlan,
     SyncProfile,
     plan_redistribution,
 )
 from ..message.messages import (
+    ControlMsg,
     InstructionMsg,
     Message,
     ProfileMsg,
@@ -40,7 +44,11 @@ Range = tuple[int, int]
 
 
 class BalancerProtocol:
-    """Pure protocol state machine for the central load balancer."""
+    """Pure protocol state machine for the central load balancer.
+
+    The public surface is :meth:`on_event`, :attr:`all_done`,
+    :meth:`regroup` and the state attributes.
+    """
 
     def __init__(self, host: int, groups: Sequence[Sequence[int]], *,
                  policy: DlbPolicy,
@@ -58,6 +66,15 @@ class BalancerProtocol:
         #: Same contract as ``WorkerProtocol.emit_trace``: when set, the
         #: pump interleaves :class:`C.Emit` commands into its outputs.
         self.emit_trace = False
+        #: §4.3 port: called once, with the first service's profiles;
+        #: returns ``(scheme code, group size, stays)`` — ``stays`` false
+        #: when a distributed scheme takes over and the balancer retires.
+        self.select: Optional[
+            Callable[[list[SyncProfile]], tuple[str, int, bool]]] = None
+        #: Recovery port: called at every service start; hands over the
+        #: reclaim pool as ``(ranges, their work in seconds)``.
+        self.claim_orphans: Optional[
+            Callable[[], tuple[tuple[Range, ...], float]]] = None
 
         self.pending: dict[int, dict[int, SyncProfile]] = {}
         self.ready: deque[int] = deque()
@@ -71,39 +88,90 @@ class BalancerProtocol:
         self.last_instruction: dict[int, InstructionMsg] = {}
         self.probe_rounds: dict[int, int] = {}
 
-    # ------------------------------------------------------------------
-    # Fine-grained transitions (used by the DES adapter and internally).
-    # ------------------------------------------------------------------
     @property
     def all_done(self) -> bool:
         return len(self.groups_done) >= len(self.groups)
 
-    def absorb(self, msg: ProfileMsg, group: Optional[int] = None) -> None:
-        """File a profile into its group's box; mark the group ready when
-        every active member has reported."""
-        gid = self.group_of.get(msg.src, msg.group) if group is None \
-            else group
+    def regroup(self, groups: Sequence[Sequence[int]]) -> None:
+        """Rebuild group bookkeeping under the newly selected scheme
+        (§4.3): whoever is still active starts epoch 1 in its new
+        group; a balancer that finished or retired stays finished."""
+        active = set() if self.all_done \
+            else set().union(*self.group_active.values())
+        self.groups = [list(members) for members in groups]
+        self.group_of = {node: g for g, members in enumerate(self.groups)
+                         for node in members}
+        self.pending.clear()
+        self.ready.clear()
+        self.group_active = {
+            g: set(members) & active
+            for g, members in enumerate(self.groups)}
+        self.group_epoch = {g: 1 for g in range(len(self.groups))}
+        self.groups_done = {g for g, mem in self.group_active.items()
+                            if not mem}
+        self.probe_rounds = {}
+
+    def on_event(self, event: E.ProtocolEvent) -> tuple[C.Command, ...]:
+        """Feed one event; returns the commands the backend must run."""
+        if isinstance(event, E.Start):
+            return self._rearm()
+        if isinstance(event, E.MessageReceived):
+            return self._pump_message(event.msg)
+        if isinstance(event, (E.PeerDead, E.PeerLeft)):
+            # A planned departure prunes like a death: the departed
+            # node's residual work is re-granted by the backend, not
+            # planned over.
+            self._prune_dead(event.peer)
+            return self._serve_ready()
+        if isinstance(event, E.PeerJoined):
+            self._admit(event.peer, event.group)
+            return self._serve_ready()
+        if isinstance(event, E.TimerFired):
+            return self._probe_round()
+        raise ProtocolError(f"balancer cannot handle {event!r}")
+
+    # ------------------------------------------------------------------
+    # Transitions.
+    # ------------------------------------------------------------------
+    def _rearm(self) -> tuple[C.Command, ...]:
+        """A batch's continuation: the next profile, or the end."""
+        if self.all_done:
+            return (C.Done("done"),)
+        return (C.AwaitMessage(tags=(Tag.PROFILE,)),)
+
+    def _pump_message(self, msg: Message) -> tuple[C.Command, ...]:
+        if not isinstance(msg, ProfileMsg):
+            return self._rearm()
+        # Any profile — fresh, duplicate or stale — proves its sender
+        # alive.  Only the *sender's* probe clock resets: a chatty
+        # waiter cannot defer the verdict on its silent group-mates.
+        self.probe_rounds.pop(msg.src, None)
+        gid = self.group_of.get(msg.src, msg.group)
+        if gid in self.groups_done or msg.epoch < self.group_epoch.get(gid, 0):
+            # Stale duplicate: the sender never got its instruction —
+            # resend the cached one (a finished pump keeps doing so).
+            cached = self.last_instruction.get(msg.src)
+            if cached is not None and cached.epoch == msg.epoch:
+                return (C.Send(cached),) + self._rearm()
+            return self._rearm()
+        # File the profile; the group is ready once every active member
+        # has reported.
         box = self.pending.setdefault(gid, {})
         box[msg.src] = SyncProfile(
             node=msg.src, remaining_work=msg.remaining_work,
             remaining_count=msg.remaining_count, rate=msg.rate)
-        if (gid not in self.groups_done
-                and set(box) >= self.group_active.get(gid, set())
-                and gid not in self.ready):
+        if set(box) >= self.group_active.get(gid, set()) \
+                and gid not in self.ready:
             self.ready.append(gid)
+        return self._serve_ready()
 
-    def note_alive(self, node: int) -> None:
-        """Any message from ``node`` resets its probe clock."""
-        self.probe_rounds.pop(node, None)
-
-    def admit(self, node: int, gid: int = 0) -> int:
+    def _admit(self, node: int, gid: int = 0) -> None:
         """Elastic membership: accept ``node`` into group ``gid``.
 
-        Returns the group's current epoch — the joiner's starting
-        epoch.  The joiner counts toward the group's profile quorum
-        from now on; with no work assigned it synchronizes immediately
-        (a joiner *is* the paper's "processor with no work left"), so
-        the next plan reshapes the iteration range onto the new set.
+        The joiner counts toward the group's profile quorum from now
+        on; with no work assigned it synchronizes immediately (a joiner
+        *is* the paper's "processor with no work left"), so the next
+        plan reshapes the iteration range onto the new set.
         """
         if not 0 <= gid < len(self.groups):
             raise ProtocolError(f"cannot admit {node} to group {gid}")
@@ -119,172 +187,91 @@ class BalancerProtocol:
         if gid in self.ready and \
                 not set(self.pending.get(gid, {})) >= self.group_active[gid]:
             self.ready.remove(gid)
-        return self.group_epoch.setdefault(gid, 0)
 
-    def cached_instruction(self, node: int, epoch: Optional[int] = None
-                           ) -> Optional[InstructionMsg]:
-        """The last instruction sent to ``node`` (lost-INSTRUCTION
-        recovery); filtered to ``epoch`` when given."""
-        cached = self.last_instruction.get(node)
-        if cached is not None and (epoch is None or cached.epoch == epoch):
-            return cached
-        return None
-
-    def take_ready(self) -> Optional[int]:
-        """Pop the next group whose profile set is complete."""
-        return self.ready.popleft() if self.ready else None
-
-    def group_profiles(self, gid: int) -> list[SyncProfile]:
-        """Remove and return a ready group's profiles, sorted by node."""
-        return sorted(self.pending.pop(gid, {}).values(),
-                      key=lambda p: p.node)
-
-    def plan(self, profiles: Iterable[SyncProfile]) -> RedistributionPlan:
-        ordered = sorted(profiles, key=lambda p: p.node)
-        return plan_redistribution(
-            ordered, self.policy, self.mean_iteration_time,
-            self.movement_cost_fn)
-
-    def build_instructions(self, gid: int, plan: RedistributionPlan, *,
-                           granted: tuple[Range, ...] = (),
-                           grant_dst: Optional[int] = None,
-                           selection: Optional[tuple[str, int]] = None,
-                           ) -> list[InstructionMsg]:
-        """One instruction per active group member realizing ``plan``."""
-        epoch = self.group_epoch[gid]
-        ft_on = self.ft.enabled
-        instructions = []
-        for node in sorted(self.group_active[gid]):
-            instructions.append(InstructionMsg(
-                src=self.host, dst=node, epoch=epoch, group=gid,
-                outgoing=plan.outgoing(node),
-                incoming=len(plan.incoming(node)),
-                incoming_srcs=tuple(t.src for t in plan.incoming(node))
-                if ft_on else (),
-                grant=granted if node == grant_dst else (),
-                retire=node in plan.retire,
-                done=plan.done,
-                active=plan.active,
-                select_scheme=selection[0] if selection else "",
-                select_group_size=selection[1] if selection else 0))
-        if ft_on:
-            for instr in instructions:
-                self.last_instruction[instr.dst] = instr
-        return instructions
-
-    def complete_group(self, gid: int, plan: RedistributionPlan) -> None:
-        """Group bookkeeping after its instructions went out."""
-        if plan.done or not plan.active:
+    def _prune_dead(self, dead: int) -> None:
+        """Fold one death (or departure) into its group's membership
+        and readiness."""
+        gid = self.group_of.get(dead)
+        members = self.group_active.get(gid, ())
+        if gid in self.groups_done or dead not in members:
+            return
+        members.discard(dead)
+        # A profile from a node since declared dead: its work was
+        # reclaimed into the pool, so planning with it would
+        # double-count.
+        box = self.pending.get(gid, {})
+        box.pop(dead, None)
+        if not members:
             self.groups_done.add(gid)
-        else:
-            self.group_active[gid] = set(plan.active)
-            self.group_epoch[gid] = self.group_epoch[gid] + 1
-            for node in plan.active:
-                self.probe_rounds.pop(node, None)
+            if gid in self.ready:
+                self.ready.remove(gid)
+        elif set(box) >= members and gid not in self.ready:
+            self.ready.append(gid)
 
-    def prune_dead(self, dead: set[int]) -> None:
-        """Fold death declarations into membership and readiness."""
-        for gid in range(len(self.groups)):
+    def _probe_round(self) -> tuple[C.Command, ...]:
+        """The pull-based failure detector (``TimerFired``: nothing
+        arrived for a liveness period).  Every member whose profile is
+        missing gets a ``resend-profile`` — for a live member it doubles
+        as a synchronization interrupt, and a member stuck in an older
+        epoch answers with a stale profile, which still proves it alive
+        — and one more round on its own clock; a member whose clock
+        already stands at ``max_retries`` unanswered rounds is declared
+        dead instead.  The registry's verdict comes back as
+        ``PeerDead``, which completes the group on its survivors."""
+        cmds: list[C.Command] = []
+        rounds = self.probe_rounds
+        for gid, members in self.group_active.items():
             if gid in self.groups_done:
                 continue
-            members = self.group_active.get(gid, set())
-            alive = members - dead
-            if alive != members:
-                self.group_active[gid] = alive
-            box = self.pending.get(gid, {})
-            for node in dead & set(box):
-                # A profile from a node since declared dead: its work was
-                # reclaimed into the pool, so planning with it would
-                # double-count.
-                del box[node]
-            if not alive:
-                self.groups_done.add(gid)
-                if gid in self.ready:
-                    self.ready.remove(gid)
-                continue
-            if (set(box) >= alive and gid not in self.ready
-                    and gid not in self.groups_done):
-                self.ready.append(gid)
-
-    def overdue_members(self, gid: int, alive: set[int]) -> list[int]:
-        """Silent members whose probe clock ran out (to be declared)."""
-        missing = alive - set(self.pending.get(gid, {}))
-        return [node for node in sorted(missing)
-                if self.probe_rounds.get(node, 0) >= self.ft.max_retries]
-
-    def reconfigure_after_selection(self, groups: Sequence[Sequence[int]],
-                                    globally_active: Sequence[int]) -> None:
-        """Rebuild group bookkeeping under the newly selected scheme."""
-        self.groups = [list(members) for members in groups]
-        self.group_of = {node: g for g, members in enumerate(self.groups)
-                         for node in members}
-        self.pending.clear()
-        self.ready.clear()
-        active = set(globally_active)
-        self.group_active = {
-            g: set(members) & active
-            for g, members in enumerate(self.groups)}
-        self.group_epoch = {g: 1 for g in range(len(self.groups))}
-        self.groups_done = {g for g, mem in self.group_active.items()
-                            if not mem}
-        self.probe_rounds = {}
-
-    # ------------------------------------------------------------------
-    # Event pump (used by real-time backends and scripted tests).
-    # ------------------------------------------------------------------
-    def on_event(self, event: E.ProtocolEvent) -> tuple[C.Command, ...]:
-        """Feed one event; returns the commands the backend must run."""
-        if isinstance(event, E.Start):
-            if self.all_done:
-                return (C.Done("done"),)
-            return (C.AwaitMessage(tags=(Tag.PROFILE,)),)
-        if isinstance(event, E.MessageReceived):
-            return self._pump_message(event.msg)
-        if isinstance(event, E.PeerDead):
-            self.prune_dead({event.peer})
-            return self._serve_ready()
-        if isinstance(event, E.PeerLeft):
-            # Planned departure: same pruning as a death — the departed
-            # node's residual work is re-granted by the backend, not
-            # planned over.
-            self.prune_dead({event.peer})
-            return self._serve_ready()
-        if isinstance(event, E.PeerJoined):
-            self.admit(event.peer, event.group)
-            return self._serve_ready()
-        raise ProtocolError(f"balancer cannot handle {event!r}")
-
-    def _pump_message(self, msg: Message) -> tuple[C.Command, ...]:
-        if not isinstance(msg, ProfileMsg):
-            if self.all_done:
-                return (C.Done("done"),)
-            return (C.AwaitMessage(tags=(Tag.PROFILE,)),)
-        self.note_alive(msg.src)
-        gid = self.group_of.get(msg.src, msg.group)
-        epoch = self.group_epoch.get(gid, 0)
-        if gid in self.groups_done or msg.epoch < epoch:
-            # Stale duplicate: the sender never got its instruction.
-            cached = self.cached_instruction(msg.src, msg.epoch)
-            cmds: tuple[C.Command, ...] = ()
-            if cached is not None:
-                cmds = (C.Send(cached),)
-            if self.all_done:
-                return cmds + (C.Done("done"),)
-            return cmds + (C.AwaitMessage(tags=(Tag.PROFILE,)),)
-        self.absorb(msg, group=gid)
-        return self._serve_ready()
+            missing = sorted(members - set(self.pending.get(gid, ())))
+            overdue = [node for node in missing
+                       if rounds.get(node, 0) >= self.ft.max_retries]
+            for node in overdue:
+                del rounds[node]
+                cmds.append(C.DeclareDead(node))
+            for node in missing:
+                if node not in overdue:
+                    rounds[node] = rounds.get(node, 0) + 1
+                    cmds.append(C.Send(ControlMsg(
+                        src=self.host, dst=node, epoch=self.group_epoch[gid],
+                        kind="resend-profile")))
+        return tuple(cmds) + self._rearm()
 
     def _serve_ready(self) -> tuple[C.Command, ...]:
+        """Plan and instruct every ready group, serially."""
         cmds: list[C.Command] = []
+        policy = self.policy
         while self.ready:
             gid = self.ready.popleft()
             epoch = self.group_epoch[gid]
-            profiles = self.group_profiles(gid)
+            profiles = sorted(self.pending.pop(gid, {}).values(),
+                              key=lambda p: p.node)
+            granted: tuple[Range, ...] = ()
+            if self.claim_orphans is not None and profiles:
+                # Reclaimed work re-enters balancing through the lowest
+                # member: granted in its instruction (it adds the ranges
+                # before applying the plan), counted in its profile.
+                granted, work = self.claim_orphans()
+                if granted:
+                    low = profiles[0]
+                    profiles[0] = replace(
+                        low, remaining_work=low.remaining_work + work,
+                        remaining_count=low.remaining_count
+                        + sum(e - s for s, e in granted))
+            scheme, group_size, stays = "", 0, True
+            if self.select is not None:
+                # §4.3: evaluate the model at the first synchronization
+                # point and commit to the best scheme for the loop.
+                select, self.select = self.select, None
+                scheme, group_size, stays = select(profiles)
+                cmds.append(C.Charge(policy.selection_seconds))
             # Distribution calculation plus the context switches in and
             # out of the balancer on the shared master processor.
-            cmds.append(C.Charge(self.policy.delta_seconds
-                                 + 2.0 * self.policy.context_switch_seconds))
-            plan = self.plan(profiles)
+            cmds.append(C.Charge(policy.delta_seconds
+                                 + 2.0 * policy.context_switch_seconds))
+            plan = plan_redistribution(profiles, policy,
+                                       self.mean_iteration_time,
+                                       self.movement_cost_fn)
             cmds.append(C.RecordSync(gid, epoch, plan))
             if self.emit_trace:
                 cmds.append(C.emit(
@@ -292,9 +279,28 @@ class BalancerProtocol:
                     reason=plan.reason,
                     moved=plan.work_to_move if plan.move else 0.0,
                     n_transfers=len(plan.transfers)))
-            cmds += [C.Send(instr)
-                     for instr in self.build_instructions(gid, plan)]
-            self.complete_group(gid, plan)
-        if self.all_done:
-            return tuple(cmds + [C.Done("done")])
-        return tuple(cmds + [C.AwaitMessage(tags=(Tag.PROFILE,))])
+            for node in sorted(self.group_active[gid]):
+                incoming = plan.incoming(node)
+                instr = InstructionMsg(
+                    src=self.host, dst=node, epoch=epoch, group=gid,
+                    outgoing=plan.outgoing(node), incoming=len(incoming),
+                    incoming_srcs=tuple(t.src for t in incoming)
+                    if self.ft.enabled else (),
+                    grant=granted if node == profiles[0].node else (),
+                    retire=node in plan.retire, done=plan.done,
+                    active=plan.active,
+                    select_scheme=scheme, select_group_size=group_size)
+                if self.ft.enabled:
+                    self.last_instruction[node] = instr
+                cmds.append(C.Send(instr))
+            if not stays:
+                # A distributed scheme was chosen: the balancer retires.
+                self.groups_done = set(range(len(self.groups)))
+            elif plan.done or not plan.active:
+                self.groups_done.add(gid)
+            else:
+                self.group_active[gid] = set(plan.active)
+                self.group_epoch[gid] = epoch + 1
+                for node in plan.active:
+                    self.probe_rounds.pop(node, None)
+        return tuple(cmds) + self._rearm()

@@ -107,8 +107,13 @@ class Charge(Command):
     ``Charged``.  The worker pump changes no state until that event, so
     whatever reaches the participant meanwhile (a ``resend-work``
     request, a fencing) sees it as it was before the calculation.
-    Anywhere else in a batch (the central balancer's service cost) it
-    is an annotation only the simulator could price.
+    Anywhere else in a batch (the central balancer's selection and
+    service costs) it is priced by exactly one interpreter, the
+    simulator's :class:`~repro.runtime.port.SimPort`, which spends it
+    in place — for the balancer by pausing the co-located slave
+    (:class:`~repro.runtime.balancer.CentralBalancer`) — before the
+    commands behind it run; :func:`repro.backend.driver.execute` passes
+    over it.
     """
 
     seconds: float

@@ -1,4 +1,4 @@
-"""The central load balancer's discrete-event adapter (GCDLB/LCDLB, §3.5).
+"""The central load balancer's discrete-event shell (GCDLB/LCDLB, §3.5).
 
 One balancer lives on the master processor (which also computes).  It
 collects profile messages, and once a group's set is complete it
@@ -7,308 +7,136 @@ group after another, which is precisely what produces the paper's LCDLB
 delay factor (§4.2): groups whose profiles complete while the balancer
 is busy wait in its mailbox queue.
 
-The protocol itself — profile boxes, the ready queue, group epochs,
-instruction construction, cached-instruction recovery, probe clocks —
-lives in the backend-agnostic
-:class:`~repro.protocol.balancer.BalancerProtocol`.  This adapter owns
-what only the simulation knows about: the event-heap receive loop,
-stealing CPU from the co-located compute slave (each service charges a
-context switch + the distribution calculation through
-:meth:`NodeRuntime.steal`), and the §4.3 customized selection, which
-consults the session's model before normal service resumes under the
-winning scheme.
+All of that conversation is
+:meth:`BalancerProtocol.on_event <repro.protocol.balancer.BalancerProtocol.on_event>`,
+the pump every backend runs.  :class:`CentralBalancer` is its driver on
+the event heap, the balancer flavour of
+:func:`repro.backend.driver.drive`: events in, the returned batch run
+by the interpreter it shares with the workers
+(:class:`~repro.runtime.port.SimPort`).  It owns only what the
+simulator alone knows:
 
-Fault tolerance (docs/FAULT_MODEL.md)
--------------------------------------
-With ``options.fault_tolerance.enabled`` the balancer becomes a
-pull-based failure detector.  Instead of blocking forever on the next
-profile it wakes every ``liveness_timeout`` seconds and probes the
-missing members of incomplete groups with ``resend-profile`` requests
-(for a live member the probe doubles as a synchronization interrupt);
-after ``max_retries`` silent probe rounds the missing members are
-declared dead to the :class:`~repro.faults.FaultController`, which
-reclaims their unfinished iterations into the orphan pool.  The
-balancer grants the pool to a surviving group member at the next
-service, folds it into that member's profile so the plan rebalances it,
-and keeps answering re-sent profiles with cached instructions (lost
-INSTRUCTION recovery) until every slave has exited.
+* CPU stealing — a ``Charge`` pauses the co-located compute slave
+  (§6.2's context-switch overhead) for as long as the loaded master
+  takes to spend it;
+* the liveness timer: with fault tolerance on, the profile wait is
+  bounded and its expiry is a ``TimerFired``; the fault controller's
+  registry is where ``DeclareDead`` lands and where ``PeerDead`` comes
+  from (docs/FAULT_MODEL.md has the detector and the recovery rules);
+* the pump's two ports — the §4.3 selector (after whose batch the
+  session, then the pump, regroup) and the reclaim pool.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import replace
 from typing import Generator, Optional
 
 from ..core.redistribution import SyncProfile
-from ..message.messages import ControlMsg, InstructionMsg, ProfileMsg, Tag
+from ..core.strategies.registry import get_strategy
+from ..message.messages import Tag
+from ..protocol import commands as C
+from ..protocol import events as E
 from ..protocol.balancer import BalancerProtocol
 from ..simulation import Event
+from .port import SimPort
 from .session import LoopSession
 
 __all__ = ["CentralBalancer"]
 
 
-class CentralBalancer:
+class CentralBalancer(SimPort):
     """Asynchronous central balancer serving one or more groups."""
+
+    track = "balancer"
 
     def __init__(self, session: LoopSession) -> None:
         self.session = session
-        self.host = session.lb_host
+        self.me = session.lb_host
         self.protocol = BalancerProtocol(
             session.lb_host, session.groups,
             policy=session.policy,
             mean_iteration_time=session.mean_iteration_time,
             movement_cost_fn=session.movement_cost_fn,
             ft=session.ft)
+        if session.selector is not None:
+            self.protocol.select = self._select
+        if session.controller is not None:
+            self.protocol.claim_orphans = self._claim_orphans
+        self._chosen: Optional[tuple[str, int]] = None
 
-    # -- protocol-state views ------------------------------------------------
-    @property
-    def pending(self) -> dict[int, dict[int, SyncProfile]]:
-        return self.protocol.pending
+    # -- the pump's ports -----------------------------------------------------
+    def _select(self, profiles: list[SyncProfile]) -> tuple[str, int, bool]:
+        session = self.session
+        scheme, group_size, session.stats.selection_report = \
+            session.selector(session, profiles)
+        self._chosen = (scheme, group_size)
+        return scheme, group_size, get_strategy(scheme).centralized
 
-    @property
-    def ready(self) -> deque[int]:
-        return self.protocol.ready
+    def _claim_orphans(self) -> tuple[tuple, float]:
+        granted = tuple(self.session.controller.claim_orphans())
+        work = self.session.table.range_work
+        return granted, sum(work(s, e) for s, e in granted)
 
-    @property
-    def group_active(self) -> dict[int, set[int]]:
-        return self.protocol.group_active
-
-    @property
-    def group_epoch(self) -> dict[int, int]:
-        return self.protocol.group_epoch
-
-    @property
-    def groups_done(self) -> set[int]:
-        return self.protocol.groups_done
-
-    @groups_done.setter
-    def groups_done(self, value: set[int]) -> None:
-        self.protocol.groups_done = value
-
-    @property
-    def _last_instruction(self) -> dict[int, InstructionMsg]:
-        return self.protocol.last_instruction
-
-    @property
-    def _probe_rounds(self) -> dict[int, int]:
-        return self.protocol.probe_rounds
-
-    # -- helpers ------------------------------------------------------------
-    def _absorb(self, msg: ProfileMsg) -> None:
-        # group_of is read from the session (not the protocol) because a
-        # mid-loop CUSTOM selection rewrites the session's grouping.
-        self.protocol.absorb(
-            msg, group=self.session.group_of.get(msg.src, msg.group))
-
-    def _service_wall_time(self, work_seconds: float) -> float:
-        """Wall time of balancer computation on the (loaded) master."""
-        ws = self.session.stations[self.host]
-        return ws.time_to_complete(self.session.env.now, work_seconds) \
-            - self.session.env.now
-
-    def _steal_and_work(self, work_seconds: float
-                        ) -> Generator[Event, None, None]:
-        """Charge balancer computation, pausing a co-located compute."""
-        wall = self._service_wall_time(work_seconds)
-        node = self.session.nodes.get(self.host)
+    def _charge(self, seconds: float) -> Generator[Event, None, None]:
+        """Spend balancer computation on the (loaded) master, pausing a
+        co-located compute slave meanwhile."""
+        env = self.session.env
+        wall = self.session.stations[self.me].time_to_complete(
+            env.now, seconds) - env.now
+        node = self.session.nodes.get(self.me)
         if node is not None:
             node.steal(wall)
-        yield self.session.env.timeout(wall)
+        yield env.timeout(wall)
 
-    # -- main loop ----------------------------------------------------------
+    # -- main loop ------------------------------------------------------------
+    def _turn(self, event: E.ProtocolEvent
+              ) -> Generator[Event, None, C.Command]:
+        """Feed one event and run the pump's answer."""
+        session = self.session
+        commands = self.protocol.on_event(event)
+        if type(event) is E.TimerFired and session.controller is not None:
+            # One retry per group whose members this round re-requests.
+            for _group in {self.protocol.group_of[c.msg.dst]
+                           for c in commands if type(c) is C.Send}:
+                session.controller.note_retry()
+        then = yield from self._execute(commands)
+        if self._chosen is not None:
+            # The selection went out with the batch: commit the session
+            # to it, then the pump to the session's new groups.
+            session.apply_selection(*self._chosen)
+            self._chosen = None
+            self.protocol.regroup(session.groups)
+        return then
+
     def run(self) -> Generator[Event, None, None]:
         session = self.session
-        vm = session.vm
-        if not session.ft.enabled:
-            while not self.protocol.all_done:
-                msg = yield vm.recv(self.host, Tag.PROFILE)
-                assert isinstance(msg, ProfileMsg)
-                self._absorb(msg)
-                while True:
-                    gid = self.protocol.take_ready()
-                    if gid is None:
-                        break
-                    yield from self._serve(gid)
-            return
-        yield from self._run_hardened()
-
-    def _run_hardened(self) -> Generator[Event, None, None]:
-        session = self.session
-        vm = session.vm
-        env = session.env
         ft = session.ft
-        while not self.protocol.all_done:
-            request = vm.recv(self.host, Tag.PROFILE)
-            if not request.triggered:
-                yield env.any_of(
-                    [request, env.timeout(ft.liveness_timeout)])
-            if request.triggered:
-                msg = request.value
-                yield from self._absorb_hardened(msg)
-            else:
-                vm.inbox[self.host].cancel(request)
-                yield from self._probe_silent_groups()
-            self._prune_dead()
-            while True:
-                gid = self.protocol.take_ready()
-                if gid is None:
-                    break
-                yield from self._serve(gid)
-        yield from self._lame_duck()
-
-    def _absorb_hardened(self, msg: ProfileMsg
-                         ) -> Generator[Event, None, None]:
-        """Absorb a profile; a stale duplicate means the sender never got
-        its instruction, so resend the cached one."""
-        gid = self.session.group_of.get(msg.src, msg.group)
-        epoch = self.group_epoch.get(gid, 0)
-        # Any profile — fresh, duplicate or stale — proves its sender is
-        # alive.  Only the *sender's* probe clock resets: a chatty
-        # waiter cannot defer the verdict on its silent group-mates.
-        self.protocol.note_alive(msg.src)
-        if gid in self.groups_done or msg.epoch < epoch:
-            cached = self.protocol.cached_instruction(msg.src, msg.epoch)
-            if cached is not None:
-                yield from self.session.vm.send(cached)
-            return
-        self._absorb(msg)
-
-    def _probe_silent_groups(self) -> Generator[Event, None, None]:
-        """Pull-based heartbeat: nudge members whose profile is overdue.
-
-        For a live member the ``resend-profile`` control doubles as a
-        synchronization interrupt (it answers at its next iteration
-        boundary; a member stuck in an older epoch answers with a stale
-        profile, which still proves it is alive).  A member whose *own*
-        probe clock reaches ``max_retries`` unanswered rounds is
-        declared dead.
-        """
-        session = self.session
         controller = session.controller
-        protocol = self.protocol
-        for gid in range(len(session.groups)):
-            if gid in self.groups_done:
-                continue
-            alive = {n for n in self.group_active.get(gid, set())
-                     if not session.is_dead(n)}
-            missing = alive - set(self.pending.get(gid, {}))
-            if not missing:
-                continue
-            overdue = protocol.overdue_members(gid, alive)
-            for node in overdue:
-                if controller is not None:
-                    controller.declare_dead(node, by=self.host)
-                protocol.note_alive(node)  # clear its probe clock
-            probed = [node for node in sorted(missing)
-                      if node not in overdue]
-            if not probed:
-                continue  # _prune_dead completes the group bookkeeping
+        folded: set[int] = set()
+        # The pump only ever waits for the next profile; the liveness
+        # timer on that wait is this shell's to arm.
+        wait = C.AwaitMessage(
+            tags=(Tag.PROFILE,),
+            timeout=ft.liveness_timeout if ft.enabled else None)
+        then = yield from self._turn(E.Start())
+        # Lame duck: a finished pump still answers a re-sent profile
+        # with the cached instruction, so it keeps being fed while any
+        # slave lives — a node whose DONE instruction was dropped must
+        # not exhaust its retries against a silent (exited) master.
+        while type(then) is not C.Done or (ft.enabled and any(
+                rt.proc is not None and rt.proc.is_alive
+                for rt in session.nodes.values())):
+            msg = yield from self._recv_timed(wait)
+            if msg is None:
+                then = yield from self._turn(E.TimerFired())
             if controller is not None:
-                controller.note_retry()
-            epoch = self.group_epoch[gid]
-            for node in probed:
-                protocol.probe_rounds[node] = \
-                    protocol.probe_rounds.get(node, 0) + 1
-                yield from session.vm.send(ControlMsg(
-                    src=self.host, dst=node, epoch=epoch,
-                    kind="resend-profile"))
-
-    def _prune_dead(self) -> None:
-        """Fold death declarations into group membership and readiness."""
-        controller = self.session.controller
-        if controller is None or not controller.declared:
-            return
-        self.protocol.prune_dead(controller.declared)
-
-    def _lame_duck(self) -> Generator[Event, None, None]:
-        """After the last group finishes, keep answering lost-instruction
-        retries until every slave process has exited — otherwise a node
-        whose DONE instruction was dropped would exhaust its retries
-        against a silent (exited) master."""
-        session = self.session
-        vm = session.vm
-        env = session.env
-        ft = session.ft
-
-        def slaves_alive() -> bool:
-            return any(rt.proc is not None and rt.proc.is_alive
-                       for rt in session.nodes.values())
-
-        while slaves_alive():
-            request = vm.recv(self.host, Tag.PROFILE)
-            if not request.triggered:
-                yield env.any_of(
-                    [request, env.timeout(ft.liveness_timeout)])
-            if not request.triggered:
-                vm.inbox[self.host].cancel(request)
-                continue
-            msg = request.value
-            cached = self.protocol.cached_instruction(msg.src)
-            if cached is not None:
-                yield from vm.send(cached)
-
-    def _grant_orphans(self, profiles: list[SyncProfile]
-                       ) -> tuple[tuple[int, int], ...]:
-        """Fold the orphan pool into the lowest-numbered member's profile.
-
-        Returns the granted ranges (sent in that member's instruction);
-        the receiving node adds them to its assignment before applying
-        the plan, so reclaimed work re-enters balancing immediately.
-        """
-        controller = self.session.controller
-        if controller is None or not controller.has_orphans or not profiles:
-            return ()
-        granted = tuple(controller.claim_orphans())
-        table = self.session.table
-        extra_work = sum(table.range_work(s, e) for s, e in granted)
-        extra_count = sum(e - s for s, e in granted)
-        target = profiles[0]
-        profiles[0] = replace(
-            target, remaining_work=target.remaining_work + extra_work,
-            remaining_count=target.remaining_count + extra_count)
-        return granted
-
-    def _serve(self, gid: int) -> Generator[Event, None, None]:
-        session = self.session
-        policy = session.policy
-        vm = session.vm
-        protocol = self.protocol
-        profiles = protocol.group_profiles(gid)
-        granted = self._grant_orphans(profiles) if session.ft.enabled else ()
-
-        selection: Optional[tuple[str, int]] = None
-        if session.selector is not None and not session._selected:
-            # §4.3: evaluate the model at the first synchronization point
-            # and commit to the best scheme for the rest of the loop.
-            scheme_code, group_size, report = session.selector(
-                session, profiles)
-            session.stats.selection_report = report
-            yield from self._steal_and_work(policy.selection_seconds)
-            selection = (scheme_code, group_size)
-
-        # Distribution calculation plus the context switches in and out
-        # of the balancer on the shared master processor.
-        yield from self._steal_and_work(
-            policy.delta_seconds + 2.0 * policy.context_switch_seconds)
-
-        plan = protocol.plan(profiles)
-        session.record_plan(gid, protocol.group_epoch[gid], plan)
-
-        grant_dst = profiles[0].node if granted else None
-        instructions = protocol.build_instructions(
-            gid, plan, granted=granted, grant_dst=grant_dst,
-            selection=selection)
-        yield from vm.multicast(instructions)
-
-        if selection is not None:
-            session.apply_selection(*selection)
-            protocol.reconfigure_after_selection(session.groups, plan.active)
-            if plan.done or not session.strategy.centralized:
-                # Work already finished, or a distributed scheme was
-                # chosen: the central balancer retires either way.
-                self.groups_done = set(range(len(session.groups)))
-            return
-
-        protocol.complete_group(gid, plan)
+                # Registry verdicts the pump has not heard arrive as
+                # ``PeerDead``, lowest node first: after a probe round
+                # (they include its own), before a profile (a fenced
+                # node's must neither complete a box nor be planned
+                # with — nor be delivered at all).
+                for peer in sorted(controller.declared - folded):
+                    folded.add(peer)
+                    then = yield from self._turn(E.PeerDead(peer))
+            if msg is not None and not session.is_dead(msg.src):
+                then = yield from self._turn(E.MessageReceived(msg))

@@ -20,10 +20,12 @@ backend-agnostic :class:`~repro.protocol.worker.WorkerProtocol`, and
 ``NodeRuntime`` drives it exactly as :func:`repro.backend.driver.drive`
 does for the thread, process and socket workers: events into
 ``protocol.on_event``, the returned commands run against the backend —
-here the simulator (``Send`` is a ``vm.send``, ``AwaitMessage`` a timed
-mailbox receive whose predicate is ``AwaitMessage.matches``, ``Charge``
-a timeout through the workstation's load model).  What stays here is
-what only the simulator knows:
+here the simulator, through the interpreter it shares with the central
+balancer (:class:`~repro.runtime.port.SimPort`: ``Send`` is a
+``vm.send``, ``AwaitMessage`` a timed mailbox receive whose predicate
+is ``AwaitMessage.matches``, ``Charge`` a timeout through the
+workstation's load model).  What stays here is what only a simulated
+*worker* knows:
 
 * the analytic compute slice — one timeout per slice instead of one per
   iteration — with the mid-compute steals of a co-located balancer or
@@ -74,6 +76,7 @@ from ..protocol.worker import WorkerProtocol
 from ..simulation import (Event, Interrupt, Process,
                           RetryExhaustedError, SlotFilter)
 from .assignment import Assignment
+from .port import SimPort
 from .session import LoopSession
 
 __all__ = ["NodeRuntime"]
@@ -81,7 +84,7 @@ __all__ = ["NodeRuntime"]
 _EPS = 1e-15
 
 
-class NodeRuntime:
+class NodeRuntime(SimPort):
     """One simulated processor: the worker protocol's DES driver."""
 
     def __init__(self, session: LoopSession, node_id: int,
@@ -153,18 +156,6 @@ class NodeRuntime:
     def more_work(self, value: bool) -> None:
         self.protocol.more_work = value
 
-    @property
-    def rate(self) -> float:
-        return self.protocol.rate
-
-    @property
-    def win_work(self) -> float:
-        return self.protocol.win_work
-
-    @property
-    def win_busy(self) -> float:
-        return self.protocol.win_busy
-
     # -- interrupt wiring ---------------------------------------------------
     def _on_message(self, msg: Message) -> None:
         """Mailbox hook: interrupts, plus resend service under faults."""
@@ -215,33 +206,7 @@ class NodeRuntime:
         return self.session.vm.inbox[self.me].peek(
             SlotFilter(Tag.INTERRUPT, self.epoch))
 
-    # -- receiving ----------------------------------------------------------
-    def _recv_timed(self, spec: C.AwaitMessage
-                    ) -> Generator[Event, None, Optional[Message]]:
-        """The next message ``spec`` accepts; ``None`` when its timeout
-        expired first.
-
-        ``spec.matches`` is the mailbox predicate; a single tag and an
-        exact epoch additionally ride as :class:`SlotFilter` slots so
-        the common receive stays one bucket lookup.  A timed-out get
-        request is withdrawn from the mailbox so it can never swallow a
-        later message.  With ``timeout=None`` this is exactly the legacy
-        blocking receive.
-        """
-        vm = self.session.vm
-        request = vm.recv(
-            self.me, spec.tags[0] if len(spec.tags) == 1 else None,
-            epoch=spec.epoch, match=spec.matches)
-        if spec.timeout is None or request.triggered:
-            msg = yield request
-            return msg
-        env = self.session.env
-        yield env.any_of([request, env.timeout(spec.timeout)])
-        if request.triggered:
-            return request.value
-        vm.inbox[self.me].cancel(request)
-        return None
-
+    # -- reclaimed work -----------------------------------------------------
     def _claim_orphans(self) -> int:
         """Absorb reclaimed orphan ranges before profiling (distributed
         schemes; the central balancer grants the pool explicitly)."""
@@ -303,10 +268,7 @@ class NodeRuntime:
                 commands = feed((yield from self._compute_until_sync()))
             elif kind is C.AwaitMessage:
                 commands = yield from self._await(then)
-            elif kind is C.Charge:
-                # Slowed by this node's current external load.
-                t_end = self.ws.time_to_complete(env.now, then.seconds)
-                yield env.timeout(t_end - env.now)
+            elif kind is C.Charge:  # spent by the interpreter, in place
                 commands = feed(E.Charged())
             elif (then.reason == "done" and self.ft_enabled
                     and not session.centralized and self._claim_orphans()):
@@ -321,49 +283,6 @@ class NodeRuntime:
             # left to ship it to: orphan it.
             controller.pool_ranges(self.assignment.take_all())
         self.finish_time = env.now
-
-    def _execute(self, commands: tuple[C.Command, ...]
-                 ) -> Generator[Event, None, Optional[C.Command]]:
-        """Run one batch of protocol commands against the simulator;
-        returns the batch's continuation (its last command)."""
-        session = self.session
-        controller = session.controller
-        if controller is not None:
-            # Every parcel of the batch enters the ledger *before* the
-            # first command runs: its ranges are already off the
-            # assignment, so a crash between two sends must find them
-            # there.  A receiver declared dead after planning gets its
-            # parcel orphaned instead of shipped into the void.
-            for cmd in commands:
-                if type(cmd) is C.Send and cmd.msg.tag is Tag.WORK \
-                        and cmd.msg.ranges:
-                    msg = cmd.msg
-                    if session.is_dead(msg.dst):
-                        controller.pool_ranges(msg.ranges)
-                    else:
-                        controller.register_parcel(self.me, msg.dst,
-                                                   msg.epoch, msg.ranges)
-        then = None
-        for cmd in commands:
-            kind = type(cmd)
-            if kind is C.Send:
-                if cmd.msg.tag is Tag.WORK and session.is_dead(cmd.msg.dst):
-                    continue  # pooled above, or reclaimed on declaration
-                yield from session.vm.send(cmd.msg)
-            elif kind is C.RecordSync:
-                session.record_plan(cmd.group, cmd.epoch, cmd.plan,
-                                    cmd.part)
-            elif kind is C.DeclareDead:
-                if controller is not None:
-                    controller.declare_dead(cmd.peer, by=self.me)
-            elif kind is C.Emit:
-                # ``decision``: record_plan above wrote the one deduped
-                # instant for all replicas, on the balancer track.
-                if cmd.name != "decision":
-                    self.rec.event(cmd.name, track=self.track, **cmd.args())
-            else:
-                then = cmd
-        return then
 
     def _await(self, spec: C.AwaitMessage
                ) -> Generator[Event, None, tuple[C.Command, ...]]:
@@ -411,6 +330,7 @@ class NodeRuntime:
         protocol.group = self.gid
         protocol.members = tuple(session.scope_of(self.me))
         protocol.centralized = session.centralized
+        protocol.planner = session.planner
         return replace(
             instr, select_scheme="", select_group_size=0,
             active=tuple(n for n in instr.active if n in protocol.members))

@@ -177,12 +177,9 @@ class LoopSession:
                                        seed=self.options.group_seed)
         self.group_of = {node: g for g, members in enumerate(self.groups)
                          for node in members}
-        # Selecting DIFF swaps the planner into the live node protocols
-        # (selecting anything else swaps it back out — a no-op today,
-        # since CUSTOM always starts on the eq.-3 planner).
+        # Selecting DIFF swaps the planner in; each node hands it to its
+        # protocol as it adopts the selection.
         self.planner = self._planner_for(chosen)
-        for runtime in self.nodes.values():
-            runtime.protocol.planner = self.planner
 
     # -- bookkeeping ----------------------------------------------------------
     def record_plan(self, group: int, epoch: int, plan: RedistributionPlan,

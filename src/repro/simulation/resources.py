@@ -39,6 +39,7 @@ class Resource:
         self.name = name
         self._users: set[_Request] = set()
         self._waiting: deque[_Request] = deque()
+        self._abandoned = False
         # -- statistics (for contention analysis / tests) -----------------
         self.total_requests = 0
         self.total_wait_time = 0.0
@@ -77,6 +78,8 @@ class Resource:
                 self._request_times.pop(id(request), None)
                 return
             except ValueError:
+                if self._abandoned:
+                    return  # a suspended ``use`` closed after the run
                 raise SimulationError("release of a request that was never granted")
         while self._waiting and len(self._users) < self.capacity:
             nxt = self._waiting.popleft()
@@ -88,7 +91,10 @@ class Resource:
         """Forget every holder and waiter: the simulation is over.  A
         queued request's callback points at whoever waits for it, which
         usually points back at the request and at this resource's owner
-        — reference cycles for as long as the callback stays."""
+        — reference cycles for as long as the callback stays.  A holder
+        finalised later (a suspended :meth:`use` being closed) releases
+        into the void, silently."""
+        self._abandoned = True
         for request in (*self._users, *self._waiting):
             request.callbacks = None
         self._users.clear()

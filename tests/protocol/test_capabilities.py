@@ -153,3 +153,29 @@ def test_real_backends_keep_the_interpreter_quantum_off_the_critical_path():
                if name != "kernels.py")
     assert "await hold_async(" in source["socket.py"]
     assert "asyncio.sleep(min(" not in source["socket.py"]
+
+
+def test_the_simulated_balancer_is_a_shell_around_on_event():
+    """Source pins for the one balancer tier: the simulator's adapter
+    keeps no views of protocol state and drives its ``protocol`` through
+    nothing but ``on_event`` and ``regroup`` — which, with the ports and
+    the state attributes, are all ``BalancerProtocol`` offers."""
+    import ast
+
+    from repro.protocol import BalancerProtocol
+
+    path = (Path(__file__).resolve().parents[2]
+            / "src/repro/runtime/balancer.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    decorators = {ast.unparse(d) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  for d in node.decorator_list}
+    assert not {d for d in decorators if "property" in d or "setter" in d}
+    called = {node.func.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and ast.unparse(node.func.value).endswith("protocol")}
+    assert called == {"on_event", "regroup"}
+    public = {name for name, attr in vars(BalancerProtocol).items()
+              if not name.startswith("_") and callable(attr)}
+    assert public == {"on_event", "regroup"}

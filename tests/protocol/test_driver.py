@@ -96,8 +96,10 @@ class FakePort(Reporter):
 class FakeCluster:
     """N workers (+ a balancer when centralized), stepped round-robin."""
 
-    def __init__(self, table, blocks, *, centralized, planner=None):
+    def __init__(self, table, blocks, *, centralized, planner=None,
+                 groups=None):
         n = len(blocks)
+        groups = groups or [list(range(n))]
         self.ticks = 0.0
         stats = LoopRunStats(loop_name="fake", strategy="?",
                              n_processors=n, group_size=n, backend="fake")
@@ -111,9 +113,12 @@ class FakeCluster:
         self.protos = {}
         self.pumps = {}
         for node, ranges in enumerate(blocks):
-            members = planner.scope(node) if planner else tuple(range(n))
+            gid = next(g for g, members in enumerate(groups)
+                       if node in members)
+            members = planner.scope(node) if planner else tuple(groups[gid])
             proto = make_worker(node, members, table=table, planner=planner,
-                                centralized=centralized, ranges=ranges)
+                                centralized=centralized, ranges=ranges,
+                                group=gid)
             self._spy(node, proto)
             self.protos[node] = proto
             self.pumps[node] = drive(proto, self.ports[node],
@@ -121,10 +126,13 @@ class FakeCluster:
         if centralized:
             self.inboxes["balancer"] = Inbox()
             self.ports["balancer"] = FakePort(None, self)
+            self.events["balancer"] = []
+            self.conversation["balancer"] = []
+            balancer = BalancerProtocol(0, groups, policy=DlbPolicy(),
+                                        mean_iteration_time=COST)
+            self._spy("balancer", balancer)
             self.pumps["balancer"] = drive(
-                BalancerProtocol(0, [list(range(n))], policy=DlbPolicy(),
-                                 mean_iteration_time=COST),
-                self.ports["balancer"], self.inboxes["balancer"],
+                balancer, self.ports["balancer"], self.inboxes["balancer"],
                 track="balancer")
 
     def _spy(self, node, proto):
@@ -224,38 +232,52 @@ def test_centralized_exchange_through_the_driver(table):
     assert set(cluster.ledger.stats.node_finish_times) == {0, 1, 2}
 
 
-@pytest.mark.parametrize("strategy", ["GDDLB", "GCDLB", "DIFF"])
+@pytest.mark.parametrize("strategy", ["GDDLB", "GCDLB", "DIFF", "LCDLB"])
 def test_simulator_and_driver_hold_the_same_conversation(
         table, monkeypatch, strategy):
     """The four backends speak one protocol: node 0's ``on_event``
     conversation — event in, commands out — in a simulator run is, turn
     for turn, the one ``drive()`` holds against the fake port for the
-    same loop and the same initial blocks."""
+    same loop and the same initial blocks; and so is the central
+    balancer's, under the centralized schemes.  LCDLB runs two groups
+    of two (the second a copy of the first, so both backends see the
+    profiles in the same order): their services queue behind each
+    other at the one balancer."""
     blocks = [[(0, 12)], [(12, 14)]]
+    groups = None
+    if strategy == "LCDLB":
+        blocks += [[(14, 26)], [(26, 28)]]
+        groups = [[0, 1], [2, 3]]
+    n, n_groups = len(blocks), len(groups or [0])
+    centralized = strategy in ("GCDLB", "LCDLB")
     planner = DiffusionPlanner(Topology.bus(2), DlbPolicy(), COST) \
         if strategy == "DIFF" else None
-    cluster = FakeCluster(table, blocks, centralized=strategy == "GCDLB",
-                          planner=planner)
+    cluster = FakeCluster(table, blocks, centralized=centralized,
+                          planner=planner, groups=groups)
     cluster.run()
 
-    heard = []
-    real = WorkerProtocol.on_event
+    heard = {0: [], "balancer": []}
 
-    def spy(self, event):
-        commands = real(self, event)
-        if self.me == 0:
-            heard.append(_turn(event, commands))
-        return commands
-    monkeypatch.setattr(WorkerProtocol, "on_event", spy)
+    def spy_on(cls, who):
+        real = cls.on_event
+
+        def spy(self, event):
+            commands = real(self, event)
+            if who(self) in heard:
+                heard[who(self)].append(_turn(event, commands))
+            return commands
+        monkeypatch.setattr(cls, "on_event", spy)
+    spy_on(WorkerProtocol, lambda proto: proto.me)
+    spy_on(BalancerProtocol, lambda proto: "balancer")
     monkeypatch.setattr(executor, "equal_block_partition",
                         lambda _n, _p: [Assignment(b) for b in blocks])
     stats = executor.run_loop(
-        LoopSpec(name="fake", n_iterations=14, iteration_time=COST,
-                 dc_bytes=100),
-        ClusterSpec.homogeneous(2, max_load=0, seed=7), strategy,
-        RunOptions(policy=DlbPolicy()))
-    assert stats.n_syncs == len(cluster.ledger.stats.syncs) == 2
-    assert heard == cluster.conversation[0]
+        LoopSpec(name="fake", n_iterations=blocks[-1][-1][1],
+                 iteration_time=COST, dc_bytes=100),
+        ClusterSpec.homogeneous(n, max_load=0, seed=7), strategy,
+        RunOptions(policy=DlbPolicy(), group_size=2))
+    assert stats.n_syncs == len(cluster.ledger.stats.syncs) == 2 * n_groups
+    assert heard[0] == cluster.conversation[0]
     if strategy == "DIFF":
         # One sync per sweep from two parts each, the same on both
         # sides: node 0 shipped, node 1 left once it ran dry.
@@ -263,13 +285,28 @@ def test_simulator_and_driver_hold_the_same_conversation(
             assert [s.n_transfers for s in syncs] == [1, 0]
             assert [s.retired for s in syncs] == [(), (0, 1)]
     # Not vacuous: a sync that moved work, then the one that ended it.
-    names = [name for _event, cmds in heard for name in cmds]
+    names = [name for _event, cmds in heard[0] for name in cmds]
     assert names.count("Send:PROFILE") == 2 and "Send:WORK" in names
     assert names[-1] == "Done"
     if strategy == "GDDLB":
-        assert heard[2:4] == [
+        assert heard[0][2:4] == [
             ("MessageReceived", ("Charge",)),
             ("Charged", ("RecordSync", "Send:WORK", "StartCompute"))]
+    if not centralized:
+        assert not heard["balancer"]
+        return
+    # The balancer leg: the simulator's adapter feeds the same pump the
+    # same events, and gets the same batches to run.
+    assert heard["balancer"] == cluster.conversation["balancer"]
+    waiting = ("MessageReceived", ("AwaitMessage",))
+    service = ("Charge", "RecordSync") + ("Send:INSTRUCTION",) * 2
+    assert heard["balancer"][0] == ("Start", ("AwaitMessage",))
+    assert heard["balancer"][-1] == ("MessageReceived", service + ("Done",))
+    if strategy == "LCDLB":
+        # Both groups' gathers overlap; the second service waits its
+        # turn behind the first (§4.2's delay factor).
+        serving = ("MessageReceived", service + ("AwaitMessage",))
+        assert heard["balancer"][1:5] == [waiting, waiting, serving, serving]
 
 
 def _waiting_worker(table, ft=None):

@@ -1,10 +1,15 @@
 """Unit tests for session bookkeeping and central balancer internals."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.strategies import CUSTOMIZED, GCDLB, GDDLB, LCDLB, LDDLB
 from repro.machine.cluster import ClusterSpec
+from repro.message.messages import Tag
 from repro.message.pvm import VirtualMachine
+from repro.protocol import (AwaitMessage, Charge, MessageReceived,
+                            RecordSync, Send)
 from repro.runtime.balancer import CentralBalancer
 from repro.runtime.options import RunOptions
 from repro.runtime.session import LoopSession
@@ -111,37 +116,48 @@ def test_movement_cost_fn_built_when_policy_asks():
     assert costed.movement_cost_fn is not None
 
 
-def test_balancer_absorbs_and_queues():
+def _profile(src, group=0, count=10):
     from repro.message.messages import ProfileMsg
+    return MessageReceived(ProfileMsg(
+        src=src, dst=0, epoch=0, group=group, remaining_work=1.0,
+        remaining_count=count, rate=1.0))
+
+
+def test_balancer_absorbs_and_queues():
+    """The adapter's pump files profiles until the group is whole, then
+    serves it in the same turn."""
     session = make_session(GCDLB)
-    balancer = CentralBalancer(session)
+    feed = CentralBalancer(session).protocol.on_event
+    waiting = (AwaitMessage(tags=(Tag.PROFILE,)),)
     for node in range(3):
-        balancer._absorb(ProfileMsg(src=node, dst=0, epoch=0, group=0,
-                                    remaining_work=1.0, remaining_count=10,
-                                    rate=1.0))
-    assert not balancer.ready          # one profile still missing
-    balancer._absorb(ProfileMsg(src=3, dst=0, epoch=0, group=0,
-                                remaining_work=1.0, remaining_count=10,
-                                rate=1.0))
-    assert list(balancer.ready) == [0]
+        assert feed(_profile(node)) == waiting   # one profile still missing
+    batch = feed(_profile(3))
+    assert [type(c) for c in batch[:2]] == [Charge, RecordSync]
+    assert [c.msg.dst for c in batch if isinstance(c, Send)] == [0, 1, 2, 3]
 
 
 def test_balancer_tracks_groups_independently():
-    from repro.message.messages import ProfileMsg
     session = make_session(LCDLB, n=4, options=RunOptions(group_size=2))
     balancer = CentralBalancer(session)
-    balancer._absorb(ProfileMsg(src=0, dst=0, epoch=0, group=0,
-                                remaining_work=1.0, rate=1.0))
-    balancer._absorb(ProfileMsg(src=2, dst=0, epoch=0, group=1,
-                                remaining_work=1.0, rate=1.0))
-    assert not balancer.ready
-    balancer._absorb(ProfileMsg(src=3, dst=0, epoch=0, group=1,
-                                remaining_work=1.0, rate=1.0))
-    assert list(balancer.ready) == [1]
+    feed = balancer.protocol.on_event
+    waiting = (AwaitMessage(tags=(Tag.PROFILE,)),)
+    assert feed(_profile(0, group=0)) == waiting
+    assert feed(_profile(2, group=1)) == waiting
+    batch = feed(_profile(3, group=1))
+    (sync,) = [c for c in batch if isinstance(c, RecordSync)]
+    assert sync.group == 1
+    assert [c.msg.dst for c in batch if isinstance(c, Send)] == [2, 3]
+    assert balancer.protocol.group_epoch == {0: 0, 1: 1}
 
 
 def test_service_wall_time_scaled_by_load():
+    """A ``Charge`` on the balancer costs the master's wall time for
+    that much work — and pauses the slave computing beside it."""
     session = make_session(GCDLB)
     balancer = CentralBalancer(session)
+    stolen = []
+    session.nodes[0] = SimpleNamespace(steal=stolen.append)
+    session.env.run(session.env.process(balancer._charge(0.01)))
     # No load: wall time equals work time.
-    assert balancer._service_wall_time(0.01) == pytest.approx(0.01)
+    assert session.env.now == pytest.approx(0.01)
+    assert stolen == [pytest.approx(0.01)]

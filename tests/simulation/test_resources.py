@@ -141,3 +141,36 @@ def test_use_releases_on_completion(env):
     env.run(env.process(worker()))
     assert res.in_use == 0
     assert res.queue_length == 0
+
+
+def test_closing_a_suspended_use_after_abandon_is_silent(monkeypatch):
+    """``abandon`` forgets the holders; a ``use`` suspended mid-hold is
+    closed when the finished run is collected, and its ``finally``
+    releases a request the resource no longer knows.  That must not
+    raise inside the finaliser — while a live resource still refuses a
+    release it never granted."""
+    import gc
+    import sys
+
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+    def abandoned_run():
+        env = Environment()
+        res = Resource(env)
+
+        def holder():
+            yield from res.use(5.0)
+        env.process(holder())
+        env.run(until=1.0)
+        res.abandon()
+
+    abandoned_run()
+    gc.collect()
+    assert [u.exc_value for u in unraisable] == []
+
+    live = Resource(Environment())
+    req = live.request()
+    live.release(req)
+    with pytest.raises(SimulationError, match="never granted"):
+        live.release(req)
