@@ -34,7 +34,7 @@ from typing import Any, Callable, Generator, Optional, Protocol
 
 from ..obs.trace import NULL_RECORDER
 from ..simulation import PRIORITY_URGENT, Environment, Event, Resource
-from .parameters import NetworkParameters
+from .parameters import NetworkParameters, transfer_seconds
 from .topology import Topology, TopologySpec, resolve_topology
 
 __all__ = ["GraphNetwork", "NetworkModel", "NetworkStats",
@@ -86,23 +86,38 @@ class NetworkModel(Protocol):
              item: Any = None) -> Event: ...
 
 
+#: What one stage of a carry needs: the resource to hold, the latency and
+#: bandwidth that price the hold, and the trace track (``None``: no span).
+_Stage = tuple[Resource, float, float, Optional[str]]
+
+
 class _Carry:
     """Callback-driven store-and-forward carry of one message.
 
-    Replays exactly the event sequence of the generator-based carry
-    process it replaced — a start event at URGENT priority standing in
-    for the Process ``Initialize``, then per stage: resource request →
-    hold timeout → release — without a generator frame, a Process
-    object, or the termination event nobody ever waited on.  That drops
-    roughly a third of the scheduled events behind every network message
-    on the DES hot path.  The replacement must stay *schedule-identical*
-    to the generator: the seed oracles
-    (tests/protocol/test_scale_seed_identity.py) pin it event-for-event.
+    One object per message walks ``route`` — a stage per link, then the
+    receiver's NIC — through :meth:`Resource.acquire`: the grant *calls*
+    :meth:`_acquired`, which creates the hold timeout, whose firing runs
+    :meth:`_release` and requests the next stage.  One engine event per
+    serialization point (the hold) plus the delivery; no grant event, no
+    generator frame, no Process, and no start event unless a fault
+    delays the message.
+
+    Guaranteed: every resource is requested in the order, and held for
+    the seconds (:func:`~repro.network.parameters.transfer_seconds` of
+    the stage's latency and bandwidth), that the event-per-grant carry
+    it replaced produced, and each hold timeout is created at the
+    instant its grant event would have been *scheduled*, so its due time
+    is the same float and the hold timeouts keep their relative order.
+    Not guaranteed: a hold timeout may now precede an event that
+    non-resource code schedules in the same instant with a bit-equal due
+    time.  The seed oracles (tests/protocol/test_scale_seed_identity.py)
+    and the reference model in
+    tests/network/test_store_and_forward_reference.py pin both halves.
     """
 
     __slots__ = ("net", "src", "dst", "nbytes", "item", "delivered",
-                 "extra_delay", "route", "stage", "res", "req", "hold",
-                 "link_track", "t_req")
+                 "extra_delay", "route", "stage", "res", "hold", "track",
+                 "queued")
 
     def __init__(self, net: "GraphNetwork", src: int, dst: int, nbytes: int,
                  item: Any, delivered: Event, extra_delay: float) -> None:
@@ -113,71 +128,56 @@ class _Carry:
         self.item = item
         self.delivered = delivered
         self.extra_delay = extra_delay
-        self.route: tuple[tuple[int, int], ...] = ()
-        self.stage = 0
-        self.res: Optional[Resource] = None
-        self.req: Optional[Event] = None
-        self.hold = 0.0
-        self.link_track: Optional[str] = None
-        self.t_req = 0.0
-        # Mirrors Process.Initialize: the carry starts at the current
-        # instant but *after* everything already scheduled at it.
-        start = Event(net.env)
-        start.callbacks.append(self._start)
-        net.env.schedule(start, PRIORITY_URGENT, 0.0)
-
-    def _start(self, event: Event) -> None:
-        if self.extra_delay > 0:
-            delay = self.net.env.timeout(self.extra_delay)
-            delay.callbacks.append(self._begin)
+        self.stage = 0  # index into ``route``; the rest is set per stage
+        if extra_delay > 0:
+            # Mirrors Process.Initialize: the delay starts at the current
+            # instant but *after* everything already scheduled at it.
+            start = Event(net.env)
+            start.callbacks.append(self._start)
+            net.env.schedule(start, PRIORITY_URGENT, 0.0)
         else:
-            self._begin(event)
+            self._begin(None)
 
-    def _begin(self, _event: Event) -> None:
-        self.route = self.net.topology.route(self.src, self.dst)
+    def _start(self, _event: Event) -> None:
+        delay = self.net.env.timeout(self.extra_delay)
+        delay.callbacks.append(self._begin)
+
+    def _begin(self, _event: Optional[Event]) -> None:
+        net = self.net
+        links, wire = net._links, net._wire
+        self.route = [links.get(hop, wire)
+                      for hop in net.topology.route(self.src, self.dst)]
+        self.route.append(net._recv_stage[self.dst])
         self._next_stage()
 
     def _next_stage(self) -> None:
-        net = self.net
         stage = self.stage
-        if stage < len(self.route):
-            u, v = self.route[stage]
-            res = net.link(u, v)
-            hold = net.link_params(u, v).wire_time(self.nbytes)
-            self.link_track = "link:bus" if net._shared \
-                else f"link:{min(u, v)}-{max(u, v)}"
-        elif stage == len(self.route):
-            res = net.recv_nic[self.dst]
-            hold = net.params.recv_overhead
-            self.link_track = None
-        else:
+        if stage == len(self.route):
+            net = self.net
             net.stats.record(self.src, self.dst, self.nbytes, local=False)
             net._deliver(self.dst, self.item, self.delivered)
             return
         self.stage = stage + 1
-        self.res = res
-        self.hold = hold
-        self.t_req = net.env.now
-        req = res.request()
-        self.req = req
-        req.callbacks.append(self._acquired)
+        self.res, latency, bandwidth, self.track = self.route[stage]
+        self.hold = transfer_seconds(latency, bandwidth, self.nbytes)
+        self.res.acquire(self, self._acquired)
 
-    def _acquired(self, _event: Event) -> None:
+    def _acquired(self, waited: float) -> None:
+        self.queued = waited
         held = self.net.env.timeout(self.hold)
         held.callbacks.append(self._release)
 
     def _release(self, _event: Event) -> None:
-        self.res.release(self.req)
-        if self.link_track is not None:
-            # Wire occupancy (plus queueing behind earlier frames, as an
-            # arg): recorded inside the existing release callback, so no
-            # extra DES events — the seed oracles stay bit-identical.
-            now = self.net.env.now
-            self.net.recorder.complete(
-                "transfer", now - self.hold, self.hold,
-                track=self.link_track, src=self.src, dst=self.dst,
-                nbytes=self.nbytes,
-                queued=max(now - self.hold - self.t_req, 0.0))
+        self.res.release(self)
+        net = self.net
+        if self.track is not None and net.recorder.enabled:
+            # Wire occupancy (plus the wait behind earlier frames that the
+            # resource measured, as an arg), from inside the release
+            # callback: tracing adds no DES event.
+            net.recorder.complete(
+                "transfer", net.env.now - self.hold, self.hold,
+                track=self.track, src=self.src, dst=self.dst,
+                nbytes=self.nbytes, queued=self.queued)
         self._next_stage()
 
 
@@ -194,21 +194,38 @@ class GraphNetwork:
         self.params = params or NetworkParameters()
         # Resource creation order matters for event-queue tie-breaking:
         # wire(s) first, then send NICs, then recv NICs — the exact order
-        # the original SharedBusNetwork used.
-        self._links: dict[tuple[int, int], Resource] = {}
-        self._shared = topology.shared_medium
+        # the original SharedBusNetwork used.  What a carry's stage needs
+        # is built here, once per wire and once per receive NIC — never
+        # per message, per hop or per (src, dst) pair.
+        self._links: dict[tuple[int, int], _Stage] = {}  # both directions
+        self._wire: Optional[_Stage] = None
+
+        def stage(wire: Resource, track: str, u: int, v: int,
+                  over: Optional[NetworkParameters]) -> None:
+            over = over or self.params
+            self._links[(u, v)] = self._links[(v, u)] = (
+                wire, over.wire_latency, over.bandwidth, track)
+
         if topology.shared_medium:
-            # One wire for every edge; no per-edge dict (the bus edge set
-            # is O(P^2) — link() special-cases the shared medium).
+            # One wire, one stage for every edge (the bus edge set is
+            # O(P^2)) but those with parameters of their own.
             self.bus = Resource(env, capacity=1, name="ethernet-bus")
+            self._wire = (self.bus, self.params.wire_latency,
+                          self.params.bandwidth, "link:bus")
+            for (u, v), over in topology.link_params:
+                stage(self.bus, "link:bus", u, v, over)
         else:
             for u, v in topology.edges:
-                self._links[(u, v)] = Resource(env, capacity=1,
-                                               name=f"link{u}-{v}")
+                stage(Resource(env, capacity=1, name=f"link{u}-{v}"),
+                      f"link:{u}-{v}", u, v, topology.params_for(u, v))
         self.send_nic = [Resource(env, name=f"send-nic{i}")
                          for i in range(self.n_hosts)]
         self.recv_nic = [Resource(env, name=f"recv-nic{i}")
                          for i in range(self.n_hosts)]
+        # A NIC holds for its overhead whatever the size: infinite bandwidth.
+        self._recv_stage: list[_Stage] = [
+            (nic, self.params.recv_overhead, float("inf"), None)
+            for nic in self.recv_nic]
         self.stats = NetworkStats()
         #: Optional hook called as ``on_deliver(dst, item)`` at delivery time.
         self.on_deliver: Optional[Callable[[int, Any], None]] = None
@@ -232,13 +249,7 @@ class GraphNetwork:
 
     def link(self, u: int, v: int) -> Resource:
         """The wire resource for the (undirected) edge ``u - v``."""
-        if self._shared:
-            return self.bus
-        return self._links[(u, v) if u < v else (v, u)]
-
-    def link_params(self, u: int, v: int) -> NetworkParameters:
-        """Effective parameters on edge ``u - v`` (override or default)."""
-        return self.topology.params_for(u, v) or self.params
+        return (self._wire or self._links[(u, v)])[0]
 
     def transmit(self, src: int, dst: int, nbytes: int,
                  item: Any = None) -> Generator[Event, None, Event]:
@@ -290,7 +301,8 @@ class GraphNetwork:
         cycle (hook -> message layer -> network; queued request -> carry
         -> network)."""
         self.on_deliver = None
-        wires = [self.bus] if self._shared else self._links.values()
+        wires = [self.bus] if self._wire \
+            else [stage[0] for stage in self._links.values()]
         for resource in (*wires, *self.send_nic, *self.recv_nic):
             resource.abandon()
 

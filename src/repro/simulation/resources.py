@@ -1,21 +1,29 @@
 """Capacity-limited resources for the simulation kernel.
 
 :class:`Resource` models mutual exclusion with FIFO queueing — used for
-the shared Ethernet bus and per-host network interfaces.  Requests are
-events; the canonical usage inside a simulated process is::
+the shared Ethernet bus, the per-link wires and the per-host network
+interfaces.  It has two entrances over **one** FIFO queue:
+
+* ``acquire(holder, on_grant)``, the callback entrance: ``on_grant(waited)``
+  is *called, not scheduled*, at the instant of the grant — by ``acquire``
+  itself when the resource is free, by the ``release`` that hands it to
+  the next waiter otherwise.  A grant costs no engine event.
+* ``request()``, the event entrance: the same, with a grant callback that
+  triggers the returned event.  Inside a simulated process::
 
     req = bus.request()
     yield req
     yield env.timeout(transmit_time)
     bus.release(req)
 
-or, equivalently, ``yield from bus.use(transmit_time)``.
+``yield from bus.use(transmit_time)`` does as much through ``acquire``,
+with one engine event (the hold) whether it had to queue or not.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator
+from typing import Callable, Generator, Hashable
 
 from .engine import Environment, Event
 from .errors import SimulationError
@@ -27,8 +35,33 @@ class _Request(Event):
     __slots__ = ()
 
 
+class _Hold(Event):
+    """The hold of a :meth:`Resource.use`: a timeout whose clock starts
+    at the grant, so a ``use`` is one engine event, queued or not."""
+
+    __slots__ = ("delay",)
+
+    def __init__(self, env: Environment, delay: float) -> None:
+        super().__init__(env)
+        self.delay = delay
+        self._value = None
+
+    def start(self, _waited: float) -> None:
+        self.env.schedule(self, delay=self.delay)
+
+
 class Resource:
-    """A FIFO resource with integer capacity (default: mutual exclusion)."""
+    """A FIFO resource with integer capacity (default: mutual exclusion).
+
+    Contract of the callback grant: a holder that answers ``on_grant`` by
+    scheduling its hold does so at the instant a zero-delay grant event
+    would have been *scheduled*, not *processed* — the same ``now``, so
+    the same due time (``now + hold``), and since grant events fired FIFO
+    in the order they were scheduled, holds started this way (every carry
+    stage, every :meth:`use`) keep their relative order.  The only event
+    such a hold can overtake is one that non-resource code schedules in
+    the same instant with a bit-equal due time.
+    """
 
     def __init__(self, env: Environment, capacity: int = 1,
                  name: str = "resource") -> None:
@@ -37,13 +70,14 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.name = name
-        self._users: set[_Request] = set()
-        self._waiting: deque[_Request] = deque()
+        self._users: set[Hashable] = set()
+        #: ``(holder, on_grant, time of the request)`` per waiter.
+        self._waiting: deque[tuple[Hashable, Callable[[float], object],
+                                   float]] = deque()
         self._abandoned = False
         # -- statistics (for contention analysis / tests) -----------------
         self.total_requests = 0
         self.total_wait_time = 0.0
-        self._request_times: dict[int, float] = {}
 
     @property
     def in_use(self) -> int:
@@ -53,64 +87,63 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiting)
 
+    def acquire(self, holder: Hashable,
+                on_grant: Callable[[float], object]) -> None:
+        """Call ``on_grant(waited)`` once ``holder`` has the resource —
+        now if it is free, else from the :meth:`release` that hands it
+        over.  ``holder`` is what :meth:`release` takes back."""
+        self.total_requests += 1
+        if len(self._users) < self.capacity:
+            self._users.add(holder)
+            on_grant(0.0)
+        else:
+            self._waiting.append((holder, on_grant, self.env.now))
+
     def request(self) -> Event:
         """Return an event that fires once the resource is acquired."""
         req = _Request(self.env)
-        self.total_requests += 1
-        if len(self._users) < self.capacity:
-            # Granted at once: zero wait, so skip the timestamp churn —
-            # this is the overwhelmingly common case on the hot path.
-            self._users.add(req)
-            req.succeed()
-        else:
-            self._request_times[id(req)] = self.env.now
-            self._waiting.append(req)
+        self.acquire(req, req.succeed)
         return req
 
-    def release(self, request: Event) -> None:
-        """Release a previously granted request."""
-        if request in self._users:
-            self._users.remove(request)
+    def release(self, holder: Hashable) -> None:
+        """Release a granted holder (or cancel a queued one)."""
+        users = self._users
+        if holder in users:
+            users.remove(holder)
         else:
-            # Allow cancelling a queued request.
-            try:
-                self._waiting.remove(request)  # type: ignore[arg-type]
-                self._request_times.pop(id(request), None)
-                return
-            except ValueError:
-                if self._abandoned:
-                    return  # a suspended ``use`` closed after the run
-                raise SimulationError("release of a request that was never granted")
-        while self._waiting and len(self._users) < self.capacity:
-            nxt = self._waiting.popleft()
-            self._users.add(nxt)
-            self._account_wait(nxt)
-            nxt.succeed()
+            for i, entry in enumerate(self._waiting):
+                if entry[0] is holder:  # cancel while queued
+                    del self._waiting[i]
+                    return
+            if self._abandoned:
+                return  # a suspended ``use`` closed after the run
+            raise SimulationError("release of a request that was never granted")
+        while self._waiting and len(users) < self.capacity:
+            nxt, on_grant, since = self._waiting.popleft()
+            users.add(nxt)
+            waited = self.env.now - since
+            self.total_wait_time += waited
+            on_grant(waited)
 
     def abandon(self) -> None:
         """Forget every holder and waiter: the simulation is over.  A
-        queued request's callback points at whoever waits for it, which
-        usually points back at the request and at this resource's owner
-        — reference cycles for as long as the callback stays.  A holder
-        finalised later (a suspended :meth:`use` being closed) releases
-        into the void, silently."""
+        queued waiter's grant callback points at whoever waits for it,
+        which usually points back at this resource's owner — reference
+        cycles for as long as the entry (or a request event's callback
+        list) stays.  A holder finalised later (a suspended :meth:`use`
+        being closed) releases into the void, silently."""
         self._abandoned = True
-        for request in (*self._users, *self._waiting):
-            request.callbacks = None
+        for holder in (*self._users, *(w[0] for w in self._waiting)):
+            if isinstance(holder, Event):
+                holder.callbacks = None
         self._users.clear()
         self._waiting.clear()
-        self._request_times.clear()
-
-    def _account_wait(self, req: _Request) -> None:
-        start = self._request_times.pop(id(req), None)
-        if start is not None:
-            self.total_wait_time += self.env.now - start
 
     def use(self, hold_time: float) -> Generator[Event, None, None]:
         """Acquire, hold for ``hold_time`` simulated seconds, release."""
-        req = self.request()
-        yield req
+        hold = _Hold(self.env, hold_time)
+        self.acquire(hold, hold.start)
         try:
-            yield self.env.timeout(hold_time)
+            yield hold
         finally:
-            self.release(req)
+            self.release(hold)

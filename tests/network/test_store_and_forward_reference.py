@@ -1,0 +1,219 @@
+"""The ordering contract of the routed network, against a reference model.
+
+``GraphNetwork`` carries a message through FIFO resources — the sender's
+NIC, one wire per link of the route, the receiver's NIC — with one
+engine event per hold and grants that are *calls* (see ``_Carry`` and
+``repro.simulation.resources``).  The reference below knows nothing of
+events: every resource is a ``free_at`` instant and requests are served
+in the order of their request times.  On tie-free inputs (no two
+requests reach one resource at the same instant) the two must agree
+**exactly** — the same floats, not approximately — on every delivery
+time and on every resource's grant order.  Ties are decided by the
+engine's (time, priority, insertion) order, which no closed form
+predicts; one symmetric case is pinned to the order the per-grant-event
+carry produced.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import heapq
+from collections import defaultdict
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.network.graph import GraphNetwork
+from repro.network.parameters import NetworkParameters
+from repro.network.topology import Topology
+from repro.simulation import Environment, Resource
+
+PARAMS = NetworkParameters(send_overhead=1e-3, recv_overhead=1.2e-3,
+                           wire_latency=0.2e-3, bandwidth=1e6,
+                           local_overhead=0.05e-3)
+
+
+def reference(topology, params, messages, verdicts):
+    """``(deliveries, grants, tie_free)`` for ``messages`` =
+    ``[(send time, src, dst, nbytes)]`` under fault ``verdicts``."""
+    plans, arrives = [], []
+    for (_t, src, dst, nbytes), verdict in zip(messages, verdicts):
+        arrives.append(src == dst or verdict != "drop")
+        if src == dst:  # local: no wire, no fault hook
+            plans.append([(f"send-nic{src}", params.local_overhead)])
+            continue
+        plan = [(f"send-nic{src}", params.send_overhead)]
+        if verdict != "drop":
+            if verdict:
+                plan.append((None, verdict))  # a delay holds no resource
+            for u, v in topology.route(src, dst):
+                over = topology.params_for(u, v) or params
+                wire = "ethernet-bus" if topology.shared_medium \
+                    else f"link{min(u, v)}-{max(u, v)}"
+                plan.append((wire, over.wire_latency + nbytes / over.bandwidth))
+            plan.append((f"recv-nic{dst}", params.recv_overhead))
+        plans.append(plan)
+    free_at, last_request = defaultdict(float), {}
+    deliveries, grants, tie_free = {}, defaultdict(list), True
+    pending = [(m[0], i, 0) for i, m in enumerate(messages)]
+    heapq.heapify(pending)
+    while pending:
+        t, i, k = heapq.heappop(pending)
+        if k == len(plans[i]):
+            if arrives[i]:
+                deliveries[i] = t
+            continue
+        resource, hold = plans[i][k]
+        if resource is not None:
+            tie_free = tie_free and last_request.get(resource) != t
+            last_request[resource] = t
+            t = max(t, free_at[resource])
+            free_at[resource] = t + hold
+            grants[resource].append(i)
+        heapq.heappush(pending, (t + hold, i, k + 1))
+    return deliveries, grants, tie_free
+
+
+def simulate(topology, params, messages, verdicts):
+    """The same through ``GraphNetwork``; ``grants`` also proves each
+    resource granted in the order it was asked."""
+    env = Environment()
+    net = GraphNetwork(env, topology, params)
+    net.fault_hook = lambda _src, _dst, _nbytes, item: verdicts[item]
+    deliveries, asked, grants = {}, defaultdict(list), defaultdict(list)
+    real_acquire = Resource.acquire
+
+    def spy(resource, holder, on_grant):
+        asked[resource.name].append(holder)
+
+        def granted(waited):
+            grants[resource.name].append(holder)
+            on_grant(waited)
+        real_acquire(resource, holder, granted)
+
+    def sender(i, t, src, dst, nbytes):
+        yield env.timeout(t)
+        arrival = yield from net.transmit(src, dst, nbytes, item=i)
+        yield arrival
+        deliveries[i] = env.now
+
+    for i, message in enumerate(messages):
+        env.process(sender(i, *message))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Resource, "acquire", spy)
+        env.run()
+    assert grants == asked
+    return deliveries, {
+        name: [carry.item for carry in holders]
+        for name, holders in grants.items() if not name.startswith("send")}
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["bus", "ring", "mesh", "torus", "random"]))
+    topology = Topology.random_graph(
+        n, extra_edges=draw(st.integers(0, 3)), seed=draw(st.integers(0, 99))
+    ) if kind == "random" else getattr(Topology, kind)(n)
+    edges = list(topology.edges)
+    overridden = draw(st.lists(st.sampled_from(edges), unique=True,
+                               max_size=min(3, len(edges))))
+    link_params = tuple(
+        (edge, dataclasses.replace(
+            PARAMS,
+            wire_latency=draw(st.floats(1e-5, 5e-3)),
+            bandwidth=draw(st.floats(1e5, 1e7))))
+        for edge in overridden)
+    return dataclasses.replace(topology, link_params=link_params)
+
+
+@st.composite
+def bursts(draw):
+    topology = draw(networks())
+    hosts = st.integers(0, topology.n_hosts - 1)
+    hot = draw(hosts)  # same-destination fan-in, as LCDLB's masters see
+    messages = draw(st.lists(
+        st.tuples(st.floats(0.0, 0.005), hosts,
+                  st.one_of(st.just(hot), hosts), st.integers(0, 20_000)),
+        min_size=2, max_size=24, unique_by=lambda m: m[0]))
+    verdicts = draw(st.lists(
+        st.one_of(st.none(), st.none(), st.just("drop"),
+                  st.floats(1e-4, 5e-3)),
+        min_size=len(messages), max_size=len(messages)))
+    return topology, messages, verdicts
+
+
+@given(bursts())
+@settings(max_examples=150, deadline=None)
+def test_deliveries_and_grant_order_equal_the_reference_exactly(burst):
+    topology, messages, verdicts = burst
+    deliveries, grants, tie_free = reference(topology, PARAMS, messages,
+                                             verdicts)
+    assume(tie_free)
+    got, got_grants = simulate(topology, PARAMS, messages, verdicts)
+    assert got == deliveries  # the same floats
+    assert got_grants == {name: order for name, order in grants.items()
+                          if not name.startswith("send")}
+
+
+def test_reference_sees_contention_drop_and_delay():
+    """The property is not vacuous: a fan-in into host 0 over a 3-ring
+    queues on the receive NIC, a drop never arrives, a delay is paid."""
+    messages = [(0.0, 1, 0, 1000), (1e-4, 2, 0, 1000), (2e-4, 1, 0, 500),
+                (3e-4, 2, 1, 100), (4e-4, 0, 0, 10)]
+    verdicts = [None, None, "drop", 2e-3, None]
+    deliveries, grants, tie_free = reference(Topology.ring(3), PARAMS,
+                                             messages, verdicts)
+    assert tie_free and 2 not in deliveries
+    assert grants["recv-nic0"] == [0, 1]
+    wire = PARAMS.wire_latency + 1000 / PARAMS.bandwidth
+    assert deliveries[0] == PARAMS.send_overhead + wire + PARAMS.recv_overhead
+    assert deliveries[1] == deliveries[0] + PARAMS.recv_overhead  # queued
+    assert deliveries[3] > 3e-4 + 2e-3 + PARAMS.latency
+    assert simulate(Topology.ring(3), PARAMS, messages, verdicts)[0] == \
+        deliveries
+
+
+def test_symmetric_tie_keeps_the_parent_delivery_order():
+    """Equal sizes, simultaneous senders, symmetric routes on a 3x3
+    torus: nearly every request ties, so the engine's (time, priority,
+    insertion) order decides.  Pinned to the order and the instants the
+    parent of the grant fold (one event per grant) delivered."""
+    pairs = [(src, 4) for src in (0, 1, 2, 3, 5, 6, 7, 8)] \
+        + [(4, 0), (4, 8), (8, 0), (0, 8)]
+    messages = [(0.0, src, dst, 1000) for src, dst in pairs]
+    deliveries, _grants = simulate(Topology.torus(9), PARAMS, messages,
+                                   [None] * len(messages))
+    assert [pairs[i] for i in deliveries] == [  # dict order: as delivered
+        (1, 4), (3, 4), (0, 8), (8, 0), (5, 4), (4, 8), (4, 0), (7, 4),
+        (6, 4), (0, 4), (8, 4), (2, 4)]
+    assert list(deliveries.values()) == [
+        0.0034000000000000002, 0.0046, 0.0056, 0.0056, 0.0058, 0.0068,
+        0.0068, 0.006999999999999999, 0.008199999999999999,
+        0.009399999999999999, 0.010599999999999998, 0.011799999999999998]
+
+
+def test_queued_and_free_send_nic_grants_keep_their_order():
+    """Host 0's second send waits for its send NIC; host 1's second send
+    finds its own free in the same instant; both holds end together and
+    both frames then ask for the bus.  The grant that happened first
+    (host 0's, handed over by ``release``) must reach the bus first: a
+    ``use()`` folded only on its free path let host 1 overtake (found by
+    the differential sweep on LCDLB / bus / P=16)."""
+    env = Environment()
+    net = GraphNetwork(env, Topology.bus(6), PARAMS)
+    arrived = []
+    net.on_deliver = lambda _dst, item: arrived.append((item, env.now))
+
+    def chain(t, src, dsts):
+        yield env.timeout(t)
+        for dst in dsts:
+            yield from net.transmit(src, dst, 100, item=(src, dst))
+
+    env.process(chain(0.0, 0, [3]))
+    env.process(chain(0.0, 1, [2, 4]))
+    env.process(chain(0.5e-3, 0, [5]))
+    env.run()
+    assert arrived == [
+        ((0, 3), 0.0024999999999999996), ((1, 2), 0.0027999999999999995),
+        ((0, 5), 0.0034999999999999996), ((1, 4), 0.0037999999999999996)]

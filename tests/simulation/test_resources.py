@@ -174,3 +174,146 @@ def test_closing_a_suspended_use_after_abandon_is_silent(monkeypatch):
     live.release(req)
     with pytest.raises(SimulationError, match="never granted"):
         live.release(req)
+
+
+# -- the callback entrance: acquire(holder, on_grant) ------------------------
+
+def test_acquire_calls_on_grant_at_once_when_free(env):
+    """The grant is a call, not an event: nothing is scheduled."""
+    res = Resource(env)
+    waits = []
+    res.acquire("a", waits.append)
+    assert waits == [0.0] and res.in_use == 1
+    assert env.peek() == float("inf")
+    res.release("a")
+    assert res.in_use == 0 and res.total_requests == 1
+
+
+def test_fifo_across_mixed_waiters(env):
+    """Event-style ``request()``, callback ``acquire`` and ``use()``
+    queue on one resource in one FIFO, and each measures its wait."""
+    res = Resource(env)
+    order = []
+
+    def by_request(name, hold):
+        req = res.request()
+        yield req
+        order.append((name, env.now, req.value))
+        yield env.timeout(hold)
+        res.release(req)
+
+    def by_use(name, hold):
+        yield from res.use(hold)
+        order.append((name, env.now - hold, None))
+
+    def by_acquire(name, hold):
+        def granted(waited):
+            order.append((name, env.now, waited))
+            env.timeout(hold).callbacks.append(lambda _ev: res.release(name))
+        res.acquire(name, granted)
+
+    def arrivals():
+        env.process(by_request("r1", 1.0))
+        yield env.timeout(0.1)
+        by_acquire("c1", 1.0)
+        yield env.timeout(0.1)
+        env.process(by_use("u1", 1.0))
+        yield env.timeout(0.1)
+        env.process(by_request("r2", 1.0))
+        yield env.timeout(0.1)
+        by_acquire("c2", 1.0)
+
+    env.process(arrivals())
+    env.run()
+    assert [name for name, _at, _waited in order] == \
+        ["r1", "c1", "u1", "r2", "c2"]
+    assert [at for _name, at, _waited in order] == \
+        pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0])
+    assert [order[i][2] for i in (0, 1, 3, 4)] == \
+        pytest.approx([0.0, 0.9, 2.7, 3.6])
+    assert res.total_requests == 5
+    assert res.total_wait_time == pytest.approx(0.9 + 1.8 + 2.7 + 3.6)
+    assert res.in_use == 0 and res.queue_length == 0
+
+
+def test_cancel_queued_callback_waiter(env):
+    res = Resource(env)
+    granted = []
+    res.acquire("holder", granted.append)
+    res.acquire("quitter", lambda waited: granted.append("quitter"))
+    res.acquire("stayer", lambda waited: granted.append("stayer"))
+    assert res.queue_length == 2
+    res.release("quitter")  # cancel while queued
+    assert res.queue_length == 1 and res.in_use == 1
+    res.release("holder")
+    assert granted == [0.0, "stayer"]
+    with pytest.raises(SimulationError, match="never granted"):
+        res.release("quitter")
+
+
+def test_abandon_with_callback_waiters_leaves_nothing_to_collect():
+    """A queued ``(holder, on_grant)`` entry points at its waiter, which
+    points back at the resource: ``abandon`` must cut that, so a finished
+    run is freed by reference counting alone."""
+    import gc
+
+    class Waiter:
+        def __init__(self, res):
+            self.res = res
+            res.acquire(self, self.granted)
+
+        def granted(self, waited):
+            self.waited = waited
+
+    def abandoned_run():
+        res = Resource(Environment())
+        for _ in range(3):
+            Waiter(res)
+        assert res.in_use == 1 and res.queue_length == 2
+        res.abandon()
+        assert res.in_use == 0 and res.queue_length == 0
+
+    abandoned_run()  # warm up
+    gc.collect()
+    gc.disable()
+    try:
+        abandoned_run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_interrupting_a_queued_use_gives_up_its_place(env):
+    """``use`` waits and holds inside one ``try``: a process interrupted
+    while still queued cancels its place, so the next waiter is served
+    (a grant to the dead waiter would hold the resource for ever)."""
+    from repro.simulation import Interrupt
+
+    res = Resource(env)
+    log = []
+
+    def holder():
+        yield from res.use(2.0)
+        log.append(("holder", env.now))
+
+    def impatient():
+        try:
+            yield from res.use(1.0)
+        except Interrupt:
+            log.append(("gave up", env.now))
+
+    def patient():
+        yield env.timeout(0.1)
+        yield from res.use(1.0)
+        log.append(("patient", env.now))
+
+    def interrupter(victim):
+        yield env.timeout(0.5)
+        victim.interrupt()
+
+    env.process(holder())
+    env.process(interrupter(env.process(impatient())))
+    env.process(patient())
+    env.run()
+    assert log == [("gave up", 0.5), ("holder", 2.0), ("patient", 3.0)]
+    assert res.in_use == 0 and res.queue_length == 0
