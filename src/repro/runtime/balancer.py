@@ -140,3 +140,6 @@ class CentralBalancer(SimPort):
                     then = yield from self._turn(E.PeerDead(peer))
             if msg is not None and not session.is_dead(msg.src):
                 then = yield from self._turn(E.MessageReceived(msg))
+        # The ports are bound methods of this shell, a cycle through the
+        # pump that would hold the whole session for the cycle collector.
+        self.protocol.select = self.protocol.claim_orphans = None

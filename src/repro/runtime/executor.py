@@ -18,8 +18,10 @@ survivor, so the loop degrades gracefully instead of losing work.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from ..apps.workload import ApplicationSpec, LoopSpec, SequentialStage
 from ..core.strategies.base import StrategySpec
@@ -228,23 +230,14 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
 
     # Detach mailbox hooks so a later stage can re-register, and undo
     # the session <-> node / controller back-references: the stats are
-    # final, and without the cycles a finished run is freed by
-    # reference counting instead of waiting for the cycle collector.
+    # final, and the run's owner (_simulated_run) has the cycle
+    # collector paused on the promise that reference counting frees it.
     for i in range(session.n):
         vm.inbox[i].notify = None
     session.nodes.clear()
     session.controller = None
     check_coverage(session.stats.executed_by_node, session.loop.n_iterations)
     return session.stats
-
-
-def _release(env: Environment, vm: VirtualMachine) -> None:
-    """Undo the reference cycles of a finished simulation — the
-    schedule's leftover events (timers that lost their race, messages
-    still in flight) point back at ``env``, the network's delivery hook
-    at ``vm`` — so that it, too, is freed by reference counting."""
-    env.discard_pending()
-    vm.network.abandon()
 
 
 def _build_vm(env: Environment, n: int, options: RunOptions) -> VirtualMachine:
@@ -258,6 +251,43 @@ def _build_vm(env: Environment, n: int, options: RunOptions) -> VirtualMachine:
         return VirtualMachine(env, n, options.network)
     network = build_network(env, options.topology, n, options.network)
     return VirtualMachine(env, n, options.network, network=network)
+
+
+@contextmanager
+def _simulated_run(cluster: ClusterSpec, options: RunOptions
+                   ) -> Iterator[tuple[Environment, list[Workstation],
+                                       VirtualMachine]]:
+    """The lifetime of one simulated run: its environment, stations and
+    virtual machine, with the cyclic collector paused while they live.
+
+    Contract: **a run leaves nothing for the collector.**  Each stage
+    undoes its session's back-references (:func:`run_loop_stage`); the
+    exit here drops the two cycles that are left — the schedule's
+    leftover events (timers that lost their race, messages in flight)
+    point back at ``env``, the network's delivery hook at ``vm`` — so
+    everything is freed by reference counting and every pass the pause
+    skips would have found nothing (tests/runtime/test_run_lifetime.py
+    pins that over strategy x topology x sync mode x fault plan).  The
+    guarantee is this teardown's, not the kernel's, hence the pause is
+    here and not in ``Environment.run``.  The collector is left as the
+    caller had it, whatever ends the run: ``gc.disable`` sits inside the
+    ``try`` so that no exception — a signal handler's included — finds
+    it off and unprotected.
+    """
+    was_enabled = gc.isenabled()
+    try:
+        gc.disable()
+        env = Environment()
+        stations = cluster.build()
+        vm = _build_vm(env, cluster.n_processors, options)
+        try:
+            yield env, stations, vm
+        finally:
+            env.discard_pending()
+            vm.network.abandon()
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _initial_partition(session: LoopSession):
@@ -336,14 +366,9 @@ def run_loop(loop: LoopSpec, cluster: ClusterSpec, strategy: StrategyLike,
     if spec.code == "CUSTOM" and selector is None:
         from ..core.decision import model_based_selector
         selector = model_based_selector
-    env = Environment()
-    stations = cluster.build()
-    vm = _build_vm(env, cluster.n_processors, options)
-    try:
+    with _simulated_run(cluster, options) as (env, stations, vm):
         return run_loop_stage(env, vm, stations, loop, spec, options,
                               selector, fault_plan=fault_plan)
-    finally:
-        _release(env, vm)
 
 
 def run_application(app: ApplicationSpec, cluster: ClusterSpec,
@@ -362,13 +387,10 @@ def run_application(app: ApplicationSpec, cluster: ClusterSpec,
     if spec.code == "CUSTOM" and selector is None:
         from ..core.decision import model_based_selector
         selector = model_based_selector
-    env = Environment()
-    stations = cluster.build()
-    vm = _build_vm(env, cluster.n_processors, options)
     stats = AppRunStats(app_name=app.name, strategy=spec.name,
                         n_processors=cluster.n_processors)
     pending_plan = fault_plan
-    try:
+    with _simulated_run(cluster, options) as (env, stations, vm):
         for stage in app.stages:
             if isinstance(stage, LoopSpec):
                 stats.stages.append(run_loop_stage(
@@ -380,8 +402,6 @@ def run_application(app: ApplicationSpec, cluster: ClusterSpec,
                                                     stage, options))
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown stage type {type(stage)!r}")
-    finally:
-        _release(env, vm)
     return stats
 
 

@@ -7,6 +7,7 @@ seeded P=512 run under a local scheme must complete, balance, and
 account for every iteration in a couple of seconds of wall time.
 """
 
+import gc
 import time
 
 import pytest
@@ -94,3 +95,41 @@ def test_p256_torus_routed_message_event_budget(monkeypatch):
     assert steps[0] <= 9 * stats.network_messages, \
         f"{steps[0] / stats.network_messages:.2f} engine events per message"
     assert wall < 2.0, f"LCDLB torus P=256 took {wall:.1f}s"
+
+
+@pytest.mark.scale
+def test_p1024_bus_run_pays_for_no_collector_pass():
+    """A simulated run makes no cyclic garbage, so the executor pauses
+    the cyclic collector while one lives (444 passes, a quarter of the
+    wall time, at this size when it did not).  The one pass allowed is
+    the collector catching up the moment it is switched back on: the
+    young generation is over its threshold by then.  Everything the run
+    allocated is still young, so that pass and a full one afterwards
+    between them see all of it: neither finds anything unreachable."""
+    loop = mxm_loop(MxmConfig(64, 32, 32), op_seconds=4e-7)
+    cluster = ClusterSpec.homogeneous(1024, max_load=3, persistence=1.0,
+                                      seed=7)
+    passes = [0, 0, 0]
+    found = [0]
+
+    def count(phase, info):
+        if phase == "start":
+            passes[info["generation"]] += 1
+        else:
+            found[0] += info["collected"] + info["uncollectable"]
+
+    gc.collect()
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        t0 = time.perf_counter()
+        stats = run_loop(loop, cluster, "LCDLB", RunOptions(group_size=32))
+        wall = time.perf_counter() - t0
+    finally:
+        gc.callbacks.remove(count)
+    assert passes[0] <= 1 and passes[1:] == [0, 0], passes
+    assert found[0] + gc.collect() == 0
+    assert gc.isenabled()
+    assert stats.network_messages == 33792
+    assert stats.duration == 8.880490666663615
+    assert wall < 3.0, f"LCDLB bus P=1024 took {wall:.1f}s"
