@@ -293,7 +293,13 @@ class GraphNetwork:
     def _deliver(self, dst: int, item: Any, delivered: Event) -> None:
         if self.on_deliver is not None:
             self.on_deliver(dst, item)
-        delivered.succeed(item)
+        if delivered.callbacks:
+            delivered.succeed(item)
+        else:
+            # Nobody listens (receives, not deliveries, synchronize the
+            # protocol): the event gets its value without a turn in the
+            # schedule, and whoever yields it later resumes at once.
+            delivered._value, delivered.callbacks = item, None
 
     def abandon(self) -> None:
         """Drop the delivery hook and whatever is still in flight: the

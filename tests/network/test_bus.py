@@ -130,6 +130,34 @@ def test_on_deliver_hook(env):
     assert seen == [(1, "payload")]
 
 
+def test_unwatched_delivery_takes_no_turn_in_the_schedule(env):
+    """A delivery event nobody listens to gets its value at the delivery
+    instant without being scheduled; one yielded afterwards resumes its
+    process at once, and one with a listener still fires for it."""
+    net = SharedBusNetwork(env, 3, PARAMS)
+    events = {}
+    woken = []
+
+    def sender():
+        events["unwatched"] = yield from net.transmit(0, 1, 0, item="a")
+        events["watched"] = yield from net.transmit(0, 2, 0, item="b")
+        events["watched"].callbacks.append(
+            lambda ev: woken.append((env.now, ev.value)))
+        yield env.timeout(1.0)
+        value = yield events["unwatched"]  # processed long ago
+        woken.append((env.now, value))
+
+    proc = env.process(sender())
+    arrival = 1e-3 + 0.2e-3 + 1.2e-3
+    env.run(arrival + 1e-9)
+    assert events["unwatched"].processed and events["unwatched"].value == "a"
+    assert not events["unwatched"]._scheduled
+    env.run(proc)
+    assert woken == [(pytest.approx(2 * 1e-3 + 0.2e-3 + 1.2e-3), "b"),
+                     (pytest.approx(2e-3 + 1.0), "a")]
+    assert events["watched"]._scheduled
+
+
 def test_out_of_range_host_rejected(env):
     net = SharedBusNetwork(env, 2, PARAMS)
 
