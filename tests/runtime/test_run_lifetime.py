@@ -19,7 +19,6 @@ import pytest
 from repro import ClusterSpec, run_application, run_loop
 from repro.apps.trfd import TrfdConfig, trfd_application
 from repro.apps.workload import LoopSpec
-from repro.backend import ThreadBackend
 from repro.faults import FaultPlan
 from repro.runtime import executor
 from repro.runtime.assignment import CoverageError
@@ -202,7 +201,6 @@ def test_real_backends_never_pause_the_collector(collector_on, monkeypatch):
     monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
     loop = LoopSpec(name="real", n_iterations=16, iteration_time=0.001,
                     dc_bytes=80)
-    run_loop(loop, _cluster(2), "GD", backend=ThreadBackend(time_scale=0.2))
     run_loop(loop, _cluster(2), "GD", backend="thread")
     assert calls == []
     run_loop(LOOP, _cluster(4), "GD")
