@@ -1,34 +1,29 @@
 """Observability overhead: the zero-cost gate for structured tracing.
 
-One document (``BENCH_obs.json``), three claims:
+One seeded P=512 DES run, untraced and traced; three claims:
 
-* **Zero perturbation** — a seeded P=512 DES sweep records *identical*
-  virtual durations with tracing off and on.  Every simulation
-  instrumentation site is a pure function call inside an existing
-  callback (no new DES events, no clock reads of its own), so enabling
-  the recorder cannot move the event schedule; the equality is asserted
-  bit-for-bit here and gated deterministically in CI.
+* **Zero perturbation** — the two runs record *identical* virtual
+  durations.  Every simulation instrumentation site is a pure function
+  call inside an existing callback (no new DES events, no clock reads of
+  its own), so enabling the recorder cannot move the event schedule; the
+  equality is asserted bit-for-bit here, and both durations and the
+  event counts are what ``BENCH_obs.json`` commits.
 * **Disabled means free** — every instrumentation point holds the
   :data:`~repro.obs.trace.NULL_RECORDER` singleton by default, so a run
   that never asked for tracing pays one no-op method call per
   *potential* event.  The micro-benchmark times that call directly and
-  asserts it stays in nanoseconds; the off-mode wall times are gated
-  (advisory) so a creeping hot-path cost shows up as a regression.
-* **Enabled stays cheap** — the recorded overhead ratios (on/off wall
-  seconds for the DES and thread backends) are written into the
-  document and quoted in docs/OBSERVABILITY.md.  They are reported, not
-  asserted: shared CI runners are too noisy for a tight in-test bound.
+  asserts it stays in nanoseconds.
+* **Enabled stays cheap** — the on/off wall ratio is printed, neither
+  committed nor asserted: a single pair of sub-second runs reads 1.07x
+  and 1.22x minutes apart on the same box.
 """
 
 import json
-import os
 import pathlib
 import time
 
 from repro import ClusterSpec, run_loop
 from repro.apps.mxm import MxmConfig, mxm_loop
-from repro.apps.workload import LoopSpec
-from repro.backend import ThreadBackend
 from repro.obs import NULL_RECORDER, TraceRecorder
 from repro.runtime.options import RunOptions
 
@@ -41,11 +36,6 @@ OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / \
 DES_P = 512
 DES_STRATEGY = "LCDLB"
 DES_GROUP = 32
-
-#: Thread-backend case: 4 workers, compute-dominated, wall-clock.
-THREAD_WORKERS = 4
-THREAD_ITERS_PER_WORKER = 16
-THREAD_ITERATION_SECONDS = 0.01
 
 #: Disabled-path budget: one NULL_RECORDER.event(...) call, nanoseconds.
 #: A no-op bound method runs in tens of ns on any modern interpreter;
@@ -66,22 +56,6 @@ def _des_case(recorder):
     return stats, wall
 
 
-def _thread_case(recorder):
-    loop = LoopSpec(name="obs-thread",
-                    n_iterations=THREAD_ITERS_PER_WORKER * THREAD_WORKERS,
-                    iteration_time=THREAD_ITERATION_SECONDS, dc_bytes=64)
-    cluster = ClusterSpec.homogeneous(THREAD_WORKERS, max_load=3,
-                                      persistence=1.0, seed=7)
-    options = RunOptions(recorder=recorder)
-    t0 = time.perf_counter()
-    stats = run_loop(loop, cluster, "GCDLB", options,
-                     backend=ThreadBackend(kernel="wall"))
-    wall = time.perf_counter() - t0
-    executed = sum(stats.executed_count(n) for n in stats.executed_by_node)
-    assert executed == loop.n_iterations
-    return stats, wall
-
-
 def _null_call_ns() -> float:
     """Mean cost of one disabled-recorder call, in nanoseconds."""
     event = NULL_RECORDER.event
@@ -96,53 +70,28 @@ def test_bench_obs(benchmark):
         stats_off, wall_off = _des_case(None)
         recorder = TraceRecorder(capacity=1 << 20)
         stats_on, wall_on = _des_case(recorder)
-        events = recorder.events()
-        des = {
-            "n_processors": DES_P,
-            "strategy": DES_STRATEGY,
-            "virtual_duration_off": stats_off.duration,
-            "virtual_duration_on": stats_on.duration,
-            "wall_seconds_off": wall_off,
-            "wall_seconds_on": wall_on,
-            "overhead_ratio": wall_on / wall_off,
-            "events_recorded": len(events),
-            "events_dropped": recorder.dropped,
-        }
-
-        _, t_wall_off = _thread_case(None)
-        t_recorder = TraceRecorder()
-        _, t_wall_on = _thread_case(t_recorder)
-        thread = {
-            "workers": THREAD_WORKERS,
-            "wall_seconds_off": t_wall_off,
-            "wall_seconds_on": t_wall_on,
-            "overhead_ratio": t_wall_on / t_wall_off,
-            "events_recorded": len(t_recorder.events()),
-        }
-
-        return {
-            "cpu_count": os.cpu_count(),
+        doc = {
             "workload": f"mxm 64x32x32 P={DES_P} {DES_STRATEGY} "
-                        f"k={DES_GROUP} (des) / "
-                        f"{THREAD_ITERS_PER_WORKER}x"
-                        f"{THREAD_ITERATION_SECONDS}s per worker (thread)",
-            "des": des,
-            "thread": thread,
-            "null_call_ns": _null_call_ns(),
+                        f"k={DES_GROUP}",
+            "des": {
+                "n_processors": DES_P,
+                "strategy": DES_STRATEGY,
+                "virtual_duration_off": stats_off.duration,
+                "virtual_duration_on": stats_on.duration,
+                "events_recorded": len(recorder.events()),
+                "events_dropped": recorder.dropped,
+            },
         }
+        return doc, wall_on / wall_off, _null_call_ns()
 
-    doc = benchmark.pedantic(run, rounds=1, iterations=1)
+    doc, overhead_ratio, null_call_ns = benchmark.pedantic(
+        run, rounds=1, iterations=1)
 
     des = doc["des"]
     print()
-    print(f"  des off {des['wall_seconds_off']:6.2f}s / "
-          f"on {des['wall_seconds_on']:6.2f}s "
-          f"({des['overhead_ratio']:.2f}x, "
-          f"{des['events_recorded']} events)")
-    print(f"  thread off {doc['thread']['wall_seconds_off']:6.2f}s / "
-          f"on {doc['thread']['wall_seconds_on']:6.2f}s "
-          f"({doc['thread']['overhead_ratio']:.2f}x)")
-    print(f"  null call {doc['null_call_ns']:.0f} ns")
+    print(f"  des traced/untraced wall {overhead_ratio:.2f}x, "
+          f"{des['events_recorded']} events")
+    print(f"  null call {null_call_ns:.0f} ns")
 
     # Zero perturbation: the virtual schedule must not move at all.
     assert des["virtual_duration_on"] == des["virtual_duration_off"], (
@@ -152,11 +101,9 @@ def test_bench_obs(benchmark):
     assert des["events_dropped"] == 0
 
     # Disabled means free: a no-op call, in nanoseconds.
-    assert doc["null_call_ns"] < NULL_CALL_BUDGET_NS, (
-        f"disabled recorder costs {doc['null_call_ns']:.0f} ns per call "
+    assert null_call_ns < NULL_CALL_BUDGET_NS, (
+        f"disabled recorder costs {null_call_ns:.0f} ns per call "
         f"(budget {NULL_CALL_BUDGET_NS:.0f} ns) — something crept onto "
         "the NullRecorder path")
 
     OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    benchmark.extra_info["des_overhead_ratio"] = des["overhead_ratio"]
-    benchmark.extra_info["null_call_ns"] = doc["null_call_ns"]

@@ -17,9 +17,7 @@ at P = 256 takes 10–140 s of host time, so GD stops at P = 64.
 """
 
 import json
-import os
 import pathlib
-import time
 
 from repro.apps.mxm import MxmConfig, mxm_loop
 from repro.experiments.sweeps import topology_sweep
@@ -40,7 +38,6 @@ OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / \
 
 def _run(bench_config):
     loop = mxm_loop(CONFIG, op_seconds=4e-7)
-    t0 = time.perf_counter()
     result = topology_sweep(loop, N_PROCESSORS, topologies=TOPOLOGIES,
                             schemes=SCHEMES, config=bench_config)
     scale = {}
@@ -53,13 +50,10 @@ def _run(bench_config):
                                options=bounded)
         for point in sweep.points:
             scale[f"{point.label}-P{p}"] = dict(point.means)
-    wall = time.perf_counter() - t0
     doc = {
         "config": f"mxm {CONFIG.r}x{CONFIG.c}x{CONFIG.r2}",
         "n_processors": N_PROCESSORS,
-        "cpu_count": os.cpu_count(),
         "seeds": bench_config.n_seeds,
-        "wall_seconds": wall,
         "topologies": {
             p.label: {s: p.means[s] for s in SCHEMES}
             for p in result.points
@@ -98,4 +92,4 @@ def test_bench_topology(benchmark, bench_config):
             assert row["DIFF"] < row["LD"], (name, row)
 
     OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"  wrote {OUT_PATH.name} ({doc['wall_seconds']:.1f}s sweep)")
+    print(f"  wrote {OUT_PATH.name}")

@@ -59,8 +59,7 @@ _ROWS = {
     "periodic sync":        (True,  False,  False,  False),
     "staging":              (True,  False,  False,  False),
     # The first kernel of a cell is that backend's default.
-    "kernels":              ((), ("wall", "ops", "numpy"),
-                             ("ops", "numpy"), ()),
+    "kernels":              ((), ("wall", "ops"), ("ops", "numpy"), ()),
     "start_method":         (False, False,  True,   True),
     "elastic membership":   (False, False,  False,  True),
 }

@@ -15,10 +15,9 @@ Three kernels realize a "compute this iteration" request:
   story the paper's Figures 5–8 tell on physical workstations.
 * **numpy** — the same fixed op count executed as vectorized
   multiply-adds (:func:`burn_vec`), calibrated separately
-  (:func:`calibrate_vec_rate`).  Two properties matter: numpy releases
-  the GIL inside a ufunc, so even *threads* overlap on real cores; and
-  the kernel can compute **in place on a caller-supplied float64 view**
-  — the process backend hands it a window of its
+  (:func:`calibrate_vec_rate`).  It can compute **in place on a
+  caller-supplied float64 view** — the process backend, the only one
+  that accepts it, hands it a window of its
   ``multiprocessing.shared_memory`` block (:func:`shm_row_view`), so
   the arithmetic touches the iteration's actual data rows with zero
   copies (not just zero-copy transport).

@@ -142,9 +142,7 @@ class ThreadBackend(ExecutionBackend):
         #: (exact timing, but GIL threads overlap "for free");
         #: ``"ops"`` executes a calibrated op count (real CPU work that
         #: GIL threads must serialize — the honest baseline for
-        #: thread-vs-process speedup comparisons; see kernels.py);
-        #: ``"numpy"`` executes the same op count as vectorized passes
-        #: that release the GIL, so threads overlap on real cores.
+        #: thread-vs-process speedup comparisons; see kernels.py).
         self.kernel = kernel
 
     def run_loop(self, loop: LoopSpec, cluster: ClusterSpec,

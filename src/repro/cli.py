@@ -118,10 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "kernel per iteration — 'wall' (spin to a "
                           "deadline; thread default), 'ops' (calibrated "
                           "scalar op count; process default) or 'numpy' "
-                          "(same op count as vectorized passes that "
-                          "release the GIL and, on the process backend, "
-                          "compute in place on the shared-memory data "
-                          "rows)")
+                          "(process only: same op count as vectorized "
+                          "passes computed in place on the shared-memory "
+                          "data rows)")
     run.add_argument("--time-scale", type=float, default=1.0,
                      help="thread/process/socket backends only: scale "
                           "factor on every iteration's nominal cost "

@@ -29,6 +29,7 @@ simulator alone knows:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Generator, Optional
 
 from ..core.redistribution import SyncProfile
@@ -122,10 +123,17 @@ class CentralBalancer(SimPort):
         # Lame duck: a finished pump still answers a re-sent profile
         # with the cached instruction, so it keeps being fed while any
         # slave lives — a node whose DONE instruction was dropped must
-        # not exhaust its retries against a silent (exited) master.
+        # not exhaust its retries against a silent (exited) master.  It
+        # can answer no epoch later than its last instruction's, so it
+        # admits none: after a distributed selection, node 0's inbox is
+        # where the co-located peer gathers its group's profiles.
         while type(then) is not C.Done or (ft.enabled and any(
                 rt.proc is not None and rt.proc.is_alive
                 for rt in session.nodes.values())):
+            if type(then) is C.Done and wait.max_epoch is None:
+                wait = replace(wait, max_epoch=max(
+                    (i.epoch for i in self.protocol.last_instruction.values()),
+                    default=0))
             msg = yield from self._recv_timed(wait)
             if msg is None:
                 then = yield from self._turn(E.TimerFired())

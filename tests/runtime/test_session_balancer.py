@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro import run_loop
+from repro.apps.mxm import MxmConfig, mxm_loop
 from repro.core.strategies import CUSTOMIZED, GCDLB, GDDLB, LCDLB, LDDLB
 from repro.machine.cluster import ClusterSpec
 from repro.message.messages import Tag
@@ -11,7 +13,7 @@ from repro.message.pvm import VirtualMachine
 from repro.protocol import (AwaitMessage, Charge, MessageReceived,
                             RecordSync, Send)
 from repro.runtime.balancer import CentralBalancer
-from repro.runtime.options import RunOptions
+from repro.runtime.options import FaultToleranceConfig, RunOptions
 from repro.runtime.session import LoopSession
 from repro.simulation import Environment
 
@@ -161,3 +163,29 @@ def test_service_wall_time_scaled_by_load():
     # No load: wall time equals work time.
     assert session.env.now == pytest.approx(0.01)
     assert stolen == [pytest.approx(0.01)]
+
+
+@pytest.mark.parametrize("max_load, persistence, chosen", [
+    (3, 1.0, "LDDLB"), (5, 5.0, "GDDLB")])
+def test_lame_duck_leaves_the_distributed_gather_alone(
+        max_load, persistence, chosen):
+    """After CUSTOM selects a distributed scheme, node 0's inbox is where
+    the co-located peer gathers profiles.  The finished balancer's
+    lame-duck wait used to take them, so with fault tolerance on every
+    sync waited out a resend round (13.5 s for 0.77 s, no fault
+    injected)."""
+    def run(ft):
+        return run_loop(
+            mxm_loop(MxmConfig(200, 100, 100), op_seconds=4e-7),
+            ClusterSpec.homogeneous(4, max_load=max_load,
+                                    persistence=persistence, seed=7),
+            "CUSTOM",
+            RunOptions(fault_tolerance=FaultToleranceConfig(enabled=ft)))
+
+    plain, hardened = run(False), run(True)
+    assert plain.selected_scheme == hardened.selected_scheme == chosen
+    assert hardened.duration <= 2 * plain.duration
+    if chosen == "LDDLB":
+        assert hardened.network_messages == plain.network_messages
+    assert sum(hardened.executed_count(n)
+               for n in hardened.executed_by_node) == 200

@@ -118,11 +118,11 @@ def test_faults_demo_bad_victim_exits_2(capsys):
 # -- kernel flag ---------------------------------------------------------
 
 def test_run_kernel_numpy_thread(capsys):
-    pytest.importorskip("numpy")
     assert main(SMALL_RUN + ["--strategy", "GCDLB", "--backend", "thread",
                              "--time-scale", "0.1",
-                             "--kernel", "numpy"]) == 0
-    assert "backend=thread" in capsys.readouterr().out
+                             "--kernel", "numpy"]) == 2
+    err = capsys.readouterr().err
+    assert "backend error" in err and "process-only" in err
 
 
 def test_run_kernel_numpy_process(capsys):
