@@ -1,9 +1,11 @@
 """Which feature runs on which backend — stated once.
 
 :data:`CAPABILITIES` is the only place that knows; :func:`validate`
-(called by every real backend before a run), :func:`require_kernel`
-(their constructors), the CLI's ``--backend`` / ``--kernel`` checks and
-the matrix in ``docs/ARCHITECTURE.md`` (:func:`render_matrix`, pinned by
+(called by the run set-up of all four backends,
+:func:`~repro.backend.driver.prepare_run`), :func:`require_kernel`
+(the real backends' constructors), the CLI's ``--backend`` /
+``--kernel`` checks and the matrix in ``docs/ARCHITECTURE.md``
+(:func:`render_matrix`, pinned by
 ``tests/protocol/test_capabilities.py``) are all produced from it.
 """
 
@@ -123,8 +125,13 @@ def validate(backend: str, spec: "StrategySpec", n: int,
                 f"{feature}: {FEATURES[feature]} is "
                 f"{_only(backends_with(feature))}, not available with "
                 f"--backend {backend}")
-    if spec.is_dlb and spec.code != "NONE" and n < 2:
-        raise ValueError("dynamic load balancing needs at least 2 processors")
+    if spec.is_dlb and n < 2:
+        raise BackendError(
+            "dynamic load balancing needs at least 2 processors")
+    if spec.code == "WS" and plan is not None:
+        raise BackendError(
+            "fault injection is not supported for the work-stealing "
+            "baseline (no timeout/reclaim protocol)")
 
 
 def render_matrix() -> str:

@@ -11,27 +11,31 @@ iteration — so a backend is a ten-line loop around it
 (:func:`run_blocking`, or the same loop with ``await``).  Around it:
 :class:`Inbox`, the one mailbox rule; :class:`Reporter` /
 :class:`RunLedger`, stats records built once and booked once however
-they travel; :class:`WorkerSpec` and :func:`prepare_run`, the shared
-construction recipe and run set-up.
+they travel.  Last, the one run set-up of *all four* backends, the
+simulator included: :func:`prepare_run` and the :class:`RunPlan` /
+:class:`WorkerSpec` it returns, the only place protocol objects are
+built.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Generator, Optional, Sequence, Union
 
 from ..apps.workload import LoopSpec, WorkTable
+from ..core.decision import model_based_selector
 from ..core.diffusion import DiffusionPlanner
 from ..core.policy import DlbPolicy
 from ..core.redistribution import (
     MovementCostFn,
     make_movement_cost_estimator,
+    make_topology_movement_cost_estimator,
 )
 from ..core.strategies.base import StrategySpec
 from ..core.strategies.registry import get_strategy
 from ..faults.plan import FaultPlan
-from ..machine.cluster import ClusterSpec, build_groups
+from ..machine.cluster import form_groups
 from ..message.frames import (
     ft_from_wire,
     ft_to_wire,
@@ -39,7 +43,8 @@ from ..message.frames import (
     policy_to_wire,
 )
 from ..message.messages import Message, Tag
-from ..obs.metrics import CounterDict, MetricsRegistry
+from ..network.topology import Topology, resolve_topology
+from ..obs.metrics import CounterDict
 from ..obs.trace import NULL_RECORDER
 from ..protocol import (
     AwaitMessage,
@@ -60,7 +65,11 @@ from ..protocol import (
     TimerFired,
     WorkerProtocol,
 )
-from ..runtime.assignment import Assignment, equal_block_partition
+from ..runtime.assignment import (
+    Assignment,
+    equal_block_partition,
+    proportional_block_partition,
+)
 from ..runtime.options import FaultToleranceConfig, RunOptions
 from ..runtime.stats import LoopRunStats, SyncRecord, environment_fingerprint
 from .base import WATCHDOG_SECONDS, BackendError, StrategyLike
@@ -458,11 +467,12 @@ class WorkerSpec:
 
     def build_protocol(self, *, table: Optional[WorkTable] = None,
                        movement_cost_fn: Optional[MovementCostFn] = None,
-                       planner: Optional[DiffusionPlanner] = None
-                       ) -> WorkerProtocol:
-        """The worker state machine.  In-process callers may share one
-        ``table`` and pass the non-picklable pieces (a topology-aware
-        cost estimator, the diffusion planner)."""
+                       planner: Optional[DiffusionPlanner] = None,
+                       initial_rate: float = 1.0) -> WorkerProtocol:
+        """The worker state machine.  In-process callers share the
+        plan's ``table`` and pass its non-picklable pieces (the
+        topology-aware cost estimator, the diffusion planner); the
+        simulator knows its workstation's nominal speed."""
         if table is None:
             it = self.iteration_time
             table = (WorkTable(list(it)) if isinstance(it, tuple)
@@ -478,6 +488,7 @@ class WorkerSpec:
             dc_bytes=self.dc_bytes, movement_cost_fn=movement_cost_fn,
             planner=planner, ft=self.ft,
             profile_window_reset=self.profile_window_reset,
+            initial_rate=initial_rate,
             assignment=Assignment(self.ranges), is_dlb=self.is_dlb,
             initial_epoch=self.epoch)
         proto.emit_trace = self.trace_events
@@ -487,14 +498,13 @@ class WorkerSpec:
                        movement_cost_fn: Optional[MovementCostFn] = None
                        ) -> BalancerProtocol:
         """The central balancer this worker's lb host runs for ``groups``
-        (it shares the worker's policy and fault-tolerance config)."""
+        (it shares the worker's policy, fault-tolerance config and
+        movement-cost estimate)."""
         if movement_cost_fn is None:
-            # Built from the spec alone, the balancer prices a transfer's
-            # latency but not its data bytes (it is told no DC).
             movement_cost_fn = movement_estimator(
-                self.movement, 0, self.mean_iteration_time)
+                self.movement, self.dc_bytes, self.mean_iteration_time)
         proto = BalancerProtocol(
-            self.lb_host, [list(g) for g in groups], policy=self.policy,
+            self.lb_host, groups, policy=self.policy,
             mean_iteration_time=self.mean_iteration_time,
             movement_cost_fn=movement_cost_fn, ft=self.ft)
         proto.emit_trace = self.trace_events
@@ -537,40 +547,77 @@ class WorkerSpec:
 
 @dataclass
 class RunPlan:
-    """What :func:`prepare_run` sets up.  Run-wide parameters (``ft``,
-    ``time_scale``, ``movement``, ``centralized`` …) are read off any
-    of the ``workers``."""
+    """What :func:`prepare_run` sets up: the paper's one ``DLB_init``
+    (§5, Figure 3), whatever backend runs it.  Run-wide parameters
+    (``ft``, ``time_scale``, ``centralized``, ``lb_host`` …) are read
+    off any of the ``workers``."""
 
     loop: LoopSpec
     spec: StrategySpec
     options: RunOptions
     table: WorkTable
-    groups: list[list[int]]
-    #: The initial roster, one spec per node.
-    workers: list[WorkerSpec]
+    mean_iteration_time: float
+    #: The run's network graph, resolved once: ``None`` and ``"bus"``
+    #: are the same shared bus.  Logical where the transport is flat
+    #: (threads share memory): it shapes where work may flow and what
+    #: moving it costs, not how a message travels.
+    topology: Topology
+    #: What moving a transfer list costs on ``topology`` (bus or routed,
+    #: priced with the loop's ``DC`` bytes); ``None`` unless the policy
+    #: asks (``include_movement_cost``).
+    movement_cost_fn: Optional[MovementCostFn]
+    #: The §4.3 selector; CUSTOM's default is the model-based one.
+    selector: Optional[Callable]
     #: ``{node: wall seconds after t0}`` of the plan's scheduled crashes.
     crash_at: dict[int, float]
     stats: LoopRunStats
     recorder: object
+    groups: list[list[int]] = field(default_factory=list)
+    #: The diffusion planner bound to ``topology`` (``None``: eq. 3).
+    planner: Optional[DiffusionPlanner] = None
+    #: The initial roster, one spec per node.
+    workers: list[WorkerSpec] = field(default_factory=list)
+
+    def domains(self, spec: StrategySpec, group_size: int
+                ) -> tuple[list[list[int]], Optional[DiffusionPlanner]]:
+        """Who synchronizes with whom under ``spec``: its groups, and —
+        for diffusion — the planner whose :meth:`~DiffusionPlanner.scope`
+        cuts every node's domain down to its closed neighbourhood.
+        Called for the run's strategy here and again by the simulator
+        when §4.3 selects another."""
+        options = self.options
+        groups = form_groups(spec, self.topology.n_hosts, group_size,
+                             options.group_formation, options.group_seed)
+        planner = None
+        if spec.code == "DIFF":
+            planner = DiffusionPlanner(
+                self.topology, options.policy, self.mean_iteration_time,
+                self.movement_cost_fn)
+        return groups, planner
 
 
-def prepare_run(backend: str, loop: LoopSpec, cluster: ClusterSpec,
+def prepare_run(backend: str, loop: LoopSpec, speeds: Sequence[float],
                 strategy: StrategyLike, options: Optional[RunOptions],
                 selector: Optional[Callable],
                 fault_plan: Optional[FaultPlan], *, time_scale: float,
-                harden: bool = False, **environment) -> RunPlan:
+                harden: bool = False, topology: Optional[Topology] = None,
+                **environment) -> RunPlan:
     """Validate a run against ``backend``'s capabilities and set up what
-    every real backend needs: strategy, groups, each node's spec with
-    its block of the initial partition, the fault-tolerance config
-    (armed by a crash plan, or ``harden``) and the stats object
-    (``environment`` goes into its fingerprint)."""
+    every backend needs, the simulator included: strategy, topology,
+    movement-cost estimate, groups (or diffusion neighbourhoods), each
+    node's spec with its block of the initial partition over ``speeds``,
+    the fault-tolerance config (armed by a fault plan, or ``harden``)
+    and the stats object (``environment`` goes into its fingerprint).
+    ``topology`` is the graph a caller has already resolved — the
+    simulator's network — instead of ``options.topology``."""
     options = options or RunOptions()
-    spec = strategy if isinstance(strategy, StrategySpec) \
-        else get_strategy(strategy)
-    n = cluster.n_processors
+    spec = get_strategy(strategy)
+    n = len(speeds)
     if fault_plan is not None and fault_plan.empty:
         fault_plan = None
     validate(backend, spec, n, options, selector, fault_plan)
+    if spec.code == "CUSTOM" and selector is None:
+        selector = model_based_selector
     ft = options.fault_tolerance
     if fault_plan is not None:
         fault_plan.validate_for(n)
@@ -580,38 +627,49 @@ def prepare_run(backend: str, loop: LoopSpec, cluster: ClusterSpec,
                 for c in fault_plan.crashes} if fault_plan else {}
 
     table = loop.work_table()
+    mean_iteration_time = table.total_work / table.n
     k = options.effective_group_size(n, spec.group_size)
-    if spec.global_scope or not spec.is_dlb:
-        groups: list[list[int]] = [list(range(n))]
-    else:
-        groups = build_groups(n, k, formation=options.group_formation,
-                              seed=options.group_seed)
     stats = LoopRunStats(loop_name=loop.name, strategy=spec.name,
-                         n_processors=n, group_size=k, backend=backend)
-    # The registry's counter *is* the stats field (a live view).
-    stats.messages_by_tag = MetricsRegistry().counter("messages_by_tag")
-    stats.environment = environment_fingerprint(**environment)
-    stats.start_time = 0.0
+                         n_processors=n, group_size=k, backend=backend,
+                         messages_by_tag=CounterDict(),
+                         environment=environment_fingerprint(**environment))
     recorder = options.recorder or NULL_RECORDER
+    topology = resolve_topology(
+        options.topology if topology is None else topology, n)
     movement = None
     if options.policy.include_movement_cost:
         movement = (options.network.latency, options.network.bandwidth)
+    if movement is None or topology.shared_medium:
+        movement_cost_fn = movement_estimator(movement, loop.dc_bytes,
+                                              mean_iteration_time)
+    else:
+        movement_cost_fn = make_topology_movement_cost_estimator(
+            options.network, topology, dc_bytes=loop.dc_bytes,
+            mean_iteration_time=mean_iteration_time)
+    plan = RunPlan(loop=loop, spec=spec, options=options, table=table,
+                   mean_iteration_time=mean_iteration_time,
+                   topology=topology, movement_cost_fn=movement_cost_fn,
+                   selector=selector, crash_at=crash_at, stats=stats,
+                   recorder=recorder)
+    plan.groups, plan.planner = plan.domains(spec, k)
+    scope = plan.planner.scope if plan.planner is not None else None
     it = loop.iteration_time
-    parts = equal_block_partition(loop.n_iterations, n)
-    workers = [WorkerSpec(
-        node=node, members=tuple(members), group=gid,
-        centralized=bool(spec.is_dlb and spec.centralized), lb_host=0,
-        policy=options.policy, n_iterations=loop.n_iterations,
+    if options.initial_partition == "speed":
+        parts = proportional_block_partition(loop.n_iterations, speeds)
+    else:
+        parts = equal_block_partition(loop.n_iterations, n)
+    plan.workers = [WorkerSpec(
+        node=node, members=scope(node) if scope else members,
+        group=gid, centralized=bool(spec.is_dlb and spec.centralized),
+        lb_host=0, policy=options.policy, n_iterations=loop.n_iterations,
         iteration_time=it if isinstance(it, tuple) else float(it),
-        dc_bytes=loop.dc_bytes,
-        mean_iteration_time=table.total_work / table.n,
+        dc_bytes=loop.dc_bytes, mean_iteration_time=mean_iteration_time,
         movement=movement, ft=ft,
         profile_window_reset=options.profile_window_reset,
         ranges=tuple(parts[node].ranges), is_dlb=bool(spec.is_dlb),
         epoch=0, time_scale=time_scale, crash_at=crash_at.get(node),
         trace_events=recorder.enabled)
-        for gid, members in enumerate(groups) for node in members]
-    workers.sort(key=lambda w: w.node)
-    return RunPlan(loop=loop, spec=spec, options=options, table=table,
-                   groups=groups, workers=workers, crash_at=crash_at,
-                   stats=stats, recorder=recorder)
+        for gid, members in enumerate(map(tuple, plan.groups))
+        for node in members]
+    plan.workers.sort(key=lambda w: w.node)
+    return plan

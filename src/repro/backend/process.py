@@ -417,7 +417,7 @@ class ProcessBackend(ExecutionBackend):
                  fault_plan: Optional[FaultPlan] = None) -> LoopRunStats:
         ctx = mp_context(self.start_method)
         plan = prepare_run(
-            self.name, loop, cluster, strategy, options, selector,
+            self.name, loop, cluster.speeds, strategy, options, selector,
             fault_plan, time_scale=self.time_scale,
             start_method=getattr(ctx, "_name", None) or self.start_method,
             kernel=self.kernel)

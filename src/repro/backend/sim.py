@@ -38,7 +38,5 @@ class SimBackend(ExecutionBackend):
         # Imported here: executor routes to backends, so a module-level
         # import would be circular.
         from ..runtime import executor
-        stats = executor.run_loop(loop, cluster, strategy, options,
-                                  selector, fault_plan=fault_plan)
-        stats.backend = self.name
-        return stats
+        return executor.run_loop(loop, cluster, strategy, options,
+                                 selector, fault_plan=fault_plan)

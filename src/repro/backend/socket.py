@@ -1058,9 +1058,10 @@ class SocketBackend(ExecutionBackend):
              strict: bool) -> _Hub:
         # A scripted kill is a crash: survivors need the hardened protocol.
         kills = any(isinstance(ev, KillEvent) for ev in self.script)
-        plan = prepare_run(self.name, loop, cluster, strategy, options,
-                           selector, fault_plan, time_scale=self.time_scale,
-                           harden=kills, workers=self.workers)
+        plan = prepare_run(self.name, loop, cluster.speeds, strategy,
+                           options, selector, fault_plan,
+                           time_scale=self.time_scale, harden=kills,
+                           workers=self.workers)
         return _Hub(plan, self.script, strict)
 
     async def _await_done(self, hub: _Hub, timeout: float,

@@ -33,16 +33,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
 from typing import Callable, Optional
 
 from ..apps.workload import LoopSpec
-from ..core.diffusion import DiffusionPlanner
-from ..core.redistribution import make_topology_movement_cost_estimator
 from ..faults.plan import FaultPlan
 from ..machine.cluster import ClusterSpec
 from ..message.messages import Message
-from ..network.topology import Topology, resolve_topology
 from ..protocol import AwaitMessage
 from ..runtime.assignment import check_coverage
 from ..runtime.options import RunOptions
@@ -62,7 +58,6 @@ from .driver import (
     Reporter,
     RunLedger,
     drive,
-    movement_estimator,
     prepare_run,
     run_blocking,
 )
@@ -150,42 +145,19 @@ class ThreadBackend(ExecutionBackend):
                  options: Optional[RunOptions] = None,
                  selector: Optional[Callable] = None,
                  fault_plan: Optional[FaultPlan] = None) -> LoopRunStats:
-        plan = prepare_run(self.name, loop, cluster, strategy, options,
+        plan = prepare_run(self.name, loop, cluster.speeds, strategy, options,
                            selector, fault_plan, time_scale=self.time_scale,
                            kernel=self.kernel)
         options, stats, lead = plan.options, plan.stats, plan.workers[0]
         n = len(plan.workers)
-        # Threads share one address space, so the topology is *logical*
-        # here: it shapes the planner (where work may flow) and the
-        # movement-cost estimate, not the transport.
-        topology = None
-        if options.topology is not None:
-            topology = resolve_topology(options.topology, n)
-        movement_cost_fn = movement_estimator(
-            lead.movement, loop.dc_bytes, lead.mean_iteration_time)
-        if (movement_cost_fn is not None and topology is not None
-                and not topology.shared_medium):
-            movement_cost_fn = make_topology_movement_cost_estimator(
-                options.network, topology, dc_bytes=loop.dc_bytes,
-                mean_iteration_time=lead.mean_iteration_time)
-        planner = None
-        workers = plan.workers
-        if plan.spec.code == "DIFF":
-            planner = DiffusionPlanner(
-                topology if topology is not None else Topology.bus(n),
-                options.policy, lead.mean_iteration_time, movement_cost_fn)
-            # A diffusion worker synchronizes with its neighbourhood.
-            workers = [replace(w, members=planner.scope(w.node))
-                       for w in workers]
-
         # (protocol, node id — None for the balancer —, track)
         cast = [(worker.build_protocol(
-                     table=plan.table, movement_cost_fn=movement_cost_fn,
-                     planner=planner), node, f"node{node}")
-                for node, worker in enumerate(workers)]
+                     table=plan.table, movement_cost_fn=plan.movement_cost_fn,
+                     planner=plan.planner), node, f"node{node}")
+                for node, worker in enumerate(plan.workers)]
         if lead.centralized:
             cast.insert(0, (lead.build_balancer(
-                plan.groups, movement_cost_fn=movement_cost_fn),
+                plan.groups, movement_cost_fn=plan.movement_cost_fn),
                 None, "balancer"))
 
         abort = threading.Event()

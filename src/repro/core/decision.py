@@ -104,9 +104,7 @@ def model_based_selector(session: "LoopSession",
     # On the bus the repertoire and the comm model are exactly the seed
     # behavior; a graph topology re-characterizes the patterns on that
     # graph and adds diffusion to the comparison.
-    topology = session.topology
-    if topology is not None and topology.shared_medium:
-        topology = None
+    topology = None if session.topology.shared_medium else session.topology
     comm = default_comm_model(session.options.network, topology=topology)
     predictions = rank_strategies(
         remainder, cluster, policy=session.policy, comm=comm,

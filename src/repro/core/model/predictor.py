@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ...apps.workload import LoopSpec
-from ...machine.cluster import ClusterSpec, build_groups
+from ...machine.cluster import ClusterSpec, form_groups
 from ...machine.workstation import Workstation
 from ...network.characterization import CommCostModel
 from ...network.topology import Topology
@@ -130,10 +130,7 @@ def predict_strategy(loop: LoopSpec, cluster: ClusterSpec,
         return predict_no_dlb(loop, cluster, stations=stations)
 
     k = group_size or strategy.group_size or max(1, (n + 1) // 2)
-    if strategy.global_scope:
-        group_lists = [list(range(n))]
-    else:
-        group_lists = build_groups(n, k)
+    group_lists = form_groups(strategy, n, k)
 
     costs = strategy_sync_costs(strategy, comm, policy,
                                 movement_model=movement_model)

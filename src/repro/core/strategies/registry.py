@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Union
+
 from .base import StrategySpec
 
 __all__ = [
@@ -85,8 +87,11 @@ def strategies_for_topology(topology=None) -> tuple[StrategySpec, ...]:
     return ALL_DLB_STRATEGIES + (DIFFUSION,)
 
 
-def get_strategy(key: str) -> StrategySpec:
-    """Look up a strategy by code ("GD") or name ("GDDLB"), any case."""
+def get_strategy(key: Union[str, StrategySpec]) -> StrategySpec:
+    """Look up a strategy by code ("GD") or name ("GDDLB"), any case; a
+    :class:`StrategySpec` is its own answer."""
+    if isinstance(key, StrategySpec):
+        return key
     spec = _BY_KEY.get(key.upper())
     if spec is None:
         raise KeyError(f"unknown strategy {key!r}; known: "

@@ -18,7 +18,7 @@ import numpy as np
 from .load import ConstantLoad, DiscreteRandomLoad, LoadFunction, TraceLoad
 from .workstation import Workstation
 
-__all__ = ["ClusterSpec", "build_groups"]
+__all__ = ["ClusterSpec", "build_groups", "form_groups"]
 
 
 @dataclass(frozen=True)
@@ -150,3 +150,16 @@ def build_groups(n_processors: int, group_size: int,
         groups[-2].sort()
         groups.pop()
     return groups
+
+
+def form_groups(strategy, n_processors: int, group_size: int,
+                formation: str = "block", seed: int = 0) -> list[list[int]]:
+    """The synchronization domains of ``strategy`` (a
+    :class:`~repro.core.strategies.base.StrategySpec`): the whole
+    machine for a global or non-balancing scheme, else
+    :func:`build_groups`.  The run set-up, the §4.3 regrouping and the
+    §4.2 predictor all form their groups here."""
+    if strategy.global_scope or not strategy.is_dlb:
+        return [list(range(n_processors))]
+    return build_groups(n_processors, group_size, formation=formation,
+                        seed=seed)

@@ -37,7 +37,6 @@ from ..core.strategies.registry import get_strategy
 from ..message.messages import Tag
 from ..protocol import commands as C
 from ..protocol import events as E
-from ..protocol.balancer import BalancerProtocol
 from ..simulation import Event
 from .port import SimPort
 from .session import LoopSession
@@ -53,12 +52,8 @@ class CentralBalancer(SimPort):
     def __init__(self, session: LoopSession) -> None:
         self.session = session
         self.me = session.lb_host
-        self.protocol = BalancerProtocol(
-            session.lb_host, session.groups,
-            policy=session.policy,
-            mean_iteration_time=session.mean_iteration_time,
-            movement_cost_fn=session.movement_cost_fn,
-            ft=session.ft)
+        self.protocol = session.plan.workers[self.me].build_balancer(
+            session.groups, movement_cost_fn=session.plan.movement_cost_fn)
         if session.selector is not None:
             self.protocol.select = self._select
         if session.controller is not None:

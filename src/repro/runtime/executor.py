@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import replace
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 from ..apps.workload import ApplicationSpec, LoopSpec, SequentialStage
-from ..core.strategies.base import StrategySpec
+from ..backend.base import StrategyLike
+from ..backend.driver import prepare_run
 from ..core.strategies.registry import get_strategy
 from ..faults.controller import FaultController
 from ..faults.plan import FaultPlan
@@ -33,35 +33,15 @@ from ..machine.workstation import Workstation
 from ..message.messages import DataMsg, Tag
 from ..message.pvm import VirtualMachine
 from ..network.graph import build_network
-from ..obs.trace import NULL_RECORDER
 from ..simulation import Environment, SimulationError
-from .assignment import (
-    CoverageError,
-    check_coverage,
-    equal_block_partition,
-    merge_ranges,
-    proportional_block_partition,
-)
+from .assignment import CoverageError, check_coverage, merge_ranges
 from .balancer import CentralBalancer
 from .node import NodeRuntime
 from .options import RunOptions
 from .session import LoopSession
-from .stats import (
-    AppRunStats,
-    LoopRunStats,
-    StageRunStats,
-    environment_fingerprint,
-)
+from .stats import AppRunStats, LoopRunStats, StageRunStats
 
 __all__ = ["run_loop", "run_application", "CoverageError"]
-
-StrategyLike = Union[str, StrategySpec]
-
-
-def _resolve(strategy: StrategyLike) -> StrategySpec:
-    if isinstance(strategy, StrategySpec):
-        return strategy
-    return get_strategy(strategy)
 
 
 def _salvage(session: LoopSession, controller: FaultController) -> None:
@@ -152,21 +132,10 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
                    selector: Optional[Callable] = None,
                    fault_plan: Optional[FaultPlan] = None) -> LoopRunStats:
     """Run one loop on an existing environment (advanced entry point)."""
-    options = options or RunOptions()
-    spec = _resolve(strategy)
-    if spec.is_dlb and spec.code != "NONE" and len(stations) < 2:
-        raise ValueError("dynamic load balancing needs at least 2 processors")
-    if fault_plan is not None and fault_plan.empty:
-        fault_plan = None
-    if fault_plan is not None:
-        if spec.code == "WS":
-            raise ValueError(
-                "fault injection is not supported for the work-stealing "
-                "baseline (no timeout/reclaim protocol)")
-        if not options.fault_tolerance.enabled:
-            options = options.but(fault_tolerance=replace(
-                options.fault_tolerance, enabled=True))
-    recorder = options.recorder or NULL_RECORDER
+    plan = prepare_run("sim", loop, [ws.speed for ws in stations], strategy,
+                       options, selector, fault_plan, time_scale=1.0,
+                       topology=vm.network.topology)
+    options, recorder = plan.options, plan.recorder
     if recorder.enabled:
         # The simulator's time domain is virtual seconds.  Binding the
         # clock (and hooking the network) is the *only* run-path change
@@ -175,10 +144,9 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
         # bit-identical to untraced ones (the seed oracles check this).
         recorder.set_clock(lambda: env.now)
         vm.network.recorder = recorder
-    session = LoopSession(env, vm, stations, loop, spec, options,
-                          selector=selector)
+    session = LoopSession(env, vm, stations, plan)
     controller: Optional[FaultController] = None
-    if fault_plan is not None:
+    if fault_plan is not None and not fault_plan.empty:
         controller = FaultController(session, fault_plan)
         session.controller = controller
         controller.install()
@@ -192,7 +160,7 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
         staging = None
         _spawn_nodes(session)
 
-    if session.centralized and spec.is_dlb:
+    if plan.workers[0].centralized:
         lb = env.process(CentralBalancer(session).run(), name="balancer")
     else:
         lb = None
@@ -226,7 +194,6 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
         t.value: vm.sent_by_tag.get(t, 0) - msg_before.get(t, 0) for t in Tag}
     session.stats.network_messages = vm.network.stats.messages - net_before[0]
     session.stats.network_bytes = vm.network.stats.bytes - net_before[1]
-    session.stats.environment = environment_fingerprint()
 
     # Detach mailbox hooks so a later stage can re-register, and undo
     # the session <-> node / controller back-references: the stats are
@@ -238,19 +205,6 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
     session.controller = None
     check_coverage(session.stats.executed_by_node, session.loop.n_iterations)
     return session.stats
-
-
-def _build_vm(env: Environment, n: int, options: RunOptions) -> VirtualMachine:
-    """A virtual machine on the run's network graph.
-
-    ``topology=None`` takes the original shared-bus construction path
-    untouched (bit-identity with the seed); any explicit topology —
-    including ``"bus"`` — goes through :func:`build_network`.
-    """
-    if options.topology is None:
-        return VirtualMachine(env, n, options.network)
-    network = build_network(env, options.topology, n, options.network)
-    return VirtualMachine(env, n, options.network, network=network)
 
 
 @contextmanager
@@ -279,7 +233,9 @@ def _simulated_run(cluster: ClusterSpec, options: RunOptions
         gc.disable()
         env = Environment()
         stations = cluster.build()
-        vm = _build_vm(env, cluster.n_processors, options)
+        n = cluster.n_processors
+        vm = VirtualMachine(env, n, options.network, network=build_network(
+            env, options.topology, n, options.network))
         try:
             yield env, stations, vm
         finally:
@@ -290,15 +246,6 @@ def _simulated_run(cluster: ClusterSpec, options: RunOptions
             gc.enable()
 
 
-def _initial_partition(session: LoopSession):
-    """The compiler's initial distribution (equal or speed-weighted)."""
-    if session.options.initial_partition == "speed":
-        return proportional_block_partition(
-            session.loop.n_iterations,
-            [ws.speed for ws in session.stations])
-    return equal_block_partition(session.loop.n_iterations, session.n)
-
-
 def _node_class(session: LoopSession):
     if session.strategy.code == "WS":
         from .stealing import StealingNodeRuntime
@@ -307,19 +254,17 @@ def _node_class(session: LoopSession):
 
 
 def _spawn_nodes(session: LoopSession) -> None:
-    parts = _initial_partition(session)
     cls = _node_class(session)
     for i in range(session.n):
-        node = cls(session, i, parts[i])
+        node = cls(session, i)
         node.proc = session.env.process(node.run(), name=f"node{i}")
 
 
 def _scatter_then_run(session: LoopSession):
     """With staging on, nodes start only after their block arrives."""
     # Create node runtimes first so assignments are known for sizing.
-    parts = _initial_partition(session)
     cls = _node_class(session)
-    nodes = [cls(session, i, parts[i]) for i in range(session.n)]
+    nodes = [cls(session, i) for i in range(session.n)]
     yield from _scatter(session)
     for node in nodes:
         node.proc = session.env.process(node.run(), name=f"node{node.me}")
@@ -362,12 +307,8 @@ def run_loop(loop: LoopSpec, cluster: ClusterSpec, strategy: StrategyLike,
             loop, cluster, strategy, options, selector,
             fault_plan=fault_plan)
     options = options or RunOptions()
-    spec = _resolve(strategy)
-    if spec.code == "CUSTOM" and selector is None:
-        from ..core.decision import model_based_selector
-        selector = model_based_selector
     with _simulated_run(cluster, options) as (env, stations, vm):
-        return run_loop_stage(env, vm, stations, loop, spec, options,
+        return run_loop_stage(env, vm, stations, loop, strategy, options,
                               selector, fault_plan=fault_plan)
 
 
@@ -383,18 +324,15 @@ def run_application(app: ApplicationSpec, cluster: ClusterSpec,
     against later stages would implicitly revive dead processors.
     """
     options = options or RunOptions()
-    spec = _resolve(strategy)
-    if spec.code == "CUSTOM" and selector is None:
-        from ..core.decision import model_based_selector
-        selector = model_based_selector
-    stats = AppRunStats(app_name=app.name, strategy=spec.name,
+    stats = AppRunStats(app_name=app.name,
+                        strategy=get_strategy(strategy).name,
                         n_processors=cluster.n_processors)
     pending_plan = fault_plan
     with _simulated_run(cluster, options) as (env, stations, vm):
         for stage in app.stages:
             if isinstance(stage, LoopSpec):
                 stats.stages.append(run_loop_stage(
-                    env, vm, stations, stage, spec, options, selector,
+                    env, vm, stations, stage, strategy, options, selector,
                     fault_plan=pending_plan))
                 pending_plan = None
             elif isinstance(stage, SequentialStage):

@@ -72,7 +72,6 @@ from ..message.messages import (
 from ..protocol import commands as C
 from ..protocol import events as E
 from ..protocol.errors import ProtocolRetryExhausted
-from ..protocol.worker import WorkerProtocol
 from ..simulation import (Event, Interrupt, Process,
                           RetryExhaustedError, SlotFilter)
 from .assignment import Assignment
@@ -87,28 +86,16 @@ _EPS = 1e-15
 class NodeRuntime(SimPort):
     """One simulated processor: the worker protocol's DES driver."""
 
-    def __init__(self, session: LoopSession, node_id: int,
-                 assignment: Assignment) -> None:
+    def __init__(self, session: LoopSession, node_id: int) -> None:
         self.session = session
         self.me = node_id
         self.ws = session.stations[node_id]
-        self.gid = session.group_of[node_id]
-        self.protocol = WorkerProtocol(
-            node_id, session.scope_of(node_id),
-            group=self.gid,
-            centralized=session.centralized,
-            lb_host=session.lb_host,
-            policy=session.policy,
+        spec = session.plan.workers[node_id]
+        self.gid = spec.group
+        self.protocol = spec.build_protocol(
             table=session.table,
-            mean_iteration_time=session.mean_iteration_time,
-            dc_bytes=session.loop.dc_bytes,
-            movement_cost_fn=session.movement_cost_fn,
-            planner=session.planner,
-            ft=session.ft,
-            profile_window_reset=session.options.profile_window_reset,
-            initial_rate=self.ws.speed,
-            assignment=assignment,
-            is_dlb=session.strategy.is_dlb)
+            movement_cost_fn=session.plan.movement_cost_fn,
+            planner=session.planner, initial_rate=self.ws.speed)
         self.computing = False
         self.finish_time: Optional[float] = None
         self.proc: Optional[Process] = None
@@ -118,7 +105,6 @@ class NodeRuntime(SimPort):
         # oracles hold with recording enabled.
         self.rec = session.recorder
         self.track = f"node{node_id}"
-        self.protocol.emit_trace = self.rec.enabled
         # Periodic synchronization (Dome/Siegell model, §2.2 ablation):
         # the lowest-numbered active group member is the clock; under
         # neighbour scope every node is its own.

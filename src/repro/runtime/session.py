@@ -1,110 +1,64 @@
-"""Shared state of one load-balanced loop execution (a *session*).
+"""Shared state of one simulated loop execution (a *session*).
 
-A :class:`LoopSession` bundles everything the node processes and the
-central balancer need to coordinate: the simulation environment, the
-virtual machine, the workstations, the loop's work table, the strategy
-configuration (which may be *re*configured mid-run by the customized
-selection of §4.3), group membership, and the statistics sink.
+A :class:`LoopSession` is the simulator's view of a
+:class:`~repro.backend.driver.RunPlan`: what the node processes and the
+central balancer coordinate through — the simulation environment, the
+virtual machine, the workstations, the statistics sink — plus the part
+of the plan the customized selection of §4.3 may *re*configure mid-run
+(strategy, groups, planner).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, TYPE_CHECKING
+from typing import Optional, Sequence, TYPE_CHECKING
 
-from ..apps.workload import LoopSpec, WorkTable
-from ..core.diffusion import DiffusionPlanner
-from ..core.policy import DlbPolicy
-from ..core.redistribution import (
-    MovementCostFn,
-    RedistributionPlan,
-    make_movement_cost_estimator,
-    make_topology_movement_cost_estimator,
-)
-from ..core.strategies.base import StrategySpec
+from ..core.redistribution import RedistributionPlan
 from ..core.strategies.registry import get_strategy
-from ..machine.cluster import build_groups
 from ..machine.workstation import Workstation
 from ..message.pvm import VirtualMachine
-from ..network.topology import Topology, resolve_topology
-from ..obs.trace import NULL_RECORDER
 from ..simulation import Environment
-from .options import RunOptions
-from .stats import LoopRunStats, SyncRecord
+from .stats import SyncRecord
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..backend.driver import RunPlan
     from ..faults.controller import FaultController
     from .node import NodeRuntime
 
 __all__ = ["LoopSession"]
-
-#: Host index of the master processor / central load balancer.
-MASTER = 0
 
 
 class LoopSession:
     """Coordination state shared by all processes of one loop run."""
 
     def __init__(self, env: Environment, vm: VirtualMachine,
-                 stations: list[Workstation], loop: LoopSpec,
-                 strategy: StrategySpec, options: RunOptions,
-                 selector: Optional[Callable] = None) -> None:
+                 stations: list[Workstation], plan: "RunPlan") -> None:
         self.env = env
         self.vm = vm
         self.stations = stations
-        self.loop = loop
-        self.table: WorkTable = loop.work_table()
-        self.options = options
-        self.policy: DlbPolicy = options.policy
-        self.strategy = strategy
-        self.selector = selector
-        self.lb_host = MASTER
         self.n = len(stations)
-        self.mean_iteration_time = self.table.total_work / self.table.n
-
-        k = options.effective_group_size(self.n, strategy.group_size)
-        self.group_size = k
-        if strategy.global_scope or not strategy.is_dlb:
-            self.groups: list[list[int]] = [list(range(self.n))]
-        else:
-            self.groups = build_groups(self.n, k,
-                                       formation=options.group_formation,
-                                       seed=options.group_seed)
-        self.group_of = {node: g for g, members in enumerate(self.groups)
-                         for node in members}
-
-        #: The run's network graph, or ``None`` for the default shared
-        #: bus (the seed configuration — every code path below must stay
-        #: bit-identical in that case).
-        self.topology: Optional[Topology] = None
-        if options.topology is not None:
-            self.topology = resolve_topology(options.topology, self.n)
-
-        self.movement_cost_fn: Optional[MovementCostFn] = None
-        if self.policy.include_movement_cost:
-            if self.topology is not None and not self.topology.shared_medium:
-                self.movement_cost_fn = make_topology_movement_cost_estimator(
-                    options.network, self.topology,
-                    dc_bytes=loop.dc_bytes,
-                    mean_iteration_time=self.mean_iteration_time)
-            else:
-                self.movement_cost_fn = make_movement_cost_estimator(
-                    latency=options.network.latency,
-                    bandwidth=options.network.bandwidth,
-                    dc_bytes=loop.dc_bytes,
-                    mean_iteration_time=self.mean_iteration_time)
-
-        #: Planner override for the protocol layer: diffusion binds the
-        #: topology here; ``None`` means the eq.-3 planner (seed path).
-        self.planner: Optional[DiffusionPlanner] = \
-            self._planner_for(strategy)
-
-        self.stats = LoopRunStats(
-            loop_name=loop.name, strategy=strategy.name,
-            n_processors=self.n, group_size=self.group_size)
-        self.nodes: dict[int, "NodeRuntime"] = {}
+        self.plan = plan
+        self.loop = plan.loop
+        self.table = plan.table
+        self.options = plan.options
+        self.policy = plan.options.policy
+        self.selector = plan.selector
+        #: The run's network graph (the shared bus unless asked).
+        self.topology = plan.topology
+        self.stats = plan.stats
         #: Structured trace sink; the shared no-op singleton unless the
         #: caller supplied a recorder (see docs/OBSERVABILITY.md).
-        self.recorder = options.recorder or NULL_RECORDER
+        self.recorder = plan.recorder
+        lead = plan.workers[0]
+        #: Host of the master processor / central load balancer.
+        self.lb_host = lead.lb_host
+        #: The fault-tolerance knobs (hardened protocol iff ``enabled``).
+        self.ft = lead.ft
+        # What apply_selection replaces: until then, the plan's own.
+        self.strategy = plan.spec
+        self.group_size = plan.stats.group_size
+        self._regroup(plan.groups, plan.planner)
+
+        self.nodes: dict[int, "NodeRuntime"] = {}
         self._sync_records: dict[tuple[int, int], SyncRecord] = {}
         self._sweeps: list[SyncRecord] = []
         self._selected = False
@@ -113,11 +67,6 @@ class LoopSession:
         self.controller: Optional["FaultController"] = None
 
     # -- fault-model view ---------------------------------------------------
-    @property
-    def ft(self):
-        """The fault-tolerance knobs (hardened protocol iff ``ft.enabled``)."""
-        return self.options.fault_tolerance
-
     def is_dead(self, node: int) -> bool:
         """Whether ``node`` has been *declared* dead (detector view)."""
         return (self.controller is not None
@@ -137,20 +86,7 @@ class LoopSession:
         handles the first synchronization, §5.2) and may hand over to a
         distributed scheme after selection.
         """
-        if self.strategy.code == "CUSTOM":
-            return True  # until apply_selection replaces the strategy
         return self.strategy.centralized
-
-    def _planner_for(self, strategy: StrategySpec
-                     ) -> Optional[DiffusionPlanner]:
-        """The protocol planner a strategy needs (``None`` = eq. 3)."""
-        if strategy.code != "DIFF":
-            return None
-        topology = self.topology if self.topology is not None \
-            else Topology.bus(self.n)
-        return DiffusionPlanner(topology, self.policy,
-                                self.mean_iteration_time,
-                                self.movement_cost_fn)
 
     def scope_of(self, node: int) -> Sequence[int]:
         """The nodes ``node`` synchronizes with, itself included: its
@@ -169,17 +105,14 @@ class LoopSession:
         self.strategy = chosen
         if group_size:
             self.group_size = min(group_size, self.n)
-        if chosen.global_scope:
-            self.groups = [list(range(self.n))]
-        else:
-            self.groups = build_groups(self.n, self.group_size,
-                                       formation=self.options.group_formation,
-                                       seed=self.options.group_seed)
-        self.group_of = {node: g for g, members in enumerate(self.groups)
-                         for node in members}
         # Selecting DIFF swaps the planner in; each node hands it to its
         # protocol as it adopts the selection.
-        self.planner = self._planner_for(chosen)
+        self._regroup(*self.plan.domains(chosen, self.group_size))
+
+    def _regroup(self, groups: list[list[int]], planner) -> None:
+        self.groups, self.planner = groups, planner
+        self.group_of = {node: g for g, members in enumerate(groups)
+                         for node in members}
 
     # -- bookkeeping ----------------------------------------------------------
     def record_plan(self, group: int, epoch: int, plan: RedistributionPlan,

@@ -36,9 +36,8 @@ ALL_DONE = "all-done"
 class StealingNodeRuntime(NodeRuntime):
     """Node protocol for the work-stealing strategy (code ``WS``)."""
 
-    def __init__(self, session: LoopSession, node_id: int,
-                 assignment) -> None:
-        super().__init__(session, node_id, assignment)
+    def __init__(self, session: LoopSession, node_id: int) -> None:
+        super().__init__(session, node_id)
         self.periodic = False  # stealing has no synchronization points
         self._rng = np.random.default_rng(
             session.options.group_seed * 65_537 + node_id)

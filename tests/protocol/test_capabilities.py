@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from repro import ClusterSpec
+from repro import ClusterSpec, run_application, run_loop
 from repro.apps.mxm import MxmConfig, mxm_loop
-from repro.backend import BackendError, get_backend
+from repro.apps.workload import ApplicationSpec
+from repro.backend import BackendError, driver, get_backend
 from repro.backend.capabilities import (
     CAPABILITIES,
     FEATURES,
@@ -80,6 +81,32 @@ def test_run_level_cell(backend, feature):
             fault_plan=request["fault_plan"])
     simulation_only = backends_with(feature) == ["sim"]
     assert ("simulation-only" in str(refusal.value)) is simulation_only
+
+
+def test_the_simulators_run_path_is_validated_too(monkeypatch):
+    """The sim row is enforced where the other three are — by
+    ``validate``, from the shared run set-up — not by ad-hoc checks in
+    the executor; its two refusals are ``BackendError``s raised there."""
+    asked = []
+
+    def spy(backend, *args):
+        asked.append(backend)
+        return validate(backend, *args)
+
+    monkeypatch.setattr(driver, "validate", spy)
+    loop = mxm_loop(MxmConfig(16, 8, 8), op_seconds=4e-7)
+    run_loop(loop, _cluster(), "GDDLB")
+    run_application(ApplicationSpec(name="two", stages=(loop, loop)),
+                    _cluster(), "LCDLB")
+    assert asked == ["sim"] * 3  # once per loop stage
+    with pytest.raises(BackendError, match="work-stealing"):
+        run_loop(loop, _cluster(), "WS",
+                 fault_plan=FaultPlan.single_crash(node=1, time=0.01))
+    with pytest.raises(BackendError, match="at least 2 processors"):
+        run_loop(loop, ClusterSpec.homogeneous(1, max_load=0), "GDDLB")
+    assert asked == ["sim"] * 5
+    # The static baseline balances nothing: one processor is enough.
+    run_loop(loop, ClusterSpec.homogeneous(1, max_load=0), "NONE")
 
 
 @pytest.mark.parametrize("backend,feature", [

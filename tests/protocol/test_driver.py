@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.workload import LoopSpec
+from repro.backend import driver
 from repro.backend.driver import Burn, Inbox, Reporter, RunLedger, drive
 from repro.core.diffusion import DiffusionPlanner
 from repro.core.policy import DlbPolicy
@@ -269,7 +270,7 @@ def test_simulator_and_driver_hold_the_same_conversation(
         monkeypatch.setattr(cls, "on_event", spy)
     spy_on(WorkerProtocol, lambda proto: proto.me)
     spy_on(BalancerProtocol, lambda proto: "balancer")
-    monkeypatch.setattr(executor, "equal_block_partition",
+    monkeypatch.setattr(driver, "equal_block_partition",
                         lambda _n, _p: [Assignment(b) for b in blocks])
     stats = executor.run_loop(
         LoopSpec(name="fake", n_iterations=blocks[-1][-1][1],

@@ -6,6 +6,7 @@ import pytest
 
 from repro import run_loop
 from repro.apps.mxm import MxmConfig, mxm_loop
+from repro.backend.driver import prepare_run
 from repro.core.strategies import CUSTOMIZED, GCDLB, GDDLB, LCDLB, LDDLB
 from repro.machine.cluster import ClusterSpec
 from repro.message.messages import Tag
@@ -24,10 +25,11 @@ def make_session(strategy, n=4, options=None, small_loop=None):
                                   iteration_time=0.01, dc_bytes=100)
     env = Environment()
     cluster = ClusterSpec.homogeneous(n, max_load=0)
-    stations = cluster.build()
     options = options or RunOptions()
     vm = VirtualMachine(env, n, options.network)
-    return LoopSession(env, vm, stations, loop, strategy, options)
+    plan = prepare_run("sim", loop, cluster.speeds, strategy, options,
+                       None, None, time_scale=1.0)
+    return LoopSession(env, vm, cluster.build(), plan)
 
 
 def test_global_strategy_single_group():
@@ -74,7 +76,7 @@ def test_record_plan_once_per_epoch():
     session = make_session(GDDLB)
     plan = plan_redistribution(
         [SyncProfile(0, 1.0, 10, 1.0), SyncProfile(1, 0.0, 0, 1.0)],
-        session.policy, session.mean_iteration_time)
+        session.policy, session.plan.mean_iteration_time)
     session.record_plan(0, 0, plan)
     session.record_plan(0, 0, plan)   # replicated balancer, same epoch
     session.record_plan(0, 1, plan)
@@ -95,7 +97,8 @@ def test_record_plan_adds_up_the_parts_of_a_sweep():
     whole = plan_diffusion(
         [SyncProfile(0, 3.0, 300, 1.0), SyncProfile(1, 0.0, 0, 1.0),
          SyncProfile(2, 0.0, 0, 1.0), SyncProfile(3, 0.0, 0, 1.0)],
-        Topology.ring(4), session.policy, session.mean_iteration_time)
+        Topology.ring(4), session.policy,
+        session.plan.mean_iteration_time)
     for node in range(4):
         mine = whole.outgoing(node)
         session.record_plan(0, 0, replace(
@@ -111,11 +114,11 @@ def test_record_plan_adds_up_the_parts_of_a_sweep():
 def test_movement_cost_fn_built_when_policy_asks():
     from repro.core.policy import DlbPolicy
     plain = make_session(GDDLB)
-    assert plain.movement_cost_fn is None
+    assert plain.plan.movement_cost_fn is None
     costed = make_session(
         GDDLB, options=RunOptions(policy=DlbPolicy(
             include_movement_cost=True)))
-    assert costed.movement_cost_fn is not None
+    assert costed.plan.movement_cost_fn is not None
 
 
 def _profile(src, group=0, count=10):
