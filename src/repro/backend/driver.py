@@ -68,6 +68,7 @@ from ..protocol import (
 from ..runtime.assignment import (
     Assignment,
     equal_block_partition,
+    merge_ranges,
     proportional_block_partition,
 )
 from ..runtime.options import FaultToleranceConfig, RunOptions
@@ -180,14 +181,23 @@ class Reporter:
     ``deliver(msg)`` — put a message on its transport — and
     ``emit(body)`` — hand a record to the supervising side's
     :class:`RunLedger`.
+
+    Unless ``stream_records`` (:attr:`WorkerSpec.stream_records`:
+    somebody needs each iteration's record as it happens), executed
+    ranges are held back and reported merged, in bulk, ahead of the
+    next record of any other kind — the ledger still sees them before
+    the sync or finish that follows them.
     """
 
     def __init__(self, me: Optional[int], t0: float,
-                 recorder=NULL_RECORDER) -> None:
+                 recorder=NULL_RECORDER, *,
+                 stream_records: bool = True) -> None:
         #: Node id; ``None`` for a balancer.
         self.me = me
         self.t0 = t0
         self.recorder = recorder
+        self.stream_records = stream_records
+        self._batch: list[Range] = []
         self.messages = 0
         self.bytes = 0
         self.retries = 0
@@ -202,8 +212,22 @@ class Reporter:
         self.by_tag.inc(msg.tag.value)
         self.deliver(msg)
 
+    def flush(self) -> None:
+        """Report the executed ranges held back so far."""
+        if self._batch:
+            batch, self._batch = self._batch, []
+            self.emit({"k": "exec", "ranges": merge_ranges(batch)})
+
+    def record(self, body: dict) -> None:
+        """Emit ``body``, whatever was held back first."""
+        self.flush()
+        self.emit(body)
+
     def executed(self, ranges: Sequence[Range]) -> None:
-        self.emit({"k": "exec", "ranges": list(ranges)})
+        if self.stream_records:
+            self.record({"k": "exec", "ranges": list(ranges)})
+        else:
+            self._batch.extend(ranges)
 
     def sync(self, group: int, epoch: int, plan, part: bool = False) -> None:
         body = {"k": "sync", "group": group, "epoch": epoch, "row": {
@@ -217,21 +241,23 @@ class Reporter:
             # One node's share of a neighbour-local sweep: the ledger
             # adds the parts up instead of de-duplicating replicas.
             body["part"] = True
-        self.emit(body)
+        self.record(body)
 
     def declared(self, peer: int) -> None:
-        self.emit({"k": "declared", "peer": peer})
+        self.record({"k": "declared", "peer": peer})
 
     def counters(self) -> dict:
         return {"messages": self.messages, "bytes": self.bytes,
                 "by_tag": dict(self.by_tag), "retries": self.retries}
 
     def finish(self, reason: str) -> None:
+        # Ahead of the counters: a transport counts its own records.
+        self.flush()
         self.emit({"k": "finish", "reason": reason,
                    "counters": self.counters()})
 
     def error(self, text: str) -> None:
-        self.emit({"k": "error", "text": text})
+        self.record({"k": "error", "text": text})
 
 
 class RunLedger:
@@ -464,6 +490,9 @@ class WorkerSpec:
     time_scale: float
     crash_at: Optional[float]  # wall seconds after t0; None = reliable
     trace_events: bool  # record a worker-side trace; ship it at Done
+    #: One ``exec`` record per iteration (somebody may lose one, or
+    #: waits for it) instead of bulk reports; see :class:`Reporter`.
+    stream_records: bool
 
     def build_protocol(self, *, table: Optional[WorkTable] = None,
                        movement_cost_fn: Optional[MovementCostFn] = None,
@@ -542,7 +571,9 @@ class WorkerSpec:
             time_scale=float(run["time_scale"]),
             crash_at=run.get("crash_at"),
             # Absent from a pre-tracing hub's WELCOME: default off.
-            trace_events=bool(run.get("trace_events", False)))
+            trace_events=bool(run.get("trace_events", False)),
+            # Absent from a hub that predates bulk reports: stream.
+            stream_records=bool(run.get("stream_records", True)))
 
 
 @dataclass
@@ -600,7 +631,8 @@ def prepare_run(backend: str, loop: LoopSpec, speeds: Sequence[float],
                 strategy: StrategyLike, options: Optional[RunOptions],
                 selector: Optional[Callable],
                 fault_plan: Optional[FaultPlan], *, time_scale: float,
-                harden: bool = False, topology: Optional[Topology] = None,
+                harden: bool = False, watched: bool = False,
+                topology: Optional[Topology] = None,
                 **environment) -> RunPlan:
     """Validate a run against ``backend``'s capabilities and set up what
     every backend needs, the simulator included: strategy, topology,
@@ -608,6 +640,11 @@ def prepare_run(backend: str, loop: LoopSpec, speeds: Sequence[float],
     node's spec with its block of the initial partition over ``speeds``,
     the fault-tolerance config (armed by a fault plan, or ``harden``)
     and the stats object (``environment`` goes into its fingerprint).
+    Workers report executed iterations in bulk unless a record can be
+    lost or is waited for: the hardened protocol is armed (a crash may
+    take unreported iterations with it), or the backend is ``watched``
+    — it acts on the executed count as it grows (a membership script)
+    or tolerates unplanned disconnects (``serve``).
     ``topology`` is the graph a caller has already resolved — the
     simulator's network — instead of ``options.topology``."""
     options = options or RunOptions()
@@ -668,7 +705,8 @@ def prepare_run(backend: str, loop: LoopSpec, speeds: Sequence[float],
         profile_window_reset=options.profile_window_reset,
         ranges=tuple(parts[node].ranges), is_dlb=bool(spec.is_dlb),
         epoch=0, time_scale=time_scale, crash_at=crash_at.get(node),
-        trace_events=recorder.enabled)
+        trace_events=recorder.enabled,
+        stream_records=ft.enabled or watched)
         for gid, members in enumerate(map(tuple, plan.groups))
         for node in members]
     plan.workers.sort(key=lambda w: w.node)

@@ -77,7 +77,7 @@ from ..machine.cluster import ClusterSpec
 from ..message.messages import Message, Tag
 from ..obs.trace import TraceRecorder
 from ..protocol import AwaitMessage, PeerDead, WorkerProtocol
-from ..runtime.assignment import check_coverage, merge_ranges, uncovered
+from ..runtime.assignment import check_coverage, uncovered
 from ..runtime.options import RunOptions
 from ..runtime.stats import LoopRunStats
 from .base import (
@@ -125,7 +125,6 @@ class _ChildConfig:
     ops_rate: float  # calibrated rate of the chosen kernel
     shm_name: str
     row_bytes: int
-    stream_records: bool  # per-iteration exec records (fault runs)
     fail_after: Optional[int]  # test hook: raise after N iterations
 
 
@@ -261,7 +260,8 @@ class _ChildReporter(Reporter):
     def __init__(self, cfg: _ChildConfig, queues, balancer_q, stats_q,
                  crash: _CrashClock) -> None:
         me = cfg.spec.node if cfg.groups is None else None
-        super().__init__(me, crash.t0)
+        super().__init__(me, crash.t0,
+                         stream_records=cfg.spec.stream_records)
         self._cfg = cfg
         self._queues = queues
         self._balancer_q = balancer_q
@@ -273,7 +273,6 @@ class _ChildReporter(Reporter):
         self.shm = None
         self.payload_bytes = 0
         self.shm_bytes = 0
-        self._batch: list[Range] = []
         self._executed = 0
         self._row_pattern = b""
         if me is not None:
@@ -295,11 +294,6 @@ class _ChildReporter(Reporter):
         self.payload_bytes += channel.put(msg)
 
     def emit(self, body: dict) -> None:
-        if self._batch:
-            # Reliable runs report executed ranges in bulk, ahead of the
-            # next record (re-enters with the batch already empty).
-            batch, self._batch = self._batch, []
-            super().executed(merge_ranges(batch))
         self._stats_q.put((self.me, self.now(), body))
 
     def executed(self, ranges: Sequence[Range]) -> None:
@@ -314,10 +308,7 @@ class _ChildReporter(Reporter):
             raise RuntimeError(
                 f"injected test failure on node {self.me} "
                 f"after {self._executed} iterations")
-        if cfg.stream_records:
-            super().executed(ranges)
-        else:
-            self._batch.extend(ranges)
+        super().executed(ranges)
 
     def counters(self) -> dict:
         return {**super().counters(), "payload_bytes": self.payload_bytes,
@@ -452,7 +443,6 @@ class ProcessBackend(ExecutionBackend):
                     if key == "balancer" else None,
                     kernel=self.kernel, ops_rate=ops_rate,
                     shm_name=shm.name, row_bytes=row_bytes,
-                    stream_records=bool(plan.crash_at),
                     fail_after=self._fail_after.get(key))
                 procs[key] = ctx.Process(
                     target=_child_main,

@@ -197,8 +197,10 @@ class _ClientReporter(Reporter):
     included.
     """
 
-    def __init__(self, writer: asyncio.StreamWriter, me: int) -> None:
-        super().__init__(me, time.perf_counter())
+    def __init__(self, writer: asyncio.StreamWriter,
+                 spec: WorkerSpec) -> None:
+        super().__init__(spec.node, time.perf_counter(),
+                         stream_records=spec.stream_records)
         self.writer = writer
         self.frames = CounterDict()
         self.executed_total = 0
@@ -265,7 +267,8 @@ class _ClientMailbox:
         self.bye = asyncio.Event()
         self.wake = asyncio.Event()
         self.answer: Optional[Callable[[ControlMsg], None]] = None
-        self.crash_due: Optional[Callable[[], bool]] = None
+        #: ``perf_counter`` instant of a scheduled fail-stop, if any.
+        self.crash_at: Optional[float] = None
 
     def pop_due_admit(self, epoch: int) -> Optional[int]:
         for i, (node, eff) in enumerate(self.admits):
@@ -275,7 +278,8 @@ class _ClientMailbox:
         return None
 
     def check_stop(self) -> None:
-        if self.die or (self.crash_due is not None and self.crash_due()):
+        if self.die or (self.crash_at is not None
+                        and time.perf_counter() >= self.crash_at):
             raise _AbruptStop()
 
     async def get(self, spec: AwaitMessage):
@@ -297,10 +301,13 @@ class _ClientMailbox:
             remaining = deadline.remaining()
             if remaining is None:
                 return None
+            if self.crash_at is not None:
+                # Nobody sets ``wake`` for a crash that is merely due.
+                remaining = min(remaining, max(
+                    0.0, self.crash_at - time.perf_counter()))
             self.wake.clear()
             try:
-                await asyncio.wait_for(self.wake.wait(),
-                                       min(remaining, 0.05))
+                await asyncio.wait_for(self.wake.wait(), remaining)
             except asyncio.TimeoutError:
                 pass
 
@@ -441,7 +448,7 @@ async def _run_client(host: str, port: int, *,
             raise BackendError(f"expected WELCOME, got {ftype.name}")
         spec = WorkerSpec.from_wire(body["node"], body["run"])
 
-        reporter = _ClientReporter(writer, spec.node)
+        reporter = _ClientReporter(writer, spec)
         # HELLO went out before the reporter existed; count it by hand.
         reporter.frames[FrameType.HELLO.name] = len(hello)
         mbox = _ClientMailbox()
@@ -455,9 +462,7 @@ async def _run_client(host: str, port: int, *,
         if spec.trace_events:
             reporter.recorder = TraceRecorder(clock=reporter.now)
         if spec.crash_at is not None:
-            t0 = time.perf_counter()
-            mbox.crash_due = \
-                lambda: time.perf_counter() - t0 >= spec.crash_at
+            mbox.crash_at = time.perf_counter() + spec.crash_at
         reader_task = asyncio.create_task(
             _client_reader(mbox, reporter, frames))
         try:
@@ -531,6 +536,7 @@ class _HubPort(Reporter):
     def emit(self, body: dict) -> None:
         if self._hub.ledger.record(None, body, self.now()) == "finish":
             self._hub.bal_done = True
+            self._hub._check_done()
 
 
 class _Hub:
@@ -563,7 +569,10 @@ class _Hub:
         self.joined: list[int] = []
         self.group_profile_epoch: dict[int, int] = {}
         self.errors: list[str] = []
+        #: Set by :meth:`_check_done`, the moment the run is over.
         self.done = asyncio.Event()
+        self._watchdog: Optional[asyncio.TimerHandle] = None
+        self._grace: Optional[asyncio.TimerHandle] = None
         self.spawner: Optional[Callable[[], None]] = None
         ft = plan.workers[0].ft
         self.monitor = HeartbeatMonitor.from_ft(ft) if ft.enabled else None
@@ -578,6 +587,8 @@ class _Hub:
         self._server = await asyncio.start_server(self._serve_conn,
                                                   host, port)
         self._t0 = time.perf_counter()
+        self._watchdog = asyncio.get_running_loop().call_later(
+            WATCHDOG_SECONDS * 2, lambda: self._fail(self._stall_report()))
         if self.recorder.enabled:
             # Clock rebinds before the first balancer event so every
             # hub-side trace timestamp is hub-relative seconds.
@@ -680,6 +691,7 @@ class _Hub:
             self._write(peer, FrameType.WELCOME,
                         {"v": PROTOCOL_VERSION, "node": peer.node,
                          "run": assigned.to_wire()})
+            self._check_done()
             async for ftype, body in frames:
                 self._on_frame(peer, ftype, body)
         except asyncio.CancelledError:
@@ -719,8 +731,7 @@ class _Hub:
             # ring buffer into the hub's run-wide recorder.
             self.recorder.merge_payload(body)
         elif ftype is FrameType.ERR:
-            self.errors.append(
-                f"worker {peer.node} reported: {body.get('text')}")
+            self._fail(f"worker {peer.node} reported: {body.get('text')}")
         # Unknown-to-this-role frames are ignored (forward compatibility).
 
     def _route(self, peer: _Peer, body: dict) -> None:
@@ -729,7 +740,7 @@ class _Hub:
             tag = body.get("tag")
             epoch = int(body.get("epoch", 0))
         except (KeyError, TypeError, ValueError):
-            self.errors.append(f"malformed MSG frame from {peer.node}")
+            self._fail(f"malformed MSG frame from {peer.node}")
             return
         if tag == "profile":
             gid = self.group_of.get(int(body.get("src", peer.node)),
@@ -742,8 +753,7 @@ class _Hub:
             try:
                 msg = message_from_wire(body)
             except FrameError as exc:
-                self.errors.append(
-                    f"undecodable profile from {peer.node}: {exc}")
+                self._fail(f"undecodable profile from {peer.node}: {exc}")
                 return
             self._run_balancer_cmds(
                 self.balancer.on_event(MessageReceived(msg)))
@@ -759,11 +769,15 @@ class _Hub:
         then = execute(cmds, self.port, "balancer")
         if isinstance(then, Done):
             self.port.finish(then.reason)
+        if self.balancer.all_done:
+            self._check_done()
 
     def _on_stat(self, peer: _Peer, body: dict) -> None:
         kind = self.ledger.record(peer.node, body, self.now())
         if kind == "exec":
             self._fire_script()
+            if self.ledger.exec_total >= self.plan.loop.n_iterations:
+                self._check_done()
         elif kind == "finish":
             self.frames.merge(body.get("counters", {}).get("frames", {}))
             if peer.status == "active":
@@ -775,12 +789,11 @@ class _Hub:
                 # already learned the retirement from the plan's active
                 # set; a leaver/crasher was announced at that event.)
                 self._broadcast_death(peer.node, planned=True)
+                self._check_done()
         elif kind == "error":
-            self.errors.append(
-                f"worker {peer.node} failed:\n{body.get('text')}")
+            self._fail(f"worker {peer.node} failed:\n{body.get('text')}")
         elif kind not in ("sync", "declared"):
-            self.errors.append(
-                f"unknown stats record {body!r} from {peer.node}")
+            self._fail(f"unknown stats record {body!r} from {peer.node}")
 
     # -- membership transitions ------------------------------------------
     def _broadcast_death(self, node: int, *, planned: bool) -> None:
@@ -803,6 +816,7 @@ class _Hub:
         ranges = pairs(body.get("ranges"))
         if ranges:
             self._grant(peer, ranges)
+        self._check_done()
 
     def _grant(self, leaver: _Peer, ranges: tuple[Range, ...]) -> None:
         """Re-grant a departed worker's residual ranges — exactly once.
@@ -833,12 +847,13 @@ class _Hub:
         if self.monitor is not None:
             self.monitor.forget(peer.node)
         if not expected and self.strict:
-            self.errors.append(
+            self._fail(
                 f"worker {peer.node} disconnected outside the fault plan")
         self._broadcast_death(peer.node, planned=False)
         if self.balancer is not None:
             self._run_balancer_cmds(
                 self.balancer.on_event(PeerDead(peer.node)))
+        self._check_done()
 
     # -- scripted orchestration ------------------------------------------
     def _fire_script(self) -> None:
@@ -886,54 +901,79 @@ class _Hub:
             return uncovered(self.stats.executed_by_node,
                              self.plan.loop.n_iterations)
         except CoverageError as exc:
-            self.errors.append(str(exc))
+            self._fail(str(exc))
             return None
 
-    async def run_completion(self) -> None:
-        """Declare the run over; dismiss stragglers once coverage holds."""
-        deadline = time.perf_counter() + WATCHDOG_SECONDS * 2
-        grace_start: Optional[float] = None
-        while True:
-            await asyncio.sleep(POLL_SECONDS)
-            if self.errors:
-                break
-            started = self._next_initial >= self.n
-            active = [p for p in self.peers.values()
-                      if p.status == "active"]
-            if started and not active and (
-                    self.bal_done
-                    or (self.balancer is not None
-                        and self.balancer.all_done)):
-                break
-            if started and active:
-                orphans = self._orphans()
-                if orphans is None:
-                    break
-                if not orphans:
-                    now = time.perf_counter()
-                    if grace_start is None:
-                        grace_start = now
-                    elif now - grace_start >= DRAIN_GRACE_SECONDS:
-                        # Every iteration is accounted for; whoever is
-                        # still waiting (e.g. a joiner whose fence was
-                        # never reached) is no longer needed.
-                        for peer in active:
-                            peer.status = "dismissed"
-                            self.recorder.event(
-                                "trace_truncated",
-                                track=f"node{peer.node}",
-                                reason="dismissed")
-                            self._write(peer, FrameType.BYE)
-                        break
-                else:
-                    grace_start = None
-            if time.perf_counter() > deadline:
-                self.errors.append(
-                    "hub watchdog: run never completed "
-                    f"(active={[p.node for p in active]})")
-                break
-        await self._finish_run()
+    # -- completion ------------------------------------------------------
+    def _fail(self, text: str) -> None:
+        self.errors.append(text)
+        self._check_done()
+
+    def _check_done(self) -> None:
+        """Decide whether the run is over — called wherever a transition
+        can change the answer (a peer registers or turns terminal, the
+        balancer finishes, an error is recorded, the last iteration is
+        reported), never on a clock.  The two timers are durations: the
+        watchdog, and the grace between coverage holding and the
+        dismissal of whoever still waits."""
+        if self.done.is_set():
+            return
+        started = self._next_initial >= self.n
+        active = [p for p in self.peers.values() if p.status == "active"]
+        if self.errors or (started and not active and (
+                self.bal_done or (self.balancer is not None
+                                  and self.balancer.all_done))):
+            self._end_run()
+            return
+        covered = bool(started and active and self.ledger.exec_total
+                       >= self.plan.loop.n_iterations
+                       and self._orphans() == [])
+        if covered and self._grace is None:
+            self._grace = asyncio.get_running_loop().call_later(
+                DRAIN_GRACE_SECONDS, self._dismiss)
+        elif not covered and self._grace is not None:
+            self._grace.cancel()
+            self._grace = None
+
+    def _dismiss(self) -> None:
+        """Every iteration has been accounted for a whole grace long;
+        whoever is still waiting (e.g. a joiner whose fence was never
+        reached) is no longer needed.  ``_finish_run`` says BYE."""
+        for peer in self.peers.values():
+            if peer.status == "active":
+                peer.status = "dismissed"
+                self.recorder.event("trace_truncated",
+                                    track=f"node{peer.node}",
+                                    reason="dismissed")
+        self._end_run()
+
+    def _end_run(self) -> None:
+        for timer in (self._watchdog, self._grace):
+            if timer is not None:
+                timer.cancel()
         self.done.set()
+
+    def _stall_report(self) -> str:
+        """What the hub knows about a run that never completed."""
+        balancer = "no balancer"
+        if self.balancer is not None:
+            groups = {gid: sorted(members) for gid, members
+                      in self.balancer.group_active.items()}
+            balancer = (f"balancer group_active={groups} "
+                        f"all_done={self.balancer.all_done}")
+        return (
+            f"hub watchdog: run never completed in {WATCHDOG_SECONDS * 2:g}s"
+            f" (registered {self._next_initial}/{self.n}; peers "
+            f"{dict((p.node, p.status) for p in self.peers.values())}; "
+            f"{balancer} bal_done={self.bal_done}; executed "
+            f"{self.ledger.exec_total}/{self.plan.loop.n_iterations}, "
+            f"first uncovered {(self._orphans() or [])[:4]}; "
+            f"drain grace {'armed' if self._grace else 'not armed'})")
+
+    async def run_completion(self) -> None:
+        """Close the run once :meth:`_check_done` declared it over."""
+        await self.done.wait()
+        await self._finish_run()
 
     async def _finish_run(self) -> None:
         self.stats.salvaged_iterations = await self._salvage()
@@ -960,7 +1000,7 @@ class _Hub:
                 check_coverage(self.stats.executed_by_node,
                                self.plan.loop.n_iterations)
             except CoverageError as exc:
-                self.errors.append(str(exc))
+                self._fail(str(exc))
 
     async def _salvage(self) -> int:
         """Re-execute orphaned iterations; credit the lowest survivor."""
@@ -972,9 +1012,8 @@ class _Hub:
                     [p.node for p in self.peers.values()
                      if p.status != "crashed"]
         if not survivors:
-            self.errors.append(
-                f"orphaned iterations {orphans} with no survivor "
-                "to credit")
+            self._fail(f"orphaned iterations {orphans} with no survivor "
+                       "to credit")
             return 0
         count = 0
         for start, end in orphans:
@@ -1058,25 +1097,27 @@ class SocketBackend(ExecutionBackend):
              strict: bool) -> _Hub:
         # A scripted kill is a crash: survivors need the hardened protocol.
         kills = any(isinstance(ev, KillEvent) for ev in self.script)
+        # A script fires on the executed count; ``serve`` tolerates
+        # disconnects it was not told of.  Either needs every record.
         plan = prepare_run(self.name, loop, cluster.speeds, strategy,
                            options, selector, fault_plan,
                            time_scale=self.time_scale, harden=kills,
+                           watched=bool(self.script) or not strict,
                            workers=self.workers)
         return _Hub(plan, self.script, strict)
 
     async def _await_done(self, hub: _Hub, timeout: float,
                           stalled: str) -> None:
-        """Run the hub's monitors until the run is over, then close it."""
-        background = [asyncio.create_task(hub.run_completion())]
-        if hub.monitor is not None:
-            background.append(asyncio.create_task(hub.run_liveness()))
+        """Run the hub until the run is over and closed, then shut it."""
+        liveness = asyncio.create_task(hub.run_liveness()) \
+            if hub.monitor is not None else None
         try:
-            await asyncio.wait_for(hub.done.wait(), timeout)
+            await asyncio.wait_for(hub.run_completion(), timeout)
         except asyncio.TimeoutError:
             hub.errors.append(f"hub watchdog: {stalled}")
         finally:
-            for task in background:
-                task.cancel()
+            if liveness is not None:
+                liveness.cancel()
             await hub.close()
 
     async def _run_async(self, hub: _Hub, procs: list) -> None:
@@ -1101,7 +1142,7 @@ class SocketBackend(ExecutionBackend):
             spawn()
         try:
             await self._await_done(hub, WATCHDOG_SECONDS * 2 + 30.0,
-                                   "completion monitor stalled")
+                                   "closing the run stalled")
         finally:
             if worker_tasks:
                 done, still = await asyncio.wait(worker_tasks, timeout=5.0)

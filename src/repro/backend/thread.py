@@ -105,8 +105,8 @@ class _ThreadReporter(Reporter):
 
     def __init__(self, me: Optional[int], t0: float, recorder,
                  mailboxes: list[_Mailbox], ledger: RunLedger,
-                 lock: threading.Lock) -> None:
-        super().__init__(me, t0, recorder)
+                 lock: threading.Lock, stream_records: bool) -> None:
+        super().__init__(me, t0, recorder, stream_records=stream_records)
         self._mailboxes = mailboxes
         self._ledger = ledger
         self._lock = lock
@@ -201,7 +201,7 @@ class ThreadBackend(ExecutionBackend):
         threads = [threading.Thread(
             target=run, name=f"dlb-{track}", daemon=True,
             args=(proto, _ThreadReporter(me, t0, plan.recorder, mailboxes,
-                                         ledger, lock),
+                                         ledger, lock, lead.stream_records),
                   mailboxes[me or 0], track))
             for proto, me, track in cast]
         try:

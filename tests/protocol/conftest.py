@@ -24,6 +24,14 @@ def table() -> WorkTable:
     return WorkTable(COST, n_iterations=N_ITER)
 
 
+@pytest.fixture
+def short_watchdog(monkeypatch):
+    """The socket hub's watchdog fires at twice this: a transition that
+    forgets to re-evaluate completion fails its test in 5 s, not 240."""
+    from repro.backend import socket as socket_backend
+    monkeypatch.setattr(socket_backend, "WATCHDOG_SECONDS", 2.5)
+
+
 def make_worker(me, members, *, centralized, table, ranges=(),
                 ft: FaultToleranceConfig | None = None,
                 group: int = 0, is_dlb: bool = True,

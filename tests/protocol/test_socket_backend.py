@@ -13,7 +13,9 @@ on network-less CI runners.
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
+import time
 
 import pytest
 
@@ -21,10 +23,17 @@ from repro import ClusterSpec, run_loop
 from repro.apps.mxm import MxmConfig, mxm_loop
 from repro.apps.workload import LoopSpec
 from repro.backend import BackendError, SocketBackend
+from repro.backend import socket as socket_backend
 from repro.backend.socket import JoinEvent, KillEvent, LeaveEvent
 from repro.experiments.export import run_to_csv, run_to_json
 from repro.faults.plan import FaultPlan, MessageDropFault, SlowdownFault
+from repro.message.frames import FrameType, encode_frame
+from repro.message.messages import Tag
+from repro.protocol import AwaitMessage
 from repro.runtime.options import RunOptions
+
+
+pytestmark = pytest.mark.usefixtures("short_watchdog")
 
 
 def _cluster(n=4):
@@ -108,6 +117,9 @@ def test_join_mid_run_distributed():
     assert _executed(stats) == 200
     assert stats.joined_nodes == (4,)
     assert "MEMBER" in stats.payload_by_frame
+    # One BYE per peer, a dismissed straggler's included.
+    assert stats.payload_by_frame["BYE"] == \
+        5 * len(encode_frame(FrameType.BYE))
 
 
 # -- elastic membership: planned leave -----------------------------------
@@ -151,6 +163,89 @@ def test_timed_crash_fault_plan_lifted():
         _cluster(), "GCDLB", RunOptions(), fault_plan=plan)
     assert stats.crashed_nodes == (1,)
     assert _executed(stats) == 64
+
+
+# -- completion is heard of, not polled for ------------------------------
+@pytest.fixture
+def evaluations(monkeypatch):
+    """One entry per evaluation of the hub's completion predicates."""
+    calls = []
+    real = socket_backend._Hub._check_done
+
+    def check_done(self):
+        calls.append(self.done.is_set())
+        real(self)
+
+    monkeypatch.setattr(socket_backend._Hub, "_check_done", check_done)
+    return calls
+
+
+def test_completion_evaluations_do_not_grow_with_the_run(evaluations):
+    """A tick would evaluate 8x as often in a run 8x as long."""
+    counts = {}
+    for scale in (1.0, 8.0):
+        evaluations.clear()
+        stats = SocketBackend(time_scale=scale).run_loop(
+            _steady(40), _cluster(2), "GCDLB", RunOptions())
+        assert _executed(stats) == 40
+        counts[scale] = len(evaluations)
+    assert counts[1.0] == counts[8.0]
+    # 2 registrations + 2 finishes + the balancer's all_done and its
+    # finish record + the report that completes coverage.
+    assert 4 <= counts[1.0] <= 2 + 2 + 2 + 1
+
+
+def test_watchdog_reports_what_the_hub_knows(monkeypatch):
+    """Nobody ever dials in: the one deadline armed at start() fires
+    and says who registered, who is active and what is missing."""
+    monkeypatch.setattr(socket_backend, "WATCHDOG_SECONDS", 0.1)
+    with pytest.raises(BackendError) as failure:
+        SocketBackend().serve(_steady(40), _cluster(2), "GCDLB",
+                              RunOptions(), port=0)
+    text = str(failure.value)
+    for part in ("hub watchdog: run never completed in 0.2s",
+                 "registered 0/2", "peers {}",
+                 "group_active={0: [0, 1]} all_done=False",
+                 "bal_done=False", "executed 0/40",
+                 "first uncovered [(0, 40)]", "drain grace not armed"):
+        assert part in text
+
+
+def _takes(mbox):
+    """Count the passes of ``_ClientMailbox.get``'s loop."""
+    passes = []
+    real = mbox.inbox.take
+
+    def take(spec):
+        passes.append(time.perf_counter())
+        return real(spec)
+
+    mbox.inbox.take = take
+    return passes
+
+
+def test_a_fault_free_wait_sleeps_to_its_own_deadline():
+    async def wait():
+        mbox = socket_backend._ClientMailbox()
+        passes = _takes(mbox)
+        got = await mbox.get(AwaitMessage((Tag.WORK,), timeout=0.3))
+        return got, len(passes)
+
+    got, passes = asyncio.run(wait())
+    assert got is None
+    assert passes <= 3  # one per wake-up; a 50 ms tick took seven
+
+
+def test_a_wait_ends_at_the_crash_instant_when_one_is_armed():
+    async def wait():
+        mbox = socket_backend._ClientMailbox()
+        passes = _takes(mbox)
+        mbox.crash_at = time.perf_counter() + 0.05
+        with pytest.raises(socket_backend._AbruptStop):
+            await mbox.get(AwaitMessage((Tag.WORK,), timeout=30.0))
+        return len(passes)
+
+    assert asyncio.run(wait()) <= 3
 
 
 # -- stats export --------------------------------------------------------

@@ -152,22 +152,42 @@ def test_collector_is_back_on_after_a_signal_handlers_exception(
         collector_on, after_cpu_s):
     """A ``BaseException`` from a CPU-time alarm, raised again every
     millisecond until the run is left: wherever it lands — building the
-    cluster, mid-event, in the teardown — the collector comes back on."""
+    cluster, mid-event, in the teardown — the collector comes back on.
+
+    Leaving the run is the delicate part of the *test*: the alarm
+    repeats, so the next one can land in this function's own ``finally``
+    ahead of the disarm (or inside ``pytest.raises``'s exit) and escape.
+    So ``SIGVTALRM`` is blocked first — ``pthread_sigmask`` itself
+    delivers an alarm that has already tripped, hence the retry — and
+    the timer is disarmed and the handler restored behind the mask."""
     def abort(signum, frame):
         raise _Abort
 
     loop = LoopSpec(name="long", n_iterations=4096, iteration_time=0.010,
                     dc_bytes=800)
+    alarm = {signal.SIGVTALRM}
+    aborts = 0
     before = signal.signal(signal.SIGVTALRM, abort)
     try:
-        with pytest.raises(_Abort):
-            try:
-                signal.setitimer(signal.ITIMER_VIRTUAL, after_cpu_s, 0.001)
-                run_loop(loop, _cluster(64), "GD")
-            finally:
-                signal.setitimer(signal.ITIMER_VIRTUAL, 0.0)
-    finally:
-        signal.signal(signal.SIGVTALRM, before)
+        try:
+            signal.setitimer(signal.ITIMER_VIRTUAL, after_cpu_s, 0.001)
+            run_loop(loop, _cluster(64), "GD")
+        finally:
+            while True:
+                try:
+                    signal.pthread_sigmask(signal.SIG_BLOCK, alarm)
+                    break
+                except _Abort:
+                    aborts += 1
+            signal.setitimer(signal.ITIMER_VIRTUAL, 0.0)
+            # Ignoring a signal discards a pending one: nothing is left
+            # to land on the restored handler once the mask lifts.
+            signal.signal(signal.SIGVTALRM, signal.SIG_IGN)
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, alarm)
+            signal.signal(signal.SIGVTALRM, before)
+    except _Abort:
+        aborts += 1
+    assert aborts >= 1
     assert gc.isenabled()
 
 
