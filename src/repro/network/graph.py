@@ -11,7 +11,7 @@ serialization points as the original bus model:
    link*, traversed store-and-forward along the deterministic
    shortest-path route, each hop costing that link's
    ``wire_latency + nbytes/bandwidth``.  A ``shared_medium`` topology
-   (the bus) maps every link onto a single wire resource, so all frames
+   (the bus) has a single wire for every pair of hosts, so all frames
    serialize globally exactly as before;
 3. the **receiver's NIC/protocol stack** (``recv_overhead``, paid once
    at the final destination).
@@ -22,9 +22,12 @@ see docs/TOPOLOGY.md for the fault-model consequences) never gate
 traffic passing through it.
 
 For a ``shared_medium`` complete graph this reduces to *exactly* the
-resource-acquisition sequence of the original ``SharedBusNetwork``
-(same resources, created in the same order, held for the same times),
-which is what keeps the seed oracles bit-identical.
+delivery instants and service orders of the original
+``SharedBusNetwork``, which is what keeps the seed oracles
+bit-identical — without its wire and receive-NIC resources: a FIFO
+single server fed in time order needs no queue, so a frame's way over
+the bus is *booked* in closed form the moment it leaves the sender's NIC
+(:meth:`GraphNetwork._book`).
 """
 
 from __future__ import annotations
@@ -144,8 +147,8 @@ class _Carry:
 
     def _begin(self, _event: Optional[Event]) -> None:
         net = self.net
-        links, wire = net._links, net._wire
-        self.route = [links.get(hop, wire)
+        links = net._links
+        self.route = [links[hop]
                       for hop in net.topology.route(self.src, self.dst)]
         self.route.append(net._recv_stage[self.dst])
         self._next_stage()
@@ -181,6 +184,37 @@ class _Carry:
         self._next_stage()
 
 
+class _Arrival(Event):
+    """A booked bus frame reaching its destination: the one engine event
+    of its whole way over wire and receive NIC.  Slotted, with one
+    callbacks tuple shared by every instance — a P=1024 burst keeps some
+    31 k frames booked at once."""
+
+    __slots__ = ("net", "src", "dst", "nbytes", "item", "delivered")
+
+    def __init__(self, net: "GraphNetwork", src: int, dst: int, nbytes: int,
+                 item: Any, delivered: Event) -> None:
+        self.env = net.env
+        self.callbacks = _ARRIVE
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self.net = net
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.item = item
+        self.delivered = delivered
+
+    def _arrive(self) -> None:
+        net = self.net
+        net.stats.record(self.src, self.dst, self.nbytes, local=False)
+        net._deliver(self.dst, self.item, self.delivered)
+
+
+_ARRIVE = (_Arrival._arrive,)  # the engine calls ``callback(event)``
+
+
 class GraphNetwork:
     """Hosts connected by an arbitrary graph of point-to-point links."""
 
@@ -192,36 +226,32 @@ class GraphNetwork:
         self.topology = topology
         self.n_hosts = topology.n_hosts
         self.params = params or NetworkParameters()
-        # Resource creation order matters for event-queue tie-breaking:
-        # wire(s) first, then send NICs, then recv NICs — the exact order
-        # the original SharedBusNetwork used.  What a carry's stage needs
-        # is built here, once per wire and once per receive NIC — never
-        # per message, per hop or per (src, dst) pair.
+        # What a carry's stage needs is built here, once per wire and once
+        # per receive NIC — never per message, per hop or per (src, dst)
+        # pair.  A shared medium has neither: the bus is booked (see _book).
         self._links: dict[tuple[int, int], _Stage] = {}  # both directions
-        self._wire: Optional[_Stage] = None
-
-        def stage(wire: Resource, track: str, u: int, v: int,
-                  over: Optional[NetworkParameters]) -> None:
-            over = over or self.params
-            self._links[(u, v)] = self._links[(v, u)] = (
-                wire, over.wire_latency, over.bandwidth, track)
-
         if topology.shared_medium:
-            # One wire, one stage for every edge (the bus edge set is
-            # O(P^2)) but those with parameters of their own.
-            self.bus = Resource(env, capacity=1, name="ethernet-bus")
-            self._wire = (self.bus, self.params.wire_latency,
-                          self.params.bandwidth, "link:bus")
-            for (u, v), over in topology.link_params:
-                stage(self.bus, "link:bus", u, v, over)
+            if len(topology.edges) != self.n_hosts * (self.n_hosts - 1) // 2:
+                raise ValueError("a shared medium reaches every host in one "
+                                 "hop: it needs the complete edge set")
+            # The wire and each receive NIC are the instant they fall free.
+            self._wire_free = 0.0
+            self._recv_free = [0.0] * self.n_hosts
+            #: (wire_latency, bandwidth) of the pairs with link_params.
+            self._wire_override = {
+                pair: (over.wire_latency, over.bandwidth)
+                for (u, v), over in topology.link_params
+                for pair in ((u, v), (v, u))}
         else:
             for u, v in topology.edges:
-                stage(Resource(env, capacity=1, name=f"link{u}-{v}"),
-                      f"link:{u}-{v}", u, v, topology.params_for(u, v))
+                over = topology.params_for(u, v) or self.params
+                self._links[(u, v)] = self._links[(v, u)] = (
+                    Resource(env, capacity=1, name=f"link{u}-{v}"),
+                    over.wire_latency, over.bandwidth, f"link:{u}-{v}")
         self.send_nic = [Resource(env, name=f"send-nic{i}")
                          for i in range(self.n_hosts)]
-        self.recv_nic = [Resource(env, name=f"recv-nic{i}")
-                         for i in range(self.n_hosts)]
+        self.recv_nic = [] if topology.shared_medium else [
+            Resource(env, name=f"recv-nic{i}") for i in range(self.n_hosts)]
         # A NIC holds for its overhead whatever the size: infinite bandwidth.
         self._recv_stage: list[_Stage] = [
             (nic, self.params.recv_overhead, float("inf"), None)
@@ -246,10 +276,6 @@ class GraphNetwork:
     def _check_host(self, host: int) -> None:
         if not 0 <= host < self.n_hosts:
             raise ValueError(f"host {host} out of range 0..{self.n_hosts - 1}")
-
-    def link(self, u: int, v: int) -> Resource:
-        """The wire resource for the (undirected) edge ``u - v``."""
-        return (self._wire or self._links[(u, v)])[0]
 
     def transmit(self, src: int, dst: int, nbytes: int,
                  item: Any = None) -> Generator[Event, None, Event]:
@@ -287,8 +313,65 @@ class GraphNetwork:
         extra = float(verdict) if isinstance(verdict, (int, float)) else 0.0
         if extra > 0:
             self.stats.delayed_messages += 1
-        _Carry(self, src, dst, nbytes, item, delivered, extra)
+        if not self.topology.shared_medium:
+            _Carry(self, src, dst, nbytes, item, delivered, extra)
+        elif extra > 0:
+            # As a delayed carry starts: at the current instant but after
+            # everything already scheduled at it, then the delay, then
+            # the wire.
+            def delay(_event: Event) -> None:
+                self.env.timeout(extra).callbacks.append(
+                    lambda _event: self._book(src, dst, nbytes, item,
+                                              delivered))
+            start = Event(self.env)
+            start.callbacks.append(delay)
+            self.env.schedule(start, PRIORITY_URGENT, 0.0)
+        else:
+            self._book(src, dst, nbytes, item, delivered)
         return delivered
+
+    def _book(self, src: int, dst: int, nbytes: int, item: Any,
+              delivered: Event) -> None:
+        """Book a frame's whole way over the shared medium — the wire,
+        then ``dst``'s receive NIC — at the instant it asks for the wire.
+
+        Both are FIFO single servers, the wire fed in engine-time order
+        and each receive NIC off that one wire in wire order, so neither
+        needs a queue: service starts at ``max(asked, free_at)``, the
+        same additions in the same order a :class:`Resource` and its hold
+        timeouts would make.  One engine event, the arrival, is scheduled
+        at the resulting instant.
+
+        Guaranteed: every delivery instant, every service order (wire,
+        and each receive NIC), every :class:`NetworkStats` counter, the
+        order of arrivals at a mailbox and every ``transfer`` span
+        argument are what a wire ``Resource`` and P receive-NIC
+        ``Resource`` objects walked by a :class:`_Carry` produce.  Not
+        guaranteed: the arrival is inserted into the schedule when the
+        frame is booked, not when its receive NIC is granted, so it can
+        precede an event of bit-equal due time created in between (on the
+        bus that needs ``(k-1) * recv_overhead == m * wire_hold`` to hold
+        in floats).  Not valid on a routed graph, where a queued hold's
+        event would be created at request instead of at grant and
+        equal-constant links make bit-equal due times structural — there
+        :class:`_Carry` stays (docs/PERFORMANCE.md, "The booked bus").
+        """
+        now = self.env.now
+        params = self.params
+        latency, bandwidth = self._wire_override.get(
+            (src, dst), (params.wire_latency, params.bandwidth))
+        hold = transfer_seconds(latency, bandwidth, nbytes)
+        start = now if now >= self._wire_free else self._wire_free
+        self._wire_free = off_wire = start + hold
+        recv_free = self._recv_free[dst]
+        granted = off_wire if off_wire >= recv_free else recv_free
+        self._recv_free[dst] = done = granted + params.recv_overhead
+        if self.recorder.enabled:
+            self.recorder.complete(
+                "transfer", start, hold, track="link:bus",
+                src=src, dst=dst, nbytes=nbytes, queued=start - now)
+        self.env.schedule_at(
+            _Arrival(self, src, dst, nbytes, item, delivered), done)
 
     def _deliver(self, dst: int, item: Any, delivered: Event) -> None:
         if self.on_deliver is not None:
@@ -307,8 +390,7 @@ class GraphNetwork:
         cycle (hook -> message layer -> network; queued request -> carry
         -> network)."""
         self.on_deliver = None
-        wires = [self.bus] if self._wire \
-            else [stage[0] for stage in self._links.values()]
+        wires = [stage[0] for stage in self._links.values()]
         for resource in (*wires, *self.send_nic, *self.recv_nic):
             resource.abandon()
 
@@ -336,11 +418,11 @@ class SharedBusNetwork(GraphNetwork):
     """The paper's network: hosts sharing one 10 Mbit Ethernet segment.
 
     Not a special implementation but the *complete graph through one
-    resource* instance of :class:`GraphNetwork`: ``Topology.bus(P)``
+    wire* instance of :class:`GraphNetwork`: ``Topology.bus(P)``
     makes every pair of hosts adjacent (all routes are one hop) and
-    ``shared_medium=True`` maps every edge onto the single
-    ``ethernet-bus`` resource.  Every message crosses three
-    serialization points, mirroring PVM over the shared segment:
+    ``shared_medium=True`` puts every edge on the single wire.  Every
+    message crosses three serialization points, mirroring PVM over the
+    shared segment:
 
     1. the **sender's NIC/protocol stack** (one outgoing message at a
        time, ``send_overhead`` each — a one-to-all broadcast therefore

@@ -355,7 +355,8 @@ class Environment:
     process starts and terminations) — go to per-priority FIFO buckets
     at the current instant instead of the heap, turning their
     ``O(log n)`` pushes and pops into ``O(1)`` deque operations.  Only
-    genuine *future* events (timeouts) pay for the heap.  The pop side
+    genuine *future* events (timeouts, and the absolute entries of
+    :meth:`schedule_at`) pay for the heap.  The pop side
     always takes the global minimum across buckets and heap, so the
     observable order is bit-identical to a single heap keyed by
     ``(time, priority, eid)``.
@@ -418,6 +419,19 @@ class Environment:
             self._buckets[priority].append((self._now, priority, eid, event))
         else:
             heappush(self._queue, (self._now + delay, priority, eid, event))
+
+    def schedule_at(self, event: Event, when: float) -> None:
+        """Schedule ``event``'s callbacks to run at the absolute time
+        ``when`` (normal priority), in the same ``(time, priority, eid)``
+        order as everything else.  For a component that has computed an
+        instant rather than a delay — the booked bus of
+        :mod:`repro.network.graph` — and needs exactly that float:
+        ``now + (when - now)`` is not ``when``."""
+        if when < self._now:
+            raise ScheduleInPastError(self._now, when)
+        event._scheduled = True
+        self._eid_n = eid = self._eid_n + 1
+        heappush(self._queue, (when, PRIORITY_NORMAL, eid, event))
 
     def discard_pending(self) -> None:
         """Drop everything still scheduled, callbacks included: the

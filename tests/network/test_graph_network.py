@@ -3,8 +3,10 @@
 The shared-bus equivalence tests mirror tests/network/test_bus.py
 case-for-case: a ``shared_medium`` complete graph must reproduce the
 original ``SharedBusNetwork`` timings exactly, because it *is* the same
-resource-acquisition sequence (one wire, per-host NICs).
+sequence of serialization points (one wire, per-host NICs).
 """
+
+import dataclasses
 
 import pytest
 
@@ -103,6 +105,18 @@ def test_shared_medium_serializes_disjoint_pairs(env):
     env.process(sender(2, 3))
     env.run()
     assert max(arrivals.values()) >= 0.2  # second waits ~0.1s of wire
+
+
+def test_shared_medium_must_be_the_complete_graph(env):
+    """A shared medium is booked as one hop between any two hosts: a
+    graph where some pair is not adjacent cannot be one."""
+    ring = dataclasses.replace(Topology.ring(5), shared_medium=True)
+    with pytest.raises(ValueError, match="complete edge set"):
+        GraphNetwork(env, ring, PARAMS)
+    triangle = dataclasses.replace(Topology.ring(3), shared_medium=True)
+    net = GraphNetwork(env, triangle, PARAMS)
+    assert _deliver(env, net, 0, 2, 0) == pytest.approx(1e-3 + 0.2e-3
+                                                        + 1.2e-3)
 
 
 def test_same_link_serializes(env):

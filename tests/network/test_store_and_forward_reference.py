@@ -1,4 +1,4 @@
-"""The ordering contract of the routed network, against a reference model.
+"""The ordering contract of the network, against a reference model.
 
 ``GraphNetwork`` carries a message through FIFO resources — the sender's
 NIC, one wire per link of the route, the receiver's NIC — with one
@@ -12,6 +12,13 @@ time and on every resource's grant order.  Ties are decided by the
 engine's (time, priority, insertion) order, which no closed form
 predicts; one symmetric case is pinned to the order the per-grant-event
 carry produced.
+
+A shared medium has no wire or receive-NIC ``Resource`` to spy on: a
+frame's way over the bus is booked in closed form
+(``GraphNetwork._book``).  There the *service order* the booking implies
+is checked instead — the ``link:bus`` spans of a recording run against
+the reference's ``ethernet-bus`` grants, the deliveries per destination
+against its ``recv-nic`` grants.
 """
 
 from __future__ import annotations
@@ -23,14 +30,18 @@ from collections import defaultdict
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.network.graph import GraphNetwork
+from repro.network.graph import GraphNetwork, _Carry
 from repro.network.parameters import NetworkParameters
+from repro.obs.trace import TraceRecorder
 from repro.network.topology import Topology
 from repro.simulation import Environment, Resource
 
 PARAMS = NetworkParameters(send_overhead=1e-3, recv_overhead=1.2e-3,
                            wire_latency=0.2e-3, bandwidth=1e6,
                            local_overhead=0.05e-3)
+#: The corner ``NetworkParameters`` permits: with ``nbytes=0`` a frame is
+#: on the wire, and in the receive NIC, for no time at all.
+ZERO_HOLD = dataclasses.replace(PARAMS, wire_latency=0.0, recv_overhead=0.0)
 
 
 def reference(topology, params, messages, verdicts):
@@ -74,11 +85,34 @@ def reference(topology, params, messages, verdicts):
     return deliveries, grants, tie_free
 
 
+def bus_service(topology, params, messages, verdicts, order):
+    """``(src, dst, nbytes, start, queued)`` per frame the reference's
+    ``ethernet-bus`` grant ``order`` implies: each frame asks for the wire
+    when it leaves its send NIC (served by send time) plus any delay."""
+    asked, nic_free = {}, defaultdict(float)
+    for i, (t, src, dst, _nbytes) in sorted(enumerate(messages),
+                                            key=lambda m: m[1][0]):
+        hold = params.local_overhead if src == dst else params.send_overhead
+        nic_free[src] = asked[i] = max(t, nic_free[src]) + hold
+        if isinstance(verdicts[i], float):
+            asked[i] += verdicts[i]
+    service, free = [], 0.0
+    for i in order:
+        _t, src, dst, nbytes = messages[i]
+        over = topology.params_for(src, dst) or params
+        start = max(asked[i], free)
+        free = start + (over.wire_latency + nbytes / over.bandwidth)
+        service.append((src, dst, nbytes, start, start - asked[i]))
+    return service
+
+
 def simulate(topology, params, messages, verdicts):
-    """The same through ``GraphNetwork``; ``grants`` also proves each
-    resource granted in the order it was asked."""
+    """The same through ``GraphNetwork``: ``(deliveries, grants, spans)``.
+    ``grants`` also proves each resource granted in the order it was
+    asked; ``spans`` are the ``transfer`` spans in recording order."""
     env = Environment()
     net = GraphNetwork(env, topology, params)
+    net.recorder = TraceRecorder(clock=lambda: env.now)
     net.fault_hook = lambda _src, _dst, _nbytes, item: verdicts[item]
     deliveries, asked, grants = {}, defaultdict(list), defaultdict(list)
     real_acquire = Resource.acquire
@@ -105,7 +139,8 @@ def simulate(topology, params, messages, verdicts):
     assert grants == asked
     return deliveries, {
         name: [carry.item for carry in holders]
-        for name, holders in grants.items() if not name.startswith("send")}
+        for name, holders in grants.items() if not name.startswith("send")
+    }, net.recorder.to_payload()["events"]
 
 
 @st.composite
@@ -134,26 +169,43 @@ def bursts(draw):
     hot = draw(hosts)  # same-destination fan-in, as LCDLB's masters see
     messages = draw(st.lists(
         st.tuples(st.floats(0.0, 0.005), hosts,
-                  st.one_of(st.just(hot), hosts), st.integers(0, 20_000)),
+                  st.one_of(st.just(hot), hosts),
+                  st.one_of(st.just(0), st.integers(0, 20_000))),
         min_size=2, max_size=24, unique_by=lambda m: m[0]))
     verdicts = draw(st.lists(
         st.one_of(st.none(), st.none(), st.just("drop"),
                   st.floats(1e-4, 5e-3)),
         min_size=len(messages), max_size=len(messages)))
-    return topology, messages, verdicts
+    params = draw(st.sampled_from([PARAMS, ZERO_HOLD])) \
+        if topology.shared_medium else PARAMS
+    return topology, params, messages, verdicts
 
 
 @given(bursts())
 @settings(max_examples=150, deadline=None)
 def test_deliveries_and_grant_order_equal_the_reference_exactly(burst):
-    topology, messages, verdicts = burst
-    deliveries, grants, tie_free = reference(topology, PARAMS, messages,
+    topology, params, messages, verdicts = burst
+    deliveries, grants, tie_free = reference(topology, params, messages,
                                              verdicts)
     assume(tie_free)
-    got, got_grants = simulate(topology, PARAMS, messages, verdicts)
+    got, got_grants, spans = simulate(topology, params, messages, verdicts)
     assert got == deliveries  # the same floats
-    assert got_grants == {name: order for name, order in grants.items()
-                          if not name.startswith("send")}
+    beyond_send = {name: order for name, order in grants.items()
+                   if not name.startswith("send")}
+    if not topology.shared_medium:
+        assert got_grants == beyond_send
+        return
+    assert got_grants == {}  # nothing beyond the send NIC is a Resource
+    assert [(e["track"], e["args"]["src"], e["args"]["dst"],
+             e["args"]["nbytes"], e["ts"], e["args"]["queued"])
+            for e in spans] == [
+        ("link:bus", *frame) for frame in bus_service(
+            topology, params, messages, verdicts, grants["ethernet-bus"])]
+    for name, order in beyond_send.items():
+        if name.startswith("recv-nic"):
+            dst = int(name[len("recv-nic"):])
+            assert [i for i in got if messages[i][2] == dst
+                    and messages[i][1] != dst] == order  # dict: as delivered
 
 
 def test_reference_sees_contention_drop_and_delay():
@@ -174,6 +226,35 @@ def test_reference_sees_contention_drop_and_delay():
         deliveries
 
 
+def test_a_bus_builds_no_wire_or_receive_nic_resource_and_no_carry(
+        monkeypatch):
+    """Fan-in, a drop and a delay over the bus: every frame is booked, so
+    the only resources are the send NICs and no carry walks anything."""
+    built, carries = [], []
+    real_resource, real_carry = Resource.__init__, _Carry.__init__
+
+    def resource(self, env, capacity=1, name="resource"):
+        built.append(name)
+        real_resource(self, env, capacity, name)
+
+    def carry(self, *args):
+        carries.append(args)
+        real_carry(self, *args)
+
+    monkeypatch.setattr(Resource, "__init__", resource)
+    monkeypatch.setattr(_Carry, "__init__", carry)
+    messages = [(0.0, 1, 0, 1000), (1e-4, 2, 0, 1000), (2e-4, 1, 0, 500),
+                (3e-4, 2, 1, 100), (4e-4, 0, 0, 10)]
+    verdicts = [None, None, "drop", 2e-3, None]
+    deliveries = reference(Topology.bus(3), PARAMS, messages, verdicts)[0]
+    assert simulate(Topology.bus(3), PARAMS, messages, verdicts)[0] == \
+        deliveries
+    assert built == ["send-nic0", "send-nic1", "send-nic2"]
+    assert carries == []
+    simulate(Topology.ring(3), PARAMS, messages, verdicts)
+    assert len(carries) == 3  # the test can see one
+
+
 def test_symmetric_tie_keeps_the_parent_delivery_order():
     """Equal sizes, simultaneous senders, symmetric routes on a 3x3
     torus: nearly every request ties, so the engine's (time, priority,
@@ -182,8 +263,8 @@ def test_symmetric_tie_keeps_the_parent_delivery_order():
     pairs = [(src, 4) for src in (0, 1, 2, 3, 5, 6, 7, 8)] \
         + [(4, 0), (4, 8), (8, 0), (0, 8)]
     messages = [(0.0, src, dst, 1000) for src, dst in pairs]
-    deliveries, _grants = simulate(Topology.torus(9), PARAMS, messages,
-                                   [None] * len(messages))
+    deliveries, _grants, _spans = simulate(Topology.torus(9), PARAMS,
+                                           messages, [None] * len(messages))
     assert [pairs[i] for i in deliveries] == [  # dict order: as delivered
         (1, 4), (3, 4), (0, 8), (8, 0), (5, 4), (4, 8), (4, 0), (7, 4),
         (6, 4), (0, 4), (8, 4), (2, 4)]

@@ -28,6 +28,12 @@ def _schedule(env, log, label, priority, delay=0.0):
     env.schedule(ev, priority, delay)
 
 
+def _schedule_at(env, log, label, when):
+    ev = Event(env)
+    ev.callbacks.append(_mark(log, label))
+    env.schedule_at(ev, when)
+
+
 def test_zero_delay_priorities_fire_urgent_first():
     env = Environment()
     log = []
@@ -120,3 +126,45 @@ def test_run_to_horizon_drains_buckets_before_stopping():
     # stop; the clock then rests at the horizon.
     assert log == ["at-horizon"]
     assert env.now == pytest.approx(1.0)
+
+
+def test_absolute_entry_at_now_merges_with_the_buckets():
+    env = Environment()
+    log = []
+
+    # An absolute entry lands on the heap even when its time is the
+    # current instant; it still takes its place in the one (time,
+    # priority, schedule order) order among the zero-delay buckets.
+    def driver():
+        yield env.timeout(1.0)
+        _schedule(env, log, "normal-before", PRIORITY_NORMAL)
+        _schedule(env, log, "low-before", PRIORITY_LOW)
+        _schedule_at(env, log, "absolute", env.now)
+        _schedule(env, log, "normal-after", PRIORITY_NORMAL)
+        _schedule(env, log, "urgent-after", PRIORITY_URGENT)
+
+    env.process(driver())
+    _schedule_at(env, log, "absolute-later", 1.5)
+    env.run()
+    assert log == ["urgent-after", "normal-before", "absolute",
+                   "normal-after", "low-before", "absolute-later"]
+    assert env.now == 1.5
+
+
+def test_absolute_entry_in_the_past_is_rejected():
+    from repro.simulation.errors import ScheduleInPastError
+    env = Environment(initial_time=2.0)
+    with pytest.raises(ScheduleInPastError):
+        env.schedule_at(Event(env), 1.0)
+    env.schedule_at(Event(env), 2.0)  # the current instant is not the past
+
+
+def test_discard_pending_clears_absolute_entries():
+    env = Environment()
+    log = []
+    _schedule_at(env, log, "absolute", 1.0)
+    _schedule(env, log, "bucket", PRIORITY_NORMAL)
+    env.discard_pending()
+    assert env.peek() == float("inf")
+    env.run()
+    assert log == []

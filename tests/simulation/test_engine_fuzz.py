@@ -1,8 +1,12 @@
-"""Property-based tests of the event kernel: random process trees."""
+"""Property-based tests of the event kernel: random process trees, and
+random schedules against a single heap."""
+
+import heapq
 
 from hypothesis import given, settings, strategies as st
 
-from repro.simulation import AllOf, Environment
+from repro.simulation import AllOf, Environment, Event
+from repro.simulation.engine import PRIORITY_NORMAL
 
 
 @st.composite
@@ -86,3 +90,63 @@ def test_resource_conservation_under_contention(jobs):
     intervals.sort()
     for (s1, e1), (s2, _e2) in zip(intervals, intervals[1:]):
         assert s2 >= e1 - 1e-12  # no overlap
+
+
+@st.composite
+def schedules(draw, depth=0):
+    """A tree of scheduling operations: a node is scheduled when its
+    parent fires (the roots before the run), ``amount`` after that
+    instant — as a delay at some priority, or as an absolute time.  Few
+    distinct amounts, zero among them, so ties are the common case."""
+    kind = draw(st.sampled_from(["delay", "at"]))
+    priority = draw(st.integers(0, 2))
+    amount = draw(st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75]))
+    children = [] if depth >= 3 else draw(
+        st.lists(schedules(depth=depth + 1), max_size=3))
+    return (kind, priority, amount, children)
+
+
+@given(st.lists(schedules(), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_buckets_heap_and_absolute_entries_fire_as_a_single_heap(roots):
+    """Zero-delay buckets, delayed heap entries and ``schedule_at``
+    entries together fire in the order of one heap keyed ``(time,
+    priority, schedule order)``, at the same instants."""
+    env = Environment()
+    fired = []
+
+    def schedule(node, label):
+        kind, priority, amount, children = node
+
+        def fire(_event):
+            fired.append((env.now, label))
+            for k, child in enumerate(children):
+                schedule(child, label + (k,))
+
+        event = Event(env)
+        event.callbacks.append(fire)
+        if kind == "at":
+            env.schedule_at(event, env.now + amount)
+        else:
+            env.schedule(event, priority, amount)
+
+    for k, root in enumerate(roots):
+        schedule(root, (k,))
+    env.run()
+
+    heap, expected, now = [], [], 0.0
+
+    def push(node, label):
+        kind, priority, amount, children = node
+        heapq.heappush(heap, (
+            now + amount, PRIORITY_NORMAL if kind == "at" else priority,
+            len(expected) + len(heap), label, children))
+
+    for k, root in enumerate(roots):
+        push(root, (k,))
+    while heap:
+        now, _priority, _order, label, children = heapq.heappop(heap)
+        expected.append((now, label))
+        for k, child in enumerate(children):
+            push(child, label + (k,))
+    assert fired == expected
