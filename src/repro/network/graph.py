@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional, Protocol
 
 from ..obs.trace import NULL_RECORDER
-from ..simulation import PRIORITY_URGENT, Environment, Event, Resource
+from ..simulation import (PRIORITY_NORMAL, PRIORITY_URGENT, Environment,
+                          Event, Resource)
 from .parameters import NetworkParameters, transfer_seconds
 from .topology import Topology, TopologySpec, resolve_topology
 
@@ -94,28 +95,28 @@ class NetworkModel(Protocol):
 _Stage = tuple[Resource, float, float, Optional[str]]
 
 
-class _Carry:
+class _Carry(Event):
     """Callback-driven store-and-forward carry of one message.
 
     One object per message walks ``route`` — a stage per link, then the
     receiver's NIC — through :meth:`Resource.acquire`: the grant *calls*
-    :meth:`_acquired`, which creates the hold timeout, whose firing runs
-    :meth:`_release` and requests the next stage.  One engine event per
-    serialization point (the hold) plus the delivery; no grant event, no
-    generator frame, no Process, and no start event unless a fault
-    delays the message.
+    :meth:`_acquired`, which schedules the carry itself as the hold
+    event, whose firing runs :meth:`_release` and requests the next
+    stage.  One engine event per serialization point (the hold) plus the
+    delivery; no grant event, no generator frame, no Process, no
+    per-hop allocation, and no start event unless a fault delays the
+    message.
 
     Guaranteed: every resource is requested in the order, and held for
     the seconds (:func:`~repro.network.parameters.transfer_seconds` of
     the stage's latency and bandwidth), that the event-per-grant carry
-    it replaced produced, and each hold timeout is created at the
-    instant its grant event would have been *scheduled*, so its due time
-    is the same float and the hold timeouts keep their relative order.
-    Not guaranteed: a hold timeout may now precede an event that
-    non-resource code schedules in the same instant with a bit-equal due
-    time.  The seed oracles (tests/protocol/test_scale_seed_identity.py)
-    and the reference model in
-    tests/network/test_store_and_forward_reference.py pin both halves.
+    it replaced produced, and each hold is scheduled at the instant its
+    grant event would have been *scheduled*, so its due time is the same
+    float and the holds keep their relative order.  Not guaranteed: a
+    hold may now precede an event that non-resource code schedules in
+    the same instant with a bit-equal due time.  The seed oracles
+    (tests/protocol/test_scale_seed_identity.py) and the reference model
+    in tests/network/test_store_and_forward_reference.py pin both halves.
     """
 
     __slots__ = ("net", "src", "dst", "nbytes", "item", "delivered",
@@ -124,6 +125,11 @@ class _Carry:
 
     def __init__(self, net: "GraphNetwork", src: int, dst: int, nbytes: int,
                  item: Any, delivered: Event, extra_delay: float) -> None:
+        env = self.env = net.env
+        self.callbacks = None  # set to _HOP while a hold is scheduled
+        self._value = None
+        self._ok = True
+        self._defused = False
         self.net = net
         self.src = src
         self.dst = dst
@@ -135,9 +141,9 @@ class _Carry:
         if extra_delay > 0:
             # Mirrors Process.Initialize: the delay starts at the current
             # instant but *after* everything already scheduled at it.
-            start = Event(net.env)
+            start = Event(env)
             start.callbacks.append(self._start)
-            net.env.schedule(start, PRIORITY_URGENT, 0.0)
+            env.schedule(start, PRIORITY_URGENT, 0.0)
         else:
             self._begin(None)
 
@@ -166,11 +172,13 @@ class _Carry:
         self.res.acquire(self, self._acquired)
 
     def _acquired(self, waited: float) -> None:
+        # At the grant instant: the hold's due time and its place among
+        # equal due times are what the Resource contract promises.
         self.queued = waited
-        held = self.net.env.timeout(self.hold)
-        held.callbacks.append(self._release)
+        self.callbacks = _HOP
+        self.env.schedule(self, PRIORITY_NORMAL, self.hold)
 
-    def _release(self, _event: Event) -> None:
+    def _release(self) -> None:
         self.res.release(self)
         net = self.net
         if self.track is not None and net.recorder.enabled:
@@ -182,6 +190,13 @@ class _Carry:
                 track=self.track, src=self.src, dst=self.dst,
                 nbytes=self.nbytes, queued=self.queued)
         self._next_stage()
+
+
+def _hop_done(carry: _Carry) -> None:
+    carry._release()  # looked up per call, so a wrapped _release is seen
+
+
+_HOP = (_hop_done,)  # the engine calls ``callback(event)``
 
 
 class _Arrival(Event):
@@ -246,7 +261,7 @@ class GraphNetwork:
             for u, v in topology.edges:
                 over = topology.params_for(u, v) or self.params
                 self._links[(u, v)] = self._links[(v, u)] = (
-                    Resource(env, capacity=1, name=f"link{u}-{v}"),
+                    Resource(env, name=f"link{u}-{v}"),
                     over.wire_latency, over.bandwidth, f"link:{u}-{v}")
         self.send_nic = [Resource(env, name=f"send-nic{i}")
                          for i in range(self.n_hosts)]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .parameters import NetworkParameters
@@ -473,9 +473,12 @@ def resolve_topology(spec: TopologySpec, n_hosts: int) -> Topology:
     ``None`` and ``"bus"`` give the paper's shared bus.  A ``file:``
     spec loads the adjacency file and checks its host count matches.
     An explicit :class:`Topology` is validated for size and returned.
+    A named kind is built once per process while it stays among the
+    four most recently resolved; ``file:`` specs and explicit
+    topologies are never cached.
     """
     if spec is None:
-        return Topology.bus(n_hosts)
+        spec = "bus"
     if isinstance(spec, Topology):
         if spec.n_hosts != n_hosts:
             raise ValueError(f"topology is for {spec.n_hosts} hosts, "
@@ -487,17 +490,16 @@ def resolve_topology(spec: TopologySpec, n_hosts: int) -> Topology:
             raise ValueError(f"adjacency file has {topo.n_hosts} hosts, "
                              f"run has {n_hosts}")
         return topo
-    builders = {
-        "bus": Topology.bus,
-        "complete": Topology.complete,
-        "ring": Topology.ring,
-        "mesh": Topology.mesh,
-        "torus": Topology.torus,
-    }
-    try:
-        builder = builders[spec]
-    except KeyError:
+    if spec not in TOPOLOGY_KINDS:
         raise ValueError(f"unknown topology {spec!r}: expected one of "
                          f"{', '.join(TOPOLOGY_KINDS)} or "
-                         f"file:<adjacency.json>") from None
-    return builder(n_hosts)
+                         f"file:<adjacency.json>")
+    return _named_topology(spec, n_hosts)
+
+
+@lru_cache(maxsize=4)
+def _named_topology(kind: str, n_hosts: int) -> Topology:
+    """One frozen :class:`Topology` per ``(kind, n_hosts)`` for as long
+    as it stays among the four most recent: runs that share it share its
+    cached routing table (built once, not once per run)."""
+    return getattr(Topology, kind)(n_hosts)  # each kind names its builder

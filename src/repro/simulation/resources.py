@@ -1,8 +1,8 @@
-"""Capacity-limited resources for the simulation kernel.
+"""Mutual-exclusion resources for the simulation kernel.
 
-:class:`Resource` models mutual exclusion with FIFO queueing — used for
-the shared Ethernet bus, the per-link wires and the per-host network
-interfaces.  It has two entrances over **one** FIFO queue:
+:class:`Resource` is a FIFO mutex — used for the per-link wires and the
+per-host network interfaces.  It has two entrances over **one** FIFO
+queue:
 
 * ``acquire(holder, on_grant)``, the callback entrance: ``on_grant(waited)``
   is *called, not scheduled*, at the instant of the grant — by ``acquire``
@@ -23,7 +23,7 @@ with one engine event (the hold) whether it had to queue or not.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Generator, Hashable
+from typing import Callable, Generator, Optional
 
 from .engine import Environment, Event
 from .errors import SimulationError
@@ -51,7 +51,7 @@ class _Hold(Event):
 
 
 class Resource:
-    """A FIFO resource with integer capacity (default: mutual exclusion).
+    """A FIFO mutex: one holder at a time, waiters served in request order.
 
     Contract of the callback grant: a holder that answers ``on_grant`` by
     scheduling its hold does so at the instant a zero-delay grant event
@@ -63,16 +63,16 @@ class Resource:
     the same instant with a bit-equal due time.
     """
 
-    def __init__(self, env: Environment, capacity: int = 1,
-                 name: str = "resource") -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    __slots__ = ("env", "name", "_holder", "_waiting", "_abandoned",
+                 "total_requests", "total_wait_time")
+
+    def __init__(self, env: Environment, name: str = "resource") -> None:
         self.env = env
-        self.capacity = capacity
         self.name = name
-        self._users: set[Hashable] = set()
+        #: Whoever holds the resource; ``None`` while it is free.
+        self._holder: Optional[object] = None
         #: ``(holder, on_grant, time of the request)`` per waiter.
-        self._waiting: deque[tuple[Hashable, Callable[[float], object],
+        self._waiting: deque[tuple[object, Callable[[float], object],
                                    float]] = deque()
         self._abandoned = False
         # -- statistics (for contention analysis / tests) -----------------
@@ -81,20 +81,21 @@ class Resource:
 
     @property
     def in_use(self) -> int:
-        return len(self._users)
+        return 0 if self._holder is None else 1
 
     @property
     def queue_length(self) -> int:
         return len(self._waiting)
 
-    def acquire(self, holder: Hashable,
+    def acquire(self, holder: object,
                 on_grant: Callable[[float], object]) -> None:
         """Call ``on_grant(waited)`` once ``holder`` has the resource —
         now if it is free, else from the :meth:`release` that hands it
-        over.  ``holder`` is what :meth:`release` takes back."""
+        over.  ``holder`` (not ``None``) is what :meth:`release` takes
+        back."""
         self.total_requests += 1
-        if len(self._users) < self.capacity:
-            self._users.add(holder)
+        if self._holder is None:
+            self._holder = holder
             on_grant(0.0)
         else:
             self._waiting.append((holder, on_grant, self.env.now))
@@ -105,12 +106,9 @@ class Resource:
         self.acquire(req, req.succeed)
         return req
 
-    def release(self, holder: Hashable) -> None:
-        """Release a granted holder (or cancel a queued one)."""
-        users = self._users
-        if holder in users:
-            users.remove(holder)
-        else:
+    def release(self, holder: object) -> None:
+        """Release the holder (or cancel a queued one)."""
+        if holder is not self._holder:
             for i, entry in enumerate(self._waiting):
                 if entry[0] is holder:  # cancel while queued
                     del self._waiting[i]
@@ -118,25 +116,26 @@ class Resource:
             if self._abandoned:
                 return  # a suspended ``use`` closed after the run
             raise SimulationError("release of a request that was never granted")
-        while self._waiting and len(users) < self.capacity:
-            nxt, on_grant, since = self._waiting.popleft()
-            users.add(nxt)
-            waited = self.env.now - since
-            self.total_wait_time += waited
-            on_grant(waited)
+        if not self._waiting:
+            self._holder = None
+            return
+        self._holder, on_grant, since = self._waiting.popleft()
+        waited = self.env.now - since
+        self.total_wait_time += waited
+        on_grant(waited)
 
     def abandon(self) -> None:
-        """Forget every holder and waiter: the simulation is over.  A
+        """Forget the holder and every waiter: the simulation is over.  A
         queued waiter's grant callback points at whoever waits for it,
         which usually points back at this resource's owner — reference
         cycles for as long as the entry (or a request event's callback
         list) stays.  A holder finalised later (a suspended :meth:`use`
         being closed) releases into the void, silently."""
         self._abandoned = True
-        for holder in (*self._users, *(w[0] for w in self._waiting)):
+        for holder in (self._holder, *(w[0] for w in self._waiting)):
             if isinstance(holder, Event):
                 holder.callbacks = None
-        self._users.clear()
+        self._holder = None
         self._waiting.clear()
 
     def use(self, hold_time: float) -> Generator[Event, None, None]:

@@ -233,9 +233,9 @@ def test_a_bus_builds_no_wire_or_receive_nic_resource_and_no_carry(
     built, carries = [], []
     real_resource, real_carry = Resource.__init__, _Carry.__init__
 
-    def resource(self, env, capacity=1, name="resource"):
+    def resource(self, env, name="resource"):
         built.append(name)
-        real_resource(self, env, capacity, name)
+        real_resource(self, env, name)
 
     def carry(self, *args):
         carries.append(args)

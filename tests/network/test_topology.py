@@ -1,12 +1,14 @@
 """Unit tests for the Topology graph abstraction."""
 
 import json
+from functools import cached_property
 
 import pytest
 
 from repro.network.parameters import NetworkParameters
 from repro.network.topology import (
     Topology,
+    _named_topology,
     mesh_dims,
     parse_topology_spec,
     resolve_topology,
@@ -212,3 +214,73 @@ def test_resolve_topology_checks_host_count(tmp_path):
     with pytest.raises(ValueError, match="2 hosts"):
         resolve_topology(f"file:{path}", 5)
     assert resolve_topology(f"file:{path}", 2).n_hosts == 2
+
+
+# -- the named-topology cache ----------------------------------------------
+
+@pytest.fixture
+def fresh_cache():
+    _named_topology.cache_clear()
+    yield
+    _named_topology.cache_clear()
+
+
+def test_a_named_topology_is_built_once(fresh_cache):
+    assert resolve_topology("torus", 16) is resolve_topology("torus", 16)
+    assert resolve_topology(None, 4) is resolve_topology("bus", 4)
+    assert resolve_topology("ring", 8) is not resolve_topology("ring", 9)
+
+
+def test_files_and_explicit_topologies_are_not_cached(fresh_cache, tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"0": [1], "1": [0, 2], "2": [1]}))
+    first = resolve_topology(f"file:{path}", 3)
+    assert resolve_topology(f"file:{path}", 3) is not first
+    assert resolve_topology(f"file:{path}", 3) == first
+    explicit = Topology.ring(5)
+    assert resolve_topology(explicit, 5) is explicit
+    assert _named_topology.cache_info().currsize == 0
+
+
+def test_a_fifth_topology_evicts_the_oldest(fresh_cache):
+    oldest = resolve_topology("mesh", 12)
+    routes = [oldest.route(s, d) for s in range(12) for d in range(12)]
+    for kind in ("ring", "torus", "complete", "bus"):
+        resolve_topology(kind, 12)
+    assert _named_topology.cache_info().currsize == 4
+    rebuilt = resolve_topology("mesh", 12)
+    assert rebuilt is not oldest and rebuilt == oldest
+    assert [rebuilt.route(s, d) for s in range(12) for d in range(12)] == \
+        routes
+
+
+def test_two_torus_runs_build_one_routing_table(fresh_cache, monkeypatch):
+    """The executor and the run plan both resolve the run's topology, and
+    the second run shares the first one's: one builder call, one BFS."""
+    from repro import ClusterSpec, run_loop
+    from repro.apps.mxm import MxmConfig, mxm_loop
+    from repro.runtime.options import RunOptions
+
+    built, tables = [], []
+    real_torus, real_next_hop = Topology.torus, Topology._next_hop.func
+
+    def torus(n_hosts):
+        built.append(n_hosts)
+        return real_torus(n_hosts)
+
+    def next_hop(topology):
+        tables.append(topology.kind)
+        return real_next_hop(topology)
+
+    counted = cached_property(next_hop)
+    counted.__set_name__(Topology, "_next_hop")
+    monkeypatch.setattr(Topology, "torus", staticmethod(torus))
+    monkeypatch.setattr(Topology, "_next_hop", counted)
+    loop = mxm_loop(MxmConfig(32, 16, 16), op_seconds=4e-7)
+    cluster = ClusterSpec.homogeneous(16, max_load=3, persistence=1.0,
+                                      seed=7)
+    durations = [run_loop(loop, cluster, "LCDLB",
+                          RunOptions(topology="torus")).duration
+                 for _ in range(2)]
+    assert durations[0] == durations[1]
+    assert built == [16] and tables == ["torus"]

@@ -67,7 +67,7 @@ def test_events_fire_in_nondecreasing_time_order(delays):
                 min_size=1, max_size=20))
 @settings(max_examples=40, deadline=None)
 def test_resource_conservation_under_contention(jobs):
-    """With a capacity-1 resource, total busy time is the sum of holds
+    """With a resource (a FIFO mutex), total busy time is the sum of holds
     and at most one job holds it at any instant."""
     from repro.simulation import Resource
     env = Environment()

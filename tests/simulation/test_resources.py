@@ -5,9 +5,10 @@ import pytest
 from repro.simulation import Environment, Resource, SimulationError
 
 
-def test_capacity_validation(env):
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
+def test_capacity_is_not_a_parameter(env):
+    """A resource is a mutex: there is no capacity to choose."""
+    with pytest.raises(TypeError):
+        Resource(env, capacity=2)
 
 
 def test_immediate_grant_when_free(env):
@@ -36,20 +37,6 @@ def test_mutual_exclusion_serializes(env):
     env.process(worker("c"))
     env.run()
     assert log == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
-
-
-def test_capacity_two_overlaps(env):
-    res = Resource(env, capacity=2)
-    log = []
-
-    def worker(name):
-        yield from res.use(1.0)
-        log.append((env.now, name))
-
-    for n in "abcd":
-        env.process(worker(n))
-    env.run()
-    assert log == [(1.0, "a"), (1.0, "b"), (2.0, "c"), (2.0, "d")]
 
 
 def test_fifo_grant_order(env):
@@ -317,3 +304,40 @@ def test_interrupting_a_queued_use_gives_up_its_place(env):
     env.run()
     assert log == [("gave up", 0.5), ("holder", 2.0), ("patient", 3.0)]
     assert res.in_use == 0 and res.queue_length == 0
+
+
+def test_abandon_with_a_queued_carry_leaves_nothing_to_collect():
+    """A routed message queued on a link is a carry — an ``Event`` that
+    is its own hold — waiting behind the carry that holds the link.
+    ``abandon`` clears both carries' callbacks, and the finished run is
+    freed by reference counting alone."""
+    import gc
+
+    from repro.network.graph import GraphNetwork, _Carry
+    from repro.network.topology import Topology
+
+    def abandoned_run():
+        env = Environment()
+        net = GraphNetwork(env, Topology.ring(4))  # 0 -> 2 runs via 1
+        link = net._links[(1, 2)][0]
+        # What ``transmit`` starts once the send NIC is paid.
+        _Carry(net, 1, 2, 100_000, None, env.event(), 0.0)  # holds 1-2
+        _Carry(net, 0, 2, 10, None, env.event(), 0.0)
+        while link.queue_length == 0:
+            env.step()
+        holder, (queued, _on_grant, _since) = link._holder, link._waiting[0]
+        assert isinstance(holder, _Carry) and isinstance(queued, _Carry)
+        assert holder.callbacks is not None
+        env.discard_pending()
+        net.abandon()
+        assert link.in_use == 0 and link.queue_length == 0
+        return holder.callbacks, queued.callbacks
+
+    abandoned_run()  # warm up
+    gc.collect()
+    gc.disable()
+    try:
+        assert abandoned_run() == (None, None)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
