@@ -9,10 +9,11 @@ command against a small port (:class:`Reporter`) and **yields** only
 the two things a backend alone can do — wait for a message and burn one
 iteration — so a backend is a ten-line loop around it
 (:func:`run_blocking`, or the same loop with ``await``).  Around it:
-:class:`Inbox`, the one mailbox rule; :class:`Reporter` /
-:class:`RunLedger`, stats records built once and booked once however
-they travel.  Last, the one run set-up of *all four* backends, the
-simulator included: :func:`prepare_run` and the :class:`RunPlan` /
+:class:`Inbox`, the one mailbox rule; :class:`Reporter`, stats records
+built once however they travel; :class:`RunLedger`, where *all four*
+backends book a run and the one writer of its ``decision`` instants.
+Last, the one run set-up of all four, the simulator included:
+:func:`prepare_run` and the :class:`RunPlan` /
 :class:`WorkerSpec` it returns, the only place protocol objects are
 built.
 """
@@ -20,7 +21,7 @@ built.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Generator, Optional, Sequence, Union
 
 from ..apps.workload import LoopSpec, WorkTable
@@ -230,13 +231,9 @@ class Reporter:
             self._batch.extend(ranges)
 
     def sync(self, group: int, epoch: int, plan, part: bool = False) -> None:
-        body = {"k": "sync", "group": group, "epoch": epoch, "row": {
-            "time": self.now(), "reason": plan.reason,
-            "moved_work": plan.work_to_move if plan.move else 0.0,
-            "n_transfers": len(plan.transfers),
-            "retired": list(plan.retire),
-            "predicted_current": plan.predicted_current,
-            "predicted_balanced": plan.predicted_balanced}}
+        row = asdict(SyncRecord.of_plan(self.now(), group, epoch, plan))
+        del row["group"], row["epoch"]
+        body = {"k": "sync", "group": group, "epoch": epoch, "row": row}
         if part:
             # One node's share of a neighbour-local sweep: the ledger
             # adds the parts up instead of de-duplicating replicas.
@@ -261,14 +258,61 @@ class Reporter:
 
 
 class RunLedger:
-    """The supervising side's sink for :class:`Reporter` records."""
+    """Where every backend books a run: executed ranges, one record per
+    synchronization, and that sync's one ``decision`` trace instant.
 
-    def __init__(self, stats: LoopRunStats, *, trace: bool) -> None:
+    The simulator's session books straight into it; the real backends
+    through :meth:`record`, whichever way a :class:`Reporter`'s records
+    travelled.  Every replica of a group plan reports the same sync and
+    is booked once; the parts of a neighbour-local sweep add up to one
+    (:meth:`SyncRecord.absorb`).  A wave is no barrier — nothing says
+    when a sweep's last part is in, short of the run being over — so a
+    sweep's instant is written at :meth:`close`, stamped with the time
+    the sweep began; any other sync's as it is booked.
+    """
+
+    def __init__(self, stats: LoopRunStats, recorder=NULL_RECORDER,
+                 on_execute: Optional[Callable] = None) -> None:
         self.stats = stats
-        self.trace = trace
+        self.recorder = recorder
+        self.on_execute = on_execute
         self.declared: set[int] = set()
         self.exec_total = 0
         self._syncs: dict[tuple[int, int], SyncRecord] = {}
+        self._sweeps: list[SyncRecord] = []
+
+    def executed(self, node: Optional[int], ranges: Sequence[Range]) -> None:
+        self.stats.executed_by_node.setdefault(node, []).extend(ranges)
+        self.exec_total += sum(e - s for s, e in ranges)
+        if self.on_execute is not None and ranges:
+            self.on_execute(node, list(ranges))
+
+    def sync(self, record: SyncRecord, part: bool = False) -> None:
+        key = (record.group, record.epoch)
+        known = self._syncs.get(key)
+        if known is not None:
+            if part:
+                known.absorb(record)
+            return
+        self._syncs[key] = record
+        self.stats.record_sync(record)
+        if part:
+            self._sweeps.append(record)
+        else:
+            self._decision(record)
+
+    def close(self) -> None:
+        """Write the ``decision`` instant of every sweep, now whole."""
+        for record in self._sweeps:
+            self._decision(record, ts=record.time)
+        self._sweeps.clear()
+
+    def _decision(self, record: SyncRecord,
+                  ts: Optional[float] = None) -> None:
+        self.recorder.event(
+            "decision", track="balancer", ts=ts, group=record.group,
+            epoch=record.epoch, reason=record.reason,
+            moved=record.moved_work, n_transfers=record.n_transfers)
 
     def record(self, node: Optional[int], body: dict, now: float) -> str:
         """Book one record from ``node`` (``None``: a balancer) and
@@ -277,29 +321,11 @@ class RunLedger:
         stats = self.stats
         kind = body.get("k")
         if kind == "exec":
-            ranges = pairs(body.get("ranges"))
-            stats.executed_by_node.setdefault(node, []).extend(ranges)
-            self.exec_total += sum(e - s for s, e in ranges)
+            self.executed(node, pairs(body.get("ranges")))
         elif kind == "sync":
-            key = (int(body["group"]), int(body["epoch"]))
-            # Every replica of a distributed plan reports the same sync;
-            # the parts of a neighbour-local sweep add up to one.
-            known = self._syncs.get(key)
-            if self.trace and (known is None or body.get("part")):
-                row = body["row"]
-                record = SyncRecord(
-                    time=float(row["time"]), group=key[0], epoch=key[1],
-                    reason=row["reason"],
-                    moved_work=float(row["moved_work"]),
-                    n_transfers=int(row["n_transfers"]),
-                    retired=tuple(int(n) for n in row["retired"]),
-                    predicted_current=float(row["predicted_current"]),
-                    predicted_balanced=float(row["predicted_balanced"]))
-                if known is None:
-                    self._syncs[key] = record
-                    stats.record_sync(record)
-                else:
-                    known.absorb(record)
+            self.sync(SyncRecord(group=int(body["group"]),
+                                 epoch=int(body["epoch"]), **body["row"]),
+                      bool(body.get("part")))
         elif kind == "declared":
             self.declared.add(int(body["peer"]))
         elif kind == "finish":
@@ -532,12 +558,10 @@ class WorkerSpec:
         if movement_cost_fn is None:
             movement_cost_fn = movement_estimator(
                 self.movement, self.dc_bytes, self.mean_iteration_time)
-        proto = BalancerProtocol(
+        return BalancerProtocol(
             self.lb_host, groups, policy=self.policy,
             mean_iteration_time=self.mean_iteration_time,
             movement_cost_fn=movement_cost_fn, ft=self.ft)
-        proto.emit_trace = self.trace_events
-        return proto
 
     def to_wire(self) -> dict:
         """Every field but ``node``, under its own name (JSON turns the

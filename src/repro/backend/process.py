@@ -452,10 +452,11 @@ class ProcessBackend(ExecutionBackend):
             for p in procs.values():
                 p.start()
 
-            ledger = RunLedger(plan.stats, trace=plan.options.trace)
+            ledger = RunLedger(stats, recorder, plan.options.on_execute)
             crashed = self._supervise(ledger, recorder, procs, queues,
                                       balancer_q, stats_q,
                                       set(plan.crash_at))
+            ledger.close()
             for node in sorted(crashed):
                 # A crashed child's buffer died with it (os._exit ships
                 # nothing): mark the truncation explicitly rather than
@@ -465,7 +466,7 @@ class ProcessBackend(ExecutionBackend):
 
             for p in procs.values():
                 p.join(timeout=5.0)
-            salvaged = self._salvage(stats, loop, plan.table, crashed,
+            salvaged = self._salvage(ledger, loop, plan.table, crashed,
                                      ops_rate, shm, row_bytes)
             stats.end_time = time.perf_counter() - t0
             stats.crashed_nodes = tuple(sorted(crashed))
@@ -552,10 +553,11 @@ class ProcessBackend(ExecutionBackend):
                 return crashed
 
     # -- salvage / verification -----------------------------------------
-    def _salvage(self, stats: LoopRunStats, loop: LoopSpec,
+    def _salvage(self, ledger: RunLedger, loop: LoopSpec,
                  table: WorkTable, crashed: set[int], ops_rate: float,
                  shm, row_bytes: int) -> int:
         """Re-execute orphaned iterations; credit the lowest survivor."""
+        stats = ledger.stats
         orphans = uncovered(stats.executed_by_node, loop.n_iterations) \
             if crashed else []
         if not orphans:
@@ -579,7 +581,7 @@ class ProcessBackend(ExecutionBackend):
                 off = i * row_bytes
                 shm.buf[off:off + len(pattern)] = pattern
             count += end - start
-        stats.executed_by_node.setdefault(survivor, []).extend(orphans)
+        ledger.executed(survivor, orphans)
         return count
 
     @staticmethod

@@ -549,7 +549,8 @@ class _Hub:
         self.stats = plan.stats
         self.strict = strict
         self.recorder = plan.recorder
-        self.ledger = RunLedger(plan.stats, trace=plan.options.trace)
+        self.ledger = RunLedger(plan.stats, plan.recorder,
+                                plan.options.on_execute)
 
         self.n = len(plan.workers)
         self.group_members = {g: list(m) for g, m in enumerate(plan.groups)}
@@ -988,6 +989,7 @@ class _Hub:
             # Stragglers were dismissed with the balancer still serving:
             # its traffic counts all the same.
             self.port.finish("dismissed")
+        self.ledger.close()
         self.stats.end_time = self.now()
         self.stats.crashed_nodes = tuple(sorted(self.crashed))
         self.stats.declared_dead = tuple(sorted(self.ledger.declared))
@@ -1020,8 +1022,7 @@ class _Hub:
             work = self.plan.table.range_work(start, end)
             await asyncio.sleep(work * self.plan.workers[0].time_scale)
             count += end - start
-        self.stats.executed_by_node.setdefault(
-            min(survivors), []).extend(orphans)
+        self.ledger.executed(min(survivors), orphans)
         return count
 
 

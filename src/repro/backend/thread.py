@@ -162,7 +162,7 @@ class ThreadBackend(ExecutionBackend):
 
         abort = threading.Event()
         mailboxes = [_Mailbox(abort) for _ in range(n)]
-        ledger = RunLedger(stats, trace=options.trace)
+        ledger = RunLedger(stats, plan.recorder, options.on_execute)
         lock = threading.Lock()
         errors: list[BaseException] = []
         ops_rate = calibrate(self.kernel)
@@ -215,6 +215,7 @@ class ThreadBackend(ExecutionBackend):
             stats.end_time = time.perf_counter() - t0
             if errors:
                 raise errors[0]
+            ledger.close()
         except BaseException:
             # Shutdown contract: never leave dlb-* threads running —
             # CI hangs on orphans.

@@ -46,14 +46,14 @@ from ..message.messages import TransferOrder
 from ..network.topology import Topology
 from .policy import DlbPolicy
 from .redistribution import (
+    _TINY_WORK,
     MovementCostFn,
     RedistributionPlan,
     SyncProfile,
+    _survey,
 )
 
 __all__ = ["diffusion_alpha", "plan_diffusion", "DiffusionPlanner"]
-
-_TINY_WORK = 1e-12
 
 
 def diffusion_alpha(topology: Topology) -> float:
@@ -89,32 +89,12 @@ def plan_diffusion(profiles: Sequence[SyncProfile],
     more than a quantum to spare, so it leaves instead of re-opening a
     sweep it has nothing to compute in (``done`` when that is everyone).
     """
-    if not profiles:
-        raise ValueError("need at least one profile")
     if mean_iteration_time <= 0:
         raise ValueError("mean_iteration_time must be positive")
-    profiles = sorted(profiles, key=lambda p: p.node)
-    nodes = [p.node for p in profiles]
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("duplicate node in profiles")
-    work = {p.node: p.remaining_work for p in profiles}
-    total = sum(work.values())
-
-    # -- termination: no work anywhere ----------------------------------
-    if total <= _TINY_WORK:
-        return RedistributionPlan(
-            done=True, move=False, reason="done", shares={}, transfers=(),
-            retire=tuple(nodes), active=(), predicted_current=0.0,
-            predicted_balanced=0.0, work_to_move=0.0)
-
-    # -- rates (floored as in eq. 3) for the prediction terms -----------
-    max_rate = max(p.rate for p in profiles)
-    if max_rate <= _TINY_WORK:
-        rates = {p.node: 1.0 for p in profiles}
-    else:
-        floor = max_rate * policy.rate_floor_fraction
-        rates = {p.node: max(p.rate, floor) for p in profiles}
-    predicted_current = max(work[n] / rates[n] for n in nodes)
+    survey = _survey(profiles, policy)
+    if isinstance(survey, RedistributionPlan):
+        return survey
+    nodes, work, total, rates, predicted_current = survey
 
     # -- per-edge flows from the pre-sweep loads (simultaneous FOS),
     #    floored to whole iterations ------------------------------------

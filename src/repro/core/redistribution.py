@@ -174,6 +174,42 @@ def _match_transfers(deltas: dict[int, float]) -> list[TransferOrder]:
     return orders
 
 
+def _survey(profiles: Sequence[SyncProfile], policy: DlbPolicy):
+    """What every planner starts from.
+
+    Checks the profiles (at least one, one per node), and returns the
+    termination plan when no work is left anywhere (eq. 4); otherwise
+    ``(nodes, work, total, rates, predicted_current)``: the nodes in id
+    order, their remaining work and its total, the rates — floored so a
+    stalled node still gets some share — and the §3.4 time to finish
+    without moving anything.
+    """
+    if not profiles:
+        raise ValueError("need at least one profile")
+    profiles = sorted(profiles, key=lambda p: p.node)
+    nodes = [p.node for p in profiles]
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("duplicate node in profiles")
+    work = {p.node: p.remaining_work for p in profiles}
+    total = sum(work.values())
+
+    # -- termination: Gamma(tau) == 0 (eq. 4) ---------------------------
+    if total <= _TINY_WORK:
+        return RedistributionPlan(
+            done=True, move=False, reason="done", shares={}, transfers=(),
+            retire=tuple(nodes), active=(), predicted_current=0.0,
+            predicted_balanced=0.0, work_to_move=0.0)
+
+    max_rate = max(p.rate for p in profiles)
+    if max_rate <= _TINY_WORK:
+        rates = {p.node: 1.0 for p in profiles}
+    else:
+        floor = max_rate * policy.rate_floor_fraction
+        rates = {p.node: max(p.rate, floor) for p in profiles}
+    predicted_current = max(work[n] / rates[n] for n in nodes)
+    return nodes, work, total, rates, predicted_current
+
+
 def plan_redistribution(profiles: Sequence[SyncProfile],
                         policy: DlbPolicy,
                         mean_iteration_time: float,
@@ -186,31 +222,10 @@ def plan_redistribution(profiles: Sequence[SyncProfile],
     whose share would round to no whole iteration, the amount-moved
     check (§3.3), and the 10% profitability test (§3.4).
     """
-    if not profiles:
-        raise ValueError("need at least one profile")
-    profiles = sorted(profiles, key=lambda p: p.node)
-    nodes = [p.node for p in profiles]
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("duplicate node in profiles")
-    work = {p.node: p.remaining_work for p in profiles}
-    total = sum(work.values())
-
-    # -- termination: Gamma(tau) == 0 (eq. 4) ---------------------------
-    if total <= max(_TINY_WORK, 0.0):
-        return RedistributionPlan(
-            done=True, move=False, reason="done", shares={}, transfers=(),
-            retire=tuple(nodes), active=(), predicted_current=0.0,
-            predicted_balanced=0.0, work_to_move=0.0)
-
-    # -- rates, floored so a stalled node still gets some share ----------
-    max_rate = max(p.rate for p in profiles)
-    if max_rate <= _TINY_WORK:
-        rates = {p.node: 1.0 for p in profiles}
-    else:
-        floor = max_rate * policy.rate_floor_fraction
-        rates = {p.node: max(p.rate, floor) for p in profiles}
-
-    predicted_current = max(work[n] / rates[n] for n in nodes)
+    survey = _survey(profiles, policy)
+    if isinstance(survey, RedistributionPlan):
+        return survey
+    nodes, work, total, rates, predicted_current = survey
 
     # -- proportional shares with retirement (eq. 3) ----------------------
     kept = list(nodes)

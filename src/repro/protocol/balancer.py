@@ -63,9 +63,6 @@ class BalancerProtocol:
         self.mean_iteration_time = mean_iteration_time
         self.movement_cost_fn = movement_cost_fn
         self.ft = ft or FaultToleranceConfig()
-        #: Same contract as ``WorkerProtocol.emit_trace``: when set, the
-        #: pump interleaves :class:`C.Emit` commands into its outputs.
-        self.emit_trace = False
         #: §4.3 port: called once, with the first service's profiles;
         #: returns ``(scheme code, group size, stays)`` — ``stays`` false
         #: when a distributed scheme takes over and the balancer retires.
@@ -273,12 +270,6 @@ class BalancerProtocol:
                                        self.mean_iteration_time,
                                        self.movement_cost_fn)
             cmds.append(C.RecordSync(gid, epoch, plan))
-            if self.emit_trace:
-                cmds.append(C.emit(
-                    "decision", node=self.host, group=gid, epoch=epoch,
-                    reason=plan.reason,
-                    moved=plan.work_to_move if plan.move else 0.0,
-                    n_transfers=len(plan.transfers)))
             for node in sorted(self.group_active[gid]):
                 incoming = plan.incoming(node)
                 instr = InstructionMsg(

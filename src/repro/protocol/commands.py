@@ -128,7 +128,8 @@ class DeclareDead(Command):
 
 @dataclass(frozen=True)
 class RecordSync(Command):
-    """Record one synchronization outcome in the run statistics.
+    """Record one synchronization outcome in the run's ledger, which
+    also writes the sync's one ``decision`` trace instant.
 
     Every replica of a group plan reports the same outcome, so records
     of one ``(group, epoch)`` de-duplicate.  With ``part`` set the plan
@@ -150,8 +151,8 @@ class Emit(Command):
     The state machines never read a clock; an ``Emit`` carries only
     logical fields (epoch, reason, transfer counts) and the backend
     timestamps it against its own time domain when — and only when —
-    tracing is enabled.  Protocols produce ``Emit`` commands solely
-    when their ``emit_trace`` flag is set (default off), so scripted
+    tracing is enabled.  The worker produces ``Emit`` commands solely
+    when its ``emit_trace`` flag is set (default off), so scripted
     tests asserting exact command tuples, and runs without a recorder,
     see byte-identical command streams.
 

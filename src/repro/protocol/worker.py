@@ -615,11 +615,6 @@ class WorkerProtocol:
             ordered, self.policy, self.mean_iteration_time,
             self.movement_cost_fn)
         cmds: list[C.Command] = [C.RecordSync(self.group, self.epoch, plan)]
-        cmds += self._trace(
-            "decision", epoch=self.epoch, group=self.group,
-            reason=plan.reason,
-            moved=plan.work_to_move if plan.move else 0.0,
-            n_transfers=len(plan.transfers))
         if plan.done:
             return cmds + self._terminate("done")
         srcs = tuple(t.src for t in plan.incoming(self.me))
@@ -642,12 +637,8 @@ class WorkerProtocol:
             plan, transfers=mine, move=bool(mine), reason=reason,
             work_to_move=sum(t.work for t in mine), retire=())
         srcs = tuple(t.src for t in plan.incoming(self.me))
-        return (self._trace("decision", epoch=self.epoch, group=self.group,
-                            reason=self._part.reason,
-                            moved=self._part.work_to_move,
-                            n_transfers=len(mine))
-                + self._apply_outcome(mine, srcs, len(srcs),
-                                      sorted(self.active), False))
+        return self._apply_outcome(mine, srcs, len(srcs),
+                                   sorted(self.active), False)
 
     def _work_msg(self, dst: int, ranges: Sequence[Range]) -> WorkMsg:
         count = sum(e - s for s, e in ranges)

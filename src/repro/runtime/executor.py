@@ -71,7 +71,7 @@ def _salvage(session: LoopSession, controller: FaultController) -> None:
         ws = session.stations[node]
         t_end = ws.time_to_complete(env.now, work)
         yield env.timeout(t_end - env.now)
-        session.record_executed(node, ranges)
+        session.ledger.executed(node, ranges)
 
     env.run(env.process(runner(), name=f"salvage{node}"))
     controller.salvaged_iterations += count
@@ -187,7 +187,7 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
         env.run(gather)
 
     session.stats.end_time = env.now
-    session.emit_sweep_decisions()
+    session.ledger.close()
     session.stats.node_finish_times = {
         i: session.nodes[i].finish_time for i in range(session.n)}
     session.stats.messages_by_tag = {

@@ -501,7 +501,7 @@ class NodeRuntime(SimPort):
                 return "deadline" if result == "interrupted" else result
             protocol.note_work(total)
             executed = self.assignment.take_head(self.assignment.count)
-            session.record_executed(self.me, executed)
+            session.ledger.executed(self.me, executed)
             return "finished"
 
     def _stop_at_boundary(self, consumed: float
@@ -522,5 +522,5 @@ class NodeRuntime(SimPort):
         if k > 0:
             self.protocol.note_work(boundary_work)
             executed = self.assignment.take_head(k)
-            session.record_executed(self.me, executed)
+            session.ledger.executed(self.me, executed)
         return "interrupted"

@@ -100,11 +100,10 @@ class RunOptions:
         paper's "since the last synchronization point" metric).  When
         False the whole history is used (the §3.2 alternative).
     on_execute:
-        Optional callback ``(node, ranges)`` fired when a node completes
-        iterations — used by the compiled-code integration to actually
-        run kernels and check exactly-once execution.
-    trace:
-        Collect per-sync records in the stats (cheap; on by default).
+        Optional callback ``(node, ranges)`` fired, on every backend,
+        as the run books iterations executed — used by the
+        compiled-code integration to actually run kernels and check
+        exactly-once execution.
     recorder:
         An :class:`~repro.obs.trace.TraceRecorder` to stream structured
         span/instant events into (``None``, the default, records
@@ -147,7 +146,6 @@ class RunOptions:
     include_staging: bool = False
     profile_window_reset: bool = True
     on_execute: Optional[Callable[[int, list[tuple[int, int]]], None]] = None
-    trace: bool = True
     recorder: Optional[object] = None
     group_formation: str = "block"
     group_seed: int = 0

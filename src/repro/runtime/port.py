@@ -7,7 +7,9 @@ machine and blocks on an ``AwaitMessage``.  Both simulated participants
 — :class:`~repro.runtime.node.NodeRuntime` for a worker,
 :class:`~repro.runtime.balancer.CentralBalancer` for the central
 balancer — inherit it, so a ``Send`` is one ``vm.send``, a
-``RecordSync`` one ``session.record_plan``, a ``DeclareDead`` one
+``RecordSync`` one ``ledger.sync`` (the session's
+:class:`~repro.backend.driver.RunLedger`, as on every backend, writes
+the sync's ``decision`` instant), a ``DeclareDead`` one
 ``controller.declare_dead`` and an ``Emit`` one recorder call, here and
 nowhere else.  A ``Charge`` is spent where it stands in its batch,
 through :meth:`_charge` — the one thing the balancer does differently.
@@ -21,6 +23,7 @@ from ..message.messages import Message, Tag
 from ..protocol import commands as C
 from ..simulation import Event
 from .session import LoopSession
+from .stats import SyncRecord
 
 __all__ = ["SimPort"]
 
@@ -69,17 +72,15 @@ class SimPort:
                     continue  # pooled above, or reclaimed on declaration
                 yield from session.vm.send(cmd.msg)
             elif kind is C.RecordSync:
-                session.record_plan(cmd.group, cmd.epoch, cmd.plan,
-                                    cmd.part)
+                session.ledger.sync(SyncRecord.of_plan(
+                    session.env.now, cmd.group, cmd.epoch, cmd.plan),
+                    cmd.part)
             elif kind is C.DeclareDead:
                 if controller is not None:
                     controller.declare_dead(cmd.peer, by=self.me)
             elif kind is C.Emit:
-                # ``decision``: record_plan above wrote the one deduped
-                # instant for all replicas, on the balancer track.
-                if cmd.name != "decision":
-                    session.recorder.event(cmd.name, track=self.track,
-                                           **cmd.args())
+                session.recorder.event(cmd.name, track=self.track,
+                                       **cmd.args())
             else:
                 if kind is C.Charge:
                     yield from self._charge(cmd.seconds)

@@ -3,24 +3,24 @@
 A :class:`LoopSession` is the simulator's view of a
 :class:`~repro.backend.driver.RunPlan`: what the node processes and the
 central balancer coordinate through — the simulation environment, the
-virtual machine, the workstations, the statistics sink — plus the part
-of the plan the customized selection of §4.3 may *re*configure mid-run
-(strategy, groups, planner).
+virtual machine, the workstations, the run's
+:class:`~repro.backend.driver.RunLedger` (the one place every backend
+books executed ranges and syncs, and writes each sync's ``decision``
+instant) — plus the part of the plan the customized selection of §4.3
+may *re*configure mid-run (strategy, groups, planner).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, TYPE_CHECKING
 
-from ..core.redistribution import RedistributionPlan
+from ..backend.driver import RunLedger, RunPlan
 from ..core.strategies.registry import get_strategy
 from ..machine.workstation import Workstation
 from ..message.pvm import VirtualMachine
 from ..simulation import Environment
-from .stats import SyncRecord
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..backend.driver import RunPlan
     from ..faults.controller import FaultController
     from .node import NodeRuntime
 
@@ -31,7 +31,7 @@ class LoopSession:
     """Coordination state shared by all processes of one loop run."""
 
     def __init__(self, env: Environment, vm: VirtualMachine,
-                 stations: list[Workstation], plan: "RunPlan") -> None:
+                 stations: list[Workstation], plan: RunPlan) -> None:
         self.env = env
         self.vm = vm
         self.stations = stations
@@ -48,6 +48,8 @@ class LoopSession:
         #: Structured trace sink; the shared no-op singleton unless the
         #: caller supplied a recorder (see docs/OBSERVABILITY.md).
         self.recorder = plan.recorder
+        self.ledger = RunLedger(plan.stats, plan.recorder,
+                                plan.options.on_execute)
         lead = plan.workers[0]
         #: Host of the master processor / central load balancer.
         self.lb_host = lead.lb_host
@@ -59,8 +61,6 @@ class LoopSession:
         self._regroup(plan.groups, plan.planner)
 
         self.nodes: dict[int, "NodeRuntime"] = {}
-        self._sync_records: dict[tuple[int, int], SyncRecord] = {}
-        self._sweeps: list[SyncRecord] = []
         self._selected = False
         #: Fault injection / recovery state; None on a fault-free run
         #: with fault tolerance disabled (the common case).
@@ -113,48 +113,3 @@ class LoopSession:
         self.groups, self.planner = groups, planner
         self.group_of = {node: g for g, members in enumerate(groups)
                          for node in members}
-
-    # -- bookkeeping ----------------------------------------------------------
-    def record_plan(self, group: int, epoch: int, plan: RedistributionPlan,
-                    part: bool = False) -> None:
-        """Record one synchronization per ``(group, epoch)``: replicated
-        balancers report the same plan P times (booked once); the nodes
-        of a neighbour-local sweep each report their ``part`` of it
-        (added up, :meth:`SyncRecord.absorb`)."""
-        key = (group, epoch)
-        record = self._sync_records.get(key)
-        if record is not None:
-            if part:
-                record.absorb(SyncRecord.of_plan(self.env.now, group,
-                                                 epoch, plan))
-            return
-        record = self._sync_records[key] = SyncRecord.of_plan(
-            self.env.now, group, epoch, plan)
-        if part:
-            self._sweeps.append(record)  # its instant: when it is whole
-        else:
-            self._emit_decision(record)
-        if self.options.trace:
-            self.stats.record_sync(record)
-
-    def _emit_decision(self, record: SyncRecord,
-                       ts: Optional[float] = None) -> None:
-        self.recorder.event(
-            "decision", track="balancer", ts=ts, group=record.group,
-            epoch=record.epoch, reason=record.reason,
-            moved=record.moved_work, n_transfers=record.n_transfers)
-
-    def emit_sweep_decisions(self) -> None:
-        """The ``decision`` instant of every neighbour-local sweep, from
-        its summed record.  A wave is no barrier — nothing says when a
-        sweep's last part is in, short of the run being over — so the
-        executor calls this once the stats are final; each instant is
-        stamped with the time its sweep began."""
-        for record in self._sweeps:
-            self._emit_decision(record, ts=record.time)
-        self._sweeps.clear()
-
-    def record_executed(self, node: int, ranges: list[tuple[int, int]]) -> None:
-        self.stats.executed_by_node.setdefault(node, []).extend(ranges)
-        if self.options.on_execute is not None and ranges:
-            self.options.on_execute(node, ranges)

@@ -50,6 +50,10 @@ class SyncRecord:
     predicted_current: float = 0.0
     predicted_balanced: float = 0.0
 
+    def __post_init__(self) -> None:
+        # Rebuilt from a STAT body, ``retired`` arrives as a JSON list.
+        self.retired = tuple(self.retired)
+
     @classmethod
     def of_plan(cls, time: float, group: int, epoch: int,
                 plan) -> "SyncRecord":

@@ -68,7 +68,7 @@ class StealingNodeRuntime(NodeRuntime):
         yield from session.vm.send(WorkMsg(
             src=self.me, dst=msg.src, epoch=0,
             ranges=tuple(ranges), count=give, data_bytes=data))
-        if give and session.options.trace:
+        if give:
             self._steal_seq += 1
             session.stats.record_sync(SyncRecord(
                 time=session.env.now, group=0, epoch=self._steal_seq,

@@ -7,11 +7,14 @@ site for each protocol object and planner under ``src/``) and by value
 (the plan does not depend on who asked for it) — and the two defects
 that the second copy had grown: the central balancer priced movement
 without the data bytes on process/socket, and ``initial_partition``
-was honoured by the simulator only.
+was honoured by the simulator only.  The run is booked the same way
+too: ``RunLedger`` is the one writer of sync records and of their
+``decision`` trace instants.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import re
 from pathlib import Path
@@ -21,10 +24,16 @@ import pytest
 from repro import ClusterSpec
 from repro.apps.workload import LoopSpec
 from repro.backend.capabilities import CAPABILITIES
-from repro.backend.driver import WorkerSpec, movement_estimator, prepare_run
+from repro.backend.driver import (
+    RunLedger,
+    WorkerSpec,
+    movement_estimator,
+    prepare_run,
+)
 from repro.core.policy import DlbPolicy
 from repro.message.messages import TransferOrder
 from repro.message.pvm import VirtualMachine
+from repro.protocol import BalancerProtocol
 from repro.runtime.assignment import proportional_block_partition
 from repro.runtime.balancer import CentralBalancer
 from repro.runtime.node import NodeRuntime
@@ -68,6 +77,36 @@ def test_each_run_object_has_one_construction_site():
         assert "resolve_topology(" not in source[path], path
         assert "build_groups(" not in source[path], path
     assert "prepare_run(" in source["runtime/executor.py"]
+
+
+def _calls(pattern):
+    """``{path: count}`` of ``pattern``'s matches in each file under
+    ``src/`` that has one."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        count = len(re.findall(pattern, path.read_text("utf-8")))
+        if count:
+            found[path.relative_to(SRC).as_posix()] = count
+    return found
+
+
+@pytest.mark.parametrize("pattern, sites", [
+    # ``RunLedger.sync`` books every sync of the four backends; work
+    # stealing's per-node steal epochs would collide under its
+    # (group, epoch) de-duplication.
+    (r"stats\.record_sync\(", {"backend/driver.py": 1,
+                               "runtime/stealing.py": 1}),
+    # One writer of the ``decision`` instant, on every backend.
+    (r"(?:event|emit|_trace)\(\s*\"decision\"", {"backend/driver.py": 1}),
+    (r"options\.trace\b", {}),
+])
+def test_each_run_record_has_one_writer(pattern, sites):
+    assert _calls(pattern) == sites
+
+
+def test_the_ledger_is_the_one_booking_rule():
+    assert "stats.record_sync(" in inspect.getsource(RunLedger.sync)
+    assert "emit_trace" not in inspect.getsource(BalancerProtocol)
 
 
 # -- by value -----------------------------------------------------------------

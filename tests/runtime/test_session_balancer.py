@@ -11,11 +11,13 @@ from repro.core.strategies import CUSTOMIZED, GCDLB, GDDLB, LCDLB, LDDLB
 from repro.machine.cluster import ClusterSpec
 from repro.message.messages import Tag
 from repro.message.pvm import VirtualMachine
+from repro.obs import TraceRecorder
 from repro.protocol import (AwaitMessage, Charge, MessageReceived,
                             RecordSync, Send)
 from repro.runtime.balancer import CentralBalancer
 from repro.runtime.options import FaultToleranceConfig, RunOptions
 from repro.runtime.session import LoopSession
+from repro.runtime.stats import SyncRecord
 from repro.simulation import Environment
 
 
@@ -71,28 +73,44 @@ def test_apply_selection_idempotent():
     assert session.strategy.code == "GC"
 
 
+def _book(session, group, epoch, plan, part=False):
+    """What ``SimPort`` does with a ``RecordSync``."""
+    session.ledger.sync(SyncRecord.of_plan(session.env.now, group, epoch,
+                                           plan), part)
+
+
+def _decisions(recorder):
+    return [(e["track"], e["args"]["epoch"], e["args"]["n_transfers"])
+            for e in recorder.events() if e["name"] == "decision"]
+
+
 def test_record_plan_once_per_epoch():
     from repro.core.redistribution import plan_redistribution, SyncProfile
-    session = make_session(GDDLB)
+    recorder = TraceRecorder()
+    session = make_session(GDDLB, options=RunOptions(recorder=recorder))
     plan = plan_redistribution(
         [SyncProfile(0, 1.0, 10, 1.0), SyncProfile(1, 0.0, 0, 1.0)],
         session.policy, session.plan.mean_iteration_time)
-    session.record_plan(0, 0, plan)
-    session.record_plan(0, 0, plan)   # replicated balancer, same epoch
-    session.record_plan(0, 1, plan)
+    _book(session, 0, 0, plan)
+    _book(session, 0, 0, plan)   # replicated balancer, same epoch
+    _book(session, 0, 1, plan)
     assert session.stats.n_syncs == 2
+    # One instant per booked sync, written as it is booked.
+    assert _decisions(recorder) == [("balancer", 0, 1), ("balancer", 1, 1)]
 
 
 def test_record_plan_adds_up_the_parts_of_a_sweep():
     """Diffusion: every node reports its own part of a sweep — its
-    outgoing transfers, itself if it leaves — and the session books the
-    sweep as one synchronization."""
+    outgoing transfers, itself if it leaves — and the ledger books the
+    sweep as one synchronization, whose instant waits for ``close``."""
     from dataclasses import replace
     from repro.core.diffusion import plan_diffusion
     from repro.core.redistribution import SyncProfile
     from repro.core.strategies import DIFFUSION
     from repro.network.topology import Topology
-    session = make_session(DIFFUSION, options=RunOptions(topology="ring"))
+    recorder = TraceRecorder()
+    session = make_session(DIFFUSION, options=RunOptions(
+        topology="ring", recorder=recorder))
     assert session.scope_of(0) == (0, 1, 3)
     whole = plan_diffusion(
         [SyncProfile(0, 3.0, 300, 1.0), SyncProfile(1, 0.0, 0, 1.0),
@@ -101,7 +119,7 @@ def test_record_plan_adds_up_the_parts_of_a_sweep():
         session.plan.mean_iteration_time)
     for node in range(4):
         mine = whole.outgoing(node)
-        session.record_plan(0, 0, replace(
+        _book(session, 0, 0, replace(
             whole, transfers=mine, move=bool(mine),
             work_to_move=sum(t.work for t in mine),
             retire=(2,) if node == 2 else ()), part=True)
@@ -109,6 +127,9 @@ def test_record_plan_adds_up_the_parts_of_a_sweep():
     assert sweep.n_transfers == len(whole.transfers) == 2
     assert sweep.moved_work == pytest.approx(whole.work_to_move)
     assert sweep.retired == (2,) and sweep.reason == "diffused"
+    assert _decisions(recorder) == []
+    session.ledger.close()
+    assert _decisions(recorder) == [("balancer", 0, 2)]
 
 
 def test_movement_cost_fn_built_when_policy_asks():
