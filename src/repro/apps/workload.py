@@ -80,6 +80,12 @@ class WorkTable:
             return (end - start) * self.uniform_cost
         return float(self._cum[end] - self._cum[start])
 
+    def max_cost(self, start: int, end: int) -> float:
+        """Cost of the dearest iteration of ``[start, end)`` (non-empty)."""
+        if self.uniform_cost is not None:
+            return self.uniform_cost
+        return float(np.diff(self._cum[start:end + 1]).max())
+
     def count_for_work(self, start: int, work: float, end: Optional[int] = None,
                        round_up: bool = True) -> int:
         """Iterations from ``start`` covering ``work`` seconds of cost.

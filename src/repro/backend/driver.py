@@ -385,7 +385,8 @@ def _compute(proto: WorkerProtocol, port: Reporter, inbox: Inbox,
     """Run the assignment an iteration at a time.
 
     Honors synchronization interrupts at iteration boundaries (the
-    paper's ``DLB_slave_sync`` poll) and books the performance window
+    paper's ``DLB_slave_sync`` poll) once the slice has run one (progress,
+    :mod:`repro.protocol.balancer`), and books the performance window
     so measured rates feed the §3.2 profiles.  ``boundary(proto)`` is
     the backend's own between-iterations business (fail-stop checks,
     queue polls, elastic grants); an event it returns ends the slice.
@@ -393,6 +394,7 @@ def _compute(proto: WorkerProtocol, port: Reporter, inbox: Inbox,
     assignment = proto.assignment
     table = proto.table
     inbox.drain_interrupts(proto.epoch - 1)
+    ran = False
     while True:
         if boundary is not None:
             event = boundary(proto)
@@ -400,9 +402,10 @@ def _compute(proto: WorkerProtocol, port: Reporter, inbox: Inbox,
                 return event
         if assignment.empty:
             return ComputeDone("finished")
-        if proto.is_dlb and inbox.has_interrupt(proto.epoch):
+        if ran and proto.is_dlb and inbox.has_interrupt(proto.epoch):
             return ComputeDone("interrupted",
                                by=inbox.interrupter(proto.epoch))
+        ran = True
         taken = assignment.take_head(1)
         start = taken[0][0]
         cost = table.range_work(start, start + 1)
@@ -474,7 +477,7 @@ def run_blocking(pump: Generator, wait: Callable[[AwaitMessage], object],
 # Construction recipes and run set-up.
 # ---------------------------------------------------------------------------
 def movement_estimator(movement: Optional[tuple[float, float]],
-                       dc_bytes: int, mean_iteration_time: float
+                       dc_bytes: int, table: WorkTable
                        ) -> Optional[MovementCostFn]:
     """The shared-medium movement-cost estimate for ``(latency,
     bandwidth)``; ``None`` when the policy does not price movement."""
@@ -483,7 +486,7 @@ def movement_estimator(movement: Optional[tuple[float, float]],
     latency, bandwidth = movement
     return make_movement_cost_estimator(
         latency=latency, bandwidth=bandwidth, dc_bytes=dc_bytes,
-        mean_iteration_time=mean_iteration_time)
+        mean_iteration_time=table.total_work / table.n)
 
 
 @dataclass(frozen=True)
@@ -506,7 +509,6 @@ class WorkerSpec:
     n_iterations: int
     iteration_time: Union[float, tuple[float, ...]]
     dc_bytes: int
-    mean_iteration_time: float
     movement: Optional[tuple[float, float]]  # (latency, bandwidth)
     ft: FaultToleranceConfig
     profile_window_reset: bool
@@ -520,6 +522,11 @@ class WorkerSpec:
     #: waits for it) instead of bulk reports; see :class:`Reporter`.
     stream_records: bool
 
+    def work_table(self) -> WorkTable:
+        it = self.iteration_time
+        return (WorkTable(list(it)) if isinstance(it, tuple)
+                else WorkTable(float(it), self.n_iterations))
+
     def build_protocol(self, *, table: Optional[WorkTable] = None,
                        movement_cost_fn: Optional[MovementCostFn] = None,
                        planner: Optional[DiffusionPlanner] = None,
@@ -528,18 +535,14 @@ class WorkerSpec:
         plan's ``table`` and pass its non-picklable pieces (the
         topology-aware cost estimator, the diffusion planner); the
         simulator knows its workstation's nominal speed."""
-        if table is None:
-            it = self.iteration_time
-            table = (WorkTable(list(it)) if isinstance(it, tuple)
-                     else WorkTable(float(it), self.n_iterations))
+        table = table or self.work_table()
         if movement_cost_fn is None:
             movement_cost_fn = movement_estimator(
-                self.movement, self.dc_bytes, self.mean_iteration_time)
+                self.movement, self.dc_bytes, table)
         proto = WorkerProtocol(
             self.node, self.members, group=self.group,
             centralized=self.centralized, lb_host=self.lb_host,
             policy=self.policy, table=table,
-            mean_iteration_time=self.mean_iteration_time,
             dc_bytes=self.dc_bytes, movement_cost_fn=movement_cost_fn,
             planner=planner, ft=self.ft,
             profile_window_reset=self.profile_window_reset,
@@ -550,17 +553,18 @@ class WorkerSpec:
         return proto
 
     def build_balancer(self, groups: Sequence[Sequence[int]], *,
+                       table: Optional[WorkTable] = None,
                        movement_cost_fn: Optional[MovementCostFn] = None
                        ) -> BalancerProtocol:
         """The central balancer this worker's lb host runs for ``groups``
-        (it shares the worker's policy, fault-tolerance config and
-        movement-cost estimate)."""
+        (it shares the worker's policy, work table, fault-tolerance
+        config and movement-cost estimate)."""
+        table = table or self.work_table()
         if movement_cost_fn is None:
             movement_cost_fn = movement_estimator(
-                self.movement, self.dc_bytes, self.mean_iteration_time)
+                self.movement, self.dc_bytes, table)
         return BalancerProtocol(
-            self.lb_host, groups, policy=self.policy,
-            mean_iteration_time=self.mean_iteration_time,
+            self.lb_host, groups, policy=self.policy, table=table,
             movement_cost_fn=movement_cost_fn, ft=self.ft)
 
     def to_wire(self) -> dict:
@@ -585,7 +589,6 @@ class WorkerSpec:
             n_iterations=int(run["n_iterations"]),
             iteration_time=tuple(it) if isinstance(it, list) else float(it),
             dc_bytes=int(run["dc_bytes"]),
-            mean_iteration_time=float(run["mean_iteration_time"]),
             movement=tuple(run["movement"]) if run.get("movement") else None,
             ft=ft_from_wire(run["ft"]),
             profile_window_reset=bool(run["profile_window_reset"]),
@@ -611,7 +614,6 @@ class RunPlan:
     spec: StrategySpec
     options: RunOptions
     table: WorkTable
-    mean_iteration_time: float
     #: The run's network graph, resolved once: ``None`` and ``"bus"``
     #: are the same shared bus.  Logical where the transport is flat
     #: (threads share memory): it shapes where work may flow and what
@@ -646,7 +648,7 @@ class RunPlan:
         planner = None
         if spec.code == "DIFF":
             planner = DiffusionPlanner(
-                self.topology, options.policy, self.mean_iteration_time,
+                self.topology, options.policy, self.table,
                 self.movement_cost_fn)
         return groups, planner
 
@@ -688,7 +690,6 @@ def prepare_run(backend: str, loop: LoopSpec, speeds: Sequence[float],
                 for c in fault_plan.crashes} if fault_plan else {}
 
     table = loop.work_table()
-    mean_iteration_time = table.total_work / table.n
     k = options.effective_group_size(n, spec.group_size)
     stats = LoopRunStats(loop_name=loop.name, strategy=spec.name,
                          n_processors=n, group_size=k, backend=backend,
@@ -701,14 +702,12 @@ def prepare_run(backend: str, loop: LoopSpec, speeds: Sequence[float],
     if options.policy.include_movement_cost:
         movement = (options.network.latency, options.network.bandwidth)
     if movement is None or topology.shared_medium:
-        movement_cost_fn = movement_estimator(movement, loop.dc_bytes,
-                                              mean_iteration_time)
+        movement_cost_fn = movement_estimator(movement, loop.dc_bytes, table)
     else:
         movement_cost_fn = make_topology_movement_cost_estimator(
             options.network, topology, dc_bytes=loop.dc_bytes,
-            mean_iteration_time=mean_iteration_time)
+            mean_iteration_time=table.total_work / table.n)
     plan = RunPlan(loop=loop, spec=spec, options=options, table=table,
-                   mean_iteration_time=mean_iteration_time,
                    topology=topology, movement_cost_fn=movement_cost_fn,
                    selector=selector, crash_at=crash_at, stats=stats,
                    recorder=recorder)
@@ -724,8 +723,7 @@ def prepare_run(backend: str, loop: LoopSpec, speeds: Sequence[float],
         group=gid, centralized=bool(spec.is_dlb and spec.centralized),
         lb_host=0, policy=options.policy, n_iterations=loop.n_iterations,
         iteration_time=it if isinstance(it, tuple) else float(it),
-        dc_bytes=loop.dc_bytes, mean_iteration_time=mean_iteration_time,
-        movement=movement, ft=ft,
+        dc_bytes=loop.dc_bytes, movement=movement, ft=ft,
         profile_window_reset=options.profile_window_reset,
         ranges=tuple(parts[node].ranges), is_dlb=bool(spec.is_dlb),
         epoch=0, time_scale=time_scale, crash_at=crash_at.get(node),

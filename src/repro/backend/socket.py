@@ -558,7 +558,8 @@ class _Hub:
                          for node in members}
         self.balancer: Optional[BalancerProtocol] = None
         if plan.workers[0].centralized:
-            self.balancer = plan.workers[0].build_balancer(plan.groups)
+            self.balancer = plan.workers[0].build_balancer(
+                plan.groups, table=plan.table)
         self.port = _HubPort(self)
         self.bal_done = self.balancer is None
 

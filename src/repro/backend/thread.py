@@ -157,7 +157,8 @@ class ThreadBackend(ExecutionBackend):
                 for node, worker in enumerate(plan.workers)]
         if lead.centralized:
             cast.insert(0, (lead.build_balancer(
-                plan.groups, movement_cost_fn=plan.movement_cost_fn),
+                plan.groups, table=plan.table,
+                movement_cost_fn=plan.movement_cost_fn),
                 None, "balancer"))
 
         abort = threading.Event()

@@ -14,19 +14,19 @@ Laplacian) stable: the load vector converges geometrically to uniform
 at rate ``gamma = max(|eigenvalue of M| != 1)`` (see
 :func:`repro.machine.analytics.diffusion_convergence` for the bound).
 
-Indivisibility: iterations cannot be split, so each edge flow is
-floored to a whole number of mean-cost iterations before it ships, and
-an edge whose flow rounds below the policy's minimum transfer is
-skipped.  This quantization is what makes the scheme terminate in
-finitely many sweeps — once all neighbor differences fall below the
-quantum, the plan reports convergence instead of oscillating.
+Indivisibility: iterations cannot be split, so the flows go through the
+quantizer both planners share (``redistribution._quantize``): an edge
+ships when its flow covers the dearest iteration its sender holds, and
+then what the sender's own rule cuts from its tail.  This is what makes
+the scheme terminate in finitely many sweeps — once no neighbour
+difference covers an iteration, the plan reports convergence.
 
 Locality: an edge's flow needs only its two endpoints' loads, and the
 leaving rule below only a node's own row of the sweep, so
 :func:`plan_diffusion` over the profiles of a closed neighbourhood
 ``N[v]`` yields exactly the transfers incident on ``v`` that the
-whole-graph sweep would (pinned by
-``tests/strategies/test_diffusion.py``).  The protocol layer relies on
+whole-graph sweep would, save an incoming parcel's amount, which is its
+sender's to cut (pinned by ``tests/strategies/test_diffusion.py``).  The protocol layer relies on
 that: a ``DIFF`` worker synchronizes with ``N[v]`` only — interrupts,
 profiles, this calculation, the work parcels and the retirement all
 stay one hop from ``v`` (see :mod:`repro.protocol.worker` and
@@ -38,18 +38,19 @@ forward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ..apps.workload import WorkTable
 from ..message.messages import TransferOrder
 from ..network.topology import Topology
 from .policy import DlbPolicy
 from .redistribution import (
-    _TINY_WORK,
     MovementCostFn,
     RedistributionPlan,
     SyncProfile,
+    _quantize,
+    _settle,
     _survey,
 )
 
@@ -68,66 +69,53 @@ def diffusion_alpha(topology: Topology) -> float:
 def plan_diffusion(profiles: Sequence[SyncProfile],
                    topology: Topology,
                    policy: DlbPolicy,
-                   mean_iteration_time: float,
+                   table: WorkTable,
                    movement_cost_fn: Optional[MovementCostFn] = None
                    ) -> RedistributionPlan:
     """One diffusion sweep over the topology edges.
 
     Deterministic pure function of the profiles, and *edge-local*: the
-    flow on ``(u, v)`` is computed from ``w_u`` and ``w_v`` alone.
+    flow on ``(u, v)`` is computed from ``w_u`` and ``w_v`` alone, and
+    whether it ships from the sender's profile.
     There is deliberately no cap by what the sender "still holds" after
     its other edges — such a cap would depend on edges the two endpoints
     cannot both see — and none is needed: a node's total outflow is at
     most ``alpha * deg(u) * w_u < w_u`` for ``alpha = 1 / (1 +
-    max_degree)``, before flooring shrinks it further.
+    max_degree)``.
 
     Nodes absent from ``profiles`` (dead or retired) simply drop out of
     the sweep: their incident edges carry no flow, and the survivors
     keep diffusing over the induced subgraph.  A node that ends the
     sweep holding nothing — no work of its own and no inflow — is
-    listed in ``retire``: nothing reaches it before its neighbours have
-    more than a quantum to spare, so it leaves instead of re-opening a
-    sweep it has nothing to compute in (``done`` when that is everyone).
+    listed in ``retire``: nothing reaches it before a neighbour has an
+    iteration to spare, so it leaves instead of re-opening a sweep it
+    has nothing to compute in (``done`` when that is everyone).
     """
-    if mean_iteration_time <= 0:
-        raise ValueError("mean_iteration_time must be positive")
     survey = _survey(profiles, policy)
     if isinstance(survey, RedistributionPlan):
         return survey
     nodes, work, total, rates, predicted_current = survey
 
-    # -- per-edge flows from the pre-sweep loads (simultaneous FOS),
-    #    floored to whole iterations ------------------------------------
+    # -- per-edge flows from the pre-sweep loads (simultaneous FOS) ------
     alpha = diffusion_alpha(topology)
-    quantum = max(policy.min_transfer_iterations, 1) * mean_iteration_time
-    shares = dict(work)
-    transfers: list[TransferOrder] = []
+    flows: list[TransferOrder] = []
     for u in nodes:
         for v in topology.neighbors(u):
             if v < u or v not in work:
                 continue
             flow = alpha * (work[u] - work[v])
-            amount = math.floor(abs(flow) / mean_iteration_time) \
-                * mean_iteration_time
-            if amount < quantum:
-                continue
             src, dst = (u, v) if flow > 0 else (v, u)
-            shares[src] -= amount
-            shares[dst] += amount
-            transfers.append(TransferOrder(src=src, dst=dst, work=amount))
+            flows.append(TransferOrder(src=src, dst=dst, work=abs(flow)))
+    transfers, holding = _quantize(flows, profiles, table, edge_local=True)
 
-    # Converged (all neighbor differences below the quantum) or not,
+    # Converged (no neighbour difference covers an iteration) or not,
     # whoever ends the sweep empty-handed leaves.
-    idle = tuple(n for n in nodes if shares[n] <= _TINY_WORK)
-    stay = tuple(n for n in nodes if shares[n] > _TINY_WORK)
     movement_cost = 0.0
     if transfers and movement_cost_fn is not None:
         movement_cost = movement_cost_fn(transfers)
-    return RedistributionPlan(
-        done=False, move=bool(transfers),
-        reason="diffused" if transfers else "diffusion-converged",
-        shares={n: shares[n] for n in stay}, transfers=tuple(transfers),
-        retire=idle, active=stay,
+    return _settle(
+        nodes, nodes, holding, transfers,
+        "diffused" if transfers else "diffusion-converged",
         predicted_current=predicted_current,
         predicted_balanced=total / sum(rates[n] for n in nodes),
         work_to_move=sum(t.work for t in transfers),
@@ -148,14 +136,13 @@ class DiffusionPlanner:
 
     topology: Topology
     policy: DlbPolicy
-    mean_iteration_time: float
+    table: WorkTable
     movement_cost_fn: Optional[MovementCostFn] = None
 
     def __call__(self, profiles: Sequence[SyncProfile]
                  ) -> RedistributionPlan:
         return plan_diffusion(profiles, self.topology, self.policy,
-                              self.mean_iteration_time,
-                              self.movement_cost_fn)
+                              self.table, self.movement_cost_fn)
 
     def scope(self, node: int) -> tuple[int, ...]:
         """``N[node]``: the nodes ``node`` synchronizes with, itself

@@ -24,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ...apps.workload import LoopSpec
+from ...apps.workload import LoopSpec, WorkTable
 from ...machine.cluster import ClusterSpec, form_groups
 from ...machine.workstation import Workstation
 from ...network.characterization import CommCostModel
@@ -136,6 +136,8 @@ def predict_strategy(loop: LoopSpec, cluster: ClusterSpec,
                                 movement_model=movement_model)
     table = loop.work_table()
     mean_iter = table.total_work / table.n
+    # The planners cut orders from tails: here, one mean-cost block each.
+    mean_table = WorkTable(mean_iter, table.n)
     initial = _initial_work(loop, n)
     movement_cost_fn = None
     if policy.include_movement_cost:
@@ -148,10 +150,10 @@ def predict_strategy(loop: LoopSpec, cluster: ClusterSpec,
 
         def run_planner(profiles: Sequence[SyncProfile]):
             return plan_diffusion(profiles, diff_topology, policy,
-                                  mean_iter, movement_cost_fn)
+                                  mean_table, movement_cost_fn)
     else:
         def run_planner(profiles: Sequence[SyncProfile]):
-            return plan_redistribution(profiles, policy, mean_iter,
+            return plan_redistribution(profiles, policy, mean_table,
                                        movement_cost_fn)
 
     groups = [_GroupState(members=m, active=list(m),
@@ -214,11 +216,11 @@ def predict_strategy(loop: LoopSpec, cluster: ClusterSpec,
             overhead += service
 
         # -- plan with the shared decision logic --------------------------
+        counts = {i: max(1, round(g.work[i] / mean_iter))
+                  if g.work[i] > 0 else 0 for i in g.active}
         profiles = [SyncProfile(node=i, remaining_work=g.work[i],
-                                remaining_count=max(
-                                    1, int(round(g.work[i] / mean_iter)))
-                                if g.work[i] > 0 else 0,
-                                rate=rates[i])
+                                remaining_count=counts[i], rate=rates[i],
+                                ranges=((0, counts[i]),))
                     for i in sorted(g.active)]
         plan = run_planner(profiles)
 

@@ -23,6 +23,11 @@ __all__ = ["DlbPolicy"]
 class DlbPolicy:
     """Run-time load balancing policy parameters.
 
+    That work moves in whole iterations (§3.3) is no knob: both planners
+    cut every order from its sender's tail by the sender's own rule, so
+    an order that would ship no whole iteration is never made, and a
+    node left holding nothing retires (:mod:`repro.core.redistribution`).
+
     Attributes
     ----------
     improvement_threshold:
@@ -34,15 +39,6 @@ class DlbPolicy:
     min_move_fraction:
         Skip redistribution when the work to move is below this fraction
         of the work remaining in the synchronization domain.
-    min_move_iterations:
-        Absolute floor on the same threshold, in (mean) iterations:
-        moving less than one whole iteration cannot help and, worse,
-        sub-iteration plans round to empty transfers — processors would
-        synchronize forever over un-movable crumbs.
-    min_transfer_iterations:
-        Individual transfer orders below this many mean iterations are
-        dropped from the plan (they would round to zero iterations at
-        the sender anyway).
     retire_fraction:
         A processor whose new share would be below this fraction of one
         *mean* iteration is retired (its share is spread over the rest).
@@ -64,8 +60,6 @@ class DlbPolicy:
     improvement_threshold: float = 0.10
     include_movement_cost: bool = False
     min_move_fraction: float = 0.02
-    min_move_iterations: float = 1.0
-    min_transfer_iterations: float = 0.5
     retire_fraction: float = 0.5
     delta_seconds: float = 2.0e-3
     context_switch_seconds: float = 2.0e-3
@@ -77,8 +71,6 @@ class DlbPolicy:
             raise ValueError("improvement_threshold must be in [0, 1)")
         if not 0 <= self.min_move_fraction < 1:
             raise ValueError("min_move_fraction must be in [0, 1)")
-        if self.min_move_iterations < 0 or self.min_transfer_iterations < 0:
-            raise ValueError("iteration thresholds must be non-negative")
         if self.retire_fraction < 0:
             raise ValueError("retire_fraction must be non-negative")
         if (self.delta_seconds < 0 or self.context_switch_seconds < 0

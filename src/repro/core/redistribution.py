@@ -6,6 +6,10 @@ observed rate per processor — it computes the paper's new distribution
 (eq. 3: share proportional to average effective speed), the amount of
 work to move, the transfer orders, and runs the profitability analysis.
 
+Both planners (eq. 3 here, diffusion in :mod:`repro.core.diffusion`)
+cut their orders into whole iterations with one quantizer: an order is
+exactly what its sender will ship.
+
 The same pure function is called by:
 
 * the central load balancer (GCDLB / LCDLB),
@@ -18,9 +22,10 @@ The same pure function is called by:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Collection, Optional, Sequence, TYPE_CHECKING
 
-from ..message.messages import TransferOrder
+from ..apps.workload import WorkTable
+from ..message.messages import ProfileMsg, TransferOrder
 from ..network.parameters import transfer_seconds
 from .policy import DlbPolicy
 
@@ -34,6 +39,8 @@ __all__ = ["SyncProfile", "RedistributionPlan",
 
 _TINY_WORK = 1e-12
 
+Range = tuple[int, int]
+
 
 @dataclass(frozen=True)
 class SyncProfile:
@@ -41,13 +48,16 @@ class SyncProfile:
 
     ``rate`` is work (base-processor seconds) completed per busy second
     since the last synchronization — the implementation's estimate of
-    the paper's average effective speed ``S_i / mu_i``.
+    the paper's average effective speed ``S_i / mu_i``.  ``ranges`` are
+    the iterations it holds, in assignment order: the tail its orders
+    are cut from.
     """
 
     node: int
     remaining_work: float
     remaining_count: int
     rate: float
+    ranges: tuple[Range, ...] = ()
 
     def __post_init__(self) -> None:
         if self.remaining_work < 0 or self.remaining_count < 0:
@@ -55,14 +65,22 @@ class SyncProfile:
         if self.rate < 0:
             raise ValueError("rate must be non-negative")
 
+    @classmethod
+    def of(cls, profile: ProfileMsg) -> "SyncProfile":
+        """The planner-facing view of a profile message."""
+        return cls(node=profile.src, remaining_work=profile.remaining_work,
+                   remaining_count=profile.remaining_count,
+                   rate=profile.rate, ranges=profile.ranges)
+
 
 @dataclass(frozen=True)
 class RedistributionPlan:
     """The outcome of one synchronization point.
 
-    ``shares`` maps each *kept* node to its target work; ``transfers``
-    are the sender → receiver orders realizing it; ``retire`` lists
-    nodes that exit (their work, if any, is part of the transfers).
+    ``transfers`` are the sender → receiver orders, each carrying the
+    work its sender ships; ``shares`` maps each *kept* node to the work
+    it then holds; ``retire`` lists nodes that exit (their work, if any,
+    is part of the transfers).
     ``predicted_current`` / ``predicted_balanced`` are the §3.4
     profitability quantities.
     """
@@ -210,17 +228,78 @@ def _survey(profiles: Sequence[SyncProfile], policy: DlbPolicy):
     return nodes, work, total, rates, predicted_current
 
 
+def _quantize(orders: Sequence[TransferOrder],
+              profiles: Sequence[SyncProfile], table: WorkTable,
+              retiring: Collection[int] = (), *, edge_local: bool = False
+              ) -> tuple[tuple[TransferOrder, ...], dict[int, float]]:
+    """Cut every order from its sender's tail, as the sender will.
+
+    Replays, in plan order, the sender's own rule
+    (``WorkerProtocol._apply_outcome``: ``Assignment.take_tail_work``,
+    a retiring sender's last order taking all) on a copy of its ranges:
+    an order that would ship no whole iteration is dropped, every other
+    carries the work it ships.  ``edge_local``: the receiver of a
+    neighbour-local plan does not see its sender's other orders, so an
+    order is kept only when it covers the dearest iteration the sender
+    holds — it ships one whatever those cut first, as long as they add
+    up to less than the sender holds (diffusion's ``alpha`` sees to it).
+
+    Returns the kept orders and the work every node then holds.
+    """
+    from ..runtime.assignment import Assignment  # runtime imports core
+
+    held = {p.node: p.ranges for p in profiles}
+    holding = {p.node: p.remaining_work for p in profiles}
+    last = {t.src: i for i, t in enumerate(orders)}
+    tails: dict[int, Assignment] = {}
+    kept: list[TransferOrder] = []
+    for i, order in enumerate(orders):
+        src = order.src
+        if edge_local and order.work < max(
+                (table.max_cost(s, e) for s, e in held[src]),
+                default=float("inf")):
+            continue
+        if src not in tails:
+            tails[src] = Assignment(held[src])
+        if src in retiring and i == last[src]:
+            shipped, work = tails[src].take_all(), holding[src]
+        else:
+            shipped, _ = tails[src].take_tail_work(
+                table, order.work, keep_one=src not in retiring)
+            work = sum(table.range_work(s, e) for s, e in shipped)
+        if shipped:
+            kept.append(TransferOrder(src, order.dst, work))
+            holding[src] -= work
+            holding[order.dst] += work
+    return tuple(kept), holding
+
+
+def _settle(nodes: Sequence[int], candidates: Sequence[int],
+            holding: dict[int, float], transfers: tuple[TransferOrder, ...],
+            reason: str, **estimates: float) -> RedistributionPlan:
+    """The plan under which every node ends holding ``holding``: the
+    ``candidates`` still holding work stay, everyone else retires."""
+    active = tuple(n for n in candidates if holding[n] > _TINY_WORK)
+    return RedistributionPlan(
+        done=False, move=bool(transfers), reason=reason,
+        shares={n: holding[n] for n in active}, transfers=transfers,
+        retire=tuple(n for n in nodes if n not in active), active=active,
+        **estimates)
+
+
 def plan_redistribution(profiles: Sequence[SyncProfile],
                         policy: DlbPolicy,
-                        mean_iteration_time: float,
+                        table: WorkTable,
                         movement_cost_fn: Optional[MovementCostFn] = None
                         ) -> RedistributionPlan:
     """Compute the new distribution for one synchronization point.
 
     Implements, in order: termination check (eq. 4), rate flooring, the
     proportional new distribution (eq. 3) with retirement of processors
-    whose share would round to no whole iteration, the amount-moved
-    check (§3.3), and the 10% profitability test (§3.4).
+    whose share is under ``retire_fraction`` of a mean iteration, the
+    amount-moved check (§3.3), the orders cut into whole iterations of
+    their senders' tails (:func:`_quantize`), and the 10% profitability
+    test (§3.4).  A node the plan leaves holding nothing retires.
     """
     survey = _survey(profiles, policy)
     if isinstance(survey, RedistributionPlan):
@@ -230,7 +309,7 @@ def plan_redistribution(profiles: Sequence[SyncProfile],
     # -- proportional shares with retirement (eq. 3) ----------------------
     kept = list(nodes)
     shares: dict[int, float] = {}
-    retire_threshold = policy.retire_fraction * mean_iteration_time
+    retire_threshold = policy.retire_fraction * (table.total_work / table.n)
     for _ in range(len(nodes)):
         rate_sum = sum(rates[n] for n in kept)
         shares = {n: total * rates[n] / rate_sum for n in kept}
@@ -243,46 +322,24 @@ def plan_redistribution(profiles: Sequence[SyncProfile],
     # -- amount of work moved: Phi(j) = 1/2 sum |alpha - beta| -----------
     deltas = {n: work[n] - shares.get(n, 0.0) for n in nodes}
     work_to_move = 0.5 * sum(abs(d) for d in deltas.values())
+    predicted_balanced = total / sum(rates[n] for n in kept)
 
     def no_move(reason: str) -> RedistributionPlan:
-        idle = tuple(n for n in nodes if work[n] <= _TINY_WORK)
-        stay = tuple(n for n in nodes if n not in idle)
-        return RedistributionPlan(
-            done=False, move=False, reason=reason,
-            shares={n: work[n] for n in stay}, transfers=(),
-            retire=idle, active=stay,
-            predicted_current=predicted_current,
-            predicted_balanced=total / sum(rates[n] for n in kept),
-            work_to_move=work_to_move)
+        return _settle(nodes, nodes, work, (), reason,
+                       predicted_current=predicted_current,
+                       predicted_balanced=predicted_balanced,
+                       work_to_move=work_to_move)
 
-    move_floor = max(policy.min_move_fraction * total,
-                     policy.min_move_iterations * mean_iteration_time)
-    if work_to_move < move_floor:
+    if work_to_move < policy.min_move_fraction * total:
         return no_move("below-move-threshold")
-
-    transfers = tuple(_match_transfers(deltas))
-    # Orders too small to round to a whole iteration at the sender are
-    # dropped (they would materialize as empty messages) — except from
-    # retiring senders, whose remaining work must ship somewhere.
-    transfer_floor = policy.min_transfer_iterations * mean_iteration_time
-    retired_set = set(retired)
-    transfers = tuple(t for t in transfers
-                      if t.work >= transfer_floor or t.src in retired_set)
+    transfers, holding = _quantize(_match_transfers(deltas), profiles,
+                                   table, retired)
     if not transfers:
         return no_move("below-move-threshold")
-    # Realizable shares: what each kept node actually ends up holding
-    # under the (possibly filtered) transfer list.
-    final = dict(work)
-    for t in transfers:
-        final[t.src] -= t.work
-        final[t.dst] += t.work
-    shares = {n: max(final[n], 0.0) for n in kept}
 
     movement_cost = 0.0
     if movement_cost_fn is not None:
         movement_cost = movement_cost_fn(transfers)
-
-    predicted_balanced = total / sum(rates[n] for n in kept)
     predicted_with_cost = predicted_balanced
     if policy.include_movement_cost:
         predicted_with_cost += movement_cost
@@ -290,9 +347,7 @@ def plan_redistribution(profiles: Sequence[SyncProfile],
     if predicted_with_cost > (1.0 - policy.improvement_threshold) * predicted_current:
         return no_move("unprofitable")
 
-    return RedistributionPlan(
-        done=False, move=True, reason="moved", shares=shares,
-        transfers=transfers, retire=retired, active=tuple(kept),
-        predicted_current=predicted_current,
-        predicted_balanced=predicted_balanced,
-        work_to_move=work_to_move, movement_cost=movement_cost)
+    return _settle(nodes, kept, holding, transfers, "moved",
+                   predicted_current=predicted_current,
+                   predicted_balanced=predicted_balanced,
+                   work_to_move=work_to_move, movement_cost=movement_cost)

@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 #: Major version negotiated in HELLO/WELCOME; a hub refuses mismatches.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame (type byte + body); a longer length prefix
 #: means a corrupt or hostile stream and kills the connection.
@@ -172,7 +172,7 @@ class FrameDecoder:
 _MSG_FIELDS: dict[str, tuple[type, tuple[str, ...]]] = {
     "interrupt": (InterruptMsg, ("group",)),
     "profile": (ProfileMsg, ("group", "remaining_work", "remaining_count",
-                             "rate")),
+                             "rate", "ranges")),
     "instruction": (InstructionMsg, ("group", "outgoing", "incoming",
                                      "retire", "done", "active",
                                      "select_scheme", "select_group_size",
@@ -223,7 +223,7 @@ def message_from_wire(body: dict) -> Message:
         fields["incoming_srcs"] = tuple(
             int(n) for n in fields.get("incoming_srcs", ()))
         fields["grant"] = _pairs(fields.get("grant"))
-    elif tag == "work":
+    elif tag in ("work", "profile"):
         fields["ranges"] = _pairs(fields.get("ranges"))
     elif tag == "control" and isinstance(fields.get("payload"), list):
         # Range payloads (leave/grant bookkeeping) round-trip as tuples.

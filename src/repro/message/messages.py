@@ -81,12 +81,15 @@ class ProfileMsg(Message):
     ``rate`` is base-processor-seconds of work completed per busy second
     since the last synchronization point — for a uniform loop this is the
     paper's "iterations per second" metric scaled by the iteration time.
+    ``ranges`` (the iterations the sender holds, so that planners cut
+    orders as the sender will) are left out of the modelled size.
     """
 
     group: int = 0
     remaining_work: float = 0.0
     remaining_count: int = 0
     rate: float = 0.0
+    ranges: tuple[tuple[int, int], ...] = ()
 
     tag: ClassVar[Tag] = Tag.PROFILE
 

@@ -12,6 +12,14 @@ What only one backend can supply reaches the pump through two optional
 ports, ``None`` everywhere but the simulator: :attr:`select` (the §4.3
 customized selection) and :attr:`claim_orphans` (the fault controller's
 reclaim pool).
+
+Progress is an invariant, not a detector's job: *between two syncs of a
+group, a member executes an iteration, a whole iteration changes hands,
+or a member retires* — every planned order ships a whole iteration, a
+node a plan leaves holding nothing retires
+(:mod:`repro.core.redistribution`), and a worker holding work executes
+an iteration per epoch before it honours an interrupt
+(``NodeRuntime._stop_at_boundary``, ``driver._compute``).
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from collections import deque
 from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
+from ..apps.workload import WorkTable
 from ..core.policy import DlbPolicy
 from ..core.redistribution import (
     MovementCostFn,
@@ -33,6 +42,7 @@ from ..message.messages import (
     ProfileMsg,
     Tag,
 )
+from ..runtime.assignment import merge_ranges
 from ..runtime.options import FaultToleranceConfig
 from . import commands as C
 from . import events as E
@@ -52,7 +62,7 @@ class BalancerProtocol:
 
     def __init__(self, host: int, groups: Sequence[Sequence[int]], *,
                  policy: DlbPolicy,
-                 mean_iteration_time: float,
+                 table: WorkTable,
                  movement_cost_fn: Optional[MovementCostFn] = None,
                  ft: Optional[FaultToleranceConfig] = None) -> None:
         self.host = host
@@ -60,7 +70,7 @@ class BalancerProtocol:
         self.group_of = {node: g for g, members in enumerate(self.groups)
                          for node in members}
         self.policy = policy
-        self.mean_iteration_time = mean_iteration_time
+        self.table = table
         self.movement_cost_fn = movement_cost_fn
         self.ft = ft or FaultToleranceConfig()
         #: §4.3 port: called once, with the first service's profiles;
@@ -154,9 +164,7 @@ class BalancerProtocol:
         # File the profile; the group is ready once every active member
         # has reported.
         box = self.pending.setdefault(gid, {})
-        box[msg.src] = SyncProfile(
-            node=msg.src, remaining_work=msg.remaining_work,
-            remaining_count=msg.remaining_count, rate=msg.rate)
+        box[msg.src] = SyncProfile.of(msg)
         if set(box) >= self.group_active.get(gid, set()) \
                 and gid not in self.ready:
             self.ready.append(gid)
@@ -254,7 +262,8 @@ class BalancerProtocol:
                     profiles[0] = replace(
                         low, remaining_work=low.remaining_work + work,
                         remaining_count=low.remaining_count
-                        + sum(e - s for s, e in granted))
+                        + sum(e - s for s, e in granted),
+                        ranges=tuple(merge_ranges(low.ranges + granted)))
             scheme, group_size, stays = "", 0, True
             if self.select is not None:
                 # §4.3: evaluate the model at the first synchronization
@@ -266,8 +275,7 @@ class BalancerProtocol:
             # out of the balancer on the shared master processor.
             cmds.append(C.Charge(policy.delta_seconds
                                  + 2.0 * policy.context_switch_seconds))
-            plan = plan_redistribution(profiles, policy,
-                                       self.mean_iteration_time,
+            plan = plan_redistribution(profiles, policy, self.table,
                                        self.movement_cost_fn)
             cmds.append(C.RecordSync(gid, epoch, plan))
             for node in sorted(self.group_active[gid]):

@@ -117,7 +117,6 @@ class WorkerProtocol:
                  lb_host: int = 0,
                  policy: DlbPolicy,
                  table: WorkTable,
-                 mean_iteration_time: float,
                  dc_bytes: int = 0,
                  movement_cost_fn: Optional[MovementCostFn] = None,
                  planner: Optional[DiffusionPlanner] = None,
@@ -134,7 +133,6 @@ class WorkerProtocol:
         self.lb_host = lb_host
         self.policy = policy
         self.table = table
-        self.mean_iteration_time = mean_iteration_time
         self.dc_bytes = dc_bytes
         self.movement_cost_fn = movement_cost_fn
         #: ``None`` plans with the paper's eq.-3 proportional planner
@@ -345,7 +343,8 @@ class WorkerProtocol:
         profile = ProfileMsg(
             src=self.me, dst=self.me, epoch=self.epoch, group=self.group,
             remaining_work=self.assignment.work(self.table),
-            remaining_count=self.assignment.count, rate=self.rate)
+            remaining_count=self.assignment.count, rate=self.rate,
+            ranges=tuple(self.assignment.ranges))
         if self.ft_enabled:
             # Resend requests are answered from the last two epochs.
             self._profile_cache[self.epoch] = profile
@@ -355,7 +354,7 @@ class WorkerProtocol:
             self._sent_profile = replace(profile, dst=self.lb_host)
             return cmds + [C.Send(self._sent_profile),
                            self._await_instruction()]
-        self._profiles = {self.me: _sync_profile(profile)}
+        self._profiles = {self.me: SyncProfile.of(profile)}
         self._missing = set(others)
         self._rounds = {p: 0 for p in others}
         cmds += [C.Send(replace(profile, dst=o)) for o in others]
@@ -455,7 +454,7 @@ class WorkerProtocol:
                 # The neighbour left: no flow on our edge, ever again.
                 self._drop_peer(msg.src)
             elif msg.epoch == self.epoch:
-                self._profiles[msg.src] = _sync_profile(msg)
+                self._profiles[msg.src] = SyncProfile.of(msg)
                 self._missing.discard(msg.src)
                 self._rounds.pop(msg.src, None)
             else:
@@ -611,9 +610,8 @@ class WorkerProtocol:
         ordered = sorted(self._profiles.values(), key=lambda p: p.node)
         if self.neighbour_scope:
             return self._on_charged_sweep(self.planner(ordered))
-        plan = plan_redistribution(
-            ordered, self.policy, self.mean_iteration_time,
-            self.movement_cost_fn)
+        plan = plan_redistribution(ordered, self.policy, self.table,
+                                   self.movement_cost_fn)
         cmds: list[C.Command] = [C.RecordSync(self.group, self.epoch, plan)]
         if plan.done:
             return cmds + self._terminate("done")
@@ -694,13 +692,6 @@ class WorkerProtocol:
         self._pending_count = incoming_count
         self._attempt = 0
         return cmds + self._await_work()
-
-
-def _sync_profile(profile: ProfileMsg) -> SyncProfile:
-    """The planner-facing view of a profile message."""
-    return SyncProfile(
-        node=profile.src, remaining_work=profile.remaining_work,
-        remaining_count=profile.remaining_count, rate=profile.rate)
 
 
 _HANDLERS = {

@@ -53,7 +53,8 @@ class CentralBalancer(SimPort):
         self.session = session
         self.me = session.lb_host
         self.protocol = session.plan.workers[self.me].build_balancer(
-            session.groups, movement_cost_fn=session.plan.movement_cost_fn)
+            session.groups, table=session.table,
+            movement_cost_fn=session.plan.movement_cost_fn)
         if session.selector is not None:
             self.protocol.select = self._select
         if session.controller is not None:

@@ -107,8 +107,10 @@ class NodeRuntime(SimPort):
         self.track = f"node{node_id}"
         # Periodic synchronization (Dome/Siegell model, §2.2 ablation):
         # the lowest-numbered active group member is the clock; under
-        # neighbour scope every node is its own.
-        self.periodic = session.options.sync_mode == "periodic"
+        # neighbour scope every node is its own.  A static run has no
+        # sync to clock.
+        self.periodic = (session.options.sync_mode == "periodic"
+                         and session.strategy.is_dlb)
         self.next_deadline = session.env.now + session.options.sync_period
 
         session.nodes[node_id] = self
@@ -462,8 +464,7 @@ class NodeRuntime(SimPort):
             return "finished"
         total = self.assignment.work(table)
         consumed = 0.0
-        clock_duty = (self.periodic and session.strategy.is_dlb
-                      and self._is_clock())
+        clock_duty = self.periodic and self._is_clock()
         while True:
             if self._pending_interrupt() is not None:
                 # The flag was raised while we were not interruptible
@@ -506,11 +507,13 @@ class NodeRuntime(SimPort):
 
     def _stop_at_boundary(self, consumed: float
                           ) -> Generator[Event, None, str]:
-        """Finish the iteration in flight, book completed work, stop."""
+        """Finish the iteration in flight — at least one: progress, as
+        :mod:`repro.protocol.balancer` states it — book it, stop."""
         session = self.session
         env = session.env
         table = session.table
-        k = self.assignment.head_count_for_work(table, consumed, round_up=True)
+        k = max(self.assignment.head_count_for_work(table, consumed,
+                                                    round_up=True), 1)
         boundary_work = self.assignment.head_work(table, k)
         extra = boundary_work - consumed
         if extra > _EPS:
@@ -519,8 +522,6 @@ class NodeRuntime(SimPort):
             self.rec.complete("compute", env.now, t_end - env.now,
                               track=self.track)
             yield env.timeout(t_end - env.now)
-        if k > 0:
-            self.protocol.note_work(boundary_work)
-            executed = self.assignment.take_head(k)
-            session.ledger.executed(self.me, executed)
+        self.protocol.note_work(boundary_work)
+        session.ledger.executed(self.me, self.assignment.take_head(k))
         return "interrupted"

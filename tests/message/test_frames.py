@@ -53,7 +53,7 @@ def test_frame_layout_byte_for_byte():
 
 def test_hello_frame_example():
     data = encode_frame(FrameType.HELLO, {"v": PROTOCOL_VERSION})
-    assert data.hex() == "00000008017b2276223a317d"
+    assert data.hex() == "00000008017b2276223a327d"
 
 
 def test_canonical_json_is_unique():
@@ -187,7 +187,7 @@ def test_decoder_rejects_bad_length_mid_stream():
 _SAMPLES = [
     InterruptMsg(src=3, dst=0, epoch=5, group=1),
     ProfileMsg(src=2, dst=0, epoch=1, group=0, remaining_work=3.5,
-               remaining_count=7, rate=0.5),
+               remaining_count=7, rate=0.5, ranges=((13, 20),)),
     InstructionMsg(src=0, dst=2, epoch=4, group=0,
                    outgoing=(TransferOrder(2, 1, 1.5),
                              TransferOrder(2, 3, 0.25)),
@@ -222,11 +222,11 @@ def test_wire_body_carries_routing_header():
 def test_profile_body_canonical_bytes():
     # The docs/WIRE_PROTOCOL.md MSG example, byte-for-byte.
     msg = ProfileMsg(src=2, dst=0, epoch=1, group=0, remaining_work=3.5,
-                     remaining_count=7, rate=0.5)
+                     remaining_count=7, rate=0.5, ranges=((13, 20),))
     frame = encode_frame(FrameType.MSG, message_to_wire(msg))
-    assert frame[5:] == (b'{"dst":0,"epoch":1,"group":0,"rate":0.5,'
-                         b'"remaining_count":7,"remaining_work":3.5,'
-                         b'"src":2,"tag":"profile"}')
+    assert frame[5:] == (b'{"dst":0,"epoch":1,"group":0,"ranges":[[13,20]],'
+                         b'"rate":0.5,"remaining_count":7,'
+                         b'"remaining_work":3.5,"src":2,"tag":"profile"}')
 
 
 def test_unknown_body_keys_ignored():
@@ -248,6 +248,16 @@ def test_unknown_tag_rejected():
 def test_policy_round_trip():
     policy = DlbPolicy(improvement_threshold=0.25, min_move_fraction=0.02)
     assert policy_from_wire(policy_to_wire(policy)) == policy
+
+
+def test_welcome_policy_example():
+    # The docs/WIRE_PROTOCOL.md WELCOME ``run.policy``, byte-for-byte.
+    body = encode_frame(FrameType.WELCOME, policy_to_wire(DlbPolicy()))[5:]
+    assert body == (b'{"context_switch_seconds":0.002,"delta_seconds":0.002,'
+                    b'"improvement_threshold":0.1,'
+                    b'"include_movement_cost":false,'
+                    b'"min_move_fraction":0.02,"rate_floor_fraction":0.001,'
+                    b'"retire_fraction":0.5,"selection_seconds":0.05}')
 
 
 def test_policy_ignores_unknown_keys():

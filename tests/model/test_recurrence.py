@@ -89,15 +89,16 @@ def test_gamma_termination():
 def test_planner_matches_eq3():
     """The production planner's shares follow eq. 3 exactly when no
     thresholding interferes."""
+    from repro.apps.workload import WorkTable
     from repro.core.policy import DlbPolicy
     from repro.core.redistribution import SyncProfile, plan_redistribution
     beta = [6.0, 0.0]
     rates = [1.0, 0.5]   # S_i / mu_i
     plan = plan_redistribution(
-        [SyncProfile(0, beta[0], 600, rates[0]),
+        [SyncProfile(0, beta[0], 600, rates[0], ((0, 600),)),
          SyncProfile(1, beta[1], 0, rates[1])],
         DlbPolicy(min_move_fraction=0.0, improvement_threshold=0.0),
-        mean_iteration_time=0.01)
+        WorkTable(0.01, 600))
     expected = new_distribution(beta, [1.0, 1.0], [1.0, 2.0])
     assert plan.move
     assert plan.shares[0] == pytest.approx(expected[0])

@@ -38,8 +38,7 @@ def make_worker(me, members, *, centralized, table, ranges=(),
                 planner=None) -> WorkerProtocol:
     return WorkerProtocol(
         me, members, group=group, centralized=centralized, lb_host=0,
-        policy=DlbPolicy(), table=table,
-        mean_iteration_time=COST, dc_bytes=100, planner=planner,
+        policy=DlbPolicy(), table=table, dc_bytes=100, planner=planner,
         ft=ft, assignment=Assignment(ranges), is_dlb=is_dlb)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.workload import WorkTable
 from repro.core.policy import DlbPolicy
 from repro.message.messages import ControlMsg, InstructionMsg, ProfileMsg, Tag
 from repro.protocol import (
@@ -28,7 +29,7 @@ from repro.protocol import (
 )
 from repro.runtime.options import FaultToleranceConfig
 
-from .conftest import COST, all_of, only
+from .conftest import COST, N_ITER, all_of, only
 
 FT = FaultToleranceConfig(enabled=True, request_timeout=0.05, backoff=2.0,
                           max_retries=2)
@@ -36,13 +37,15 @@ FT = FaultToleranceConfig(enabled=True, request_timeout=0.05, backoff=2.0,
 
 def make_balancer(groups, *, ft=None):
     return BalancerProtocol(0, groups, policy=DlbPolicy(),
-                            mean_iteration_time=COST, ft=ft)
+                            table=WorkTable(COST, N_ITER), ft=ft)
 
 
 def profile(src, *, epoch=0, group=0, count=16, rate=1.0):
+    """``src`` holding the first ``count`` iterations of the table (the
+    planner cuts each sender's orders from its own copy)."""
     return ProfileMsg(src=src, dst=0, epoch=epoch, group=group,
-                      remaining_work=count * COST / rate,
-                      remaining_count=count, rate=rate)
+                      remaining_work=count * COST, remaining_count=count,
+                      rate=rate, ranges=((0, count),) if count else ())
 
 
 def test_global_group_round(capsys=None):

@@ -111,9 +111,11 @@ def test_periodic_sweeps_run_on_every_nodes_own_clock(kind, p, hardened):
 def test_one_sync_record_per_sweep():
     """64 nodes each report their part of a sweep; the run books one
     synchronization per epoch, whose moved work and transfer count are
-    sums over the senders."""
-    loop = LoopSpec(name="skew", n_iterations=256, iteration_time=tuple(
-        0.0005 + 0.004 * (i / 256) for i in range(256)), dc_bytes=400)
+    sums over the senders.  Sixteen iterations a node: with four, no
+    edge's flow covers one of the dear tail iterations, so no sweep
+    ships anything."""
+    loop = LoopSpec(name="skew", n_iterations=1024, iteration_time=tuple(
+        0.0005 + 0.004 * (i / 1024) for i in range(1024)), dc_bytes=400)
     stats = run_loop(loop, _cluster(64, max_load=5), "DIFF",
                      RunOptions(topology="torus"))
     epochs = [s.epoch for s in stats.syncs]

@@ -130,7 +130,7 @@ class FakeCluster:
             self.events["balancer"] = []
             self.conversation["balancer"] = []
             balancer = BalancerProtocol(0, groups, policy=DlbPolicy(),
-                                        mean_iteration_time=COST)
+                                        table=table)
             self._spy("balancer", balancer)
             self.pumps["balancer"] = drive(
                 balancer, self.ports["balancer"], self.inboxes["balancer"],
@@ -251,7 +251,7 @@ def test_simulator_and_driver_hold_the_same_conversation(
         groups = [[0, 1], [2, 3]]
     n, n_groups = len(blocks), len(groups or [0])
     centralized = strategy in ("GCDLB", "LCDLB")
-    planner = DiffusionPlanner(Topology.bus(2), DlbPolicy(), COST) \
+    planner = DiffusionPlanner(Topology.bus(2), DlbPolicy(), table) \
         if strategy == "DIFF" else None
     cluster = FakeCluster(table, blocks, centralized=centralized,
                           planner=planner, groups=groups)
@@ -443,7 +443,7 @@ def test_hardened_waits_leave_what_is_not_theirs_in_the_mailbox(table):
     def profile(epoch):
         return ProfileMsg(src=1, dst=0, epoch=epoch, group=0,
                           remaining_work=8 * COST, remaining_count=8,
-                          rate=1.0)
+                          rate=1.0, ranges=((4, 12),))
     assert not gather.matches(profile(1))
     assert not gather.matches(
         ControlMsg(src=1, dst=0, epoch=0, kind="resend-profile"))

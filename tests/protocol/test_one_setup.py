@@ -163,8 +163,7 @@ def test_the_balancer_prices_a_transfer_like_its_workers(backend):
     cost = plan.movement_cost_fn(transfers)
     assert balancer.movement_cost_fn(transfers) == cost
     assert worker.movement_cost_fn(transfers) == cost
-    latency_only = movement_estimator(lead.movement, 0,
-                                      lead.mean_iteration_time)
+    latency_only = movement_estimator(lead.movement, 0, plan.table)
     assert cost > latency_only(transfers)
 
 

@@ -82,9 +82,19 @@ _FAULT_PLAN = FaultPlan(
 # SHA-256 fingerprints captured from the pre-optimization DES kernel
 # (commit 697a927).  See module docstring before ever editing these.
 EXPECTED = {
-    "CUSTOM": "84d5db3cd672f5cd364b2c0252b3f0b493a0a1ef5a1bf41de955ca8d940f836c",
-    "GCDLB": "c921a704e34804d70dda8202a24dcdab9f8d21e8faf32f447561b08b2a391e69",
-    "GDDLB": "3d9b9f658de62bdfb56ba012282dc5a23ac9675dc571cd57e454a45551bc51b0",
+    # The CUSTOM, GCDLB, GDDLB and faulted digests were re-pinned when
+    # both planners began cutting every order from its sender's tail
+    # (one quantizer, core/redistribution.py): in each of these four
+    # runs the epoch-0 plan ordered node 1 to send node 3 work its tail
+    # could not cover, which shipped as an empty parcel; the order is
+    # now never made, and nodes 3 and 4, left holding nothing, retire
+    # at that sync instead of synchronizing again at once.  These are
+    # exactly the digests whose runs shipped an empty parcel; every
+    # other digest here and in test_topology_seed_identity.py /
+    # test_cross_backend.py held untouched across it.
+    "CUSTOM": "58821cabda2c0d27726626ceaec689e351b8540a9cc390b2fa588d3c8956273e",
+    "GCDLB": "f19fe5c1f85783f6825d9b9504724763b7774050e5571a777cb3ba9368fe30e4",
+    "GDDLB": "7f8fb82cef12ea50cac9be14bb908dbc2cf4169d4e7abe7b3d05a23750ca4fad",
     "LCDLB": "6df2948713594c86c20f9ed177c2f4afc037d39768f2b7e95a06126b1dcf8049",
     "LDDLB": "f1254afe023ce341c57c4d81c702223c9a8ac5b62a2f4058c866af527f8ae95c",
     "WS": "bc6cad189d3773f675e17d166921e25361a3c17f8da70fe7d22d1b92d51d60f3",
@@ -95,7 +105,7 @@ EXPECTED = {
     # and in test_topology_seed_identity.py held untouched across it.
     "diff-ring": "97439fa2dd2f7ce7faa26180c7742a5ecb8146efcf9a4e5f7f638e270a236da5",
     "diff-torus": "40886a484064a0ba3ef7d5453e58fd98e85b9d5a70c26b4d40c3c7914772878d",
-    "faulted": "24fac2a2fa21b2cbdb712e5c32e71c6f7364633c3f2a8618a06a13f2a4a40fc4",
+    "faulted": "34c468e7293be2f37e702d56de2460c3cb8f3c10146a45ceda89570f08f319c3",
     "periodic": "f5703bd3173479e1139b927b24b78e12015724b98a5c788bf8a79bf89a26d674",
 }
 

@@ -394,7 +394,7 @@ LINE = Topology("line", 3, ((0, 1), (1, 2)))
 
 
 def line_worker(me, table, ranges=(), ft=None):
-    planner = DiffusionPlanner(LINE, DlbPolicy(), COST)
+    planner = DiffusionPlanner(LINE, DlbPolicy(), table)
     return make_worker(me, planner.scope(me), centralized=False,
                        table=table, ranges=ranges, ft=ft, planner=planner)
 
@@ -404,9 +404,11 @@ def _sends(cmds, tag):
 
 
 def _profile(src, dst, epoch, count):
+    """``src`` holding ``count`` iterations from ``16 * src`` on."""
     return ProfileMsg(src=src, dst=dst, epoch=epoch,
                       remaining_work=count * COST, remaining_count=count,
-                      rate=1.0)
+                      rate=1.0, ranges=((16 * src, 16 * src + count),)
+                      if count else ())
 
 
 def test_neighbour_scope_is_the_closed_neighbourhood(table):

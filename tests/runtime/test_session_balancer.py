@@ -89,8 +89,9 @@ def test_record_plan_once_per_epoch():
     recorder = TraceRecorder()
     session = make_session(GDDLB, options=RunOptions(recorder=recorder))
     plan = plan_redistribution(
-        [SyncProfile(0, 1.0, 10, 1.0), SyncProfile(1, 0.0, 0, 1.0)],
-        session.policy, session.plan.mean_iteration_time)
+        [SyncProfile(0, 0.1, 10, 1.0, ((0, 10),)),
+         SyncProfile(1, 0.0, 0, 1.0)],
+        session.policy, session.table)
     _book(session, 0, 0, plan)
     _book(session, 0, 0, plan)   # replicated balancer, same epoch
     _book(session, 0, 1, plan)
@@ -113,10 +114,10 @@ def test_record_plan_adds_up_the_parts_of_a_sweep():
         topology="ring", recorder=recorder))
     assert session.scope_of(0) == (0, 1, 3)
     whole = plan_diffusion(
-        [SyncProfile(0, 3.0, 300, 1.0), SyncProfile(1, 0.0, 0, 1.0),
-         SyncProfile(2, 0.0, 0, 1.0), SyncProfile(3, 0.0, 0, 1.0)],
-        Topology.ring(4), session.policy,
-        session.plan.mean_iteration_time)
+        [SyncProfile(0, 0.3, 30, 1.0, ((0, 30),)),
+         SyncProfile(1, 0.0, 0, 1.0), SyncProfile(2, 0.0, 0, 1.0),
+         SyncProfile(3, 0.0, 0, 1.0)],
+        Topology.ring(4), session.policy, session.table)
     for node in range(4):
         mine = whole.outgoing(node)
         _book(session, 0, 0, replace(

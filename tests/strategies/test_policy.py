@@ -27,7 +27,7 @@ def test_negative_costs_rejected():
     with pytest.raises(ValueError):
         DlbPolicy(delta_seconds=-1.0)
     with pytest.raises(ValueError):
-        DlbPolicy(min_move_iterations=-1.0)
+        DlbPolicy(retire_fraction=-1.0)
 
 
 def test_rate_floor_bounds():

@@ -1,40 +1,52 @@
-"""Unit and property tests for the redistribution planner (§3.3–§3.4)."""
+"""Unit and property tests for the redistribution planner (§3.3–§3.4)
+and the quantizer both planners share."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.workload import WorkTable
+from repro.core.diffusion import plan_diffusion
 from repro.core.policy import DlbPolicy
 from repro.core.redistribution import (
     SyncProfile,
     make_movement_cost_estimator,
     plan_redistribution,
 )
+from repro.network.topology import Topology
+from repro.runtime.assignment import Assignment
 
 POLICY = DlbPolicy()
 MEAN_ITER = 0.01
+#: Room for ten nodes' blocks of up to 10,000 iterations each.
+BLOCK = 10_000
+TABLE = WorkTable(MEAN_ITER, 10 * BLOCK)
 
 
-def prof(node, work, rate, count=None):
-    return SyncProfile(node=node, remaining_work=work,
-                       remaining_count=count if count is not None
-                       else max(int(work / MEAN_ITER), 0),
-                       rate=rate)
+def prof(node, work, rate):
+    """Node ``node`` holding one block of ``work`` seconds of iterations
+    (rounded to whole ones) of :data:`TABLE`."""
+    count = int(round(work / MEAN_ITER))
+    start = node * BLOCK
+    return SyncProfile(node=node, remaining_work=TABLE.range_work(
+        start, start + count), remaining_count=count, rate=rate,
+        ranges=((start, start + count),))
 
 
 def test_empty_profiles_rejected():
     with pytest.raises(ValueError):
-        plan_redistribution([], POLICY, MEAN_ITER)
+        plan_redistribution([], POLICY, TABLE)
 
 
 def test_duplicate_nodes_rejected():
     with pytest.raises(ValueError):
         plan_redistribution([prof(0, 1.0, 1.0), prof(0, 1.0, 1.0)],
-                            POLICY, MEAN_ITER)
+                            POLICY, TABLE)
 
 
 def test_all_done_terminates():
     plan = plan_redistribution([prof(0, 0.0, 1.0), prof(1, 0.0, 1.0)],
-                               POLICY, MEAN_ITER)
+                               POLICY, TABLE)
     assert plan.done
     assert plan.retire == (0, 1)
     assert plan.active == ()
@@ -42,7 +54,7 @@ def test_all_done_terminates():
 
 def test_balanced_system_does_not_move():
     plan = plan_redistribution([prof(0, 1.0, 1.0), prof(1, 1.0, 1.0)],
-                               POLICY, MEAN_ITER)
+                               POLICY, TABLE)
     assert not plan.move
     assert plan.reason == "below-move-threshold"
     assert plan.active == (0, 1)
@@ -50,7 +62,7 @@ def test_balanced_system_does_not_move():
 
 def test_imbalance_moves_from_slow_to_fast():
     plan = plan_redistribution(
-        [prof(0, 2.0, 1.0), prof(1, 0.0, 1.0)], POLICY, MEAN_ITER)
+        [prof(0, 2.0, 1.0), prof(1, 0.0, 1.0)], POLICY, TABLE)
     assert plan.move
     assert len(plan.transfers) == 1
     t = plan.transfers[0]
@@ -60,7 +72,7 @@ def test_imbalance_moves_from_slow_to_fast():
 
 def test_shares_proportional_to_rates():
     plan = plan_redistribution(
-        [prof(0, 3.0, 3.0), prof(1, 0.0, 1.0)], POLICY, MEAN_ITER)
+        [prof(0, 3.0, 3.0), prof(1, 0.0, 1.0)], POLICY, TABLE)
     assert plan.move
     assert plan.shares[0] == pytest.approx(2.25)
     assert plan.shares[1] == pytest.approx(0.75)
@@ -68,35 +80,39 @@ def test_shares_proportional_to_rates():
 
 def test_idle_finisher_stays_active_on_move():
     plan = plan_redistribution(
-        [prof(0, 2.0, 1.0), prof(1, 0.0, 2.0)], POLICY, MEAN_ITER)
+        [prof(0, 2.0, 1.0), prof(1, 0.0, 2.0)], POLICY, TABLE)
     assert plan.move
     assert 1 in plan.active
 
 
 def test_idle_node_retires_on_no_move():
-    # Tiny remainder: below the absolute move floor.
+    # One iteration left: it cannot be split, so nothing moves.
     plan = plan_redistribution(
-        [prof(0, 0.004, 1.0), prof(1, 0.0, 1.0)], POLICY, MEAN_ITER)
+        [prof(0, 0.01, 1.0), prof(1, 0.0, 1.0)], POLICY, TABLE)
     assert not plan.move
     assert 1 in plan.retire
     assert plan.active == (0,)
 
 
 def test_sub_iteration_moves_blocked():
-    """Moving less than one whole iteration must be refused."""
-    plan = plan_redistribution(
-        [prof(0, 0.012, 1.0), prof(1, 0.0, 1.0)], POLICY, MEAN_ITER)
+    """An order worth less than the sender's tail iteration ships
+    nothing, so it is never made — and the node it would have fed,
+    holding nothing, retires instead of synchronizing again at once."""
+    costs = [0.001] * 9 + [0.05]  # a dear tail, as in a triangular loop
+    table = WorkTable(costs)
+    profiles = [SyncProfile(0, table.total_work, 10, 1.0, ((0, 10),)),
+                SyncProfile(1, 0.0, 0, 1.0)]
+    plan = plan_redistribution(profiles, POLICY, table)
     assert not plan.move
     assert plan.reason == "below-move-threshold"
+    assert plan.retire == (1,)
 
 
 def test_unprofitable_move_blocked():
     """Within 10% of balance already: not worth the disruption."""
     plan = plan_redistribution(
         [prof(0, 1.04, 1.0), prof(1, 0.96, 1.0)],
-        DlbPolicy(min_move_fraction=0.0, min_move_iterations=0.0,
-                  min_transfer_iterations=0.0),
-        MEAN_ITER)
+        DlbPolicy(min_move_fraction=0.0), TABLE)
     assert not plan.move
     assert plan.reason == "unprofitable"
 
@@ -104,7 +120,7 @@ def test_unprofitable_move_blocked():
 def test_profitability_uses_threshold():
     # 2:1 imbalance: balanced time 1.5 < 0.9 * 2.0 -> move.
     plan = plan_redistribution(
-        [prof(0, 2.0, 1.0), prof(1, 1.0, 1.0)], POLICY, MEAN_ITER)
+        [prof(0, 2.0, 1.0), prof(1, 1.0, 1.0)], POLICY, TABLE)
     assert plan.move
     assert plan.predicted_current == pytest.approx(2.0)
     assert plan.predicted_balanced == pytest.approx(1.5)
@@ -115,8 +131,8 @@ def test_movement_cost_inclusion_blocks_marginal_move():
     base = DlbPolicy(include_movement_cost=False)
     incl = DlbPolicy(include_movement_cost=True)
     costly = lambda transfers: 10.0  # noqa: E731 - huge movement cost
-    assert plan_redistribution(profiles, base, MEAN_ITER, costly).move
-    assert not plan_redistribution(profiles, incl, MEAN_ITER, costly).move
+    assert plan_redistribution(profiles, base, TABLE, costly).move
+    assert not plan_redistribution(profiles, incl, TABLE, costly).move
 
 
 def test_movement_cost_estimator():
@@ -130,7 +146,7 @@ def test_movement_cost_estimator():
 
 def test_zero_rates_fall_back_to_equal():
     plan = plan_redistribution(
-        [prof(0, 2.0, 0.0), prof(1, 0.0, 0.0)], POLICY, MEAN_ITER)
+        [prof(0, 2.0, 0.0), prof(1, 0.0, 0.0)], POLICY, TABLE)
     assert plan.move
     assert plan.shares[0] == pytest.approx(1.0)
 
@@ -138,7 +154,7 @@ def test_zero_rates_fall_back_to_equal():
 def test_rate_floor_prevents_starvation():
     """A stalled node still receives a share (floored rate)."""
     plan = plan_redistribution(
-        [prof(0, 5.0, 10.0), prof(1, 5.0, 0.0)], POLICY, MEAN_ITER)
+        [prof(0, 5.0, 10.0), prof(1, 5.0, 0.0)], POLICY, TABLE)
     assert plan.shares.get(1, 0.0) > 0.0 or 1 in plan.retire
 
 
@@ -147,18 +163,18 @@ def test_very_slow_node_retired_and_drained():
     policy = DlbPolicy(retire_fraction=0.5)
     plan = plan_redistribution(
         [prof(0, 0.02, 1000.0), prof(1, 0.02, 1e-4)],
-        policy.but(min_move_fraction=0.0), MEAN_ITER)
-    if plan.move:
-        assert 1 in plan.retire
-        # All of node 1's work is covered by its outgoing transfers.
-        out = sum(t.work for t in plan.outgoing(1))
-        assert out == pytest.approx(0.02, rel=1e-6)
+        policy.but(min_move_fraction=0.0), TABLE)
+    assert plan.move
+    assert 1 in plan.retire
+    # All of node 1's work is covered by its outgoing transfers.
+    out = sum(t.work for t in plan.outgoing(1))
+    assert out == pytest.approx(0.02, rel=1e-6)
 
 
 def test_outgoing_incoming_views():
     plan = plan_redistribution(
         [prof(0, 3.0, 1.0), prof(1, 0.0, 1.0), prof(2, 0.0, 1.0)],
-        POLICY, MEAN_ITER)
+        POLICY, TABLE)
     assert plan.move
     assert {t.dst for t in plan.outgoing(0)} == {1, 2}
     assert len(plan.incoming(1)) == 1
@@ -168,8 +184,8 @@ def test_deterministic_for_replication():
     """Two calls with the same inputs yield identical plans (GDDLB
     replicas must agree without communication)."""
     profiles = [prof(0, 2.0, 1.3), prof(1, 0.7, 0.8), prof(2, 0.1, 2.0)]
-    a = plan_redistribution(profiles, POLICY, MEAN_ITER)
-    b = plan_redistribution(list(reversed(profiles)), POLICY, MEAN_ITER)
+    a = plan_redistribution(profiles, POLICY, TABLE)
+    b = plan_redistribution(list(reversed(profiles)), POLICY, TABLE)
     assert a.transfers == b.transfers
     assert a.shares == b.shares
     assert a.active == b.active
@@ -190,7 +206,7 @@ def profile_sets(draw):
 @settings(max_examples=150, deadline=None)
 def test_plan_conserves_work(profiles):
     """Work is neither created nor destroyed by a plan."""
-    plan = plan_redistribution(profiles, POLICY, MEAN_ITER)
+    plan = plan_redistribution(profiles, POLICY, TABLE)
     total = sum(p.remaining_work for p in profiles)
     if plan.done:
         assert total == pytest.approx(0.0, abs=1e-9)
@@ -207,7 +223,7 @@ def test_plan_conserves_work(profiles):
 @given(profile_sets())
 @settings(max_examples=150, deadline=None)
 def test_plan_transfers_have_positive_work(profiles):
-    plan = plan_redistribution(profiles, POLICY, MEAN_ITER)
+    plan = plan_redistribution(profiles, POLICY, TABLE)
     for t in plan.transfers:
         assert t.work > 0
         assert t.src != t.dst
@@ -217,7 +233,7 @@ def test_plan_transfers_have_positive_work(profiles):
 @settings(max_examples=150, deadline=None)
 def test_plan_partitions_nodes(profiles):
     """Every node is either active or retired, never both."""
-    plan = plan_redistribution(profiles, POLICY, MEAN_ITER)
+    plan = plan_redistribution(profiles, POLICY, TABLE)
     nodes = {p.node for p in profiles}
     assert set(plan.active) | set(plan.retire) == nodes
     assert set(plan.active) & set(plan.retire) == set()
@@ -226,7 +242,7 @@ def test_plan_partitions_nodes(profiles):
 @given(profile_sets())
 @settings(max_examples=150, deadline=None)
 def test_retired_senders_fully_drained(profiles):
-    plan = plan_redistribution(profiles, POLICY, MEAN_ITER)
+    plan = plan_redistribution(profiles, POLICY, TABLE)
     if not plan.move:
         return
     work = {p.node: p.remaining_work for p in profiles}
@@ -240,7 +256,109 @@ def test_retired_senders_fully_drained(profiles):
 @given(profile_sets())
 @settings(max_examples=150, deadline=None)
 def test_profitable_moves_improve_prediction(profiles):
-    plan = plan_redistribution(profiles, POLICY, MEAN_ITER)
+    plan = plan_redistribution(profiles, POLICY, TABLE)
     if plan.move:
         assert plan.predicted_balanced <= \
             (1 - POLICY.improvement_threshold) * plan.predicted_current + 1e-12
+
+
+# -- the quantizer: every order is exactly what its sender ships ----------
+N_ITER = 240
+
+
+@st.composite
+def cost_tables(draw):
+    """Increasing (triangular, like TRFD L1), decreasing or random
+    per-iteration costs."""
+    shape = draw(st.sampled_from(("increasing", "decreasing", "random")))
+    if shape == "random":
+        seed = draw(st.integers(min_value=0, max_value=2**16))
+        costs = np.random.default_rng(seed).uniform(1e-3, 5e-2, N_ITER)
+    else:
+        costs = np.linspace(1e-3, 5e-2, N_ITER)
+        if shape == "decreasing":
+            costs = costs[::-1]
+    return WorkTable(costs)
+
+
+@st.composite
+def fragmented_holdings(draw, max_nodes=8):
+    """A table, and nodes each holding a scattered set of its ranges."""
+    table = draw(cost_tables())
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=N_ITER - 1),
+                               max_size=3 * n)))
+    pieces = list(zip([0] + cuts, cuts + [N_ITER]))
+    owners = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                           min_size=len(pieces), max_size=len(pieces)))
+    held = {node: Assignment([p for p, o in zip(pieces, owners) if o == node])
+            for node in range(n)}
+    rates = draw(st.lists(st.floats(min_value=0.05, max_value=4.0),
+                          min_size=n, max_size=n))
+    profiles = [SyncProfile(node, a.work(table), a.count, rates[node],
+                            tuple(a.ranges)) for node, a in held.items()]
+    return table, profiles
+
+
+def _apply_as_senders(plan, profiles, table):
+    """Every sender applies its orders in plan order, by the worker's own
+    rule (``WorkerProtocol._apply_outcome``); returns the iterations each
+    order shipped and the work each node then holds."""
+    held = {p.node: Assignment(p.ranges) for p in profiles}
+    shipped = []
+    for node in held:
+        mine = plan.outgoing(node)
+        for i, order in enumerate(mine):
+            if node in plan.retire and i == len(mine) - 1:
+                ranges = held[node].take_all()
+            else:
+                ranges, _ = held[node].take_tail_work(
+                    table, order.work, keep_one=node not in plan.retire)
+            shipped.append((order, ranges))
+    for order, ranges in shipped:
+        held[order.dst].add(ranges)
+    return shipped, {node: a.work(table) for node, a in held.items()}
+
+
+def _check_quantized(plan, profiles, table):
+    shipped, holding = _apply_as_senders(plan, profiles, table)
+    for order, ranges in shipped:
+        assert ranges, f"order {order} ships no iteration"
+        assert order.work == pytest.approx(
+            sum(table.range_work(s, e) for s, e in ranges), rel=1e-9)
+    if plan.move:
+        assert set(plan.shares) == set(plan.active)
+        for node, share in plan.shares.items():
+            assert share == pytest.approx(holding[node], rel=1e-9)
+            assert share > 0
+    for node in plan.retire:
+        assert holding[node] == pytest.approx(0.0, abs=1e-12) \
+            or not plan.move
+
+
+@given(fragmented_holdings(),
+       st.floats(min_value=0.0, max_value=0.05))
+@settings(max_examples=200, deadline=None)
+def test_every_eq3_order_ships_what_it_says(case, min_move_fraction):
+    table, profiles = case
+    plan = plan_redistribution(
+        profiles, DlbPolicy(min_move_fraction=min_move_fraction), table)
+    _check_quantized(plan, profiles, table)
+
+
+@given(fragmented_holdings(max_nodes=9),
+       st.sampled_from(("ring", "torus", "star", "complete", "random")))
+@settings(max_examples=200, deadline=None)
+def test_every_diffusion_order_ships_what_it_says(case, shape):
+    table, profiles = case
+    plan = plan_diffusion(profiles, _TOPOLOGIES[shape](len(profiles)),
+                          POLICY, table)
+    _check_quantized(plan, profiles, table)
+
+
+_TOPOLOGIES = {
+    "ring": Topology.ring, "torus": Topology.torus,
+    "complete": Topology.complete,
+    "star": lambda n: Topology("star", n, tuple((0, i) for i in range(1, n))),
+    "random": lambda n: Topology.random_graph(n, extra_edges=n, seed=n),
+}
