@@ -14,14 +14,16 @@ The same pure function is called by:
 
 * the central load balancer (GCDLB / LCDLB),
 * every replica in the distributed schemes (GDDLB / LDDLB) — it is
-  deterministic, so replicated decisions agree without communication,
+  deterministic, so replicas agree; replicas in one process share a plan,
 * the analytical cost model of §4.2, so predictions share decision logic
   with the measured system.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Collection, Optional, Sequence, TYPE_CHECKING
 
 from ..apps.workload import WorkTable
@@ -82,7 +84,8 @@ class RedistributionPlan:
     it then holds; ``retire`` lists nodes that exit (their work, if any,
     is part of the transfers).
     ``predicted_current`` / ``predicted_balanced`` are the §3.4
-    profitability quantities.
+    profitability quantities.  A plan is a shared value (memoized by
+    :func:`plan_redistribution`): nobody mutates one, ``shares`` included.
     """
 
     done: bool
@@ -287,6 +290,10 @@ def _settle(nodes: Sequence[int], candidates: Sequence[int],
         **estimates)
 
 
+#: One plan at a time: a thread replica reuses the plan a peer computes.
+_PLANNING = threading.Lock()
+
+
 def plan_redistribution(profiles: Sequence[SyncProfile],
                         policy: DlbPolicy,
                         table: WorkTable,
@@ -300,7 +307,19 @@ def plan_redistribution(profiles: Sequence[SyncProfile],
     amount-moved check (§3.3), the orders cut into whole iterations of
     their senders' tails (:func:`_quantize`), and the 10% profitability
     test (§3.4).  A node the plan leaves holding nothing retires.
+
+    Memoized on the whole input (``table`` and ``movement_cost_fn`` by
+    identity; each run builds its own): in-process replicas share a plan.
     """
+    with _PLANNING:
+        return _plan(tuple(profiles), policy, table, movement_cost_fn)
+
+
+@lru_cache(maxsize=64)  # room for every group planning in one process
+def _plan(profiles: tuple[SyncProfile, ...], policy: DlbPolicy,
+          table: WorkTable, movement_cost_fn: Optional[MovementCostFn]
+          ) -> RedistributionPlan:
+    """:func:`plan_redistribution`, computed."""
     survey = _survey(profiles, policy)
     if isinstance(survey, RedistributionPlan):
         return survey

@@ -64,6 +64,12 @@ class Message:
     def nbytes(self) -> int:
         return HEADER_BYTES
 
+    def to(self, dst: int) -> "Message":
+        """``replace(self, dst=dst)`` without re-running ``__init__``."""
+        msg = object.__new__(type(self))
+        msg.__dict__.update(self.__dict__, dst=dst)
+        return msg
+
 
 @dataclass(frozen=True)
 class InterruptMsg(Message):

@@ -242,12 +242,12 @@ class WorkerProtocol:
         if req.kind == "resend-profile":
             cache = self._profile_cache
             if req.epoch in cache:
-                return replace(cache[req.epoch], dst=req.src)
+                return cache[req.epoch].to(req.src)
             if self._left_at is not None:
                 return self._retire_note(req.src)
             if not cache:
                 return None
-            return replace(cache[max(cache)], dst=req.src)
+            return cache[max(cache)].to(req.src)
         if req.kind == "resend-work":
             if (self.neighbour_scope and req.epoch == self.epoch
                     and self._phase in ("gather", "planning")
@@ -255,7 +255,7 @@ class WorkerProtocol:
                 # A wave's gathers end at different times: this node has
                 # not decided the requester's parcel yet.  Its profile
                 # says "alive, keep waiting".
-                return replace(self._profile_cache[req.epoch], dst=req.src)
+                return self._profile_cache[req.epoch].to(req.src)
             return (self._work_cache.get((req.src, req.epoch))
                     or self.stamp(ControlMsg, dst=req.src, epoch=req.epoch,
                                   kind="no-work"))
@@ -351,13 +351,13 @@ class WorkerProtocol:
             self._profile_cache.pop(self.epoch - 2, None)
         if self.centralized:
             self._attempt = 0
-            self._sent_profile = replace(profile, dst=self.lb_host)
+            self._sent_profile = profile.to(self.lb_host)
             return cmds + [C.Send(self._sent_profile),
                            self._await_instruction()]
         self._profiles = {self.me: SyncProfile.of(profile)}
         self._missing = set(others)
         self._rounds = {p: 0 for p in others}
-        cmds += [C.Send(replace(profile, dst=o)) for o in others]
+        cmds += [C.Send(profile.to(o)) for o in others]
         return cmds + self._await_profiles()
 
     # -- awaits ------------------------------------------------------------

@@ -122,16 +122,20 @@ class CentralBalancer(SimPort):
         # not exhaust its retries against a silent (exited) master.  It
         # can answer no epoch later than its last instruction's, so it
         # admits none: after a distributed selection, node 0's inbox is
-        # where the co-located peer gathers its group's profiles.
-        while type(then) is not C.Done or (ft.enabled and any(
-                rt.proc is not None and rt.proc.is_alive
-                for rt in session.nodes.values())):
-            if type(then) is C.Done and wait.max_epoch is None:
-                wait = replace(wait, max_epoch=max(
+        # where the co-located peer gathers its group's profiles.  It
+        # probes nobody, so it arms no timer and ends with the last slave.
+        ended: Optional[Event] = None
+        while type(then) is not C.Done or ft.enabled:
+            if type(then) is C.Done and ended is None:
+                wait = replace(wait, timeout=None, max_epoch=max(
                     (i.epoch for i in self.protocol.last_instruction.values()),
                     default=0))
-            msg = yield from self._recv_timed(wait)
-            if msg is None:
+                ended = session.env.all_of(rt.proc for rt in
+                                           session.nodes.values() if rt.proc)
+            if ended is not None and ended.triggered:
+                break
+            msg = yield from self._recv_timed(wait, until=ended)
+            if msg is None and ended is None:
                 then = yield from self._turn(E.TimerFired())
             if controller is not None:
                 # Registry verdicts the pump has not heard arrive as

@@ -87,27 +87,28 @@ class SimPort:
                 then = cmd
         return then
 
-    def _recv_timed(self, spec: C.AwaitMessage
+    def _recv_timed(self, spec: C.AwaitMessage,
+                    until: Optional[Event] = None
                     ) -> Generator[Event, None, Optional[Message]]:
         """The next message ``spec`` accepts; ``None`` when its timeout
-        expired first.
+        (or ``until``, an event that stands in for one) fired first.
 
         ``spec.matches`` is the mailbox predicate; a single tag and an
         exact epoch additionally ride as :class:`SlotFilter` slots so
         the common receive stays one bucket lookup.  A timed-out get
         request is withdrawn from the mailbox so it can never swallow a
-        later message.  With ``timeout=None`` this is exactly the legacy
-        blocking receive.
+        later message.  With neither a timeout nor ``until`` this is
+        exactly the legacy blocking receive.
         """
         vm = self.session.vm
         request = vm.recv(
             self.me, spec.tags[0] if len(spec.tags) == 1 else None,
             epoch=spec.epoch, match=spec.matches)
-        if spec.timeout is None or request.triggered:
+        if spec.timeout is None and until is None or request.triggered:
             msg = yield request
             return msg
         env = self.session.env
-        yield env.any_of([request, env.timeout(spec.timeout)])
+        yield env.any_of([request, until or env.timeout(spec.timeout)])
         if request.triggered:
             return request.value
         vm.inbox[self.me].cancel(request)

@@ -1,11 +1,20 @@
-"""Unit and property tests for the redistribution planner (§3.3–§3.4)
-and the quantizer both planners share."""
+"""Unit and property tests for the redistribution planner (§3.3–§3.4),
+the quantizer both planners share, and the planner's memo."""
+
+import ast
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.workload import WorkTable
+import repro
+from repro import ClusterSpec, run_loop
+from repro.apps.mxm import MxmConfig, mxm_loop
+from repro.apps.workload import LoopSpec, WorkTable
+from repro.core import redistribution
 from repro.core.diffusion import plan_diffusion
 from repro.core.policy import DlbPolicy
 from repro.core.redistribution import (
@@ -13,8 +22,17 @@ from repro.core.redistribution import (
     make_movement_cost_estimator,
     plan_redistribution,
 )
+from repro.message.frames import (
+    FrameType,
+    decode_frame,
+    encode_frame,
+    message_from_wire,
+    message_to_wire,
+)
+from repro.message.messages import ProfileMsg
 from repro.network.topology import Topology
 from repro.runtime.assignment import Assignment
+from repro.runtime.options import RunOptions
 
 POLICY = DlbPolicy()
 MEAN_ITER = 0.01
@@ -362,3 +380,125 @@ _TOPOLOGIES = {
     "star": lambda n: Topology("star", n, tuple((0, i) for i in range(1, n))),
     "random": lambda n: Topology.random_graph(n, extra_edges=n, seed=n),
 }
+
+
+# -- the memo: replicas in one process share one plan per sync ------------
+@pytest.fixture
+def computed():
+    """How many plans :func:`plan_redistribution` has computed (memo
+    misses), counted from an empty memo."""
+    redistribution._plan.cache_clear()
+    return lambda: redistribution._plan.cache_info().misses
+
+
+@given(fragmented_holdings(), st.floats(min_value=0.0, max_value=0.05))
+@settings(max_examples=100, deadline=None)
+def test_memoized_plan_equals_a_fresh_one(case, min_move_fraction):
+    table, profiles = case
+    policy = DlbPolicy(min_move_fraction=min_move_fraction)
+    memoized = plan_redistribution(profiles, policy, table)
+    assert plan_redistribution(list(profiles), policy, table) is memoized
+    redistribution._plan.cache_clear()
+    fresh = plan_redistribution(profiles, policy, table)
+    assert fresh is not memoized and fresh == memoized
+
+
+def _mxm(rows=64):
+    return mxm_loop(MxmConfig(rows, 32, 32), op_seconds=4e-7)
+
+
+def _cluster(n):
+    return ClusterSpec.homogeneous(n, max_load=3, persistence=1.0, seed=7)
+
+
+def test_no_plan_outlives_its_run(computed):
+    """Each run builds its own work table, so a second identical run
+    computes every plan again."""
+    counts = []
+    for _ in range(2):
+        before = computed()
+        run_loop(_mxm(), _cluster(8), "GDDLB", RunOptions())
+        counts.append(computed() - before)
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("backend, n", [("sim", 16), ("thread", 4)])
+def test_replicas_compute_one_plan_per_sync(computed, backend, n):
+    loop = _mxm(128) if backend == "sim" else LoopSpec(
+        "skew", 64, tuple(5e-4 + 3e-3 * j / 64 for j in range(64)), 64)
+    stats = run_loop(loop, _cluster(n), "GDDLB", RunOptions(),
+                     backend=backend)
+    assert computed() == len(stats.syncs) > 1
+
+
+@given(fragmented_holdings())
+@settings(max_examples=20, deadline=None)
+def test_concurrent_replicas_compute_one_plan(case):
+    """Eight threads asking for one plan at once, switching every
+    microsecond, get one object computed once (numpy may release the
+    GIL mid-plan; the memo's lock must hold)."""
+    table, profiles = case
+    redistribution._plan.cache_clear()
+    plans = []
+    barrier = threading.Barrier(8, timeout=30)
+
+    def replica():
+        barrier.wait()
+        plans.append(plan_redistribution(profiles, POLICY, table))
+
+    threads = [threading.Thread(target=replica) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(plans) == 8 and all(plan is plans[0] for plan in plans)
+    assert redistribution._plan.cache_info().misses == 1
+
+
+def test_a_profile_decoded_from_a_frame_is_a_key(computed):
+    sent = ProfileMsg(src=1, dst=0, epoch=2, remaining_work=0.05,
+                      remaining_count=5, rate=2.0,
+                      ranges=((BLOCK, BLOCK + 3), (BLOCK + 7, BLOCK + 9)))
+    _, body, _ = decode_frame(encode_frame(FrameType.MSG,
+                                           message_to_wire(sent)))
+    decoded = SyncProfile.of(message_from_wire(body))
+    assert decoded == SyncProfile.of(sent)
+    plan = plan_redistribution([prof(0, 2.0, 1.0), decoded], POLICY, TABLE)
+    assert plan_redistribution([prof(0, 2.0, 1.0), SyncProfile.of(sent)],
+                               POLICY, TABLE) is plan
+    assert computed() == 1
+
+
+_MUTATORS = {"update", "pop", "popitem", "setdefault", "clear",
+             "__setitem__", "__delitem__"}
+
+
+def test_no_caller_mutates_a_plan():
+    """A plan is a shared value: nothing under ``src`` writes into a
+    plan's ``shares``."""
+
+    def on_shares(node):
+        return isinstance(node, ast.Attribute) and node.attr == "shares"
+
+    writes = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = (node.targets if isinstance(node, (ast.Assign,
+                                                         ast.Delete))
+                       else [node.target] if isinstance(
+                           node, (ast.AugAssign, ast.AnnAssign)) else [])
+            mutated = [t for t in targets if isinstance(t, ast.Subscript)
+                       and on_shares(t.value)]
+            if isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute) \
+                    and node.func.attr in _MUTATORS \
+                    and on_shares(node.func.value):
+                mutated.append(node)
+            writes += [f"{path.name}:{n.lineno}" for n in mutated]
+    assert writes == []
