@@ -16,7 +16,10 @@ groups the loops of a program with the sequential stages between them
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -28,6 +31,8 @@ class WorkTable:
     """Iteration-cost table with count/work conversions.
 
     All costs are seconds on the base (speed 1, unloaded) processor.
+    numpy prefix-sums a cost array once; queries bisect that prefix sum
+    as a list of Python floats and answer in built-in ``float`` / ``int``.
     """
 
     def __init__(self, costs: Union[float, np.ndarray, Sequence[float]],
@@ -41,7 +46,7 @@ class WorkTable:
                 raise ValueError("need at least one iteration")
             self.n = int(n_iterations)
             self.uniform_cost: Optional[float] = float(costs)
-            self._cum: Optional[np.ndarray] = None
+            self._cum: Optional[list[float]] = None
         else:
             arr = np.asarray(costs, dtype=np.float64)
             if arr.ndim != 1 or arr.size == 0:
@@ -52,7 +57,7 @@ class WorkTable:
                 raise ValueError("n_iterations disagrees with costs array")
             self.n = int(arr.size)
             self.uniform_cost = None
-            self._cum = np.concatenate([[0.0], np.cumsum(arr)])
+            self._cum = [0.0] + np.cumsum(arr).tolist()
 
     @property
     def uniform(self) -> bool:
@@ -62,7 +67,7 @@ class WorkTable:
     def total_work(self) -> float:
         if self.uniform_cost is not None:
             return self.n * self.uniform_cost
-        return float(self._cum[-1])
+        return self._cum[-1]
 
     def cost(self, j: int) -> float:
         """Cost of iteration ``j`` (0-based)."""
@@ -70,7 +75,7 @@ class WorkTable:
             raise IndexError(f"iteration {j} out of range")
         if self.uniform_cost is not None:
             return self.uniform_cost
-        return float(self._cum[j + 1] - self._cum[j])
+        return self._cum[j + 1] - self._cum[j]
 
     def range_work(self, start: int, end: int) -> float:
         """Work of iterations ``[start, end)``."""
@@ -78,13 +83,14 @@ class WorkTable:
             raise IndexError(f"range [{start}, {end}) out of bounds")
         if self.uniform_cost is not None:
             return (end - start) * self.uniform_cost
-        return float(self._cum[end] - self._cum[start])
+        return self._cum[end] - self._cum[start]
 
     def max_cost(self, start: int, end: int) -> float:
         """Cost of the dearest iteration of ``[start, end)`` (non-empty)."""
         if self.uniform_cost is not None:
             return self.uniform_cost
-        return float(np.diff(self._cum[start:end + 1]).max())
+        cum = self._cum
+        return max(map(sub, cum[start + 1:end + 1], cum[start:end]))
 
     def count_for_work(self, start: int, work: float, end: Optional[int] = None,
                        round_up: bool = True) -> int:
@@ -105,18 +111,17 @@ class WorkTable:
             return 0
         if self.uniform_cost is not None:
             if round_up:
-                k = int(np.ceil(work / self.uniform_cost - 1e-12))
+                k = math.ceil(work / self.uniform_cost - 1e-12)
             else:
-                k = int(np.floor(work / self.uniform_cost + 1e-12))
+                k = math.floor(work / self.uniform_cost + 1e-12)
             return min(max(k, 0), limit)
-        target = self._cum[start] + work
+        cum = self._cum
+        target = cum[start] + work
         eps = 1e-12 * max(1.0, abs(target))
         if round_up:
-            idx = int(np.searchsorted(self._cum, target - eps, side="left"))
-            k = idx - start
+            k = bisect_left(cum, target - eps) - start
         else:
-            idx = int(np.searchsorted(self._cum, target + eps, side="right"))
-            k = idx - 1 - start
+            k = bisect_right(cum, target + eps) - 1 - start
         return min(max(k, 0), limit)
 
 

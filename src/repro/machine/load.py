@@ -14,12 +14,15 @@ integral*::
 so that the work (in base-processor seconds) a processor can perform in
 ``[t0, t1]`` is ``S * (F(t1) - F(t0))``, and the paper's *effective load*
 ``mu`` over a window is ``(t1 - t0) / (F(t1) - F(t0))``.  ``F`` is
-piecewise linear; we keep a prefix sum of per-window inverse factors so
-both ``F`` and its inverse are O(log W) with vectorized extension.
+piecewise linear; we keep a prefix sum of per-window inverse factors.
+numpy draws and prefix-sums each batch of windows; queries bisect a list
+of Python floats, so ``F`` and its inverse are O(log W) and every answer
+is a built-in ``float`` (the simulated clock is built from them).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,9 +42,9 @@ class LoadFunction:
         if persistence <= 0:
             raise ValueError("persistence must be positive")
         self.persistence = float(persistence)
-        self._levels = np.empty(0, dtype=np.float64)
+        self._levels: list[float] = []
         # _cum[k] = sum_{j<k} 1/(levels[j]+1); len == len(_levels)+1
-        self._cum = np.zeros(1, dtype=np.float64)
+        self._cum: list[float] = [0.0]
 
     # -- window generation ------------------------------------------------
     def _generate(self, count: int) -> np.ndarray:
@@ -59,9 +62,12 @@ class LoadFunction:
             raise ValueError("_generate returned wrong shape")
         if (new < 0).any():
             raise ValueError("load levels must be non-negative")
-        self._levels = np.concatenate([self._levels, new])
-        self._cum = np.concatenate(
-            [self._cum, self._cum[-1] + np.cumsum(1.0 / (new + 1.0))])
+        # The previous total is added to each partial sum of the batch,
+        # not carried through one running sum: that association is what
+        # fixes every bit of F.
+        self._levels.extend(new.tolist())
+        self._cum.extend(
+            (self._cum[-1] + np.cumsum(1.0 / (new + 1.0))).tolist())
 
     # -- queries ------------------------------------------------------------
     def level(self, t: float) -> float:
@@ -70,14 +76,14 @@ class LoadFunction:
             raise ValueError("time must be non-negative")
         k = int(t // self.persistence)
         self._ensure(k)
-        return float(self._levels[k])
+        return self._levels[k]
 
     def window_level(self, k: int) -> float:
         """Load level during persistence window ``k`` (0-based)."""
         if k < 0:
             raise ValueError("window index must be non-negative")
         self._ensure(k)
-        return float(self._levels[k])
+        return self._levels[k]
 
     def integral(self, t: float) -> float:
         """``F(t) = integral_0^t dt' / (l(t') + 1)``."""
@@ -97,13 +103,13 @@ class LoadFunction:
             raise ValueError("target must be non-negative")
         if target == 0:
             return 0.0
+        cum = self._cum  # _ensure extends it in place
         # Grow windows until the cumulative integral covers the target.
-        while self._cum[-1] * self.persistence < target:
+        while cum[-1] * self.persistence < target:
             self._ensure(2 * max(len(self._levels), 64))
-        scaled = target / self.persistence
-        k = int(np.searchsorted(self._cum, scaled, side="right") - 1)
+        k = bisect_right(cum, target / self.persistence) - 1
         k = min(max(k, 0), len(self._levels) - 1)
-        remainder = target - self._cum[k] * self.persistence
+        remainder = target - cum[k] * self.persistence
         return k * self.persistence + remainder * (self._levels[k] + 1.0)
 
     def effective_load(self, t0: float, t1: float) -> float:
@@ -121,13 +127,13 @@ class LoadFunction:
         if b < a:
             raise ValueError("b must be >= a")
         self._ensure(b)
-        inv = 1.0 / (self._levels[a:b + 1] + 1.0)
+        inv = 1.0 / (np.array(self._levels[a:b + 1]) + 1.0)
         return (b - a + 1) / float(inv.sum())
 
     def mean_inverse_factor(self) -> float:
         """``E[1/(l+1)]`` over the generated prefix (statistical summary)."""
         self._ensure(0)
-        return float((1.0 / (self._levels + 1.0)).mean())
+        return float((1.0 / (np.array(self._levels) + 1.0)).mean())
 
 
 class DiscreteRandomLoad(LoadFunction):

@@ -15,6 +15,14 @@ changed: that is a correctness regression, not a tuning choice.  Fix
 the engine; do not re-pin the digest without understanding exactly why
 every downstream oracle (tests/protocol/test_cross_backend.py,
 tests/protocol/test_topology_seed_identity.py) still holds.
+
+All ten digests were re-pinned once for a change of *type*, not of
+number.  They used to hash ``repr`` of each time and amount, and those
+were ``np.float64`` values from the load and work tables, so the
+digests pinned numpy 2's ``np.float64(...)`` repr and could not hold
+under numpy 1.  The fingerprint now hashes ``repr(float(x))``; computed
+with it, the commit before the load and work tables answered in Python
+floats gives these same ten digests.
 """
 
 import hashlib
@@ -33,22 +41,28 @@ from repro.faults.plan import (
 from repro.runtime.options import RunOptions
 
 
+def _num(x) -> str:
+    """The number, not its type: ``repr(np.float64(x))`` differs between
+    numpy 1 and 2, ``repr(float(x))`` does not."""
+    return repr(float(x))
+
+
 def _fingerprint(stats) -> str:
     """Canonical SHA-256 over every deterministic field of a run."""
     doc = {
         "strategy": stats.strategy,
         "n": stats.n_processors,
         "k": stats.group_size,
-        "duration": repr(stats.duration),
+        "duration": _num(stats.duration),
         "syncs": [
-            [repr(s.time), s.group, s.epoch, s.reason, repr(s.moved_work),
-             s.n_transfers, list(s.retired), repr(s.predicted_current),
-             repr(s.predicted_balanced)]
+            [_num(s.time), s.group, s.epoch, s.reason, _num(s.moved_work),
+             s.n_transfers, list(s.retired), _num(s.predicted_current),
+             _num(s.predicted_balanced)]
             for s in stats.syncs
         ],
         "executed": {str(n): sorted(map(list, r))
                      for n, r in sorted(stats.executed_by_node.items())},
-        "finish": {str(n): repr(t)
+        "finish": {str(n): _num(t)
                    for n, t in sorted(stats.node_finish_times.items())},
         "msgs": dict(sorted(stats.messages_by_tag.items())),
         "net": [stats.network_messages, stats.network_bytes],
@@ -92,21 +106,21 @@ EXPECTED = {
     # exactly the digests whose runs shipped an empty parcel; every
     # other digest here and in test_topology_seed_identity.py /
     # test_cross_backend.py held untouched across it.
-    "CUSTOM": "58821cabda2c0d27726626ceaec689e351b8540a9cc390b2fa588d3c8956273e",
-    "GCDLB": "f19fe5c1f85783f6825d9b9504724763b7774050e5571a777cb3ba9368fe30e4",
-    "GDDLB": "7f8fb82cef12ea50cac9be14bb908dbc2cf4169d4e7abe7b3d05a23750ca4fad",
-    "LCDLB": "6df2948713594c86c20f9ed177c2f4afc037d39768f2b7e95a06126b1dcf8049",
-    "LDDLB": "f1254afe023ce341c57c4d81c702223c9a8ac5b62a2f4058c866af527f8ae95c",
-    "WS": "bc6cad189d3773f675e17d166921e25361a3c17f8da70fe7d22d1b92d51d60f3",
+    "CUSTOM": "a05e9fc3708c0a03abe5d3fb05e3d770f8ea041f0d179c7ae5c81ab57c52a605",
+    "GCDLB": "df120f9cf6b0a4259535271f8e079a2e5c3fa26cd6e23018531668da2cfe933b",
+    "GDDLB": "423c517c750af3eaeee857ae425ce779e79f7068501057fc9121e1ac28de373c",
+    "LCDLB": "62d2b15c353cec3c5b16032c43fe555fa621bcea02c1563b0775532fdf8f886f",
+    "LDDLB": "051086fe4f81701f5c560a942daaa072675205aa39b36bddc08930801c1bb67d",
+    "WS": "0764a7ad0bbab8a6da155a6dc9b1487ff1fbf8cbc31775a1f05f1b1f6c23bc9e",
     # The two DIFF digests were re-pinned when diffusion's synchronization
     # became neighbour-local (interrupts, profiles and retirement over
     # N[v] instead of an all-to-all gather): a deliberate change of
     # DIFF's conversation, not of the engine.  Every other digest here
     # and in test_topology_seed_identity.py held untouched across it.
-    "diff-ring": "97439fa2dd2f7ce7faa26180c7742a5ecb8146efcf9a4e5f7f638e270a236da5",
-    "diff-torus": "40886a484064a0ba3ef7d5453e58fd98e85b9d5a70c26b4d40c3c7914772878d",
-    "faulted": "34c468e7293be2f37e702d56de2460c3cb8f3c10146a45ceda89570f08f319c3",
-    "periodic": "f5703bd3173479e1139b927b24b78e12015724b98a5c788bf8a79bf89a26d674",
+    "diff-ring": "e3937f85b6ccb5309c94a5aa0495880d2c2e20c7869b459cb91ec6534b3cf50f",
+    "diff-torus": "87351e216e91b02ec5a5d5631d1dfcbd03b13f4534a8d7e6f02c7ada59770f0f",
+    "faulted": "fea486cb552764082782f5b5892957caeeae2a43871dc3a9502b4dd0ff31a018",
+    "periodic": "086a7aa01fb0c2019e3ac4f97a1af74e72a3d0dd3b0f16b1e5494203014b73f2",
 }
 
 

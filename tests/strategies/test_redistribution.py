@@ -435,8 +435,8 @@ def test_replicas_compute_one_plan_per_sync(computed, backend, n):
 @settings(max_examples=20, deadline=None)
 def test_concurrent_replicas_compute_one_plan(case):
     """Eight threads asking for one plan at once, switching every
-    microsecond, get one object computed once (numpy may release the
-    GIL mid-plan; the memo's lock must hold)."""
+    microsecond, get one object computed once (a thread switch mid-plan
+    lets two replicas both miss the memo; the memo's lock must hold)."""
     table, profiles = case
     redistribution._plan.cache_clear()
     plans = []
