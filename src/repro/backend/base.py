@@ -50,7 +50,8 @@ WATCHDOG_SECONDS = 120.0
 #: so tooling treats scheduled crashes uniformly).
 CRASH_EXIT_CODE = 17
 
-#: Poll granularity of the supervising side (process parent, socket hub).
+#: Floor of the socket hub's heartbeat round (the process backend
+#: waits on events, never on a poll).
 POLL_SECONDS = 0.02
 
 #: Grace for a terminal worker's last records to drain before the

@@ -9,10 +9,10 @@ parallel hardware:
 
 * **clock** — ``time.perf_counter()`` (CLOCK_MONOTONIC: comparable
   across processes on every supported platform), measured from a common
-  origin the parent stamps just before forking;
+  origin the parent stamps just before it hands out a run's orders;
 * **timers** — bounded waits on the inbox channel (``poll(timeout)``
-  wakes on arrival), so fault-tolerance timeouts and crash schedules
-  fire even while blocked;
+  wakes on arrival), cut short by the child's own crash time, so
+  fault-tolerance timeouts and crash schedules fire even while blocked;
 * **transport** — one :class:`Channel` per participant: a pipe the
   *sending thread* writes under a cross-process lock, so a message is
   on its way when ``put`` returns, whatever the sender computes next.
@@ -24,12 +24,45 @@ parallel hardware:
   — P workers on a P-core host really do run P× as much arithmetic per
   wall second.
 
+Lifetime
+--------
+The paper's run-time library lives in SPMD tasks started once (§5,
+Figure 3: one ``DLB_init``) that balance every loop of the program.
+Here too the children are *resident across runs*: one **cast** per
+interpreter — P worker children and one balancer child, each blocked
+on its own :class:`Channel` — serves every run of its shape.
+
+* **Shape.** The first run of a (start method, P) shape forks the
+  cast; a run of another shape replaces it.  The balancer child is
+  forked whatever the strategy and idles through distributed runs.
+* **Run orders.** A run sends each participant one order on its
+  channel — its ``_ChildConfig`` (the run's shared-memory block
+  included), the time origin ``t0`` and the run number — instead of
+  starting a process.  The child runs the loop against that block,
+  detaches and waits for the next order.  A clean run joins nothing.
+* **Run numbers.** Everything on a channel is stamped with the run it
+  belongs to.  A child drops what an earlier run left behind, and
+  keeps what a later run sent before the child's own order arrived
+  (a peer that got its order first may already have written).
+* **Discard.** A run that does not end clean — a crash fault, a worker
+  error, the watchdog, an exception or ``KeyboardInterrupt`` in the
+  parent — tears the whole cast down through
+  :func:`~repro.backend.base.join_or_terminate`, closes its channels
+  and processes, and the next run forks a fresh one.
+  :func:`release_cast` does the same on demand.
+* **Parent death.** An idle child waits on its channel *and* on
+  ``multiprocessing.parent_process().sentinel``: it exits when the
+  parent dies, however the parent died, so no cast outlives it.
+* **One run at a time.** Runs on the cast are serialized by a lock:
+  two threads running ``ProcessBackend`` at once run one after the
+  other.
+
 Data movement over shared memory
 --------------------------------
 The paper's §4 cost model charges redistribution for moving each
 iteration's ``DC`` bytes of array data.  Here the whole iteration-data
 array lives in one ``multiprocessing.shared_memory`` block (one
-``dc_bytes`` row per iteration) that every worker maps.  A
+``dc_bytes`` row per iteration) that every worker maps for the run.  A
 redistribution ships only a :class:`~repro.message.messages.WorkMsg`
 with *iteration ranges* — offsets into the block — while the rows
 themselves never touch a pipe.  Both sides are measured:
@@ -47,13 +80,14 @@ Crash faults from a :class:`~repro.faults.plan.FaultPlan` are *lifted*
 mid-iteration, between op chunks — so it reports nothing further
 (always *between* messages: a write completes on the thread that
 checks the crash schedule, so a victim never dies inside one).  The
-parent detects the distinctive exit code, broadcasts peer-death notices
-(the backend's failure detector), and the surviving workers' hardened
-protocol (timed receives, resends, death declarations) reshapes the
-group exactly as on the other backends.  Iterations the victim executed
-but never reported — and those still in its assignment — are salvaged:
-re-executed by the parent and credited to the lowest-numbered survivor,
-so exactly-once coverage holds for every crash plan.
+parent sees the exit on the child's sentinel, broadcasts peer-death
+notices (the backend's failure detector), and the surviving workers'
+hardened protocol (timed receives, resends, death declarations)
+reshapes the group exactly as on the other backends.  Iterations the
+victim executed but never reported — and those still in its assignment
+— are salvaged: re-executed by the parent and credited to the
+lowest-numbered survivor, so exactly-once coverage holds for every
+crash plan.  A crash run discards the cast.
 
 What this backend refuses (:class:`BackendError`) is one row of the
 capability matrix in ``docs/ARCHITECTURE.md``
@@ -62,13 +96,17 @@ capability matrix in ``docs/ARCHITECTURE.md``
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import queue as queue_mod
+import signal
 import struct
+import threading
 import time
 import traceback
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Callable, Optional, Sequence
 
 from ..apps.workload import LoopSpec, WorkTable
@@ -82,8 +120,6 @@ from ..runtime.options import RunOptions
 from ..runtime.stats import LoopRunStats
 from .base import (
     CRASH_EXIT_CODE,
-    DRAIN_GRACE_SECONDS,
-    POLL_SECONDS,
     WATCHDOG_SECONDS,
     BackendError,
     ExecutionBackend,
@@ -105,7 +141,7 @@ from .driver import (
 )
 from .kernels import burn, calibrate, shm_row_view
 
-__all__ = ["ProcessBackend", "Channel"]
+__all__ = ["ProcessBackend", "Channel", "release_cast"]
 
 Range = tuple[int, int]
 
@@ -128,6 +164,14 @@ class _ChildConfig:
     fail_after: Optional[int]  # test hook: raise after N iterations
 
 
+@dataclass(frozen=True)
+class _RunOrder:
+    """Start a run: the parent's one message to each participant."""
+
+    cfg: _ChildConfig
+    t0: float  # the run's time origin (parent's perf_counter)
+
+
 class Channel:
     """Many-writer / one-reader message channel between processes.
 
@@ -136,14 +180,17 @@ class Channel:
     ``multiprocessing.Queue`` feeder thread that must first win the
     sender's GIL back from a compute loop — so a ``put`` that returned
     is in the pipe, and a process that fail-stops *between* ``put``
-    calls never dies holding the lock.  One reader: reads take no lock.
+    calls never dies holding the lock.  One reader: reads take no lock,
+    and ``multiprocessing.connection.wait`` accepts the channel itself
+    (:meth:`fileno`).
 
     Capacity: once the pipe buffer (>= 64 KiB) is full a write blocks,
     holding the lock, so readers must keep draining.  They do: control
     messages are a few hundred bytes, every worker drains its inbox at
-    each iteration boundary (``_ChildMailbox.poll``) and whenever it
-    waits, and the parent drains the stats stream continuously — which
-    is what lets a megabyte of trace payload cross at ``finish``.
+    each iteration boundary (``_ChildMailbox.poll``), whenever it waits
+    and while it idles between runs, and the parent drains the stats
+    stream continuously — which is what lets a megabyte of trace
+    payload cross at ``finish``.
     """
 
     def __init__(self, ctx) -> None:
@@ -166,6 +213,9 @@ class Channel:
     def get_nowait(self):
         return self.get(0)
 
+    def fileno(self) -> int:
+        return self._reader.fileno()
+
     def close(self) -> None:
         self._reader.close()
         self._writer.close()
@@ -182,6 +232,13 @@ class _CrashClock:
         return (self.crash_at is not None
                 and time.perf_counter() - self.t0 >= self.crash_at)
 
+    def bound(self, timeout: float) -> float:
+        """``timeout``, cut short to end when the crash falls due."""
+        if self.crash_at is None:
+            return timeout
+        return max(0.0, min(timeout, self.t0 + self.crash_at
+                            - time.perf_counter()))
+
     def check(self) -> None:
         """Fail-stop right now if the schedule says so.  Only ever
         called between two channel writes of this (single-threaded)
@@ -190,24 +247,25 @@ class _CrashClock:
             os._exit(CRASH_EXIT_CODE)
 
 
-def _attach_shm(name: str):
+def _attach_shm(name: str, owns_tracker: bool):
     """Attach to a named shared-memory block without tracker handover.
 
-    A child that merely *attaches* must not let its resource tracker
+    A child that merely *attaches* must not let a resource tracker
     unlink the block when the child exits; only the creating parent
-    unlinks.  Under ``fork`` the child shares the parent's tracker
-    process, whose registry is a set — the duplicate register from the
-    attach collapses and nothing need be done (unregistering here would
-    strip the *parent's* entry).  Under ``spawn``/``forkserver`` the
-    attach spins up a child-owned tracker that would unlink the segment
-    at child exit (the bpo-39959 footgun), so there the registration
-    must be withdrawn.
+    unlinks.  A child that inherited the parent's tracker (``spawn`` and
+    ``forkserver`` hand it over; ``fork`` copies it once the parent has
+    created a block) shares its registry, a set — the duplicate
+    register from the attach collapses and nothing need be done
+    (unregistering here would strip the *parent's* entry).  A child
+    that started without one spins up a tracker of its own at its first
+    attach, which would unlink the segment at child exit (the bpo-39959
+    footgun), so there *every* attach's registration must be withdrawn:
+    a resident child attaches once per run, and only the first attach
+    finds no tracker running.
     """
     from multiprocessing import resource_tracker, shared_memory
-    tracker_preexisting = getattr(
-        resource_tracker._resource_tracker, "_fd", None) is not None
     shm = shared_memory.SharedMemory(name=name)
-    if not tracker_preexisting:
+    if owns_tracker:
         try:
             resource_tracker.unregister(shm._name, "shared_memory")
         except Exception:  # pragma: no cover - tracker internals vary
@@ -217,20 +275,33 @@ def _attach_shm(name: str):
 
 class _ChildMailbox:
     """One process's :class:`~repro.backend.driver.Inbox` over its
-    :class:`Channel`; the parent's failure detector posts
-    :class:`~repro.protocol.events.PeerDead` events into the same one.
+    :class:`Channel` for run ``run``; the parent's failure detector
+    posts :class:`~repro.protocol.events.PeerDead` events into the same
+    one.  ``early`` is what this run's peers sent before the order.
     """
 
-    def __init__(self, q, crash: _CrashClock) -> None:
+    def __init__(self, channel: Channel, run: int, crash: _CrashClock,
+                 early: Sequence = ()) -> None:
         self.inbox = Inbox()
-        self._q = q
+        self._channel = channel
+        self._run = run
         self._crash = crash
+        for item in early:
+            self.inbox.post(item)
+
+    def _post(self, stamped) -> None:
+        run, item = stamped
+        # An earlier run's leftover is dropped.  Nothing of a later run
+        # reaches a child mid-run: the next run starts once every
+        # participant has finished this one.
+        if run == self._run:
+            self.inbox.post(item)
 
     def poll(self) -> None:
         """Drain everything currently queued, without blocking."""
         while True:
             try:
-                self.inbox.post(self._q.get_nowait())
+                self._post(self._channel.get_nowait())
             except queue_mod.Empty:
                 return
 
@@ -247,8 +318,8 @@ class _ChildMailbox:
                 return None
             self._crash.check()
             try:
-                self.inbox.post(self._q.get(
-                    timeout=min(remaining, POLL_SECONDS * 2.5)))
+                self._post(self._channel.get(
+                    timeout=self._crash.bound(remaining)))
             except queue_mod.Empty:
                 continue
 
@@ -257,12 +328,13 @@ class _ChildReporter(Reporter):
     """A child's port: routes messages onto peer channels, streams stats
     records to the parent, stamps executed rows in the shared block."""
 
-    def __init__(self, cfg: _ChildConfig, queues, balancer_q, stats_q,
-                 crash: _CrashClock) -> None:
+    def __init__(self, cfg: _ChildConfig, run: int, queues, balancer_q,
+                 stats_q, crash: _CrashClock) -> None:
         me = cfg.spec.node if cfg.groups is None else None
         super().__init__(me, crash.t0,
                          stream_records=cfg.spec.stream_records)
         self._cfg = cfg
+        self._run = run
         self._queues = queues
         self._balancer_q = balancer_q
         self._stats_q = stats_q
@@ -291,10 +363,10 @@ class _ChildReporter(Reporter):
             self.shm_bytes += msg.data_bytes
         to_balancer = msg.tag is Tag.PROFILE and msg.dst == self._lb_host
         channel = self._balancer_q if to_balancer else self._queues[msg.dst]
-        self.payload_bytes += channel.put(msg)
+        self.payload_bytes += channel.put((self._run, msg))
 
     def emit(self, body: dict) -> None:
-        self._stats_q.put((self.me, self.now(), body))
+        self._stats_q.put((self._run, self.me, self.now(), body))
 
     def executed(self, ranges: Sequence[Range]) -> None:
         cfg = self._cfg
@@ -325,23 +397,51 @@ class _ChildReporter(Reporter):
 # ---------------------------------------------------------------------------
 # Child entry point (module-level: spawn start methods must import it).
 # ---------------------------------------------------------------------------
-def _child_main(cfg: _ChildConfig, queues, balancer_q, stats_q,
-                t0: float) -> None:
-    """One worker (reading its own channel) or, with ``cfg.groups`` set,
-    the balancer (reading ``balancer_q``; it is never crashed)."""
+def _child_main(me: Optional[int], queues, balancer_q, stats_q) -> None:
+    """A resident cast member — worker ``me`` (reading its own channel)
+    or, with ``me`` ``None``, the balancer (reading ``balancer_q``):
+    run each order that arrives, until the parent dies."""
+    # A Ctrl-C at a terminal reaches the whole process group: the
+    # parent alone answers it, by discarding the cast.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    channel = balancer_q if me is None else queues[me]
+    parent = multiprocessing.parent_process().sentinel
+    # Asked before a first attach could start one (see _attach_shm).
+    from multiprocessing import resource_tracker
+    owns_tracker = getattr(resource_tracker._resource_tracker, "_fd",
+                           None) is None
+    last = 0  # the last run this child took part in
+    early: list = []  # (run, item) a later run sent ahead of its order
+    while True:
+        if parent in wait([channel, parent]):
+            return
+        run, item = channel.get_nowait()
+        if isinstance(item, _RunOrder):
+            _run_order(item, run, channel,
+                       [got for stamp, got in early if stamp == run],
+                       queues, balancer_q, stats_q, owns_tracker)
+            last, early = run, []
+        elif run > last:
+            early.append((run, item))
+
+
+def _run_order(order: _RunOrder, run: int, channel: Channel, early,
+               queues, balancer_q, stats_q, owns_tracker: bool) -> None:
+    """Run one order: a worker, or (``cfg.groups`` set) the balancer,
+    which is never crashed.  A run that raises ends the child."""
+    cfg = order.cfg
     spec = cfg.spec
     is_worker = cfg.groups is None
-    crash = _CrashClock(spec.crash_at if is_worker else None, t0)
-    reporter = _ChildReporter(cfg, queues, balancer_q, stats_q, crash)
+    crash = _CrashClock(spec.crash_at if is_worker else None, order.t0)
+    reporter = _ChildReporter(cfg, run, queues, balancer_q, stats_q, crash)
     try:
         if is_worker:
-            reporter.shm = _attach_shm(cfg.shm_name)
+            reporter.shm = _attach_shm(cfg.shm_name, owns_tracker)
         proto = spec.build_protocol() if is_worker \
             else spec.build_balancer(cfg.groups)
         if spec.trace_events:
             reporter.recorder = TraceRecorder(clock=reporter.now)
-        mailbox = _ChildMailbox(
-            queues[spec.node] if is_worker else balancer_q, crash)
+        mailbox = _ChildMailbox(channel, run, crash, early)
         probe = crash.due if crash.crash_at is not None else None
 
         def boundary(_proto: WorkerProtocol) -> None:
@@ -374,6 +474,92 @@ def _child_main(cfg: _ChildConfig, queues, balancer_q, stats_q,
     finally:
         if reporter.shm is not None:
             reporter.shm.close()
+
+
+# ---------------------------------------------------------------------------
+# The resident cast (parent side; the rules are "Lifetime" above).
+# ---------------------------------------------------------------------------
+class _Cast:
+    """P resident worker children and one balancer child."""
+
+    def __init__(self, ctx, n_workers: int) -> None:
+        self.shape = (ctx.get_start_method(), n_workers)
+        self.queues = [Channel(ctx) for _ in range(n_workers)]
+        self.balancer_q = Channel(ctx)
+        self.stats_q = Channel(ctx)
+        #: Number of the last run ordered (0: none yet).
+        self.run = 0
+        self.procs: dict[object, object] = {}
+        try:
+            for key in (*range(n_workers), "balancer"):
+                self.procs[key] = proc = ctx.Process(
+                    target=_child_main,
+                    args=(None if key == "balancer" else key, self.queues,
+                          self.balancer_q, self.stats_q),
+                    name="dlb-balancer" if key == "balancer"
+                    else f"dlb-node{key}", daemon=True)
+                proc.start()
+        except BaseException:
+            self.close()
+            raise
+
+    def alive(self) -> bool:
+        return all(p.is_alive() for p in self.procs.values())
+
+    def post(self, key, item) -> None:
+        """Stamp ``item`` with the current run; put it on ``key``'s channel."""
+        channel = self.balancer_q if key == "balancer" else self.queues[key]
+        channel.put((self.run, item))
+
+    def close(self) -> None:
+        """Stop every child and release every handle, now: nothing is
+        left for a later collector pass to finalize."""
+        join_or_terminate(self.procs.values(), timeout=2.0,
+                          terminate=lambda p: p.terminate(),
+                          kill=lambda p: p.kill())
+        for p in self.procs.values():
+            if not p.is_alive():
+                p.close()
+        for channel in (*self.queues, self.balancer_q, self.stats_q):
+            channel.close()
+
+
+_cast: Optional[_Cast] = None
+_run_lock = threading.Lock()
+
+
+def _discard_cast() -> None:
+    global _cast
+    cast, _cast = _cast, None
+    if cast is not None:
+        cast.close()
+
+
+def _cast_for(ctx, n_workers: int) -> _Cast:
+    """The cast for this shape: the resident one, else a fresh one."""
+    global _cast
+    if _cast is not None and (
+            _cast.shape != (ctx.get_start_method(), n_workers)
+            or not _cast.alive()):
+        _discard_cast()
+    if _cast is None:
+        _cast = _Cast(ctx, n_workers)
+    return _cast
+
+
+def release_cast() -> None:
+    """Stop the resident cast, if any (after a run in progress ends)."""
+    with _run_lock:
+        _discard_cast()
+
+
+def _forget_cast() -> None:
+    # A forked child does not own its parent's cast (nor its lock).
+    global _cast, _run_lock
+    _cast, _run_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_cast)
 
 
 # ---------------------------------------------------------------------------
@@ -410,96 +596,87 @@ class ProcessBackend(ExecutionBackend):
         plan = prepare_run(
             self.name, loop, cluster.speeds, strategy, options, selector,
             fault_plan, time_scale=self.time_scale,
-            start_method=getattr(ctx, "_name", None) or self.start_method,
-            kernel=self.kernel)
+            start_method=ctx.get_start_method(), kernel=self.kernel)
         stats, recorder = plan.stats, plan.recorder
         row_bytes = max(STAMP_BYTES, loop.dc_bytes)
         # Calibrate the numpy kernel at the element count the workers
         # actually burn over (the row payload), so per-iteration wall
         # time stays cost * time_scale whatever the row width.
         ops_rate = calibrate(self.kernel, (row_bytes - STAMP_BYTES) // 8)
+        participants: dict[object, WorkerSpec] = dict(enumerate(plan.workers))
+        if plan.workers[0].centralized:
+            participants["balancer"] = plan.workers[0]
 
         from multiprocessing import shared_memory
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(1, loop.n_iterations * row_bytes))
-        queues = [Channel(ctx) for _ in plan.workers]
-        balancer_q = Channel(ctx)
-        stats_q = Channel(ctx)
+        with _run_lock:
+            # Created before a first fork: a forked child then shares
+            # the parent's resource tracker (see _attach_shm).
+            shm = shared_memory.SharedMemory(
+                create=True, size=max(1, loop.n_iterations * row_bytes))
+            clean = False
+            try:
+                cast = _cast_for(ctx, len(plan.workers))
+                cast.run += 1
+                t0 = time.perf_counter()
+                if recorder.enabled:
+                    # Children timestamp against the same parent-stamped
+                    # origin (perf_counter is CLOCK_MONOTONIC: comparable
+                    # across processes), so merged buffers share one
+                    # time domain.
+                    recorder.set_clock(lambda: time.perf_counter() - t0)
+                for key, spec in participants.items():
+                    cast.post(key, _RunOrder(_ChildConfig(
+                        spec=spec, groups=tuple(map(tuple, plan.groups))
+                        if key == "balancer" else None,
+                        kernel=self.kernel, ops_rate=ops_rate,
+                        shm_name=shm.name, row_bytes=row_bytes,
+                        fail_after=self._fail_after.get(key)), t0))
 
-        t0 = time.perf_counter()
-        if recorder.enabled:
-            # Children timestamp against the same parent-stamped origin
-            # (perf_counter is CLOCK_MONOTONIC: comparable across
-            # processes), so merged buffers share one time domain.
-            recorder.set_clock(lambda: time.perf_counter() - t0)
-        cast: dict[object, WorkerSpec] = dict(enumerate(plan.workers))
-        if plan.workers[0].centralized:
-            cast["balancer"] = plan.workers[0]
-        procs: dict[object, object] = {}
-        try:
-            for key, spec in cast.items():
-                cfg = _ChildConfig(
-                    spec=spec, groups=tuple(map(tuple, plan.groups))
-                    if key == "balancer" else None,
-                    kernel=self.kernel, ops_rate=ops_rate,
-                    shm_name=shm.name, row_bytes=row_bytes,
-                    fail_after=self._fail_after.get(key))
-                procs[key] = ctx.Process(
-                    target=_child_main,
-                    args=(cfg, queues, balancer_q, stats_q, t0),
-                    name="dlb-balancer" if key == "balancer"
-                    else f"dlb-node{key}", daemon=True)
-            for p in procs.values():
-                p.start()
+                ledger = RunLedger(stats, recorder, plan.options.on_execute)
+                crashed = self._supervise(ledger, recorder, cast,
+                                          set(participants),
+                                          set(plan.crash_at))
+                ledger.close()
+                for node in sorted(crashed):
+                    # A crashed child's buffer died with it (os._exit
+                    # ships nothing): mark the truncation explicitly
+                    # rather than dropping the node silently.
+                    recorder.event("trace_truncated", track=f"node{node}",
+                                   reason="crashed")
 
-            ledger = RunLedger(stats, recorder, plan.options.on_execute)
-            crashed = self._supervise(ledger, recorder, procs, queues,
-                                      balancer_q, stats_q,
-                                      set(plan.crash_at))
-            ledger.close()
-            for node in sorted(crashed):
-                # A crashed child's buffer died with it (os._exit ships
-                # nothing): mark the truncation explicitly rather than
-                # dropping the node silently.
-                recorder.event("trace_truncated", track=f"node{node}",
-                               reason="crashed")
-
-            for p in procs.values():
-                p.join(timeout=5.0)
-            salvaged = self._salvage(ledger, loop, plan.table, crashed,
-                                     ops_rate, shm, row_bytes)
-            stats.end_time = time.perf_counter() - t0
-            stats.crashed_nodes = tuple(sorted(crashed))
-            stats.declared_dead = tuple(sorted(ledger.declared))
-            stats.salvaged_iterations = salvaged
-            check_coverage(stats.executed_by_node, loop.n_iterations)
-            self._verify_shm(stats, shm, row_bytes)
-            return stats
-        finally:
-            join_or_terminate(procs.values(), timeout=2.0,
-                              terminate=lambda p: p.terminate(),
-                              kill=lambda p: p.kill())
-            for q in (*queues, balancer_q, stats_q):
-                q.close()
-            shm.close()
-            shm.unlink()
+                salvaged = self._salvage(ledger, loop, plan.table, crashed,
+                                         ops_rate, shm, row_bytes)
+                stats.end_time = time.perf_counter() - t0
+                stats.crashed_nodes = tuple(sorted(crashed))
+                stats.declared_dead = tuple(sorted(ledger.declared))
+                stats.salvaged_iterations = salvaged
+                check_coverage(stats.executed_by_node, loop.n_iterations)
+                self._verify_shm(stats, shm, row_bytes)
+                clean = not crashed
+                return stats
+            finally:
+                if not clean:
+                    _discard_cast()
+                shm.close()
+                shm.unlink()
 
     # -- supervision -----------------------------------------------------
-    def _supervise(self, ledger: RunLedger, recorder, procs, queues,
-                   balancer_q, stats_q,
-                   expected_crashes: set[int]) -> set[int]:
-        """Drain the stats stream and police child liveness.
+    def _supervise(self, ledger: RunLedger, recorder, cast: _Cast,
+                   pending: set, expected_crashes: set[int]) -> set[int]:
+        """Drain the stats stream and police child liveness, waking on
+        a record or on a participant's exit, whichever comes first.
 
         Returns the nodes that fail-stopped on schedule.  Raises
         :class:`BackendError` when a child dies outside the fault plan.
         """
         crashed: set[int] = set()
-        suspect_since: dict = {}
-        pending = set(procs)
+        run, stats_q = cast.run, cast.stats_q
         deadline = time.perf_counter() + WATCHDOG_SECONDS * 2
 
         def handle(record) -> None:
-            node, now, body = record
+            stamp, node, now, body = record
+            if stamp != run:
+                return  # an earlier run's leftover
             kind = ledger.record(node, body, now)
             if kind == "trace":
                 recorder.merge_payload(body["payload"])
@@ -510,47 +687,44 @@ class ProcessBackend(ExecutionBackend):
                     f"worker {'balancer' if node is None else node} "
                     f"failed:\n{body['text']}")
 
+        def drain() -> None:
+            while True:
+                try:
+                    handle(stats_q.get_nowait())
+                except queue_mod.Empty:
+                    return
+
         while pending:
-            try:
-                handle(stats_q.get(timeout=POLL_SECONDS))
-                continue
-            except queue_mod.Empty:
-                pass
-            now = time.perf_counter()
-            if now > deadline:
+            timeout = deadline - time.perf_counter()
+            if timeout <= 0:
                 raise BackendError(
                     f"supervision watchdog: {sorted(map(str, pending))} "
                     "never finished")
-            for key in list(pending):
-                p = procs[key]
-                if p.is_alive():
-                    continue
-                code = p.exitcode
-                if code == CRASH_EXIT_CODE and key in expected_crashes:
+            exits = {cast.procs[key].sentinel: key for key in pending}
+            ready = wait([stats_q, *exits], timeout)
+            if stats_q in ready:
+                handle(stats_q.get_nowait())
+                continue
+            for sentinel in ready:
+                key = exits[sentinel]
+                proc = cast.procs[key]
+                proc.join()
+                if proc.exitcode == CRASH_EXIT_CODE \
+                        and key in expected_crashes:
                     crashed.add(key)
                     pending.discard(key)
                     notice = PeerDead(key)
-                    for node, q in enumerate(queues):
-                        if node != key and node not in crashed:
-                            q.put(notice)
-                    if "balancer" in procs:
-                        balancer_q.put(notice)
-                elif code == 0:
-                    # Clean exit: its finish record is still draining.
+                    for peer in pending:
+                        cast.post(peer, notice)
                     continue
-                else:
-                    # Errored children report through the stats channel;
-                    # give the record a moment to surface.
-                    since = suspect_since.setdefault(key, now)
-                    if now - since > DRAIN_GRACE_SECONDS:
-                        raise BackendError(
-                            f"worker {key} died unexpectedly "
-                            f"(exit code {code})")
-        while True:  # trailing records flushed at child exit
-            try:
-                handle(stats_q.get_nowait())
-            except queue_mod.Empty:
-                return crashed
+                # Whatever it wrote is in the pipe before its exit: an
+                # error record explains the death (and raises).
+                drain()
+                raise BackendError(
+                    f"worker {key} died unexpectedly "
+                    f"(exit code {proc.exitcode})")
+        drain()  # records of crashed children still in the pipe
+        return crashed
 
     # -- salvage / verification -----------------------------------------
     def _salvage(self, ledger: RunLedger, loop: LoopSpec,

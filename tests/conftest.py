@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.apps.workload import LoopSpec
@@ -10,6 +12,19 @@ from repro.machine.cluster import ClusterSpec
 from repro.network.parameters import NetworkParameters
 from repro.runtime.options import RunOptions
 from repro.simulation import Environment
+
+
+@pytest.fixture(scope="session", autouse=True)
+def resident_cast_released():
+    """The process backend keeps its children resident between runs
+    (``backend/process.py``, "Lifetime"): release them when the session
+    ends, and fail it if any outlives the release."""
+    yield
+    from repro.backend.process import release_cast
+    release_cast()
+    left = [p.name for p in multiprocessing.active_children()
+            if p.name.startswith(("dlb-node", "dlb-balancer"))]
+    assert left == [], f"resident children outlived the session: {left}"
 
 
 @pytest.fixture

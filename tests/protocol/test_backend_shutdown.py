@@ -3,8 +3,9 @@
 A mid-run failure must never leave ``dlb-*`` worker threads or
 processes behind: an orphan blocks interpreter exit (non-daemon
 contexts) or hangs CI runners.  ThreadBackend aborts and joins every
-thread before re-raising; ProcessBackend terminates and joins every
-child in a ``finally`` (its own regression lives in
+thread before re-raising; ProcessBackend discards its resident cast —
+terminates and joins every child — when a run fails (its own regression
+lives in
 ``test_process_backend.py::test_worker_failure_tears_down_all_processes``).
 """
 

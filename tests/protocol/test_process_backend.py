@@ -5,21 +5,24 @@ strategies; this file covers what is *specific* to processes — the
 shared-memory data path and its audit trail, the transport/shm byte
 split, alternate start methods, lifted crash-fault injection with
 reclaim/salvage, the shutdown contract (no orphaned processes after a
-mid-run failure), and the rejection surface for simulation-only
-features.
+mid-run failure, only the idle resident cast after a clean one; the
+cast's own rules are ``test_process_resident.py``), and the rejection
+surface for simulation-only features.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import time
 
 import pytest
 
 from repro import ClusterSpec
 from repro.apps.mxm import MxmConfig, mxm_loop
 from repro.apps.workload import LoopSpec
-from repro.backend import BackendError, ProcessBackend
-from repro.backend.process import STAMP_BYTES
+from repro.backend import BackendError, ProcessBackend, base, process
+from repro.backend.process import STAMP_BYTES, release_cast
 from repro.faults.plan import (
     FaultPlan,
     MessageDropFault,
@@ -167,6 +170,30 @@ def test_non_crash_faults_stay_simulation_only():
                              fault_plan=plan)
 
 
+@pytest.mark.faults
+@pytest.mark.parametrize("failure", ["crash", "fail_after"])
+def test_waits_end_on_events_not_on_a_poll(monkeypatch, failure):
+    """A crash or an erroring child is handled when it exits: with the
+    supervision poll an hour long, both runs still end in seconds."""
+    monkeypatch.setattr(base, "POLL_SECONDS", 3600.0)
+    monkeypatch.setattr(process, "POLL_SECONDS", 3600.0, raising=False)
+    release_cast()  # the next cast forks with the patched modules
+    loop = LoopSpec(name="steady", n_iterations=64, iteration_time=0.01,
+                    dc_bytes=32)
+    backend = ProcessBackend(time_scale=1.0)
+    t0 = time.perf_counter()
+    if failure == "crash":
+        stats = backend.run_loop(
+            loop, _cluster(), "GCDLB", RunOptions(),
+            fault_plan=FaultPlan.single_crash(node=1, time=0.05))
+        assert stats.crashed_nodes == (1,)
+    else:
+        backend._fail_after = {1: 3}
+        with pytest.raises(BackendError, match="worker 1 failed"):
+            backend.run_loop(loop, _cluster(), "GCDLB", RunOptions())
+    assert time.perf_counter() - t0 < 60.0
+
+
 # -- shutdown contract ---------------------------------------------------
 def test_worker_failure_tears_down_all_processes():
     backend = ProcessBackend(time_scale=1.0)
@@ -178,10 +205,33 @@ def test_worker_failure_tears_down_all_processes():
     assert _no_orphans() == []
 
 
+def _state(pid: int) -> str:
+    """The kernel's one-letter state of ``pid`` (``R`` running, ``S``
+    sleeping ...), from ``/proc``."""
+    with open(f"/proc/{pid}/stat") as stat:
+        return stat.read().rsplit(")", 1)[1].split()[0]
+
+
 def test_clean_run_leaves_no_processes():
+    """A clean run leaves exactly the resident cast — P workers and the
+    balancer, alive and idle — and releasing the cast leaves nothing."""
     loop = mxm_loop(MxmConfig(32, 8, 8), op_seconds=4e-7)
     ProcessBackend(time_scale=0.2).run_loop(
         loop, _cluster(), "LCDLB", RunOptions())
+    cast = [p for p in multiprocessing.active_children()
+            if p.name.startswith("dlb-")]
+    assert sorted(p.name for p in cast) == [
+        "dlb-balancer", "dlb-node0", "dlb-node1", "dlb-node2", "dlb-node3"]
+    assert all(p.is_alive() for p in cast)
+    if os.path.exists("/proc/self/stat"):
+        # Idle: blocked on its channel, not spinning.  A child that has
+        # just sent its finish record may still be on its way there.
+        deadline = time.monotonic() + 5.0
+        while any(_state(p.pid) != "S" for p in cast):
+            assert time.monotonic() < deadline, \
+                [(p.name, _state(p.pid)) for p in cast]
+            time.sleep(0.01)
+    release_cast()
     assert _no_orphans() == []
 
 
