@@ -11,7 +11,8 @@ iteration — so a backend is a ten-line loop around it
 (:func:`run_blocking`, or the same loop with ``await``).  Around it:
 :class:`Inbox`, the one mailbox rule; :class:`Reporter`, stats records
 built once however they travel; :class:`RunLedger`, where *all four*
-backends book a run and the one writer of its ``decision`` instants.
+backends book a run, the one writer of its ``decision`` instants, and
+where it ends: salvage and the exactly-once audit.
 Last, the one run set-up of all four, the simulator included:
 :func:`prepare_run` and the :class:`RunPlan` /
 :class:`WorkerSpec` it returns, the only place protocol objects are
@@ -68,9 +69,11 @@ from ..protocol import (
 )
 from ..runtime.assignment import (
     Assignment,
+    check_coverage,
     equal_block_partition,
     merge_ranges,
     proportional_block_partition,
+    uncovered,
 )
 from ..runtime.options import FaultToleranceConfig, RunOptions
 from ..runtime.stats import LoopRunStats, SyncRecord, environment_fingerprint
@@ -258,8 +261,10 @@ class Reporter:
 
 
 class RunLedger:
-    """Where every backend books a run: executed ranges, one record per
-    synchronization, and that sync's one ``decision`` trace instant.
+    """Where every backend books a run — executed ranges, one record per
+    synchronization and that sync's one ``decision`` trace instant, the
+    deaths declared, a salvage — and the one place a run ends
+    (:meth:`close`: docs/FAULT_MODEL.md, "End of a run").
 
     The simulator's session books straight into it; the real backends
     through :meth:`record`, whichever way a :class:`Reporter`'s records
@@ -272,10 +277,14 @@ class RunLedger:
     """
 
     def __init__(self, stats: LoopRunStats, recorder=NULL_RECORDER,
-                 on_execute: Optional[Callable] = None) -> None:
+                 on_execute: Optional[Callable] = None,
+                 table: Optional[WorkTable] = None) -> None:
         self.stats = stats
         self.recorder = recorder
         self.on_execute = on_execute
+        #: The run's work table: its length is the loop's, its prices
+        #: a salvage's work.
+        self.table = table
         self.declared: set[int] = set()
         self.exec_total = 0
         self._syncs: dict[tuple[int, int], SyncRecord] = {}
@@ -301,11 +310,38 @@ class RunLedger:
         else:
             self._decision(record)
 
-    def close(self) -> None:
-        """Write the ``decision`` instant of every sweep, now whole."""
+    def uncovered(self) -> list[Range]:
+        """The iterations nobody has reported yet; raises
+        :class:`CoverageError` on a duplicate."""
+        return uncovered(self.stats.executed_by_node, self.table.n)
+
+    def orphans(self, lost: bool) -> list[Range]:
+        """What a salvage must run: after a run that ``lost`` a
+        participant, every iteration nobody reported; after any other,
+        nothing — a gap there is a lost record, which :meth:`close`
+        reports."""
+        return self.uncovered() if lost else []
+
+    def salvaged(self, node: int, ranges: Sequence[Range]) -> None:
+        """Book orphaned ``ranges`` that survivor ``node`` has re-run."""
+        count = sum(e - s for s, e in ranges)
+        work = sum(self.table.range_work(s, e) for s, e in ranges)
+        self.executed(node, ranges)
+        self.stats.salvaged_iterations += count
+        self.recorder.event("salvage", track=f"node{node}",
+                            iterations=count, work=work)
+
+    def close(self, end_time: float) -> None:
+        """End the run at ``end_time``: write the ``decision`` instant of
+        every sweep, now whole, and the deaths declared, then audit
+        exactly-once coverage (:class:`CoverageError`)."""
         for record in self._sweeps:
             self._decision(record, ts=record.time)
         self._sweeps.clear()
+        stats = self.stats
+        stats.end_time = end_time
+        stats.declared_dead = tuple(sorted(self.declared))
+        check_coverage(stats.executed_by_node, self.table.n)
 
     def _decision(self, record: SyncRecord,
                   ts: Optional[float] = None) -> None:

@@ -86,8 +86,9 @@ hardened protocol (timed receives, resends, death declarations)
 reshapes the group exactly as on the other backends.  Iterations the
 victim executed but never reported — and those still in its assignment
 — are salvaged: re-executed by the parent and credited to the
-lowest-numbered survivor, so exactly-once coverage holds for every
-crash plan.  A crash run discards the cast.
+lowest-numbered survivor (docs/FAULT_MODEL.md, "End of a run"), so
+exactly-once coverage holds for every crash plan.  A crash run discards
+the cast.
 
 What this backend refuses (:class:`BackendError`) is one row of the
 capability matrix in ``docs/ARCHITECTURE.md``
@@ -109,13 +110,12 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import Callable, Optional, Sequence
 
-from ..apps.workload import LoopSpec, WorkTable
+from ..apps.workload import LoopSpec
 from ..faults.plan import FaultPlan
 from ..machine.cluster import ClusterSpec
 from ..message.messages import Message, Tag
 from ..obs.trace import TraceRecorder
 from ..protocol import AwaitMessage, PeerDead, WorkerProtocol
-from ..runtime.assignment import check_coverage, uncovered
 from ..runtime.options import RunOptions
 from ..runtime.stats import LoopRunStats
 from .base import (
@@ -632,25 +632,20 @@ class ProcessBackend(ExecutionBackend):
                         shm_name=shm.name, row_bytes=row_bytes,
                         fail_after=self._fail_after.get(key)), t0))
 
-                ledger = RunLedger(stats, recorder, plan.options.on_execute)
+                ledger = RunLedger(stats, recorder, plan.options.on_execute,
+                                   plan.table)
                 crashed = self._supervise(ledger, recorder, cast,
                                           set(participants),
                                           set(plan.crash_at))
-                ledger.close()
                 for node in sorted(crashed):
                     # A crashed child's buffer died with it (os._exit
                     # ships nothing): mark the truncation explicitly
                     # rather than dropping the node silently.
                     recorder.event("trace_truncated", track=f"node{node}",
                                    reason="crashed")
-
-                salvaged = self._salvage(ledger, loop, plan.table, crashed,
-                                         ops_rate, shm, row_bytes)
-                stats.end_time = time.perf_counter() - t0
                 stats.crashed_nodes = tuple(sorted(crashed))
-                stats.declared_dead = tuple(sorted(ledger.declared))
-                stats.salvaged_iterations = salvaged
-                check_coverage(stats.executed_by_node, loop.n_iterations)
+                self._salvage(ledger, crashed, ops_rate, shm, row_bytes)
+                ledger.close(time.perf_counter() - t0)
                 self._verify_shm(stats, shm, row_bytes)
                 clean = not crashed
                 return stats
@@ -727,20 +722,16 @@ class ProcessBackend(ExecutionBackend):
         return crashed
 
     # -- salvage / verification -----------------------------------------
-    def _salvage(self, ledger: RunLedger, loop: LoopSpec,
-                 table: WorkTable, crashed: set[int], ops_rate: float,
-                 shm, row_bytes: int) -> int:
-        """Re-execute orphaned iterations; credit the lowest survivor."""
-        stats = ledger.stats
-        orphans = uncovered(stats.executed_by_node, loop.n_iterations) \
-            if crashed else []
+    def _salvage(self, ledger: RunLedger, crashed: set[int],
+                 ops_rate: float, shm, row_bytes: int) -> None:
+        """Re-run the orphans of a crash on the lowest survivor: burn
+        their work and stamp their rows in its name."""
+        orphans = ledger.orphans(bool(crashed))
         if not orphans:
-            return 0
-        survivor = min(node for node in range(stats.n_processors)
-                       if node not in crashed)
+            return
+        survivor = min(set(range(ledger.stats.n_processors)) - crashed)
         pattern = (struct.pack("<Q", survivor + 1)
                    + b"\x5a" * (row_bytes - STAMP_BYTES))
-        count = 0
         for start, end in orphans:
             view = None
             if self.kernel == "numpy":
@@ -749,14 +740,13 @@ class ProcessBackend(ExecutionBackend):
                 view = shm_row_view(shm.buf,
                                     start * row_bytes + STAMP_BYTES,
                                     row_bytes - STAMP_BYTES)
-            burn(self.kernel, table.range_work(start, end) * self.time_scale,
+            burn(self.kernel,
+                 ledger.table.range_work(start, end) * self.time_scale,
                  ops_rate, out=view)
             for i in range(start, end):
                 off = i * row_bytes
                 shm.buf[off:off + len(pattern)] = pattern
-            count += end - start
-        ledger.executed(survivor, orphans)
-        return count
+        ledger.salvaged(survivor, orphans)
 
     @staticmethod
     def _verify_shm(stats: LoopRunStats, shm, row_bytes: int) -> None:

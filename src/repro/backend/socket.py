@@ -47,10 +47,11 @@ Beyond the fixed rosters of the other backends, peers may come and go:
   protocol reshapes exactly as on the process backend.
 
 Exactly-once is preserved across all three: grants are issued at most
-once, leaves happen only between iterations, and at completion the hub
-salvages any coverage gap (crash orphans, grants dropped by a retiring
-receiver) by re-executing it and crediting the lowest finished
-survivor, then audits the merged coverage ledger.
+once, leaves happen only between iterations, and a run that lost a
+peer (crashed or departed) ends in a salvage of its coverage gaps
+(crash orphans, grants dropped by a retiring receiver), credited to
+the lowest finished survivor, before the ledger's audit — the one end
+of a run of docs/FAULT_MODEL.md, "End of a run".
 
 What this backend refuses (:class:`BackendError`) is one row of the
 capability matrix in ``docs/ARCHITECTURE.md``
@@ -95,7 +96,7 @@ from ..protocol import (
     Start,
     WorkerProtocol,
 )
-from ..runtime.assignment import CoverageError, check_coverage, uncovered
+from ..runtime.assignment import CoverageError
 from ..runtime.options import RunOptions
 from ..runtime.stats import LoopRunStats
 from .base import (
@@ -550,7 +551,7 @@ class _Hub:
         self.strict = strict
         self.recorder = plan.recorder
         self.ledger = RunLedger(plan.stats, plan.recorder,
-                                plan.options.on_execute)
+                                plan.options.on_execute, plan.table)
 
         self.n = len(plan.workers)
         self.group_members = {g: list(m) for g, m in enumerate(plan.groups)}
@@ -896,12 +897,12 @@ class _Hub:
                     self._mark_crashed(
                         peer, expected=node in self.expected_crashes)
 
-    def _orphans(self) -> Optional[list[Range]]:
-        """Iterations nobody has reported yet; ``None`` (and an error)
-        when the ledger holds a duplicate."""
+    def _orphans(self, lost: bool = True) -> Optional[list[Range]]:
+        """Iterations nobody has reported yet (what a salvage runs, if
+        the run ``lost`` somebody); ``None`` (and an error) when the
+        ledger holds a duplicate."""
         try:
-            return uncovered(self.stats.executed_by_node,
-                             self.plan.loop.n_iterations)
+            return self.ledger.orphans(lost)
         except CoverageError as exc:
             self._fail(str(exc))
             return None
@@ -978,7 +979,8 @@ class _Hub:
         await self._finish_run()
 
     async def _finish_run(self) -> None:
-        self.stats.salvaged_iterations = await self._salvage()
+        if not self.errors:
+            await self._salvage()
         for peer in self.peers.values():
             self._write(peer, FrameType.BYE)
         for peer in self.peers.values():
@@ -990,26 +992,23 @@ class _Hub:
             # Stragglers were dismissed with the balancer still serving:
             # its traffic counts all the same.
             self.port.finish("dismissed")
-        self.ledger.close()
-        self.stats.end_time = self.now()
         self.stats.crashed_nodes = tuple(sorted(self.crashed))
-        self.stats.declared_dead = tuple(sorted(self.ledger.declared))
         self.stats.joined_nodes = tuple(sorted(self.joined))
         self.stats.left_nodes = tuple(sorted(self.left))
         self.stats.payload_by_frame = dict(sorted(self.frames.items()))
         self.stats.transport_payload_bytes = sum(self.frames.values())
-        if not self.errors:
-            try:
-                check_coverage(self.stats.executed_by_node,
-                               self.plan.loop.n_iterations)
-            except CoverageError as exc:
+        try:
+            self.ledger.close(self.now())
+        except CoverageError as exc:
+            if not self.errors:
                 self._fail(str(exc))
 
-    async def _salvage(self) -> int:
-        """Re-execute orphaned iterations; credit the lowest survivor."""
-        orphans = None if self.errors else self._orphans()
+    async def _salvage(self) -> None:
+        """Re-run the orphans of a crash or a departure, crediting the
+        lowest finished survivor (else the lowest not crashed)."""
+        orphans = self._orphans(bool(self.crashed or self.left))
         if not orphans:
-            return 0
+            return
         survivors = [p.node for p in self.peers.values()
                      if p.status == "finished"] or \
                     [p.node for p in self.peers.values()
@@ -1017,14 +1016,11 @@ class _Hub:
         if not survivors:
             self._fail(f"orphaned iterations {orphans} with no survivor "
                        "to credit")
-            return 0
-        count = 0
+            return
         for start, end in orphans:
             work = self.plan.table.range_work(start, end)
             await asyncio.sleep(work * self.plan.workers[0].time_scale)
-            count += end - start
-        self.ledger.executed(min(survivors), orphans)
-        return count
+        self.ledger.salvaged(min(survivors), orphans)
 
 
 # ---------------------------------------------------------------------------

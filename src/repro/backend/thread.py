@@ -40,7 +40,6 @@ from ..faults.plan import FaultPlan
 from ..machine.cluster import ClusterSpec
 from ..message.messages import Message
 from ..protocol import AwaitMessage
-from ..runtime.assignment import check_coverage
 from ..runtime.options import RunOptions
 from ..runtime.stats import LoopRunStats
 from .base import (
@@ -163,7 +162,8 @@ class ThreadBackend(ExecutionBackend):
 
         abort = threading.Event()
         mailboxes = [_Mailbox(abort) for _ in range(n)]
-        ledger = RunLedger(stats, plan.recorder, options.on_execute)
+        ledger = RunLedger(stats, plan.recorder, options.on_execute,
+                           plan.table)
         lock = threading.Lock()
         errors: list[BaseException] = []
         ops_rate = calibrate(self.kernel)
@@ -213,15 +213,13 @@ class ThreadBackend(ExecutionBackend):
                 if t.is_alive():
                     raise BackendError(
                         f"{t.name} did not finish (deadlock?)")
-            stats.end_time = time.perf_counter() - t0
             if errors:
                 raise errors[0]
-            ledger.close()
         except BaseException:
             # Shutdown contract: never leave dlb-* threads running —
             # CI hangs on orphans.
             abort_all()
             join_or_terminate(threads, timeout=5.0)
             raise
-        check_coverage(stats.executed_by_node, loop.n_iterations)
+        ledger.close(time.perf_counter() - t0)
         return stats

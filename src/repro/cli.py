@@ -318,6 +318,17 @@ def _build_fault_plan(args: argparse.Namespace):
     return None if plan.empty else plan
 
 
+def _mxm_loop(size: str):
+    """The MXM loop of a ``--size RxCxR2``; ``None``, once the user has
+    been told why, when ``size`` is not one."""
+    try:
+        r, c, r2 = (int(x) for x in size.lower().split("x"))
+    except ValueError:
+        print(f"bad --size {size!r}; expected RxCxR2", file=sys.stderr)
+        return None
+    return mxm_loop(MxmConfig(r, c, r2), op_seconds=4e-7)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from .backend.base import BackendError
     from .backend.capabilities import CAPABILITIES, backends_with
@@ -330,11 +341,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         fault_plan = _build_fault_plan(args)
     except ValueError as exc:
         print(f"bad fault flag: {exc}", file=sys.stderr)
-        return 2
-    if fault_plan is not None and args.strategy == "WS":
-        print("bad fault flag: the work-stealing baseline has no "
-              "timeout/reclaim protocol; fault injection needs a DLB "
-              "strategy", file=sys.stderr)
         return 2
     ft = FaultToleranceConfig(request_timeout=args.ft_timeout,
                               max_retries=args.ft_retries)
@@ -382,36 +388,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except BackendError as exc:
             print(f"backend error: {exc}", file=sys.stderr)
             return 2
-    if args.app == "mxm":
-        try:
-            r, c, r2 = (int(x) for x in args.size.lower().split("x"))
-        except ValueError:
-            print(f"bad --size {args.size!r}; expected RxCxR2",
-                  file=sys.stderr)
-            return 2
-        loop = mxm_loop(MxmConfig(r, c, r2), op_seconds=4e-7)
-        try:
+    loop = _mxm_loop(args.size) if args.app == "mxm" else None
+    if args.app == "mxm" and loop is None:
+        return 2
+    try:
+        if loop is not None:
             stats = run_loop(loop, cluster, args.strategy, options=options,
                              fault_plan=fault_plan, backend=backend)
-        except BackendError as exc:
-            print(f"backend error: {exc}", file=sys.stderr)
-            return 2
-        print(stats.summary())
-        if args.topology:
-            print(f"topology={args.topology}")
-        if stats.selected_scheme:
-            print(f"customized selection: {stats.selection_report.summary()}")
-    else:
-        app = trfd_application(TrfdConfig(args.n), op_seconds=3e-7)
-        stats = run_application(app, cluster, args.strategy,
-                                options=options, fault_plan=fault_plan)
-        print(stats.summary())
-        if args.topology:
-            print(f"topology={args.topology}")
+        else:
+            stats = run_application(
+                trfd_application(TrfdConfig(args.n), op_seconds=3e-7),
+                cluster, args.strategy, options=options,
+                fault_plan=fault_plan)
+    except BackendError as exc:
+        print(f"backend error: {exc}", file=sys.stderr)
+        return 2
+    print(stats.summary())
+    if args.topology:
+        print(f"topology={args.topology}")
+    if loop is None:
         for ls in stats.loop_stats:
             if ls.selected_scheme:
                 print(f"{ls.loop_name} selection: "
                       f"{ls.selection_report.summary()}")
+    elif stats.selected_scheme:
+        print(f"customized selection: {stats.selection_report.summary()}")
     if recorder is not None:
         from .obs.export import write_trace
         events = recorder.events()
@@ -475,12 +476,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiments.sweeps import sweep
-    try:
-        r, c, r2 = (int(x) for x in args.size.lower().split("x"))
-    except ValueError:
-        print(f"bad --size {args.size!r}; expected RxCxR2", file=sys.stderr)
+    loop = _mxm_loop(args.size)
+    if loop is None:
         return 2
-    loop = mxm_loop(MxmConfig(r, c, r2), op_seconds=4e-7)
     config = ExperimentConfig(n_seeds=args.seeds)
     result = sweep(loop, args.processors, args.knob, args.values,
                    schemes=tuple(args.schemes.split(",")), config=config)
@@ -536,12 +534,9 @@ def _cmd_balancer(args: argparse.Namespace) -> int:
     from .backend import SocketBackend
     from .backend.base import BackendError
     from .runtime.options import FaultToleranceConfig, RunOptions
-    try:
-        r, c, r2 = (int(x) for x in args.size.lower().split("x"))
-    except ValueError:
-        print(f"bad --size {args.size!r}; expected RxCxR2", file=sys.stderr)
+    loop = _mxm_loop(args.size)
+    if loop is None:
         return 2
-    loop = mxm_loop(MxmConfig(r, c, r2), op_seconds=4e-7)
     cluster = ClusterSpec.homogeneous(
         args.processors, max_load=args.max_load,
         persistence=args.persistence, seed=args.seed)

@@ -23,9 +23,15 @@ registered as a :class:`WorkParcel` when the sender takes it off its
 assignment, marked consumed when a receiver absorbs it, and swept into
 the orphan ``pool`` when a death strands it.  The pool also receives a
 dead node's unfinished assignment.  Survivors claim pooled ranges at
-synchronization points; whatever remains is executed by the executor's
-final salvage pass, so the exactly-once coverage invariant survives any
-plan with at least one surviving processor.
+synchronization points; whatever remains is re-run at the end of the run
+(docs/FAULT_MODEL.md, "End of a run"), so the exactly-once coverage
+invariant survives any plan with at least one surviving processor.
+
+Its tallies go straight into the run's
+:class:`~repro.runtime.stats.LoopRunStats` (retries, reclaimed
+iterations, who crashed or was fenced) and its declarations into the
+run's :class:`~repro.backend.driver.RunLedger`; drops and delays are
+the network's own counts.
 """
 
 from __future__ import annotations
@@ -53,14 +59,8 @@ class WorkParcel:
     dst: int
     epoch: int
     ranges: tuple[Range, ...]
-    delivered: bool = False
     consumed: bool = False
     pooled: bool = False
-    drops: int = 0
-
-    @property
-    def key(self) -> tuple[int, int, int]:
-        return (self.src, self.dst, self.epoch)
 
 
 @dataclass
@@ -77,26 +77,18 @@ class FaultController:
     def __init__(self, session: "LoopSession", plan: FaultPlan) -> None:
         plan.validate_for(session.n)
         self.session = session
+        self.stats = session.stats
         self.plan = plan
         self.rec = session.recorder
         self._rng = plan.rng()
         # -- ground truth vs detected state --------------------------------
         self.crashed: set[int] = set()
-        self.crash_times: dict[int, float] = {}
-        self.declared: set[int] = set()
+        self.declared = session.ledger.declared
         self.fenced: set[int] = set()
         self._assignment_reclaimed: set[int] = set()
         # -- ledger and pool ------------------------------------------------
         self.parcels: dict[tuple[int, int, int], WorkParcel] = {}
         self.pool: list[Range] = []
-        # -- counters for LoopRunStats --------------------------------------
-        self.retries = 0
-        self.dropped_messages = 0
-        self.delayed_messages = 0
-        self.reclaimed_iterations = 0
-        self.salvaged_iterations = 0
-        self.slowdowns_applied = 0
-        self.slowdowns_skipped = 0
         self._drop_budgets = [
             _BudgetedFault(spec=f, remaining=f.max_drops)
             for f in plan.drops]
@@ -154,11 +146,8 @@ class FaultController:
         if time > env.now:
             yield env.timeout(time - env.now)
         runtime = self.session.nodes.get(node)
-        if (runtime is not None and node not in self.crashed
-                and runtime.steal(pause)):
-            self.slowdowns_applied += 1
-        else:
-            self.slowdowns_skipped += 1
+        if runtime is not None and node not in self.crashed:
+            runtime.steal(pause)
         return
         yield  # pragma: no cover
 
@@ -169,7 +158,7 @@ class FaultController:
             return
         env = self.session.env
         self.crashed.add(node)
-        self.crash_times[node] = env.now
+        self.stats.crashed_nodes = tuple(sorted(self.crashed))
         self.rec.event("crash", track=f"node{node}")
         runtime = self.session.nodes.get(node)
         if runtime is not None:
@@ -216,19 +205,11 @@ class FaultController:
                     and self._rng.random() < budgeted.spec.probability):
                 budgeted.remaining -= 1
                 extra += budgeted.spec.extra_seconds
-        if extra > 0:
-            self.delayed_messages += 1
-            return extra
-        return None
+        return extra or None
 
     def _on_drop(self, src: int, dst: int, item: Any) -> None:
-        self.dropped_messages += 1
         self.rec.event("message_drop", track="network", src=src, dst=dst,
                        tag=self._tag_value(item) or "")
-        if isinstance(item, WorkMsg) and item.ranges:
-            parcel = self.parcels.get((src, dst, item.epoch))
-            if parcel is not None:
-                parcel.drops += 1
 
     # -- failure declaration (detection) --------------------------------------
     def is_declared_dead(self, node: int) -> bool:
@@ -255,10 +236,10 @@ class FaultController:
                        fenced=fenced)
         if fenced:
             self.fenced.add(node)
+            self.stats.fenced_nodes = tuple(sorted(self.fenced))
             self.rec.event("fence", track=f"node{node}")
             self.crash(node)
         self._reclaim_node(node)
-        self.session.stats.declared_dead = tuple(sorted(self.declared))
 
     def _reclaim_node(self, node: int) -> None:
         if node not in self._assignment_reclaimed:
@@ -278,7 +259,7 @@ class FaultController:
         live = [r for r in ranges if r[1] > r[0]]
         if live:
             self.pool.extend(live)
-            self.reclaimed_iterations += sum(e - s for s, e in live)
+            self.stats.reclaimed_iterations += sum(e - s for s, e in live)
 
     # -- work ledger -----------------------------------------------------------
     def register_parcel(self, src: int, dst: int, epoch: int,
@@ -303,18 +284,12 @@ class FaultController:
         parcel = self.parcels.get(key)
         if parcel is None:
             self.parcels[key] = WorkParcel(src=src, dst=dst, epoch=epoch,
-                                           ranges=(), delivered=True,
-                                           consumed=True)
+                                           ranges=(), consumed=True)
             return ()
         if parcel.consumed or parcel.pooled:
             return None
-        parcel.delivered = True
         parcel.consumed = True
         return parcel.ranges
-
-    def parcel_state(self, src: int, dst: int, epoch: int
-                     ) -> Optional[WorkParcel]:
-        return self.parcels.get((src, dst, epoch))
 
     # -- orphan pool -----------------------------------------------------------
     def claim_orphans(self) -> list[Range]:
@@ -327,11 +302,11 @@ class FaultController:
         return bool(self.pool)
 
     def note_retry(self) -> None:
-        self.retries += 1
+        self.stats.fault_retries += 1
 
-    # -- end-of-run salvage ----------------------------------------------------
-    def sweep_orphans(self) -> list[Range]:
-        """Collect every range no live protocol participant will run.
+    # -- end of the run --------------------------------------------------------
+    def sweep_orphans(self) -> None:
+        """Reclaim every range no live protocol participant will run.
 
         Called by the executor after all node processes have finished:
         dead nodes' assignments not yet reclaimed, unconsumed WORK
@@ -354,7 +329,3 @@ class FaultController:
             if not parcel.consumed and not parcel.pooled:
                 parcel.pooled = True
                 self.pool_ranges(parcel.ranges)
-        return self.claim_orphans()
-
-    def survivors(self) -> list[int]:
-        return [i for i in range(self.session.n) if i not in self.crashed]

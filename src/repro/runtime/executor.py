@@ -6,20 +6,20 @@ whole application (loops plus sequential stages such as TRFD's
 transpose) on a single simulation environment, so external load evolves
 continuously across stages.
 
-After every loop the executor verifies the fundamental DLB invariant:
-**every iteration executed exactly once** — redistribution must neither
-lose nor duplicate work.  The invariant is *also* enforced under fault
-injection: pass a :class:`~repro.faults.FaultPlan` and the executor
-installs a :class:`~repro.faults.FaultController`, enables the hardened
-protocol, and — after the surviving processes finish — runs a salvage
-pass that executes any orphaned iterations on the lowest-numbered
-survivor, so the loop degrades gracefully instead of losing work.
+Every loop ends the way it does on every backend (docs/FAULT_MODEL.md,
+"End of a run"): the run's :class:`~repro.backend.driver.RunLedger`
+audits the fundamental DLB invariant — **every iteration executed
+exactly once**.  Under a :class:`~repro.faults.FaultPlan` the executor
+installs a :class:`~repro.faults.FaultController` and the hardened
+protocol, and once the survivors finish, the orphans the ledger reports
+are re-run on the lowest-numbered survivor first.
 """
 
 from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
+from copy import copy
 from typing import Callable, Iterator, Optional
 
 from ..apps.workload import ApplicationSpec, LoopSpec, SequentialStage
@@ -34,7 +34,7 @@ from ..message.messages import DataMsg, Tag
 from ..message.pvm import VirtualMachine
 from ..network.graph import build_network
 from ..simulation import Environment, SimulationError
-from .assignment import CoverageError, check_coverage, merge_ranges
+from .assignment import CoverageError
 from .balancer import CentralBalancer
 from .node import NodeRuntime
 from .options import RunOptions
@@ -45,51 +45,24 @@ __all__ = ["run_loop", "run_application", "CoverageError"]
 
 
 def _salvage(session: LoopSession, controller: FaultController) -> None:
-    """Execute every orphaned iteration on the lowest-id survivor.
-
-    This is the last line of the graceful-degradation guarantee: after
-    the protocol-level reclaim/redistribute machinery has done what it
-    can, any iteration still unexecuted (stranded parcels, unconsumed
-    WORK in dead mailboxes, late reclaims) is run — and charged its
-    simulated compute time — on one surviving workstation, so
-    :func:`check_coverage` holds for every plan with a survivor.
-    """
-    orphans = controller.sweep_orphans()
+    """Re-run the orphans of a faulted run on the lowest-id survivor,
+    charging it their simulated compute time."""
+    controller.sweep_orphans()
+    orphans = session.ledger.orphans(lost=True)
     if not orphans:
         return
-    ranges = merge_ranges(orphans)
-    survivors = controller.survivors()
-    if not survivors:  # unreachable: FaultPlan.validate_for guarantees one
+    node = min(set(range(session.n)) - controller.crashed, default=None)
+    if node is None:  # unreachable: FaultPlan.validate_for guarantees one
         raise SimulationError("no survivor left to salvage orphaned work")
-    node = survivors[0]
     env = session.env
-    table = session.table
-    work = sum(table.range_work(s, e) for s, e in ranges)
-    count = sum(e - s for s, e in ranges)
+    work = sum(session.table.range_work(s, e) for s, e in orphans)
 
-    def runner():
-        ws = session.stations[node]
-        t_end = ws.time_to_complete(env.now, work)
+    def spend():
+        t_end = session.stations[node].time_to_complete(env.now, work)
         yield env.timeout(t_end - env.now)
-        session.ledger.executed(node, ranges)
 
-    env.run(env.process(runner(), name=f"salvage{node}"))
-    controller.salvaged_iterations += count
-    session.recorder.event("salvage", track=f"node{node}",
-                           iterations=count, work=work)
-
-
-def _copy_fault_stats(session: LoopSession,
-                      controller: FaultController) -> None:
-    stats = session.stats
-    stats.crashed_nodes = tuple(sorted(controller.crashed))
-    stats.fenced_nodes = tuple(sorted(controller.fenced))
-    stats.declared_dead = tuple(sorted(controller.declared))
-    stats.dropped_messages = controller.dropped_messages
-    stats.delayed_messages = controller.delayed_messages
-    stats.fault_retries = controller.retries
-    stats.reclaimed_iterations = controller.reclaimed_iterations
-    stats.salvaged_iterations = controller.salvaged_iterations
+    env.run(env.process(spend(), name=f"salvage{node}"))
+    session.ledger.salvaged(node, orphans)
 
 
 def _scatter(session: LoopSession):
@@ -151,7 +124,7 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
         session.controller = controller
         controller.install()
     msg_before = dict(vm.sent_by_tag)
-    net_before = (vm.network.stats.messages, vm.network.stats.bytes)
+    net_before = copy(vm.network.stats)
     session.stats.start_time = env.now
 
     if options.include_staging:
@@ -179,21 +152,22 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
 
     if controller is not None:
         _salvage(session, controller)
-        _copy_fault_stats(session, controller)
         controller.uninstall()
 
     if options.include_staging:
         gather = env.process(_gather(session), name="master-gather")
         env.run(gather)
 
-    session.stats.end_time = env.now
-    session.ledger.close()
-    session.stats.node_finish_times = {
+    stats = session.stats
+    stats.node_finish_times = {
         i: session.nodes[i].finish_time for i in range(session.n)}
-    session.stats.messages_by_tag = {
+    stats.messages_by_tag = {
         t.value: vm.sent_by_tag.get(t, 0) - msg_before.get(t, 0) for t in Tag}
-    session.stats.network_messages = vm.network.stats.messages - net_before[0]
-    session.stats.network_bytes = vm.network.stats.bytes - net_before[1]
+    net = vm.network.stats
+    stats.network_messages = net.messages - net_before.messages
+    stats.network_bytes = net.bytes - net_before.bytes
+    stats.dropped_messages = net.dropped_messages - net_before.dropped_messages
+    stats.delayed_messages = net.delayed_messages - net_before.delayed_messages
 
     # Detach mailbox hooks so a later stage can re-register, and undo
     # the session <-> node / controller back-references: the stats are
@@ -203,8 +177,8 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
         vm.inbox[i].notify = None
     session.nodes.clear()
     session.controller = None
-    check_coverage(session.stats.executed_by_node, session.loop.n_iterations)
-    return session.stats
+    session.ledger.close(env.now)
+    return stats
 
 
 @contextmanager

@@ -49,7 +49,7 @@ class LoopSession:
         #: caller supplied a recorder (see docs/OBSERVABILITY.md).
         self.recorder = plan.recorder
         self.ledger = RunLedger(plan.stats, plan.recorder,
-                                plan.options.on_execute)
+                                plan.options.on_execute, plan.table)
         lead = plan.workers[0]
         #: Host of the master processor / central load balancer.
         self.lb_host = lead.lb_host

@@ -182,6 +182,7 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
+        env._live[self] = None
         Initialize(env, self)
 
     @property
@@ -247,31 +248,18 @@ class Process(Event):
                         raise StopIteration(None)
                     next_event = self._generator.throw(exc)
             except StopIteration as stop:
-                env._active_process = None
-                self._ok = True
-                self._value = stop.value
-                env._schedule(self, PRIORITY_NORMAL, 0.0)
+                self._end(True, stop.value)
                 return
             except StopProcess:
-                env._active_process = None
-                self._ok = True
-                self._value = None
-                env._schedule(self, PRIORITY_NORMAL, 0.0)
+                self._end(True, None)
                 return
             except BaseException as exc:
-                env._active_process = None
-                self._ok = False
-                self._value = exc
-                env._schedule(self, PRIORITY_NORMAL, 0.0)
+                self._end(False, exc)
                 return
 
             if not isinstance(next_event, Event):
-                env._active_process = None
-                error = SimulationError(
-                    f"process {self.name!r} yielded non-event {next_event!r}")
-                self._ok = False
-                self._value = error
-                env._schedule(self, PRIORITY_NORMAL, 0.0)
+                self._end(False, SimulationError(
+                    f"process {self.name!r} yielded non-event {next_event!r}"))
                 return
 
             if next_event.callbacks is None:
@@ -282,6 +270,14 @@ class Process(Event):
             self._target = next_event
             env._active_process = None
             return
+
+    def _end(self, ok: bool, value: Any) -> None:
+        env = self.env
+        env._active_process = None
+        env._live.pop(self, None)
+        self._ok = ok
+        self._value = value
+        env._schedule(self, PRIORITY_NORMAL, 0.0)
 
 
 class Condition(Event):
@@ -372,6 +368,8 @@ class Environment:
         self._buckets: tuple[deque, ...] = (deque(), deque(), deque())
         self._eid_n = 0
         self._active_process: Optional[Process] = None
+        #: Processes not yet ended, in creation order.
+        self._live: dict[Process, None] = {}
 
     @property
     def now(self) -> float:
@@ -434,11 +432,15 @@ class Environment:
         heappush(self._queue, (when, PRIORITY_NORMAL, eid, event))
 
     def discard_pending(self) -> None:
-        """Drop everything still scheduled, callbacks included: the
-        owner is done with this environment.  Scheduled events point
-        back at it, and their callbacks at whoever waits for them, so a
-        schedule left non-empty keeps the whole simulation in reference
-        cycles."""
+        """Drop everything still scheduled, callbacks included, and close
+        every process still suspended: the owner is done with this
+        environment.  Scheduled events point back at it, and their
+        callbacks at whoever waits for them, so a schedule left
+        non-empty keeps the whole simulation in reference cycles; and a
+        generator closed here, not by its deallocator, raises into the
+        owner instead of being reported as unraisable."""
+        while self._live:
+            self._live.popitem()[0]._generator.close()
         for pending in (self._queue, *self._buckets):
             for _when, _priority, _eid, event in pending:
                 event.callbacks = None

@@ -4,7 +4,7 @@ fences the unreachable peer."""
 import pytest
 
 from repro.faults import FaultPlan, MessageDelayFault, MessageDropFault
-from repro.runtime.executor import run_loop
+from repro.runtime.executor import _simulated_run, run_loop, run_loop_stage
 
 from .conftest import DLB_SCHEMES, assert_exact_coverage
 
@@ -79,3 +79,26 @@ def test_drop_budget_respected(ft_loop, cluster4, ft_options):
                      fault_plan=plan)
     assert_exact_coverage(stats, ft_loop)
     assert stats.dropped_messages == 3
+
+
+def test_drop_and_delay_tallies_are_the_networks_per_stage(ft_loop, cluster4,
+                                                           ft_options):
+    """A dropped or delayed message is counted once, by the network:
+    each loop stage on one environment reports the network's count for
+    that stage."""
+    plan = FaultPlan(
+        drops=(MessageDropFault(probability=0.5, max_drops=3),),
+        delays=(MessageDelayFault(extra_seconds=0.02, probability=0.5,
+                                  max_delays=5),),
+        seed=29)
+    with _simulated_run(cluster4, ft_options) as (env, stations, vm):
+        net = vm.network.stats
+        for _stage in range(2):
+            before = (net.dropped_messages, net.delayed_messages)
+            stats = run_loop_stage(env, vm, stations, ft_loop, "GDDLB",
+                                   ft_options, fault_plan=plan)
+            assert_exact_coverage(stats, ft_loop)
+            assert stats.dropped_messages == \
+                net.dropped_messages - before[0] > 0
+            assert stats.delayed_messages == \
+                net.delayed_messages - before[1] > 0

@@ -9,7 +9,8 @@ that the second copy had grown: the central balancer priced movement
 without the data bytes on process/socket, and ``initial_partition``
 was honoured by the simulator only.  The run is booked the same way
 too: ``RunLedger`` is the one writer of sync records and of their
-``decision`` trace instants.
+``decision`` trace instants, and it ends every run — the salvage's
+booking and the exactly-once audit.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from repro.backend.driver import (
     prepare_run,
 )
 from repro.core.policy import DlbPolicy
+from repro.faults.controller import FaultController
+from repro.faults.plan import FaultPlan
 from repro.message.messages import TransferOrder
 from repro.message.pvm import VirtualMachine
 from repro.protocol import BalancerProtocol
@@ -99,6 +102,12 @@ def _calls(pattern):
     # One writer of the ``decision`` instant, on every backend.
     (r"(?:event|emit|_trace)\(\s*\"decision\"", {"backend/driver.py": 1}),
     (r"options\.trace\b", {}),
+    # One end of a run: the exactly-once audit and the gaps a salvage
+    # runs are the ledger's (``RunLedger.close`` / ``.uncovered``), and
+    # so is the salvage's booking.
+    (r"(?<!def )(?<![\w.])check_coverage\(", {"backend/driver.py": 1}),
+    (r"(?<!def )(?<![\w.])uncovered\(", {"backend/driver.py": 1}),
+    (r"salvaged_iterations\s*\+?=", {"backend/driver.py": 1}),
 ])
 def test_each_run_record_has_one_writer(pattern, sites):
     assert _calls(pattern) == sites
@@ -107,6 +116,18 @@ def test_each_run_record_has_one_writer(pattern, sites):
 def test_the_ledger_is_the_one_booking_rule():
     assert "stats.record_sync(" in inspect.getsource(RunLedger.sync)
     assert "emit_trace" not in inspect.getsource(BalancerProtocol)
+
+
+def test_the_fault_controller_keeps_no_second_tally():
+    """The simulator's fault tallies have one home each: the stats, the
+    ledger's declarations, the network's drop and delay counts."""
+    plan = _plan("sim", "GDDLB", (1.0,) * 4)
+    controller = FaultController(
+        _session(plan), FaultPlan.single_crash(node=1, time=0.01))
+    for name in ("retries", "dropped_messages", "delayed_messages",
+                 "reclaimed_iterations", "salvaged_iterations"):
+        assert not hasattr(controller, name), name
+    assert controller.declared is controller.session.ledger.declared
 
 
 # -- by value -----------------------------------------------------------------

@@ -178,8 +178,8 @@ def test_run_that_ends_unclean_leaves_a_fresh_cast(failure, monkeypatch):
             patch.setattr(process, "WATCHDOG_SECONDS", 0.0)
             with pytest.raises(BackendError, match="watchdog"):
                 _run(backend)
-        else:  # an exception in the parent, mid-run
-            patch.setattr(backend, "_salvage", _interrupted)
+        else:  # an exception in the parent, after the children finish
+            patch.setattr(backend, "_verify_shm", _interrupted)
             with pytest.raises(KeyboardInterrupt):
                 _run(backend)
     assert _cast_pids() == {}  # discarded, not left idle

@@ -7,6 +7,10 @@ the ``balancer`` track.  The simulator's side is pinned by the digest
 files and ``tests/runtime/test_session_balancer.py``; these are the real
 backends, where the callback used to be silently skipped and the
 instant was one per replica on the replicas' own tracks.
+
+It is also where every run ends: a salvage of the orphans of a loss
+books one ``salvage`` instant, and a gap in a run that lost nobody is a
+lost record, which the closing audit reports on every backend.
 """
 
 from __future__ import annotations
@@ -18,9 +22,13 @@ import pytest
 from repro import ClusterSpec
 from repro.apps.workload import LoopSpec
 from repro.backend import ProcessBackend, SocketBackend, ThreadBackend
+from repro.backend.base import BackendError
+from repro.backend.driver import RunLedger
+from repro.backend.socket import KillEvent
 from repro.faults.plan import FaultPlan
 from repro.obs import TraceRecorder
-from repro.runtime.assignment import merge_ranges
+from repro.runtime.assignment import CoverageError, merge_ranges
+from repro.runtime.executor import run_loop
 from repro.runtime.options import RunOptions
 
 pytestmark = pytest.mark.usefixtures("short_watchdog")
@@ -79,3 +87,52 @@ def test_one_decision_instant_per_sync(backend, strategy, topology):
                   for e in decisions) == \
         sorted((s.group, s.epoch, s.reason, s.moved_work, s.n_transfers)
                for s in stats.syncs)
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("backend", ["sim", "process", "socket"])
+def test_every_salvage_writes_one_instant(backend):
+    """A crash leaves orphans on every backend that can lose a worker;
+    their salvage is booked once, in one ``salvage`` instant."""
+    recorder = TraceRecorder()
+    options = RunOptions(recorder=recorder)
+    if backend == "sim":
+        # Node 3 dies alone in its group after its partner retired:
+        # nobody is left to claim its block at a sync.
+        stats = run_loop(SKEW, _cluster(4), "LCDLB",
+                         options.but(group_size=2),
+                         fault_plan=FaultPlan.single_crash(node=3,
+                                                           time=0.06))
+    elif backend == "process":
+        stats = ProcessBackend().run_loop(
+            SKEW, _cluster(3), "GDDLB", options,
+            fault_plan=FaultPlan.single_crash(node=1, time=0.01))
+    else:
+        stats = SocketBackend(script=(KillEvent(node=2, after_iterations=5),)
+                              ).run_loop(SKEW, _cluster(3), "GDDLB", options)
+    (salvage,) = [e for e in recorder.events() if e["name"] == "salvage"]
+    assert salvage["args"]["iterations"] == stats.salvaged_iterations > 0
+    assert salvage["args"]["work"] > 0
+    assert merge_ranges(r for ranges in stats.executed_by_node.values()
+                        for r in ranges) == [(0, N)]
+
+
+@pytest.mark.parametrize("backend", ["sim", *sorted(BACKENDS)])
+def test_a_lost_record_fails_a_run_that_lost_nobody(backend, monkeypatch):
+    """Salvage follows a loss only: a report that never reaches the
+    ledger, with every participant alive, fails the closing audit
+    instead of being re-run in silence."""
+    executed, lost = RunLedger.executed, []
+
+    def lose_the_first(ledger, node, ranges):
+        if ranges and not lost:
+            lost.extend(ranges)
+            return
+        executed(ledger, node, ranges)
+
+    monkeypatch.setattr(RunLedger, "executed", lose_the_first)
+    with pytest.raises(BackendError if backend == "socket"
+                       else CoverageError, match="lost iterations"):
+        run_loop(SKEW, _cluster(3), "GDDLB",
+                 backend=BACKENDS[backend]() if backend != "sim" else None)
+    assert lost

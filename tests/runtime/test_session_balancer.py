@@ -129,7 +129,9 @@ def test_record_plan_adds_up_the_parts_of_a_sweep():
     assert sweep.moved_work == pytest.approx(whole.work_to_move)
     assert sweep.retired == (2,) and sweep.reason == "diffused"
     assert _decisions(recorder) == []
-    session.ledger.close()
+    # ``close`` audits coverage too: book the whole loop first.
+    session.ledger.executed(0, [(0, session.loop.n_iterations)])
+    session.ledger.close(session.env.now)
     assert _decisions(recorder) == [("balancer", 0, 2)]
 
 

@@ -78,6 +78,26 @@ def test_run_bad_crash_flag_exits_2(capsys):
     assert "bad fault flag" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, says", [
+    # The capability table's refusal, not a copy of it in the CLI.
+    (SMALL_RUN + ["--strategy", "WS", "--crash", "1:0.01"], "work-stealing"),
+    # Both app paths share one handler: no traceback for TRFD.
+    (["run", "--app", "trfd", "--n", "4", "-P", "1", "--strategy", "GDDLB"],
+     "at least 2 processors"),
+])
+def test_run_refusals_are_backend_errors_that_exit_2(argv, says, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("backend error: ") and says in err
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "max_load", "0"], ["balancer"]])
+def test_every_size_flag_is_parsed_alike(command, capsys):
+    assert main(command + ["--size", "4x4"]) == 2
+    assert "bad --size '4x4'; expected RxCxR2" in capsys.readouterr().err
+
+
 def test_start_method_flag_parses():
     args = build_parser().parse_args(
         SMALL_RUN + ["--backend", "process", "--start-method", "spawn"])
