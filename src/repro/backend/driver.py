@@ -276,15 +276,15 @@ class RunLedger:
     the sweep began; any other sync's as it is booked.
     """
 
-    def __init__(self, stats: LoopRunStats, recorder=NULL_RECORDER,
-                 on_execute: Optional[Callable] = None,
-                 table: Optional[WorkTable] = None) -> None:
+    def __init__(self, stats: LoopRunStats, table: WorkTable,
+                 recorder=NULL_RECORDER,
+                 on_execute: Optional[Callable] = None) -> None:
         self.stats = stats
-        self.recorder = recorder
-        self.on_execute = on_execute
         #: The run's work table: its length is the loop's, its prices
         #: a salvage's work.
         self.table = table
+        self.recorder = recorder
+        self.on_execute = on_execute
         self.declared: set[int] = set()
         self.exec_total = 0
         self._syncs: dict[tuple[int, int], SyncRecord] = {}
@@ -311,16 +311,10 @@ class RunLedger:
             self._decision(record)
 
     def uncovered(self) -> list[Range]:
-        """The iterations nobody has reported yet; raises
-        :class:`CoverageError` on a duplicate."""
+        """The iterations nobody has reported yet — what a salvage runs
+        after a run lost a participant; raises :class:`CoverageError` on
+        a duplicate."""
         return uncovered(self.stats.executed_by_node, self.table.n)
-
-    def orphans(self, lost: bool) -> list[Range]:
-        """What a salvage must run: after a run that ``lost`` a
-        participant, every iteration nobody reported; after any other,
-        nothing — a gap there is a lost record, which :meth:`close`
-        reports."""
-        return self.uncovered() if lost else []
 
     def salvaged(self, node: int, ranges: Sequence[Range]) -> None:
         """Book orphaned ``ranges`` that survivor ``node`` has re-run."""

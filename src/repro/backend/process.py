@@ -632,8 +632,8 @@ class ProcessBackend(ExecutionBackend):
                         shm_name=shm.name, row_bytes=row_bytes,
                         fail_after=self._fail_after.get(key)), t0))
 
-                ledger = RunLedger(stats, recorder, plan.options.on_execute,
-                                   plan.table)
+                ledger = RunLedger(stats, plan.table, recorder,
+                                   plan.options.on_execute)
                 crashed = self._supervise(ledger, recorder, cast,
                                           set(participants),
                                           set(plan.crash_at))
@@ -644,7 +644,8 @@ class ProcessBackend(ExecutionBackend):
                     recorder.event("trace_truncated", track=f"node{node}",
                                    reason="crashed")
                 stats.crashed_nodes = tuple(sorted(crashed))
-                self._salvage(ledger, crashed, ops_rate, shm, row_bytes)
+                if crashed:
+                    self._salvage(ledger, crashed, ops_rate, shm, row_bytes)
                 ledger.close(time.perf_counter() - t0)
                 self._verify_shm(stats, shm, row_bytes)
                 clean = not crashed
@@ -726,7 +727,7 @@ class ProcessBackend(ExecutionBackend):
                  ops_rate: float, shm, row_bytes: int) -> None:
         """Re-run the orphans of a crash on the lowest survivor: burn
         their work and stamp their rows in its name."""
-        orphans = ledger.orphans(bool(crashed))
+        orphans = ledger.uncovered()
         if not orphans:
             return
         survivor = min(set(range(ledger.stats.n_processors)) - crashed)

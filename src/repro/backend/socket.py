@@ -550,8 +550,8 @@ class _Hub:
         self.stats = plan.stats
         self.strict = strict
         self.recorder = plan.recorder
-        self.ledger = RunLedger(plan.stats, plan.recorder,
-                                plan.options.on_execute, plan.table)
+        self.ledger = RunLedger(plan.stats, plan.table, plan.recorder,
+                                plan.options.on_execute)
 
         self.n = len(plan.workers)
         self.group_members = {g: list(m) for g, m in enumerate(plan.groups)}
@@ -897,12 +897,11 @@ class _Hub:
                     self._mark_crashed(
                         peer, expected=node in self.expected_crashes)
 
-    def _orphans(self, lost: bool = True) -> Optional[list[Range]]:
-        """Iterations nobody has reported yet (what a salvage runs, if
-        the run ``lost`` somebody); ``None`` (and an error) when the
-        ledger holds a duplicate."""
+    def _orphans(self) -> Optional[list[Range]]:
+        """Iterations nobody has reported yet; ``None`` (and an error)
+        when the ledger holds a duplicate."""
         try:
-            return self.ledger.orphans(lost)
+            return self.ledger.uncovered()
         except CoverageError as exc:
             self._fail(str(exc))
             return None
@@ -979,7 +978,7 @@ class _Hub:
         await self._finish_run()
 
     async def _finish_run(self) -> None:
-        if not self.errors:
+        if not self.errors and (self.crashed or self.left):
             await self._salvage()
         for peer in self.peers.values():
             self._write(peer, FrameType.BYE)
@@ -1006,7 +1005,7 @@ class _Hub:
     async def _salvage(self) -> None:
         """Re-run the orphans of a crash or a departure, crediting the
         lowest finished survivor (else the lowest not crashed)."""
-        orphans = self._orphans(bool(self.crashed or self.left))
+        orphans = self._orphans()
         if not orphans:
             return
         survivors = [p.node for p in self.peers.values()

@@ -162,8 +162,8 @@ class ThreadBackend(ExecutionBackend):
 
         abort = threading.Event()
         mailboxes = [_Mailbox(abort) for _ in range(n)]
-        ledger = RunLedger(stats, plan.recorder, options.on_execute,
-                           plan.table)
+        ledger = RunLedger(stats, plan.table, plan.recorder,
+                           options.on_execute)
         lock = threading.Lock()
         errors: list[BaseException] = []
         ops_rate = calibrate(self.kernel)

@@ -316,6 +316,11 @@ class GraphNetwork:
         verdict = None
         if self.fault_hook is not None:
             verdict = self.fault_hook(src, dst, nbytes, item)
+        extra = float(verdict) if isinstance(verdict, (int, float)) else 0.0
+        if extra > 0:
+            # Counted as the hook decides, ahead of the sender's
+            # overhead: the delay belongs to the stage that sent it.
+            self.stats.delayed_messages += 1
         yield from self.send_nic[src].use(self.params.send_overhead)
         if verdict == "drop":
             # The frame is lost on the wire: the sender has paid its NIC
@@ -325,9 +330,6 @@ class GraphNetwork:
             if self.on_drop is not None:
                 self.on_drop(src, dst, item)
             return delivered
-        extra = float(verdict) if isinstance(verdict, (int, float)) else 0.0
-        if extra > 0:
-            self.stats.delayed_messages += 1
         if not self.topology.shared_medium:
             _Carry(self, src, dst, nbytes, item, delivered, extra)
         elif extra > 0:

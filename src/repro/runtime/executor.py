@@ -34,7 +34,7 @@ from ..message.messages import DataMsg, Tag
 from ..message.pvm import VirtualMachine
 from ..network.graph import build_network
 from ..simulation import Environment, SimulationError
-from .assignment import CoverageError
+from .assignment import CoverageError, merge_ranges
 from .balancer import CentralBalancer
 from .node import NodeRuntime
 from .options import RunOptions
@@ -46,9 +46,17 @@ __all__ = ["run_loop", "run_application", "CoverageError"]
 
 def _salvage(session: LoopSession, controller: FaultController) -> None:
     """Re-run the orphans of a faulted run on the lowest-id survivor,
-    charging it their simulated compute time."""
+    charging it their simulated compute time.
+
+    The ledger's gaps must be exactly the controller's stranded work: a
+    gap the controller cannot account for is work the protocol lost,
+    not an orphan, and fails the run (:class:`CoverageError`)."""
     controller.sweep_orphans()
-    orphans = session.ledger.orphans(lost=True)
+    orphans = session.ledger.uncovered()
+    stranded = merge_ranges(controller.claim_orphans())
+    if stranded != orphans:
+        raise CoverageError(f"unaccounted iterations: the ledger misses "
+                            f"{orphans}, the fault controller {stranded}")
     if not orphans:
         return
     node = min(set(range(session.n)) - controller.crashed, default=None)
@@ -213,8 +221,8 @@ def _simulated_run(cluster: ClusterSpec, options: RunOptions
         try:
             yield env, stations, vm
         finally:
-            env.discard_pending()
             vm.network.abandon()
+            env.discard_pending()
     finally:
         if was_enabled:
             gc.enable()

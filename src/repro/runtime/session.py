@@ -48,8 +48,8 @@ class LoopSession:
         #: Structured trace sink; the shared no-op singleton unless the
         #: caller supplied a recorder (see docs/OBSERVABILITY.md).
         self.recorder = plan.recorder
-        self.ledger = RunLedger(plan.stats, plan.recorder,
-                                plan.options.on_execute, plan.table)
+        self.ledger = RunLedger(plan.stats, plan.table, plan.recorder,
+                                plan.options.on_execute)
         lead = plan.workers[0]
         #: Host of the master processor / central load balancer.
         self.lb_host = lead.lb_host

@@ -438,13 +438,19 @@ class Environment:
         callbacks at whoever waits for them, so a schedule left
         non-empty keeps the whole simulation in reference cycles; and a
         generator closed here, not by its deallocator, raises into the
-        owner instead of being reported as unraisable."""
-        while self._live:
-            self._live.popitem()[0]._generator.close()
-        for pending in (self._queue, *self._buckets):
-            for _when, _priority, _eid, event in pending:
-                event.callbacks = None
-            pending.clear()
+        owner instead of being reported as unraisable.  A close that
+        raises still leaves nothing behind: the schedule is cleared and
+        the other processes closed before the error propagates."""
+        try:
+            while self._live:
+                self._live.popitem()[0]._generator.close()
+        finally:
+            for pending in (self._queue, *self._buckets):
+                for _when, _priority, _eid, event in pending:
+                    event.callbacks = None
+                pending.clear()
+            if self._live:
+                self.discard_pending()
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

@@ -4,6 +4,7 @@ fences the unreachable peer."""
 import pytest
 
 from repro.faults import FaultPlan, MessageDelayFault, MessageDropFault
+from repro.faults.controller import FaultController
 from repro.runtime.executor import _simulated_run, run_loop, run_loop_stage
 
 from .conftest import DLB_SCHEMES, assert_exact_coverage
@@ -81,11 +82,20 @@ def test_drop_budget_respected(ft_loop, cluster4, ft_options):
     assert stats.dropped_messages == 3
 
 
-def test_drop_and_delay_tallies_are_the_networks_per_stage(ft_loop, cluster4,
-                                                           ft_options):
-    """A dropped or delayed message is counted once, by the network:
-    each loop stage on one environment reports the network's count for
-    that stage."""
+def test_drop_and_delay_tallies_are_the_networks_per_stage(
+        ft_loop, cluster4, ft_options, monkeypatch):
+    """A dropped or delayed message is counted once, by the network, in
+    the stage whose fault plan injected it: each loop stage on one
+    environment reports what its own controller's budgets spent, and
+    that is the network's count for the stage."""
+    controllers = []
+    install = FaultController.install
+
+    def spy(self):
+        controllers.append(self)
+        install(self)
+
+    monkeypatch.setattr(FaultController, "install", spy)
     plan = FaultPlan(
         drops=(MessageDropFault(probability=0.5, max_drops=3),),
         delays=(MessageDelayFault(extra_seconds=0.02, probability=0.5,
@@ -98,7 +108,11 @@ def test_drop_and_delay_tallies_are_the_networks_per_stage(ft_loop, cluster4,
             stats = run_loop_stage(env, vm, stations, ft_loop, "GDDLB",
                                    ft_options, fault_plan=plan)
             assert_exact_coverage(stats, ft_loop)
+            (drops,), (delays,) = (controllers[-1]._drop_budgets,
+                                   controllers[-1]._delay_budgets)
             assert stats.dropped_messages == \
+                drops.spec.max_drops - drops.remaining == \
                 net.dropped_messages - before[0] > 0
             assert stats.delayed_messages == \
+                delays.spec.max_delays - delays.remaining == \
                 net.delayed_messages - before[1] > 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps.workload import LoopSpec
+from repro.apps.workload import LoopSpec, WorkTable
 from repro.backend import driver
 from repro.backend.driver import Burn, Inbox, Reporter, RunLedger, drive
 from repro.core.diffusion import DiffusionPlanner
@@ -105,7 +105,7 @@ class FakeCluster:
         stats = LoopRunStats(loop_name="fake", strategy="?",
                              n_processors=n, group_size=n, backend="fake")
         stats.messages_by_tag = CounterDict()
-        self.ledger = RunLedger(stats)
+        self.ledger = RunLedger(stats, table)
         self.centralized = centralized
         self.inboxes = {node: Inbox() for node in range(n)}
         self.ports = {node: FakePort(node, self) for node in range(n)}
@@ -373,7 +373,7 @@ def test_ledger_adds_up_the_parts_of_a_sweep():
     sweep sum (moved work, transfers) and unite (retirees)."""
     stats = LoopRunStats(loop_name="fake", strategy="?", n_processors=3,
                          group_size=3, backend="fake")
-    ledger = RunLedger(stats)
+    ledger = RunLedger(stats, WorkTable(1.0, 3))
 
     def row(moved, transfers, retired, reason):
         return {"time": 1.0, "reason": reason, "moved_work": moved,

@@ -25,7 +25,7 @@ from repro.backend import ProcessBackend, SocketBackend, ThreadBackend
 from repro.backend.base import BackendError
 from repro.backend.driver import RunLedger
 from repro.backend.socket import KillEvent
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, MessageDropFault
 from repro.obs import TraceRecorder
 from repro.runtime.assignment import CoverageError, merge_ranges
 from repro.runtime.executor import run_loop
@@ -135,4 +135,29 @@ def test_a_lost_record_fails_a_run_that_lost_nobody(backend, monkeypatch):
                        else CoverageError, match="lost iterations"):
         run_loop(SKEW, _cluster(3), "GDDLB",
                  backend=BACKENDS[backend]() if backend != "sim" else None)
+    assert lost
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("fault_plan", [
+    FaultPlan(drops=(MessageDropFault(probability=0.5, max_drops=2),),
+              seed=3),
+    FaultPlan.single_crash(node=1, time=0.02),
+], ids=["drops", "crash"])
+def test_a_faulted_sim_run_salvages_only_stranded_work(fault_plan,
+                                                       monkeypatch):
+    """The simulator knows what a loss strands — its fault controller
+    pools it — so a gap beyond that pool is a lost record, and fails the
+    run instead of being salvaged."""
+    executed, lost = RunLedger.executed, []
+
+    def lose_the_first(ledger, node, ranges):
+        if ranges and not lost:
+            lost.extend(ranges)
+            return
+        executed(ledger, node, ranges)
+
+    monkeypatch.setattr(RunLedger, "executed", lose_the_first)
+    with pytest.raises(CoverageError, match="unaccounted iterations"):
+        run_loop(SKEW, _cluster(3), "GDDLB", fault_plan=fault_plan)
     assert lost

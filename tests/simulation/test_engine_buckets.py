@@ -168,3 +168,34 @@ def test_discard_pending_clears_absolute_entries():
     assert env.peek() == float("inf")
     env.run()
     assert log == []
+
+
+def test_discard_pending_finishes_its_teardown_when_a_close_raises():
+    """A process whose close raises still leaves nothing behind: every
+    other suspended process is closed, whatever a ``finally`` schedules
+    is dropped, and the error reaches the owner."""
+    env = Environment()
+    closed = []
+
+    def quiet():
+        try:
+            yield env.timeout(1.0)
+        finally:
+            closed.append("quiet")
+            env.timeout(0.0)
+
+    def stubborn():
+        try:
+            yield env.timeout(1.0)
+        finally:
+            closed.append("stubborn")
+            raise RuntimeError("close")
+
+    env.process(quiet())
+    env.process(stubborn())  # closed first: the newest goes first
+    while env.peek() == 0.0:
+        env.step()
+    with pytest.raises(RuntimeError, match="close"):
+        env.discard_pending()
+    assert closed == ["stubborn", "quiet"]
+    assert env.peek() == float("inf")
