@@ -124,8 +124,8 @@ def burn_wall(seconds: float,
 async def hold_async(seconds: float, check_stop: Callable[[], None]) -> None:
     """:func:`burn_wall` for an asyncio task; ``check_stop`` raises to
     stop the hold (a fail-stop lands within one slice)."""
-    # Imported here: pulling asyncio in ahead of the other backends'
-    # imports costs every run 1.4 MiB of peak RSS.
+    # Imported here: every backend imports this module, and only a
+    # socket run should load asyncio.
     from asyncio import sleep
     end = time.perf_counter() + seconds
     while True:

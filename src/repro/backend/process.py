@@ -97,7 +97,6 @@ capability matrix in ``docs/ARCHITECTURE.md``
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import queue as queue_mod
@@ -107,7 +106,6 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from multiprocessing.connection import wait
 from typing import Callable, Optional, Sequence
 
 from ..apps.workload import LoopSpec
@@ -404,6 +402,8 @@ def _child_main(me: Optional[int], queues, balancer_q, stats_q) -> None:
     # A Ctrl-C at a terminal reaches the whole process group: the
     # parent alone answers it, by discarding the cast.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    import multiprocessing
+    from multiprocessing.connection import wait
     channel = balancer_q if me is None else queues[me]
     parent = multiprocessing.parent_process().sentinel
     # Asked before a first attach could start one (see _attach_shm).
@@ -665,6 +665,7 @@ class ProcessBackend(ExecutionBackend):
         Returns the nodes that fail-stopped on schedule.  Raises
         :class:`BackendError` when a child dies outside the fault plan.
         """
+        from multiprocessing.connection import wait
         crashed: set[int] = set()
         run, stats_q = cast.run, cast.stats_q
         deadline = time.perf_counter() + WATCHDOG_SECONDS * 2

@@ -27,9 +27,11 @@ def table() -> WorkTable:
 @pytest.fixture
 def short_watchdog(monkeypatch):
     """The socket hub's watchdog fires at twice this: a transition that
-    forgets to re-evaluate completion fails its test in 5 s, not 240."""
-    from repro.backend import socket as socket_backend
-    monkeypatch.setattr(socket_backend, "WATCHDOG_SECONDS", 2.5)
+    forgets to re-evaluate completion fails its test in 5 s, not 240.
+    A worker waits for the hub's BYE that long too."""
+    from repro.backend import socket_client, socket_hub
+    for module in (socket_hub, socket_client):
+        monkeypatch.setattr(module, "WATCHDOG_SECONDS", 2.5)
 
 
 def make_worker(me, members, *, centralized, table, ranges=(),

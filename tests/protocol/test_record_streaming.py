@@ -18,7 +18,7 @@ import pytest
 from repro import ClusterSpec
 from repro.apps.workload import LoopSpec
 from repro.backend import ProcessBackend, SocketBackend, ThreadBackend
-from repro.backend import socket as socket_backend
+from repro.backend import socket_hub
 from repro.backend.driver import RunLedger, WorkerSpec, pairs, prepare_run
 from repro.backend.socket import JoinEvent, KillEvent, LeaveEvent, run_worker
 from repro.faults.plan import FaultPlan
@@ -58,14 +58,14 @@ def booked(monkeypatch):
 def fired(monkeypatch):
     """The ledger's executed count at each firing of a script event."""
     counts = []
-    real = socket_backend._Hub._fire_script
+    real = socket_hub._Hub._fire_script
 
     def fire(self):
         before = len(self._fired)
         real(self)
         counts.extend([self.ledger.exec_total] * (len(self._fired) - before))
 
-    monkeypatch.setattr(socket_backend._Hub, "_fire_script", fire)
+    monkeypatch.setattr(socket_hub._Hub, "_fire_script", fire)
     return counts
 
 

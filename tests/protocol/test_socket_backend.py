@@ -23,7 +23,7 @@ from repro import ClusterSpec, run_loop
 from repro.apps.mxm import MxmConfig, mxm_loop
 from repro.apps.workload import LoopSpec
 from repro.backend import BackendError, SocketBackend
-from repro.backend import socket as socket_backend
+from repro.backend import socket_client, socket_hub
 from repro.backend.socket import JoinEvent, KillEvent, LeaveEvent
 from repro.experiments.export import run_to_csv, run_to_json
 from repro.faults.plan import FaultPlan, MessageDropFault, SlowdownFault
@@ -170,13 +170,13 @@ def test_timed_crash_fault_plan_lifted():
 def evaluations(monkeypatch):
     """One entry per evaluation of the hub's completion predicates."""
     calls = []
-    real = socket_backend._Hub._check_done
+    real = socket_hub._Hub._check_done
 
     def check_done(self):
         calls.append(self.done.is_set())
         real(self)
 
-    monkeypatch.setattr(socket_backend._Hub, "_check_done", check_done)
+    monkeypatch.setattr(socket_hub._Hub, "_check_done", check_done)
     return calls
 
 
@@ -198,7 +198,7 @@ def test_completion_evaluations_do_not_grow_with_the_run(evaluations):
 def test_watchdog_reports_what_the_hub_knows(monkeypatch):
     """Nobody ever dials in: the one deadline armed at start() fires
     and says who registered, who is active and what is missing."""
-    monkeypatch.setattr(socket_backend, "WATCHDOG_SECONDS", 0.1)
+    monkeypatch.setattr(socket_hub, "WATCHDOG_SECONDS", 0.1)
     with pytest.raises(BackendError) as failure:
         SocketBackend().serve(_steady(40), _cluster(2), "GCDLB",
                               RunOptions(), port=0)
@@ -226,7 +226,7 @@ def _takes(mbox):
 
 def test_a_fault_free_wait_sleeps_to_its_own_deadline():
     async def wait():
-        mbox = socket_backend._ClientMailbox()
+        mbox = socket_client._ClientMailbox()
         passes = _takes(mbox)
         got = await mbox.get(AwaitMessage((Tag.WORK,), timeout=0.3))
         return got, len(passes)
@@ -238,10 +238,10 @@ def test_a_fault_free_wait_sleeps_to_its_own_deadline():
 
 def test_a_wait_ends_at_the_crash_instant_when_one_is_armed():
     async def wait():
-        mbox = socket_backend._ClientMailbox()
+        mbox = socket_client._ClientMailbox()
         passes = _takes(mbox)
         mbox.crash_at = time.perf_counter() + 0.05
-        with pytest.raises(socket_backend._AbruptStop):
+        with pytest.raises(socket_client._AbruptStop):
             await mbox.get(AwaitMessage((Tag.WORK,), timeout=30.0))
         return len(passes)
 
