@@ -21,11 +21,13 @@ elements ("DC is simply the row size").
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .mxm import BASE_OP_SECONDS, ELEMENT_BYTES
 from .workload import ApplicationSpec, LoopSpec, SequentialStage
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TrfdConfig", "trfd_loop1", "trfd_loop2", "trfd_application",
            "loop2_iteration_ops", "bitonic_pair_costs", "PAPER_TRFD_N"]
@@ -70,6 +72,7 @@ def loop2_iteration_ops(config: TrfdConfig) -> np.ndarray:
     Implements the paper's formula verbatim; the result is a decreasing
     sequence from the loop-1 cost down to roughly half of it.
     """
+    import numpy as np
     n = config.n
     j = np.arange(1, config.m + 1, dtype=np.float64)
     i = (1.0 + np.sqrt(8.0 * j - 7.0)) / 2.0
@@ -90,6 +93,7 @@ def bitonic_pair_costs(costs: np.ndarray) -> np.ndarray:
     half = m // 2
     paired = costs[:half] + costs[::-1][:half]
     if m % 2:
+        import numpy as np
         paired = np.concatenate([paired, costs[half:half + 1]])
     return paired
 

@@ -17,27 +17,44 @@ groups the loops of a program with the sequential stages between them
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import sub
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["WorkTable", "LoopSpec", "SequentialStage", "ApplicationSpec"]
+
+
+def _cost_list(costs) -> list[float]:
+    """A cost sequence (tuple, list, 1-D array) as a list of Python floats."""
+    if hasattr(costs, "tolist"):  # an ndarray, read without importing numpy
+        costs = costs.tolist()
+    try:
+        values = [float(c) for c in costs]
+    except TypeError:  # 0-D, or an element that is itself a sequence
+        values = []
+    if not values:
+        raise ValueError("costs must be a non-empty 1-D array")
+    return values
 
 
 class WorkTable:
     """Iteration-cost table with count/work conversions.
 
     All costs are seconds on the base (speed 1, unloaded) processor.
-    numpy prefix-sums a cost array once; queries bisect that prefix sum
-    as a list of Python floats and answer in built-in ``float`` / ``int``.
+    A cost sequence is prefix-summed once, left to right (bit for bit
+    ``numpy.cumsum``); queries bisect that prefix sum as a list of Python
+    floats and answer in built-in ``float`` / ``int``.
     """
 
     def __init__(self, costs: Union[float, np.ndarray, Sequence[float]],
                  n_iterations: Optional[int] = None) -> None:
-        if np.isscalar(costs):
+        if isinstance(costs, numbers.Real):
             if n_iterations is None:
                 raise ValueError("uniform cost needs n_iterations")
             if float(costs) <= 0:
@@ -48,16 +65,14 @@ class WorkTable:
             self.uniform_cost: Optional[float] = float(costs)
             self._cum: Optional[list[float]] = None
         else:
-            arr = np.asarray(costs, dtype=np.float64)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError("costs must be a non-empty 1-D array")
-            if (arr <= 0).any():
+            values = _cost_list(costs)
+            if any(v <= 0 for v in values):
                 raise ValueError("iteration costs must be positive")
-            if n_iterations is not None and n_iterations != arr.size:
+            if n_iterations is not None and n_iterations != len(values):
                 raise ValueError("n_iterations disagrees with costs array")
-            self.n = int(arr.size)
+            self.n = len(values)
             self.uniform_cost = None
-            self._cum = [0.0] + np.cumsum(arr).tolist()
+            self._cum = [0.0, *accumulate(values)]
 
     @property
     def uniform(self) -> bool:
@@ -137,7 +152,8 @@ class LoopSpec:
         ``I`` — iterations of the parallelized (outermost) loop.
     iteration_time:
         ``T_j`` in seconds on the base processor: a scalar for uniform
-        loops or an array of length ``n_iterations``.
+        loops or a sequence (tuple, list, 1-D array) of length
+        ``n_iterations``, stored as a tuple of Python floats.
     dc_bytes:
         ``DC`` — bytes of array data that migrate with one iteration.
     ic_bytes:
@@ -161,20 +177,34 @@ class LoopSpec:
             raise ValueError("loop must have at least one iteration")
         if self.dc_bytes < 0 or self.ic_bytes < 0:
             raise ValueError("communication sizes must be non-negative")
+        if not self.uniform:
+            costs = tuple(_cost_list(self.iteration_time))
+            if len(costs) != self.n_iterations:
+                raise ValueError(
+                    f"{len(costs)} iteration costs for "
+                    f"{self.n_iterations} iterations")
+            object.__setattr__(self, "iteration_time", costs)
 
     @property
     def uniform(self) -> bool:
-        return np.isscalar(self.iteration_time)
+        return isinstance(self.iteration_time, numbers.Real)
 
     def work_table(self) -> WorkTable:
-        if self.uniform:
-            return WorkTable(float(self.iteration_time), self.n_iterations)
-        return WorkTable(np.asarray(self.iteration_time, dtype=np.float64))
+        return WorkTable(self.iteration_time, self.n_iterations)
 
     @property
     def total_work(self) -> float:
+        """Base-processor seconds of the whole loop.
+
+        A cost tuple is summed by ``numpy.sum`` (pairwise), not read off
+        the work table's left-to-right prefix sum: the two differ in the
+        last bit on some loops (TRFD(30) L2), and the simulated
+        speed-ups the experiments compare exactly are computed from this
+        sum.
+        """
         if self.uniform:
             return self.n_iterations * float(self.iteration_time)
+        import numpy as np
         return float(np.sum(self.iteration_time))
 
     @property

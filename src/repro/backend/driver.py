@@ -553,9 +553,7 @@ class WorkerSpec:
     stream_records: bool
 
     def work_table(self) -> WorkTable:
-        it = self.iteration_time
-        return (WorkTable(list(it)) if isinstance(it, tuple)
-                else WorkTable(float(it), self.n_iterations))
+        return WorkTable(self.iteration_time, self.n_iterations)
 
     def build_protocol(self, *, table: Optional[WorkTable] = None,
                        movement_cost_fn: Optional[MovementCostFn] = None,

@@ -29,14 +29,13 @@ watchdog (see the shutdown contract in ``thread.py``/``process.py``).
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import time
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-try:  # numpy is optional: the 'numpy' kernel degrades to unavailable.
-    import numpy as _np
-except ImportError:  # pragma: no cover - image always ships numpy
-    _np = None  # type: ignore[assignment]
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HAVE_NUMPY",
@@ -52,8 +51,10 @@ __all__ = [
     "shm_row_view",
 ]
 
-#: Whether the vectorized kernel can run at all on this host.
-HAVE_NUMPY = _np is not None
+#: Whether the vectorized kernel can run at all on this host.  Only the
+#: kernel's own functions import numpy: a ``wall`` or ``ops`` run never
+#: loads it.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 #: Every kernel name a backend may accept.
 KERNELS = ("wall", "ops", "numpy")
@@ -153,7 +154,7 @@ MIN_VEC_ELEMS = 8
 _VEC_OPS_PER_ELEM = 2
 
 
-def burn_vec(n_ops: float, out: Optional["_np.ndarray"] = None,
+def burn_vec(n_ops: float, out: Optional[np.ndarray] = None,
              should_abort: Optional[Callable[[], bool]] = None) -> float:
     """Execute ``n_ops`` multiply-adds as vectorized numpy passes.
 
@@ -167,23 +168,24 @@ def burn_vec(n_ops: float, out: Optional["_np.ndarray"] = None,
     Returns the first element as a sink.  Stops early when
     ``should_abort`` fires between passes.
     """
-    if _np is None:
+    if not HAVE_NUMPY:
         raise RuntimeError("numpy is not available; use the 'ops' kernel")
+    import numpy as np
     x = out
     if x is None or x.size < MIN_VEC_ELEMS:
-        x = _np.full(VEC_CHUNK, 0.5)
+        x = np.full(VEC_CHUNK, 0.5)
     ops_per_pass = _VEC_OPS_PER_ELEM * x.size
     remaining = int(n_ops)
     while remaining > 0:
         if should_abort is not None and should_abort():
             break
-        _np.multiply(x, 0.999999, out=x)
-        _np.add(x, 1e-9, out=x)
+        np.multiply(x, 0.999999, out=x)
+        np.add(x, 1e-9, out=x)
         remaining -= ops_per_pass
     return float(x[0])
 
 
-def shm_row_view(buf, offset: int, nbytes: int) -> Optional["_np.ndarray"]:
+def shm_row_view(buf, offset: int, nbytes: int) -> Optional[np.ndarray]:
     """Zero-copy float64 view over ``nbytes`` bytes of ``buf`` at ``offset``.
 
     ``buf`` is any writable buffer (``shared_memory.SharedMemory.buf``);
@@ -191,12 +193,13 @@ def shm_row_view(buf, offset: int, nbytes: int) -> Optional["_np.ndarray"]:
     mutates the shared block directly.  Returns ``None`` when the
     window is too small to vectorize over (:data:`MIN_VEC_ELEMS`).
     """
-    if _np is None:
+    if not HAVE_NUMPY:
         return None
     elems = nbytes // 8
     if elems < MIN_VEC_ELEMS:
         return None
-    return _np.frombuffer(buf, dtype=_np.float64, count=elems,
+    import numpy as np
+    return np.frombuffer(buf, dtype=np.float64, count=elems,
                           offset=offset)
 
 
@@ -248,14 +251,15 @@ def calibrate_vec_rate(elems: Optional[int] = None,
     enough that a short sample measures the CPU's burst behavior, not
     the sustained throughput the run will actually see.
     """
-    if _np is None:
+    if not HAVE_NUMPY:
         raise RuntimeError("numpy is not available; use the 'ops' kernel")
+    import numpy as np
     if elems is None or elems < MIN_VEC_ELEMS:
         elems = VEC_CHUNK
     rate = _cached_vec_rates.get(elems)
     if rate is not None and not fresh:
         return rate
-    x = _np.full(elems, 0.5)
+    x = np.full(elems, 0.5)
     best = 0.0
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
@@ -280,7 +284,7 @@ def calibrate(kernel: str, elems: Optional[int] = None) -> float:
 
 
 def burn(kernel: str, seconds: float, ops_rate: float,
-         out: Optional["_np.ndarray"] = None,
+         out: Optional[np.ndarray] = None,
          should_abort: Optional[Callable[[], bool]] = None) -> None:
     """Burn ``seconds`` of nominal CPU with ``kernel`` (``ops_rate`` from
     :func:`calibrate`; ``out`` is the numpy kernel's in-place view)."""

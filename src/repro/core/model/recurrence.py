@@ -18,9 +18,10 @@ Notation (paper §4.2): at the ``j``-th synchronization point,
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "effective_load_discrete",
@@ -39,6 +40,7 @@ def effective_load_discrete(levels: Sequence[float]) -> float:
     ``levels`` are the load levels of the persistence windows between
     the two synchronization points.
     """
+    import numpy as np
     arr = np.asarray(levels, dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one window")
@@ -63,6 +65,7 @@ def iterations_left_uniform(beta_prev: Sequence[float],
     — everyone computed for the same wall time ``t``, namely the time
     the finisher needed for its whole portion.
     """
+    import numpy as np
     beta = np.asarray(beta_prev, dtype=float)
     s = np.asarray(speeds, dtype=float)
     mu = np.asarray(mus, dtype=float)
@@ -86,6 +89,7 @@ def iterations_left_nonuniform(assigned_costs: Sequence[Sequence[float]],
     ``t = sum_k T_k^(f) * mu_f / S_f`` scaled by its own ``S_i/mu_i``.
     Returns the number of iterations *left* per processor.
     """
+    import numpy as np
     s = np.asarray(speeds, dtype=float)
     mu = np.asarray(mus, dtype=float)
     costs_f = np.asarray(assigned_costs[finisher], dtype=float)
@@ -106,6 +110,7 @@ def new_distribution(beta: Sequence[float], speeds: Sequence[float],
 
     ``alpha_i(j) = (S_i / mu_i) / sum_k (S_k / mu_k) * Gamma(j)``
     """
+    import numpy as np
     beta_arr = np.asarray(beta, dtype=float)
     rates = np.asarray(speeds, dtype=float) / np.asarray(mus, dtype=float)
     gamma = beta_arr.sum()
@@ -114,6 +119,7 @@ def new_distribution(beta: Sequence[float], speeds: Sequence[float],
 
 def work_moved(alpha: Sequence[float], beta: Sequence[float]) -> float:
     """``Phi(j) = 1/2 * sum_i |alpha_i(j) - beta_i(j)|``."""
+    import numpy as np
     a = np.asarray(alpha, dtype=float)
     b = np.asarray(beta, dtype=float)
     return 0.5 * float(np.abs(a - b).sum())
@@ -121,4 +127,5 @@ def work_moved(alpha: Sequence[float], beta: Sequence[float]) -> float:
 
 def total_remaining(beta: Sequence[float]) -> float:
     """``Gamma(j) = sum_i beta_i(j)``; termination is ``Gamma == 0``."""
+    import numpy as np
     return float(np.asarray(beta, dtype=float).sum())

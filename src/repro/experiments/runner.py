@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..apps.workload import LoopSpec
 from ..core.model.costs import default_comm_model
 from ..core.model.predictor import predict_strategy
@@ -38,14 +36,17 @@ class Measurement:
 
     @property
     def mean(self) -> float:
+        import numpy as np
         return float(np.mean(self.times))
 
     @property
     def std(self) -> float:
+        import numpy as np
         return float(np.std(self.times))
 
     @property
     def mean_syncs(self) -> float:
+        import numpy as np
         return float(np.mean(self.syncs)) if self.syncs else 0.0
 
 

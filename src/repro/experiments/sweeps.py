@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from ..apps.workload import LoopSpec
 from ..machine.cluster import ClusterSpec
 from ..runtime.executor import run_loop
@@ -107,6 +105,7 @@ def sweep(loop: LoopSpec, n_processors: int, knob: str,
     """Run the sweep.  See module docstring."""
     if knob not in KNOBS:
         raise KeyError(f"unknown knob {knob!r}; known: {sorted(KNOBS)}")
+    import numpy as np
     base_config = config or ExperimentConfig()
     base_options = options or RunOptions(policy=base_config.policy,
                                          network=base_config.network)
@@ -147,6 +146,7 @@ def topology_sweep(loop: LoopSpec, n_processors: int,
     ``DIFF`` on ``bus`` runs on the complete adjacency, its degenerate
     shared-medium case.
     """
+    import numpy as np
     cfg = config or ExperimentConfig()
     base_options = options or RunOptions(policy=cfg.policy,
                                          network=cfg.network)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..apps.workload import LoopSpec
 from ..network.topology import Topology
 from .cluster import ClusterSpec
@@ -90,6 +88,7 @@ def expected_static_slowdown(n_processors: int, max_load: int,
     """
     if n_processors < 1 or n_windows < 1:
         raise ValueError("bad arguments")
+    import numpy as np
     rng = np.random.default_rng(seed)
     levels = rng.integers(0, max_load + 1,
                           size=(n_samples, n_processors, n_windows))
@@ -113,6 +112,7 @@ def diffusion_convergence_rate(topology: Topology) -> float:
     by ``gamma = max |eigenvalue != 1|`` per sweep (Cybenko; Demirel &
     Sbalzarini use the same spectrum for their convergence bound).
     """
+    import numpy as np
     alpha = 1.0 / (1.0 + topology.max_degree)
     lap = np.asarray(topology.laplacian(), dtype=float)
     eig = np.linalg.eigvalsh(np.eye(topology.n_hosts) - alpha * lap)
@@ -143,5 +143,6 @@ def diffusion_sweep_bound(topology: Topology, initial_imbalance: float,
     gamma = diffusion_convergence_rate(topology)
     if gamma <= 0.0:
         return 1
+    import numpy as np
     return int(np.ceil(np.log(threshold / initial_imbalance)
                        / np.log(gamma)))

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .load import ConstantLoad, DiscreteRandomLoad, LoadFunction, TraceLoad
 from .workstation import Workstation
 
@@ -81,6 +79,7 @@ class ClusterSpec:
 
     def build(self) -> list[Workstation]:
         """Instantiate the workstations with fresh, seeded load streams."""
+        import numpy as np
         seq = np.random.SeedSequence(self.seed)
         children = seq.spawn(self.n_processors)
         stations = []
@@ -137,6 +136,7 @@ def build_groups(n_processors: int, group_size: int,
     else:
         order = list(range(n_processors))
         if formation == "random":
+            import numpy as np
             rng = np.random.default_rng(seed)
             order = [int(i) for i in rng.permutation(n_processors)]
         groups = []

@@ -23,9 +23,10 @@ is a built-in ``float`` (the simulated clock is built from them).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["LoadFunction", "DiscreteRandomLoad", "ConstantLoad", "TraceLoad"]
 
@@ -56,6 +57,7 @@ class LoadFunction:
         need = k + 1 - len(self._levels)
         if need <= 0:
             return
+        import numpy as np
         grow = max(need, len(self._levels), 64)
         new = np.asarray(self._generate(grow), dtype=np.float64)
         if new.shape != (grow,):
@@ -126,12 +128,14 @@ class LoadFunction:
         """Paper §4.2 discrete form: ``(b-a+1) / sum_{k=a}^{b} 1/(l_k+1)``."""
         if b < a:
             raise ValueError("b must be >= a")
+        import numpy as np
         self._ensure(b)
         inv = 1.0 / (np.array(self._levels[a:b + 1]) + 1.0)
         return (b - a + 1) / float(inv.sum())
 
     def mean_inverse_factor(self) -> float:
         """``E[1/(l+1)]`` over the generated prefix (statistical summary)."""
+        import numpy as np
         self._ensure(0)
         return float((1.0 / (np.array(self._levels) + 1.0)).mean())
 
@@ -157,9 +161,11 @@ class DiscreteRandomLoad(LoadFunction):
         super().__init__(persistence)
         self.max_load = int(max_load)
         self.seed = seed
+        import numpy as np
         self._rng = np.random.default_rng(seed)
 
     def _generate(self, count: int) -> np.ndarray:
+        import numpy as np
         return self._rng.integers(0, self.max_load + 1, size=count,
                                   dtype=np.int64)
 
@@ -183,6 +189,7 @@ class ConstantLoad(LoadFunction):
         self._level = float(level)
 
     def _generate(self, count: int) -> np.ndarray:
+        import numpy as np
         return np.full(count, self._level, dtype=np.float64)
 
 
@@ -203,6 +210,7 @@ class TraceLoad(LoadFunction):
         self._pos = 0
 
     def _generate(self, count: int) -> np.ndarray:
+        import numpy as np
         out = np.empty(count, dtype=np.float64)
         for i in range(count):
             if self._pos < len(self._trace):

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .parameters import NetworkParameters, transfer_seconds
 from .patterns import NEIGHBOR_PATTERN, PATTERNS, measure_pattern
 from .topology import Topology, TopologySpec, resolve_topology
@@ -51,6 +49,7 @@ class PatternFit:
     probe_bytes: int
 
     def __call__(self, n_procs: float) -> float:
+        import numpy as np
         value = float(np.polyval(self.coefficients, n_procs))
         return max(value, 0.0)
 
@@ -60,6 +59,7 @@ class PatternFit:
 
     def residual_rms(self) -> float:
         """RMS error of the fit over its own samples."""
+        import numpy as np
         ps = np.array([p for p, _ in self.samples], dtype=float)
         ts = np.array([t for _, t in self.samples])
         return float(np.sqrt(np.mean((np.polyval(self.coefficients, ps)
@@ -199,6 +199,7 @@ def characterize_network(params: Optional[NetworkParameters] = None,
         raise ValueError("need more sample points than the fit degree")
     model = CommCostModel(params=params, topology=resolved)
     patterns = PATTERNS if topology is None else PATTERNS + (NEIGHBOR_PATTERN,)
+    import numpy as np
     for pattern in patterns:
         samples = [(p, measure_pattern(pattern, p, probe_bytes, params,
                                        topology=topology))
@@ -272,6 +273,7 @@ def probe_link_parameters(params: Optional[NetworkParameters] = None,
         raise ValueError("need at least one probe pair")
     if len(probe_sizes) < 2 or len(set(probe_sizes)) < 2:
         raise ValueError("need two distinct probe sizes to fit a line")
+    import numpy as np
     rng = np.random.default_rng(seed)
     topo = resolve_topology(topology, n_hosts)
     samples: list[tuple[int, int, int, float]] = []

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Generator
 
-import numpy as np
-
 from ..message.messages import ControlMsg, Message, Tag, WorkMsg
 from ..simulation import Event
 from .node import NodeRuntime
@@ -39,6 +37,7 @@ class StealingNodeRuntime(NodeRuntime):
     def __init__(self, session: LoopSession, node_id: int) -> None:
         super().__init__(session, node_id)
         self.periodic = False  # stealing has no synchronization points
+        import numpy as np
         self._rng = np.random.default_rng(
             session.options.group_seed * 65_537 + node_id)
         self._steal_seq = 0

@@ -1,9 +1,13 @@
-"""A backend's transport loads when it runs, not when ``repro`` does.
+"""A backend's transport, and numpy, load when they run, not when
+``repro`` does.
 
 The socket backend's asyncio (and ssl with it) and the process backend's
 multiprocessing are several MiB of resident memory; a simulated or
 thread run that never opens a socket or forks a child should not pay
-for them.  Each case runs in a fresh interpreter, so whatever an
+for them.  numpy is the largest of all: only the simulator's load
+model, the cost model and the ``numpy`` kernel compute with it, so a
+thread, process or socket run with the ``wall`` or ``ops`` kernel
+never loads it.  Each case runs in a fresh interpreter, so whatever an
 earlier test imported cannot hide a module-level import.
 """
 
@@ -27,22 +31,24 @@ from repro.runtime.assignment import check_coverage
 from repro.runtime.options import RunOptions
 
 loop = LoopSpec("tiny", 16, 1e-3, dc_bytes=64)
+skew = LoopSpec("skew", 16, tuple(1e-3 * (1 + j / 16) for j in range(16)),
+                dc_bytes=64)
 cluster = ClusterSpec.homogeneous(2, max_load=0, seed=7)
 
-def run(backend):
+def run(backend, loop=loop):
     stats = run_loop(loop, cluster, "GCDLB", RunOptions(), backend=backend)
     check_coverage(stats.executed_by_node, loop.n_iterations)
 """
 
 
-def _loaded_after(body: str) -> list[str]:
-    """The transport modules a fresh interpreter holds after ``body``."""
+def _loaded_after(body: str, watched=TRANSPORTS) -> list[str]:
+    """The ``watched`` modules a fresh interpreter holds after ``body``."""
     src = Path(__file__).resolve().parents[2] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(src), env.get("PYTHONPATH"))))
     script = PRELUDE + body + (
-        f"\nprint(json.dumps([m for m in {TRANSPORTS!r} "
+        f"\nprint(json.dumps([m for m in {tuple(watched)!r} "
         "if m in sys.modules]))\n")
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -57,3 +63,35 @@ def test_simulated_and_thread_runs_load_no_transport():
 
 def test_a_socket_run_loads_its_transport_and_covers_the_loop():
     assert "asyncio" in _loaded_after("run(SocketBackend())\n")
+
+
+def _numpy_loaded_after(body: str) -> bool:
+    return _loaded_after(body, watched=("numpy",)) == ["numpy"]
+
+
+def test_importing_the_library_loads_no_numpy():
+    assert not _numpy_loaded_after(
+        "import repro.experiments.runner, repro.backend.kernels\n")
+
+
+def test_real_backend_runs_with_the_wall_and_ops_kernels_load_no_numpy():
+    body = "".join(
+        f"run({backend}, {loop})\n"
+        for loop in ("loop", "skew")
+        for backend in ("ThreadBackend(kernel='wall')",
+                        "ProcessBackend(kernel='ops')",
+                        "SocketBackend(workers='tasks')"))
+    assert not _numpy_loaded_after(
+        body + "from repro.backend.process import release_cast\n"
+        "release_cast()\n")
+
+
+def test_a_simulated_run_and_the_numpy_kernel_do_load_numpy():
+    """The controls: without them the two tests above pass vacuously."""
+    assert _numpy_loaded_after("run(None)\n")
+    assert _numpy_loaded_after(
+        "from repro.backend.kernels import HAVE_NUMPY\n"
+        "assert HAVE_NUMPY\n"
+        "run(ProcessBackend(kernel='numpy'))\n"
+        "from repro.backend.process import release_cast\n"
+        "release_cast()\n")
