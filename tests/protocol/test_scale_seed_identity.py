@@ -8,7 +8,9 @@ count on any seeded run.  These tests pin that claim with SHA-256
 fingerprints over the complete observable trace of representative runs
 — the four paper strategies, the customized selector, work stealing,
 diffusion on graph topologies, periodic sync, and a faulted run with
-crashes and message drops — captured from the pre-optimization kernel.
+crashes and message drops — captured from the pre-optimization kernel,
+plus six that reach the simulated compute slice's steals, periodic
+clock and orphan claims.
 
 If one of these digests ever changes, the engine's event ordering
 changed: that is a correctness regression, not a tuning choice.  Fix
@@ -37,6 +39,7 @@ from repro.faults.plan import (
     FaultPlan,
     MessageDelayFault,
     MessageDropFault,
+    SlowdownFault,
 )
 from repro.runtime.options import RunOptions
 
@@ -121,6 +124,19 @@ EXPECTED = {
     "diff-torus": "87351e216e91b02ec5a5d5631d1dfcbd03b13f4534a8d7e6f02c7ada59770f0f",
     "faulted": "fea486cb552764082782f5b5892957caeeae2a43871dc3a9502b4dd0ff31a018",
     "periodic": "086a7aa01fb0c2019e3ac4f97a1af74e72a3d0dd3b0f16b1e5494203014b73f2",
+    # Six more, pinned before the simulator's worker moved onto the
+    # shared driver, for the parts of its compute slice the ten above
+    # never reach: a mid-slice steal by the fault injector and by a
+    # co-located balancer, the periodic clock's deadline, a periodic
+    # finisher idling to its own deadline under neighbour scope, the
+    # hardened periodic wait, and a survivor claiming a dead peer's
+    # orphans before it profiles.
+    "steal-slowdown": "005d72b8e7e244fc5f6192e238e782010301a4f204cdd73adf227bd2d71e1bc9",
+    "steal-lcdlb": "bec162a6a84151d2a6c5ef35715f0668a52d878906adbb63cc2434e6c2e594d5",
+    "periodic-clock": "a400494bc0c4b0a06a4d7802e0054c58fdc162f3375a47030aefdb9fe95b5828",
+    "periodic-diff": "5d93079fd52f70636c6a95cab3cfc8201860110ffe15f9bb7f86cd25dea4d516",
+    "periodic-hardened": "0f2a539a4101ce6db970600c70a0c99cce5840d0e283187ae9349d106b1dedf4",
+    "crash-orphans": "58d2b928b9f80f3701c77513c207bb673352ba3d0c9e6b05bf3b311366c59893",
 }
 
 
@@ -139,6 +155,29 @@ def _run(case: str):
     if case == "faulted":
         return run_loop(_loop(), _cluster(), "GDDLB", RunOptions(),
                         fault_plan=_FAULT_PLAN)
+    if case == "steal-slowdown":
+        return run_loop(_loop(), _cluster(), "GDDLB", RunOptions(),
+                        fault_plan=FaultPlan(seed=3, slowdowns=(SlowdownFault(
+                            node=2, time=0.005, duration=0.01, factor=4.0),)))
+    if case == "steal-lcdlb":
+        return run_loop(_loop(), _cluster(), "LCDLB",
+                        RunOptions(group_size=2))
+    if case == "periodic-clock":
+        return run_loop(_loop(), _cluster(), "GDDLB",
+                        RunOptions(sync_mode="periodic", sync_period=0.003))
+    if case == "periodic-diff":
+        return run_loop(_loop(), _cluster(16), "DIFF",
+                        RunOptions(topology="ring", sync_mode="periodic",
+                                   sync_period=0.02))
+    if case == "periodic-hardened":
+        return run_loop(_loop(), _cluster(), "GDDLB",
+                        RunOptions(sync_mode="periodic", sync_period=0.02),
+                        fault_plan=FaultPlan(seed=5, crashes=(
+                            CrashFault(node=1, time=0.01),)))
+    if case == "crash-orphans":
+        return run_loop(_loop(), _cluster(), "LDDLB", RunOptions(),
+                        fault_plan=FaultPlan(seed=5, crashes=(
+                            CrashFault(node=5, time=0.01),)))
     raise AssertionError(case)
 
 
