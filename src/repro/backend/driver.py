@@ -1,18 +1,19 @@
-"""The one worker driver of the thread, process and socket backends.
+"""The one worker driver of all four backends.
 
 The paper's run-time library is one Figure-3 slave loop whatever the
 workstation underneath (§5.1); :mod:`repro.protocol` holds that loop as
-a pure state machine, and this module is the *single* interpreter of
-its commands for every real backend (docs/ARCHITECTURE.md has the
-tour).  It is sans-IO: :func:`drive` is a generator that runs every
-command against a small port (:class:`Reporter`) and **yields** only
-the two things a backend alone can do — wait for a message and burn one
-iteration — so a backend is a ten-line loop around it
-(:func:`run_blocking`, or the same loop with ``await``).  Around it:
-:class:`Inbox`, the one mailbox rule; :class:`Reporter`, stats records
-built once however they travel; :class:`RunLedger`, where *all four*
-backends book a run, the one writer of its ``decision`` instants, and
-where it ends: salvage and the exactly-once audit.
+a pure state machine, and :func:`drive` is the *single* pump of its
+commands for every backend, the simulator included (docs/ARCHITECTURE.md
+has the tour).  It is sans-IO: it runs every command against a small
+port and **yields** what the port cannot do at once — on a real backend
+(:class:`Reporter`) wait for a message and burn one iteration, so a
+backend is a ten-line loop around it (:func:`run_blocking`, or the same
+loop with ``await``); on the simulator
+(:class:`~repro.runtime.port.SimPort`) the discrete events themselves.
+Around it: :class:`Inbox`, the one mailbox rule; :class:`Reporter`,
+stats records built once however they travel; :class:`RunLedger`, where
+*all four* backends book a run, the one writer of its ``decision``
+instants, and where it ends: salvage and the exactly-once audit.
 Last, the one run set-up of all four, the simulator included:
 :func:`prepare_run` and the :class:`RunPlan` /
 :class:`WorkerSpec` it returns, the only place protocol objects are
@@ -59,6 +60,7 @@ from ..protocol import (
     Done,
     Emit,
     MessageReceived,
+    PeerDead,
     ProtocolEvent,
     RecordSync,
     Send,
@@ -176,7 +178,8 @@ class Deadline:
 # Outbound: stats records built once, consumed once.
 # ---------------------------------------------------------------------------
 class Reporter:
-    """One participant's port: where its commands take effect.
+    """One participant's port on a real transport: where its commands
+    take effect, at once.
 
     Counts the *modelled* traffic (the paper's message economy,
     identical across backends) and builds every stats record once, in
@@ -206,15 +209,72 @@ class Reporter:
         self.bytes = 0
         self.retries = 0
         self.by_tag = CounterDict()
+        #: The epoch whose slice has burnt an iteration (progress).
+        self._ran: Optional[int] = None
 
     def now(self) -> float:
         return time.perf_counter() - self.t0
+
+    # -- what drive() asks of a port ---------------------------------------
+    def admit(self, commands: Sequence[Command]) -> None:
+        """A look at a whole batch before its first command runs."""
 
     def send(self, msg: Message) -> None:
         self.messages += 1
         self.bytes += msg.nbytes
         self.by_tag.inc(msg.tag.value)
         self.deliver(msg)
+
+    def charge(self, seconds: float) -> None:
+        """Planning costs real time here: nothing to spend before it."""
+
+    def wait(self, spec: AwaitMessage) -> Generator[AwaitMessage, object,
+                                                    object]:
+        """A message, a membership event, or ``None``: timed out."""
+        return (yield spec)
+
+    def is_dead(self, peer: int) -> bool:
+        """Known dead without a notice: never (detectors post one)."""
+        return False
+
+    def note_retry(self) -> None:
+        self.retries += 1
+
+    def compute(self, proto: WorkerProtocol, inbox: Inbox, track: str,
+                boundary: Optional[Callable]
+                ) -> Generator[Burn, None, Union[str, ProtocolEvent]]:
+        """Run the assignment an iteration at a time, a :class:`Burn`
+        each, to its end or, once this epoch has run one (progress,
+        :mod:`repro.protocol.balancer`), to the first boundary with an
+        interrupt flagged (the paper's ``DLB_slave_sync`` poll); book
+        the window the §3.2 profiles are measured over.
+        ``boundary(proto)`` is the backend's own between-iterations
+        business (fail-stop checks, queue polls, elastic admissions and
+        grants); an event it returns ends the slice."""
+        assignment = proto.assignment
+        table = proto.table
+        while True:
+            if boundary is not None:
+                event = boundary(proto)
+                if event is not None:
+                    return event
+            if assignment.empty:
+                return "finished"
+            if self._ran == proto.epoch and proto.is_dlb \
+                    and inbox.has_interrupt(proto.epoch):
+                return "interrupted"
+            self._ran = proto.epoch
+            taken = assignment.take_head(1)
+            start = taken[0][0]
+            cost = table.range_work(start, start + 1)
+            t0 = self.now()
+            yield Burn(start, cost)
+            busy = self.now() - t0
+            proto.note_busy(busy)
+            self.recorder.complete("compute", t0, busy, track=track,
+                                   iteration=start)
+            proto.note_work(cost)
+            self.executed(taken)
 
     def flush(self) -> None:
         """Report the executed ranges held back so far."""
@@ -250,7 +310,7 @@ class Reporter:
         return {"messages": self.messages, "bytes": self.bytes,
                 "by_tag": dict(self.by_tag), "retries": self.retries}
 
-    def finish(self, reason: str) -> None:
+    def finish(self, reason: str) -> Optional[ProtocolEvent]:
         # Ahead of the counters: a transport counts its own records.
         self.flush()
         self.emit({"k": "finish", "reason": reason,
@@ -383,111 +443,106 @@ class Burn:
     cost: float
 
 
-def execute(commands: Sequence[Command], port: Reporter,
-            track: str) -> Optional[Command]:
-    """Run one batch of protocol commands against ``port``.
+def execute(commands: Sequence[Command], port, track: str
+            ) -> Generator[object, object, Optional[Command]]:
+    """Run one batch of protocol commands against ``port``, in order.
 
-    Returns the batch's continuation — its ``StartCompute``,
-    ``AwaitMessage``, ``Charge`` or ``Done`` (always the last command
-    of a batch) — for the caller to act on, or ``None`` when the batch
-    had none (a membership event that changed nothing).
+    A ``Send`` or a ``Charge`` may return a *hold* — on the simulator,
+    the events of a NIC held or of a loaded host computing — which runs
+    where it stands in the batch, so what follows it (a ``RecordSync``,
+    an ``Emit``) is stamped after it.  Returns the batch's continuation
+    — its ``StartCompute``, ``AwaitMessage``, ``Charge`` or ``Done``
+    (the last of these in the batch) — or ``None`` when the batch had
+    none (a membership event that changed nothing).
     """
+    port.admit(commands)
     then = None
     for cmd in commands:
+        hold = None
         if isinstance(cmd, Send):
-            port.send(cmd.msg)
+            hold = port.send(cmd.msg)
         elif isinstance(cmd, RecordSync):
             port.sync(cmd.group, cmd.epoch, cmd.plan, cmd.part)
         elif isinstance(cmd, DeclareDead):
             port.declared(cmd.peer)
         elif isinstance(cmd, Emit):
             port.recorder.event(cmd.name, track=track, **cmd.args())
-        elif isinstance(cmd, (StartCompute, AwaitMessage, Done, Charge)):
+        elif isinstance(cmd, Charge):
+            hold = port.charge(cmd.seconds)
+            then = cmd
+        elif isinstance(cmd, (StartCompute, AwaitMessage, Done)):
             then = cmd
         else:
             raise BackendError(f"unhandled command {cmd!r}")
+        if hold is not None:
+            yield from hold
     return then
 
 
-def _compute(proto: WorkerProtocol, port: Reporter, inbox: Inbox,
-             track: str, boundary: Optional[Callable]
-             ) -> Generator[Burn, None, ProtocolEvent]:
-    """Run the assignment an iteration at a time.
-
-    Honors synchronization interrupts at iteration boundaries (the
-    paper's ``DLB_slave_sync`` poll) once the slice has run one (progress,
-    :mod:`repro.protocol.balancer`), and books the performance window
-    so measured rates feed the §3.2 profiles.  ``boundary(proto)`` is
-    the backend's own between-iterations business (fail-stop checks,
-    queue polls, elastic grants); an event it returns ends the slice.
-    """
-    assignment = proto.assignment
-    table = proto.table
-    inbox.drain_interrupts(proto.epoch - 1)
-    ran = False
-    while True:
-        if boundary is not None:
-            event = boundary(proto)
-            if event is not None:
-                return event
-        if assignment.empty:
-            return ComputeDone("finished")
-        if ran and proto.is_dlb and inbox.has_interrupt(proto.epoch):
-            return ComputeDone("interrupted",
-                               by=inbox.interrupter(proto.epoch))
-        ran = True
-        taken = assignment.take_head(1)
-        start = taken[0][0]
-        cost = table.range_work(start, start + 1)
-        t0 = port.now()
-        yield Burn(start, cost)
-        busy = port.now() - t0
-        proto.note_busy(busy)
-        port.recorder.complete("compute", t0, busy, track=track,
-                               iteration=start)
-        proto.note_work(cost)
-        port.executed(taken)
+def _compute(proto: WorkerProtocol, port, inbox: Inbox, track: str,
+             boundary: Optional[Callable]
+             ) -> Generator[object, object, ProtocolEvent]:
+    """One compute slice.  A worker that *finished* it interrupts its
+    group (§3.1) — unless a peer got there first: then it answers."""
+    inbox.drain_interrupts(proto.epoch - 1)  # the last sync's are spent
+    status = yield from port.compute(proto, inbox, track, boundary)
+    if not isinstance(status, str):
+        return status
+    epoch = proto.epoch
+    if status == "finished" and proto.active - {proto.me} \
+            and inbox.has_interrupt(epoch):
+        status = "interrupted"
+    return ComputeDone(status, by=inbox.interrupter(epoch)
+                       if status == "interrupted" else None)
 
 
-def drive(proto: Union[WorkerProtocol, BalancerProtocol], port: Reporter,
+def drive(proto: Union[WorkerProtocol, BalancerProtocol], port,
           inbox: Inbox, *, track: str, boundary: Optional[Callable] = None
-          ) -> Generator[Union[AwaitMessage, Burn], object, str]:
+          ) -> Generator[object, object, str]:
     """Pump ``proto`` from ``Start`` to ``Done``; returns Done's reason.
 
-    Yields an :class:`AwaitMessage` and expects back a message, a
-    membership event, or ``None`` for "the wait's timeout expired";
-    yields a :class:`Burn` and expects the iteration burnt.
+    The protocol's only feeder, on every backend.  ``port`` runs the
+    commands (:func:`execute`), waits, computes a slice and ends the
+    pump (``finish`` may hand back more work); ``inbox`` answers the
+    interrupt queries.  A real backend's port yields an
+    :class:`AwaitMessage`, answered with a message, a membership event
+    or ``None`` (timed out), and a :class:`Burn`, answered once burnt.
+    A timed-out wait lets go of the awaited peers the port knows dead,
+    then fires the timer for the rest: a retry if its batch re-requests.
     """
-    waiting: Optional[AwaitMessage] = None
-    commands = proto.on_event(Start())
+    events: list[ProtocolEvent] = [Start()]
+    then: Optional[Command] = None
     while True:
-        then = execute(commands, port, track)
+        for event in events:
+            commands = proto.on_event(event)
+            if isinstance(event, TimerFired) \
+                    and any(isinstance(c, Send) for c in commands):
+                port.note_retry()
+            # A batch without a continuation leaves the pump where it was.
+            then = (yield from execute(commands, port, track)) or then
         if isinstance(then, Done):
-            port.finish(then.reason)
-            return then.reason
-        if isinstance(then, StartCompute):
-            event = yield from _compute(proto, port, inbox, track, boundary)
+            more = port.finish(then.reason)
+            if more is None:
+                return then.reason
+            events = [more]
+        elif isinstance(then, StartCompute):
+            events = [(yield from _compute(proto, port, inbox, track,
+                                           boundary))]
         elif isinstance(then, Charge):
-            # Planning costs real time on a real backend: nothing to
-            # spend before the plan.
-            event = Charged()
+            events = [Charged()]  # spent where it stood in its batch
+        elif then is None:  # pragma: no cover - defensive
+            raise BackendError("protocol yielded neither wait nor compute")
         else:
-            # A membership pump can return no commands (the change was
-            # irrelevant to the current phase): the previous wait stays
-            # armed.
-            waiting = then or waiting
-            if waiting is None:  # pragma: no cover - defensive
-                raise BackendError(
-                    "protocol yielded neither wait nor compute")
-            got = yield waiting
+            got = yield from port.wait(then)
             if got is None:
-                port.retries += 1
-                event = TimerFired()
+                dead = [p for p in then.srcs or () if port.is_dead(p)]
+                events = [PeerDead(p) for p in dead]
+                if then.srcs is None or len(dead) < len(then.srcs):
+                    events.append(TimerFired())
             elif isinstance(got, Message):
-                event = MessageReceived(got)
+                events = [MessageReceived(got)]
             else:
-                event = got
-        commands = proto.on_event(event)
+                events = [got]
 
 
 def run_blocking(pump: Generator, wait: Callable[[AwaitMessage], object],

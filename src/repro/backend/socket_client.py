@@ -236,11 +236,9 @@ async def _client_drive(proto: WorkerProtocol, spec: WorkerSpec,
         """All the elastic hooks (admits, grants, leave, fail-stop)
         apply at iteration boundaries."""
         mbox.check_stop()
-        while True:
-            joiner = mbox.pop_due_admit(proto.epoch)
-            if joiner is None:
-                break
-            proto.on_event(PeerJoined(joiner))
+        joiner = mbox.pop_due_admit(proto.epoch)
+        if joiner is not None:
+            return PeerJoined(joiner)  # admitted, the slice goes on
         while mbox.grants:
             granted = mbox.grants.pop(0)
             if granted:

@@ -315,10 +315,13 @@ class _Hub:
 
     def _run_balancer_cmds(self, cmds) -> None:
         """The hub is event-driven: it feeds the balancer as frames
-        arrive, so a batch's ``AwaitMessage`` needs no action."""
-        then = execute(cmds, self.port, "balancer")
-        if isinstance(then, Done):
-            self.port.finish(then.reason)
+        arrive, so a batch's ``AwaitMessage`` needs no action.  Its port
+        holds nothing, so one step runs the whole batch."""
+        try:
+            next(execute(cmds, self.port, "balancer"))
+        except StopIteration as ran:
+            if isinstance(ran.value, Done):
+                self.port.finish(ran.value.reason)
         if self.balancer.all_done:
             self._check_done()
 

@@ -33,6 +33,7 @@ from ..faults import (
     SlowdownFault,
 )
 from ..machine.cluster import ClusterSpec
+from ..protocol.errors import ProtocolError
 from ..runtime.executor import CoverageError, run_loop
 from ..runtime.options import FaultToleranceConfig, RunOptions
 from ..simulation import FaultError, SimulationError
@@ -191,7 +192,8 @@ def fault_sweep(loop: Optional[LoopSpec] = None,
                 try:
                     stats = run_loop(loop, cluster, scheme,
                                      options=options, fault_plan=plan)
-                except (CoverageError, FaultError, SimulationError) as exc:
+                except (CoverageError, FaultError, ProtocolError,
+                        SimulationError) as exc:
                     cell.failures.append(f"seed {seed}: {exc}")
                     continue
                 cell.n_completed += 1

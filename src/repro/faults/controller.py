@@ -162,7 +162,7 @@ class FaultController:
         self.rec.event("crash", track=f"node{node}")
         runtime = self.session.nodes.get(node)
         if runtime is not None:
-            runtime.more_work = False
+            runtime.protocol.more_work = False
             runtime.computing = False
             if runtime.finish_time is None:
                 runtime.finish_time = env.now
@@ -246,7 +246,7 @@ class FaultController:
             self._assignment_reclaimed.add(node)
             runtime = self.session.nodes.get(node)
             if runtime is not None:
-                ranges = runtime.assignment.take_all()
+                ranges = runtime.protocol.assignment.take_all()
                 self.pool_ranges(ranges)
         for parcel in self.parcels.values():
             if parcel.consumed or parcel.pooled:

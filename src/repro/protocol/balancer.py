@@ -19,7 +19,7 @@ or a member retires* — every planned order ships a whole iteration, a
 node a plan leaves holding nothing retires
 (:mod:`repro.core.redistribution`), and a worker holding work executes
 an iteration per epoch before it honours an interrupt
-(``NodeRuntime._stop_at_boundary``, ``driver._compute``).
+(``NodeRuntime._stop_at_boundary``, ``Reporter.compute``).
 """
 
 from __future__ import annotations

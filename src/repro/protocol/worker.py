@@ -16,14 +16,14 @@ There is one way to drive it: :meth:`on_event` consumes
 *continuation* — what the backend does next and which event it feeds
 back (``StartCompute`` → ``ComputeDone``, ``AwaitMessage`` →
 ``MessageReceived`` / ``TimerFired``, ``Charge`` → ``Charged``,
-``Done`` → nothing).  All four backends run this pump: the simulator
-(:class:`~repro.runtime.node.NodeRuntime`) interprets the commands
-against virtual time, the thread, process and socket workers through
-:func:`repro.backend.driver.drive`, and the scripted ``tests/protocol``
-suite by hand.  Besides the pump a backend may call only what has no
-transition in it: the window accounting (:meth:`note_busy`,
-:meth:`note_work`), :meth:`stamp`, the pure resend service
-(:meth:`answer_resend`) and the state attributes.
+``Done`` → nothing).  All four backends feed it through one pump,
+:func:`repro.backend.driver.drive`, against their own port — the
+simulator's (:class:`~repro.runtime.node.NodeRuntime`) in virtual time
+— and the scripted ``tests/protocol`` suite feeds it by hand.  Besides
+the pump a backend may call only what has no transition in it: the
+window accounting (:meth:`note_busy`, :meth:`note_work`), :meth:`stamp`,
+the pure resend service (:meth:`answer_resend`) and the state
+attributes.
 
 State never moves ahead of time the backend has not yet spent: a
 completed gather returns ``Charge(delta)`` and nothing else; the plan is
@@ -230,7 +230,10 @@ class WorkerProtocol:
         ``retire`` note again, else with the latest profile as liveness
         evidence: the prober must not fence us just because we are stuck
         in an older epoch (``None`` before the first synchronization).
-        ``resend-work`` is
+        A finished node vouches for nobody: asked for an epoch past its
+        own, it stays silent, as nothing answers after ``Done`` on a
+        real transport, and the prober declares it dead in time instead
+        of re-probing it for ever.  ``resend-work`` is
         answered with the cached parcel — by a neighbour-scoped node
         still gathering, whose plan is yet to come, with its profile as
         "alive, keep waiting" — else with ``no-work`` stamped at
@@ -245,7 +248,8 @@ class WorkerProtocol:
                 return cache[req.epoch].to(req.src)
             if self._left_at is not None:
                 return self._retire_note(req.src)
-            if not cache:
+            if not cache or (self._phase == "done"
+                             and req.epoch > self.epoch):
                 return None
             return cache[max(cache)].to(req.src)
         if req.kind == "resend-work":

@@ -12,9 +12,9 @@ All of that conversation is
 the pump every backend runs.  :class:`CentralBalancer` is its driver on
 the event heap, the balancer flavour of
 :func:`repro.backend.driver.drive`: events in, the returned batch run
-by the interpreter it shares with the workers
-(:class:`~repro.runtime.port.SimPort`).  It owns only what the
-simulator alone knows:
+by :func:`~repro.backend.driver.execute` against the port it shares
+with the workers (:class:`~repro.runtime.port.SimPort`).  It owns only
+what the simulator alone knows:
 
 * CPU stealing — a ``Charge`` pauses the co-located compute slave
   (§6.2's context-switch overhead) for as long as the loaded master
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Generator, Optional
 
+from ..backend.driver import execute
 from ..core.redistribution import SyncProfile
 from ..core.strategies.registry import get_strategy
 from ..message.messages import Tag
@@ -74,7 +75,7 @@ class CentralBalancer(SimPort):
         work = self.session.table.range_work
         return granted, sum(work(s, e) for s, e in granted)
 
-    def _charge(self, seconds: float) -> Generator[Event, None, None]:
+    def charge(self, seconds: float) -> Generator[Event, None, None]:
         """Spend balancer computation on the (loaded) master, pausing a
         co-located compute slave meanwhile."""
         env = self.session.env
@@ -96,7 +97,7 @@ class CentralBalancer(SimPort):
             for _group in {self.protocol.group_of[c.msg.dst]
                            for c in commands if type(c) is C.Send}:
                 session.controller.note_retry()
-        then = yield from self._execute(commands)
+        then = yield from execute(commands, self, self.track)
         if self._chosen is not None:
             # The selection went out with the batch: commit the session
             # to it, then the pump to the session's new groups.

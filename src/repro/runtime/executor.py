@@ -79,7 +79,7 @@ def _scatter(session: LoopSession):
     loop = session.loop
     deliveries = []
     for node in range(1, session.n):
-        count = session.nodes[node].assignment.count
+        count = session.nodes[node].protocol.assignment.count
         nbytes = count * loop.input_bytes + loop.replicated_bytes
         ev = yield from vm.send(DataMsg(src=0, dst=node, label="scatter",
                                         data_bytes=nbytes))
@@ -139,6 +139,7 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
         staging = env.process(_scatter_then_run(session), name="master-stage")
     else:
         staging = None
+        _make_nodes(session)
         _spawn_nodes(session)
 
     if plan.workers[0].centralized:
@@ -147,14 +148,11 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
         lb = None
 
     # Run until every node process has finished.
-    procs = [session.nodes[i].proc for i in range(session.n)] if staging is None \
-        else []
     if staging is not None:
         env.run(staging)
-        procs = [session.nodes[i].proc for i in range(session.n)]
-    for proc in procs:
-        if proc.is_alive:
-            env.run(proc)
+    for node in list(session.nodes.values()):
+        if node.proc is not None and node.proc.is_alive:
+            env.run(node.proc)
     if lb is not None and lb.is_alive:
         env.run(lb)
 
@@ -167,8 +165,10 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
         env.run(gather)
 
     stats = session.stats
+    # A node that never ran (it crashed during staging) has no finish.
     stats.node_finish_times = {
-        i: session.nodes[i].finish_time for i in range(session.n)}
+        i: node.finish_time for i, node in session.nodes.items()
+        if node.proc is not None}
     stats.messages_by_tag = {
         t.value: vm.sent_by_tag.get(t, 0) - msg_before.get(t, 0) for t in Tag}
     net = vm.network.stats
@@ -228,28 +228,28 @@ def _simulated_run(cluster: ClusterSpec, options: RunOptions
             gc.enable()
 
 
-def _node_class(session: LoopSession):
+def _make_nodes(session: LoopSession) -> None:
+    cls = NodeRuntime
     if session.strategy.code == "WS":
-        from .stealing import StealingNodeRuntime
-        return StealingNodeRuntime
-    return NodeRuntime
+        from .stealing import StealingNodeRuntime as cls
+    for i in range(session.n):
+        cls(session, i)
 
 
 def _spawn_nodes(session: LoopSession) -> None:
-    cls = _node_class(session)
-    for i in range(session.n):
-        node = cls(session, i)
-        node.proc = session.env.process(node.run(), name=f"node{i}")
+    """Start every node that has not crashed (during staging)."""
+    for node in session.nodes.values():
+        if not session.is_crashed(node.me):
+            node.proc = session.env.process(node.pump(),
+                                            name=f"node{node.me}")
 
 
 def _scatter_then_run(session: LoopSession):
     """With staging on, nodes start only after their block arrives."""
     # Create node runtimes first so assignments are known for sizing.
-    cls = _node_class(session)
-    nodes = [cls(session, i) for i in range(session.n)]
+    _make_nodes(session)
     yield from _scatter(session)
-    for node in nodes:
-        node.proc = session.env.process(node.run(), name=f"node{node.me}")
+    _spawn_nodes(session)
 
 
 def run_loop(loop: LoopSpec, cluster: ClusterSpec, strategy: StrategyLike,

@@ -1,6 +1,6 @@
-"""The discrete-event driver of the SPMD slave protocol.
+"""The simulator's worker: its port for the one protocol pump.
 
-This is the run-time counterpart of the paper's Figure 3 slave loop::
+The paper's Figure 3 slave loop::
 
     while (dlb.more_work) {
         for (i = dlb.start; i < dlb.end && dlb.more_work; i++) {
@@ -14,53 +14,39 @@ This is the run-time counterpart of the paper's Figure 3 slave loop::
         }
     }
 
-The *protocol* — epochs, profiles, the synchronization exchange,
-redistribution, the fault-tolerance transitions — lives in the
-backend-agnostic :class:`~repro.protocol.worker.WorkerProtocol`, and
-``NodeRuntime`` drives it exactly as :func:`repro.backend.driver.drive`
-does for the thread, process and socket workers: events into
-``protocol.on_event``, the returned commands run against the backend —
-here the simulator, through the interpreter it shares with the central
-balancer (:class:`~repro.runtime.port.SimPort`: ``Send`` is a
-``vm.send``, ``AwaitMessage`` a timed mailbox receive whose predicate
-is ``AwaitMessage.matches``, ``Charge`` a timeout through the
-workstation's load model).  What stays here is what only a simulated
-*worker* knows:
+is :class:`~repro.protocol.worker.WorkerProtocol` pumped by
+:func:`repro.backend.driver.drive` on every backend — the continuation
+loop, the timeout rule, who interrupts whom, retries and ``Done`` are
+the pump's.  ``NodeRuntime`` is the pump's port on the simulator
+(:class:`~repro.runtime.port.SimPort`: a ``Send`` holds the NIC, a
+``Charge`` is spent on the loaded workstation) and owns only what a
+simulated *worker* knows:
 
+* the timed mailbox receive, and the mailbox's answers to the pump's
+  interrupt queries; the mailbox hook that interrupts a computing
+  process, and serves resend requests (which double as a lost
+  interrupt) under fault tolerance;
 * the analytic compute slice — one timeout per slice instead of one per
   iteration — with the mid-compute steals of a co-located balancer or
-  fault injector, and the periodic-sync ablation's clock;
-* *when* a sync starts: the mailbox hook that interrupts a computing
-  process, and whether this node initiates (``ComputeDone("finished")``)
-  or answers (``"interrupted"``);
-* the fault controller's hooks at the port: the parcel ledger, the
-  orphan pool, the shared death registry and fencing;
+  fault injector, the periodic-sync ablation's clock, and, before a
+  profile, the stale ``WORK`` drain and the orphan claim;
+* the fault controller's hooks (docs/FAULT_MODEL.md): the parcel ledger
+  on a received ``WORK``, the orphan pool at ``Done``, the shared death
+  registry a timed-out wait consults, and fencing;
 * the §4.3 customized selection, which regroups the session mid-run.
 
 Protocol state (epoch, active set, assignment, performance window,
-resend caches) is read *only* through the protocol object.
-
-Fault tolerance (docs/FAULT_MODEL.md)
--------------------------------------
-When ``options.fault_tolerance.enabled`` the pump's waits carry
-timeouts; on expiry it re-requests (``resend-profile`` /
-``resend-work``) with exponential backoff and, after ``max_retries``
-unanswered requests, *declares the peer dead* — here to the session's
-:class:`~repro.faults.FaultController`, which fences it and reclaims
-its unfinished iteration ranges into the orphan pool.  Syncing
-survivors claim pooled ranges before profiling so reclaimed work
-re-enters the normal redistribution flow.  A ``resend-profile`` request
-addressed to a node that has not reached the requested epoch doubles as
-a synchronization interrupt — which is also how a *dropped* interrupt
-heals.  With fault tolerance disabled (the default) none of these paths
-allocate a single extra event.
+resend caches) is read *only* through the protocol object.  With fault
+tolerance disabled (the default) none of the hardened paths allocate a
+single extra event.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Generator, Optional
+from typing import Generator, Optional, Union
 
+from ..backend.driver import drive
 from ..message.messages import (
     ControlMsg,
     InstructionMsg,
@@ -71,10 +57,7 @@ from ..message.messages import (
 )
 from ..protocol import commands as C
 from ..protocol import events as E
-from ..protocol.errors import ProtocolRetryExhausted
-from ..simulation import (Event, Interrupt, Process,
-                          RetryExhaustedError, SlotFilter)
-from .assignment import Assignment
+from ..simulation import Event, Interrupt, Process, SlotFilter
 from .port import SimPort
 from .session import LoopSession
 
@@ -84,82 +67,59 @@ _EPS = 1e-15
 
 
 class NodeRuntime(SimPort):
-    """One simulated processor: the worker protocol's DES driver."""
+    """One simulated processor: the worker protocol's port on the DES."""
 
     def __init__(self, session: LoopSession, node_id: int) -> None:
         self.session = session
         self.me = node_id
         self.ws = session.stations[node_id]
-        spec = session.plan.workers[node_id]
-        self.gid = spec.group
-        self.protocol = spec.build_protocol(
+        self.protocol = session.plan.workers[node_id].build_protocol(
             table=session.table,
             movement_cost_fn=session.plan.movement_cost_fn,
             planner=session.planner, initial_rate=self.ws.speed)
         self.computing = False
         self.finish_time: Optional[float] = None
         self.proc: Optional[Process] = None
-        # Trace sink (the shared no-op unless a recorder was supplied).
-        # All recording below is pure observation inside existing
+        self.mailbox = session.vm.inbox[node_id]
+        # All trace recording is pure observation inside existing
         # callbacks — it never schedules a DES event, so the seed
         # oracles hold with recording enabled.
-        self.rec = session.recorder
         self.track = f"node{node_id}"
         # Periodic synchronization (Dome/Siegell model, §2.2 ablation):
         # the lowest-numbered active group member is the clock; under
         # neighbour scope every node is its own.  A static run has no
-        # sync to clock.
+        # sync to clock.  The period restarts with every epoch.
         self.periodic = (session.options.sync_mode == "periodic"
                          and session.strategy.is_dlb)
         self.next_deadline = session.env.now + session.options.sync_period
+        self._clock_epoch = self.protocol.epoch
+        #: The slice returned a death the pump must hear before the
+        #: sync it proceeds into (the hardened periodic wait).
+        self._proceed = False
 
         session.nodes[node_id] = self
-        session.vm.inbox[node_id].notify = self._on_message
+        self.mailbox.notify = self._on_message
 
-    # -- protocol-state views ------------------------------------------------
-    # The protocol object is the single owner of epoch, membership,
-    # window, caches, and the assignment; these views keep the executor,
-    # the fault controller, and the tests on one source of truth.
-    @property
-    def ft_enabled(self) -> bool:
-        return self.session.ft.enabled
-
-    @property
-    def epoch(self) -> int:
-        return self.protocol.epoch
-
-    @property
-    def active(self) -> set[int]:
-        return self.protocol.active
-
-    @property
-    def assignment(self) -> Assignment:
-        return self.protocol.assignment
-
-    @property
-    def more_work(self) -> bool:
-        return self.protocol.more_work
-
-    @more_work.setter
-    def more_work(self, value: bool) -> None:
-        self.protocol.more_work = value
+    def pump(self) -> Generator[Event, None, str]:
+        """The node's simulated process: the one pump, this port."""
+        return drive(self.protocol, self, self, track=self.track)
 
     # -- interrupt wiring ---------------------------------------------------
     def _on_message(self, msg: Message) -> None:
         """Mailbox hook: interrupts, plus resend service under faults."""
-        if (msg.tag is Tag.INTERRUPT and msg.epoch == self.epoch
+        if (msg.tag is Tag.INTERRUPT and msg.epoch == self.protocol.epoch
                 and self.computing and self.proc is not None
                 and self.proc.is_alive):
             self.computing = False
             self.proc.interrupt("sync")
-        elif self.ft_enabled and msg.tag is Tag.CONTROL \
+        elif self.session.ft.enabled and msg.tag is Tag.CONTROL \
                 and isinstance(msg, ControlMsg):
             self._serve_control(msg)
 
     def _serve_control(self, msg: ControlMsg) -> None:
         """Answer a peer's resend request (runs inside the delivery hook,
         so the actual send is a detached helper process)."""
-        if (msg.kind == "resend-profile" and msg.epoch == self.epoch
+        if (msg.kind == "resend-profile" and msg.epoch == self.protocol.epoch
                 and self.computing and self.proc is not None
                 and self.proc.is_alive):
             # We have not synchronized this epoch yet: the request
@@ -183,16 +143,80 @@ class NodeRuntime(SimPort):
         """
         if self.computing and self.proc is not None and self.proc.is_alive:
             self.computing = False
-            self.rec.event("steal", track=self.track, duration=duration)
+            self.recorder.event("steal", track=self.track, duration=duration)
             self.proc.interrupt(("steal", duration))
             return True
         return False
 
-    def _pending_interrupt(self) -> Optional[Message]:
+    # -- the pump's interrupt queries -----------------------------------------
+    def has_interrupt(self, epoch: int) -> bool:
+        return self.interrupter(epoch) is not None
+
+    def interrupter(self, epoch: int) -> Optional[int]:
         # Structured filter: the slotted inbox answers this probe with a
         # single (tag, epoch) bucket lookup; it runs between iterations.
-        return self.session.vm.inbox[self.me].peek(
-            SlotFilter(Tag.INTERRUPT, self.epoch))
+        msg = self.mailbox.peek(SlotFilter(Tag.INTERRUPT, epoch))
+        return None if msg is None else msg.src
+
+    def drain_interrupts(self, up_to_epoch: int) -> None:
+        self.mailbox.drain(stale_predicate(up_to_epoch, (Tag.INTERRUPT,),
+                                           inclusive=True))
+
+    # -- the port's wait, and what a received message brings ------------------
+    def wait(self, spec: C.AwaitMessage
+             ) -> Generator[Event, None, Optional[Message]]:
+        msg = yield from self._recv_timed(spec)
+        if msg is None:
+            return None
+        controller = self.session.controller
+        if msg.tag is Tag.WORK and msg.ranges and controller is not None \
+                and controller.try_consume(msg.src, self.me,
+                                           msg.epoch) is None:
+            # Duplicate of something already absorbed (or swept into
+            # the pool): the wait is over, the ranges are not ours.
+            return replace(msg, ranges=())
+        if msg.tag is Tag.INSTRUCTION and msg.select_scheme:
+            return self._adopt_selection(msg)
+        return msg
+
+    def is_dead(self, peer: int) -> bool:
+        """The shared registry's verdict (the detector's view)."""
+        return self.session.is_dead(peer)
+
+    def note_retry(self) -> None:
+        if self.session.controller is not None:
+            self.session.controller.note_retry()
+
+    def _adopt_selection(self, instr: InstructionMsg) -> InstructionMsg:
+        """§4.3: commit the session — and this worker — to the selected
+        scheme, and hand the pump a plain instruction whose active set
+        is cut to the worker's *new* group."""
+        session = self.session
+        session.apply_selection(instr.select_scheme,
+                                instr.select_group_size)
+        protocol = self.protocol
+        protocol.group = session.group_of[self.me]
+        protocol.members = tuple(session.scope_of(self.me))
+        protocol.centralized = session.centralized
+        protocol.planner = session.planner
+        return replace(
+            instr, select_scheme="", select_group_size=0,
+            active=tuple(n for n in instr.active if n in protocol.members))
+
+    # -- the end of the pump --------------------------------------------------
+    def finish(self, reason: str) -> Optional[E.WorkReclaimed]:
+        """A finished distributed worker first claims orphans the pool
+        gained meanwhile (and computes on); a hardened retiree with late
+        reclaimed work and nobody left to ship it to orphans it."""
+        session = self.session
+        if reason == "done" and session.ft.enabled \
+                and not session.centralized and self._claim_orphans():
+            return E.WorkReclaimed()
+        self.drain_interrupts(self.protocol.epoch)  # the last sync's
+        assignment = self.protocol.assignment
+        if session.controller is not None and not assignment.empty:
+            session.controller.pool_ranges(assignment.take_all())
+        self.finish_time = session.env.now
 
     # -- reclaimed work -----------------------------------------------------
     def _claim_orphans(self) -> int:
@@ -202,7 +226,7 @@ class NodeRuntime(SimPort):
         if controller is None or not controller.has_orphans:
             return 0
         ranges = controller.claim_orphans()
-        self.assignment.add(ranges)
+        self.protocol.assignment.add(ranges)
         return sum(e - s for s, e in ranges)
 
     def _drain_stale(self) -> None:
@@ -213,206 +237,125 @@ class NodeRuntime(SimPort):
         :func:`repro.message.messages.stale_predicate` — not per call
         site.
         """
-        if not self.ft_enabled:
+        if not self.session.ft.enabled:
             return
-        inbox = self.session.vm.inbox[self.me]
-        epoch = self.epoch
+        inbox = self.mailbox
+        epoch = self.protocol.epoch
+        assignment = self.protocol.assignment
         inbox.drain(stale_predicate(
             epoch, (Tag.CONTROL, Tag.PROFILE, Tag.INSTRUCTION)))
         controller = self.session.controller
         late = inbox.drain(stale_predicate(epoch, (Tag.WORK,)))
         for msg in late:
             if controller is None:
-                self.assignment.add(msg.ranges)
+                assignment.add(msg.ranges)
                 continue
             ranges = controller.try_consume(msg.src, self.me, msg.epoch)
             if ranges is None:
                 continue  # duplicate of something already absorbed
-            self.assignment.add(ranges if ranges else msg.ranges)
+            assignment.add(ranges if ranges else msg.ranges)
 
-    # -- main loop ----------------------------------------------------------
-    def run(self) -> Generator[Event, None, None]:
-        """The node's top-level simulated process: pump the protocol
-        from ``Start`` to ``Done``."""
-        session = self.session
-        env = session.env
-        feed = self.protocol.on_event
-        if session.is_crashed(self.me):
-            return  # crashed during staging, before the loop began
-        inbox = session.vm.inbox[self.me]
-        commands = feed(E.Start())
-        synced = False
-        while True:
-            then = yield from self._execute(commands)
-            kind = type(then)
-            if kind is C.StartCompute:
-                if synced:
-                    self.next_deadline = env.now + session.options.sync_period
-                    # The sync is over and the epoch has moved on: the
-                    # interrupts that called for it are spent (the real
-                    # backends' ``Inbox`` drains at the same point).
-                    inbox.drain(stale_predicate(self.epoch, (Tag.INTERRUPT,)))
-                synced = True
-                commands = feed((yield from self._compute_until_sync()))
-            elif kind is C.AwaitMessage:
-                commands = yield from self._await(then)
-            elif kind is C.Charge:  # spent by the interpreter, in place
-                commands = feed(E.Charged())
-            elif (then.reason == "done" and self.ft_enabled
-                    and not session.centralized and self._claim_orphans()):
-                commands = feed(E.WorkReclaimed())
-            else:
-                break
-        inbox.drain(stale_predicate(self.epoch, (Tag.INTERRUPT,),
-                                    inclusive=True))  # the last sync's
-        controller = session.controller
-        if controller is not None and not self.assignment.empty:
-            # A hardened retiree with late reclaimed work and nobody
-            # left to ship it to: orphan it.
-            controller.pool_ranges(self.assignment.take_all())
-        self.finish_time = env.now
+    # -- the compute slice ----------------------------------------------------
+    def compute(self, proto, inbox, track, boundary
+                ) -> Generator[Event, None, Union[str, E.ProtocolEvent]]:
+        """Compute until a synchronization is due; returns how the
+        slice ended, for the pump to begin the sync from.
 
-    def _await(self, spec: C.AwaitMessage
-               ) -> Generator[Event, None, tuple[C.Command, ...]]:
-        """Block on ``spec``; returns the pump's answer to what came."""
-        session = self.session
-        controller = session.controller
-        feed = self.protocol.on_event
-        msg = yield from self._recv_timed(spec)
-        if msg is not None:
-            if msg.tag is Tag.WORK and msg.ranges and controller is not None \
-                    and controller.try_consume(msg.src, self.me,
-                                               msg.epoch) is None:
-                # Duplicate of something already absorbed (or swept into
-                # the pool): the wait is over, the ranges are not ours.
-                msg = replace(msg, ranges=())
-            elif msg.tag is Tag.INSTRUCTION and msg.select_scheme:
-                msg = self._adopt_selection(msg)
-            return feed(E.MessageReceived(msg))
-        # Timed out.  Peers the shared registry already holds dead leave
-        # the wait first; the timer fires for whoever is still awaited.
-        dead = [p for p in spec.srcs or () if session.is_dead(p)]
-        commands: tuple[C.Command, ...] = ()
-        for peer in dead:
-            commands = feed(E.PeerDead(peer))
-        if spec.srcs is None or len(dead) < len(spec.srcs):
-            try:
-                commands = feed(E.TimerFired())
-            except ProtocolRetryExhausted as exc:
-                raise RetryExhaustedError(exc.me, exc.peer, exc.what,
-                                          exc.attempts) from exc
-            if controller is not None \
-                    and any(type(c) is C.Send for c in commands):
-                controller.note_retry()  # one per round that re-requests
-        return commands
-
-    def _adopt_selection(self, instr: InstructionMsg) -> InstructionMsg:
-        """§4.3: commit the session — and this worker — to the selected
-        scheme, and hand the pump a plain instruction whose active set
-        is cut to the worker's *new* group."""
-        session = self.session
-        session.apply_selection(instr.select_scheme,
-                                instr.select_group_size)
-        self.gid = session.group_of[self.me]
-        protocol = self.protocol
-        protocol.group = self.gid
-        protocol.members = tuple(session.scope_of(self.me))
-        protocol.centralized = session.centralized
-        protocol.planner = session.planner
-        return replace(
-            instr, select_scheme="", select_group_size=0,
-            active=tuple(n for n in instr.active if n in protocol.members))
-
-    def _compute_until_sync(self) -> Generator[Event, None, E.ComputeDone]:
-        """Compute until a synchronization is due; returns how it began.
-
-        Interrupt *initiation* is the compute side's decision:
-        ``"finished"`` asks the pump to interrupt the group
-        (receiver-initiated, §3.1); when a peer's interrupt is already
-        pending, or the periodic clock did the interrupting, this node
-        only answers.
+        A lone distributed finisher computes on through any orphans it
+        can claim.  Under the periodic-sync ablation nobody initiates on
+        finishing: the clock waits out the period and interrupts its
+        group; everyone else idles until the interrupt comes.  Before a
+        profile, late parcels from past epochs and reclaimed orphans
+        re-enter balancing.
         """
         session = self.session
-        while True:
+        if proto.epoch != self._clock_epoch:
+            self._clock_epoch = proto.epoch
+            self.next_deadline = session.env.now + session.options.sync_period
+        status = "interrupted"
+        while not self._proceed:
             status = yield from self._compute()
-            others = self.active - {self.me}
+            others = proto.active - {self.me}
             if status == "finished" and not others \
                     and not session.centralized:
                 if self._claim_orphans():
                     continue  # reclaimed a dead peer's work: keep going
-                return E.ComputeDone("finished")  # lone: nothing to sync
-            by: Optional[int] = None
-            if self.periodic and self.protocol.neighbour_scope:
+                return status  # lone: nothing to sync
+            if self.periodic and proto.neighbour_scope:
                 if status == "finished":
-                    by = yield from self._idle_to_deadline()
+                    # Idle until this node's own deadline, or until a
+                    # neighbour's wave reaches it; the wave does not go
+                    # back to whom it came from.  A lost interrupt costs
+                    # the rest of the period at most, so the wait needs
+                    # no hardening.
+                    msg = yield from self._recv_timed(C.AwaitMessage(
+                        tags=(Tag.INTERRUPT,), epoch=proto.epoch,
+                        timeout=max(self.next_deadline - session.env.now,
+                                    0.0)))
+                    if msg is not None:
+                        self._before_profile()
+                        return E.ComputeDone("interrupted", by=msg.src)
                 status = "interrupted"
-            elif self.periodic:
-                proceed = yield from self._periodic_trigger(
-                    status, sorted(others))
-                if not proceed:
-                    continue
+                break
+            if not self.periodic:
+                break
+            proceed = yield from self._periodic_trigger(status,
+                                                        sorted(others))
+            if isinstance(proceed, E.PeerDead):
+                self._proceed = True
+                return proceed
+            if proceed:
                 status = "interrupted"
-            elif status == "finished" and others \
-                    and self._pending_interrupt() is not None:
-                status = "interrupted"  # a peer got there first
-            # Late work parcels from previous epochs and reclaimed
-            # orphans re-enter balancing through our profile.
-            self._drain_stale()
-            if self.ft_enabled and not session.centralized:
-                self._claim_orphans()
-            if by is None and status == "interrupted":
-                interrupt = self._pending_interrupt()
-                by = None if interrupt is None else interrupt.src
-            return E.ComputeDone(status, by=by)
+                break
+        self._proceed = False
+        self._before_profile()
+        return status
+
+    def _before_profile(self) -> None:
+        self._drain_stale()
+        if self.session.ft.enabled and not self.session.centralized:
+            self._claim_orphans()
 
     def _is_clock(self) -> bool:
         """The periodic-mode initiator of a *group*: its lowest-numbered
         active member.  Under neighbour scope there is no set of nodes
         that agree on an active set, so every node keeps its own clock."""
-        return self.protocol.neighbour_scope or self.me == min(self.active)
+        return self.protocol.neighbour_scope \
+            or self.me == min(self.protocol.active)
 
-    def _idle_to_deadline(self) -> Generator[Event, None, Optional[int]]:
-        """Periodic mode under neighbour scope: a finisher idles until
-        its own deadline, or until a neighbour's wave reaches it.
-
-        Returns the interrupter (the wave does not go back to whom it
-        came from), ``None`` when this node's clock ran out first: the
-        pump then interrupts every active neighbour, as it does for any
-        node stopped with no interrupt pending.  A lost interrupt costs
-        the rest of the period at most, so the wait needs no hardening.
-        """
-        msg = yield from self._recv_timed(C.AwaitMessage(
-            tags=(Tag.INTERRUPT,), epoch=self.epoch,
-            timeout=max(self.next_deadline - self.session.env.now, 0.0)))
-        return None if msg is None else msg.src
-
-    def _periodic_trigger(self, status: str, others: list[int]):
+    def _periodic_trigger(self, status: str, others: list[int]
+                          ) -> Generator[Event, None,
+                                         Union[bool, E.PeerDead]]:
         """Timer-based synchronization entry (sync_mode="periodic").
 
         Returns True when the node should proceed into the sync, False
-        when it should resume computing (spurious wakeup).
+        when it should resume computing (spurious wakeup), and the
+        clock's ``PeerDead`` when it proceeds having declared the clock
+        dead.
         """
         session = self.session
         env = session.env
         ft = session.ft
+        protocol = self.protocol
+        epoch = protocol.epoch
         if status == "deadline" or (status == "finished"
                                     and self._is_clock()):
             # The clock waits out the rest of the period (it may have
             # finished early), then interrupts the group.
             if env.now < self.next_deadline \
-                    and self._pending_interrupt() is None:
+                    and not self.has_interrupt(epoch):
                 yield env.timeout(self.next_deadline - env.now)
-            if others and self._pending_interrupt() is None:
+            if others and not self.has_interrupt(epoch):
                 yield from session.vm.multicast(
-                    self.protocol.stamp(InterruptMsg, dst=o, group=self.gid)
+                    protocol.stamp(InterruptMsg, dst=o, group=protocol.group)
                     for o in others)
         elif status == "finished":
             # A non-clock finisher idles until the next periodic sync —
             # precisely the utilization loss the paper's interrupt-based
             # scheme avoids.
-            if self._pending_interrupt() is not None:
+            if self.has_interrupt(epoch):
                 return True
-            wait = C.AwaitMessage(tags=(Tag.INTERRUPT,), epoch=self.epoch)
+            wait = C.AwaitMessage(tags=(Tag.INTERRUPT,), epoch=epoch)
             if not ft.enabled:
                 yield from self._recv_timed(wait)
                 return True
@@ -426,24 +369,20 @@ class NodeRuntime(SimPort):
                                       session.options.sync_period)))
                 if msg is not None:
                     return True
-                clock = min(self.active)
+                clock = min(protocol.active)
                 if clock == self.me:
                     return True  # actives shifted: we are the clock now
-                controller = session.controller
                 if attempt >= ft.max_retries:
-                    if controller is not None:
-                        controller.declare_dead(clock, by=self.me)
-                    self.protocol.on_event(E.PeerDead(clock))
-                    if self.active and self._is_clock():
-                        remaining = sorted(self.active - {self.me})
+                    self.declared(clock)
+                    survivors = sorted(protocol.active - {clock})
+                    if survivors and survivors[0] == self.me:
                         yield from session.vm.multicast(
-                            self.protocol.stamp(InterruptMsg, dst=o,
-                                                group=self.gid)
-                            for o in remaining)
-                    return True
-                if controller is not None:
-                    controller.note_retry()
-                yield from session.vm.send(self.protocol.stamp(
+                            protocol.stamp(InterruptMsg, dst=o,
+                                           group=protocol.group)
+                            for o in survivors[1:])
+                    return E.PeerDead(clock)
+                self.note_retry()
+                yield from session.vm.send(protocol.stamp(
                     ControlMsg, dst=clock, kind="resend-profile"))
                 attempt += 1
         return True
@@ -454,19 +393,20 @@ class NodeRuntime(SimPort):
 
         Returns ``"finished"`` when the whole assignment completed, or
         ``"interrupted"`` after stopping at the next iteration boundary
-        following a synchronization interrupt.
+        following a synchronization interrupt (``"deadline"`` when the
+        periodic clock stopped it).
         """
         session = self.session
         env = session.env
-        table = session.table
         protocol = self.protocol
-        if self.assignment.empty:
+        assignment = protocol.assignment
+        if assignment.empty:
             return "finished"
-        total = self.assignment.work(table)
+        total = assignment.work(session.table)
         consumed = 0.0
         clock_duty = self.periodic and self._is_clock()
         while True:
-            if self._pending_interrupt() is not None:
+            if self.has_interrupt(protocol.epoch):
                 # The flag was raised while we were not interruptible
                 # (e.g. during a steal pause): honor it at this boundary.
                 return (yield from self._stop_at_boundary(consumed))
@@ -484,8 +424,8 @@ class NodeRuntime(SimPort):
             except Interrupt as it:
                 # ``computing`` was cleared by whoever interrupted us.
                 protocol.note_busy(env.now - sub_start)
-                self.rec.complete("compute", sub_start, env.now - sub_start,
-                                  track=self.track)
+                self.recorder.complete("compute", sub_start,
+                                       env.now - sub_start, track=self.track)
                 consumed += self.ws.capacity(sub_start, env.now)
                 cause = it.cause
                 if isinstance(cause, tuple) and cause[0] == "steal":
@@ -494,15 +434,15 @@ class NodeRuntime(SimPort):
                 return (yield from self._stop_at_boundary(consumed))
             self.computing = False
             protocol.note_busy(env.now - sub_start)
-            self.rec.complete("compute", sub_start, env.now - sub_start,
-                              track=self.track)
+            self.recorder.complete("compute", sub_start, env.now - sub_start,
+                                   track=self.track)
             if deadline_first:
                 consumed += self.ws.capacity(sub_start, env.now)
                 result = yield from self._stop_at_boundary(consumed)
                 return "deadline" if result == "interrupted" else result
             protocol.note_work(total)
-            executed = self.assignment.take_head(self.assignment.count)
-            session.ledger.executed(self.me, executed)
+            session.ledger.executed(self.me,
+                                    assignment.take_head(assignment.count))
             return "finished"
 
     def _stop_at_boundary(self, consumed: float
@@ -512,16 +452,17 @@ class NodeRuntime(SimPort):
         session = self.session
         env = session.env
         table = session.table
-        k = max(self.assignment.head_count_for_work(table, consumed,
-                                                    round_up=True), 1)
-        boundary_work = self.assignment.head_work(table, k)
+        assignment = self.protocol.assignment
+        k = max(assignment.head_count_for_work(table, consumed,
+                                               round_up=True), 1)
+        boundary_work = assignment.head_work(table, k)
         extra = boundary_work - consumed
         if extra > _EPS:
             t_end = self.ws.time_to_complete(env.now, extra)
             self.protocol.note_busy(t_end - env.now)
-            self.rec.complete("compute", env.now, t_end - env.now,
-                              track=self.track)
+            self.recorder.complete("compute", env.now, t_end - env.now,
+                                   track=self.track)
             yield env.timeout(t_end - env.now)
         self.protocol.note_work(boundary_work)
-        session.ledger.executed(self.me, self.assignment.take_head(k))
+        session.ledger.executed(self.me, assignment.take_head(k))
         return "interrupted"

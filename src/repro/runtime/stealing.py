@@ -57,10 +57,10 @@ class StealingNodeRuntime(NodeRuntime):
                        ) -> Generator[Event, None, None]:
         """Reply to one steal request: half the remaining iterations."""
         session = self.session
-        count = self.assignment.count
+        count = self.protocol.assignment.count
         give = count // 2
         if give > 0:
-            ranges = self.assignment.take_tail_count(give)
+            ranges = self.protocol.assignment.take_tail_count(give)
             data = give * session.loop.dc_bytes
         else:
             ranges, data = [], 0
@@ -104,13 +104,13 @@ class StealingNodeRuntime(NodeRuntime):
                 if msg.tag is Tag.CONTROL:
                     if msg.kind == ALL_DONE:
                         # Termination raced our request; give up.
-                        self.more_work = False
+                        self.protocol.more_work = False
                         return False
                     yield from self._serve_request(msg)
                     continue
                 break
             if msg.count:
-                self.assignment.add(msg.ranges)
+                self.protocol.assignment.add(msg.ranges)
                 return True
         return False
 
@@ -151,18 +151,20 @@ class StealingNodeRuntime(NodeRuntime):
             for d in range(1, session.n))
 
     # -- main loop ----------------------------------------------------------
-    def run(self) -> Generator[Event, None, None]:
+    def pump(self) -> Generator[Event, None, None]:
+        """Stealing has no synchronization to pump the protocol for: its
+        own loop around the simulator's compute slice."""
         session = self.session
         env = session.env
-        while self.more_work:
-            if not self.assignment.empty:
+        while self.protocol.more_work:
+            if not self.protocol.assignment.empty:
                 status = yield from self._compute()
                 if status == "interrupted":
                     yield from self._serve_pending()
                     continue
             # Out of work: one round of stealing.
             got = yield from self._steal_round()
-            if not self.more_work:
+            if not self.protocol.more_work:
                 break
             if not got:
                 yield from self._await_termination()

@@ -23,7 +23,6 @@ from .errors import (
     Interrupt,
     MessageLostError,
     NodeCrashedError,
-    RetryExhaustedError,
     ScheduleInPastError,
     SimulationError,
     StopProcess,
@@ -46,7 +45,6 @@ __all__ = [
     "NodeCrashedError",
     "Process",
     "Resource",
-    "RetryExhaustedError",
     "ScheduleInPastError",
     "SimulationError",
     "SlotFilter",

@@ -8,10 +8,12 @@ The kernel distinguishes two *families* of exceptional condition:
   bug in the caller and should never be caught by protocol code.
 * **Modeled failures** (:class:`FaultError` and subclasses) — events
   that the simulation *deliberately models*: a workstation crashing, a
-  message being lost, a peer exceeding its retry budget.  These are
-  part of the fault model (see ``docs/FAULT_MODEL.md``) and are raised,
-  caught and recovered from by the fault-tolerant runtime in
-  :mod:`repro.faults` and :mod:`repro.runtime`.
+  message being lost.  These are part of the fault model (see
+  ``docs/FAULT_MODEL.md``) and are raised, caught and recovered from by
+  the fault-tolerant runtime in :mod:`repro.faults` and
+  :mod:`repro.runtime`.  (A peer exceeding its retry budget is the
+  protocol's :class:`~repro.protocol.ProtocolRetryExhausted`, the same
+  on every backend.)
 
 Two further control-flow exceptions complete the picture:
 
@@ -36,7 +38,6 @@ __all__ = [
     "FaultError",
     "NodeCrashedError",
     "MessageLostError",
-    "RetryExhaustedError",
     "UnrecoverableFaultError",
 ]
 
@@ -97,25 +98,6 @@ class NodeCrashedError(FaultError):
 
 class MessageLostError(FaultError):
     """A message was dropped by the fault injector and will not arrive."""
-
-
-class RetryExhaustedError(FaultError):
-    """A timed request exceeded its bounded retry budget.
-
-    The hardened protocol normally converts this into a dead-peer
-    declaration rather than letting it propagate; it escapes only when
-    the unreachable peer is one the fault model assumes reliable (the
-    master).
-    """
-
-    def __init__(self, waiter: int, peer: int, what: str, attempts: int) -> None:
-        super().__init__(
-            f"node {waiter} gave up waiting for {what} from {peer} "
-            f"after {attempts} attempts")
-        self.waiter = waiter
-        self.peer = peer
-        self.what = what
-        self.attempts = attempts
 
 
 class UnrecoverableFaultError(FaultError):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro import ClusterSpec, run_loop
 from repro.apps.trfd import TrfdConfig, trfd_loop1
 from repro.apps.workload import WorkTable
+from repro.faults.plan import FaultPlan
 from repro.machine.load import ConstantLoad, DiscreteRandomLoad, TraceLoad
 from repro.runtime.options import RunOptions
 from repro.simulation.engine import Environment
@@ -143,6 +144,16 @@ def test_a_loaded_run_keeps_a_float_clock(monkeypatch):
     assert type(stats.duration) is float
     assert {type(s.time) for s in stats.syncs} == {float}
     assert {type(t) for t in stats.node_finish_times.values()} == {float}
+    # A node that crashed while its block was being staged never ran:
+    # it has no finish time at all (it used to report ``None``).
+    staged = run_loop(trfd_loop1(TrfdConfig(30)),
+                      ClusterSpec.homogeneous(16, max_load=5, seed=7),
+                      "GCDLB", RunOptions(include_staging=True),
+                      fault_plan=FaultPlan.single_crash(2, 0.0))
+    assert staged.crashed_nodes == (2,)
+    assert sorted(staged.node_finish_times) == [
+        n for n in range(16) if n != 2]
+    assert {type(t) for t in staged.node_finish_times.values()} == {float}
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1,

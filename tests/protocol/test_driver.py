@@ -200,11 +200,14 @@ def test_distributed_exchange_through_the_driver(table):
     # Node 0 stopped *between* iterations — after its third — because
     # the flag for its current epoch was set, not because its block ran
     # out; it answered with a profile, planned, and shipped work.
-    assert ComputeDone("interrupted", by=1) in cluster.events[0]
+    # At the second sync node 0 ran out with node 1's interrupt already
+    # flagged: a peer got there first, so it answers and interrupts
+    # nobody.
+    assert cluster.events[0].count(ComputeDone("interrupted", by=1)) == 2
     assert cluster.ports[0].calls == [
         exe, exe, exe, sent(Tag.PROFILE, 1), sync, sent(Tag.WORK, 1),
         exe, exe, exe, exe, exe,
-        sent(Tag.INTERRUPT, 1), sent(Tag.PROFILE, 1), sync, fin]
+        sent(Tag.PROFILE, 1), sync, fin]
     # The ledger booked each sync once although both replicas reported
     # it, and every participant's counters exactly once, at Done.
     syncs = cluster.ledger.stats.syncs

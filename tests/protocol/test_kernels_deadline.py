@@ -144,7 +144,7 @@ def test_check_stop_lands_within_one_asyncio_slice(monkeypatch):
 
 
 def test_two_thread_skew_run_profiles_the_nominal_rate(monkeypatch):
-    """``driver._compute`` books ``busy = now - t0`` around each burn,
+    """``Reporter.compute`` books ``busy = now - t0`` around each burn,
     so the section-3.2 rate a worker profiles is work / busy.  A hold
     never returns early, so nobody ever profiles *faster* than nominal
     — every rate of the run is checked, not only the last window's.

@@ -186,7 +186,7 @@ def test_service_wall_time_scaled_by_load():
     balancer = CentralBalancer(session)
     stolen = []
     session.nodes[0] = SimpleNamespace(steal=stolen.append)
-    session.env.run(session.env.process(balancer._charge(0.01)))
+    session.env.run(session.env.process(balancer.charge(0.01)))
     # No load: wall time equals work time.
     assert session.env.now == pytest.approx(0.01)
     assert stolen == [pytest.approx(0.01)]
