@@ -20,8 +20,9 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -43,6 +44,39 @@ def _cost_list(costs) -> list[float]:
     return values
 
 
+def _check_costs(values: Sequence[float]) -> None:
+    """Refuse a cost that is not positive and finite (NaN included)."""
+    if not all(0.0 < v < math.inf for v in values):
+        bad = "positive" if any(v <= 0 for v in values) else "finite"
+        raise ValueError(f"iteration costs must be {bad}")
+
+
+#: numpy's ``PW_BLOCKSIZE``: the longest run summed without splitting.
+_PW_BLOCKSIZE = 128
+
+
+def _pairwise_sum(values: Sequence[float], start: int, stop: int) -> float:
+    """``values[start:stop]`` summed as numpy's float64 ``add.reduce``
+    sums it, bit for bit: below 8 left to right, up to
+    :data:`_PW_BLOCKSIZE` in 8 strided accumulators, above that split in
+    two at a multiple of 8.  Explicit ``+`` throughout: the built-in
+    ``sum`` compensates float rounding from Python 3.12 on.
+    """
+    n = stop - start
+    if n < 8:
+        return reduce(add, values[start:stop], 0.0)
+    if n <= _PW_BLOCKSIZE:
+        blocks = stop - n % 8
+        r = [reduce(add, values[j:blocks:8]) for j in range(start, start + 8)]
+        total = (((r[0] + r[1]) + (r[2] + r[3]))
+                 + ((r[4] + r[5]) + (r[6] + r[7])))
+        return reduce(add, values[blocks:stop], total)
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_sum(values, start, start + half)
+            + _pairwise_sum(values, start + half, stop))
+
+
 class WorkTable:
     """Iteration-cost table with count/work conversions.
 
@@ -57,8 +91,7 @@ class WorkTable:
         if isinstance(costs, numbers.Real):
             if n_iterations is None:
                 raise ValueError("uniform cost needs n_iterations")
-            if float(costs) <= 0:
-                raise ValueError("iteration cost must be positive")
+            _check_costs((float(costs),))
             if n_iterations < 1:
                 raise ValueError("need at least one iteration")
             self.n = int(n_iterations)
@@ -66,8 +99,7 @@ class WorkTable:
             self._cum: Optional[list[float]] = None
         else:
             values = _cost_list(costs)
-            if any(v <= 0 for v in values):
-                raise ValueError("iteration costs must be positive")
+            _check_costs(values)
             if n_iterations is not None and n_iterations != len(values):
                 raise ValueError("n_iterations disagrees with costs array")
             self.n = len(values)
@@ -177,8 +209,11 @@ class LoopSpec:
             raise ValueError("loop must have at least one iteration")
         if self.dc_bytes < 0 or self.ic_bytes < 0:
             raise ValueError("communication sizes must be non-negative")
-        if not self.uniform:
+        if self.uniform:
+            _check_costs((float(self.iteration_time),))
+        else:
             costs = tuple(_cost_list(self.iteration_time))
+            _check_costs(costs)
             if len(costs) != self.n_iterations:
                 raise ValueError(
                     f"{len(costs)} iteration costs for "
@@ -196,16 +231,15 @@ class LoopSpec:
     def total_work(self) -> float:
         """Base-processor seconds of the whole loop.
 
-        A cost tuple is summed by ``numpy.sum`` (pairwise), not read off
-        the work table's left-to-right prefix sum: the two differ in the
-        last bit on some loops (TRFD(30) L2), and the simulated
-        speed-ups the experiments compare exactly are computed from this
-        sum.
+        A cost tuple is summed pairwise, bit for bit as ``numpy.sum``
+        sums it, not read off the work table's left-to-right prefix sum:
+        the two differ in the last bit on some loops (TRFD(30) L2), and
+        the simulated speed-ups the experiments compare exactly are
+        computed from this sum.
         """
         if self.uniform:
             return self.n_iterations * float(self.iteration_time)
-        import numpy as np
-        return float(np.sum(self.iteration_time))
+        return _pairwise_sum(self.iteration_time, 0, self.n_iterations)
 
     @property
     def mean_iteration_time(self) -> float:

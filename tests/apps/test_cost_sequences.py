@@ -5,7 +5,10 @@ A loop's ``iteration_time`` may be a scalar or a sequence of length
 ``n_iterations`` (tuple, list or 1-D array); the spec stores a sequence
 as a tuple of Python floats, so it runs on every backend and stays
 hashable.  The work table prefix-sums without numpy; its answers must
-equal, bit for bit, the ``numpy.cumsum`` prefix sum it replaced.
+equal, bit for bit, the ``numpy.cumsum`` prefix sum it replaced.  The
+loop's ``total_work`` sums pairwise without numpy, and must equal
+``numpy.sum`` bit for bit.  A cost that is not positive and finite is
+refused when the loop or the table is built.
 """
 
 import numpy as np
@@ -152,3 +155,58 @@ def test_work_table_refuses_what_the_numpy_formulation_refused(
     with pytest.raises(ValueError) as error:
         WorkTable(costs, n_iterations)
     assert str(error.value) == str(ref_error.value)
+
+
+# -- bit identity with numpy's pairwise sum ---------------------------------
+
+def _magnitudes(n, seed):
+    """``n`` seeded costs spread over 12 decades (1e-6 s to 1e6 s)."""
+    rng = np.random.default_rng(seed)
+    return tuple((10.0 ** rng.uniform(-6, 6, n)).tolist())
+
+
+def _skew_costs(n=256, seed=7):
+    """A skewed loop shaped like the benchmark's: cost rises 15x."""
+    rng = np.random.default_rng(seed)
+    return tuple((0.2e-3 + 2.8e-3 * j / n) * rng.uniform(0.8, 1.2)
+                 for j in range(n))
+
+
+@pytest.mark.parametrize("n", [*range(1, 301), 8191, 8192, 8193, 20_000])
+def test_total_work_equals_the_numpy_sum_bit_for_bit(n):
+    """Every length to 300 crosses the 7/8/9 and 127/128/129 edges of
+    the pairwise blocks; the long ones cross numpy's 8192 buffer."""
+    costs = _magnitudes(n, seed=n)
+    loop = LoopSpec("pw", n, costs, dc_bytes=0)
+    assert loop.total_work == float(np.sum(costs))
+    assert type(loop.total_work) is float
+
+
+def test_the_repos_own_cost_tuples_sum_as_numpy_sums_them():
+    from repro.apps.trfd import TrfdConfig, trfd_loop2
+    trfd = trfd_loop2(TrfdConfig(30))
+    skew = LoopSpec("skew", 256, _skew_costs(), dc_bytes=4096)
+    for loop in (trfd, skew):
+        assert loop.total_work == float(np.sum(loop.iteration_time))
+        assert (loop.mean_iteration_time
+                == float(np.sum(loop.iteration_time)) / loop.n_iterations)
+    # The pairwise and the left-to-right sum part in the last bit here,
+    # so a prefix-sum shortcut would not pass.
+    assert trfd.total_work != trfd.work_table().total_work
+
+
+# -- costs that are not positive and finite ---------------------------------
+
+@pytest.mark.parametrize("cost, message", [
+    (0.0, "positive"), (-1.0, "positive"), (np.float64(0.0), "positive"),
+    (float("-inf"), "positive"), (float("nan"), "finite"),
+    (float("inf"), "finite"), (np.float64("nan"), "finite"),
+])
+@pytest.mark.parametrize("shape", ["uniform", "in a tuple"])
+def test_a_bad_cost_is_refused_when_the_loop_is_built(cost, message, shape):
+    costs = cost if shape == "uniform" else (1e-3, cost, 1e-3)
+    n = 1 if shape == "uniform" else 3
+    with pytest.raises(ValueError, match=f"iteration costs must be {message}"):
+        LoopSpec("x", n, costs, 0)
+    with pytest.raises(ValueError, match=f"iteration costs must be {message}"):
+        WorkTable(costs, n)
