@@ -17,8 +17,8 @@ Three kernels realize a "compute this iteration" request:
   multiply-adds (:func:`burn_vec`), calibrated separately
   (:func:`calibrate_vec_rate`).  It can compute **in place on a
   caller-supplied float64 view** — the process backend, the only one
-  that accepts it, hands it a window of its
-  ``multiprocessing.shared_memory`` block (:func:`shm_row_view`), so
+  that accepts it, hands it a window of its run's shared-memory data
+  block, an ``mmap`` of a POSIX segment (:func:`shm_row_view`), so
   the arithmetic touches the iteration's actual data rows with zero
   copies (not just zero-copy transport).
 
@@ -188,7 +188,8 @@ def burn_vec(n_ops: float, out: Optional[np.ndarray] = None,
 def shm_row_view(buf, offset: int, nbytes: int) -> Optional[np.ndarray]:
     """Zero-copy float64 view over ``nbytes`` bytes of ``buf`` at ``offset``.
 
-    ``buf`` is any writable buffer (``shared_memory.SharedMemory.buf``);
+    ``buf`` is any writable buffer (the process backend's block maps
+    its segment with ``mmap``);
     the view aliases it, so :func:`burn_vec` writing through the view
     mutates the shared block directly.  Returns ``None`` when the
     window is too small to vectorize over (:data:`MIN_VEC_ELEMS`).

@@ -61,8 +61,12 @@ Data movement over shared memory
 --------------------------------
 The paper's §4 cost model charges redistribution for moving each
 iteration's ``DC`` bytes of array data.  Here the whole iteration-data
-array lives in one ``multiprocessing.shared_memory`` block (one
-``dc_bytes`` row per iteration) that every worker maps for the run.  A
+array lives in one POSIX shared-memory block (:class:`_Block`, one
+``dc_bytes`` row per iteration) that every worker maps for the run.
+The parent creates it as ``/dlb-<pid>-<8 hex>`` and registers the name
+with ``multiprocessing``'s resource tracker, so a killed parent's block
+is still unlinked; at the end of the run the parent unlinks it first,
+then unmaps it, and the workers only ever map and unmap.  A
 redistribution ships only a :class:`~repro.message.messages.WorkMsg`
 with *iteration ranges* — offsets into the block — while the rows
 themselves never touch a pipe.  Both sides are measured:
@@ -97,6 +101,7 @@ capability matrix in ``docs/ARCHITECTURE.md``
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import queue as queue_mod
@@ -107,6 +112,8 @@ import time
 import traceback
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
+
+import _posixshmem
 
 from ..apps.workload import LoopSpec
 from ..faults.plan import FaultPlan
@@ -157,7 +164,8 @@ class _ChildConfig:
     groups: Optional[tuple[tuple[int, ...], ...]]
     kernel: str  # "ops" (scalar burn) or "numpy" (vectorized, in-row)
     ops_rate: float  # calibrated rate of the chosen kernel
-    shm_name: str
+    block_name: str  # the run's data block (_Block), mapped by name
+    block_size: int
     row_bytes: int
     fail_after: Optional[int]  # test hook: raise after N iterations
 
@@ -245,30 +253,59 @@ class _CrashClock:
             os._exit(CRASH_EXIT_CODE)
 
 
-def _attach_shm(name: str, owns_tracker: bool):
-    """Attach to a named shared-memory block without tracker handover.
+class _Block:
+    """A run's data block: a named POSIX shared-memory segment of
+    ``size`` bytes, and ``buf``, its writable ``mmap`` (sliceable, and a
+    buffer that numpy views in place).
 
-    A child that merely *attaches* must not let a resource tracker
-    unlink the block when the child exits; only the creating parent
-    unlinks.  A child that inherited the parent's tracker (``spawn`` and
-    ``forkserver`` hand it over; ``fork`` copies it once the parent has
-    created a block) shares its registry, a set — the duplicate
-    register from the attach collapses and nothing need be done
-    (unregistering here would strip the *parent's* entry).  A child
-    that started without one spins up a tracker of its own at its first
-    attach, which would unlink the segment at child exit (the bpo-39959
-    footgun), so there *every* attach's registration must be withdrawn:
-    a resident child attaches once per run, and only the first attach
-    finds no tracker running.
+    The system calls are those of ``multiprocessing.shared_memory``,
+    whose import loads OpenSSL (through ``secrets``) to draw a name.
+    Without a ``name`` the block is created, and this process owns it:
+    the name is registered with the resource tracker as soon as it
+    exists, and the tracker unlinks it if the owner dies first — or if
+    sizing or mapping a new block fails.  With a ``name``, an existing
+    block is mapped and nothing is registered.
     """
-    from multiprocessing import resource_tracker, shared_memory
-    shm = shared_memory.SharedMemory(name=name)
-    if owns_tracker:
+
+    def __init__(self, size: int, name: Optional[str] = None) -> None:
+        self.owner = name is None
+        self.name = name or f"/dlb-{os.getpid()}-{os.urandom(4).hex()}"
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if self.owner else 0)
+        fd = _posixshmem.shm_open(self.name, flags, mode=0o600)
         try:
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals vary
-            pass
-    return shm
+            if self.owner:
+                from multiprocessing import resource_tracker
+                resource_tracker.register(self.name, "shared_memory")
+                os.ftruncate(fd, size)
+            self.buf = mmap.mmap(fd, size)
+        finally:
+            os.close(fd)
+
+    def stamp(self, ranges, node: int, kernel: str, row_bytes: int) -> None:
+        """Credit the rows of ``ranges`` to ``node``: its stamp heads
+        each row.  The scalar kernels never touch the payload, so it is
+        filled too; what the numpy kernel computed into it stays."""
+        fill = 0 if kernel == "numpy" else row_bytes - STAMP_BYTES
+        pattern = struct.pack("<Q", node + 1) + b"\x5a" * fill
+        for start, end in ranges:
+            for i in range(start, end):
+                self.buf[i * row_bytes:i * row_bytes + len(pattern)] = pattern
+
+    def payload(self, kernel: str, i: int, row_bytes: int):
+        """What ``kernel`` burns into for row ``i``: for numpy, a
+        zero-copy float64 view of the row past its stamp (``None`` when
+        too small to vectorize over); for the scalar kernels, nothing."""
+        return None if kernel != "numpy" else shm_row_view(
+            self.buf, i * row_bytes + STAMP_BYTES, row_bytes - STAMP_BYTES)
+
+    def close(self) -> None:
+        """Unmap.  The owner unlinks the name first, so a close that
+        raises leaks no segment."""
+        if self.owner:
+            from multiprocessing import resource_tracker
+            _posixshmem.shm_unlink(self.name)
+            resource_tracker.unregister(self.name, "shared_memory")
+        self.buf.close()
 
 
 class _ChildMailbox:
@@ -340,19 +377,10 @@ class _ChildReporter(Reporter):
         #: Centralized workers' PROFILEs feed the balancer process.
         self._lb_host = cfg.spec.lb_host \
             if me is not None and cfg.spec.centralized else None
-        self.shm = None
+        self.block: Optional[_Block] = None
         self.payload_bytes = 0
         self.shm_bytes = 0
         self._executed = 0
-        self._row_pattern = b""
-        if me is not None:
-            self._row_pattern = struct.pack("<Q", me + 1)
-            if cfg.kernel != "numpy":
-                # The scalar kernels never touch the row payload, so
-                # stamp the whole row; the numpy kernel computed *into*
-                # it, so write only the ownership stamp and keep the
-                # results.
-                self._row_pattern += b"\x5a" * (cfg.row_bytes - STAMP_BYTES)
 
     def deliver(self, msg: Message) -> None:
         self._crash.check()
@@ -368,11 +396,7 @@ class _ChildReporter(Reporter):
 
     def executed(self, ranges: Sequence[Range]) -> None:
         cfg = self._cfg
-        for start, end in ranges:
-            for i in range(start, end):
-                off = i * cfg.row_bytes
-                self.shm.buf[off:off + len(self._row_pattern)] = \
-                    self._row_pattern
+        self.block.stamp(ranges, self.me, cfg.kernel, cfg.row_bytes)
         self._executed += sum(e - s for s, e in ranges)
         if cfg.fail_after is not None and self._executed >= cfg.fail_after:
             raise RuntimeError(
@@ -406,10 +430,6 @@ def _child_main(me: Optional[int], queues, balancer_q, stats_q) -> None:
     from multiprocessing.connection import wait
     channel = balancer_q if me is None else queues[me]
     parent = multiprocessing.parent_process().sentinel
-    # Asked before a first attach could start one (see _attach_shm).
-    from multiprocessing import resource_tracker
-    owns_tracker = getattr(resource_tracker._resource_tracker, "_fd",
-                           None) is None
     last = 0  # the last run this child took part in
     early: list = []  # (run, item) a later run sent ahead of its order
     while True:
@@ -419,14 +439,14 @@ def _child_main(me: Optional[int], queues, balancer_q, stats_q) -> None:
         if isinstance(item, _RunOrder):
             _run_order(item, run, channel,
                        [got for stamp, got in early if stamp == run],
-                       queues, balancer_q, stats_q, owns_tracker)
+                       queues, balancer_q, stats_q)
             last, early = run, []
         elif run > last:
             early.append((run, item))
 
 
 def _run_order(order: _RunOrder, run: int, channel: Channel, early,
-               queues, balancer_q, stats_q, owns_tracker: bool) -> None:
+               queues, balancer_q, stats_q) -> None:
     """Run one order: a worker, or (``cfg.groups`` set) the balancer,
     which is never crashed.  A run that raises ends the child."""
     cfg = order.cfg
@@ -436,7 +456,7 @@ def _run_order(order: _RunOrder, run: int, channel: Channel, early,
     reporter = _ChildReporter(cfg, run, queues, balancer_q, stats_q, crash)
     try:
         if is_worker:
-            reporter.shm = _attach_shm(cfg.shm_name, owns_tracker)
+            reporter.block = _Block(cfg.block_size, cfg.block_name)
         proto = spec.build_protocol() if is_worker \
             else spec.build_balancer(cfg.groups)
         if spec.trace_events:
@@ -450,17 +470,10 @@ def _run_order(order: _RunOrder, run: int, channel: Channel, early,
 
         def burn_one(want: Burn) -> None:
             # The numpy kernel computes *in* the iteration's own data
-            # row: a zero-copy float64 view of the shared block past the
-            # ownership stamp (None when the row payload is too small —
-            # the kernel then burns on private scratch instead).
-            view = None
-            if cfg.kernel == "numpy":
-                view = shm_row_view(
-                    reporter.shm.buf,
-                    want.iteration * cfg.row_bytes + STAMP_BYTES,
-                    cfg.row_bytes - STAMP_BYTES)
+            # row (on private scratch when the row is too small).
             burn(cfg.kernel, want.cost * spec.time_scale, cfg.ops_rate,
-                 out=view, should_abort=probe)
+                 should_abort=probe, out=reporter.block.payload(
+                     cfg.kernel, want.iteration, cfg.row_bytes))
             crash.check()  # fail-stop before the iteration is recorded
 
         run_blocking(
@@ -472,8 +485,8 @@ def _run_order(order: _RunOrder, run: int, channel: Channel, early,
         reporter.error(traceback.format_exc())
         os._exit(1)
     finally:
-        if reporter.shm is not None:
-            reporter.shm.close()
+        if reporter.block is not None:
+            reporter.block.close()
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +620,8 @@ class ProcessBackend(ExecutionBackend):
         if plan.workers[0].centralized:
             participants["balancer"] = plan.workers[0]
 
-        from multiprocessing import shared_memory
         with _run_lock:
-            # Created before a first fork: a forked child then shares
-            # the parent's resource tracker (see _attach_shm).
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(1, loop.n_iterations * row_bytes))
+            block = _Block(max(1, loop.n_iterations * row_bytes))
             clean = False
             try:
                 cast = _cast_for(ctx, len(plan.workers))
@@ -629,7 +638,8 @@ class ProcessBackend(ExecutionBackend):
                         spec=spec, groups=tuple(map(tuple, plan.groups))
                         if key == "balancer" else None,
                         kernel=self.kernel, ops_rate=ops_rate,
-                        shm_name=shm.name, row_bytes=row_bytes,
+                        block_name=block.name, block_size=len(block.buf),
+                        row_bytes=row_bytes,
                         fail_after=self._fail_after.get(key)), t0))
 
                 ledger = RunLedger(stats, plan.table, recorder,
@@ -645,16 +655,15 @@ class ProcessBackend(ExecutionBackend):
                                    reason="crashed")
                 stats.crashed_nodes = tuple(sorted(crashed))
                 if crashed:
-                    self._salvage(ledger, crashed, ops_rate, shm, row_bytes)
+                    self._salvage(ledger, crashed, ops_rate, block, row_bytes)
                 ledger.close(time.perf_counter() - t0)
-                self._verify_shm(stats, shm, row_bytes)
+                self._verify_shm(stats, block, row_bytes)
                 clean = not crashed
                 return stats
             finally:
                 if not clean:
                     _discard_cast()
-                shm.close()
-                shm.unlink()
+                block.close()
 
     # -- supervision -----------------------------------------------------
     def _supervise(self, ledger: RunLedger, recorder, cast: _Cast,
@@ -725,39 +734,36 @@ class ProcessBackend(ExecutionBackend):
 
     # -- salvage / verification -----------------------------------------
     def _salvage(self, ledger: RunLedger, crashed: set[int],
-                 ops_rate: float, shm, row_bytes: int) -> None:
+                 ops_rate: float, block, row_bytes: int) -> None:
         """Re-run the orphans of a crash on the lowest survivor: burn
         their work and stamp their rows in its name."""
         orphans = ledger.uncovered()
         if not orphans:
             return
         survivor = min(set(range(ledger.stats.n_processors)) - crashed)
-        pattern = (struct.pack("<Q", survivor + 1)
-                   + b"\x5a" * (row_bytes - STAMP_BYTES))
         for start, end in orphans:
-            view = None
-            if self.kernel == "numpy":
-                # Burn over the first orphaned row's payload — the same
+            try:
+                # numpy burns over the first orphaned row's payload: the
                 # element count the rate was calibrated at.
-                view = shm_row_view(shm.buf,
-                                    start * row_bytes + STAMP_BYTES,
-                                    row_bytes - STAMP_BYTES)
-            burn(self.kernel,
-                 ledger.table.range_work(start, end) * self.time_scale,
-                 ops_rate, out=view)
-            for i in range(start, end):
-                off = i * row_bytes
-                shm.buf[off:off + len(pattern)] = pattern
+                work = ledger.table.range_work(start, end) * self.time_scale
+                burn(self.kernel, work, ops_rate,
+                     out=block.payload(self.kernel, start, row_bytes))
+            except BaseException as exc:
+                # The traceback keeps the burn's frames, and the row
+                # view in them would pin the block open: drop them.
+                traceback.clear_frames(exc.__traceback__)
+                raise
+        block.stamp(orphans, survivor, self.kernel, row_bytes)
         ledger.salvaged(survivor, orphans)
 
     @staticmethod
-    def _verify_shm(stats: LoopRunStats, shm, row_bytes: int) -> None:
+    def _verify_shm(stats: LoopRunStats, block, row_bytes: int) -> None:
         """Audit the data block: every executed row stamped by its owner."""
         for node, ranges in stats.executed_by_node.items():
             for start, end in ranges:
                 for i in range(start, end):
                     off = i * row_bytes
-                    stamp = struct.unpack_from("<Q", shm.buf, off)[0]
+                    stamp = struct.unpack_from("<Q", block.buf, off)[0]
                     if stamp != node + 1:
                         raise AssertionError(
                             f"shared-memory row {i} stamped by "

@@ -7,8 +7,10 @@ thread run that never opens a socket or forks a child should not pay
 for them.  numpy is the largest of all: only the simulator's load
 model, the cost model and the ``numpy`` kernel compute with it, so a
 thread, process or socket run with the ``wall`` or ``ops`` kernel
-never loads it.  Each case runs in a fresh interpreter, so whatever an
-earlier test imported cannot hide a module-level import.
+never loads it.  Nor does a process run load OpenSSL: its data block
+is mapped without ``multiprocessing.shared_memory``.  Each case runs in
+a fresh interpreter, so whatever an earlier test imported cannot hide a
+module-level import.
 """
 
 from __future__ import annotations
@@ -66,6 +68,24 @@ def test_simulated_and_thread_runs_load_no_transport():
 
 def test_a_socket_run_loads_its_transport_and_covers_the_loop():
     assert "asyncio" in _loaded_after("run(SocketBackend())\n")
+
+
+#: What ``multiprocessing.shared_memory`` drags in to draw a block name:
+#: ``secrets`` -> ``hmac`` -> ``_hashlib``, which maps OpenSSL's libcrypto.
+OPENSSL = ("multiprocessing.shared_memory", "secrets", "hmac", "_hashlib")
+
+
+def test_a_process_run_loads_no_openssl():
+    assert _loaded_after(
+        "run(ProcessBackend(kernel='ops'))\n"
+        "from repro.backend.process import release_cast\n"
+        "release_cast()\n", watched=OPENSSL) == []
+
+
+def test_the_stdlib_block_does_load_openssl():
+    """The control: without it the test above passes vacuously."""
+    assert "_hashlib" in _loaded_after(
+        "import multiprocessing.shared_memory\n", watched=OPENSSL)
 
 
 def _numpy_loaded_after(body: str) -> bool:

@@ -8,8 +8,6 @@ backend, including the validation surface (threads refuse it).
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
-
 import pytest
 
 from repro import ClusterSpec
@@ -24,6 +22,7 @@ from repro.backend.kernels import (
     calibrate_vec_rate,
     shm_row_view,
 )
+from repro.backend.process import _Block
 from repro.runtime.options import RunOptions
 
 np = pytest.importorskip("numpy")
@@ -87,21 +86,29 @@ def test_burn_vec_abort_after_first_pass():
 # -- shm_row_view --------------------------------------------------------
 
 def test_shm_row_view_aliases_shared_memory():
-    shm = shared_memory.SharedMemory(create=True, size=256)
+    """The view aliases the process backend's own block: the mapping
+    the numpy kernel burns into, row by row (``_Block.payload``)."""
+    block = _Block(256)
     try:
-        view = shm_row_view(shm.buf, 8, 128)
+        view = shm_row_view(block.buf, 8, 128)
         assert view is not None and view.size == 16
         view[:] = 0.25
-        roundtrip = np.frombuffer(bytes(shm.buf[8:136]), dtype=np.float64)
+        roundtrip = np.frombuffer(bytes(block.buf[8:136]), dtype=np.float64)
         assert np.all(roundtrip == 0.25)
         # Burning through the view writes the shared block directly.
         burn_vec(10_000, out=view)
-        after = np.frombuffer(bytes(shm.buf[8:136]), dtype=np.float64)
+        after = np.frombuffer(bytes(block.buf[8:136]), dtype=np.float64)
         assert not np.all(after == 0.25)
-        del view, roundtrip, after  # release buf references before close
+        # A second mapping of the block, as a worker's, sees the same
+        # bytes, and its row payload is the same window.
+        peer = _Block(len(block.buf), block.name)
+        row = peer.payload("numpy", 0, 136)
+        assert np.array_equal(row, view)
+        assert peer.payload("ops", 0, 136) is None
+        del view, roundtrip, after, row  # release buf references
+        peer.close()
     finally:
-        shm.close()
-        shm.unlink()
+        block.close()
 
 
 def test_shm_row_view_rejects_windows_too_small_to_vectorize():

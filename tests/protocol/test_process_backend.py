@@ -56,6 +56,16 @@ def _no_orphans():
             if p.name.startswith("dlb-")]
 
 
+def _segments(pid=None):
+    """The run blocks an owner (default: this process) has in /dev/shm."""
+    prefix = f"dlb-{os.getpid() if pid is None else pid}-"
+    return sorted(n for n in os.listdir("/dev/shm") if n.startswith(prefix))
+
+
+needs_dev_shm = pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                                   reason="no /dev/shm to list")
+
+
 # -- data movement over shared memory -----------------------------------
 @pytest.mark.parametrize("strategy", ["GCDLB", "GDDLB"])
 def test_redistribution_moves_data_through_shm(strategy):
@@ -158,6 +168,34 @@ def test_crash_plan_times_scale_with_time_scale():
 
 
 @pytest.mark.faults
+@needs_dev_shm
+def test_failing_salvage_raises_its_own_error_and_unlinks(monkeypatch):
+    """A salvage burn that raises while its numpy row view is live:
+    the run raises that error, not a ``BufferError`` from closing a
+    block the view still pins, and the block is unlinked."""
+    pytest.importorskip("numpy")
+    owner, real, calls = os.getpid(), process.burn, []
+
+    def burn(*args, **kwargs):
+        if os.getpid() != owner:  # a forked child burns as ever
+            return real(*args, **kwargs)
+        calls.append(kwargs["out"] is not None)
+        raise RuntimeError("salvage burn failed")
+
+    monkeypatch.setattr(process, "burn", burn)
+    before = set(os.listdir("/dev/shm"))
+    loop = LoopSpec(name="steady", n_iterations=64, iteration_time=0.01,
+                    dc_bytes=256)
+    with pytest.raises(RuntimeError, match="salvage burn failed"):
+        ProcessBackend(kernel="numpy").run_loop(
+            loop, _cluster(), "GDDLB", RunOptions(),
+            fault_plan=FaultPlan.single_crash(node=1, time=0.05))
+    assert calls[:1] == [True]  # it burned into a row view
+    assert set(os.listdir("/dev/shm")) <= before
+    assert _segments() == []
+
+
+@pytest.mark.faults
 def test_non_crash_faults_stay_simulation_only():
     loop = mxm_loop(MxmConfig(16, 8, 8), op_seconds=4e-7)
     backend = ProcessBackend(time_scale=0.2)
@@ -203,6 +241,28 @@ def test_worker_failure_tears_down_all_processes():
     with pytest.raises(BackendError, match="worker 1 failed"):
         backend.run_loop(loop, _cluster(), "GCDLB", RunOptions())
     assert _no_orphans() == []
+
+
+@needs_dev_shm
+@pytest.mark.parametrize("failure", [None, "fail_after"])
+def test_a_run_leaves_no_segment(failure):
+    """The run's block is in /dev/shm while the run lives, and gone
+    when it ends, clean or not."""
+    backend = ProcessBackend(time_scale=1.0)
+    backend._fail_after = {1: 3} if failure else {}
+    seen = []
+    options = RunOptions(on_execute=lambda node, ranges: seen.append(
+        _segments()))
+    loop = LoopSpec(name="steady", n_iterations=64, iteration_time=0.01,
+                    dc_bytes=32)
+    try:
+        backend.run_loop(loop, _cluster(), "GCDLB", options)
+    except BackendError as exc:
+        assert failure and "worker 1 failed" in str(exc)
+    else:
+        assert not failure
+    assert seen and all(len(names) == 1 for names in seen)
+    assert _segments() == []
 
 
 def _state(pid: int) -> str:

@@ -8,7 +8,8 @@ run's leftovers out of the next and never drop a message that arrives
 ahead of its run's order; a run that does not end clean, or a change of
 shape, replaces the cast; an owner's death takes the cast with it; a
 forked child runs a cast of its own; two threads share it one run at a
-time; repeated spawn attaches leak no shared-memory registration.
+time; repeated spawn runs leak no shared-memory registration; an owner
+killed mid-run leaves neither a child nor its run's block behind.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from repro.backend import process
 from repro.backend.base import mp_context
 from repro.faults.plan import FaultPlan
 from repro.runtime.options import RunOptions
+
+from .test_process_backend import _segments, needs_dev_shm
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -230,6 +233,50 @@ def test_killed_owner_leaves_no_child():
         owner.wait()
         owner.stdout.close()
     _wait_gone(pids)
+
+
+@needs_dev_shm
+def test_owner_killed_mid_run_leaves_no_child_and_no_segment():
+    """SIGKILLed about a second into a two-second run, the owner gets
+    no say: its cast must end itself, and the resource tracker must
+    unlink the run's block, both within ten seconds."""
+    script = textwrap.dedent("""
+        import json, multiprocessing
+        from repro import ClusterSpec
+        from repro.apps.workload import LoopSpec
+        from repro.backend import ProcessBackend
+        from repro.runtime.options import RunOptions
+        def run(n, cost):
+            ProcessBackend().run_loop(
+                LoopSpec("steady", n, cost, dc_bytes=64),
+                ClusterSpec.homogeneous(2, max_load=0), "GCDLB",
+                RunOptions())
+        run(4, 1e-4)  # forks the cast
+        print(json.dumps([p.pid for p in multiprocessing.active_children()]),
+              flush=True)
+        run(64, 0.06)  # ~2 s on each of the two workers
+    """)
+    owner = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    try:
+        pids = json.loads(owner.stdout.readline())
+        assert len(pids) == 3
+        deadline = time.monotonic() + 10.0
+        while not _segments(owner.pid):  # the second run's block
+            assert time.monotonic() < deadline and owner.poll() is None
+            time.sleep(0.01)
+        time.sleep(1.0)
+        assert owner.poll() is None  # still mid-run
+    finally:
+        owner.send_signal(signal.SIGKILL)
+        deadline = time.monotonic() + 10.0
+        owner.wait()
+        owner.stdout.close()
+    _wait_gone(pids, deadline - time.monotonic())
+    while _segments(owner.pid):
+        assert time.monotonic() < deadline, _segments(owner.pid)
+        time.sleep(0.02)
 
 
 def _run_in_forked_child() -> None:
