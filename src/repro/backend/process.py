@@ -50,9 +50,11 @@ on its own :class:`Channel` — serves every run of its shape.
   :func:`~repro.backend.base.join_or_terminate`, closes its channels
   and processes, and the next run forks a fresh one.
   :func:`release_cast` does the same on demand.
-* **Parent death.** An idle child waits on its channel *and* on
-  ``multiprocessing.parent_process().sentinel``: it exits when the
-  parent dies, however the parent died, so no cast outlives it.
+* **Parent death.** A child waits on its channel *and* on
+  ``multiprocessing.parent_process().sentinel``: idle, in a blocking
+  receive and at every iteration boundary, so it exits within one
+  iteration of the parent's death, however the parent died, and no
+  cast outlives it.
 * **One run at a time.** Runs on the cast are serialized by a lock:
   two threads running ``ProcessBackend`` at once run one after the
   other.
@@ -313,12 +315,16 @@ class _ChildMailbox:
     :class:`Channel` for run ``run``; the parent's failure detector
     posts :class:`~repro.protocol.events.PeerDead` events into the same
     one.  ``early`` is what this run's peers sent before the order.
+    Every wait also watches ``parent`` (the parent's sentinel).
     """
 
-    def __init__(self, channel: Channel, run: int, crash: _CrashClock,
-                 early: Sequence = ()) -> None:
+    def __init__(self, channel: Channel, parent, run: int,
+                 crash: _CrashClock, early: Sequence = ()) -> None:
+        from multiprocessing.connection import wait
         self.inbox = Inbox()
+        self._wait = wait
         self._channel = channel
+        self._parent = parent
         self._run = run
         self._crash = crash
         for item in early:
@@ -332,13 +338,18 @@ class _ChildMailbox:
         if run == self._run:
             self.inbox.post(item)
 
+    def _ready(self, timeout: float) -> bool:
+        """Whether the channel holds an item within ``timeout``.  A
+        child whose parent is gone exits here: nobody reads its run."""
+        ready = self._wait([self._channel, self._parent], timeout)
+        if self._parent in ready:
+            os._exit(0)
+        return bool(ready)
+
     def poll(self) -> None:
         """Drain everything currently queued, without blocking."""
-        while True:
-            try:
-                self._post(self._channel.get_nowait())
-            except queue_mod.Empty:
-                return
+        while self._ready(0):
+            self._post(self._channel.get_nowait())
 
     def get(self, spec: AwaitMessage):
         """Next notice or matching message; ``None`` on spec timeout."""
@@ -352,11 +363,8 @@ class _ChildMailbox:
             if remaining is None:
                 return None
             self._crash.check()
-            try:
-                self._post(self._channel.get(
-                    timeout=self._crash.bound(remaining)))
-            except queue_mod.Empty:
-                continue
+            if self._ready(self._crash.bound(remaining)):
+                self._post(self._channel.get_nowait())
 
 
 class _ChildReporter(Reporter):
@@ -437,7 +445,7 @@ def _child_main(me: Optional[int], queues, balancer_q, stats_q) -> None:
             return
         run, item = channel.get_nowait()
         if isinstance(item, _RunOrder):
-            _run_order(item, run, channel,
+            _run_order(item, run, channel, parent,
                        [got for stamp, got in early if stamp == run],
                        queues, balancer_q, stats_q)
             last, early = run, []
@@ -445,8 +453,8 @@ def _child_main(me: Optional[int], queues, balancer_q, stats_q) -> None:
             early.append((run, item))
 
 
-def _run_order(order: _RunOrder, run: int, channel: Channel, early,
-               queues, balancer_q, stats_q) -> None:
+def _run_order(order: _RunOrder, run: int, channel: Channel, parent,
+               early, queues, balancer_q, stats_q) -> None:
     """Run one order: a worker, or (``cfg.groups`` set) the balancer,
     which is never crashed.  A run that raises ends the child."""
     cfg = order.cfg
@@ -461,7 +469,7 @@ def _run_order(order: _RunOrder, run: int, channel: Channel, early,
             else spec.build_balancer(cfg.groups)
         if spec.trace_events:
             reporter.recorder = TraceRecorder(clock=reporter.now)
-        mailbox = _ChildMailbox(channel, run, crash, early)
+        mailbox = _ChildMailbox(channel, parent, run, crash, early)
         probe = crash.due if crash.crash_at is not None else None
 
         def boundary(_proto: WorkerProtocol) -> None:

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .load import ConstantLoad, DiscreteRandomLoad, LoadFunction, TraceLoad
+from .load import (ConstantLoad, DiscreteRandomLoad, LoadFunction, TraceLoad,
+                   _check_levels, _child_seeds)
 from .workstation import Workstation
 
 __all__ = ["ClusterSpec", "build_groups", "form_groups"]
@@ -55,9 +56,11 @@ class ClusterSpec:
             raise ValueError("max_load must be non-negative")
         if self.persistence <= 0:
             raise ValueError("persistence must be positive")
-        if (self.load_traces is not None
-                and len(self.load_traces) != len(self.speeds)):
-            raise ValueError("need one load trace per processor")
+        if self.load_traces is not None:
+            if len(self.load_traces) != len(self.speeds):
+                raise ValueError("need one load trace per processor")
+            for trace in self.load_traces:
+                _check_levels(trace)
 
     @property
     def n_processors(self) -> int:
@@ -79,9 +82,6 @@ class ClusterSpec:
 
     def build(self) -> list[Workstation]:
         """Instantiate the workstations with fresh, seeded load streams."""
-        import numpy as np
-        seq = np.random.SeedSequence(self.seed)
-        children = seq.spawn(self.n_processors)
         stations = []
         for i, speed in enumerate(self.speeds):
             if self.load_traces is not None:
@@ -92,7 +92,7 @@ class ClusterSpec:
             else:
                 load = DiscreteRandomLoad(
                     max_load=self.max_load, persistence=self.persistence,
-                    seed=int(children[i].generate_state(1)[0]))
+                    seed=_child_seeds(self.seed, self.n_processors)[i])
             stations.append(Workstation(index=i, speed=speed, load=load))
         return stations
 

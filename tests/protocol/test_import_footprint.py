@@ -4,10 +4,10 @@
 The socket backend's asyncio (and ssl with it) and the process backend's
 multiprocessing are several MiB of resident memory; a simulated or
 thread run that never opens a socket or forks a child should not pay
-for them.  numpy is the largest of all: only the simulator's load
-model, the cost model and the ``numpy`` kernel compute with it, so a
-thread, process or socket run with the ``wall`` or ``ops`` kernel
-never loads it.  Nor does a process run load OpenSSL: its data block
+for them.  numpy is the largest of all: only the cost model behind CUSTOM, the
+compiler, TRFD's costs and the ``numpy`` kernel compute with it, so a
+simulated run of a fixed scheme, loaded or not, and a thread, process or
+socket run with the ``wall`` or ``ops`` kernel never load it.  Nor does a process run load OpenSSL: its data block
 is mapped without ``multiprocessing.shared_memory``.  Each case runs in
 a fresh interpreter, so whatever an earlier test imported cannot hide a
 module-level import.
@@ -112,12 +112,33 @@ def test_real_backend_runs_with_the_wall_and_ops_kernels_load_no_numpy():
         "release_cast()\n")
 
 
-def test_a_simulated_run_and_the_numpy_kernel_do_load_numpy():
-    """The controls: without them the two tests above pass vacuously."""
-    assert _numpy_loaded_after("run(None)\n")
+def test_a_loaded_simulated_run_loads_no_numpy():
+    """The §4.1 random load is drawn without numpy: LCDLB on the bus,
+    DIFF on a torus and GCDLB, each on a loaded cluster."""
+    assert not _numpy_loaded_after(
+        "loaded = ClusterSpec.homogeneous(9, max_load=3, seed=7)\n"
+        "for strategy, topology in (('LCDLB', None), ('DIFF', 'torus'),\n"
+        "                           ('GCDLB', None)):\n"
+        "    stats = run_loop(skew, loaded, strategy,\n"
+        "                     RunOptions(topology=topology, group_size=3))\n"
+        "    check_coverage(stats.executed_by_node, skew.n_iterations)\n"
+        "    assert stats.syncs\n")
+
+
+def test_the_numpy_kernel_and_a_custom_run_do_load_numpy():
+    """The controls: without them the three tests above pass vacuously.
+    CUSTOM's decision process fits the cost model with numpy."""
     assert _numpy_loaded_after(
         "from repro.backend.kernels import HAVE_NUMPY\n"
         "assert HAVE_NUMPY\n"
         "run(ProcessBackend(kernel='numpy'))\n"
         "from repro.backend.process import release_cast\n"
         "release_cast()\n")
+    assert _numpy_loaded_after(
+        "long = LoopSpec('long', 256,\n"
+        "                tuple(1e-2 * (1 + j / 16) for j in range(256)),\n"
+        "                dc_bytes=64)\n"
+        "stats = run_loop(long, ClusterSpec.homogeneous(4, max_load=3,\n"
+        "                                               seed=7),\n"
+        "                 'CUSTOM', RunOptions())\n"
+        "assert stats.syncs\n")
