@@ -11,6 +11,7 @@ Run with::
     python examples/trfd_pipeline.py
 """
 
+from statistics import mean, pstdev
 
 from repro import ClusterSpec, TrfdConfig, run_application, trfd_application
 from repro.apps.trfd import bitonic_pair_costs, loop2_iteration_ops
@@ -23,10 +24,10 @@ def main() -> None:
     raw = loop2_iteration_ops(config)
     paired = bitonic_pair_costs(raw)
     print(f"TRFD N={config.n}: array {config.m} x {config.m}")
-    print(f"loop 2 raw cost spread:     {raw.min():.0f}..{raw.max():.0f} ops "
-          f"(cv {raw.std() / raw.mean():.2f})")
-    print(f"loop 2 bitonic cost spread: {paired.min():.0f}..{paired.max():.0f}"
-          f" ops (cv {paired.std() / paired.mean():.3f})\n")
+    print(f"loop 2 raw cost spread:     {min(raw):.0f}..{max(raw):.0f} ops "
+          f"(cv {pstdev(raw) / mean(raw):.2f})")
+    print(f"loop 2 bitonic cost spread: {min(paired):.0f}..{max(paired):.0f}"
+          f" ops (cv {pstdev(paired) / mean(paired):.3f})\n")
 
     cluster = ClusterSpec.homogeneous(8, max_load=5, persistence=5.0,
                                       seed=11)

@@ -20,8 +20,9 @@ elements ("DC is simply the row size").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .mxm import BASE_OP_SECONDS, ELEMENT_BYTES
 from .workload import ApplicationSpec, LoopSpec, SequentialStage
@@ -66,36 +67,40 @@ class TrfdConfig:
         return self.m * ELEMENT_BYTES
 
 
-def loop2_iteration_ops(config: TrfdConfig) -> np.ndarray:
+def loop2_iteration_ops(config: TrfdConfig) -> tuple[float, ...]:
     """Raw (untransformed) triangular loop-2 costs for ``j = 1..M``.
 
     Implements the paper's formula verbatim; the result is a decreasing
-    sequence from the loop-1 cost down to roughly half of it.
+    sequence from the loop-1 cost down to roughly half of it.  Each
+    cost is the float the vectorized formula gives, bit for bit: the
+    same operations in the same order, ``i ** 2`` as ``i * i``.
     """
-    import numpy as np
     n = config.n
-    j = np.arange(1, config.m + 1, dtype=np.float64)
-    i = (1.0 + np.sqrt(8.0 * j - 7.0)) / 2.0
-    ops = (n ** 3 + 3.0 * n ** 2
-           + n * (1.0 + i / 2.0 - i ** 2 / 2.0)
-           + (i - i ** 2))
-    return np.maximum(ops, 1.0)
+    head = n ** 3 + 3.0 * n ** 2
+    ops = []
+    for j in range(1, config.m + 1):
+        i = (1.0 + math.sqrt(8.0 * j - 7.0)) / 2.0
+        ii = i * i
+        ops.append(max(head + n * (1.0 + i / 2.0 - ii / 2.0) + (i - ii),
+                       1.0))
+    return tuple(ops)
 
 
-def bitonic_pair_costs(costs: np.ndarray) -> np.ndarray:
+def bitonic_pair_costs(costs: Union[Sequence[float], np.ndarray]
+                       ) -> tuple[float, ...]:
     """Bitonic scheduling transform: combine iterations ``j`` and
     ``M - j + 1`` into one scheduled iteration (paper §6.3).
 
     For odd ``M`` the middle iteration stays unpaired, giving
     ``ceil(M/2)`` scheduled iterations (the paper's ``n(n+1)/4``).
     """
-    m = costs.size
+    costs = [float(c) for c in costs]
+    m = len(costs)
     half = m // 2
-    paired = costs[:half] + costs[::-1][:half]
+    paired = [costs[k] + costs[m - 1 - k] for k in range(half)]
     if m % 2:
-        import numpy as np
-        paired = np.concatenate([paired, costs[half:half + 1]])
-    return paired
+        paired.append(costs[half])
+    return tuple(paired)
 
 
 def trfd_loop1(config: TrfdConfig,
@@ -119,17 +124,15 @@ def trfd_loop2(config: TrfdConfig, op_seconds: float = BASE_OP_SECONDS,
     ``bitonic=False`` keeps the raw decreasing costs — used by the
     ablation that measures what the transform buys.
     """
-    raw = loop2_iteration_ops(config)
+    costs = loop2_iteration_ops(config)
+    dc = config.dc_bytes
     if bitonic:
-        costs = bitonic_pair_costs(raw) * op_seconds
-        dc = 2 * config.dc_bytes  # a scheduled iteration carries two columns
-    else:
-        costs = raw * op_seconds
-        dc = config.dc_bytes
+        costs = bitonic_pair_costs(costs)
+        dc *= 2  # a scheduled iteration carries two columns
     return LoopSpec(
         name="trfd-L2",
-        n_iterations=costs.size,
-        iteration_time=tuple(float(c) for c in costs),
+        n_iterations=len(costs),
+        iteration_time=tuple(c * op_seconds for c in costs),
         dc_bytes=dc,
         ic_bytes=0,
         input_bytes=dc,

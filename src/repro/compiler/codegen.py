@@ -133,7 +133,7 @@ def _spec_function(analysis: LoopAnalysis) -> str:
         ]
         if analysis.nest.bitonic:
             lines += ["    _w = bitonic_pair_costs(_w)",
-                      "    n = int(_w.size)"]
+                      "    n = len(_w)"]
         lines += ["    iteration_time = tuple(float(x) for x in _w)"]
     dc_factor = 2 if analysis.nest.bitonic else 1
     lines += [

@@ -8,10 +8,11 @@ normalized means feed Figures 5–8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..apps.workload import LoopSpec
+from ..apps.workload import LoopSpec, _pairwise_sum
 from ..core.model.costs import default_comm_model
 from ..core.model.predictor import predict_strategy
 from ..core.strategies.registry import get_strategy
@@ -25,9 +26,22 @@ __all__ = ["Measurement", "measure_loop", "predict_loop",
             "measured_order", "predicted_order", "order_agreement"]
 
 
+def _mean(values: Sequence[float]) -> float:
+    """``numpy.mean`` of ``values``, bit for bit: the pairwise sum over
+    the count (NaN when there is nothing to average)."""
+    if not values:
+        return math.nan
+    return _pairwise_sum([float(v) for v in values], 0, len(values)) \
+        / len(values)
+
+
 @dataclass
 class Measurement:
-    """Mean and per-seed samples of one (loop, P, scheme) cell."""
+    """Mean and per-seed samples of one (loop, P, scheme) cell.
+
+    The statistics are numpy's ``mean`` / ``std`` (population), bit for
+    bit, computed in Python floats.
+    """
 
     scheme: str
     times: list[float] = field(default_factory=list)
@@ -36,18 +50,16 @@ class Measurement:
 
     @property
     def mean(self) -> float:
-        import numpy as np
-        return float(np.mean(self.times))
+        return _mean(self.times)
 
     @property
     def std(self) -> float:
-        import numpy as np
-        return float(np.std(self.times))
+        mean = self.mean
+        return math.sqrt(_mean([(t - mean) * (t - mean) for t in self.times]))
 
     @property
     def mean_syncs(self) -> float:
-        import numpy as np
-        return float(np.mean(self.syncs)) if self.syncs else 0.0
+        return _mean(self.syncs) if self.syncs else 0.0
 
 
 def _cluster(n_processors: int, seed: int,

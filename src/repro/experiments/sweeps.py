@@ -22,6 +22,7 @@ from ..machine.cluster import ClusterSpec
 from ..runtime.executor import run_loop
 from ..runtime.options import RunOptions
 from .config import ExperimentConfig
+from .runner import Measurement
 
 __all__ = ["SweepPoint", "SweepResult", "sweep", "topology_sweep", "KNOBS"]
 
@@ -105,7 +106,6 @@ def sweep(loop: LoopSpec, n_processors: int, knob: str,
     """Run the sweep.  See module docstring."""
     if knob not in KNOBS:
         raise KeyError(f"unknown knob {knob!r}; known: {sorted(KNOBS)}")
-    import numpy as np
     base_config = config or ExperimentConfig()
     base_options = options or RunOptions(policy=base_config.policy,
                                          network=base_config.network)
@@ -125,8 +125,8 @@ def sweep(loop: LoopSpec, n_processors: int, knob: str,
                     persistence=cfg.persistence, seed=seed)
                 times.append(run_loop(loop, cluster, scheme,
                                       options=opts).duration)
-            means[scheme] = float(np.mean(times))
-            stds[scheme] = float(np.std(times))
+            cell = Measurement(scheme, times)
+            means[scheme], stds[scheme] = cell.mean, cell.std
         points.append(SweepPoint(value=float(value), means=means,
                                  stds=stds))
     return SweepResult(knob=knob, schemes=tuple(schemes), points=points)
@@ -146,7 +146,6 @@ def topology_sweep(loop: LoopSpec, n_processors: int,
     ``DIFF`` on ``bus`` runs on the complete adjacency, its degenerate
     shared-medium case.
     """
-    import numpy as np
     cfg = config or ExperimentConfig()
     base_options = options or RunOptions(policy=cfg.policy,
                                          network=cfg.network)
@@ -165,8 +164,8 @@ def topology_sweep(loop: LoopSpec, n_processors: int,
                     persistence=cfg.persistence, seed=seed)
                 times.append(run_loop(loop, cluster, scheme,
                                       options=opts).duration)
-            means[scheme] = float(np.mean(times))
-            stds[scheme] = float(np.std(times))
+            cell = Measurement(scheme, times)
+            means[scheme], stds[scheme] = cell.mean, cell.std
         points.append(SweepPoint(value=float(i), means=means, stds=stds,
                                  label=str(topology)))
     return SweepResult(knob="topology", schemes=tuple(schemes),

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .load import (ConstantLoad, DiscreteRandomLoad, LoadFunction, TraceLoad,
-                   _check_levels, _child_seeds)
+from .load import (ConstantLoad, DiscreteRandomLoad, LoadFunction, Shuffler,
+                   TraceLoad, _check_levels, _child_seeds)
 from .workstation import Workstation
 
 __all__ = ["ClusterSpec", "build_groups", "form_groups"]
@@ -136,9 +136,7 @@ def build_groups(n_processors: int, group_size: int,
     else:
         order = list(range(n_processors))
         if formation == "random":
-            import numpy as np
-            rng = np.random.default_rng(seed)
-            order = [int(i) for i in rng.permutation(n_processors)]
+            order = Shuffler(seed).permutation(n_processors)
         groups = []
         start = 0
         while start < n_processors:

@@ -25,7 +25,9 @@ is ``SeedSequence(seed).spawn(P)`` and :func:`_draw_levels` is
 32-bit Lemire draw), word for word, so every level and every bit of
 ``F`` is what numpy 1 and 2 give.  The paper replays one realization
 under every scheme, so each realization is drawn once per process and
-shared (:func:`_stream`).
+shared (:func:`_stream`).  :class:`Shuffler` is the same generator's
+``shuffle`` / ``permutation``, for the schemes that order hosts at
+random.
 """
 
 from __future__ import annotations
@@ -104,31 +106,69 @@ def _child_seeds(seed: int, n: int) -> tuple[int, ...]:
                  for i in range(n))
 
 
-def _draw_levels(entropy: list[int], max_load: int) -> Iterator[float]:
-    """``default_rng(seed).integers(0, max_load + 1, dtype=int64)`` for
-    the seed whose words are ``entropy``,
-    level by level: Lemire's draw over PCG64 XSL-RR, each 64-bit word
-    split into two 32-bit draws (low half first; the high one waits for
-    the next draw) while the range fits in 32 bits."""
-    if max_load == 0:  # numpy draws nothing for a one-value range
-        yield from repeat(0.0)
+def _pcg64(entropy: list[int]) -> Iterator[int]:
+    """The 64-bit outputs of ``default_rng(seed)`` for the seed whose
+    words are ``entropy``: PCG64 XSL-RR over the 128-bit LCG."""
     w = _seed_state(entropy, 8)
     initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
     inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _M128 | 1
     state = ((inc + initstate) * _PCG_MULT + inc) & _M128  # srandom_r
-    excl = max_load + 1
-    bits = 32 if excl <= 1 << 32 else 64
-    mask = (1 << bits) - 1
-    threshold = (1 << bits) % excl  # a draw below it would bias the level
     while True:
         state = (state * _PCG_MULT + inc) & _M128
         x = (state >> 64 ^ state) & _M64
         rot = state >> 122
-        x = (x >> rot | x << 64 - rot) & _M64
+        yield (x >> rot | x << 64 - rot) & _M64
+
+
+def _draw_levels(entropy: list[int], max_load: int) -> Iterator[float]:
+    """``default_rng(seed).integers(0, max_load + 1, dtype=int64)`` for
+    the seed whose words are ``entropy``,
+    level by level: Lemire's draw over PCG64, each 64-bit word
+    split into two 32-bit draws (low half first; the high one waits for
+    the next draw) while the range fits in 32 bits."""
+    if max_load == 0:  # numpy draws nothing for a one-value range
+        yield from repeat(0.0)
+    excl = max_load + 1
+    bits = 32 if excl <= 1 << 32 else 64
+    mask = (1 << bits) - 1
+    threshold = (1 << bits) % excl  # a draw below it would bias the level
+    for x in _pcg64(entropy):
         for word in (x & _M32, x >> 32) if bits == 32 else (x,):
             m = word * excl
             if m & mask >= threshold:
                 yield float(m >> bits)
+
+
+class Shuffler:
+    """``numpy.random.default_rng(seed)``'s ``shuffle`` and
+    ``permutation``, without numpy, for fewer than ``2**32`` items.
+
+    Fisher–Yates from the last position down; each swap partner is
+    numpy's ``random_interval``: a 32-bit draw masked to the smallest
+    all-ones mask over the position, drawn again while it exceeds it.
+    The 32-bit draws are the PCG64 words split low half first, the high
+    half kept for the next draw, across calls too.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._draws = (half for x in _pcg64(_entropy_words(index(seed)))
+                       for half in (x & _M32, x >> 32))
+
+    def shuffle(self, items: list) -> None:
+        """Shuffle ``items`` in place."""
+        draws = self._draws
+        for i in range(len(items) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = next(draws) & mask
+            while j > i:
+                j = next(draws) & mask
+            items[i], items[j] = items[j], items[i]
+
+    def permutation(self, n: int) -> list[int]:
+        """``0 .. n-1`` in shuffled order."""
+        order = list(range(n))
+        self.shuffle(order)
+        return order
 
 
 class _Stream:

@@ -2,9 +2,12 @@
 
 ``characterize_network`` measures each communication pattern for a range
 of processor counts on the simulated network and fits a low-degree
-polynomial with ``numpy.polyfit`` — exactly the paper's "poly fit"
-curves.  The resulting :class:`CommCostModel` is what the analytical
-strategy model (§4.2) queries for its synchronization-cost terms
+polynomial by least squares — the paper's "poly fit" curves.  The fit
+is ``numpy.polyfit``'s problem (the column-scaled Vandermonde system)
+solved in Python floats by Householder QR, and a curve is evaluated by
+Horner's rule as ``numpy.polyval`` does, so CUSTOM's decision process
+runs without numpy.  The resulting :class:`CommCostModel` is what the
+analytical strategy model (§4.2) queries for its synchronization-cost terms
 ``one-to-all(P)``, ``all-to-one(P)``, ``all-to-all(P)`` and — on graph
 topologies — ``neighbor-exchange(P)`` for diffusion balancing.
 
@@ -19,6 +22,7 @@ and is bit-stable for a given seed — a regression test pins its output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -49,9 +53,7 @@ class PatternFit:
     probe_bytes: int
 
     def __call__(self, n_procs: float) -> float:
-        import numpy as np
-        value = float(np.polyval(self.coefficients, n_procs))
-        return max(value, 0.0)
+        return max(_horner(self.coefficients, n_procs), 0.0)
 
     @property
     def degree(self) -> int:
@@ -59,11 +61,57 @@ class PatternFit:
 
     def residual_rms(self) -> float:
         """RMS error of the fit over its own samples."""
-        import numpy as np
-        ps = np.array([p for p, _ in self.samples], dtype=float)
-        ts = np.array([t for _, t in self.samples])
-        return float(np.sqrt(np.mean((np.polyval(self.coefficients, ps)
-                                      - ts) ** 2)))
+        if not self.samples:
+            return math.nan
+        errors = [_horner(self.coefficients, p) - t for p, t in self.samples]
+        return math.sqrt(math.fsum(e * e for e in errors) / len(errors))
+
+
+def _horner(coefficients: Sequence[float], x: float) -> float:
+    """The polynomial at ``x``, highest degree first: ``numpy.polyval``'s
+    loop, bit for bit."""
+    value = 0.0
+    for c in coefficients:
+        value = value * x + c
+    return value
+
+
+def _polyfit(xs: Sequence[float], ys: Sequence[float],
+             degree: int) -> tuple[float, ...]:
+    """Least-squares polynomial coefficients, highest degree first.
+
+    ``numpy.polyfit``'s system — the Vandermonde matrix with each column
+    scaled to unit norm — solved by Householder QR instead of an SVD: the
+    two agree to rounding on a well-conditioned system.  Refuses samples
+    that do not determine a degree-``degree`` curve.
+    """
+    n, k = len(xs), degree + 1
+    powers = [[1.0] * n]
+    for _ in range(degree):
+        powers.append([p * x for p, x in zip(powers[-1], xs)])
+    columns = powers[::-1]
+    scale = [math.sqrt(math.fsum(a * a for a in col)) for col in columns]
+    columns = [[a / s for a in col] for col, s in zip(columns, scale)]
+    rhs = [float(y) for y in ys]
+    for j in range(k):
+        head = columns[j]
+        alpha = -math.copysign(math.hypot(*head[j:]), head[j])
+        v = head[j:]
+        v[0] -= alpha
+        vv = math.fsum(a * a for a in v)
+        if vv == 0.0:
+            continue
+        for col in columns[j:] + [rhs]:
+            f = 2.0 * math.fsum(a * b for a, b in zip(v, col[j:])) / vv
+            col[j:] = [b - f * a for a, b in zip(v, col[j:])]
+    diagonal = [abs(columns[j][j]) for j in range(k)]
+    if min(diagonal) <= n * 2.0 ** -52 * max(diagonal):
+        raise ValueError(f"the samples do not determine a degree-{degree} fit")
+    solution = [0.0] * k
+    for j in reversed(range(k)):
+        known = math.fsum(columns[c][j] * solution[c] for c in range(j + 1, k))
+        solution[j] = (rhs[j] - known) / columns[j][j]
+    return tuple(c / s for c, s in zip(solution, scale))
 
 
 @dataclass
@@ -199,17 +247,14 @@ def characterize_network(params: Optional[NetworkParameters] = None,
         raise ValueError("need more sample points than the fit degree")
     model = CommCostModel(params=params, topology=resolved)
     patterns = PATTERNS if topology is None else PATTERNS + (NEIGHBOR_PATTERN,)
-    import numpy as np
     for pattern in patterns:
         samples = [(p, measure_pattern(pattern, p, probe_bytes, params,
                                        topology=topology))
                    for p in proc_counts]
-        ps = np.array([p for p, _ in samples], dtype=float)
-        ts = np.array([t for _, t in samples])
-        coeffs = np.polyfit(ps, ts, deg=degree)
         model.fits[pattern] = PatternFit(
             pattern=pattern,
-            coefficients=tuple(float(c) for c in coeffs),
+            coefficients=_polyfit([float(p) for p, _ in samples],
+                                  [t for _, t in samples], degree),
             samples=tuple(samples),
             probe_bytes=probe_bytes)
     return model

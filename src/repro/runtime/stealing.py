@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Generator
 
+from ..machine.load import Shuffler
 from ..message.messages import ControlMsg, Message, Tag, WorkMsg
 from ..simulation import Event
 from .node import NodeRuntime
@@ -37,9 +38,7 @@ class StealingNodeRuntime(NodeRuntime):
     def __init__(self, session: LoopSession, node_id: int) -> None:
         super().__init__(session, node_id)
         self.periodic = False  # stealing has no synchronization points
-        import numpy as np
-        self._rng = np.random.default_rng(
-            session.options.group_seed * 65_537 + node_id)
+        self._rng = Shuffler(session.options.group_seed * 65_537 + node_id)
         self._steal_seq = 0
 
     # -- interrupt wiring --------------------------------------------------

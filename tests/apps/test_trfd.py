@@ -1,5 +1,7 @@
 """Tests for the TRFD workload spec (§6.3)."""
 
+from statistics import mean, pstdev
+
 import numpy as np
 import pytest
 
@@ -32,10 +34,38 @@ def test_loop1_uniform_work():
 def test_loop2_raw_costs_decreasing():
     cfg = TrfdConfig(30)
     ops = loop2_iteration_ops(cfg)
-    assert ops.size == 465
+    assert len(ops) == 465
     assert ops[0] > ops[-1]
-    assert np.all(np.diff(ops) <= 1e-9)
-    assert np.all(ops > 0)
+    assert all(b - a <= 1e-9 for a, b in zip(ops, ops[1:]))
+    assert all(c > 0 for c in ops)
+
+
+def _numpy_loop2_ops(n: int) -> np.ndarray:
+    """The §6.3 formula over an array, as the costs were once computed."""
+    m = n * (n + 1) // 2
+    j = np.arange(1, m + 1, dtype=np.float64)
+    i = (1.0 + np.sqrt(8.0 * j - 7.0)) / 2.0
+    ops = (n ** 3 + 3.0 * n ** 2
+           + n * (1.0 + i / 2.0 - i ** 2 / 2.0)
+           + (i - i ** 2))
+    return np.maximum(ops, 1.0)
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_costs_are_the_vectorized_formulas_bit_for_bit(n):
+    raw = _numpy_loop2_ops(n)
+    ops = loop2_iteration_ops(TrfdConfig(n))
+    assert all(type(c) is float for c in ops)
+    assert ops == tuple(raw.tolist())
+    m = raw.size
+    paired = raw[:m // 2] + raw[::-1][:m // 2]
+    if m % 2:
+        paired = np.concatenate([paired, raw[m // 2:m // 2 + 1]])
+    # The array form is still accepted, and gives the same floats.
+    assert bitonic_pair_costs(ops) == bitonic_pair_costs(raw) \
+        == tuple(paired.tolist())
+    loop = trfd_loop2(TrfdConfig(n), op_seconds=3e-7)
+    assert loop.iteration_time == tuple((paired * 3e-7).tolist())
 
 
 def test_loop2_first_iteration_matches_loop1():
@@ -49,17 +79,16 @@ def test_bitonic_pairing_evens_out():
     cfg = TrfdConfig(30)
     raw = loop2_iteration_ops(cfg)
     paired = bitonic_pair_costs(raw)
-    assert paired.size == 233  # ceil(465 / 2)
-    assert paired.sum() == pytest.approx(raw.sum())
+    assert len(paired) == 233  # ceil(465 / 2)
+    assert sum(paired) == pytest.approx(sum(raw))
     # Paired costs vary far less than raw costs.
-    assert paired[:-1].std() / paired[:-1].mean() < \
-        0.25 * raw.std() / raw.mean()
+    assert pstdev(paired[:-1]) / mean(paired[:-1]) < \
+        0.25 * pstdev(raw) / mean(raw)
 
 
 def test_bitonic_even_count():
-    costs = np.array([4.0, 3.0, 2.0, 1.0])
-    paired = bitonic_pair_costs(costs)
-    assert np.allclose(paired, [5.0, 5.0])
+    assert bitonic_pair_costs([4.0, 3.0, 2.0, 1.0]) == (5.0, 5.0)
+    assert bitonic_pair_costs(np.array([4.0, 3.0, 2.0, 1.0])) == (5.0, 5.0)
 
 
 def test_loop2_spec_bitonic_default():

@@ -1,10 +1,15 @@
 """Tests for the experiment runner and order helpers."""
 
+import math
+import random
+
+import numpy as np
 import pytest
 
 from repro.apps.workload import LoopSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
+    Measurement,
     measure_loop,
     measured_order,
     order_agreement,
@@ -73,3 +78,27 @@ def test_seed_env_override(monkeypatch):
     assert default_seed_count() == 3
     monkeypatch.setenv("REPRO_SEEDS", "junk")
     assert default_seed_count(7) == 7
+
+
+def test_measurement_statistics_are_numpys_bit_for_bit():
+    """Python floats, pairwise-summed as numpy sums: ``mean`` and the
+    population ``std`` of the times, ``mean_syncs`` of the counts."""
+    rng = random.Random(3)
+    for n in [*range(1, 40), 127, 128, 129, 300, 1000]:
+        times = [rng.uniform(0.5, 2.0) * 10.0 ** rng.randint(-4, 3)
+                 for _ in range(n)]
+        syncs = [rng.randrange(10 ** rng.randint(1, 7)) for _ in range(n)]
+        m = Measurement("X", times, syncs)
+        assert m.mean == float(np.mean(times))
+        assert m.std == float(np.std(times))
+        assert m.mean_syncs == float(np.mean(syncs))
+        assert type(m.mean) is type(m.std) is type(m.mean_syncs) is float
+    assert Measurement("X", [1.0]).mean_syncs == 0.0
+    assert math.isnan(Measurement("X").mean)
+
+
+def test_a_cells_statistics_are_numpys():
+    m = measure_loop(LOOP, 4, "GD", CFG)
+    assert m.mean == float(np.mean(m.times))
+    assert m.std == float(np.std(m.times))
+    assert m.mean_syncs == float(np.mean(m.syncs))

@@ -4,8 +4,10 @@
 ``default_rng(seed).integers(0, m_l + 1, dtype=int64)`` (PCG64 and the
 32-bit Lemire draw, whose spare half-word carries across calls) word for
 word, and shares one drawn realization between the loads that replay it.
-Each test here holds those copies to ``numpy.random`` itself; CI's
-``numpy-floor`` job runs them under numpy 1 too.
+Its :class:`Shuffler` is the same generator's ``shuffle`` /
+``permutation``: work stealing's victim order and the random group
+formation.  Each test here holds those copies to ``numpy.random``
+itself; CI's ``numpy-floor`` job runs them under numpy 1 too.
 """
 
 import math
@@ -16,10 +18,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.machine.cluster import ClusterSpec
+from repro.machine.cluster import ClusterSpec, build_groups
 from repro.machine.load import (
     ConstantLoad,
     DiscreteRandomLoad,
+    Shuffler,
     TraceLoad,
     _child_seeds,
     _draw_levels,
@@ -242,3 +245,37 @@ def test_too_wide_a_range_is_refused():
         DiscreteRandomLoad(max_load=2 ** 63)
     with pytest.raises(ValueError):  # numpy refuses it alike
         np.random.default_rng(0).integers(0, 2 ** 63 + 1, dtype=np.int64)
+
+
+# -- shuffles ------------------------------------------------------------
+
+def test_permutations_are_numpys():
+    for seed in SEEDS:
+        for n in range(2, 65):
+            assert Shuffler(seed).permutation(n) == \
+                np.random.default_rng(seed).permutation(n).tolist()
+
+
+def test_shuffles_carry_the_spare_half_word_across_calls():
+    """A work-stealing thief shuffles its victims once per round, on one
+    generator: an odd number of 32-bit draws leaves a high half-word
+    that the next round's first draw takes."""
+    lengths = (3, 1, 0, 17, 2, 64, 9, 5, 33, 2)
+    for seed in SEEDS[::10] + [7 * 65_537 + 3]:
+        ours, theirs = Shuffler(seed), np.random.default_rng(seed)
+        for n in lengths * 3:
+            a, b = [f"v{i}" for i in range(n)], [f"v{i}" for i in range(n)]
+            ours.shuffle(a)
+            theirs.shuffle(b)
+            assert a == b
+
+
+@pytest.mark.parametrize("n,k", [(8, 3), (13, 4), (64, 8)])
+def test_random_group_formation_is_numpys_permutation(n, k):
+    for seed in range(50):
+        order = np.random.default_rng(seed).permutation(n).tolist()
+        expected = [sorted(order[i:i + k]) for i in range(0, n, k)]
+        if len(expected[-1]) == 1:
+            last = expected.pop()
+            expected[-1] = sorted(expected[-1] + last)
+        assert build_groups(n, k, "random", seed) == expected

@@ -1,9 +1,13 @@
 """Tests for the Figure-4 characterization and fitted cost model."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.network.characterization import (
     CommCostModel,
+    _polyfit,
     characterize_network,
     probe_link_parameters,
 )
@@ -73,6 +77,63 @@ def test_negative_fit_clipped():
     fit = characterize_network(proc_counts=range(2, 8)).fits["OA"]
     # Extrapolating far below the sample range must never go negative.
     assert fit(0.0) >= 0.0
+
+
+# -- the fit in Python floats, held to numpy ----------------------------
+
+def _numpy_fit(fit):
+    ps = np.array([p for p, _ in fit.samples], dtype=float)
+    ts = np.array([t for _, t in fit.samples])
+    return np.polyfit(ps, ts, fit.degree)
+
+
+@pytest.mark.parametrize("topology", [None, "ring", "torus", "mesh"])
+def test_fitted_curves_are_numpys_to_rounding(topology):
+    """The QR fit and ``numpy.polyfit``'s SVD solve one system: every
+    curve agrees with numpy's to 1e-10 wherever the predictor can
+    evaluate it, far outside the 2..16 it was measured on."""
+    model = characterize_network(topology=topology)
+    for fit in model.fits.values():
+        ref = _numpy_fit(fit)
+        for p in range(2, 1025):
+            ours = fit(p)
+            theirs = max(float(np.polyval(ref, p)), 0.0)
+            assert ours == pytest.approx(theirs, rel=1e-10, abs=0.0)
+
+
+def test_random_well_conditioned_fits_are_numpys_to_rounding():
+    rng = random.Random(11)
+    for _ in range(500):
+        degree = rng.randint(0, 3)
+        xs = [float(x) for x in sorted(rng.sample(range(1, 200),
+                                                  rng.randint(degree + 2, 30)))]
+        truth = [rng.uniform(-1.0, 1.0) for _ in range(degree + 1)]
+        ys = [float(np.polyval(truth, x)) * (1.0 + rng.gauss(0.0, 0.01))
+              for x in xs]
+        ours = np.polyval(_polyfit(xs, ys, degree), xs)
+        theirs = np.polyval(np.polyfit(xs, ys, degree), xs)
+        # Relative to the curve's scale: a curve may cross zero.
+        assert np.max(np.abs(ours - theirs)) <= \
+            1e-10 * np.max(np.abs(theirs))
+
+
+def test_curves_evaluate_as_numpys_polyval_bit_for_bit():
+    """Horner's rule in numpy's order: the same float for a fit's own
+    coefficients, at integer and fractional processor counts."""
+    model = characterize_network(topology="ring")
+    for fit in model.fits.values():
+        for p in (*range(0, 70), 0.5, 3.25, 1023.75):
+            assert fit(p) == max(float(np.polyval(fit.coefficients, p)), 0.0)
+        ps = np.array([p for p, _ in fit.samples], dtype=float)
+        ts = np.array([t for _, t in fit.samples])
+        rms = float(np.sqrt(np.mean((np.polyval(fit.coefficients, ps)
+                                     - ts) ** 2)))
+        assert fit.residual_rms() == pytest.approx(rms, rel=1e-12)
+
+
+def test_samples_that_fix_no_curve_are_refused():
+    with pytest.raises(ValueError, match="do not determine"):
+        _polyfit([4.0, 4.0, 4.0], [1.0, 2.0, 3.0], 2)
 
 
 # -- seeded probe estimation (regression: was global-RNG-dependent) ------

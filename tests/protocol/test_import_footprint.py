@@ -4,13 +4,15 @@
 The socket backend's asyncio (and ssl with it) and the process backend's
 multiprocessing are several MiB of resident memory; a simulated or
 thread run that never opens a socket or forks a child should not pay
-for them.  numpy is the largest of all: only the cost model behind CUSTOM, the
-compiler, TRFD's costs and the ``numpy`` kernel compute with it, so a
-simulated run of a fixed scheme, loaded or not, and a thread, process or
-socket run with the ``wall`` or ``ops`` kernel never load it.  Nor does a process run load OpenSSL: its data block
-is mapped without ``multiprocessing.shared_memory``.  Each case runs in
-a fresh interpreter, so whatever an earlier test imported cannot hide a
-module-level import.
+for them.  numpy is the largest of all: only the compiler, the ``numpy``
+kernel and the on-line link probe (``probe_link_parameters``) compute
+with it, so no simulated run of any scheme — CUSTOM's fitted cost model,
+TRFD's costs, work stealing's victim order and the experiment statistics
+included — and no thread, process or socket run with the ``wall`` or
+``ops`` kernel loads it.  Nor does a process run load OpenSSL: its data
+block is mapped without ``multiprocessing.shared_memory``.  Each case
+runs in a fresh interpreter, so whatever an earlier test imported cannot
+hide a module-level import.
 """
 
 from __future__ import annotations
@@ -125,9 +127,36 @@ def test_a_loaded_simulated_run_loads_no_numpy():
         "    assert stats.syncs\n")
 
 
-def test_the_numpy_kernel_and_a_custom_run_do_load_numpy():
-    """The controls: without them the three tests above pass vacuously.
-    CUSTOM's decision process fits the cost model with numpy."""
+def test_the_paper_grid_path_loads_no_numpy():
+    """A TRFD application, CUSTOM on a loaded cluster (the §6.1 fit
+    behind its §4.3 decision), work stealing, and the model's ranking of
+    the schemes with its statistics."""
+    assert not _numpy_loaded_after(
+        "from repro import run_application\n"
+        "from repro.apps.trfd import TrfdConfig, trfd_application\n"
+        "from repro.experiments.config import ExperimentConfig\n"
+        "from repro.experiments.runner import measure_loop, predicted_order\n"
+        "loaded = ClusterSpec.homogeneous(4, max_load=3, seed=7)\n"
+        "app = trfd_application(TrfdConfig(8), op_seconds=3e-6)\n"
+        "assert run_application(app, loaded, 'GDDLB').loop_stats\n"
+        "long = LoopSpec('long', 256,\n"
+        "                tuple(1e-2 * (1 + j / 16) for j in range(256)),\n"
+        "                dc_bytes=64)\n"
+        "for strategy in ('CUSTOM', 'WS'):\n"
+        "    stats = run_loop(long, loaded, strategy, RunOptions())\n"
+        "    check_coverage(stats.executed_by_node, long.n_iterations)\n"
+        "    assert stats.syncs\n"
+        "config = ExperimentConfig(n_seeds=2)\n"
+        "order, cells = predicted_order(app.stages[0], 4, config)\n"
+        "assert len(order) == 4 and cells[order[0]].std >= 0.0\n"
+        "assert measure_loop(app.stages[0], 4, 'GCDLB', config).mean > 0\n")
+
+
+def test_the_numpy_kernel_and_the_link_probe_do_load_numpy():
+    """The controls: without them the tests above pass vacuously.  The
+    ``numpy`` kernel computes in its rows with numpy, and the on-line
+    link probe draws its pairs from ``numpy.random`` and fits with
+    ``numpy.polyfit``."""
     assert _numpy_loaded_after(
         "from repro.backend.kernels import HAVE_NUMPY\n"
         "assert HAVE_NUMPY\n"
@@ -135,10 +164,5 @@ def test_the_numpy_kernel_and_a_custom_run_do_load_numpy():
         "from repro.backend.process import release_cast\n"
         "release_cast()\n")
     assert _numpy_loaded_after(
-        "long = LoopSpec('long', 256,\n"
-        "                tuple(1e-2 * (1 + j / 16) for j in range(256)),\n"
-        "                dc_bytes=64)\n"
-        "stats = run_loop(long, ClusterSpec.homogeneous(4, max_load=3,\n"
-        "                                               seed=7),\n"
-        "                 'CUSTOM', RunOptions())\n"
-        "assert stats.syncs\n")
+        "from repro.network import probe_link_parameters\n"
+        "assert probe_link_parameters(n_hosts=4, seed=7).bandwidth > 0\n")

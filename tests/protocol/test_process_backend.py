@@ -35,20 +35,28 @@ def _cluster(n=4):
     return ClusterSpec.homogeneous(n, max_load=3, persistence=1.0, seed=7)
 
 
-def _skewed_loop():
-    """Front-loaded costs: node 0's block dominates, forcing the
-    balancer to move work (and therefore data) off it.
+def _lopsided_run():
+    """Node 0 holds every iteration; nodes 1-3 start with nothing.
 
-    The block *ends* in cheap iterations: a transfer order is rounded
-    down to whole iterations from the tail
-    (``Assignment.take_tail_work``), so with an expensive tail every
-    order a busy host produces can round to an empty parcel — work is
-    "redistributed" and no row moves.  Any order worth 1 ms moves one
-    here, whatever the schedule.
+    The speed-proportional partition over nominal speeds 1 : 1e-3 gives
+    node 0 all 48 iterations (the process backend burns every node at
+    the same nominal speed, so the 1e-3 only shapes the partition).
+    Nodes 1-3 finish at once and report the prior rate 1.0 (they measured
+    nothing); node 0 answers after its first iteration.  That first plan
+    gives nodes 1-3 the share ``3 / (3 + r0)`` of the work, so it moves
+    work unless node 0's measured rate ``r0`` is over 27 — 13 times its
+    calibrated speed at ``time_scale=0.5`` — or nodes 1-3 start ~40
+    iterations (0.4 s) after node 0.  Any host slowness only lowers
+    ``r0``.  Were every node to hold a block, a host that ran node 0 as
+    many times faster as its block is dearer would end all blocks
+    together, and the plan would fall under ``min_move_fraction`` or
+    find no work left.
     """
-    times = (0.03,) * 6 + (0.001,) * 6 + (0.002,) * 36
-    return LoopSpec(name="skew", n_iterations=48, iteration_time=times,
+    loop = LoopSpec(name="lopsided", n_iterations=48, iteration_time=0.02,
                     dc_bytes=256)
+    cluster = ClusterSpec.heterogeneous((1.0, 1e-3, 1e-3, 1e-3),
+                                        max_load=0)
+    return loop, cluster, RunOptions(initial_partition="speed")
 
 
 def _no_orphans():
@@ -69,19 +77,19 @@ needs_dev_shm = pytest.mark.skipif(not os.path.isdir("/dev/shm"),
 # -- data movement over shared memory -----------------------------------
 @pytest.mark.parametrize("strategy", ["GCDLB", "GDDLB"])
 def test_redistribution_moves_data_through_shm(strategy):
+    loop, cluster, options = _lopsided_run()
     stats = ProcessBackend(time_scale=0.5).run_loop(
-        _skewed_loop(), _cluster(), strategy, RunOptions())
+        loop, cluster, strategy, options)
     executed = sum(stats.executed_count(n) for n in stats.executed_by_node)
     assert executed == 48
     assert stats.n_redistributions >= 1
     # Work moved, so iteration rows moved — by remapping, not copying:
     # the shm ledger counts them, and they never inflate the pipe
     # payload by more than the pickled range descriptors.  Every
-    # iteration executed off its home block (12 per node) was shipped
-    # at least once.
-    off_home = sum(i // 12 != node
-                   for node, ranges in stats.executed_by_node.items()
-                   for s, e in ranges for i in range(s, e))
+    # iteration executed off its home block (all of them are node 0's)
+    # was shipped at least once.
+    off_home = sum(e - s for node, ranges in stats.executed_by_node.items()
+                   if node != 0 for s, e in ranges)
     assert off_home >= 1
     assert stats.shm_data_bytes >= 256 * off_home
     assert stats.shm_data_bytes % 256 == 0
