@@ -10,7 +10,8 @@ fingerprints over the complete observable trace of representative runs
 diffusion on graph topologies, periodic sync, and a faulted run with
 crashes and message drops — captured from the pre-optimization kernel,
 plus six that reach the simulated compute slice's steals, periodic
-clock and orphan claims.
+clock and orphan claims, and five that fault a central scheme or run
+its periodic clock.
 
 If one of these digests ever changes, the engine's event ordering
 changed: that is a correctness regression, not a tuning choice.  Fix
@@ -41,7 +42,7 @@ from repro.faults.plan import (
     MessageDropFault,
     SlowdownFault,
 )
-from repro.runtime.options import RunOptions
+from repro.runtime.options import FaultToleranceConfig, RunOptions
 
 
 def _num(x) -> str:
@@ -137,6 +138,18 @@ EXPECTED = {
     "periodic-diff": "5d93079fd52f70636c6a95cab3cfc8201860110ffe15f9bb7f86cd25dea4d516",
     "periodic-hardened": "0f2a539a4101ce6db970600c70a0c99cce5840d0e283187ae9349d106b1dedf4",
     "crash-orphans": "58d2b928b9f80f3701c77513c207bb673352ba3d0c9e6b05bf3b311366c59893",
+    # Five more, pinned before the simulated central balancer and the
+    # periodic clock's interrupt wave moved onto the shared driver: the
+    # sixteen above never fault a central scheme.  A crash under GCDLB
+    # and under two LCDLB groups (the probe rounds, the registry's
+    # verdicts, one retry per re-requested group: 37 here), dropped
+    # instructions that the finished balancer answers again, a hardened
+    # CUSTOM run whose balancer retires, and GCDLB's periodic clock.
+    "gcdlb-crash": "08e9622e35efd78ccc83083fe5d40595da72ecb0496244d3f1351a653cb92e3c",
+    "lcdlb-crash-two-groups": "85a7cf802e893e27bf79e5f3e5c66391e3d73f8f171976a613022120045db151",
+    "lcdlb-lame-duck": "a3633d80695f734a3deda1bda0e1a9b86b36bfa64812e61ee217fe4613fdced8",
+    "custom-hardened": "6cfbf21bbb79148c2a4271e26bdfd247d9040af0fa946c716e315a3fceac0511",
+    "periodic-gcdlb": "5c8e4b14117c5c3021859ca16469a1c9088f541d6b0f403e9cce85acfb000fd5",
 }
 
 
@@ -178,6 +191,28 @@ def _run(case: str):
         return run_loop(_loop(), _cluster(), "LDDLB", RunOptions(),
                         fault_plan=FaultPlan(seed=5, crashes=(
                             CrashFault(node=5, time=0.01),)))
+    if case == "gcdlb-crash":
+        return run_loop(_loop(), _cluster(), "GCDLB", RunOptions(),
+                        fault_plan=FaultPlan(seed=5, crashes=(
+                            CrashFault(node=3, time=0.002),)))
+    if case == "lcdlb-crash-two-groups":
+        return run_loop(_loop(), _cluster(), "LCDLB",
+                        RunOptions(group_size=4),
+                        fault_plan=FaultPlan(seed=5, crashes=(
+                            CrashFault(node=3, time=0.005),
+                            CrashFault(node=6, time=0.005))))
+    if case == "lcdlb-lame-duck":
+        return run_loop(_loop(), _cluster(), "LCDLB",
+                        RunOptions(group_size=2),
+                        fault_plan=FaultPlan(seed=1, drops=(MessageDropFault(
+                            src=0, dst=None, max_drops=6, probability=0.5,
+                            window=(0.05, 0.5)),)))
+    if case == "custom-hardened":
+        return run_loop(_loop(), _cluster(), "CUSTOM", RunOptions(
+            fault_tolerance=FaultToleranceConfig(enabled=True)))
+    if case == "periodic-gcdlb":
+        return run_loop(_loop(), _cluster(), "GCDLB",
+                        RunOptions(sync_mode="periodic", sync_period=0.003))
     raise AssertionError(case)
 
 
