@@ -36,7 +36,7 @@ from ..machine.cluster import ClusterSpec
 from ..protocol.errors import ProtocolError
 from ..runtime.executor import CoverageError, run_loop
 from ..runtime.options import FaultToleranceConfig, RunOptions
-from ..simulation import FaultError, SimulationError
+from ..simulation import SimulationError
 from .config import TABLE_SCHEMES
 
 __all__ = [
@@ -192,8 +192,7 @@ def fault_sweep(loop: Optional[LoopSpec] = None,
                 try:
                     stats = run_loop(loop, cluster, scheme,
                                      options=options, fault_plan=plan)
-                except (CoverageError, FaultError, ProtocolError,
-                        SimulationError) as exc:
+                except (CoverageError, ProtocolError, SimulationError) as exc:
                     cell.failures.append(f"seed {seed}: {exc}")
                     continue
                 cell.n_completed += 1

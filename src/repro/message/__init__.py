@@ -19,7 +19,6 @@ from .messages import (
     Tag,
     TransferOrder,
     WorkMsg,
-    is_stale,
     stale_predicate,
 )
 from .pvm import VirtualMachine
@@ -40,7 +39,6 @@ __all__ = [
     "WorkMsg",
     "decode_frame",
     "encode_frame",
-    "is_stale",
     "message_from_wire",
     "message_to_wire",
     "stale_predicate",

@@ -29,7 +29,6 @@ __all__ = [
     "ControlMsg",
     "DataMsg",
     "TransferOrder",
-    "is_stale",
     "stale_predicate",
 ]
 
@@ -181,20 +180,12 @@ class ControlMsg(Message):
         return HEADER_BYTES + 16
 
 
-def is_stale(msg: "Message", epoch: int, *, inclusive: bool = False) -> bool:
-    """Whether ``msg`` belongs to a superseded epoch.
-
-    The single point of truth for epoch-staleness: INTERRUPT traffic is
-    consumed through the end of the current epoch (``inclusive=True``)
-    while every other tag is stale only strictly before it.
-    """
-    return msg.epoch <= epoch if inclusive else msg.epoch < epoch
-
-
 def stale_predicate(epoch: int, tags: Optional[tuple["Tag", ...]] = None,
                     *, inclusive: bool = False
                     ) -> Callable[["Message"], bool]:
-    """A mailbox predicate selecting stale messages of the given tags.
+    """A mailbox predicate selecting stale messages of the given tags:
+    those of an epoch before ``epoch`` — through ``epoch`` itself with
+    ``inclusive`` (INTERRUPT traffic is spent by the end of its epoch).
 
     Returns an :class:`~repro.simulation.mailbox.EpochBoundFilter`, so a
     slotted mailbox drain drops whole superseded-epoch buckets by key

@@ -19,14 +19,10 @@ from .engine import (
     PRIORITY_URGENT,
 )
 from .errors import (
-    FaultError,
     Interrupt,
-    MessageLostError,
-    NodeCrashedError,
     ScheduleInPastError,
     SimulationError,
     StopProcess,
-    UnrecoverableFaultError,
 )
 from .mailbox import EpochBoundFilter, Mailbox, SlotFilter
 from .resources import Resource
@@ -38,11 +34,8 @@ __all__ = [
     "Environment",
     "EpochBoundFilter",
     "Event",
-    "FaultError",
     "Interrupt",
     "Mailbox",
-    "MessageLostError",
-    "NodeCrashedError",
     "Process",
     "Resource",
     "ScheduleInPastError",
@@ -50,7 +43,6 @@ __all__ = [
     "SlotFilter",
     "StopProcess",
     "Timeout",
-    "UnrecoverableFaultError",
     "PRIORITY_LOW",
     "PRIORITY_NORMAL",
     "PRIORITY_URGENT",

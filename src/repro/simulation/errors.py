@@ -1,21 +1,16 @@
 """Exception types raised by the discrete-event simulation kernel.
 
-The kernel distinguishes two *families* of exceptional condition:
+**Kernel-misuse errors** (:class:`SimulationError` and subclasses) are
+programming errors in the use of the kernel: scheduling into the past,
+re-triggering events, yielding non-events.  These indicate a bug in the
+caller and should never be caught by protocol code.  A *modeled*
+failure (docs/FAULT_MODEL.md) raises nothing here: a crash stops the
+victim's process, a lost message never arrives, and the protocol's
+timeouts and the fault controller recover; a peer exceeding its retry
+budget is the protocol's :class:`~repro.protocol.ProtocolRetryExhausted`,
+the same on every backend.
 
-* **Kernel-misuse errors** (:class:`SimulationError` and subclasses) —
-  programming errors in the use of the kernel: scheduling into the
-  past, re-triggering events, yielding non-events.  These indicate a
-  bug in the caller and should never be caught by protocol code.
-* **Modeled failures** (:class:`FaultError` and subclasses) — events
-  that the simulation *deliberately models*: a workstation crashing, a
-  message being lost.  These are part of the fault model (see
-  ``docs/FAULT_MODEL.md``) and are raised, caught and recovered from by
-  the fault-tolerant runtime in :mod:`repro.faults` and
-  :mod:`repro.runtime`.  (A peer exceeding its retry budget is the
-  protocol's :class:`~repro.protocol.ProtocolRetryExhausted`, the same
-  on every backend.)
-
-Two further control-flow exceptions complete the picture:
+Two control-flow exceptions complete the picture:
 
 * :class:`Interrupt` — thrown *into* a simulated process by
   :meth:`repro.simulation.engine.Process.interrupt`; carries an arbitrary
@@ -35,10 +30,6 @@ __all__ = [
     "ScheduleInPastError",
     "Interrupt",
     "StopProcess",
-    "FaultError",
-    "NodeCrashedError",
-    "MessageLostError",
-    "UnrecoverableFaultError",
 ]
 
 
@@ -76,30 +67,3 @@ class Interrupt(Exception):
 class StopProcess(Exception):
     """Internal sentinel: terminate a process without error."""
 
-
-class FaultError(Exception):
-    """Base of the *modeled-failure* family (see docs/FAULT_MODEL.md).
-
-    Unlike :class:`SimulationError`, a :class:`FaultError` does not mean
-    the simulation was misused — it means the simulated system hit a
-    condition the fault model describes.  The fault-tolerant runtime
-    catches and recovers from most of these; only
-    :class:`UnrecoverableFaultError` is expected to escape to callers.
-    """
-
-
-class NodeCrashedError(FaultError):
-    """An operation addressed a node that has (been) crashed or fenced."""
-
-    def __init__(self, node: int, detail: str = "") -> None:
-        super().__init__(f"node {node} is crashed{': ' + detail if detail else ''}")
-        self.node = node
-
-
-class MessageLostError(FaultError):
-    """A message was dropped by the fault injector and will not arrive."""
-
-
-class UnrecoverableFaultError(FaultError):
-    """The fault load exceeded what graceful degradation can absorb
-    (e.g. every processor crashed, or the reliable master was lost)."""
