@@ -482,14 +482,15 @@ def execute(commands: Sequence[Command], port, track: str
 def _compute(proto: WorkerProtocol, port, inbox: Inbox, track: str,
              boundary: Optional[Callable]
              ) -> Generator[object, object, ProtocolEvent]:
-    """One compute slice.  A worker that *finished* it interrupts its
-    group (§3.1) — unless a peer got there first: then it answers."""
+    """One compute slice.  A worker that *finished* it, or whose
+    periodic clock ran out (``"deadline"``), interrupts its group (§3.1)
+    — unless a peer got there first: then it answers."""
     inbox.drain_interrupts(proto.epoch - 1)  # the last sync's are spent
     status = yield from port.compute(proto, inbox, track, boundary)
     if not isinstance(status, str):
         return status
     epoch = proto.epoch
-    if status == "finished" and proto.active - {proto.me} \
+    if status != "interrupted" and proto.active - {proto.me} \
             and inbox.has_interrupt(epoch):
         status = "interrupted"
     return ComputeDone(status, by=inbox.interrupter(epoch)
@@ -497,31 +498,41 @@ def _compute(proto: WorkerProtocol, port, inbox: Inbox, track: str,
 
 
 def drive(proto: Union[WorkerProtocol, BalancerProtocol], port,
-          inbox: Inbox, *, track: str, boundary: Optional[Callable] = None
+          inbox: Optional[Inbox], *, track: str,
+          boundary: Optional[Callable] = None
           ) -> Generator[object, object, str]:
     """Pump ``proto`` from ``Start`` to ``Done``; returns Done's reason.
 
     The protocol's only feeder, on every backend.  ``port`` runs the
     commands (:func:`execute`), waits, computes a slice and ends the
-    pump (``finish`` may hand back more work); ``inbox`` answers the
-    interrupt queries.  A real backend's port yields an
+    pump (``finish`` may hand back an event — more work, a message — or
+    a hold that ends in one or in ``None``); ``inbox`` answers the
+    worker's interrupt queries.  A real backend's port yields an
     :class:`AwaitMessage`, answered with a message, a membership event
     or ``None`` (timed out), and a :class:`Burn`, answered once burnt.
     A timed-out wait lets go of the awaited peers the port knows dead,
-    then fires the timer for the rest: a retry if its batch re-requests.
+    then fires the timer for the rest: one retry for each group whose
+    sync its batch re-requests.
     """
     events: list[ProtocolEvent] = [Start()]
     then: Optional[Command] = None
     while True:
         for event in events:
             commands = proto.on_event(event)
-            if isinstance(event, TimerFired) \
-                    and any(isinstance(c, Send) for c in commands):
-                port.note_retry()
+            if isinstance(event, TimerFired):
+                # A worker re-requests its own group's sync; the central
+                # balancer's probe round, each group it nudges.
+                for _group in {proto.group_of[c.msg.dst]
+                               if isinstance(proto, BalancerProtocol)
+                               else proto.group
+                               for c in commands if isinstance(c, Send)}:
+                    port.note_retry()
             # A batch without a continuation leaves the pump where it was.
             then = (yield from execute(commands, port, track)) or then
         if isinstance(then, Done):
             more = port.finish(then.reason)
+            if more is not None and not isinstance(more, ProtocolEvent):
+                more = yield from more
             if more is None:
                 return then.reason
             events = [more]

@@ -4,10 +4,11 @@
 profile boxes, the ready queue, group epochs and active sets, the
 cached-instruction table that recovers lost INSTRUCTIONs, and the probe
 clocks of the pull-based failure detector.  It has no clock, transport,
-or process model, and one way in: every backend — thread, process,
-socket and the simulator's
-:class:`~repro.runtime.balancer.CentralBalancer` — feeds
-:meth:`BalancerProtocol.on_event` and runs the commands it returns.
+or process model, and one way in: :meth:`BalancerProtocol.on_event`,
+fed by :func:`repro.backend.driver.drive` on thread, process and the
+simulator (whose port is
+:class:`~repro.runtime.balancer.CentralBalancer`) and by the socket
+hub's event loop, which runs the commands it returns.
 What only one backend can supply reaches the pump through two optional
 ports, ``None`` everywhere but the simulator: :attr:`select` (the §4.3
 customized selection) and :attr:`claim_orphans` (the fault controller's

@@ -110,10 +110,8 @@ class Charge(Command):
     Anywhere else in a batch (the central balancer's selection and
     service costs) it is priced by exactly one interpreter, the
     simulator's :class:`~repro.runtime.port.SimPort`, which spends it
-    in place — for the balancer by pausing the co-located slave
-    (:class:`~repro.runtime.balancer.CentralBalancer`) — before the
-    commands behind it run; :func:`repro.backend.driver.execute` passes
-    over it.
+    in place — pausing the co-located slave meanwhile — before the
+    commands behind it run; a real backend's port spends nothing.
     """
 
     seconds: float

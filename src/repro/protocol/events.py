@@ -46,8 +46,11 @@ class ComputeDone(ProtocolEvent):
     """A compute slice ended.
 
     ``status`` is ``"finished"`` when the whole current assignment was
-    executed, or ``"interrupted"`` when the backend stopped at an
-    iteration boundary because a synchronization interrupt arrived.
+    executed, ``"interrupted"`` when the backend stopped at an
+    iteration boundary because a synchronization interrupt arrived, or
+    ``"deadline"`` when a timer starts this sync (the periodic clock of
+    §2.2's ablation) and work may remain: like a finisher, the worker
+    then interrupts its group, but it is never ``lone``.
     ``by`` names the sender of that interrupt when the backend knows it
     (``None`` otherwise: a timer, or a resend request doubling as an
     interrupt); only a neighbour-scoped worker reads it, to forward the
@@ -58,7 +61,7 @@ class ComputeDone(ProtocolEvent):
     by: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.status not in ("finished", "interrupted"):
+        if self.status not in ("finished", "interrupted", "deadline"):
             raise ValueError(f"bad compute status {self.status!r}")
 
 

@@ -325,11 +325,13 @@ class WorkerProtocol:
             return self._terminate("done")
         others = sorted(self.active - {self.me})
         cmds: list[C.Command] = []
-        if event.status == "finished":
-            if not others and not self.centralized:
+        if event.status != "interrupted":
+            if event.status == "finished" and not others \
+                    and not self.centralized:
                 # Lone distributed node: nothing to exchange with.
                 return self._terminate("lone")
-            # Receiver-initiated sync: interrupt the group (§3.1).
+            # Receiver-initiated sync (§3.1), or the periodic clock's:
+            # interrupt the group.
             cmds += [C.Send(self.stamp(InterruptMsg, dst=o, group=self.group))
                      for o in others]
         elif self.neighbour_scope:

@@ -28,11 +28,12 @@ simulated *worker* knows:
   interrupt) under fault tolerance;
 * the analytic compute slice — one timeout per slice instead of one per
   iteration — with the mid-compute steals of a co-located balancer or
-  fault injector, the periodic-sync ablation's clock, and, before a
-  profile, the stale ``WORK`` drain and the orphan claim;
+  fault injector, the periodic-sync ablation's clock (its slice ends
+  as ``"deadline"``; the pump sends the wave) and a member's wait for
+  it, and, before a profile, the stale ``WORK`` drain and the orphan
+  claim;
 * the fault controller's hooks (docs/FAULT_MODEL.md): the parcel ledger
-  on a received ``WORK``, the orphan pool at ``Done``, the shared death
-  registry a timed-out wait consults, and fencing;
+  on a received ``WORK``, the orphan pool at ``Done``, and fencing;
 * the §4.3 customized selection, which regroups the session mid-run.
 
 Protocol state (epoch, active set, assignment, performance window,
@@ -179,14 +180,6 @@ class NodeRuntime(SimPort):
             return self._adopt_selection(msg)
         return msg
 
-    def is_dead(self, peer: int) -> bool:
-        """The shared registry's verdict (the detector's view)."""
-        return self.session.is_dead(peer)
-
-    def note_retry(self) -> None:
-        if self.session.controller is not None:
-            self.session.controller.note_retry()
-
     def _adopt_selection(self, instr: InstructionMsg) -> InstructionMsg:
         """§4.3: commit the session — and this worker — to the selected
         scheme, and hand the pump a plain instruction whose active set
@@ -263,15 +256,17 @@ class NodeRuntime(SimPort):
 
         A lone distributed finisher computes on through any orphans it
         can claim.  Under the periodic-sync ablation nobody initiates on
-        finishing: the clock waits out the period and interrupts its
-        group; everyone else idles until the interrupt comes.  Before a
-        profile, late parcels from past epochs and reclaimed orphans
-        re-enter balancing.
+        finishing: the clock waits out the period and ends the slice as
+        ``"deadline"`` (the pump then interrupts the group); everyone
+        else idles until the interrupt comes.  Before a profile, late
+        parcels from past epochs and reclaimed orphans re-enter
+        balancing.
         """
         session = self.session
+        env = session.env
         if proto.epoch != self._clock_epoch:
             self._clock_epoch = proto.epoch
-            self.next_deadline = session.env.now + session.options.sync_period
+            self.next_deadline = env.now + session.options.sync_period
         status = "interrupted"
         while not self._proceed:
             status = yield from self._compute()
@@ -290,23 +285,28 @@ class NodeRuntime(SimPort):
                     # no hardening.
                     msg = yield from self._recv_timed(C.AwaitMessage(
                         tags=(Tag.INTERRUPT,), epoch=proto.epoch,
-                        timeout=max(self.next_deadline - session.env.now,
-                                    0.0)))
+                        timeout=max(self.next_deadline - env.now, 0.0)))
                     if msg is not None:
                         self._before_profile()
                         return E.ComputeDone("interrupted", by=msg.src)
                 status = "interrupted"
                 break
-            if not self.periodic:
+            if not self.periodic or status == "interrupted":
                 break
-            proceed = yield from self._periodic_trigger(status,
-                                                        sorted(others))
-            if isinstance(proceed, E.PeerDead):
+            if status == "deadline" or self._is_clock():
+                # The clock waits out the rest of the period (it may
+                # have finished early).
+                if env.now < self.next_deadline \
+                        and not self.has_interrupt(proto.epoch):
+                    yield env.timeout(self.next_deadline - env.now)
+                status = "deadline"
+                break
+            dead_clock = yield from self._await_clock()
+            if dead_clock is not None:
                 self._proceed = True
-                return proceed
-            if proceed:
-                status = "interrupted"
-                break
+                return dead_clock
+            status = "interrupted"
+            break
         self._proceed = False
         self._before_profile()
         return status
@@ -323,69 +323,48 @@ class NodeRuntime(SimPort):
         return self.protocol.neighbour_scope \
             or self.me == min(self.protocol.active)
 
-    def _periodic_trigger(self, status: str, others: list[int]
-                          ) -> Generator[Event, None,
-                                         Union[bool, E.PeerDead]]:
-        """Timer-based synchronization entry (sync_mode="periodic").
-
-        Returns True when the node should proceed into the sync, False
-        when it should resume computing (spurious wakeup), and the
-        clock's ``PeerDead`` when it proceeds having declared the clock
-        dead.
+    def _await_clock(self) -> Generator[Event, None, Optional[E.PeerDead]]:
+        """A non-clock finisher idles until the next periodic sync —
+        precisely the utilization loss the paper's interrupt-based
+        scheme avoids.  Returns the clock's ``PeerDead`` when it
+        proceeds having declared the clock dead.
         """
         session = self.session
-        env = session.env
         ft = session.ft
         protocol = self.protocol
         epoch = protocol.epoch
-        if status == "deadline" or (status == "finished"
-                                    and self._is_clock()):
-            # The clock waits out the rest of the period (it may have
-            # finished early), then interrupts the group.
-            if env.now < self.next_deadline \
-                    and not self.has_interrupt(epoch):
-                yield env.timeout(self.next_deadline - env.now)
-            if others and not self.has_interrupt(epoch):
-                yield from session.vm.multicast(
-                    protocol.stamp(InterruptMsg, dst=o, group=protocol.group)
-                    for o in others)
-        elif status == "finished":
-            # A non-clock finisher idles until the next periodic sync —
-            # precisely the utilization loss the paper's interrupt-based
-            # scheme avoids.
-            if self.has_interrupt(epoch):
-                return True
-            wait = C.AwaitMessage(tags=(Tag.INTERRUPT,), epoch=epoch)
-            if not ft.enabled:
-                yield from self._recv_timed(wait)
-                return True
-            # Hardened: the clock itself may be dead.  Wait with the
-            # retry schedule; give up by declaring the clock dead and
-            # (possibly) inheriting its duty.
-            attempt = 0
-            while True:
-                msg = yield from self._recv_timed(replace(
-                    wait, timeout=max(ft.timeout_for(attempt),
-                                      session.options.sync_period)))
-                if msg is not None:
-                    return True
-                clock = min(protocol.active)
-                if clock == self.me:
-                    return True  # actives shifted: we are the clock now
-                if attempt >= ft.max_retries:
-                    self.declared(clock)
-                    survivors = sorted(protocol.active - {clock})
-                    if survivors and survivors[0] == self.me:
-                        yield from session.vm.multicast(
-                            protocol.stamp(InterruptMsg, dst=o,
-                                           group=protocol.group)
-                            for o in survivors[1:])
-                    return E.PeerDead(clock)
-                self.note_retry()
-                yield from session.vm.send(protocol.stamp(
-                    ControlMsg, dst=clock, kind="resend-profile"))
-                attempt += 1
-        return True
+        if self.has_interrupt(epoch):
+            return None
+        wait = C.AwaitMessage(tags=(Tag.INTERRUPT,), epoch=epoch)
+        if not ft.enabled:
+            yield from self._recv_timed(wait)
+            return None
+        # Hardened: the clock itself may be dead.  Wait with the retry
+        # schedule; give up by declaring the clock dead and (possibly)
+        # inheriting its duty.
+        attempt = 0
+        while True:
+            msg = yield from self._recv_timed(replace(
+                wait, timeout=max(ft.timeout_for(attempt),
+                                  session.options.sync_period)))
+            if msg is not None:
+                return None
+            clock = min(protocol.active)
+            if clock == self.me:
+                return None  # actives shifted: we are the clock now
+            if attempt >= ft.max_retries:
+                self.declared(clock)
+                survivors = sorted(protocol.active - {clock})
+                if survivors and survivors[0] == self.me:
+                    yield from session.vm.multicast(
+                        protocol.stamp(InterruptMsg, dst=o,
+                                       group=protocol.group)
+                        for o in survivors[1:])
+                return E.PeerDead(clock)
+            self.note_retry()
+            yield from session.vm.send(protocol.stamp(
+                ControlMsg, dst=clock, kind="resend-profile"))
+            attempt += 1
 
     # -- computing ------------------------------------------------------------
     def _compute(self) -> Generator[Event, None, str]:

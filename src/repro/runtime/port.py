@@ -2,19 +2,21 @@
 
 :class:`SimPort` is to the discrete-event backend what a
 :class:`~repro.backend.driver.Reporter` and a transport's wait are to
-the real ones: :func:`repro.backend.driver.execute` runs a batch of
-protocol commands against it, in order, for both simulated participants
-— :class:`~repro.runtime.node.NodeRuntime`, a worker pumped by
-:func:`~repro.backend.driver.drive` like every other, and
-:class:`~repro.runtime.balancer.CentralBalancer` for the central
-balancer.  A ``Send`` is one ``vm.send`` holding the sender's NIC, a
+the real ones: :func:`repro.backend.driver.drive` pumps both simulated
+participants against it, and :func:`~repro.backend.driver.execute`
+runs each batch of their commands in order — for
+:class:`~repro.runtime.node.NodeRuntime`, a worker, and
+:class:`~repro.runtime.balancer.CentralBalancer`, the central balancer.
+A ``Send`` is one ``vm.send`` holding the sender's NIC, a
 ``RecordSync`` one ``ledger.sync`` (the session's
 :class:`~repro.backend.driver.RunLedger`, as on every backend, writes
 the sync's ``decision`` instant), a ``DeclareDead`` one
 ``controller.declare_dead`` and an ``Emit`` one recorder call, here and
 nowhere else.  A ``Charge`` is spent where it stands in its batch, on
-the loaded host, through :meth:`charge` — the one thing the balancer
-does differently.
+the loaded host, through :meth:`charge`, which pauses the host's
+compute slave meanwhile (the balancer's calculation on the master);
+a timer's retries are the fault controller's count, one per group
+re-requested.
 """
 
 from __future__ import annotations
@@ -77,11 +79,25 @@ class SimPort:
 
     def charge(self, seconds: float) -> Generator[Event, None, None]:
         """Spend ``seconds`` of local computation, slowed by this
-        host's current external load."""
-        env = self.session.env
-        t_end = self.session.stations[self.me].time_to_complete(
-            env.now, seconds)
-        yield env.timeout(t_end - env.now)
+        host's current external load — pausing the host's compute
+        slave meanwhile, when it is computing (the central balancer's
+        calculation on the master)."""
+        session = self.session
+        env = session.env
+        wall = session.stations[self.me].time_to_complete(
+            env.now, seconds) - env.now
+        node = session.nodes.get(self.me)
+        if node is not None:
+            node.steal(wall)
+        yield env.timeout(wall)
+
+    def is_dead(self, peer: int) -> bool:
+        """The shared registry's verdict (the detector's view)."""
+        return self.session.is_dead(peer)
+
+    def note_retry(self) -> None:
+        if self.session.controller is not None:
+            self.session.controller.note_retry()
 
     def _recv_timed(self, spec: C.AwaitMessage,
                     until: Optional[Event] = None

@@ -184,17 +184,20 @@ def test_real_backends_keep_the_interpreter_quantum_off_the_critical_path():
 
 
 def test_the_simulated_balancer_is_a_shell_around_on_event():
-    """Source pins for the one balancer tier: the simulator's adapter
-    keeps no views of protocol state and drives its ``protocol`` through
-    nothing but ``on_event`` and ``regroup`` — which, with the ports and
-    the state attributes, are all ``BalancerProtocol`` offers."""
+    """Source pins for the one pump on the simulator: no module under
+    ``runtime/`` feeds a protocol itself — ``drive()`` is the only
+    caller of ``on_event`` there as everywhere — and the balancer's port
+    keeps no views of protocol state and calls nothing on its
+    ``protocol`` but ``regroup``, which with ``on_event``, the ports and
+    the state attributes is all ``BalancerProtocol`` offers."""
     import ast
 
     from repro.protocol import BalancerProtocol
 
-    path = (Path(__file__).resolve().parents[2]
-            / "src/repro/runtime/balancer.py")
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    runtime = Path(__file__).resolve().parents[2] / "src/repro/runtime"
+    for path in sorted(runtime.glob("*.py")):
+        assert ".on_event(" not in path.read_text(encoding="utf-8"), path
+    tree = ast.parse((runtime / "balancer.py").read_text(encoding="utf-8"))
     decorators = {ast.unparse(d) for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef)
                   for d in node.decorator_list}
@@ -203,7 +206,7 @@ def test_the_simulated_balancer_is_a_shell_around_on_event():
               if isinstance(node, ast.Call)
               and isinstance(node.func, ast.Attribute)
               and ast.unparse(node.func.value).endswith("protocol")}
-    assert called == {"on_event", "regroup"}
+    assert called == {"regroup"}
     public = {name for name, attr in vars(BalancerProtocol).items()
               if not name.startswith("_") and callable(attr)}
     assert public == {"on_event", "regroup"}

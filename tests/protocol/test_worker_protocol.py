@@ -167,6 +167,28 @@ def test_lone_distributed_node_terminates(table):
     assert w.on_event(ComputeDone("finished")) == (Done("lone"),)
 
 
+def test_a_deadline_syncs_a_lone_node_and_interrupts_a_group(table):
+    """``ComputeDone("deadline")``: the periodic clock starts this sync
+    and work may remain, so a lone node plans (with itself) instead of
+    terminating, and a group's clock interrupts its peers, as a
+    finisher does."""
+    lone = make_worker(3, (3,), centralized=False, table=table,
+                       ranges=[(0, 8)], group=1)
+    lone.on_event(Start())
+    assert lone.on_event(ComputeDone("deadline")) == \
+        (Charge(lone.policy.delta_seconds),)
+    assert lone.phase == "planning" and lone.more_work
+
+    clock = make_worker(0, (0, 1, 2), centralized=True, table=table,
+                        ranges=[(0, 8)])
+    clock.on_event(Start())
+    sends = [c.msg for c in all_of(clock.on_event(ComputeDone("deadline")),
+                                   Send)]
+    assert [(m.tag, m.dst) for m in sends] == [
+        (Tag.INTERRUPT, 1), (Tag.INTERRUPT, 2), (Tag.PROFILE, 0)]
+    assert sends[-1].remaining_count == 8
+
+
 def test_retire_path(table):
     """A retiring node ships everything and exits with Done('retired')."""
     w = make_worker(1, (0, 1), centralized=True, table=table,
