@@ -484,13 +484,14 @@ def _compute(proto: WorkerProtocol, port, inbox: Inbox, track: str,
              ) -> Generator[object, object, ProtocolEvent]:
     """One compute slice.  A worker that *finished* it, or whose
     periodic clock ran out (``"deadline"``), interrupts its group (§3.1)
-    — unless a peer got there first: then it answers."""
+    — unless a peer got there first: then it answers.  An ``"idle"``
+    one waits for the interrupt itself."""
     inbox.drain_interrupts(proto.epoch - 1)  # the last sync's are spent
     status = yield from port.compute(proto, inbox, track, boundary)
     if not isinstance(status, str):
         return status
     epoch = proto.epoch
-    if status != "interrupted" and proto.active - {proto.me} \
+    if status in ("finished", "deadline") and proto.active - {proto.me} \
             and inbox.has_interrupt(epoch):
         status = "interrupted"
     return ComputeDone(status, by=inbox.interrupter(epoch)
@@ -521,11 +522,14 @@ def drive(proto: Union[WorkerProtocol, BalancerProtocol], port,
             commands = proto.on_event(event)
             if isinstance(event, TimerFired):
                 # A worker re-requests its own group's sync; the central
-                # balancer's probe round, each group it nudges.
+                # balancer's probe round, each group it nudges.  The
+                # wave of a member that gave up on its clock requests
+                # nothing.
                 for _group in {proto.group_of[c.msg.dst]
                                if isinstance(proto, BalancerProtocol)
                                else proto.group
-                               for c in commands if isinstance(c, Send)}:
+                               for c in commands if isinstance(c, Send)
+                               and c.msg.tag is not Tag.INTERRUPT}:
                     port.note_retry()
             # A batch without a continuation leaves the pump where it was.
             then = (yield from execute(commands, port, track)) or then

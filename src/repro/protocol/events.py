@@ -50,7 +50,9 @@ class ComputeDone(ProtocolEvent):
     iteration boundary because a synchronization interrupt arrived, or
     ``"deadline"`` when a timer starts this sync (the periodic clock of
     §2.2's ablation) and work may remain: like a finisher, the worker
-    then interrupts its group, but it is never ``lone``.
+    then interrupts its group, but it is never ``lone``.  ``"idle"``:
+    the block is done but, under that ablation, a finisher does not
+    start the sync — the worker waits for its interrupt.
     ``by`` names the sender of that interrupt when the backend knows it
     (``None`` otherwise: a timer, or a resend request doubling as an
     interrupt); only a neighbour-scoped worker reads it, to forward the
@@ -61,7 +63,8 @@ class ComputeDone(ProtocolEvent):
     by: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.status not in ("finished", "interrupted", "deadline"):
+        if self.status not in ("finished", "interrupted", "deadline",
+                               "idle"):
             raise ValueError(f"bad compute status {self.status!r}")
 
 
