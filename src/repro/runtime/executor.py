@@ -183,6 +183,10 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
     # collector paused on the promise that reference counting frees it.
     for i in range(session.n):
         vm.inbox[i].notify = None
+        # What the loop left unread (say, a cached instruction re-sent
+        # for a profile that crossed it) is not the next loop's: its
+        # epochs start at 0 again.
+        vm.inbox[i].drain()
     session.nodes.clear()
     session.controller = None
     session.ledger.close(env.now)

@@ -1,10 +1,12 @@
 """A crash early in a multi-loop application (``run_application``).
 
-TRFD at N=8 on four nodes with node 2 crashing 1 ms in: the centralized
-scheme and CUSTOM finish the application, but GDDLB's run ends with the
-simulator's schedule drained while a process still awaits an event.
-The ``xfail`` is strict, so the day that defect is fixed this file
-fails until the marker goes (ROADMAP item 7).
+TRFD at N=8 on four nodes with node 2 crashing 1 ms in: every scheme
+finishes the application.  GDDLB's run used to end with the
+simulator's schedule drained while a process still awaited an event:
+the first loop's unread traffic (the crashed node's interrupts,
+profiles and probes, all at epoch 0) stayed in the mailboxes, and the
+second loop, whose epochs start at 0 again, took it for its own.  A
+finished loop now empties every mailbox.
 """
 
 import pytest
@@ -13,7 +15,6 @@ from repro import ClusterSpec
 from repro.apps.trfd import TrfdConfig, trfd_application
 from repro.faults import FaultPlan
 from repro.runtime.executor import run_application
-from repro.simulation.errors import SimulationError
 
 pytestmark = pytest.mark.faults
 
@@ -33,9 +34,6 @@ def test_an_early_crash_leaves_the_application_complete(strategy, seed):
     _run(strategy, seed)
 
 
-@pytest.mark.xfail(raises=SimulationError, strict=True,
-                   reason="GDDLB drains the schedule after an early crash "
-                          "in a staged application (ROADMAP item 7)")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_gddlb_survives_an_early_crash_in_an_application(seed):
     _run("GDDLB", seed)
