@@ -41,13 +41,13 @@ class FaultToleranceConfig:
         patience is ``request_timeout * (backoff**(max_retries+1) - 1)
         / (backoff - 1)``.
     liveness_timeout:
-        Central-balancer patience with a *completely silent* group
-        before it probes the members (a pull-based heartbeat: the probe
-        doubles as a synchronization interrupt for live members).  Must
-        be small enough that ``liveness_timeout * (max_retries + 1)``
-        — the master's time-to-declare — fits inside a slave's total
-        instruction-wait patience, or slaves waiting on a plan that
-        includes the dead member give up before the master does.
+        The central balancer's probe period: a member still silent
+        ``liveness_timeout`` after the last probe round is probed (a
+        pull-based heartbeat: the probe doubles as a synchronization
+        interrupt for live members).  ``liveness_timeout *
+        (max_retries + 1)`` is the master's time-to-declare, and a
+        slave's instruction wait spends its retries only past it
+        (:attr:`instruction_retries`).
     """
 
     enabled: bool = False
@@ -69,6 +69,19 @@ class FaultToleranceConfig:
     def timeout_for(self, attempt: int) -> float:
         """Wait before re-request number ``attempt`` (0-based)."""
         return self.request_timeout * (self.backoff ** attempt)
+
+    @property
+    def instruction_retries(self) -> int:
+        """How often a slave re-sends its profile before it gives up on
+        the master, which is reliable by assumption but silent while it
+        declares a dead group member: ``max_retries`` re-sends past the
+        master's time-to-declare, the backoff held at its last step."""
+        free, waited = 0, 0.0
+        while True:
+            waited += self.timeout_for(min(free, self.max_retries))
+            if waited > self.liveness_timeout * (self.max_retries + 1):
+                return free + self.max_retries
+            free += 1
 
 
 @dataclass(frozen=True)
