@@ -1,36 +1,30 @@
 """A live periodic member must not be fenced because its group's clock died.
 
 Under ``sync_mode="periodic"`` a member that has finished its block
-waits for its clock's interrupt, and takes no notice of anything else.
-When the clock crashes, the central balancer's liveness probe
-(``resend-profile``) is what reaches that member; before its first sync
-it has no profile to answer with, so after ``max_retries`` unanswered
-probes the balancer declares the live member dead and fences it.  With
-the default interrupt-based sync the same crash is declared alone.
+waits for its clock's interrupt.  When the clock crashes, the central
+balancer's liveness probe (``resend-profile``) is what reaches that
+member; it takes the probe as the interrupt that got lost, as a
+computing member does, and profiles.  It used to wait for the interrupt
+only and answer the probe from its cache — before its first sync with
+nothing, after it with a stale profile — so the balancer declared the
+live member dead and fenced it.  With the default interrupt-based sync
+the same crash is declared alone.
 
-The fix the fault calls for — the waiting member takes the probe as its
-interrupt, as a computing member does — fences nobody in these cells,
-but it moves six cells of ``tests/runtime/test_run_lifetime.py``
-(GC and CUSTOM, periodic, drop plan 2, P=16, every topology) onto a
-timeline where a node's instruction and its last re-sent profile are
-both dropped and the run ends in ``ProtocolRetryExhausted`` (ROADMAP
-item 4).  Until that is mended these cells pin the fault: strict, so the
-fix that lands must remove the mark.
+The second half are drop-and-crash plans on the lifetime loop (P = 8,
+bus, period 0.01) that used to end in ``ProtocolRetryExhausted``: a
+member whose interrupt was dropped answered the probe with a stale
+profile and was neither heard nor declared.
 """
 
 import pytest
 
 from repro import ClusterSpec, run_loop
 from repro.apps.mxm import MxmConfig, mxm_loop
+from repro.apps.workload import LoopSpec
 from repro.faults.plan import CrashFault, FaultPlan
 from repro.runtime.options import RunOptions
 
-pytestmark = [
-    pytest.mark.faults,
-    pytest.mark.xfail(strict=True, reason=(
-        "open fault, ROADMAP item 4: a finished periodic member ignores "
-        "the balancer's probe while its clock is dead")),
-]
+pytestmark = pytest.mark.faults
 
 
 @pytest.mark.parametrize("period", (0.003, 0.01))
@@ -47,3 +41,18 @@ def test_a_dead_clock_fences_no_live_member(group_size, clock, period):
     assert stats.crashed_nodes == (clock,)
     assert stats.fenced_nodes == ()
     assert stats.declared_dead == (clock,)
+
+
+@pytest.mark.parametrize("strategy, plan_seed", [
+    ("GC", 2), ("LC", 1), ("LC", 2), ("LC", 4), ("LC", 5)])
+def test_a_dropped_interrupt_fences_no_live_member(strategy, plan_seed):
+    stats = run_loop(
+        LoopSpec(name="lifetime", n_iterations=64, iteration_time=0.010,
+                 dc_bytes=800),
+        ClusterSpec.homogeneous(8, max_load=3, persistence=0.5, seed=7),
+        strategy,
+        RunOptions(topology="bus", sync_mode="periodic", sync_period=0.01),
+        fault_plan=FaultPlan.random_plan(plan_seed, 8, 0.3, n_crashes=1,
+                                         n_slowdowns=1,
+                                         drop_probability=0.05))
+    assert stats.fenced_nodes == ()
