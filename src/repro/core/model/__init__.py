@@ -1,15 +1,6 @@
 """Analytical cost model of the DLB strategies (S7, paper §4.2)."""
 
 from .costs import SyncCosts, default_comm_model, strategy_sync_costs
-from .recurrence import (
-    average_effective_speed,
-    effective_load_discrete,
-    iterations_left_nonuniform,
-    iterations_left_uniform,
-    new_distribution,
-    total_remaining,
-    work_moved,
-)
 from .predictor import (
     StrategyPrediction,
     predict_no_dlb,
@@ -19,13 +10,6 @@ from .predictor import (
 
 __all__ = [
     "StrategyPrediction",
-    "average_effective_speed",
-    "effective_load_discrete",
-    "iterations_left_nonuniform",
-    "iterations_left_uniform",
-    "new_distribution",
-    "total_remaining",
-    "work_moved",
     "SyncCosts",
     "default_comm_model",
     "predict_no_dlb",

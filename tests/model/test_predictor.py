@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.apps.workload import LoopSpec
+from repro.apps.workload import LoopSpec, WorkTable
+from repro.core.policy import DlbPolicy
 from repro.core.model.predictor import (
     predict_no_dlb,
     predict_strategy,
@@ -10,6 +11,7 @@ from repro.core.model.predictor import (
 )
 from repro.core.strategies import ALL_DLB_STRATEGIES, GCDLB, GDDLB, LDDLB, \
     NO_DLB
+from repro.core.redistribution import SyncProfile, plan_redistribution
 from repro.machine.cluster import ClusterSpec
 
 
@@ -126,3 +128,20 @@ def test_movement_model_serial_costs_more():
     serial = predict_strategy(heavy, cluster, GDDLB,
                               movement_model="serial")
     assert serial.total_time >= overlap.total_time
+
+
+def test_planner_matches_eq3():
+    """The planner the predictor and the run-time system share follows
+    §4.2's eq. 3 exactly when no thresholding interferes:
+    ``alpha_i = (S_i / mu_i) / sum_k (S_k / mu_k) * Gamma``."""
+    beta = [6.0, 0.0]
+    rates = [1.0, 0.5]   # S_i / mu_i
+    plan = plan_redistribution(
+        [SyncProfile(0, beta[0], 600, rates[0], ((0, 600),)),
+         SyncProfile(1, beta[1], 0, rates[1])],
+        DlbPolicy(min_move_fraction=0.0, improvement_threshold=0.0),
+        WorkTable(0.01, 600))
+    assert plan.move
+    for node, rate in enumerate(rates):
+        assert plan.shares[node] == pytest.approx(
+            rate / sum(rates) * sum(beta))
