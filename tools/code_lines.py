@@ -69,7 +69,14 @@ def count_at(rev: str, paths: list[str]) -> int:
 
 
 def count_tree(paths: list[str]) -> int:
-    files = [f for p in paths for f in sorted(Path(p).rglob("*.py"))]
+    """Code lines in ``paths``: a ``.py`` file counts as itself, a
+    directory as the ``.py`` files under it.  A path that does not
+    exist is an error, not zero lines."""
+    files: list[Path] = []
+    for p in map(Path, paths):
+        if not p.exists():
+            raise FileNotFoundError(f"no such file or directory: {p}")
+        files += [p] if p.is_file() else sorted(p.rglob("*.py"))
     return sum(code_lines(f.read_text(encoding="utf-8")) for f in files)
 
 
@@ -80,7 +87,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     where = " ".join(args.paths)
     if args.base is None:
-        print(f"{count_tree(args.paths)} code lines under {where}")
+        try:
+            count = count_tree(args.paths)
+        except FileNotFoundError as exc:
+            parser.error(str(exc))
+        print(f"{count} code lines under {where}")
         return 0
     base, head = count_at(args.base, args.paths), count_at("HEAD", args.paths)
     print(
