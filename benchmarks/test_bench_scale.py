@@ -6,18 +6,24 @@ diffusion.  Global schemes broadcast P×(P-1) termination interrupts, so
 they are inherently quadratic — exactly the paper's §6 argument for
 local/customized strategies at scale; the sweep runs the strategies that
 are *supposed* to scale.  Each case records the simulated duration and
-the sync and message counts: exact given the seed, so the document is
-byte-reproducible and the gate holds every number in it.  What the
-engine costs in host seconds is ``bench/run.py``'s ``sim_bus_p1024`` /
-``sim_torus_p256`` ``wall_s``.
+the sync and message counts, and what the run cost the engine in
+counts: its events (``engine_events``) and the times it handed control
+to a simulated process (``resumes``), both counted by wrapping
+``Environment.step`` and ``Process._resume`` here, not in the engine.
+All exact given the seed, so the document is byte-reproducible and the
+gate holds every number in it.  What the engine costs in host seconds
+is ``bench/run.py``'s ``sim_bus_p1024`` / ``sim_torus_p256`` ``wall_s``.
 """
 
 import json
 import pathlib
 
+import pytest
+
 from repro import ClusterSpec, run_loop
 from repro.apps.mxm import MxmConfig, mxm_loop
 from repro.runtime.options import RunOptions
+from repro.simulation import Environment, Process
 
 OUT_PATH = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_scale.json"
@@ -36,6 +42,26 @@ DES_CASES = {
 }
 
 
+def _counted_run(loop, cluster, strategy, options):
+    """``run_loop`` plus its engine events and process resumes."""
+    counts = {"engine_events": 0, "resumes": 0}
+    step, resume = Environment.step, Process._resume
+
+    def counted_step(env):
+        counts["engine_events"] += 1
+        step(env)
+
+    def counted_resume(proc, event):
+        counts["resumes"] += 1
+        resume(proc, event)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Environment, "step", counted_step)
+        patch.setattr(Process, "_resume", counted_resume)
+        stats = run_loop(loop, cluster, strategy, options)
+    return stats, counts
+
+
 def _des_sweep():
     cases = {}
     for name, (p, strategy, topology, k) in DES_CASES.items():
@@ -43,13 +69,14 @@ def _des_sweep():
         cluster = ClusterSpec.homogeneous(p, max_load=3,
                                           persistence=1.0, seed=7)
         options = RunOptions(topology=topology, group_size=k)
-        stats = run_loop(loop, cluster, strategy, options)
+        stats, counts = _counted_run(loop, cluster, strategy, options)
         cases[name] = {
             "n_processors": p,
             "strategy": strategy,
             "virtual_duration": stats.duration,
             "syncs": stats.n_syncs,
             "messages": stats.network_messages,
+            **counts,
         }
     return cases
 
@@ -62,7 +89,8 @@ def test_bench_scale(benchmark):
     print()
     for name, row in doc["des"].items():
         print(f"  des {name}: {row['virtual_duration']:.4f} virtual s, "
-              f"{row['syncs']} syncs, {row['messages']} msgs")
+              f"{row['syncs']} syncs, {row['messages']} msgs, "
+              f"{row['engine_events']} events, {row['resumes']} resumes")
         assert row["virtual_duration"] > 0, (name, row)
 
     OUT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

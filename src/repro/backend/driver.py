@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Generator, Optional, Sequence, Union
+from typing import Callable, Generator, Iterable, Optional, Sequence, Union
 
 from ..apps.workload import LoopSpec, WorkTable
 from ..core.decision import model_based_selector
@@ -219,11 +219,12 @@ class Reporter:
     def admit(self, commands: Sequence[Command]) -> None:
         """A look at a whole batch before its first command runs."""
 
-    def send(self, msg: Message) -> None:
-        self.messages += 1
-        self.bytes += msg.nbytes
-        self.by_tag.inc(msg.tag.value)
-        self.deliver(msg)
+    def send(self, msgs: Iterable[Message]) -> None:
+        for msg in msgs:
+            self.messages += 1
+            self.bytes += msg.nbytes
+            self.by_tag.inc(msg.tag.value)
+            self.deliver(msg)
 
     def charge(self, seconds: float) -> None:
         """Planning costs real time here: nothing to spend before it."""
@@ -447,20 +448,29 @@ def execute(commands: Sequence[Command], port, track: str
             ) -> Generator[object, object, Optional[Command]]:
     """Run one batch of protocol commands against ``port``, in order.
 
-    A ``Send`` or a ``Charge`` may return a *hold* — on the simulator,
-    the events of a NIC held or of a loaded host computing — which runs
-    where it stands in the batch, so what follows it (a ``RecordSync``,
-    an ``Emit``) is stamped after it.  Returns the batch's continuation
-    — its ``StartCompute``, ``AwaitMessage``, ``Charge`` or ``Done``
-    (the last of these in the batch) — or ``None`` when the batch had
-    none (a membership event that changed nothing).
+    Each maximal run of consecutive ``Send`` commands goes to the port
+    in one ``send`` call.  That call, or a ``Charge``, may return a
+    *hold* — on the simulator, the events of a NIC held for the whole
+    run or of a loaded host computing — which runs where it stands in
+    the batch, so what follows it (a ``RecordSync``, an ``Emit``) is
+    stamped after it.  Returns the batch's continuation — its
+    ``StartCompute``, ``AwaitMessage``, ``Charge`` or ``Done`` (the last
+    of these in the batch) — or ``None`` when the batch had none (a
+    membership event that changed nothing).
     """
     port.admit(commands)
     then = None
-    for cmd in commands:
+    i, n = 0, len(commands)
+    while i < n:
+        cmd = commands[i]
+        i += 1
         hold = None
         if isinstance(cmd, Send):
-            hold = port.send(cmd.msg)
+            msgs = [cmd.msg]
+            while i < n and isinstance(commands[i], Send):
+                msgs.append(commands[i].msg)
+                i += 1
+            hold = port.send(msgs)
         elif isinstance(cmd, RecordSync):
             port.sync(cmd.group, cmd.epoch, cmd.plan, cmd.part)
         elif isinstance(cmd, DeclareDead):

@@ -319,7 +319,7 @@ async def _run_client(host: str, port: int, *,
         def answer(req: ControlMsg) -> None:
             reply = proto.answer_resend(req)
             if reply is not None:
-                reporter.send(reply)
+                reporter.send((reply,))
         mbox.answer = answer
         if spec.trace_events:
             reporter.recorder = TraceRecorder(clock=reporter.now)

@@ -8,8 +8,15 @@ byte charged to the shared-bus network model.
 Usage inside a simulated process::
 
     yield from vm.send(msg)                 # pays sender-side overhead
+    yield from vm.multicast(msgs)           # back to back, one resume
     msg = yield vm.recv(me, tag=Tag.PROFILE)  # blocks until a profile
     note = vm.poll(me, tag=Tag.INTERRUPT)     # non-blocking
+
+Both sends are one chain of frames through the sender's NIC
+(:meth:`~repro.network.graph.GraphNetwork.transmit_frames`): the
+process sleeps through the whole run and resumes once, after the last
+hold, at the instant and place in the schedule where frame-by-frame
+sends would have resumed it.
 
 ``vm.inbox[i].notify`` may be set to observe arrivals (the node runtime
 uses it to interrupt a computing process when an INTERRUPT lands).
@@ -17,7 +24,7 @@ uses it to interrupt a computing process when an INTERRUPT lands).
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, Optional
+from typing import Callable, Generator, Iterable, Iterator, Optional
 
 from ..network import NetworkParameters, SharedBusNetwork
 from ..simulation import Environment, Event, Mailbox, SlotFilter
@@ -39,35 +46,50 @@ class VirtualMachine:
             raise ValueError("network size does not match host count")
         self.inbox = [Mailbox(env, name=f"inbox{i}") for i in range(n_hosts)]
         self.network.on_deliver = self._on_deliver
-        self.sent_by_tag: dict[Tag, int] = {t: 0 for t in Tag}
+        #: Messages sent, per message class: a class has one tag, and a
+        #: class hashes in C where an ``Enum`` member hashes in Python.
+        self._sent: dict[type, int] = {}
+
+    @property
+    def sent_by_tag(self) -> dict[Tag, int]:
+        """Messages sent so far, per tag (a copy)."""
+        counts = {t: 0 for t in Tag}
+        for cls, n in self._sent.items():
+            counts[cls.tag] = counts.get(cls.tag, 0) + n
+        return counts
 
     def _on_deliver(self, dst: int, item: Message) -> None:
         self.inbox[dst].put(item)
 
     # -- sending -----------------------------------------------------------
     def send(self, msg: Message) -> Generator[Event, None, Event]:
-        """Send ``msg`` (a generator to ``yield from``).
+        """Send ``msg`` (a generator to ``yield from``): a chain of one.
 
         Completes after the sender-side overhead; returns the delivery
         event (rarely needed — receives are the usual synchronization).
         """
-        self.sent_by_tag[msg.tag] = self.sent_by_tag.get(msg.tag, 0) + 1
-        delivered = yield from self.network.transmit(
-            msg.src, msg.dst, msg.nbytes, msg)
-        return delivered
+        return self.multicast((msg,))
 
     def multicast(self, msgs: Iterable[Message]
-                  ) -> Generator[Event, None, list[Event]]:
-        """Send several messages back-to-back from the same host.
+                  ) -> Generator[Event, None, Optional[Event]]:
+        """Send several messages back-to-back (a generator to ``yield
+        from``); returns the last one's delivery event.
 
         PVM over Ethernet has no hardware multicast: the sends serialize
-        at the sender, which is exactly the one-to-all cost of §6.1.
+        at the sender, which is exactly the one-to-all cost of §6.1.  The
+        sender sleeps through the whole run and resumes once
+        (:meth:`~repro.network.graph.GraphNetwork.transmit_frames`);
+        ``msgs`` is read one message at a time, as each send begins.
         """
-        deliveries = []
+        return self.network.transmit_frames(self._frames(msgs))
+
+    def _frames(self, msgs: Iterable[Message]
+                ) -> Iterator[tuple[int, int, int, Message]]:
+        sent = self._sent
         for msg in msgs:
-            ev = yield from self.send(msg)
-            deliveries.append(ev)
-        return deliveries
+            cls = type(msg)
+            sent[cls] = sent.get(cls, 0) + 1
+            yield msg.src, msg.dst, msg.nbytes, msg
 
     # -- receiving ---------------------------------------------------------
     @staticmethod

@@ -6,7 +6,8 @@ paper's shared Ethernet bus.  Every message still crosses the same three
 serialization points as the original bus model:
 
 1. the **sender's NIC/protocol stack** (``send_overhead``, one outgoing
-   message at a time);
+   message at a time; a process's back-to-back sends are one
+   :class:`_Chain` through it);
 2. the **wire** — but now one :class:`~repro.simulation.Resource` *per
    link*, traversed store-and-forward along the deterministic
    shortest-path route, each hop costing that link's
@@ -33,7 +34,8 @@ the bus is *booked* in closed form the moment it leaves the sender's NIC
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional, Protocol
+from typing import (Any, Callable, Generator, Iterable, Iterator, Optional,
+                    Protocol)
 
 from ..obs.trace import NULL_RECORDER
 from ..simulation import (PRIORITY_NORMAL, PRIORITY_URGENT, Environment,
@@ -70,9 +72,10 @@ class NetworkModel(Protocol):
     """What the message layer and fault controller require of a network.
 
     Any transport with this surface can back a
-    :class:`~repro.message.VirtualMachine`: :meth:`transmit` is the
-    sender-side generator returning a delivery event, and the three
-    hooks are the observation/fault-injection points.
+    :class:`~repro.message.VirtualMachine`: :meth:`transmit_frames` is
+    the sender-side generator of back-to-back sends, :meth:`transmit` a
+    chain of one returning its delivery event, and the three hooks are
+    the observation/fault-injection points.
     """
 
     env: Environment
@@ -86,6 +89,9 @@ class NetworkModel(Protocol):
     def transmit(self, src: int, dst: int, nbytes: int,
                  item: Any = None) -> Generator[Event, None, Event]: ...
 
+    def transmit_frames(self, frames: Iterable[Frame]
+                        ) -> Generator[Event, None, Optional[Event]]: ...
+
     def post(self, src: int, dst: int, nbytes: int,
              item: Any = None) -> Event: ...
 
@@ -93,6 +99,9 @@ class NetworkModel(Protocol):
 #: What one stage of a carry needs: the resource to hold, the latency and
 #: bandwidth that price the hold, and the trace track (``None``: no span).
 _Stage = tuple[Resource, float, float, Optional[str]]
+
+#: One frame of a chain of sends: ``(src, dst, nbytes, item)``.
+Frame = tuple[int, int, int, Any]
 
 
 class _Carry(Event):
@@ -230,6 +239,123 @@ class _Arrival(Event):
 _ARRIVE = (_Arrival._arrive,)  # the engine calls ``callback(event)``
 
 
+class _Chain(Event):
+    """One process's run of back-to-back sends, walked by callbacks.
+
+    PVM over Ethernet has no hardware multicast: consecutive sends
+    serialize at the sender's stack (§6.1), one send-NIC hold each.  A
+    chain is the object that holds the NIC for each of its frames in
+    turn, and it is its own hold event (as a :class:`_Carry` is), so the
+    sending process sleeps through the whole run and resumes once.  At
+    each hold's end, in the order the resumed process would have done it,
+    the chain releases the NIC, books, carries or locally delivers the
+    frame (:meth:`GraphNetwork._launch`), takes the next frame from its
+    iterator, consults the fault hook on it, and asks the NIC again.
+    After the last hold it fires :attr:`done` *inside* that hold's
+    callback, so the waiter resumes at that hold's ``(time, priority,
+    eid)``, as it resumed from the hold itself when it sent frame by
+    frame.
+
+    Guaranteed: every NIC request, grant and hold, every fault-hook call
+    and every delivery happens at the instant and in the order that
+    consecutive :meth:`GraphNetwork.transmit` calls made them, the
+    engine events are the same (one hold per frame), and a lazy frame
+    iterator is advanced at the instant the next send began (so a check
+    inside it sees what that send saw).  Not guaranteed: the sender is
+    not the engine's active process while the chain runs.  A process
+    stopped mid-chain (:meth:`stop`) withdraws or releases its NIC at
+    the stop instant and sends nothing more.
+    """
+
+    __slots__ = ("net", "frames", "done", "nic", "src", "dst", "nbytes",
+                 "item", "delivered", "verdict")
+
+    def __init__(self, net: "GraphNetwork", frames: Iterator[Frame]) -> None:
+        env = self.env = net.env
+        self.callbacks = None  # set to _SENT while a hold is scheduled
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self.net = net
+        #: The frames still to send; ``None`` once finished or stopped.
+        self.frames: Optional[Iterator[Frame]] = frames
+        #: Fires after the last hold, from inside its callback.
+        self.done = Event(env)
+        self.delivered: Optional[Event] = None
+        self._next()
+
+    def _next(self) -> None:
+        """Ask the NIC for the next frame; fire :attr:`done` when none
+        is left."""
+        frame = next(self.frames, None)
+        if frame is None:
+            self.frames = None
+            done = self.done
+            done._value = None
+            callbacks, done.callbacks = done.callbacks, None
+            for callback in callbacks:
+                callback(done)
+            return
+        net = self.net
+        src, dst, nbytes, item = frame
+        self.src, self.dst, self.nbytes, self.item = frame
+        if not (0 <= src < net.n_hosts and 0 <= dst < net.n_hosts
+                and nbytes >= 0):
+            net._check_host(src)
+            net._check_host(dst)
+            raise ValueError("nbytes must be non-negative")
+        self.delivered = Event(self.env)
+        self.verdict = None
+        if src != dst and net.fault_hook is not None:
+            # Same-host transfers never touch the wire; local delivery
+            # is assumed reliable (no fault hook consultation).
+            self.verdict = verdict = net.fault_hook(src, dst, nbytes, item)
+            if isinstance(verdict, (int, float)) and verdict > 0:
+                # Counted as the hook decides, ahead of the sender's
+                # overhead: the delay belongs to the stage that sent it.
+                net.stats.delayed_messages += 1
+        self.nic = net.send_nic[src]
+        self.nic.acquire(self, self._granted)
+
+    def _granted(self, _waited: float) -> None:
+        # At the grant instant, as the Resource contract promises.
+        params = self.net.params
+        self.callbacks = _SENT
+        self.env.schedule(self, PRIORITY_NORMAL,
+                          params.local_overhead if self.src == self.dst
+                          else params.send_overhead)
+
+    def _sent(self) -> None:
+        if self.frames is None:
+            return  # stopped while holding: the NIC is already back
+        self.nic.release(self)
+        net, src, dst = self.net, self.src, self.dst
+        if src == dst:
+            net.stats.record(src, dst, self.nbytes, local=True)
+            net._deliver(dst, self.item, self.delivered)
+        else:
+            net._launch(src, dst, self.nbytes, self.item, self.delivered,
+                        self.verdict)
+        self._next()
+
+    def stop(self) -> None:
+        """The sender stopped: withdraw or release the NIC, send no more
+        (a no-op once the chain finished)."""
+        if self.frames is not None:
+            self.frames = None
+            # A sender closed at the end of a run still lists itself on
+            # ``done``: a reference cycle through its process.
+            self.done.callbacks = None
+            self.nic.release(self)
+
+
+def _frame_sent(chain: _Chain) -> None:
+    chain._sent()
+
+
+_SENT = (_frame_sent,)  # the engine calls ``callback(event)``
+
+
 class GraphNetwork:
     """Hosts connected by an arbitrary graph of point-to-point links."""
 
@@ -296,32 +422,40 @@ class GraphNetwork:
                  item: Any = None) -> Generator[Event, None, Event]:
         """Send ``nbytes`` (+ payload ``item``) from ``src`` to ``dst``.
 
-        A generator to ``yield from`` inside a simulated process.  It
-        completes once the sender-side overhead has been paid and returns
-        a *delivery event* that fires (with ``item`` as its value) when
-        the message reaches ``dst``.
+        A generator to ``yield from`` inside a simulated process: a
+        chain of one frame (:meth:`transmit_frames`).  It completes once
+        the sender-side overhead has been paid and returns a *delivery
+        event* that fires (with ``item`` as its value) when the message
+        reaches ``dst``.
         """
-        self._check_host(src)
-        self._check_host(dst)
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        delivered = self.env.event()
-        if src == dst:
-            # Same-host transfers never touch the wire; local delivery is
-            # assumed reliable (no fault hook consultation).
-            yield from self.send_nic[src].use(self.params.local_overhead)
-            self.stats.record(src, dst, nbytes, local=True)
-            self._deliver(dst, item, delivered)
-            return delivered
-        verdict = None
-        if self.fault_hook is not None:
-            verdict = self.fault_hook(src, dst, nbytes, item)
-        extra = float(verdict) if isinstance(verdict, (int, float)) else 0.0
-        if extra > 0:
-            # Counted as the hook decides, ahead of the sender's
-            # overhead: the delay belongs to the stage that sent it.
-            self.stats.delayed_messages += 1
-        yield from self.send_nic[src].use(self.params.send_overhead)
+        return self.transmit_frames(((src, dst, nbytes, item),))
+
+    def transmit_frames(self, frames: Iterable[Frame]
+                        ) -> Generator[Event, None, Optional[Event]]:
+        """Send ``frames`` back to back (a generator to ``yield from``).
+
+        Each ``(src, dst, nbytes, item)`` frame holds its sender's NIC in
+        turn, as consecutive :meth:`transmit` calls would; the frames are
+        taken from ``frames`` one at a time, when the previous one has
+        left its NIC, so a lazy iterable decides each one at the instant
+        it is sent.  The waiting process resumes once, after the last
+        hold; a process stopped mid-chain gives its NIC back and sends
+        nothing more.  Returns the last frame's delivery event (``None``
+        when ``frames`` is empty).
+        """
+        chain = _Chain(self, iter(frames))
+        if chain.frames is not None:
+            try:
+                yield chain.done
+            finally:
+                chain.stop()
+        return chain.delivered
+
+    def _launch(self, src: int, dst: int, nbytes: int, item: Any,
+                delivered: Event, verdict: "None | str | float") -> None:
+        """What becomes of a frame that has left ``src``'s send NIC under
+        the fault hook's ``verdict``: lost, or carried (``_Carry``) or
+        booked (:meth:`_book`) after any extra delay."""
         if verdict == "drop":
             # The frame is lost on the wire: the sender has paid its NIC
             # cost (asynchronous sends report no error) and the delivery
@@ -329,7 +463,9 @@ class GraphNetwork:
             self.stats.dropped_messages += 1
             if self.on_drop is not None:
                 self.on_drop(src, dst, item)
-            return delivered
+            return
+        extra = float(verdict) if isinstance(verdict, (int, float)) \
+            else 0.0
         if not self.topology.shared_medium:
             _Carry(self, src, dst, nbytes, item, delivered, extra)
         elif extra > 0:
@@ -345,7 +481,6 @@ class GraphNetwork:
             self.env.schedule(start, PRIORITY_URGENT, 0.0)
         else:
             self._book(src, dst, nbytes, item, delivered)
-        return delivered
 
     def _book(self, src: int, dst: int, nbytes: int, item: Any,
               delivered: Event) -> None:

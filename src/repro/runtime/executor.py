@@ -131,7 +131,7 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
         controller = FaultController(session, fault_plan)
         session.controller = controller
         controller.install()
-    msg_before = dict(vm.sent_by_tag)
+    msg_before = vm.sent_by_tag
     net_before = copy(vm.network.stats)
     session.stats.start_time = env.now
 
@@ -169,8 +169,9 @@ def run_loop_stage(env: Environment, vm: VirtualMachine,
     stats.node_finish_times = {
         i: node.finish_time for i, node in session.nodes.items()
         if node.proc is not None}
+    sent = vm.sent_by_tag
     stats.messages_by_tag = {
-        t.value: vm.sent_by_tag.get(t, 0) - msg_before.get(t, 0) for t in Tag}
+        t.value: sent[t] - msg_before[t] for t in Tag}
     net = vm.network.stats
     stats.network_messages = net.messages - net_before.messages
     stats.network_bytes = net.bytes - net_before.bytes

@@ -7,7 +7,8 @@ participants against it, and :func:`~repro.backend.driver.execute`
 runs each batch of their commands in order — for
 :class:`~repro.runtime.node.NodeRuntime`, a worker, and
 :class:`~repro.runtime.balancer.CentralBalancer`, the central balancer.
-A ``Send`` is one ``vm.send`` holding the sender's NIC, a
+A run of consecutive ``Send`` commands is one ``vm.multicast`` (a
+chain of send-NIC holds that the pump wakes from once), a
 ``RecordSync`` one ``ledger.sync`` (the session's
 :class:`~repro.backend.driver.RunLedger`, as on every backend, writes
 the sync's ``decision`` instant), a ``DeclareDead`` one
@@ -21,7 +22,7 @@ re-requested.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence
+from typing import Generator, Iterable, Optional, Sequence
 
 from ..message.messages import Message, Tag
 from ..protocol import commands as C
@@ -63,10 +64,14 @@ class SimPort:
                     controller.register_parcel(self.me, msg.dst,
                                                msg.epoch, msg.ranges)
 
-    def send(self, msg: Message) -> Optional[Generator[Event, None, Event]]:
-        if msg.tag is Tag.WORK and self.session.is_dead(msg.dst):
-            return None  # pooled on admission, or reclaimed on declaration
-        return self.session.vm.send(msg)
+    def send(self, msgs: Iterable[Message]
+             ) -> Generator[Event, None, Optional[Event]]:
+        """One chain of sends through this host's NIC (``vm.multicast``).
+        A parcel for a receiver dead by the time its send begins is not
+        sent: pooled on admission, or reclaimed on declaration."""
+        is_dead, work = self.session.is_dead, Tag.WORK
+        return self.session.vm.multicast(
+            msg for msg in msgs if msg.tag is not work or not is_dead(msg.dst))
 
     def sync(self, group: int, epoch: int, plan, part: bool = False) -> None:
         session = self.session

@@ -16,14 +16,15 @@ queue:
     yield env.timeout(transmit_time)
     bus.release(req)
 
-``yield from bus.use(transmit_time)`` does as much through ``acquire``,
-with one engine event (the hold) whether it had to queue or not.
+The network's holders (``repro.network.graph``'s ``_Carry`` per routed
+frame, ``_Chain`` per run of sends) use ``acquire`` and are their own
+hold events: one engine event per hold, queued or not.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 from .engine import Environment, Event
 from .errors import SimulationError
@@ -35,21 +36,6 @@ class _Request(Event):
     __slots__ = ()
 
 
-class _Hold(Event):
-    """The hold of a :meth:`Resource.use`: a timeout whose clock starts
-    at the grant, so a ``use`` is one engine event, queued or not."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, env: Environment, delay: float) -> None:
-        super().__init__(env)
-        self.delay = delay
-        self._value = None
-
-    def start(self, _waited: float) -> None:
-        self.env.schedule(self, delay=self.delay)
-
-
 class Resource:
     """A FIFO mutex: one holder at a time, waiters served in request order.
 
@@ -58,9 +44,9 @@ class Resource:
     would have been *scheduled*, not *processed* — the same ``now``, so
     the same due time (``now + hold``), and since grant events fired FIFO
     in the order they were scheduled, holds started this way (every carry
-    stage, every :meth:`use`) keep their relative order.  The only event
-    such a hold can overtake is one that non-resource code schedules in
-    the same instant with a bit-equal due time.
+    stage, every frame of a chain of sends) keep their relative order.
+    The only event such a hold can overtake is one that non-resource
+    code schedules in the same instant with a bit-equal due time.
     """
 
     __slots__ = ("env", "name", "_holder", "_waiting", "_abandoned",
@@ -114,7 +100,7 @@ class Resource:
                     del self._waiting[i]
                     return
             if self._abandoned:
-                return  # a suspended ``use`` closed after the run
+                return  # a suspended sender stopped after the run
             raise SimulationError("release of a request that was never granted")
         if not self._waiting:
             self._holder = None
@@ -129,20 +115,11 @@ class Resource:
         queued waiter's grant callback points at whoever waits for it,
         which usually points back at this resource's owner — reference
         cycles for as long as the entry (or a request event's callback
-        list) stays.  A holder finalised later (a suspended :meth:`use`
-        being closed) releases into the void, silently."""
+        list) stays.  A holder finalised later (a suspended sender's
+        chain being stopped) releases into the void, silently."""
         self._abandoned = True
         for holder in (self._holder, *(w[0] for w in self._waiting)):
             if isinstance(holder, Event):
                 holder.callbacks = None
         self._holder = None
         self._waiting.clear()
-
-    def use(self, hold_time: float) -> Generator[Event, None, None]:
-        """Acquire, hold for ``hold_time`` simulated seconds, release."""
-        hold = _Hold(self.env, hold_time)
-        self.acquire(hold, hold.start)
-        try:
-            yield hold
-        finally:
-            self.release(hold)

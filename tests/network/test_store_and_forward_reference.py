@@ -44,9 +44,21 @@ PARAMS = NetworkParameters(send_overhead=1e-3, recv_overhead=1.2e-3,
 ZERO_HOLD = dataclasses.replace(PARAMS, wire_latency=0.0, recv_overhead=0.0)
 
 
-def reference(topology, params, messages, verdicts):
-    """``(deliveries, grants, tie_free)`` for ``messages`` =
-    ``[(send time, src, dst, nbytes)]`` under fault ``verdicts``."""
+def reference(topology, params, messages, verdicts, chains=None,
+              skip_from=None):
+    """``(deliveries, grants, tie_free, left_nic)`` for ``messages`` =
+    ``[(send time, src, dst, nbytes)]`` under fault ``verdicts``.
+
+    ``chains`` (default: one per message) lists the messages one process
+    sends back to back: the first asks for its send NIC at its send
+    time, each later one the instant the one before it leaves its NIC
+    (the later ones' own send times are ignored).  A message ``i`` of
+    ``skip_from`` is not sent at all if its send would begin at or
+    after ``skip_from[i]`` (a parcel for a receiver declared dead by
+    then).  ``left_nic[i]`` is when message ``i`` left its send NIC."""
+    chains = chains if chains is not None else [[i] for i in
+                                                range(len(messages))]
+    skip_from = skip_from or {}
     plans, arrives = [], []
     for (_t, src, dst, nbytes), verdict in zip(messages, verdicts):
         arrives.append(src == dst or verdict != "drop")
@@ -64,12 +76,19 @@ def reference(topology, params, messages, verdicts):
                 plan.append((wire, over.wire_latency + nbytes / over.bandwidth))
             plan.append((f"recv-nic{dst}", params.recv_overhead))
         plans.append(plan)
-    free_at, last_request = defaultdict(float), {}
+    then = {a: b for chain in chains for a, b in zip(chain, chain[1:])}
+    free_at, last_request, left_nic = defaultdict(float), {}, {}
     deliveries, grants, tie_free = {}, defaultdict(list), True
-    pending = [(m[0], i, 0) for i, m in enumerate(messages)]
+    pending = [(messages[chain[0]][0], chain[0], 0) for chain in chains]
     heapq.heapify(pending)
     while pending:
         t, i, k = heapq.heappop(pending)
+        if k == 0 and i in skip_from:
+            tie_free = tie_free and t != skip_from[i]
+            if t >= skip_from[i]:  # skipped: the next one begins now
+                if i in then:
+                    heapq.heappush(pending, (t, then[i], 0))
+                continue
         if k == len(plans[i]):
             if arrives[i]:
                 deliveries[i] = t
@@ -81,66 +100,78 @@ def reference(topology, params, messages, verdicts):
             t = max(t, free_at[resource])
             free_at[resource] = t + hold
             grants[resource].append(i)
+        if k == 0:
+            left_nic[i] = t + hold
+            if i in then:
+                heapq.heappush(pending, (t + hold, then[i], 0))
         heapq.heappush(pending, (t + hold, i, k + 1))
-    return deliveries, grants, tie_free
+    return deliveries, grants, tie_free, left_nic
 
 
-def bus_service(topology, params, messages, verdicts, order):
+def bus_service(topology, params, messages, verdicts, order, left_nic):
     """``(src, dst, nbytes, start, queued)`` per frame the reference's
     ``ethernet-bus`` grant ``order`` implies: each frame asks for the wire
-    when it leaves its send NIC (served by send time) plus any delay."""
-    asked, nic_free = {}, defaultdict(float)
-    for i, (t, src, dst, _nbytes) in sorted(enumerate(messages),
-                                            key=lambda m: m[1][0]):
-        hold = params.local_overhead if src == dst else params.send_overhead
-        nic_free[src] = asked[i] = max(t, nic_free[src]) + hold
-        if isinstance(verdicts[i], float):
-            asked[i] += verdicts[i]
+    when it leaves its send NIC plus any delay."""
     service, free = [], 0.0
     for i in order:
         _t, src, dst, nbytes = messages[i]
+        asked = left_nic[i]
+        if isinstance(verdicts[i], float):
+            asked += verdicts[i]
         over = topology.params_for(src, dst) or params
-        start = max(asked[i], free)
+        start = max(asked, free)
         free = start + (over.wire_latency + nbytes / over.bandwidth)
-        service.append((src, dst, nbytes, start, start - asked[i]))
+        service.append((src, dst, nbytes, start, start - asked))
     return service
 
 
-def simulate(topology, params, messages, verdicts):
+def simulate(topology, params, messages, verdicts, chains=None,
+             skip_from=None):
     """The same through ``GraphNetwork``: ``(deliveries, grants, spans)``.
-    ``grants`` also proves each resource granted in the order it was
-    asked; ``spans`` are the ``transfer`` spans in recording order."""
+    ``grants`` (every resource's, in grant order) also proves each
+    resource granted in the order it was asked; ``spans`` are the
+    ``transfer`` spans in recording order.  Without ``chains`` every
+    message is one ``transmit`` of a process of its own; a chain is one
+    ``transmit_frames`` whose frame iterator drops a ``skip_from``
+    message when its turn comes at or after that instant."""
     env = Environment()
     net = GraphNetwork(env, topology, params)
     net.recorder = TraceRecorder(clock=lambda: env.now)
     net.fault_hook = lambda _src, _dst, _nbytes, item: verdicts[item]
     deliveries, asked, grants = {}, defaultdict(list), defaultdict(list)
+    net.on_deliver = lambda _dst, item: deliveries.__setitem__(item, env.now)
     real_acquire = Resource.acquire
+    skip_from = skip_from or {}
 
     def spy(resource, holder, on_grant):
-        asked[resource.name].append(holder)
+        asked[resource.name].append(holder.item)
 
         def granted(waited):
-            grants[resource.name].append(holder)
+            grants[resource.name].append(holder.item)
             on_grant(waited)
         real_acquire(resource, holder, granted)
 
     def sender(i, t, src, dst, nbytes):
         yield env.timeout(t)
-        arrival = yield from net.transmit(src, dst, nbytes, item=i)
-        yield arrival
-        deliveries[i] = env.now
+        yield from net.transmit(src, dst, nbytes, item=i)
 
-    for i, message in enumerate(messages):
-        env.process(sender(i, *message))
+    def chain_sender(chain):
+        yield env.timeout(messages[chain[0]][0])
+        yield from net.transmit_frames(
+            (*messages[i][1:], i) for i in chain
+            if env.now < skip_from.get(i, float("inf")))
+
+    if chains is None:
+        for i, message in enumerate(messages):
+            env.process(sender(i, *message))
+    else:
+        for chain in chains:
+            env.process(chain_sender(chain))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Resource, "acquire", spy)
         env.run()
     assert grants == asked
-    return deliveries, {
-        name: [carry.item for carry in holders]
-        for name, holders in grants.items() if not name.startswith("send")
-    }, net.recorder.to_payload()["events"]
+    return deliveries, dict(grants), net.recorder.to_payload()["events"]
 
 
 @st.composite
@@ -181,15 +212,21 @@ def bursts(draw):
     return topology, params, messages, verdicts
 
 
-@given(bursts())
-@settings(max_examples=150, deadline=None)
-def test_deliveries_and_grant_order_equal_the_reference_exactly(burst):
-    topology, params, messages, verdicts = burst
-    deliveries, grants, tie_free = reference(topology, params, messages,
-                                             verdicts)
+def check_against_reference(topology, params, messages, verdicts,
+                            chains=None, skip_from=None):
+    deliveries, grants, tie_free, left_nic = reference(
+        topology, params, messages, verdicts, chains, skip_from)
     assume(tie_free)
-    got, got_grants, spans = simulate(topology, params, messages, verdicts)
+    got, got_grants, spans = simulate(topology, params, messages, verdicts,
+                                      chains, skip_from)
     assert got == deliveries  # the same floats
+    if chains is not None:  # every send NIC's grant order, frame by frame
+        assert {name: order for name, order in got_grants.items()
+                if name.startswith("send")} == {
+            name: order for name, order in grants.items()
+            if name.startswith("send")}
+    got_grants = {name: order for name, order in got_grants.items()
+                  if not name.startswith("send")}
     beyond_send = {name: order for name, order in grants.items()
                    if not name.startswith("send")}
     if not topology.shared_medium:
@@ -200,12 +237,90 @@ def test_deliveries_and_grant_order_equal_the_reference_exactly(burst):
              e["args"]["nbytes"], e["ts"], e["args"]["queued"])
             for e in spans] == [
         ("link:bus", *frame) for frame in bus_service(
-            topology, params, messages, verdicts, grants["ethernet-bus"])]
+            topology, params, messages, verdicts, grants["ethernet-bus"],
+            left_nic)]
     for name, order in beyond_send.items():
         if name.startswith("recv-nic"):
             dst = int(name[len("recv-nic"):])
             assert [i for i in got if messages[i][2] == dst
                     and messages[i][1] != dst] == order  # dict: as delivered
+
+
+@given(bursts())
+@settings(max_examples=150, deadline=None)
+def test_deliveries_and_grant_order_equal_the_reference_exactly(burst):
+    check_against_reference(*burst)
+
+
+@st.composite
+def chained_bursts(draw):
+    """A burst cut into chains: each host's messages, in order, are sent
+    back to back by one or two processes (the lb host's worker and its
+    co-located balancer share one NIC), local sends among them, and up
+    to three are parcels whose receiver is declared dead at a drawn
+    instant."""
+    topology, params, messages, verdicts = draw(bursts())
+    chains = {}
+    for i, (_t, src, _dst, _nbytes) in enumerate(messages):
+        chains.setdefault((src, draw(st.integers(0, 1))), []).append(i)
+    parcels = draw(st.sets(st.sampled_from(range(len(messages))),
+                           max_size=3))
+    skip_from = {i: draw(st.floats(0.0, 0.02)) for i in sorted(parcels)}
+    return topology, params, messages, verdicts, list(chains.values()), \
+        skip_from
+
+
+@given(chained_bursts())
+@settings(max_examples=150, deadline=None)
+def test_chained_sends_equal_the_reference_exactly(burst):
+    """A chain of sends is the sends one after the other: the same
+    delivery floats, the same grant order on every send NIC, wire and
+    receive NIC, frame by frame."""
+    check_against_reference(*burst)
+
+
+def test_a_chain_sleeps_through_its_holds_and_resumes_once():
+    """Two chains share host 0's NIC and interleave frame by frame, a
+    local send and a drop among them, and a parcel whose receiver died
+    before its turn is not sent; each sender resumes once, at the end
+    of its last hold, with the engine events of sends made one by one."""
+    from repro.simulation import Process
+
+    messages = [(0.0, 0, 1, 100), (0.0, 0, 0, 10), (0.0, 0, 2, 100),
+                (0.5e-3, 0, 3, 100), (0.0, 0, 4, 100)]
+    verdicts = [None, None, "drop", 2e-3, None]
+    chains, skip_from = [[0, 1, 2], [3, 4]], {4: 1.8e-3}
+    deliveries, grants, tie_free, left_nic = reference(
+        Topology.bus(5), PARAMS, messages, verdicts, chains, skip_from)
+    assert tie_free and grants["send-nic0"] == [0, 3, 1, 2]
+    assert sorted(deliveries) == [0, 1, 3]  # 2 dropped, 4 skipped
+    resumes, steps = [], []
+    real_resume, real_step = Process._resume, Environment.step
+
+    def resume(proc, event):
+        resumes.append((proc.name, proc.env.now))
+        real_resume(proc, event)
+
+    def step(env):
+        steps.append(env.now)
+        real_step(env)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Process, "_resume", resume)
+        patch.setattr(Environment, "step", step)
+        got, got_grants, _spans = simulate(Topology.bus(5), PARAMS, messages,
+                                           verdicts, chains, skip_from)
+    assert got == deliveries
+    assert got_grants["send-nic0"] == grants["send-nic0"]
+    # Each sender resumes at its start, after its timeout, and once when
+    # its chain is done: at the end of its last frame's hold.
+    assert [name for name, _at in resumes] == ["chain_sender"] * 6
+    assert sorted(at for _name, at in resumes)[4:] == \
+        sorted([left_nic[2], left_nic[3]])
+    # Two starts, two timeouts, four holds, frame 0's arrival, the
+    # delayed frame 3's start, delay and arrival, and two process ends:
+    # a dropped and a local frame have no event beyond their hold.
+    assert len(steps) == 2 + 2 + 4 + 1 + 3 + 2
 
 
 def test_reference_sees_contention_drop_and_delay():
@@ -214,8 +329,8 @@ def test_reference_sees_contention_drop_and_delay():
     messages = [(0.0, 1, 0, 1000), (1e-4, 2, 0, 1000), (2e-4, 1, 0, 500),
                 (3e-4, 2, 1, 100), (4e-4, 0, 0, 10)]
     verdicts = [None, None, "drop", 2e-3, None]
-    deliveries, grants, tie_free = reference(Topology.ring(3), PARAMS,
-                                             messages, verdicts)
+    deliveries, grants, tie_free, _left = reference(Topology.ring(3), PARAMS,
+                                                    messages, verdicts)
     assert tie_free and 2 not in deliveries
     assert grants["recv-nic0"] == [0, 1]
     wire = PARAMS.wire_latency + 1000 / PARAMS.bandwidth

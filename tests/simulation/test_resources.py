@@ -5,6 +5,21 @@ import pytest
 from repro.simulation import Environment, Resource, SimulationError
 
 
+def hold(env, res, seconds):
+    """Take ``res`` through the callback entrance, hold it ``seconds``
+    from the grant, release it: the returned event fires at the release
+    (and is the holder, so releasing it while queued withdraws it)."""
+    released = env.event()
+
+    def granted(_waited):
+        def done(_event):
+            released.succeed()
+            res.release(released)
+        env.timeout(seconds).callbacks.append(done)
+    res.acquire(released, granted)
+    return released
+
+
 def test_capacity_is_not_a_parameter(env):
     """A resource is a mutex: there is no capacity to choose."""
     with pytest.raises(TypeError):
@@ -29,7 +44,7 @@ def test_mutual_exclusion_serializes(env):
     log = []
 
     def worker(name):
-        yield from res.use(1.0)
+        yield hold(env, res, 1.0)
         log.append((env.now, name))
 
     env.process(worker("a"))
@@ -93,7 +108,7 @@ def test_cancel_queued_request(env):
     res = Resource(env)
 
     def holder():
-        yield from res.use(2.0)
+        yield hold(env, res, 2.0)
 
     def canceller():
         yield env.timeout(0.5)
@@ -110,7 +125,7 @@ def test_wait_time_statistics(env):
     res = Resource(env)
 
     def worker():
-        yield from res.use(1.0)
+        yield hold(env, res, 1.0)
 
     env.process(worker())
     env.process(worker())
@@ -120,37 +135,43 @@ def test_wait_time_statistics(env):
 
 
 def test_use_releases_on_completion(env):
+    """A use of the resource — acquire, hold, release — leaves it free
+    and nobody queued."""
     res = Resource(env)
 
     def worker():
-        yield from res.use(1.0)
+        yield hold(env, res, 1.0)
 
     env.run(env.process(worker()))
     assert res.in_use == 0
     assert res.queue_length == 0
+    assert env.now == 1.0
 
 
 def test_closing_a_suspended_use_after_abandon_is_silent(monkeypatch):
-    """``abandon`` forgets the holders; a ``use`` suspended mid-hold is
-    closed when the finished run is collected, and its ``finally``
-    releases a request the resource no longer knows.  That must not
-    raise inside the finaliser — while a live resource still refuses a
-    release it never granted."""
+    """``abandon`` forgets the holders; a sender suspended mid-hold on
+    its NIC (a chain of sends) is closed when the finished run is
+    collected, and its ``finally`` releases a holder the resource no
+    longer knows.  That must not raise inside the finaliser — while a
+    live resource still refuses a release it never granted."""
     import gc
     import sys
+
+    from repro.network import SharedBusNetwork
 
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
 
     def abandoned_run():
         env = Environment()
-        res = Resource(env)
+        net = SharedBusNetwork(env, 2)
 
-        def holder():
-            yield from res.use(5.0)
-        env.process(holder())
-        env.run(until=1.0)
-        res.abandon()
+        def sender():
+            yield from net.transmit_frames([(0, 1, 10, None)] * 3)
+        env.process(sender())
+        env.run(until=net.params.send_overhead / 2)
+        assert net.send_nic[0].in_use == 1
+        net.abandon()
 
     abandoned_run()
     gc.collect()
@@ -177,8 +198,9 @@ def test_acquire_calls_on_grant_at_once_when_free(env):
 
 
 def test_fifo_across_mixed_waiters(env):
-    """Event-style ``request()``, callback ``acquire`` and ``use()``
-    queue on one resource in one FIFO, and each measures its wait."""
+    """Event-style ``request()``, callback ``acquire`` and a hold begun
+    from a grant queue on one resource in one FIFO, and each measures
+    its wait."""
     res = Resource(env)
     order = []
 
@@ -189,9 +211,9 @@ def test_fifo_across_mixed_waiters(env):
         yield env.timeout(hold)
         res.release(req)
 
-    def by_use(name, hold):
-        yield from res.use(hold)
-        order.append((name, env.now - hold, None))
+    def by_use(name, seconds):
+        yield hold(env, res, seconds)
+        order.append((name, env.now - seconds, None))
 
     def by_acquire(name, hold):
         def granted(waited):
@@ -271,39 +293,39 @@ def test_abandon_with_callback_waiters_leaves_nothing_to_collect():
 
 
 def test_interrupting_a_queued_use_gives_up_its_place(env):
-    """``use`` waits and holds inside one ``try``: a process interrupted
-    while still queued cancels its place, so the next waiter is served
-    (a grant to the dead waiter would hold the resource for ever)."""
+    """A chain of sends waits for and holds its NIC inside one ``try``:
+    a sender interrupted while still queued withdraws its request, so
+    the next waiter is served (a grant to the dead waiter would hold the
+    NIC for ever), and it sends nothing."""
+    from repro.network import SharedBusNetwork
+    from repro.network.parameters import NetworkParameters
     from repro.simulation import Interrupt
 
-    res = Resource(env)
+    net = SharedBusNetwork(env, 2, NetworkParameters(send_overhead=1.0,
+                                                     local_overhead=1.0))
+    nic = net.send_nic[0]
     log = []
 
-    def holder():
-        yield from res.use(2.0)
-        log.append(("holder", env.now))
-
-    def impatient():
+    def sender(name, frames, think=0.0):
+        yield env.timeout(think)
         try:
-            yield from res.use(1.0)
+            yield from net.transmit_frames([(0, 0, 0, name)] * frames)
+            log.append((name, env.now))
         except Interrupt:
             log.append(("gave up", env.now))
-
-    def patient():
-        yield env.timeout(0.1)
-        yield from res.use(1.0)
-        log.append(("patient", env.now))
 
     def interrupter(victim):
         yield env.timeout(0.5)
         victim.interrupt()
 
-    env.process(holder())
-    env.process(interrupter(env.process(impatient())))
-    env.process(patient())
+    env.process(sender("holder", 2))
+    env.process(interrupter(env.process(sender("impatient", 1))))
+    env.process(sender("patient", 1, think=0.1))
     env.run()
-    assert log == [("gave up", 0.5), ("holder", 2.0), ("patient", 3.0)]
-    assert res.in_use == 0 and res.queue_length == 0
+    # The holder's second frame queues again, behind the patient sender.
+    assert log == [("gave up", 0.5), ("patient", 2.0), ("holder", 3.0)]
+    assert nic.in_use == 0 and nic.queue_length == 0
+    assert net.stats.local_messages == 3
 
 
 def test_abandon_with_a_queued_carry_leaves_nothing_to_collect():

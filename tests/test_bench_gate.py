@@ -22,7 +22,8 @@ def _docs(virtual: float = 1.0, ring_gd: float = 0.25) -> dict[str, dict]:
         "BENCH_topology.json": {"topologies": {"ring": {"GD": ring_gd}},
                                 "scale": {"ring-P64": {"GD": 0.5}}},
         "BENCH_scale.json": {"des": {"bus-P1024-LCDLB": {
-            "virtual_duration": virtual, "syncs": 32, "messages": 33792}}},
+            "virtual_duration": virtual, "syncs": 32, "messages": 33792,
+            "engine_events": 71776, "resumes": 4225}}},
         "BENCH_obs.json": {"des": {"virtual_duration_off": 4.5,
                                    "virtual_duration_on": 4.5}},
     }
@@ -50,7 +51,7 @@ def test_within_threshold_passes(tmp_path, capsys):
     # whose baseline refresh can follow.
     assert _gate(tmp_path, _docs(virtual=1.0, ring_gd=0.25),
                  _docs(virtual=1.0005, ring_gd=0.20)) == 0
-    assert "BENCH_scale.json: ok (3 values)" in capsys.readouterr().out
+    assert "BENCH_scale.json: ok (5 values)" in capsys.readouterr().out
 
 
 def test_deterministic_mode_is_tight(tmp_path, capsys):
@@ -62,6 +63,15 @@ def test_deterministic_mode_is_tight(tmp_path, capsys):
 def test_topology_virtual_seconds_gated(tmp_path, capsys):
     assert _gate(tmp_path, _docs(ring_gd=0.25), _docs(ring_gd=0.40)) == 1
     assert "topologies.ring.GD regressed" in capsys.readouterr().err
+
+
+def test_engine_counts_gated(tmp_path, capsys):
+    # A sender resuming after every hold again is a regression the
+    # simulated seconds do not show.
+    fresh = _docs()
+    fresh["BENCH_scale.json"]["des"]["bus-P1024-LCDLB"]["resumes"] = 36961
+    assert _gate(tmp_path, _docs(), fresh) == 1
+    assert "bus-P1024-LCDLB.resumes regressed" in capsys.readouterr().err
 
 
 def test_missing_baseline_is_tolerated(tmp_path, capsys):

@@ -40,6 +40,8 @@ GATES: dict[str, dict[str, str]] = {
         "des.*.virtual_duration": "lower",
         "des.*.syncs": "lower",
         "des.*.messages": "lower",
+        "des.*.engine_events": "lower",
+        "des.*.resumes": "lower",
     },
     "BENCH_obs.json": {
         # Tracing must never move the simulated schedule; the two stay
