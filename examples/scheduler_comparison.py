@@ -2,10 +2,11 @@
 
 The classic loop schedulers assume a cheap central queue — fine on
 shared memory, expensive on a network of workstations where every grab
-is a message round trip.  This script runs self-scheduling, chunking,
-GSS, factoring, trapezoid and safe self-scheduling with NOW-realistic
-access costs against the paper's interrupt-based DLB schemes under the
-same external load.
+is a message round trip.  This script runs the seven chunk rules of
+``repro.schedulers`` (self-scheduling, chunking, GSS, factoring,
+trapezoid, safe self-scheduling and static) and affinity scheduling
+with NOW-realistic access costs against the paper's interrupt-based DLB
+schemes under the same external load.
 
 Run with::
 

@@ -128,10 +128,12 @@ def validate(backend: str, spec: "StrategySpec", n: int,
     if spec.is_dlb and n < 2:
         raise BackendError(
             "dynamic load balancing needs at least 2 processors")
-    if spec.code == "WS" and plan is not None:
+    if spec.code == "WS" and (plan is not None or asked["periodic sync"]
+                              or options.fault_tolerance.enabled):
         raise BackendError(
-            "fault injection is not supported for the work-stealing "
-            "baseline (no timeout/reclaim protocol)")
+            "the work-stealing baseline takes no fault plan, hardened "
+            "protocol or periodic sync (it has no synchronization points "
+            "and no timeout/reclaim protocol)")
 
 
 def render_matrix() -> str:

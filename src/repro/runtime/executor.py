@@ -40,6 +40,7 @@ from .node import NodeRuntime
 from .options import RunOptions
 from .session import LoopSession
 from .stats import AppRunStats, LoopRunStats, StageRunStats
+from .stealing import StealingNodeRuntime
 
 __all__ = ["run_loop", "run_application", "CoverageError"]
 
@@ -234,9 +235,7 @@ def _simulated_run(cluster: ClusterSpec, options: RunOptions
 
 
 def _make_nodes(session: LoopSession) -> None:
-    cls = NodeRuntime
-    if session.strategy.code == "WS":
-        from .stealing import StealingNodeRuntime as cls
+    cls = StealingNodeRuntime if session.strategy.code == "WS" else NodeRuntime
     for i in range(session.n):
         cls(session, i)
 

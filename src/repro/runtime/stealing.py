@@ -37,7 +37,6 @@ class StealingNodeRuntime(NodeRuntime):
 
     def __init__(self, session: LoopSession, node_id: int) -> None:
         super().__init__(session, node_id)
-        self.periodic = False  # stealing has no synchronization points
         self._rng = Shuffler(session.options.group_seed * 65_537 + node_id)
         self._steal_seq = 0
 

@@ -109,6 +109,20 @@ def test_the_simulators_run_path_is_validated_too(monkeypatch):
     run_loop(loop, ClusterSpec.homogeneous(1, max_load=0), "NONE")
 
 
+@pytest.mark.parametrize("feature", ["crash", "ft-without-plan",
+                                     "periodic sync"])
+def test_work_stealing_refuses_what_it_would_ignore(feature):
+    """WS has no synchronization points and no timeout/reclaim protocol:
+    the simulator refuses a fault plan, the hardened protocol and
+    periodic sync for it instead of running plain WS under them."""
+    request = {"options": RunOptions(), "fault_plan": None,
+               **REQUESTS[feature]}
+    loop = mxm_loop(MxmConfig(16, 8, 8), op_seconds=4e-7)
+    with pytest.raises(BackendError, match="work-stealing"):
+        run_loop(loop, _cluster(), "WS", request["options"],
+                 fault_plan=request["fault_plan"])
+
+
 @pytest.mark.parametrize("backend,feature", [
     cell for cell in CELLS if cell[1] in CONSTRUCTOR_ARGS])
 def test_constructor_level_cell(backend, feature):

@@ -66,9 +66,11 @@ def _warm():
     """One run per strategy first: lazy imports and first-use caches
     make garbage of their own, once per process."""
     for strategy in STRATEGIES:
+        ws = strategy == "WS"  # it refuses periodic sync and fault plans
         run_loop(LOOP, _cluster(4), strategy,
-                 RunOptions(topology="torus", sync_mode="periodic"),
-                 fault_plan=None if strategy == "WS" else _plan(2, 4))
+                 RunOptions(topology="torus",
+                            sync_mode="interrupt" if ws else "periodic"),
+                 fault_plan=None if ws else _plan(2, 4))
 
 
 # -- the invariant ------------------------------------------------------------
@@ -82,7 +84,7 @@ def test_a_finished_run_leaves_nothing_for_the_collector(
         strategy, topology, sync_mode, plan_seed, p):
     options = RunOptions(topology=topology, sync_mode=sync_mode)
     plan = _plan(plan_seed, p)
-    if strategy == "WS" and plan is not None:
+    if strategy == "WS" and (plan is not None or sync_mode == "periodic"):
         with pytest.raises(ValueError, match="work-stealing"):
             run_loop(LOOP, _cluster(p), strategy, options, fault_plan=plan)
         return

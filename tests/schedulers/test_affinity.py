@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.workload import LoopSpec
 from repro.machine.cluster import ClusterSpec
-from repro.schedulers.affinity import run_affinity
+from repro.schedulers import run_affinity
 
 
 LOOP = LoopSpec(name="aff", n_iterations=96, iteration_time=0.01,
