@@ -10,8 +10,9 @@ port and **yields** what the port cannot do at once — on a real backend
 backend is a ten-line loop around it (:func:`run_blocking`, or the same
 loop with ``await``); on the simulator
 (:class:`~repro.runtime.port.SimPort`) the discrete events themselves.
-Around it: :class:`Inbox`, the one mailbox rule; :class:`Reporter`,
-stats records built once however they travel; :class:`RunLedger`, where
+Around it: :class:`~repro.message.inbox.Inbox`, the one mailbox rule
+(re-exported here); :class:`Reporter`, stats records built once however
+they travel; :class:`RunLedger`, where
 *all four* backends book a run, the one writer of its ``decision``
 instants, and where it ends: salvage and the exactly-once audit.
 Last, the one run set-up of all four, the simulator included:
@@ -45,6 +46,7 @@ from ..message.frames import (
     policy_from_wire,
     policy_to_wire,
 )
+from ..message.inbox import Inbox
 from ..message.messages import Message, Tag
 from ..network.topology import Topology, resolve_topology
 from ..obs.metrics import CounterDict
@@ -95,61 +97,8 @@ def pairs(value) -> tuple[Range, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Inbound: the one mailbox rule.
+# Inbound: how long a wait may block.
 # ---------------------------------------------------------------------------
-class Inbox:
-    """One participant's inbox; a transport adds the wait primitive.
-
-    Messages that do not match the current wait stay buffered in arrival
-    order.  INTERRUPTs never surface: they fold into per-epoch flags the
-    compute loop polls at iteration boundaries (the simulator's mailbox
-    ``notify`` hook, on a real transport).  Membership notices — the
-    ``PeerDead`` / ``PeerLeft`` / ``PeerJoined`` events a backend's
-    failure detector posts — pre-empt any buffered message.
-
-    ``post`` / ``take`` need the transport's own exclusion.  The flags
-    may be polled by a computing thread while another posts: nothing
-    iterates the flag set (draining raises a floor instead of
-    rebuilding it), so the two sides share no compound operation.
-    """
-
-    def __init__(self) -> None:
-        self._buffer: list[Message] = []
-        self._notices: list[ProtocolEvent] = []
-        self._interrupts: dict[int, int] = {}  # epoch -> first sender
-        self._drained = -1
-
-    def post(self, item: Union[Message, ProtocolEvent]) -> None:
-        if not isinstance(item, Message):
-            self._notices.append(item)
-        elif item.tag is Tag.INTERRUPT:
-            self._interrupts.setdefault(item.epoch, item.src)
-        else:
-            self._buffer.append(item)
-
-    def take(self, spec: AwaitMessage
-             ) -> Union[Message, ProtocolEvent, None]:
-        """The next notice, else the oldest message matching ``spec``,
-        else ``None`` (nothing deliverable yet)."""
-        if self._notices:
-            return self._notices.pop(0)
-        for i, msg in enumerate(self._buffer):
-            if spec.matches(msg):
-                return self._buffer.pop(i)
-        return None
-
-    def has_interrupt(self, epoch: int) -> bool:
-        return epoch > self._drained and epoch in self._interrupts
-
-    def interrupter(self, epoch: int) -> Optional[int]:
-        """Who first interrupted ``epoch`` (``None``: nobody did)."""
-        return self._interrupts.get(epoch)
-
-    def drain_interrupts(self, up_to_epoch: int) -> None:
-        """Forget interrupt flags for ``up_to_epoch`` and older."""
-        self._drained = max(self._drained, up_to_epoch)
-
-
 class Deadline:
     """How long a transport may still block on one ``AwaitMessage``."""
 

@@ -9,6 +9,7 @@ from .frames import (
     message_from_wire,
     message_to_wire,
 )
+from .inbox import Inbox
 from .messages import (
     ControlMsg,
     DataMsg,
@@ -19,7 +20,6 @@ from .messages import (
     Tag,
     TransferOrder,
     WorkMsg,
-    stale_predicate,
 )
 from .pvm import VirtualMachine
 
@@ -29,6 +29,7 @@ __all__ = [
     "FrameDecoder",
     "FrameError",
     "FrameType",
+    "Inbox",
     "InstructionMsg",
     "InterruptMsg",
     "Message",
@@ -41,5 +42,4 @@ __all__ = [
     "encode_frame",
     "message_from_wire",
     "message_to_wire",
-    "stale_predicate",
 ]

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, ClassVar, Optional
-
-from ..simulation.mailbox import EpochBoundFilter
+from typing import Any, ClassVar, Optional
 
 __all__ = [
     "Tag",
@@ -29,7 +27,6 @@ __all__ = [
     "ControlMsg",
     "DataMsg",
     "TransferOrder",
-    "stale_predicate",
 ]
 
 #: Fixed per-message header (task ids, tag, epoch) in bytes.
@@ -178,21 +175,6 @@ class ControlMsg(Message):
     @property
     def nbytes(self) -> int:
         return HEADER_BYTES + 16
-
-
-def stale_predicate(epoch: int, tags: Optional[tuple["Tag", ...]] = None,
-                    *, inclusive: bool = False
-                    ) -> Callable[["Message"], bool]:
-    """A mailbox predicate selecting stale messages of the given tags:
-    those of an epoch before ``epoch`` — through ``epoch`` itself with
-    ``inclusive`` (INTERRUPT traffic is spent by the end of its epoch).
-
-    Returns an :class:`~repro.simulation.mailbox.EpochBoundFilter`, so a
-    slotted mailbox drain drops whole superseded-epoch buckets by key
-    instead of testing items one by one; it remains a plain callable for
-    every other mailbox implementation.
-    """
-    return EpochBoundFilter(epoch, tags, inclusive=inclusive)
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,20 @@
 
 The original system used PVM 3; this module provides the same
 programming surface the DLB run-time needs — asynchronous tagged sends,
-blocking tag-filtered receives, and non-blocking probes — with every
+blocking filtered receives, and non-blocking probes — with every
 byte charged to the shared-bus network model.
 
 Usage inside a simulated process::
 
     yield from vm.send(msg)                 # pays sender-side overhead
     yield from vm.multicast(msgs)           # back to back, one resume
-    msg = yield vm.recv(me, tag=Tag.PROFILE)  # blocks until a profile
-    note = vm.poll(me, tag=Tag.INTERRUPT)     # non-blocking
+    msg = yield vm.recv(me, AwaitMessage(tags=(Tag.PROFILE,)))  # blocks
+    msg = vm.poll(me, spec)                 # non-blocking: None if none
+
+A receive names what it accepts with a spec (anything with ``matches``;
+the protocol's :class:`~repro.protocol.commands.AwaitMessage`), and
+each host's :class:`~repro.simulation.mailbox.Mailbox` waits over an
+:class:`~repro.message.inbox.Inbox`, the mailbox rule of every backend.
 
 Both sends are one chain of frames through the sender's NIC
 (:meth:`~repro.network.graph.GraphNetwork.transmit_frames`): the
@@ -24,10 +29,11 @@ uses it to interrupt a computing process when an INTERRUPT lands).
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, Iterator, Optional
+from typing import Any, Generator, Iterable, Iterator, Optional
 
 from ..network import NetworkParameters, SharedBusNetwork
-from ..simulation import Environment, Event, Mailbox, SlotFilter
+from ..simulation import Environment, Event, Mailbox
+from .inbox import Inbox
 from .messages import Message, Tag
 
 __all__ = ["VirtualMachine"]
@@ -44,7 +50,8 @@ class VirtualMachine:
         self.network = network or SharedBusNetwork(env, n_hosts, params)
         if self.network.n_hosts != n_hosts:
             raise ValueError("network size does not match host count")
-        self.inbox = [Mailbox(env, name=f"inbox{i}") for i in range(n_hosts)]
+        self.inbox = [Mailbox(env, Inbox(), name=f"inbox{i}")
+                      for i in range(n_hosts)]
         self.network.on_deliver = self._on_deliver
         #: Messages sent, per message class: a class has one tag, and a
         #: class hashes in C where an ``Enum`` member hashes in Python.
@@ -92,30 +99,16 @@ class VirtualMachine:
             yield msg.src, msg.dst, msg.nbytes, msg
 
     # -- receiving ---------------------------------------------------------
-    @staticmethod
-    def _predicate(tag: Optional[Tag], epoch: Optional[int],
-                   match: Optional[Callable[[Message], bool]]
-                   ) -> Optional[Callable[[Message], bool]]:
-        if tag is None and epoch is None and match is None:
-            return None
-        # A structured filter instead of a closure: the slotted mailbox
-        # resolves (tag, epoch) to one bucket in O(1).
-        return SlotFilter(tag, epoch, match)
+    def recv(self, host: int, spec: Any) -> Event:
+        """Event firing with the next message for ``host`` that ``spec``
+        accepts."""
+        return self.inbox[host].get(spec)
 
-    def recv(self, host: int, tag: Optional[Tag] = None,
-             epoch: Optional[int] = None,
-             match: Optional[Callable[[Message], bool]] = None) -> Event:
-        """Event firing with the next message for ``host`` matching filters."""
-        return self.inbox[host].get(self._predicate(tag, epoch, match))
-
-    def poll(self, host: int, tag: Optional[Tag] = None,
-             epoch: Optional[int] = None,
-             match: Optional[Callable[[Message], bool]] = None
-             ) -> Optional[Message]:
+    def poll(self, host: int, spec: Any) -> Optional[Message]:
         """Non-blocking receive; ``None`` when nothing matches (pvm_probe)."""
-        return self.inbox[host].take(self._predicate(tag, epoch, match))
+        return self.inbox[host].take(spec)
 
-    def drain(self, host: int, tag: Optional[Tag] = None,
-              epoch: Optional[int] = None) -> list[Message]:
-        """Remove and return all queued matching messages for ``host``."""
-        return self.inbox[host].drain(self._predicate(tag, epoch, None))
+    def drain(self, host: int, spec: Any = None) -> list[Message]:
+        """Remove and return every queued message for ``host`` that
+        ``spec`` matches (all of them, without one)."""
+        return self.inbox[host].drain(spec)

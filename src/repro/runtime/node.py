@@ -22,10 +22,10 @@ the pump's.  ``NodeRuntime`` is the pump's port on the simulator
 ``Charge`` is spent on the loaded workstation) and owns only what a
 simulated *worker* knows:
 
-* the timed mailbox receive, and the mailbox's answers to the pump's
-  interrupt queries; the mailbox hook that interrupts a computing
-  process, and serves resend requests (which double as a lost
-  interrupt) under fault tolerance;
+* the timed mailbox receive (the pump's interrupt queries go to the
+  host's :class:`~repro.message.inbox.Inbox`, as on every backend); the
+  mailbox hook that interrupts a computing process, and serves resend
+  requests (which double as a lost interrupt) under fault tolerance;
 * the analytic compute slice — one timeout per slice instead of one per
   iteration — with the mid-compute steals of a co-located balancer or
   fault injector, and, before a profile, the stale ``WORK`` drain and
@@ -52,16 +52,10 @@ from dataclasses import replace
 from typing import Generator, Optional
 
 from ..backend.driver import drive
-from ..message.messages import (
-    ControlMsg,
-    InstructionMsg,
-    Message,
-    Tag,
-    stale_predicate,
-)
+from ..message.messages import ControlMsg, InstructionMsg, Message, Tag
 from ..protocol import commands as C
 from ..protocol import events as E
-from ..simulation import Event, Interrupt, Process, SlotFilter
+from ..simulation import Event, Interrupt, Process
 from .port import SimPort
 from .session import LoopSession
 
@@ -85,6 +79,7 @@ class NodeRuntime(SimPort):
         self.finish_time: Optional[float] = None
         self.proc: Optional[Process] = None
         self.mailbox = session.vm.inbox[node_id]
+        self.inbox = self.mailbox.inbox
         # All trace recording is pure observation inside existing
         # callbacks — it never schedules a DES event, so the seed
         # oracles hold with recording enabled.
@@ -103,7 +98,7 @@ class NodeRuntime(SimPort):
 
     def pump(self) -> Generator[Event, None, str]:
         """The node's simulated process: the one pump, this port."""
-        return drive(self.protocol, self, self, track=self.track)
+        return drive(self.protocol, self, self.inbox, track=self.track)
 
     # -- interrupt wiring ---------------------------------------------------
     def _on_message(self, msg: Message) -> None:
@@ -150,20 +145,6 @@ class NodeRuntime(SimPort):
             self.proc.interrupt(("steal", duration))
             return True
         return False
-
-    # -- the pump's interrupt queries -----------------------------------------
-    def has_interrupt(self, epoch: int) -> bool:
-        return self.interrupter(epoch) is not None
-
-    def interrupter(self, epoch: int) -> Optional[int]:
-        # Structured filter: the slotted inbox answers this probe with a
-        # single (tag, epoch) bucket lookup; it runs between iterations.
-        msg = self.mailbox.peek(SlotFilter(Tag.INTERRUPT, epoch))
-        return None if msg is None else msg.src
-
-    def drain_interrupts(self, up_to_epoch: int) -> None:
-        self.mailbox.drain(stale_predicate(up_to_epoch, (Tag.INTERRUPT,),
-                                           inclusive=True))
 
     # -- the port's wait, and what a received message brings ------------------
     def wait(self, spec: C.AwaitMessage
@@ -223,7 +204,7 @@ class NodeRuntime(SimPort):
         if reason == "done" and session.ft.enabled \
                 and not session.centralized and self._claim_orphans():
             return E.WorkReclaimed()
-        self.drain_interrupts(self.protocol.epoch)  # the last sync's
+        self.inbox.drain_interrupts(self.protocol.epoch)  # the last sync's
         assignment = self.protocol.assignment
         if session.controller is not None and not assignment.empty:
             session.controller.pool_ranges(assignment.take_all())
@@ -246,22 +227,18 @@ class NodeRuntime(SimPort):
         are ours to clear only where the worker gathers them: under a
         central scheme they are the balancer's (the lb host shares its
         mailbox), re-sent by a node that lost its instruction.
-
-        Staleness is decided in one place —
-        :func:`repro.message.messages.stale_predicate` — not per call
-        site.
         """
         session = self.session
         if not session.ft.enabled:
             return
-        inbox = self.mailbox
-        epoch = self.protocol.epoch
+        mailbox = self.mailbox
+        stale = self.protocol.epoch - 1
         assignment = self.protocol.assignment
         tags = (Tag.CONTROL, Tag.INSTRUCTION) if session.centralized \
             else (Tag.CONTROL, Tag.PROFILE, Tag.INSTRUCTION)
-        inbox.drain(stale_predicate(epoch, tags))
+        mailbox.drain(C.AwaitMessage(tags, max_epoch=stale))
         controller = session.controller
-        late = inbox.drain(stale_predicate(epoch, (Tag.WORK,)))
+        late = mailbox.drain(C.AwaitMessage((Tag.WORK,), max_epoch=stale))
         for msg in late:
             if controller is None:
                 assignment.add(msg.ranges)
@@ -312,10 +289,10 @@ class NodeRuntime(SimPort):
                 # The clock waits out the rest of the period (it may
                 # have finished early).
                 if env.now < self.next_deadline \
-                        and not self.has_interrupt(proto.epoch):
+                        and not inbox.has_interrupt(proto.epoch):
                     yield env.timeout(self.next_deadline - env.now)
                 status = "deadline"
-            elif not self.has_interrupt(proto.epoch):
+            elif not inbox.has_interrupt(proto.epoch):
                 return "idle"
         self._before_profile()
         return status
@@ -351,7 +328,7 @@ class NodeRuntime(SimPort):
         consumed = 0.0
         clock_duty = self.periodic and self._is_clock()
         while True:
-            if self.has_interrupt(protocol.epoch):
+            if self.inbox.has_interrupt(protocol.epoch):
                 # The flag was raised while we were not interruptible
                 # (e.g. during a steal pause): honor it at this boundary.
                 return (yield from self._stop_at_boundary(consumed))

@@ -110,17 +110,12 @@ class SimPort:
         """The next message ``spec`` accepts; ``None`` when its timeout
         (or ``until``, an event that stands in for one) fired first.
 
-        ``spec.matches`` is the mailbox predicate; a single tag and an
-        exact epoch additionally ride as :class:`SlotFilter` slots so
-        the common receive stays one bucket lookup.  A timed-out get
-        request is withdrawn from the mailbox so it can never swallow a
-        later message.  With neither a timeout nor ``until`` this is
-        exactly the legacy blocking receive.
+        A timed-out get request is withdrawn from the mailbox so it can
+        never swallow a later message.  With neither a timeout nor
+        ``until`` this is exactly the blocking receive.
         """
         vm = self.session.vm
-        request = vm.recv(
-            self.me, spec.tags[0] if len(spec.tags) == 1 else None,
-            epoch=spec.epoch, match=spec.matches)
+        request = vm.recv(self.me, spec)
         if spec.timeout is None and until is None or request.triggered:
             msg = yield request
             return msg

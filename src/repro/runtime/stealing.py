@@ -16,7 +16,7 @@ mutual stealing deadlock-free.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 from ..machine.load import Shuffler
 from ..message.messages import ControlMsg, Message, Tag, WorkMsg
@@ -30,6 +30,29 @@ __all__ = ["StealingNodeRuntime"]
 STEAL_REQUEST = "steal-request"
 RETIRED_NOTICE = "retired"
 ALL_DONE = "all-done"
+
+
+class _Wants:
+    """What a stealing receive accepts (a mailbox spec): CONTROL
+    notices of the given kinds, and the reply of ``victim``, if any."""
+
+    __slots__ = ("tags", "kinds", "victim")
+
+    def __init__(self, *kinds: str, victim: Optional[int] = None) -> None:
+        self.tags = (Tag.CONTROL,) if victim is None \
+            else (Tag.CONTROL, Tag.WORK)
+        self.kinds = kinds
+        self.victim = victim
+
+    def matches(self, msg: Message) -> bool:
+        if msg.tag is Tag.CONTROL:
+            return msg.kind in self.kinds
+        return msg.tag is Tag.WORK and msg.src == self.victim
+
+
+_REQUESTS = _Wants(STEAL_REQUEST)
+_IN_RETIREMENT = _Wants(STEAL_REQUEST, ALL_DONE)
+_AT_MASTER = _Wants(STEAL_REQUEST, RETIRED_NOTICE)
 
 
 class StealingNodeRuntime(NodeRuntime):
@@ -75,9 +98,7 @@ class StealingNodeRuntime(NodeRuntime):
 
     def _serve_pending(self) -> Generator[Event, None, None]:
         while True:
-            msg = self.session.vm.poll(
-                self.me, Tag.CONTROL,
-                match=lambda m: getattr(m, "kind", "") == STEAL_REQUEST)
+            msg = self.session.vm.poll(self.me, _REQUESTS)
             if msg is None:
                 return
             yield from self._serve_request(msg)
@@ -92,13 +113,9 @@ class StealingNodeRuntime(NodeRuntime):
         for victim in victims:
             yield from vm.send(ControlMsg(src=self.me, dst=victim,
                                           kind=STEAL_REQUEST))
+            reply = _Wants(STEAL_REQUEST, ALL_DONE, victim=victim)
             while True:
-                msg = yield vm.recv(
-                    self.me,
-                    match=lambda m: (
-                        (m.tag is Tag.WORK and m.src == victim)
-                        or (m.tag is Tag.CONTROL and getattr(m, "kind", "")
-                            in (STEAL_REQUEST, ALL_DONE))))
+                msg = yield vm.recv(self.me, reply)
                 if msg.tag is Tag.CONTROL:
                     if msg.kind == ALL_DONE:
                         # Termination raced our request; give up.
@@ -122,10 +139,7 @@ class StealingNodeRuntime(NodeRuntime):
             yield from self._master_collect()
             return
         while True:
-            msg = yield vm.recv(
-                self.me, Tag.CONTROL,
-                match=lambda m: getattr(m, "kind", "") in (STEAL_REQUEST,
-                                                           ALL_DONE))
+            msg = yield vm.recv(self.me, _IN_RETIREMENT)
             if msg.kind == ALL_DONE:
                 return
             yield from self._serve_request(msg)
@@ -136,10 +150,7 @@ class StealingNodeRuntime(NodeRuntime):
         vm = session.vm
         retired = {0}
         while len(retired) < session.n:
-            msg = yield vm.recv(
-                self.me, Tag.CONTROL,
-                match=lambda m: getattr(m, "kind", "") in (STEAL_REQUEST,
-                                                           RETIRED_NOTICE))
+            msg = yield vm.recv(self.me, _AT_MASTER)
             if msg.kind == RETIRED_NOTICE:
                 retired.add(msg.src)
             else:

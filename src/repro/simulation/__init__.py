@@ -24,7 +24,7 @@ from .errors import (
     SimulationError,
     StopProcess,
 )
-from .mailbox import EpochBoundFilter, Mailbox, SlotFilter
+from .mailbox import Mailbox
 from .resources import Resource
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "AnyOf",
     "Condition",
     "Environment",
-    "EpochBoundFilter",
     "Event",
     "Interrupt",
     "Mailbox",
@@ -40,7 +39,6 @@ __all__ = [
     "Resource",
     "ScheduleInPastError",
     "SimulationError",
-    "SlotFilter",
     "StopProcess",
     "Timeout",
     "PRIORITY_LOW",

@@ -582,6 +582,32 @@ def test_inbox_interrupts_fold_into_epoch_flags_and_never_surface():
     assert not inbox.has_interrupt(2) and inbox.has_interrupt(4)
 
 
+def test_inbox_a_wait_naming_interrupt_takes_the_first_of_its_epoch():
+    """The periodic idle wait: a flagged interrupt is taken (the first
+    of its epoch, once) only by a wait whose tags name INTERRUPT, and
+    never from a drained epoch."""
+    inbox = Inbox()
+    for src, epoch in ((2, 1), (3, 1), (1, 0)):
+        inbox.post(InterruptMsg(src=src, dst=0, epoch=epoch, group=0))
+    idle = AwaitMessage(tags=(Tag.INTERRUPT, Tag.CONTROL), epoch=1)
+    assert inbox.take(AwaitMessage(tags=(Tag.CONTROL,), epoch=1)) is None
+    assert inbox.take(idle).src == 2
+    assert inbox.take(idle) is None and not inbox.has_interrupt(1)
+    inbox.drain_interrupts(0)
+    assert inbox.take(AwaitMessage(tags=(Tag.INTERRUPT,))) is None
+
+
+def test_inbox_full_drain_forgets_messages_flags_and_floor():
+    inbox = Inbox()
+    inbox.post(_work(1, 0))
+    inbox.post(InterruptMsg(src=1, dst=0, epoch=3, group=0))
+    inbox.drain_interrupts(2)
+    assert inbox.drain() == [_work(1, 0)]
+    assert not inbox.has_interrupt(3)
+    inbox.post(InterruptMsg(src=2, dst=0, epoch=0, group=0))
+    assert inbox.has_interrupt(0) and inbox.interrupter(0) == 2
+
+
 def test_inbox_notices_preempt_buffered_messages():
     inbox = Inbox()
     inbox.post(_work(1, 0))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.workload import ApplicationSpec, LoopSpec, SequentialStage
 from repro.machine.cluster import ClusterSpec
+from repro.protocol import ComputeDone, WorkerProtocol
 from repro.runtime.executor import run_application, run_loop
 
 
@@ -123,6 +124,33 @@ def test_application_pipeline(cluster4, options, tiny_loop):
     assert stats.total_duration > 0.1
     assert stats.loop("tiny").n_processors == 4
     assert "second" == stats.loop_stats[1].loop_name
+
+
+def test_a_finished_stage_leaves_no_interrupt_floor(cluster4, options,
+                                                    small_loop, monkeypatch):
+    """A host's inbox outlives a loop stage, its epochs do not: the full
+    drain at the end of a stage forgets the interrupt floor with the
+    flags, so the next stage's epoch-0 interrupt still stops a computing
+    node, and the stopped slice names who interrupted it."""
+    seen = []
+    real = WorkerProtocol.on_event
+
+    def spy(proto, event):
+        if isinstance(event, ComputeDone):
+            seen.append((proto.table.n, proto.epoch, event))
+        return real(proto, event)
+
+    monkeypatch.setattr(WorkerProtocol, "on_event", spy)
+    second = LoopSpec(name="second", n_iterations=48, iteration_time=0.01,
+                      dc_bytes=50)
+    run_application(ApplicationSpec(name="two-loops",
+                                    stages=(small_loop, second)),
+                    cluster4, "GDDLB", options=options)
+    assert max(e for n, e, _ in seen if n == small_loop.n_iterations) >= 1
+    stopped = [(e, done.by) for n, e, done in seen
+               if n == second.n_iterations and done.status == "interrupted"]
+    assert any(e == 0 for e, _ in stopped)
+    assert all(by is not None for _, by in stopped)
 
 
 def test_staging_adds_time(tiny_loop, cluster4, options):

@@ -118,3 +118,28 @@ def test_committed_documents_hold_only_gated_deterministic_numbers():
         for path in paths:
             assert bench_gate.resolve(doc, path), f"{name}:{path}"
         assert not [k for k in _keys(doc) if host_dependent.search(k)], name
+
+
+def test_the_bench_tracer_still_finds_every_name_it_wraps():
+    """``bench/tracing.py`` wraps layer entry points by name; a renamed
+    one fails here, not only in the benchmark's traced pass."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", REPO_ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from repro import ClusterSpec, run_loop
+    from repro.apps.workload import LoopSpec
+    from repro.simulation import Mailbox
+
+    put = Mailbox.__dict__["put"]
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        run_loop(LoopSpec(name="traced", n_iterations=32,
+                          iteration_time=0.01, dc_bytes=8),
+                 ClusterSpec.homogeneous(4, max_load=3, seed=1), "GDDLB")
+    finally:
+        tracer.uninstall()
+    assert Mailbox.__dict__["put"] is put
+    metrics = tracing.layer_metrics(tracer.aggregate(), reps=1)
+    assert metrics["mailbox.ops"] > 0 and metrics["protocol.worker_calls"] > 0
