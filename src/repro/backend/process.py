@@ -311,7 +311,7 @@ class _Block:
 
 
 class _ChildMailbox:
-    """One process's :class:`~repro.backend.driver.Inbox` over its
+    """One process's :class:`~repro.message.inbox.Inbox` over its
     :class:`Channel` for run ``run``; the parent's failure detector
     posts :class:`~repro.protocol.events.PeerDead` events into the same
     one.  ``early`` is what this run's peers sent before the order.

@@ -118,7 +118,7 @@ class _ClientMailbox:
     """Worker-side inbox: the reader task sorts frames in here.
 
     Protocol messages and DEATH notices go through the shared
-    :class:`~repro.backend.driver.Inbox`; MEMBER announcements and
+    :class:`~repro.message.inbox.Inbox`; MEMBER announcements and
     GRANTs apply at epoch / iteration boundaries; resend requests are
     answered from the protocol caches without waking the driver's
     state machine.

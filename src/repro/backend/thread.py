@@ -9,7 +9,7 @@ simulator — :class:`~repro.protocol.worker.WorkerProtocol` and
   are wall-clock seconds,
 * **timers** — condition-variable waits with timeouts,
 * **transport** — per-node in-process mailboxes (lock + condition
-  around the driver's :class:`~repro.backend.driver.Inbox`); a ``Send``
+  around an :class:`~repro.message.inbox.Inbox`); a ``Send``
   is an append to the destination's inbox,
 * **compute** — synthetic kernels (:mod:`~repro.backend.kernels`):
   each iteration holds the thread for its
