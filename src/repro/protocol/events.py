@@ -71,9 +71,19 @@ class ComputeDone(ProtocolEvent):
 @dataclass(frozen=True)
 class MessageReceived(ProtocolEvent):
     """A protocol message was delivered — one the last ``AwaitMessage``
-    command's ``matches`` accepted."""
+    command's ``matches`` accepted.
+
+    An untimed gather may be delivered whole (``AwaitMessage``'s gather
+    contract): ``earlier`` holds the messages that arrived before
+    ``msg``, in arrival order; :attr:`msgs` is the batch.
+    """
 
     msg: Message
+    earlier: tuple[Message, ...] = ()
+
+    @property
+    def msgs(self) -> tuple[Message, ...]:
+        return (*self.earlier, self.msg)
 
 
 @dataclass(frozen=True)

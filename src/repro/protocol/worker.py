@@ -480,6 +480,12 @@ class WorkerProtocol:
                 return []
             raise ProtocolError(
                 f"message {msg!r} while in phase {self._phase!r}")
+        if self._phase == "gather":
+            return self._on_gathered(event.msgs)
+        if event.earlier:
+            raise ProtocolError(
+                f"{len(event.msgs)} messages at once while in phase "
+                f"{self._phase!r}: only a gather takes a batch")
         if not self._wait.matches(msg):
             # Not what the wait asked for (a backend with a coarser
             # mailbox, or a hand-written script): leave it.
@@ -489,18 +495,6 @@ class WorkerProtocol:
         if self._phase == "idle":
             return self._sync("interrupted", msg.src
                               if msg.tag is Tag.INTERRUPT else None)
-        if self._phase == "gather":
-            if msg.tag is Tag.CONTROL:
-                # The neighbour left: no flow on our edge, ever again.
-                self._drop_peer(msg.src)
-            elif msg.epoch == self.epoch:
-                self._profiles[msg.src] = SyncProfile.of(msg)
-                self._missing.discard(msg.src)
-                self._rounds.pop(msg.src, None)
-            else:
-                # Stale duplicate: liveness evidence only.
-                self._rounds[msg.src] = 0
-            return self._await_profiles()
         if msg.tag is Tag.PROFILE:
             self._attempt = 0  # the sender is alive and has yet to plan
             return self._await_work()
@@ -514,6 +508,29 @@ class WorkerProtocol:
         else:
             self._pending_count -= 1
         return self._await_work()
+
+    def _on_gathered(self, msgs: Sequence[Message]) -> list[C.Command]:
+        """Gather: take a batch in arrival order (a lone message is a
+        batch of one), each message as the wait re-armed after the one
+        before it would — a sender already heard, or anything else that
+        wait does not match, is left — so a batch ends where its
+        messages one at a time would (:class:`C.AwaitMessage`'s gather
+        contract)."""
+        wait = self._wait
+        for msg in msgs:
+            if msg.src not in self._missing or not wait.matches(msg):
+                continue
+            if msg.tag is Tag.CONTROL:
+                # The neighbour left: no flow on our edge, ever again.
+                self._drop_peer(msg.src)
+            elif msg.epoch == self.epoch:
+                self._profiles[msg.src] = SyncProfile.of(msg)
+                self._missing.discard(msg.src)
+                self._rounds.pop(msg.src, None)
+            else:
+                # Stale duplicate: liveness evidence only.
+                self._rounds[msg.src] = 0
+        return self._await_profiles()
 
     def _on_instruction(self, msg: InstructionMsg) -> list[C.Command]:
         if msg.select_scheme:

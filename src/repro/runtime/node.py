@@ -22,8 +22,9 @@ the pump's.  ``NodeRuntime`` is the pump's port on the simulator
 ``Charge`` is spent on the loaded workstation) and owns only what a
 simulated *worker* knows:
 
-* the timed mailbox receive (the pump's interrupt queries go to the
-  host's :class:`~repro.message.inbox.Inbox`, as on every backend); the
+* the timed mailbox receive, an untimed gather's in one wake-up (the
+  pump's interrupt queries go to the host's
+  :class:`~repro.message.inbox.Inbox`, as on every backend); the
   mailbox hook that interrupts a computing process, and serves resend
   requests (which double as a lost interrupt) under fault tolerance;
 * the analytic compute slice — one timeout per slice instead of one per
@@ -49,7 +50,7 @@ single extra event.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Generator, Optional
+from typing import Generator, Optional, Union
 
 from ..backend.driver import drive
 from ..message.messages import ControlMsg, InstructionMsg, Message, Tag
@@ -147,8 +148,13 @@ class NodeRuntime(SimPort):
         return False
 
     # -- the port's wait, and what a received message brings ------------------
-    def wait(self, spec: C.AwaitMessage
-             ) -> Generator[Event, None, Optional[Message]]:
+    def wait(self, spec: C.AwaitMessage) -> Generator[
+            Event, None, Union[Message, E.MessageReceived, None]]:
+        if spec.srcs is not None and spec.timeout is None:
+            # An untimed gather: one wake-up, once every source is
+            # covered (the ``AwaitMessage`` gather contract).
+            *earlier, last = yield self.mailbox.gather(spec)
+            return E.MessageReceived(last, tuple(earlier))
         idle = self.protocol.phase == "idle"
         if idle:
             spec = replace(spec, timeout=self._idle_timeout(spec.timeout))

@@ -635,3 +635,29 @@ def test_inbox_non_matching_messages_stay_buffered_in_arrival_order():
     assert inbox.take(anything) == _work(1, 0)
     assert inbox.take(anything) == control
     assert inbox.take(anything) is None
+
+
+@pytest.mark.parametrize("hardened", [False, True])
+def test_the_simulator_feeds_only_an_untimed_gather_whole(
+        monkeypatch, hardened):
+    """An untimed gather is one pump turn per sync on the simulator; a
+    timed one stays one message per turn: each arrival restarts its
+    timer."""
+    batches = []
+    on_event = WorkerProtocol.on_event
+
+    def spy(proto, event):
+        if isinstance(event, MessageReceived) and proto.phase == "gather":
+            batches.append(len(event.msgs))
+        return on_event(proto, event)
+    monkeypatch.setattr(WorkerProtocol, "on_event", spy)
+    stats = executor.run_loop(
+        LoopSpec(name="skew", n_iterations=64, dc_bytes=8,
+                 iteration_time=tuple(1e-3 * (1 + j % 4) for j in range(64))),
+        ClusterSpec.homogeneous(8, max_load=3, seed=7), "GDDLB",
+        RunOptions(fault_tolerance=FaultToleranceConfig(enabled=hardened)))
+    assert stats.n_syncs >= 1
+    if hardened:
+        assert set(batches) == {1} and len(batches) >= 7 * 8
+    else:
+        assert batches and set(batches) == {7}

@@ -11,7 +11,10 @@ machine throughout: events in, commands out, no simulator.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps.workload import WorkTable
 from repro.core.diffusion import DiffusionPlanner
 from repro.core.policy import DlbPolicy
 from repro.message.messages import (
@@ -32,6 +35,7 @@ from repro.protocol import (
     Done,
     MessageReceived,
     PeerDead,
+    ProtocolError,
     ProtocolRetryExhausted,
     RecordSync,
     Send,
@@ -687,3 +691,79 @@ def test_hardened_gather_takes_the_note_and_the_work_wait_a_keepalive(table):
     cmds = w.on_event(MessageReceived(alive))
     assert only(cmds, AwaitMessage).timeout == FT.timeout_for(0)
     assert w.phase == "recv_work"
+
+
+# ---------------------------------------------------------------------------
+# The gather contract: a batch ends where its messages one at a time do.
+# ---------------------------------------------------------------------------
+def _gather_state(w):
+    return (w.phase, w.epoch, sorted(w.active), dict(w._profiles),
+            set(w._missing), dict(w._rounds), w._wait)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_gather_in_batches_ends_where_single_deliveries_do(data):
+    """Node 0 gathers from ``k`` peers, some of which (under neighbour
+    scope) send a ``retire`` note instead: fed in any arrival order and
+    any split into batches, every batch returns the commands the last
+    of its messages returned one at a time, and leaves the same state;
+    then both plan alike."""
+    table = WorkTable(COST, n_iterations=128)
+    k = data.draw(st.integers(2, 6), label="peers")
+    diffusion = data.draw(st.booleans(), label="neighbour scope")
+    ft = FT if data.draw(st.booleans(), label="hardened") else None
+    planner = DiffusionPlanner(Topology.bus(k + 1), DlbPolicy(), table) \
+        if diffusion else None
+
+    def worker():
+        w = make_worker(0, range(k + 1), centralized=False, table=table,
+                        ranges=[(0, 8)], ft=ft, planner=planner)
+        w.on_event(Start())
+        w.on_event(ComputeDone("finished"))
+        return w
+
+    counts = data.draw(st.lists(st.integers(0, 8), min_size=k, max_size=k),
+                       label="remaining")
+    msgs = [ControlMsg(src=src, dst=0, epoch=0, kind="retire")
+            if diffusion and count == 0 else _profile(src, 0, 0, count)
+            for src, count in enumerate(counts, start=1)]
+    msgs = data.draw(st.permutations(msgs), label="arrival order")
+    cuts = sorted(data.draw(st.sets(st.integers(1, k - 1)), label="cuts"))
+
+    single, batched = worker(), worker()
+    answers, states = [], []
+    for msg in msgs:
+        answers.append(single.on_event(MessageReceived(msg)))
+        states.append(_gather_state(single))
+    for start, end in zip([0, *cuts], [*cuts, k]):
+        batch = msgs[start:end]
+        assert batched.on_event(MessageReceived(
+            batch[-1], tuple(batch[:-1]))) == answers[end - 1]
+        assert _gather_state(batched) == states[end - 1]
+    assert isinstance(answers[-1][-1], Charge)
+    assert batched.on_event(Charged()) == single.on_event(Charged())
+    assert batched.assignment.ranges == single.assignment.ranges
+
+
+def test_a_gather_leaves_what_its_re_armed_wait_would(table):
+    """A sender already heard, or a message the wait does not match,
+    is left — as a single delivery leaves it — not counted twice."""
+    w = make_worker(0, (0, 1, 2), centralized=False, table=table,
+                    ranges=[(0, 8)])
+    w.on_event(Start())
+    w.on_event(ComputeDone("finished"))
+    cmds = w.on_event(MessageReceived(_profile(1, 0, 0, 4), (
+        _profile(1, 0, 0, 2), _profile(2, 0, 1, 4))))
+    assert only(cmds, AwaitMessage).srcs == (2,)
+    assert w._profiles[1].remaining_count == 2
+
+
+def test_only_a_gather_takes_a_batch(table):
+    w = make_worker(1, (0, 1), centralized=True, table=table,
+                    ranges=[(0, 8)])
+    w.on_event(Start())
+    w.on_event(ComputeDone("finished"))
+    instr = InstructionMsg(src=0, dst=1, epoch=0, active=(0, 1))
+    with pytest.raises(ProtocolError, match="only a gather"):
+        w.on_event(MessageReceived(instr, (instr,)))
