@@ -23,7 +23,8 @@ def _docs(virtual: float = 1.0, ring_gd: float = 0.25) -> dict[str, dict]:
                                 "scale": {"ring-P64": {"GD": 0.5}}},
         "BENCH_scale.json": {"des": {"bus-P1024-LCDLB": {
             "virtual_duration": virtual, "syncs": 32, "messages": 33792,
-            "engine_events": 71776, "resumes": 4225}}},
+            "engine_events": 71776, "resumes": 4225,
+            "protocol_turns": 3072}}},
         "BENCH_obs.json": {"des": {"virtual_duration_off": 4.5,
                                    "virtual_duration_on": 4.5}},
     }
@@ -51,7 +52,7 @@ def test_within_threshold_passes(tmp_path, capsys):
     # whose baseline refresh can follow.
     assert _gate(tmp_path, _docs(virtual=1.0, ring_gd=0.25),
                  _docs(virtual=1.0005, ring_gd=0.20)) == 0
-    assert "BENCH_scale.json: ok (5 values)" in capsys.readouterr().out
+    assert "BENCH_scale.json: ok (6 values)" in capsys.readouterr().out
 
 
 def test_deterministic_mode_is_tight(tmp_path, capsys):
@@ -72,6 +73,16 @@ def test_engine_counts_gated(tmp_path, capsys):
     fresh["BENCH_scale.json"]["des"]["bus-P1024-LCDLB"]["resumes"] = 36961
     assert _gate(tmp_path, _docs(), fresh) == 1
     assert "bus-P1024-LCDLB.resumes regressed" in capsys.readouterr().err
+
+
+def test_protocol_turns_gated(tmp_path, capsys):
+    # A gather woken once per profile again: the simulated seconds are
+    # the same, the pump turns are not.
+    fresh = _docs()
+    fresh["BENCH_scale.json"]["des"]["bus-P1024-LCDLB"]["protocol_turns"] = 4096
+    assert _gate(tmp_path, _docs(), fresh) == 1
+    assert "bus-P1024-LCDLB.protocol_turns regressed" in \
+        capsys.readouterr().err
 
 
 def test_missing_baseline_is_tolerated(tmp_path, capsys):

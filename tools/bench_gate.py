@@ -42,6 +42,7 @@ GATES: dict[str, dict[str, str]] = {
         "des.*.messages": "lower",
         "des.*.engine_events": "lower",
         "des.*.resumes": "lower",
+        "des.*.protocol_turns": "lower",
     },
     "BENCH_obs.json": {
         # Tracing must never move the simulated schedule; the two stay
