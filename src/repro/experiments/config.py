@@ -71,10 +71,6 @@ class ExperimentConfig:
         return max(1, (n_processors + self.group_count - 1)
                    // self.group_count)
 
-    def with_seeds(self, n: int) -> "ExperimentConfig":
-        from dataclasses import replace
-        return replace(self, n_seeds=n)
-
 
 DEFAULT_CONFIG = ExperimentConfig()
 

@@ -53,9 +53,6 @@ class FigureResult:
     rows: list[FigureRow]
     meta: dict = field(default_factory=dict)
 
-    def scheme_means(self, scheme: str) -> list[float]:
-        return [row.normalized[scheme] for row in self.rows]
-
 
 def _figure_rows(loops: list[tuple[str, LoopSpec]], n_processors: int,
                  config: ExperimentConfig) -> list[FigureRow]:

@@ -70,10 +70,6 @@ class Workstation:
         target = self.load.integral(t0) + work / self.speed
         return self.load.inverse_integral(target)
 
-    def work_done(self, t0: float, t1: float) -> float:
-        """Alias of :meth:`capacity`: work completed if busy throughout."""
-        return self.capacity(t0, t1)
-
     def effective_load(self, t0: float, t1: float) -> float:
         """The paper's ``mu_i`` over ``[t0, t1]`` (so speed = ``S_i/mu_i``)."""
         return self.load.effective_load(t0, t1)

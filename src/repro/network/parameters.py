@@ -72,8 +72,3 @@ class NetworkParameters:
         """Time a frame occupies one wire/link: wire_latency + n/B
         (excludes both endpoints' NIC overheads)."""
         return transfer_seconds(self.wire_latency, self.bandwidth, nbytes)
-
-    @staticmethod
-    def paper_defaults() -> "NetworkParameters":
-        """Parameters matching the paper's measured L and B."""
-        return NetworkParameters()

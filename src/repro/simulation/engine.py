@@ -98,10 +98,6 @@ class Event:
             raise SimulationError("event value not yet available")
         return self._value
 
-    def defuse(self) -> None:
-        """Mark a failed event as handled so it does not crash the run."""
-        self._defused = True
-
     # -- triggering -----------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
