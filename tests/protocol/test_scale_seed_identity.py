@@ -46,7 +46,7 @@ from repro.faults.plan import (
 from repro.message.messages import Tag
 from repro.network import NetworkParameters
 from repro.runtime.options import FaultToleranceConfig, RunOptions
-from repro.simulation import Mailbox
+from repro.simulation import Mailbox, Resource
 
 
 def _num(x) -> str:
@@ -180,6 +180,11 @@ EXPECTED = {
     # instant (20 times here, counted below).  A one-message-per-turn
     # gather gives this digest too.
     "gddlb-torus-recv0": "784907689067591d09a9975b9c9b14fb06b1a41df9095aa6163dae3d7855c39a",
+    # The benchmark's sim_torus_p256 run, pinned before a link or NIC
+    # grant began scheduling its holder's hold itself: LCDLB's balancer
+    # sits on node 0, so most grants there are hand-overs to a queued
+    # holder (counted below), which no digest above reaches.
+    "lcdlb-torus-p256": "b39432658ecec1b7b40ac9c090e80309521b53e8219732f62911f99edc3bb262",
 }
 
 
@@ -267,6 +272,10 @@ def _run(case: str):
                                                          seed=7), "GDDLB",
                         RunOptions(topology="torus", network=NetworkParameters(
                             recv_overhead=0.0)))
+    if case == "lcdlb-torus-p256":
+        return run_loop(_loop(), ClusterSpec.homogeneous(
+            256, max_load=3, persistence=1.0, seed=7), "LCDLB",
+            RunOptions(topology="torus", group_size=32))
     raise AssertionError(case)
 
 
@@ -295,3 +304,37 @@ def test_the_zero_receive_overhead_run_reaches_the_tie(monkeypatch):
     monkeypatch.setattr(Mailbox, "put", spy)
     _run("gddlb-torus-recv0")
     assert sum(n > 1 for n in arrivals.values()) == 20
+
+
+#: SHA-256 over every delivery of ``lcdlb-torus-p256`` (mailbox, instant,
+#: tag, sender) in delivery order: which waiter a release serves, and
+#: when, moves deliveries that the run's fingerprint does not see.
+TORUS_DELIVERIES = "c51831b56a9084368db8d7df9d2c64e4dc987c2e259a0820edfd160d8380500c"
+
+
+def test_the_torus_run_hands_most_grants_over(monkeypatch):
+    """Not vacuous: in ``lcdlb-torus-p256`` more than half of the link
+    and NIC grants go to a holder that queued for the resource, handed
+    over by the release of the one before it; and every delivery keeps
+    its instant and its place."""
+    holds = handovers = 0
+    deliveries = []
+    release, put = Resource.release, Mailbox.put
+
+    def spy(resource, holder):
+        nonlocal holds, handovers
+        if holder is resource._holder:
+            holds += 1
+            handovers += bool(resource.queue_length)
+        release(resource, holder)
+
+    def delivered(box, item):
+        deliveries.append((box.name, repr(box.env.now), item.tag.name,
+                           item.src))
+        put(box, item)
+    monkeypatch.setattr(Resource, "release", spy)
+    monkeypatch.setattr(Mailbox, "put", delivered)
+    _run("lcdlb-torus-p256")
+    assert 2 * handovers > holds > 50_000
+    assert hashlib.sha256(repr(deliveries).encode()).hexdigest() == \
+        TORUS_DELIVERIES
