@@ -38,8 +38,7 @@ from typing import (Any, Callable, Generator, Iterable, Iterator, Optional,
                     Protocol)
 
 from ..obs.trace import NULL_RECORDER
-from ..simulation import (PRIORITY_NORMAL, PRIORITY_URGENT, Environment,
-                          Event, Resource)
+from ..simulation import PRIORITY_URGENT, Environment, Event, Resource
 from .parameters import NetworkParameters, transfer_seconds
 from .topology import Topology, TopologySpec, resolve_topology
 
@@ -108,24 +107,20 @@ class _Carry(Event):
     """Callback-driven store-and-forward carry of one message.
 
     One object per message walks ``route`` — a stage per link, then the
-    receiver's NIC — through :meth:`Resource.acquire`: the grant *calls*
-    :meth:`_acquired`, which schedules the carry itself as the hold
-    event, whose firing runs :meth:`_release` and requests the next
-    stage.  One engine event per serialization point (the hold) plus the
-    delivery; no grant event, no generator frame, no Process, no
-    per-hop allocation, and no start event unless a fault delays the
-    message.
+    receiver's NIC — as the holder of each stage's
+    :class:`~repro.simulation.Resource` in turn: the grant schedules the
+    carry itself as the hold event (of
+    :func:`~repro.network.parameters.transfer_seconds` of the stage's
+    latency and bandwidth), whose firing runs :meth:`_release`: the
+    resource goes back, handed over to its next waiter first, and the
+    carry asks for the next stage.  One engine event per serialization
+    point plus the delivery; no grant event, no generator frame, no
+    Process, no per-hop allocation, and no start event unless a fault
+    delays the message.
 
-    Guaranteed: every resource is requested in the order, and held for
-    the seconds (:func:`~repro.network.parameters.transfer_seconds` of
-    the stage's latency and bandwidth), that the event-per-grant carry
-    it replaced produced, and each hold is scheduled at the instant its
-    grant event would have been *scheduled*, so its due time is the same
-    float and the holds keep their relative order.  Not guaranteed: a
-    hold may now precede an event that non-resource code schedules in
-    the same instant with a bit-equal due time.  The seed oracles
-    (tests/protocol/test_scale_seed_identity.py) and the reference model
-    in tests/network/test_store_and_forward_reference.py pin both halves.
+    The seed oracles (tests/protocol/test_scale_seed_identity.py) and the
+    reference model in tests/network/test_store_and_forward_reference.py
+    pin every request, grant order and hold float.
     """
 
     __slots__ = ("net", "src", "dst", "nbytes", "item", "delivered",
@@ -135,7 +130,7 @@ class _Carry(Event):
     def __init__(self, net: "GraphNetwork", src: int, dst: int, nbytes: int,
                  item: Any, delivered: Event, extra_delay: float) -> None:
         env = self.env = net.env
-        self.callbacks = None  # set to _HOP while a hold is scheduled
+        self.callbacks = None  # set to _HOP while asking for a stage
         self._value = None
         self._ok = True
         self._defused = False
@@ -178,14 +173,12 @@ class _Carry(Event):
         self.stage = stage + 1
         self.res, latency, bandwidth, self.track = self.route[stage]
         self.hold = transfer_seconds(latency, bandwidth, self.nbytes)
-        self.res.acquire(self, self._acquired)
+        self.callbacks = _HOP
+        self.res.acquire(self)
 
     def _acquired(self, waited: float) -> None:
-        # At the grant instant: the hold's due time and its place among
-        # equal due times are what the Resource contract promises.
-        self.queued = waited
-        self.callbacks = _HOP
-        self.env.schedule(self, PRIORITY_NORMAL, self.hold)
+        """Nothing calls this: the grant schedules the carry itself.  It
+        is kept only because bench/tracing.py wraps the name."""
 
     def _release(self) -> None:
         self.res.release(self)
@@ -244,35 +237,29 @@ class _Chain(Event):
 
     PVM over Ethernet has no hardware multicast: consecutive sends
     serialize at the sender's stack (§6.1), one send-NIC hold each.  A
-    chain is the object that holds the NIC for each of its frames in
-    turn, and it is its own hold event (as a :class:`_Carry` is), so the
-    sending process sleeps through the whole run and resumes once.  At
-    each hold's end, in the order the resumed process would have done it,
-    the chain releases the NIC, books, carries or locally delivers the
-    frame (:meth:`GraphNetwork._launch`), takes the next frame from its
-    iterator, consults the fault hook on it, and asks the NIC again.
-    After the last hold it fires :attr:`done` *inside* that hold's
-    callback, so the waiter resumes at that hold's ``(time, priority,
-    eid)``, as it resumed from the hold itself when it sent frame by
-    frame.
-
-    Guaranteed: every NIC request, grant and hold, every fault-hook call
-    and every delivery happens at the instant and in the order that
-    consecutive :meth:`GraphNetwork.transmit` calls made them, the
-    engine events are the same (one hold per frame), and a lazy frame
-    iterator is advanced at the instant the next send began (so a check
-    inside it sees what that send saw).  Not guaranteed: the sender is
-    not the engine's active process while the chain runs.  A process
-    stopped mid-chain (:meth:`stop`) withdraws or releases its NIC at
-    the stop instant and sends nothing more.
+    chain holds the NIC for each of its frames in turn, as a
+    :class:`_Carry` holds a link: its grant schedules the chain itself as
+    the hold event, so the sending process sleeps through the whole run
+    and resumes once.  At each hold's end, in the order the resumed
+    process would have done it, the chain releases the NIC, books,
+    carries or locally delivers the frame (:meth:`GraphNetwork._launch`),
+    takes the next frame from its iterator (so a lazy one decides each
+    frame at the instant its send begins), consults the fault hook on it,
+    and asks the NIC again.  After the last hold it fires :attr:`done`
+    *inside* that hold's callback, so the waiter resumes at that hold's
+    ``(time, priority, eid)``.  Every NIC request, grant, hold, fault-hook
+    call and delivery is what consecutive :meth:`GraphNetwork.transmit`
+    calls made; only the sender is not the engine's active process while
+    the chain runs.  A process stopped mid-chain (:meth:`stop`) withdraws
+    or releases its NIC at the stop instant and sends nothing more.
     """
 
     __slots__ = ("net", "frames", "done", "nic", "src", "dst", "nbytes",
-                 "item", "delivered", "verdict")
+                 "item", "delivered", "verdict", "hold", "queued")
 
     def __init__(self, net: "GraphNetwork", frames: Iterator[Frame]) -> None:
         env = self.env = net.env
-        self.callbacks = None  # set to _SENT while a hold is scheduled
+        self.callbacks = None  # set to _SENT while asking for the NIC
         self._value = None
         self._ok = True
         self._defused = False
@@ -314,16 +301,11 @@ class _Chain(Event):
                 # Counted as the hook decides, ahead of the sender's
                 # overhead: the delay belongs to the stage that sent it.
                 net.stats.delayed_messages += 1
-        self.nic = net.send_nic[src]
-        self.nic.acquire(self, self._granted)
-
-    def _granted(self, _waited: float) -> None:
-        # At the grant instant, as the Resource contract promises.
-        params = self.net.params
+        self.hold = net.params.local_overhead if src == dst \
+            else net.params.send_overhead
         self.callbacks = _SENT
-        self.env.schedule(self, PRIORITY_NORMAL,
-                          params.local_overhead if self.src == self.dst
-                          else params.send_overhead)
+        self.nic = net.send_nic[src]
+        self.nic.acquire(self)
 
     def _sent(self) -> None:
         if self.frames is None:

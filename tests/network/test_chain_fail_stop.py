@@ -45,8 +45,8 @@ def _crash_mid_chain(topology, m):
 
     def balancer():
         yield env.timeout((m + 0.25) * PARAMS.send_overhead)
-        net.send_nic[0].acquire("balancer", lambda _waited: granted.append(
-            env.now))
+        net.send_nic[0].request().callbacks.append(
+            lambda _request: granted.append(env.now))
 
     proc = env.process(sender())
     env.process(balancer())
@@ -71,8 +71,9 @@ def test_a_sender_stopped_after_m_holds_sends_m_frames(topology, m):
     # The waiter queued behind hold m gets the NIC when the sender
     # stops, not when that hold would have ended.
     assert granted == [stop_at]
-    nic = net.send_nic[0]
-    assert nic._holder == "balancer" and nic.queue_length == 0
+    nic = net.send_nic[0]  # held by the balancer's request, valued its wait
+    assert nic._holder.value == stop_at - (m + 0.25) * PARAMS.send_overhead
+    assert nic.queue_length == 0
 
 
 def test_a_stopped_chain_frees_its_nic_at_the_stop_instant():

@@ -2,7 +2,7 @@
 
 ``GraphNetwork`` carries a message through FIFO resources — the sender's
 NIC, one wire per link of the route, the receiver's NIC — with one
-engine event per hold and grants that are *calls* (see ``_Carry`` and
+engine event per hold, which the grant schedules (see ``_Carry`` and
 ``repro.simulation.resources``).  The reference below knows nothing of
 events: every resource is a ``free_at`` instant and requests are served
 in the order of their request times.  On tie-free inputs (no two
@@ -140,16 +140,16 @@ def simulate(topology, params, messages, verdicts, chains=None,
     net.fault_hook = lambda _src, _dst, _nbytes, item: verdicts[item]
     deliveries, asked, grants = {}, defaultdict(list), defaultdict(list)
     net.on_deliver = lambda _dst, item: deliveries.__setitem__(item, env.now)
-    real_acquire = Resource.acquire
+    real_acquire, real_grant = Resource.acquire, Resource._grant
     skip_from = skip_from or {}
 
-    def spy(resource, holder, on_grant):
+    def ask(resource, holder):
         asked[resource.name].append(holder.item)
+        real_acquire(resource, holder)
 
-        def granted(waited):
-            grants[resource.name].append(holder.item)
-            on_grant(waited)
-        real_acquire(resource, holder, granted)
+    def grant(resource, holder, waited):
+        grants[resource.name].append(holder.item)
+        real_grant(resource, holder, waited)
 
     def sender(i, t, src, dst, nbytes):
         yield env.timeout(t)
@@ -168,7 +168,8 @@ def simulate(topology, params, messages, verdicts, chains=None,
         for chain in chains:
             env.process(chain_sender(chain))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Resource, "acquire", spy)
+        patch.setattr(Resource, "acquire", ask)
+        patch.setattr(Resource, "_grant", grant)
         env.run()
     assert grants == asked
     return deliveries, dict(grants), net.recorder.to_payload()["events"]

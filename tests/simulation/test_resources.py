@@ -2,22 +2,25 @@
 
 import pytest
 
-from repro.simulation import Environment, Resource, SimulationError
+from repro.simulation import Environment, Event, Resource, SimulationError
+
+
+class Holder(Event):
+    """A holder of ``hold`` seconds: the event its grant schedules."""
+
+    def __init__(self, env, hold, *callbacks):
+        super().__init__(env)
+        self.hold = hold
+        self.callbacks.extend(callbacks)
 
 
 def hold(env, res, seconds):
-    """Take ``res`` through the callback entrance, hold it ``seconds``
-    from the grant, release it: the returned event fires at the release
-    (and is the holder, so releasing it while queued withdraws it)."""
-    released = env.event()
-
-    def granted(_waited):
-        def done(_event):
-            released.succeed()
-            res.release(released)
-        env.timeout(seconds).callbacks.append(done)
-    res.acquire(released, granted)
-    return released
+    """Take ``res``, hold it ``seconds`` from the grant, release it: the
+    returned holder fires at the release (so releasing it while queued
+    withdraws it)."""
+    held = Holder(env, seconds, lambda _event: res.release(held))
+    res.acquire(held)
+    return held
 
 
 def test_capacity_is_not_a_parameter(env):
@@ -184,23 +187,24 @@ def test_closing_a_suspended_use_after_abandon_is_silent(monkeypatch):
         live.release(req)
 
 
-# -- the callback entrance: acquire(holder, on_grant) ------------------------
+# -- the one entrance: acquire(holder) ----------------------------------------
 
 def test_acquire_calls_on_grant_at_once_when_free(env):
-    """The grant is a call, not an event: nothing is scheduled."""
+    """The grant happens in ``acquire``: the holder waited nothing, and
+    its hold is the one event scheduled."""
     res = Resource(env)
-    waits = []
-    res.acquire("a", waits.append)
-    assert waits == [0.0] and res.in_use == 1
-    assert env.peek() == float("inf")
-    res.release("a")
+    held = Holder(env, 2.0)
+    res.acquire(held)
+    assert held.queued == 0.0 and res.in_use == 1
+    assert env.peek() == 2.0
+    res.release(held)
     assert res.in_use == 0 and res.total_requests == 1
 
 
 def test_fifo_across_mixed_waiters(env):
-    """Event-style ``request()``, callback ``acquire`` and a hold begun
-    from a grant queue on one resource in one FIFO, and each measures
-    its wait."""
+    """``request()`` (a holder with no hold), a holder of its own hold
+    and a hold released from a process queue on one resource in one
+    FIFO, and each measures its wait."""
     res = Resource(env)
     order = []
 
@@ -215,11 +219,12 @@ def test_fifo_across_mixed_waiters(env):
         yield hold(env, res, seconds)
         order.append((name, env.now - seconds, None))
 
-    def by_acquire(name, hold):
-        def granted(waited):
-            order.append((name, env.now, waited))
-            env.timeout(hold).callbacks.append(lambda _ev: res.release(name))
-        res.acquire(name, granted)
+    def by_acquire(name, seconds):
+        def done(_event):
+            order.append((name, env.now - seconds, held.queued))
+            res.release(held)
+        held = Holder(env, seconds, done)
+        res.acquire(held)
 
     def arrivals():
         env.process(by_request("r1", 1.0))
@@ -247,38 +252,44 @@ def test_fifo_across_mixed_waiters(env):
 
 def test_cancel_queued_callback_waiter(env):
     res = Resource(env)
-    granted = []
-    res.acquire("holder", granted.append)
-    res.acquire("quitter", lambda waited: granted.append("quitter"))
-    res.acquire("stayer", lambda waited: granted.append("stayer"))
+    holder, quitter, stayer = (Holder(env, 1.0) for _ in range(3))
+    for held in (holder, quitter, stayer):
+        res.acquire(held)
     assert res.queue_length == 2
-    res.release("quitter")  # cancel while queued
+    res.release(quitter)  # cancel while queued
     assert res.queue_length == 1 and res.in_use == 1
-    res.release("holder")
-    assert granted == [0.0, "stayer"]
+    res.release(holder)
+    assert [getattr(held, "queued", None)
+            for held in (holder, quitter, stayer)] == [0.0, None, 0.0]
     with pytest.raises(SimulationError, match="never granted"):
-        res.release("quitter")
+        res.release(quitter)
 
 
 def test_abandon_with_callback_waiters_leaves_nothing_to_collect():
-    """A queued ``(holder, on_grant)`` entry points at its waiter, which
-    points back at the resource: ``abandon`` must cut that, so a finished
-    run is freed by reference counting alone."""
+    """A queued holder's callbacks point at its waiter, which points back
+    at the resource: ``abandon`` must cut that (and the finished run's
+    schedule is dropped), so a finished run is freed by reference
+    counting alone."""
     import gc
 
-    class Waiter:
+    class Waiter(Event):
         def __init__(self, res):
+            super().__init__(res.env)
             self.res = res
-            res.acquire(self, self.granted)
+            self.hold = 1.0
+            self.callbacks.append(self.done)
+            res.acquire(self)
 
-        def granted(self, waited):
-            self.waited = waited
+        def done(self, _event):
+            self.res.release(self)
 
     def abandoned_run():
-        res = Resource(Environment())
+        env = Environment()
+        res = Resource(env)
         for _ in range(3):
             Waiter(res)
         assert res.in_use == 1 and res.queue_length == 2
+        env.discard_pending()
         res.abandon()
         assert res.in_use == 0 and res.queue_length == 0
 
@@ -347,7 +358,7 @@ def test_abandon_with_a_queued_carry_leaves_nothing_to_collect():
         _Carry(net, 0, 2, 10, None, env.event(), 0.0)
         while link.queue_length == 0:
             env.step()
-        holder, (queued, _on_grant, _since) = link._holder, link._waiting[0]
+        holder, (queued, _since) = link._holder, link._waiting[0]
         assert isinstance(holder, _Carry) and isinstance(queued, _Carry)
         assert holder.callbacks is not None
         env.discard_pending()
