@@ -63,6 +63,11 @@ class Inbox:
                 and spec.matches(msg)
         return spec.matches(msg)
 
+    @staticmethod
+    def is_notice(item: Any) -> bool:
+        """Whether ``item`` is a membership notice, not a message."""
+        return not isinstance(item, Message)
+
     def post(self, item: Any) -> None:
         if not isinstance(item, Message):
             self._notices.append(item)
@@ -71,14 +76,14 @@ class Inbox:
         else:
             self._buffer.append(item)
 
-    def take(self, spec: Any) -> Any:
+    def take(self, spec: Any, held: Any = ()) -> Any:
         """The next notice, else the oldest buffered message ``spec``
-        accepts, else the first flagged interrupt it accepts, else
-        ``None`` (nothing deliverable yet)."""
+        accepts whose id is not ``held``, else the first flagged
+        interrupt it accepts, else ``None`` (nothing deliverable yet)."""
         if self._notices:
             return self._notices.pop(0)
         for i, msg in enumerate(self._buffer):
-            if spec.matches(msg):
+            if spec.matches(msg) and id(msg) not in held:
                 return self._buffer.pop(i)
         if _names_interrupt(spec):
             for epoch, msg in self._interrupts.items():
@@ -94,26 +99,26 @@ class Inbox:
         ends the wait first."""
         if self._notices:
             return set()
-        missing = set(spec.srcs)
-        for msg in self._buffer:
-            if msg.src in missing and spec.matches(msg):
-                missing.discard(msg.src)
-        return missing
+        return set(spec.srcs).difference(msg.src for msg in self.cover(spec))
 
-    def take_cover(self, spec: Any) -> Any:
-        """What ends an untimed gather once nothing is :meth:`uncovered`:
-        the next notice, else the oldest buffered message ``spec``
-        accepts from each of ``spec.srcs``, in arrival order."""
-        if self._notices:
-            return self._notices.pop(0)
-        wanted, batch, kept = set(spec.srcs), [], []
+    def cover(self, spec: Any) -> list[Message]:
+        """The oldest buffered message ``spec`` accepts from each of
+        ``spec.srcs``, in arrival order."""
+        wanted, batch = set(spec.srcs), []
         for msg in self._buffer:
             if msg.src in wanted and spec.matches(msg):
                 wanted.discard(msg.src)
                 batch.append(msg)
-            else:
-                kept.append(msg)
-        self._buffer = kept
+        return batch
+
+    def take_cover(self, spec: Any) -> Any:
+        """What ends an untimed gather once nothing is :meth:`uncovered`:
+        the next notice, else :meth:`cover`, taken from the buffer."""
+        if self._notices:
+            return self._notices.pop(0)
+        batch = self.cover(spec)
+        taken = set(map(id, batch))
+        self._buffer = [msg for msg in self._buffer if id(msg) not in taken]
         return batch
 
     def drain(self, spec: Any = None) -> list[Message]:

@@ -59,32 +59,36 @@ class Mailbox:
 
     def put(self, item: Any) -> None:
         """Deposit ``item``: to the first pending getter that takes it,
-        else into the inbox."""
+        else into the inbox.  A membership notice ends the first pending
+        wait, get or gather, as the inbox would hand it out first."""
         self.put_count += 1
         inbox = self.inbox
-        accepts = inbox.accepts
-        for idx, getter in enumerate(self._getters):
-            if not accepts(getter.spec, item):
-                continue
-            missing = getter.missing
-            if missing is not None:
-                if item.src not in missing:
-                    continue
-                # A gather takes the first message of each source, all
-                # at once when the last is in; till then they wait in
-                # the inbox.
-                inbox.post(item)
-                missing.discard(item.src)
-                if not missing:
-                    del self._getters[idx]
-                    self._served(getter, inbox.take_cover(getter.spec))
-                break
-            del self._getters[idx]
-            self.got_count += 1
-            getter.succeed(item)
-            break
+        if self._getters and inbox.is_notice(item):
+            self._served(self._getters.pop(0), item)
         else:
-            inbox.post(item)
+            accepts = inbox.accepts
+            for idx, getter in enumerate(self._getters):
+                if not accepts(getter.spec, item):
+                    continue
+                missing = getter.missing
+                if missing is not None:
+                    if item.src not in missing:
+                        continue
+                    # A gather takes the first message of each source,
+                    # all at once when the last is in; till then they
+                    # wait in the inbox.
+                    inbox.post(item)
+                    missing.discard(item.src)
+                    if not missing:
+                        del self._getters[idx]
+                        self._served(getter, inbox.take_cover(getter.spec))
+                    break
+                del self._getters[idx]
+                self.got_count += 1
+                getter.succeed(item)
+                break
+            else:
+                inbox.post(item)
         if self.notify is not None:
             self.notify(item)
 
@@ -95,7 +99,7 @@ class Mailbox:
         request queues until a matching ``put``.
         """
         request = _GetRequest(self.env, spec)
-        item = self.inbox.take(spec)
+        item = self.inbox.take(spec, self._held() if self._getters else ())
         if item is None:
             self._getters.append(request)
         else:
@@ -110,9 +114,9 @@ class Mailbox:
         notice already in the inbox, which ends the wait first
         (:meth:`Inbox.take_cover <repro.message.inbox.Inbox.take_cover>`).
         Until then the first message of each source waits in the inbox,
-        and only the gatherer may take from it: a source the wait counts
-        as covered must stay covered.  A later message of a source it
-        holds goes on to the next pending getter, as to a get.
+        where a :meth:`get` or :meth:`take` passes over it.  A later
+        message of a source it holds goes on to the next pending getter,
+        as to a get.
         """
         missing = self.inbox.uncovered(spec)
         request = _GetRequest(self.env, spec, missing)
@@ -122,8 +126,14 @@ class Mailbox:
             self._served(request, self.inbox.take_cover(spec))
         return request
 
+    def _held(self) -> set[int]:
+        """The ids of the messages that pending gathers hold."""
+        return {id(msg) for getter in self._getters
+                if getter.missing is not None
+                for msg in self.inbox.cover(getter.spec)}
+
     def _served(self, request: _GetRequest, got: Any) -> None:
-        """End a gather with its batch (or a notice)."""
+        """End a gather with its batch, or a wait with a notice."""
         self.got_count += len(got) if isinstance(got, list) else 1
         request.succeed(got)
 
@@ -160,7 +170,7 @@ class Mailbox:
         Unlike :meth:`get` this never blocks and never creates an event;
         it is the non-blocking poll used at iteration boundaries.
         """
-        item = self.inbox.take(spec)
+        item = self.inbox.take(spec, self._held() if self._getters else ())
         if item is not None:
             self.got_count += 1
         return item

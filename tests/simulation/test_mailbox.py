@@ -281,6 +281,41 @@ def test_a_notice_ends_a_gather_first(env):
     assert box.gather(GATHER).value == [_p(1), _p(2), _p(3)]
 
 
+def test_a_notice_put_while_a_get_waits_fires_the_get(env):
+    box = _box(env)
+    wait = box.get(ANY)
+    later = box.get(ANY)
+    box.put(PeerDead(1))
+    assert wait.value == PeerDead(1) and not later.triggered
+    assert len(box) == 0 and box.got_count == 1
+
+
+def test_a_notice_put_while_a_gather_waits_ends_the_gather(env):
+    box = _box(env)
+    wait = box.gather(GATHER)
+    box.put(_p(1))
+    box.put(PeerDead(2))
+    assert wait.value == PeerDead(2)
+    assert box.items == [_p(1)]  # the batch so far stays buffered
+    again = box.gather(GATHER)
+    box.put(_p(2))
+    box.put(_p(3))
+    assert again.value == [_p(1), _p(2), _p(3)]
+
+
+def test_a_get_passes_over_what_a_pending_gather_holds(env):
+    box = _box(env)
+    wait = box.gather(AwaitMessage((Tag.PROFILE,), srcs=(1, 2)))
+    box.put(_p(1))
+    get = box.get(AwaitMessage((Tag.PROFILE,), epoch=0))
+    assert not get.triggered
+    assert box.take(PROFILES) is None
+    box.put(_p(2))
+    assert wait.value == [_p(1), _p(2)] and not get.triggered
+    box.put(_p(3))
+    assert get.value == _p(3)
+
+
 def test_cancelled_gathers_leave_no_getter(env):
     box = _box(env)
     gone = box.gather(GATHER)
