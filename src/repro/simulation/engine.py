@@ -87,12 +87,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        if not self.triggered:
-            raise SimulationError("event value not yet available")
-        return self._ok
-
-    @property
     def value(self) -> Any:
         if self._value is _PENDING:
             raise SimulationError("event value not yet available")
@@ -119,13 +113,6 @@ class Event:
         self.env._schedule(self, PRIORITY_NORMAL, 0.0)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another (processed) event."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
@@ -135,13 +122,12 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after its creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ScheduleInPastError(env.now, env.now + delay)
         super().__init__(env)
-        self.delay = delay
         self._ok = True
         self._value = value
         env._schedule(self, PRIORITY_NORMAL, delay)
