@@ -161,12 +161,28 @@ class _Carry(Event):
         self.route = [links[hop]
                       for hop in net.topology.route(self.src, self.dst)]
         self.route.append(net._recv_stage[self.dst])
-        self._next_stage()
+        self._release()  # no stage is held yet: this takes the first
 
-    def _next_stage(self) -> None:
+    def _acquired(self, waited: float) -> None:
+        """Nothing calls this: the grant schedules the carry itself.  It
+        is kept only because bench/tracing.py wraps the name."""
+
+    def _release(self) -> None:
+        """Give the held stage's resource back, handed over to its next
+        waiter first, then ask for the next stage (or deliver)."""
         stage = self.stage
+        net = self.net
+        if stage:
+            self.res.release(self)
+            if self.track is not None and net.recorder.enabled:
+                # Wire occupancy (plus the wait behind earlier frames that
+                # the resource measured, as an arg), from inside the
+                # release callback: tracing adds no DES event.
+                net.recorder.complete(
+                    "transfer", net.env.now - self.hold, self.hold,
+                    track=self.track, src=self.src, dst=self.dst,
+                    nbytes=self.nbytes, queued=self.queued)
         if stage == len(self.route):
-            net = self.net
             net.stats.record(self.src, self.dst, self.nbytes, local=False)
             net._deliver(self.dst, self.item, self.delivered)
             return
@@ -175,23 +191,6 @@ class _Carry(Event):
         self.hold = transfer_seconds(latency, bandwidth, self.nbytes)
         self.callbacks = _HOP
         self.res.acquire(self)
-
-    def _acquired(self, waited: float) -> None:
-        """Nothing calls this: the grant schedules the carry itself.  It
-        is kept only because bench/tracing.py wraps the name."""
-
-    def _release(self) -> None:
-        self.res.release(self)
-        net = self.net
-        if self.track is not None and net.recorder.enabled:
-            # Wire occupancy (plus the wait behind earlier frames that the
-            # resource measured, as an arg), from inside the release
-            # callback: tracing adds no DES event.
-            net.recorder.complete(
-                "transfer", net.env.now - self.hold, self.hold,
-                track=self.track, src=self.src, dst=self.dst,
-                nbytes=self.nbytes, queued=self.queued)
-        self._next_stage()
 
 
 def _hop_done(carry: _Carry) -> None:
