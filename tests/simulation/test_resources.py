@@ -272,22 +272,11 @@ def test_abandon_with_callback_waiters_leaves_nothing_to_collect():
     counting alone."""
     import gc
 
-    class Waiter(Event):
-        def __init__(self, res):
-            super().__init__(res.env)
-            self.res = res
-            self.hold = 1.0
-            self.callbacks.append(self.done)
-            res.acquire(self)
-
-        def done(self, _event):
-            self.res.release(self)
-
     def abandoned_run():
         env = Environment()
         res = Resource(env)
         for _ in range(3):
-            Waiter(res)
+            hold(env, res, 1.0)
         assert res.in_use == 1 and res.queue_length == 2
         env.discard_pending()
         res.abandon()
