@@ -188,6 +188,44 @@ EXPECTED = {
 }
 
 
+#: SHA-256 over each case's deliveries (mailbox, instant, tag, sender),
+#: in delivery order, taken from the run its digest above hashes: which
+#: waiter a release serves, and when, moves deliveries that the digest
+#: does not see.  Captured before the simulator's salvage moved onto
+#: the shared run ledger (the faulted cases reach it); the rule of the
+#: module docstring holds for these too.
+DELIVERIES = {
+    "CUSTOM": "54f942f29c9091608615edf1724b882bf6abb8ddafd1953db3db20e46d6cab6e",
+    "GCDLB": "5331dc80a1071c56bf7b4d2f7b9d59054015f528b0d8e2306b7284938134d9ac",
+    "GDDLB": "3f714f41ad5bb00008d6f58c50def4f95c805620945bfb142f791561e7b8a886",
+    "LCDLB": "d6a841e786b6f8fdd1c865f678a50967400729d5f6409d0d0d19c23bde4b95df",
+    "LDDLB": "743737f18bc4c16e4e75a1aa24639086ac781ea9636ce2405aa22c939c21e1eb",
+    "WS": "06d9ba458f04cc77b67a758cf9208ab276548c7e0297486214c10d41428f9635",
+    "crash-orphans": "289892c2f6b9e04e1628231df69f99b46b447756a1fd3f9a7025f9af42aa773f",
+    "custom-distributed": "824a81b42b2bf251e8281e75e5f9192ff0e9fb36e321ff20aa1cec37d4ad1827",
+    "custom-hardened": "5803ec99d167e3dc5af638cc7d7869c7d1ddbf757776f03e86aa401cc6f7957d",
+    "diff-ring": "6af4fabaae8c0bc35c3db8dbba8b58bc553e670d4fac050a84fe36d5d250ad56",
+    "diff-torus": "330fae8da5f1b983fa547b0319e3c698b581916f6a271c19e509a761095b1d2d",
+    "diff-torus-p64": "40fdcff837079bc087f73a5f77c016a66b96639e6581378342283ef82f454a15",
+    "faulted": "0019284d891c0ac407b7fcbd9aef51205ebdb47afde69a540597f7c397ec6d00",
+    "gcdlb-crash": "ba0a3150860536ef5b4623e14585d3f48deae4cce445bea01a7d63ade41dad38",
+    "gddlb-bus-p16": "3dc0ba37126807a73c7947833754dfb2f6abad934c63af01680ac382258e51ef",
+    "gddlb-torus-recv0": "ecbdf981fba0403de966cc2fb4748b9b5d0d20818097baf2fb0713cb4cb1810a",
+    "lcdlb-crash-two-groups": "d380d29c22c2cd7be50855f8843a437d76f034b9e3f6f474b99e409d77da8c79",
+    "lcdlb-lame-duck": "35469b853a142bf6d8aa2ecd340d81a1b2a506196971698e529266ae4b85115f",
+    "lcdlb-torus-p256": "c51831b56a9084368db8d7df9d2c64e4dc987c2e259a0820edfd160d8380500c",
+    "lddlb-ring-p64": "63c7cd21a3a908cd37728a72bbfb5edcfb88c5846ca95dfd58acebf30820c7be",
+    "periodic": "0517512f1205d048d34690bd540321fbe7c5920fd869e54a17af62aee34ef593",
+    "periodic-clock": "1a4f557c9d4df627e1ad2b7a6e9c42504c623d783652c3ee57217c52b2c18202",
+    "periodic-diff": "a3149a3ca8519f6d841e68101713348976aa907d16862c13fe7132ca1df1aa95",
+    "periodic-gcdlb": "a91eb1aabb0a7600c470c5c4c9c022f75ce65b631378dce77fb1f7de967b74ae",
+    "periodic-gddlb-p16": "b9ffdd7d21ddf6a78751a2560430b46b223dc2b725cae7058015466697835566",
+    "periodic-hardened": "656c4eb9b74133929acfbb41a64264b9cef04c77bc1eae45f5051b0267573d86",
+    "steal-lcdlb": "b3d771bd38b1468ff0c86a1c28f86f34fa48f56328cfe4c479ffdf3edcdbae09",
+    "steal-slowdown": "9567e678b215222b5e8eea0ffaf605cae5d09d759c19a8790d726a25f3031836",
+}
+
+
 def _long_loop():
     return mxm_loop(MxmConfig(512, 32, 32), op_seconds=4e-7)
 
@@ -279,10 +317,26 @@ def _run(case: str):
     raise AssertionError(case)
 
 
+def _delivered(monkeypatch) -> list:
+    """Record every delivery (mailbox, instant, tag, sender) in order."""
+    deliveries = []
+    put = Mailbox.put
+
+    def spy(box, item):
+        deliveries.append((box.name, repr(box.env.now), item.tag.name,
+                           item.src))
+        put(box, item)
+    monkeypatch.setattr(Mailbox, "put", spy)
+    return deliveries
+
+
 @pytest.mark.parametrize("case", sorted(EXPECTED))
-def test_seed_identity(case):
+def test_seed_identity(case, monkeypatch):
+    deliveries = _delivered(monkeypatch)
     assert _fingerprint(_run(case)) == EXPECTED[case], (
         f"seeded {case} trace diverged from the pre-optimization oracle")
+    assert hashlib.sha256(repr(deliveries).encode()).hexdigest() == \
+        DELIVERIES[case], f"seeded {case} moved a delivery"
 
 
 def test_fingerprint_is_stable_across_runs():
