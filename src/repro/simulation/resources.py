@@ -52,8 +52,7 @@ class Resource:
     else.
     """
 
-    __slots__ = ("env", "name", "_holder", "_waiting", "_abandoned",
-                 "total_requests", "total_wait_time")
+    __slots__ = ("env", "name", "_holder", "_waiting", "_abandoned")
 
     def __init__(self, env: Environment, name: str = "resource") -> None:
         self.env = env
@@ -63,9 +62,6 @@ class Resource:
         #: ``(holder, time of the request)`` per waiter.
         self._waiting: deque[tuple[Event, float]] = deque()
         self._abandoned = False
-        # -- statistics (for contention analysis / tests) -----------------
-        self.total_requests = 0
-        self.total_wait_time = 0.0
 
     @property
     def in_use(self) -> int:
@@ -78,7 +74,6 @@ class Resource:
     def acquire(self, holder: Event) -> None:
         """Grant ``holder`` the resource now if it is free, else queue it
         for the :meth:`release` that hands it over."""
-        self.total_requests += 1
         if self._holder is None:
             self._holder = holder
             self._grant(holder, 0.0)
@@ -114,9 +109,7 @@ class Resource:
             self._holder = None
             return
         self._holder, since = self._waiting.popleft()
-        waited = self.env._now - since
-        self.total_wait_time += waited
-        self._grant(self._holder, waited)
+        self._grant(self._holder, self.env._now - since)
 
     def abandon(self) -> None:
         """Forget the holder and every waiter: the simulation is over.  A

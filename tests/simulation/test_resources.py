@@ -126,15 +126,16 @@ def test_cancel_queued_request(env):
 
 def test_wait_time_statistics(env):
     res = Resource(env)
+    held = []
 
     def worker():
-        yield hold(env, res, 1.0)
+        held.append(hold(env, res, 1.0))
+        yield held[-1]
 
     env.process(worker())
     env.process(worker())
     env.run()
-    assert res.total_requests == 2
-    assert res.total_wait_time == pytest.approx(1.0)
+    assert [h.queued for h in held] == pytest.approx([0.0, 1.0])
 
 
 def test_use_releases_on_completion(env):
@@ -198,7 +199,7 @@ def test_acquire_calls_on_grant_at_once_when_free(env):
     assert held.queued == 0.0 and res.in_use == 1
     assert env.peek() == 2.0
     res.release(held)
-    assert res.in_use == 0 and res.total_requests == 1
+    assert res.in_use == 0
 
 
 def test_fifo_across_mixed_waiters(env):
@@ -216,8 +217,9 @@ def test_fifo_across_mixed_waiters(env):
         res.release(req)
 
     def by_use(name, seconds):
-        yield hold(env, res, seconds)
-        order.append((name, env.now - seconds, None))
+        held = hold(env, res, seconds)
+        yield held
+        order.append((name, env.now - seconds, held.queued))
 
     def by_acquire(name, seconds):
         def done(_event):
@@ -243,10 +245,8 @@ def test_fifo_across_mixed_waiters(env):
         ["r1", "c1", "u1", "r2", "c2"]
     assert [at for _name, at, _waited in order] == \
         pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0])
-    assert [order[i][2] for i in (0, 1, 3, 4)] == \
-        pytest.approx([0.0, 0.9, 2.7, 3.6])
-    assert res.total_requests == 5
-    assert res.total_wait_time == pytest.approx(0.9 + 1.8 + 2.7 + 3.6)
+    assert [waited for _name, _at, waited in order] == \
+        pytest.approx([0.0, 0.9, 1.8, 2.7, 3.6])
     assert res.in_use == 0 and res.queue_length == 0
 
 
