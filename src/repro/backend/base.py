@@ -39,10 +39,11 @@ __all__ = ["ExecutionBackend", "BackendError", "get_backend",
 
 StrategyLike = Union[str, "StrategySpec"]
 
-#: Safety net: no single blocking wait may exceed this many wall
-#: seconds.  The fault-free protocol never waits unboundedly unless a
-#: peer died without notice; this converts such a hang into a
-#: diagnosable error.
+#: Safety net, in wall seconds: an untimed wait gives up after this
+#: long (:class:`~repro.backend.driver.Deadline`: a peer likely died
+#: without notice), and a real run's
+#: :class:`~repro.backend.driver.Supervisor` after twice this, with a
+#: stall report.
 WATCHDOG_SECONDS = 120.0
 
 #: Exit code of a fault-injected fail-stop; distinguishes a scheduled
@@ -54,9 +55,9 @@ CRASH_EXIT_CODE = 17
 #: waits on events, never on a poll).
 POLL_SECONDS = 0.02
 
-#: Grace for a terminal worker's last records to drain before the
-#: supervisor gives up waiting for an explanation, and between coverage
-#: completion and dismissing stragglers.
+#: How long the socket hub waits, once every iteration is reported,
+#: before it dismisses whoever still waits (a joiner whose fence never
+#: came).
 DRAIN_GRACE_SECONDS = 2.0
 
 
@@ -122,29 +123,21 @@ def mp_context(start_method: Optional[str]):
 
 
 def join_or_terminate(participants: Iterable, *, timeout: float = 5.0,
-                      terminate: Optional[Callable] = None,
-                      kill: Optional[Callable] = None) -> list[str]:
+                      escalate: bool = False) -> None:
     """Join every still-live participant, escalating stragglers.
 
     The one shutdown path shared by the real-time backends: threads
-    (no ``terminate``/``kill`` — they stop at their next abort poll),
-    worker processes (``terminate`` then ``kill``), and socket worker
-    subprocesses.  A participant is anything with ``is_alive()`` and
-    ``join(timeout)``.  Escalation per participant: optional
-    ``terminate``, join, optional ``kill``, join again.  Returns the
-    names of participants that survived everything — the caller decides
-    whether leftovers are an error; an empty list is a clean shutdown.
+    (they stop at their next abort poll), worker processes and socket
+    worker subprocesses (``escalate``: terminated first, and killed if
+    that did not end them).  A participant is anything with
+    ``is_alive()`` and ``join(timeout)``.
     """
-    stragglers: list[str] = []
     for p in participants:
         if not p.is_alive():
             continue
-        if terminate is not None:
-            terminate(p)
+        if escalate:
+            p.terminate()
         p.join(timeout)
-        if p.is_alive() and kill is not None:
-            kill(p)
+        if p.is_alive() and escalate:
+            p.kill()
             p.join(timeout)
-        if p.is_alive():
-            stragglers.append(getattr(p, "name", None) or repr(p))
-    return stragglers

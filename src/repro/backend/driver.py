@@ -14,7 +14,9 @@ Around it: :class:`~repro.message.inbox.Inbox`, the one mailbox rule
 (re-exported here); :class:`Reporter`, stats records built once however
 they travel; :class:`RunLedger`, where
 *all four* backends book a run, the one writer of its ``decision``
-instants, and where it ends: salvage and the exactly-once audit.
+instants, and where it ends: salvage and the exactly-once audit;
+:class:`Supervisor`, the ledger plus a real run's roster, deadline,
+stall report and crash roster.
 Last, the one run set-up of all four, the simulator included:
 :func:`prepare_run` and the :class:`RunPlan` /
 :class:`WorkerSpec` it returns, the only place protocol objects are
@@ -73,6 +75,7 @@ from ..protocol import (
 )
 from ..runtime.assignment import (
     Assignment,
+    CoverageError,
     check_coverage,
     equal_block_partition,
     merge_ranges,
@@ -85,7 +88,7 @@ from .base import WATCHDOG_SECONDS, BackendError, StrategyLike
 from .capabilities import validate
 
 __all__ = ["Burn", "Inbox", "Deadline", "Reporter", "RunLedger",
-           "WorkerSpec", "RunPlan", "drive", "execute",
+           "Supervisor", "WorkerSpec", "RunPlan", "drive", "execute",
            "run_blocking", "prepare_run", "pairs", "movement_estimator"]
 
 Range = tuple[int, int]
@@ -326,11 +329,25 @@ class RunLedger:
         a duplicate."""
         return uncovered(self.stats.executed_by_node, self.table.n)
 
-    def salvaged(self, node: int, ranges: Sequence[Range]) -> None:
-        """Book orphaned ``ranges`` that survivor ``node`` has re-run."""
-        count = sum(e - s for s, e in ranges)
-        work = sum(self.table.range_work(s, e) for s, e in ranges)
-        self.executed(node, ranges)
+    def salvage(self, survivors: Iterable[int]
+                ) -> Generator[tuple[int, list[Range]], None, None]:
+        """The re-run a run that lost a participant owes: yields, once,
+        the lowest of ``survivors`` and the orphans (:meth:`uncovered`)
+        credited to it, for the caller to spend — a simulated compute, a
+        burn, a sleep — and books them when the caller comes back.
+        Yields nothing when nothing is orphaned; raises
+        :class:`CoverageError` when something is and nobody survived."""
+        orphans = self.uncovered()
+        if not orphans:
+            return
+        node = min(survivors, default=None)
+        if node is None:
+            raise CoverageError(f"orphaned iterations {orphans} with no "
+                                "survivor to credit")
+        yield node, orphans
+        count = sum(e - s for s, e in orphans)
+        work = sum(self.table.range_work(s, e) for s, e in orphans)
+        self.executed(node, orphans)
         self.stats.salvaged_iterations += count
         self.recorder.event("salvage", track=f"node{node}",
                             iterations=count, work=work)
@@ -356,8 +373,8 @@ class RunLedger:
 
     def record(self, node: Optional[int], body: dict, now: float) -> str:
         """Book one record from ``node`` (``None``: a balancer) and
-        return its kind; ``"error"`` and unknown kinds are the caller's
-        to report."""
+        return its kind; a trace buffer joins the run's.  An error
+        record, or one of no known kind, raises :class:`BackendError`."""
         stats = self.stats
         kind = body.get("k")
         if kind == "exec":
@@ -378,7 +395,89 @@ class RunLedger:
             stats.transport_payload_bytes += counters.get("payload_bytes", 0)
             stats.shm_data_bytes += counters.get("shm_bytes", 0)
             stats.messages_by_tag.merge(counters.get("by_tag", {}))
+        elif kind == "trace":
+            self.recorder.merge_payload(body["payload"])
+        else:
+            who = "balancer" if node is None else node
+            raise BackendError(f"worker {who} failed:\n{body['text']}"
+                               if kind == "error" else
+                               f"unknown stats record {body!r} from {who}")
         return kind
+
+
+class Supervisor(RunLedger):
+    """The supervising side of a real-backend run, the paper's master
+    (§5): its :class:`RunLedger`, the roster of participants still
+    pending (node ids, and ``"balancer"``), the run's clock, its one
+    deadline and stall report, and the crash roster.
+
+    A backend books each record (:meth:`book`) and each fail-stop
+    (:meth:`crash`) and waits at most :meth:`remaining` for the next;
+    how it waits and who is alive are all it keeps of its own.  ``name``
+    heads the stall report, and ``tail`` adds what only the backend
+    knows.
+    """
+
+    def __init__(self, plan: "RunPlan", roster: Iterable, *, name: str,
+                 tail: Optional[Callable[[], str]] = None) -> None:
+        super().__init__(plan.stats, plan.table, plan.recorder,
+                         plan.options.on_execute)
+        self.pending = set(roster)
+        #: Wall seconds a run may take before :meth:`remaining` fails it.
+        self.limit = WATCHDOG_SECONDS * 2
+        self._name = name
+        self._tail = tail
+        self.start()
+
+    def start(self) -> float:
+        """Start the run's clock, and its deadline, now; returns the
+        origin.  A trace shares the clock's zero-based domain."""
+        self.t0 = time.perf_counter()
+        if self.recorder.enabled:
+            self.recorder.set_clock(self.now)
+        return self.t0
+
+    def now(self) -> float:
+        return time.perf_counter() - self.t0
+
+    def remaining(self) -> float:
+        """Seconds left to the deadline; past it, the stall report is a
+        :class:`BackendError`."""
+        left = self.limit - self.now()
+        if left <= 0:
+            raise BackendError(self.stall_report())
+        return left
+
+    def stall_report(self) -> str:
+        """Who the run still waits for and what is still uncovered."""
+        try:
+            gaps = self.uncovered()[:4]
+        except CoverageError as exc:
+            gaps = exc
+        who = sorted(k if isinstance(k, str) else f"node{k}"
+                     for k in self.pending)
+        tail = self._tail() if self._tail is not None else ""
+        return (f"{self._name} watchdog: run never completed in "
+                f"{self.limit:g}s (pending {', '.join(who) or 'nobody'}; "
+                f"executed {self.exec_total}/{self.table.n}, first uncovered "
+                f"{gaps}{'; ' + tail if tail else ''})")
+
+    def book(self, node: Optional[int], body: dict, now: float) -> str:
+        """:meth:`record`; a finish takes ``node`` off the roster."""
+        kind = self.record(node, body, now)
+        if kind == "finish":
+            self.pending.discard("balancer" if node is None else node)
+        return kind
+
+    def crash(self, node: int) -> None:
+        """Book ``node``'s fail-stop: off the roster, onto the crash
+        roster (``stats.crashed_nodes``), its trace marked truncated (the
+        buffer died with it)."""
+        self.pending.discard(node)
+        self.stats.crashed_nodes = tuple(sorted({*self.stats.crashed_nodes,
+                                                 node}))
+        self.recorder.event("trace_truncated", track=f"node{node}",
+                            reason="crashed")
 
 
 # ---------------------------------------------------------------------------

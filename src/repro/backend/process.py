@@ -127,7 +127,6 @@ from ..runtime.options import RunOptions
 from ..runtime.stats import LoopRunStats
 from .base import (
     CRASH_EXIT_CODE,
-    WATCHDOG_SECONDS,
     BackendError,
     ExecutionBackend,
     StrategyLike,
@@ -140,7 +139,7 @@ from .driver import (
     Deadline,
     Inbox,
     Reporter,
-    RunLedger,
+    Supervisor,
     WorkerSpec,
     drive,
     prepare_run,
@@ -535,9 +534,7 @@ class _Cast:
     def close(self) -> None:
         """Stop every child and release every handle, now: nothing is
         left for a later collector pass to finalize."""
-        join_or_terminate(self.procs.values(), timeout=2.0,
-                          terminate=lambda p: p.terminate(),
-                          kill=lambda p: p.kill())
+        join_or_terminate(self.procs.values(), timeout=2.0, escalate=True)
         for p in self.procs.values():
             if not p.is_alive():
                 p.close()
@@ -618,7 +615,6 @@ class ProcessBackend(ExecutionBackend):
             self.name, loop, cluster.speeds, strategy, options, selector,
             fault_plan, time_scale=self.time_scale,
             start_method=ctx.get_start_method(), kernel=self.kernel)
-        stats, recorder = plan.stats, plan.recorder
         row_bytes = max(STAMP_BYTES, loop.dc_bytes)
         # Calibrate the numpy kernel at the element count the workers
         # actually burn over (the row payload), so per-iteration wall
@@ -634,13 +630,11 @@ class ProcessBackend(ExecutionBackend):
             try:
                 cast = _cast_for(ctx, len(plan.workers))
                 cast.run += 1
-                t0 = time.perf_counter()
-                if recorder.enabled:
-                    # Children timestamp against the same parent-stamped
-                    # origin (perf_counter is CLOCK_MONOTONIC: comparable
-                    # across processes), so merged buffers share one
-                    # time domain.
-                    recorder.set_clock(lambda: time.perf_counter() - t0)
+                supervisor = Supervisor(plan, participants, name=self.name)
+                # Children timestamp against the parent's origin
+                # (perf_counter is CLOCK_MONOTONIC: comparable across
+                # processes), so merged buffers share one time domain.
+                t0 = supervisor.start()
                 for key, spec in participants.items():
                     cast.post(key, _RunOrder(_ChildConfig(
                         spec=spec, groups=tuple(map(tuple, plan.groups))
@@ -650,74 +644,43 @@ class ProcessBackend(ExecutionBackend):
                         row_bytes=row_bytes,
                         fail_after=self._fail_after.get(key)), t0))
 
-                ledger = RunLedger(stats, plan.table, recorder,
-                                   plan.options.on_execute)
-                crashed = self._supervise(ledger, recorder, cast,
-                                          set(participants),
-                                          set(plan.crash_at))
-                for node in sorted(crashed):
-                    # A crashed child's buffer died with it (os._exit
-                    # ships nothing): mark the truncation explicitly
-                    # rather than dropping the node silently.
-                    recorder.event("trace_truncated", track=f"node{node}",
-                                   reason="crashed")
-                stats.crashed_nodes = tuple(sorted(crashed))
+                self._supervise(supervisor, cast, set(plan.crash_at))
+                crashed = plan.stats.crashed_nodes
                 if crashed:
-                    self._salvage(ledger, crashed, ops_rate, block, row_bytes)
-                ledger.close(time.perf_counter() - t0)
-                self._verify_shm(stats, block, row_bytes)
+                    self._salvage(supervisor, ops_rate, block, row_bytes)
+                supervisor.close(supervisor.now())
+                self._verify_shm(plan.stats, block, row_bytes)
                 clean = not crashed
-                return stats
+                return plan.stats
             finally:
                 if not clean:
                     _discard_cast()
                 block.close()
 
     # -- supervision -----------------------------------------------------
-    def _supervise(self, ledger: RunLedger, recorder, cast: _Cast,
-                   pending: set, expected_crashes: set[int]) -> set[int]:
-        """Drain the stats stream and police child liveness, waking on
-        a record or on a participant's exit, whichever comes first.
-
-        Returns the nodes that fail-stopped on schedule.  Raises
-        :class:`BackendError` when a child dies outside the fault plan.
-        """
+    def _supervise(self, supervisor: Supervisor, cast: _Cast,
+                   expected_crashes: set[int]) -> None:
+        """Feed ``supervisor`` the stats stream and the children's exits,
+        waking on a record or on an exit, whichever comes first.  Raises
+        :class:`BackendError` when a child dies outside the fault plan."""
         from multiprocessing.connection import wait
-        crashed: set[int] = set()
         run, stats_q = cast.run, cast.stats_q
-        deadline = time.perf_counter() + WATCHDOG_SECONDS * 2
-
-        def handle(record) -> None:
-            stamp, node, now, body = record
-            if stamp != run:
-                return  # an earlier run's leftover
-            kind = ledger.record(node, body, now)
-            if kind == "trace":
-                recorder.merge_payload(body["payload"])
-            elif kind == "finish":
-                pending.discard("balancer" if node is None else node)
-            elif kind == "error":
-                raise BackendError(
-                    f"worker {'balancer' if node is None else node} "
-                    f"failed:\n{body['text']}")
 
         def drain() -> None:
             while True:
                 try:
-                    handle(stats_q.get_nowait())
+                    stamp, node, now, body = stats_q.get_nowait()
                 except queue_mod.Empty:
                     return
+                if stamp == run:  # else an earlier run's leftover
+                    supervisor.book(node, body, now)
 
-        while pending:
-            timeout = deadline - time.perf_counter()
-            if timeout <= 0:
-                raise BackendError(
-                    f"supervision watchdog: {sorted(map(str, pending))} "
-                    "never finished")
-            exits = {cast.procs[key].sentinel: key for key in pending}
-            ready = wait([stats_q, *exits], timeout)
+        while supervisor.pending:
+            exits = {cast.procs[key].sentinel: key
+                     for key in supervisor.pending}
+            ready = wait([stats_q, *exits], supervisor.remaining())
             if stats_q in ready:
-                handle(stats_q.get_nowait())
+                drain()
                 continue
             for sentinel in ready:
                 key = exits[sentinel]
@@ -725,11 +688,9 @@ class ProcessBackend(ExecutionBackend):
                 proc.join()
                 if proc.exitcode == CRASH_EXIT_CODE \
                         and key in expected_crashes:
-                    crashed.add(key)
-                    pending.discard(key)
-                    notice = PeerDead(key)
-                    for peer in pending:
-                        cast.post(peer, notice)
+                    supervisor.crash(key)
+                    for peer in supervisor.pending:
+                        cast.post(peer, PeerDead(key))
                     continue
                 # Whatever it wrote is in the pipe before its exit: an
                 # error record explains the death (and raises).
@@ -738,31 +699,29 @@ class ProcessBackend(ExecutionBackend):
                     f"worker {key} died unexpectedly "
                     f"(exit code {proc.exitcode})")
         drain()  # records of crashed children still in the pipe
-        return crashed
 
     # -- salvage / verification -----------------------------------------
-    def _salvage(self, ledger: RunLedger, crashed: set[int],
-                 ops_rate: float, block, row_bytes: int) -> None:
-        """Re-run the orphans of a crash on the lowest survivor: burn
-        their work and stamp their rows in its name."""
-        orphans = ledger.uncovered()
-        if not orphans:
-            return
-        survivor = min(set(range(ledger.stats.n_processors)) - crashed)
-        for start, end in orphans:
-            try:
-                # numpy burns over the first orphaned row's payload: the
-                # element count the rate was calibrated at.
-                work = ledger.table.range_work(start, end) * self.time_scale
-                burn(self.kernel, work, ops_rate,
-                     out=block.payload(self.kernel, start, row_bytes))
-            except BaseException as exc:
-                # The traceback keeps the burn's frames, and the row
-                # view in them would pin the block open: drop them.
-                traceback.clear_frames(exc.__traceback__)
-                raise
-        block.stamp(orphans, survivor, self.kernel, row_bytes)
-        ledger.salvaged(survivor, orphans)
+    def _salvage(self, supervisor: Supervisor, ops_rate: float, block,
+                 row_bytes: int) -> None:
+        """Spend the salvage a crash leaves: burn the orphans' work and
+        stamp their rows in the survivor's name."""
+        stats = supervisor.stats
+        for survivor, orphans in supervisor.salvage(
+                set(range(stats.n_processors)) - set(stats.crashed_nodes)):
+            for start, end in orphans:
+                try:
+                    # numpy burns over the first orphaned row's payload:
+                    # the element count the rate was calibrated at.
+                    work = supervisor.table.range_work(start, end) \
+                        * self.time_scale
+                    burn(self.kernel, work, ops_rate,
+                         out=block.payload(self.kernel, start, row_bytes))
+                except BaseException as exc:
+                    # The traceback keeps the burn's frames, and the row
+                    # view in them would pin the block open: drop them.
+                    traceback.clear_frames(exc.__traceback__)
+                    raise
+            block.stamp(orphans, survivor, self.kernel, row_bytes)
 
     @staticmethod
     def _verify_shm(stats: LoopRunStats, block, row_bytes: int) -> None:

@@ -178,12 +178,10 @@ class SocketBackend(ExecutionBackend):
                                 self.start_method, procs))
         finally:
             if procs:
-                join_or_terminate(procs, timeout=5.0,
-                                  terminate=lambda p: p.terminate(),
-                                  kill=lambda p: p.kill())
+                join_or_terminate(procs, timeout=5.0, escalate=True)
         if hub.errors:
             raise BackendError("; ".join(hub.errors))
-        return hub.stats
+        return hub.ledger.stats
 
     def serve(self, loop: LoopSpec, cluster: ClusterSpec,
               strategy: StrategyLike,
@@ -206,7 +204,7 @@ class SocketBackend(ExecutionBackend):
         asyncio.run(serve_hub(hub, self.host, port, on_ready))
         if hub.errors:
             raise BackendError("; ".join(hub.errors))
-        return hub.stats
+        return hub.ledger.stats
 
     def _hub(self, loop: LoopSpec, cluster: ClusterSpec,
              strategy: StrategyLike, options: Optional[RunOptions],

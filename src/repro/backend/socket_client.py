@@ -147,9 +147,13 @@ class _ClientMailbox:
         return None
 
     def check_stop(self) -> None:
+        """Raise if this worker is to stop now: a fail-stop fell due, or
+        the hub said BYE (the run is over, a burn included)."""
         if self.die or (self.crash_at is not None
                         and time.perf_counter() >= self.crash_at):
             raise _AbruptStop()
+        if self.bye.is_set():
+            raise _Dismissed()
 
     async def get(self, spec: AwaitMessage):
         """Next notice or matching message; ``None`` on timeout."""
@@ -161,8 +165,6 @@ class _ClientMailbox:
             got = self.inbox.take(spec)
             if got is not None:
                 return got
-            if self.bye.is_set():
-                raise _Dismissed()
             if self.closed:
                 raise BackendError(
                     "connection to the hub lost" +

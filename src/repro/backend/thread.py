@@ -32,7 +32,6 @@ capability matrix in ``docs/ARCHITECTURE.md``
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, Optional
 
 from ..apps.workload import LoopSpec
@@ -43,7 +42,6 @@ from ..protocol import AwaitMessage
 from ..runtime.options import RunOptions
 from ..runtime.stats import LoopRunStats
 from .base import (
-    WATCHDOG_SECONDS,
     BackendError,
     ExecutionBackend,
     StrategyLike,
@@ -55,7 +53,7 @@ from .driver import (
     Deadline,
     Inbox,
     Reporter,
-    RunLedger,
+    Supervisor,
     drive,
     prepare_run,
     run_blocking,
@@ -100,14 +98,15 @@ class _Mailbox:
 
 class _ThreadReporter(Reporter):
     """A thread's port: posts into peer mailboxes, books records
-    straight into the run's ledger (threads share one address space)."""
+    straight into the run's supervisor (threads share one address
+    space)."""
 
     def __init__(self, me: Optional[int], t0: float, recorder,
-                 mailboxes: list[_Mailbox], ledger: RunLedger,
+                 mailboxes: list[_Mailbox], supervisor: Supervisor,
                  lock: threading.Lock, stream_records: bool) -> None:
         super().__init__(me, t0, recorder, stream_records=stream_records)
         self._mailboxes = mailboxes
-        self._ledger = ledger
+        self._supervisor = supervisor
         self._lock = lock
 
     def deliver(self, msg: Message) -> None:
@@ -115,7 +114,7 @@ class _ThreadReporter(Reporter):
 
     def emit(self, body: dict) -> None:
         with self._lock:
-            self._ledger.record(self.me, body, self.now())
+            self._supervisor.book(self.me, body, self.now())
 
 
 class ThreadBackend(ExecutionBackend):
@@ -147,7 +146,7 @@ class ThreadBackend(ExecutionBackend):
         plan = prepare_run(self.name, loop, cluster.speeds, strategy, options,
                            selector, fault_plan, time_scale=self.time_scale,
                            kernel=self.kernel)
-        options, stats, lead = plan.options, plan.stats, plan.workers[0]
+        stats, lead = plan.stats, plan.workers[0]
         n = len(plan.workers)
         # (protocol, node id — None for the balancer —, track)
         cast = [(worker.build_protocol(
@@ -162,8 +161,9 @@ class ThreadBackend(ExecutionBackend):
 
         abort = threading.Event()
         mailboxes = [_Mailbox(abort) for _ in range(n)]
-        ledger = RunLedger(stats, plan.table, plan.recorder,
-                           options.on_execute)
+        supervisor = Supervisor(
+            plan, ["balancer" if me is None else me for _, me, _ in cast],
+            name=self.name)
         lock = threading.Lock()
         errors: list[BaseException] = []
         ops_rate = calibrate(self.kernel)
@@ -191,28 +191,26 @@ class ThreadBackend(ExecutionBackend):
                     errors.append(exc)
                 abort_all()
 
-        # All trace timestamps on this backend share one zero-based
-        # perf_counter domain anchored just before the threads start.
-        t0 = time.perf_counter()
-        if plan.recorder.enabled:
-            plan.recorder.set_clock(lambda: time.perf_counter() - t0)
+        # The run's clock starts just before the threads do.
+        t0 = supervisor.start()
         # The balancer reads the lb host's (node 0's) mailbox: in
         # centralized mode PROFILEs are addressed there and nothing else
         # in it matches the balancer's wait.
         threads = [threading.Thread(
             target=run, name=f"dlb-{track}", daemon=True,
             args=(proto, _ThreadReporter(me, t0, plan.recorder, mailboxes,
-                                         ledger, lock, lead.stream_records),
+                                         supervisor, lock,
+                                         lead.stream_records),
                   mailboxes[me or 0], track))
             for proto, me, track in cast]
         try:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join(timeout=WATCHDOG_SECONDS * 2)
-                if t.is_alive():
-                    raise BackendError(
-                        f"{t.name} did not finish (deadlock?)")
+                while t.is_alive():
+                    with lock:  # the stall report reads the ledger
+                        left = supervisor.remaining()
+                    t.join(left)
             if errors:
                 raise errors[0]
         except BaseException:
@@ -221,5 +219,5 @@ class ThreadBackend(ExecutionBackend):
             abort_all()
             join_or_terminate(threads, timeout=5.0)
             raise
-        ledger.close(time.perf_counter() - t0)
+        supervisor.close(supervisor.now())
         return stats

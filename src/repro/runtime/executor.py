@@ -33,7 +33,7 @@ from ..machine.workstation import Workstation
 from ..message.messages import DataMsg, Tag
 from ..message.pvm import VirtualMachine
 from ..network.graph import build_network
-from ..simulation import Environment, SimulationError
+from ..simulation import Environment
 from .assignment import CoverageError, merge_ranges
 from .balancer import CentralBalancer
 from .node import NodeRuntime
@@ -46,8 +46,8 @@ __all__ = ["run_loop", "run_application", "CoverageError"]
 
 
 def _salvage(session: LoopSession, controller: FaultController) -> None:
-    """Re-run the orphans of a faulted run on the lowest-id survivor,
-    charging it their simulated compute time.
+    """Spend the salvage of a faulted run: the survivor the ledger
+    credits computes the orphans for their simulated time.
 
     The ledger's gaps must be exactly the controller's stranded work: a
     gap the controller cannot account for is work the protocol lost,
@@ -58,20 +58,16 @@ def _salvage(session: LoopSession, controller: FaultController) -> None:
     if stranded != orphans:
         raise CoverageError(f"unaccounted iterations: the ledger misses "
                             f"{orphans}, the fault controller {stranded}")
-    if not orphans:
-        return
-    node = min(set(range(session.n)) - controller.crashed, default=None)
-    if node is None:  # unreachable: FaultPlan.validate_for guarantees one
-        raise SimulationError("no survivor left to salvage orphaned work")
     env = session.env
     work = sum(session.table.range_work(s, e) for s, e in orphans)
+    for node, _ in session.ledger.salvage(
+            set(range(session.n)) - controller.crashed):
 
-    def spend():
-        t_end = session.stations[node].time_to_complete(env.now, work)
-        yield env.timeout(t_end - env.now)
+        def spend():
+            t_end = session.stations[node].time_to_complete(env.now, work)
+            yield env.timeout(t_end - env.now)
 
-    env.run(env.process(spend(), name=f"salvage{node}"))
-    session.ledger.salvaged(node, orphans)
+        env.run(env.process(spend(), name=f"salvage{node}"))
 
 
 def _scatter(session: LoopSession):

@@ -26,11 +26,12 @@ def table() -> WorkTable:
 
 @pytest.fixture
 def short_watchdog(monkeypatch):
-    """The socket hub's watchdog fires at twice this: a transition that
+    """A run's supervisor fails it at twice this: a hub transition that
     forgets to re-evaluate completion fails its test in 5 s, not 240.
-    A worker waits for the hub's BYE that long too."""
-    from repro.backend import socket_client, socket_hub
-    for module in (socket_hub, socket_client):
+    An untimed wait, and a socket worker's wait for the hub's BYE, give
+    up after this long too."""
+    from repro.backend import driver, socket_client
+    for module in (driver, socket_client):
         monkeypatch.setattr(module, "WATCHDOG_SECONDS", 2.5)
 
 

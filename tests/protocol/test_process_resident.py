@@ -30,7 +30,7 @@ import pytest
 from repro import ClusterSpec
 from repro.apps.workload import LoopSpec
 from repro.backend import BackendError, ProcessBackend
-from repro.backend import process
+from repro.backend import driver, process
 from repro.backend.base import mp_context
 from repro.faults.plan import FaultPlan
 from repro.runtime.options import RunOptions
@@ -144,7 +144,7 @@ def test_message_ahead_of_its_run_order_is_kept(after_order, monkeypatch):
     finished their blocks: their PROFILEs reach its channel first.  Were
     they dropped, the sync would never be answered and the parent's
     watchdog (cut to 5 s) would end the run."""
-    monkeypatch.setattr(process, "WATCHDOG_SECONDS", 2.5)
+    monkeypatch.setattr(driver, "WATCHDOG_SECONDS", 2.5)
     _run(strategy="GCDLB")
 
     def hold_back(cast, key):
@@ -178,7 +178,7 @@ def test_run_that_ends_unclean_leaves_a_fresh_cast(failure, monkeypatch):
             with pytest.raises(BackendError, match="worker 1 failed"):
                 _run(backend)
         elif failure == "watchdog":
-            patch.setattr(process, "WATCHDOG_SECONDS", 0.0)
+            patch.setattr(driver, "WATCHDOG_SECONDS", 0.0)
             with pytest.raises(BackendError, match="watchdog"):
                 _run(backend)
         else:  # an exception in the parent, after the children finish

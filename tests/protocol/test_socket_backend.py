@@ -23,7 +23,7 @@ from repro import ClusterSpec, run_loop
 from repro.apps.mxm import MxmConfig, mxm_loop
 from repro.apps.workload import LoopSpec
 from repro.backend import BackendError, SocketBackend
-from repro.backend import socket_client, socket_hub
+from repro.backend import driver, socket_client, socket_hub
 from repro.backend.socket import JoinEvent, KillEvent, LeaveEvent
 from repro.experiments.export import run_to_csv, run_to_json
 from repro.faults.plan import FaultPlan, MessageDropFault, SlowdownFault
@@ -198,7 +198,7 @@ def test_completion_evaluations_do_not_grow_with_the_run(evaluations):
 def test_watchdog_reports_what_the_hub_knows(monkeypatch):
     """Nobody ever dials in: the one deadline armed at start() fires
     and says who registered, who is active and what is missing."""
-    monkeypatch.setattr(socket_hub, "WATCHDOG_SECONDS", 0.1)
+    monkeypatch.setattr(driver, "WATCHDOG_SECONDS", 0.1)
     with pytest.raises(BackendError) as failure:
         SocketBackend().serve(_steady(40), _cluster(2), "GCDLB",
                               RunOptions(), port=0)
