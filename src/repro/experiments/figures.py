@@ -16,11 +16,10 @@ reference (see EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from ..apps.mxm import MxmConfig, mxm_loop
 from ..apps.trfd import TrfdConfig, trfd_loop1, trfd_loop2
-from ..apps.workload import LoopSpec
 from ..network.characterization import characterize_network
 from .config import DEFAULT_CONFIG, ExperimentConfig, FIGURE_SCHEMES, \
     MXM_SIZES, TRFD_SIZES
@@ -54,18 +53,29 @@ class FigureResult:
     meta: dict = field(default_factory=dict)
 
 
-def _figure_rows(loops: list[tuple[str, LoopSpec]], n_processors: int,
-                 config: ExperimentConfig) -> list[FigureRow]:
-    rows = []
-    for label, loop in loops:
-        cells = {s: measure_loop(loop, n_processors, s, config)
-                 for s in FIGURE_SCHEMES}
-        base = cells["NONE"].mean
-        rows.append(FigureRow(
-            label=label,
-            normalized={s: cells[s].mean / base for s in FIGURE_SCHEMES},
-            raw=cells))
-    return rows
+def _figure_row(label: str, schemes: Sequence[str],
+                measure: Callable[[str], Measurement]) -> FigureRow:
+    """One group of bars: each scheme measured, normalized to NONE."""
+    cells = {s: measure(s) for s in schemes}
+    base = cells["NONE"].mean
+    return FigureRow(label=label,
+                     normalized={s: cells[s].mean / base for s in schemes},
+                     raw=cells)
+
+
+def _in_turn(m1: Measurement, m2: Measurement) -> Measurement:
+    """One cell of two loops run in turn: per-seed times and syncs add."""
+    return Measurement(
+        scheme=m1.scheme, times=[a + b for a, b in zip(m1.times, m2.times)],
+        syncs=[a + b for a, b in zip(m1.syncs, m2.syncs)])
+
+
+def _paper_figure(number: str, title: str, rows: list[FigureRow],
+                  n_processors: int, config: ExperimentConfig
+                  ) -> FigureResult:
+    return FigureResult(
+        figure_id=f"figure{number}", title=f"{title} (P={n_processors})",
+        rows=rows, meta=dict(n_processors=n_processors, seeds=config.seeds))
 
 
 def mxm_figure(n_processors: int,
@@ -73,15 +83,13 @@ def mxm_figure(n_processors: int,
                sizes: Optional[tuple[MxmConfig, ...]] = None) -> FigureResult:
     """MXM normalized execution time for one processor count."""
     config = config or DEFAULT_CONFIG
-    sizes = sizes or MXM_SIZES[n_processors]
-    loops = [(cfg.label, mxm_loop(cfg, op_seconds=config.mxm_op_seconds))
-             for cfg in sizes]
-    fig_id = "5" if n_processors == 4 else "6"
-    return FigureResult(
-        figure_id=f"figure{fig_id}",
-        title=f"Matrix multiplication (P={n_processors})",
-        rows=_figure_rows(loops, n_processors, config),
-        meta=dict(n_processors=n_processors, seeds=config.seeds))
+    rows = []
+    for cfg in sizes or MXM_SIZES[n_processors]:
+        loop = mxm_loop(cfg, op_seconds=config.mxm_op_seconds)
+        rows.append(_figure_row(cfg.label, FIGURE_SCHEMES, lambda s: (
+            measure_loop(loop, n_processors, s, config))))
+    return _paper_figure("5" if n_processors == 4 else "6",
+                         "Matrix multiplication", rows, n_processors, config)
 
 
 def trfd_figure(n_processors: int,
@@ -98,27 +106,11 @@ def trfd_figure(n_processors: int,
         cfg = TrfdConfig(n)
         l1 = trfd_loop1(cfg, op_seconds=config.trfd_op_seconds)
         l2 = trfd_loop2(cfg, op_seconds=config.trfd_op_seconds)
-        cells: dict[str, Measurement] = {}
-        for scheme in FIGURE_SCHEMES:
-            m1 = measure_loop(l1, n_processors, scheme, config)
-            m2 = measure_loop(l2, n_processors, scheme, config)
-            combined = Measurement(scheme=scheme,
-                                   times=[a + b for a, b in
-                                          zip(m1.times, m2.times)],
-                                   syncs=[a + b for a, b in
-                                          zip(m1.syncs, m2.syncs)])
-            cells[scheme] = combined
-        base = cells["NONE"].mean
-        rows.append(FigureRow(
-            label=cfg.label,
-            normalized={s: cells[s].mean / base for s in FIGURE_SCHEMES},
-            raw=cells))
-    fig_id = "7" if n_processors == 4 else "8"
-    return FigureResult(
-        figure_id=f"figure{fig_id}",
-        title=f"TRFD (P={n_processors})",
-        rows=rows,
-        meta=dict(n_processors=n_processors, seeds=config.seeds))
+        rows.append(_figure_row(cfg.label, FIGURE_SCHEMES, lambda s: _in_turn(
+            measure_loop(l1, n_processors, s, config),
+            measure_loop(l2, n_processors, s, config))))
+    return _paper_figure("7" if n_processors == 4 else "8", "TRFD", rows,
+                         n_processors, config)
 
 
 def figure2(config: Optional[ExperimentConfig] = None,
@@ -186,17 +178,9 @@ def figure_topology(config: Optional[ExperimentConfig] = None,
     config = config or DEFAULT_CONFIG
     size = size or MxmConfig(240, 200, 200)
     loop = mxm_loop(size, op_seconds=config.mxm_op_seconds)
-    schemes = ("NONE", "GD", "LD", "DIFF")
-    rows = []
-    for topology in topologies:
-        cells = {s: measure_loop(loop, n_processors, s, config,
-                                 topology=topology)
-                 for s in schemes}
-        base = cells["NONE"].mean
-        rows.append(FigureRow(
-            label=topology,
-            normalized={s: cells[s].mean / base for s in schemes},
-            raw=cells))
+    rows = [_figure_row(topology, ("NONE", "GD", "LD", "DIFF"), lambda s: (
+        measure_loop(loop, n_processors, s, config, topology=topology)))
+        for topology in topologies]
     return FigureResult(
         figure_id="figure_topology",
         title=f"Strategies across topologies (MXM {size.label}, "

@@ -72,12 +72,18 @@ def _cluster(n_processors: int, seed: int,
 def measure_loop(loop: LoopSpec, n_processors: int, scheme: str,
                  config: ExperimentConfig,
                  seeds: Optional[Sequence[int]] = None,
-                 topology: Optional[str] = None) -> Measurement:
-    """Run the event simulation over all seeds for one scheme."""
+                 topology: Optional[str] = None,
+                 options: Optional[RunOptions] = None) -> Measurement:
+    """Run the event simulation over all seeds for one scheme.
+
+    The runs take ``options`` when given; else the config's own policy,
+    network and group size, on ``topology``.
+    """
     seeds = tuple(seeds) if seeds is not None else config.seeds
-    options = RunOptions(policy=config.policy, network=config.network,
-                         group_size=config.group_size(n_processors),
-                         topology=topology)
+    if options is None:
+        options = RunOptions(policy=config.policy, network=config.network,
+                             group_size=config.group_size(n_processors),
+                             topology=topology)
     out = Measurement(scheme=scheme)
     for seed in seeds:
         stats = run_loop(loop, _cluster(n_processors, seed, config),
@@ -121,8 +127,7 @@ def measured_order(loop: LoopSpec, n_processors: int,
                    ) -> tuple[tuple[str, ...], dict[str, Measurement]]:
     """Rank schemes by mean simulated time (best first)."""
     cells = {s: measure_loop(loop, n_processors, s, config) for s in schemes}
-    order = tuple(sorted(schemes, key=lambda s: cells[s].mean))
-    return order, cells
+    return _rank(cells), cells
 
 
 def predicted_order(loop: LoopSpec, n_processors: int,
@@ -134,8 +139,12 @@ def predicted_order(loop: LoopSpec, n_processors: int,
     cells = {s: predict_loop(loop, n_processors, s, config,
                              movement_model=movement_model)
              for s in schemes}
-    order = tuple(sorted(schemes, key=lambda s: cells[s].mean))
-    return order, cells
+    return _rank(cells), cells
+
+
+def _rank(cells: dict[str, Measurement]) -> tuple[str, ...]:
+    """The schemes of ``cells``, lowest mean first."""
+    return tuple(sorted(cells, key=lambda s: cells[s].mean))
 
 
 def order_agreement(actual: Sequence[str], predicted: Sequence[str]) -> float:

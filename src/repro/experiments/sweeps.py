@@ -14,21 +14,18 @@ iteration size?").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Sequence
 
 from ..apps.workload import LoopSpec
-from ..machine.cluster import ClusterSpec
-from ..runtime.executor import run_loop
 from ..runtime.options import RunOptions
 from .config import ExperimentConfig
-from .runner import Measurement
+from .runner import measure_loop
 
 __all__ = ["SweepPoint", "SweepResult", "sweep", "topology_sweep", "KNOBS"]
 
 
 def _set_persistence(config, options, value):
-    from dataclasses import replace
     return replace(config, persistence=float(value)), options
 
 
@@ -47,7 +44,6 @@ def _set_sync_period(config, options, value):
 
 
 def _set_max_load(config, options, value):
-    from dataclasses import replace
     return replace(config, max_load=int(value)), options
 
 
@@ -98,6 +94,32 @@ class SweepResult:
         return None
 
 
+def _points(loop: LoopSpec, n_processors: int, knob: str,
+            schemes: Sequence[str],
+            settings: Iterable[tuple[float, str, ExperimentConfig,
+                                     RunOptions]]) -> SweepResult:
+    """Measure every scheme at every ``(value, label, config, options)``
+    point; a point without a group size takes the config's K."""
+    points = []
+    for value, label, config, options in settings:
+        if not options.group_size:
+            options = options.but(group_size=config.group_size(n_processors))
+        cells = [measure_loop(loop, n_processors, s, config, options=options)
+                 for s in schemes]
+        points.append(SweepPoint(
+            value=float(value), label=label,
+            means={c.scheme: c.mean for c in cells},
+            stds={c.scheme: c.std for c in cells}))
+    return SweepResult(knob=knob, schemes=tuple(schemes), points=points)
+
+
+def _base(config: ExperimentConfig | None, options: RunOptions | None
+          ) -> tuple[ExperimentConfig, RunOptions]:
+    config = config or ExperimentConfig()
+    return config, options or RunOptions(policy=config.policy,
+                                         network=config.network)
+
+
 def sweep(loop: LoopSpec, n_processors: int, knob: str,
           values: Sequence[float],
           schemes: Sequence[str] = ("GC", "GD", "LC", "LD"),
@@ -106,30 +128,10 @@ def sweep(loop: LoopSpec, n_processors: int, knob: str,
     """Run the sweep.  See module docstring."""
     if knob not in KNOBS:
         raise KeyError(f"unknown knob {knob!r}; known: {sorted(KNOBS)}")
-    base_config = config or ExperimentConfig()
-    base_options = options or RunOptions(policy=base_config.policy,
-                                         network=base_config.network)
-    apply_knob = KNOBS[knob]
-    points = []
-    for value in values:
-        cfg, opts = apply_knob(base_config, base_options, value)
-        if not opts.group_size:
-            opts = opts.but(group_size=cfg.group_size(n_processors))
-        means = {}
-        stds = {}
-        for scheme in schemes:
-            times = []
-            for seed in cfg.seeds:
-                cluster = ClusterSpec.homogeneous(
-                    n_processors, max_load=cfg.max_load,
-                    persistence=cfg.persistence, seed=seed)
-                times.append(run_loop(loop, cluster, scheme,
-                                      options=opts).duration)
-            cell = Measurement(scheme, times)
-            means[scheme], stds[scheme] = cell.mean, cell.std
-        points.append(SweepPoint(value=float(value), means=means,
-                                 stds=stds))
-    return SweepResult(knob=knob, schemes=tuple(schemes), points=points)
+    config, options = _base(config, options)
+    return _points(loop, n_processors, knob, schemes,
+                   ((value, "", *KNOBS[knob](config, options, value))
+                    for value in values))
 
 
 def topology_sweep(loop: LoopSpec, n_processors: int,
@@ -146,27 +148,7 @@ def topology_sweep(loop: LoopSpec, n_processors: int,
     ``DIFF`` on ``bus`` runs on the complete adjacency, its degenerate
     shared-medium case.
     """
-    cfg = config or ExperimentConfig()
-    base_options = options or RunOptions(policy=cfg.policy,
-                                         network=cfg.network)
-    points = []
-    for i, topology in enumerate(topologies):
-        opts = base_options.but(topology=topology)
-        if not opts.group_size:
-            opts = opts.but(group_size=cfg.group_size(n_processors))
-        means = {}
-        stds = {}
-        for scheme in schemes:
-            times = []
-            for seed in cfg.seeds:
-                cluster = ClusterSpec.homogeneous(
-                    n_processors, max_load=cfg.max_load,
-                    persistence=cfg.persistence, seed=seed)
-                times.append(run_loop(loop, cluster, scheme,
-                                      options=opts).duration)
-            cell = Measurement(scheme, times)
-            means[scheme], stds[scheme] = cell.mean, cell.std
-        points.append(SweepPoint(value=float(i), means=means, stds=stds,
-                                 label=str(topology)))
-    return SweepResult(knob="topology", schemes=tuple(schemes),
-                       points=points)
+    config, options = _base(config, options)
+    return _points(loop, n_processors, "topology", schemes,
+                   ((i, str(topology), config, options.but(topology=topology))
+                    for i, topology in enumerate(topologies)))

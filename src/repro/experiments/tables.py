@@ -15,8 +15,7 @@ from ..apps.mxm import MxmConfig, mxm_loop
 from ..apps.trfd import TrfdConfig, trfd_loop1, trfd_loop2
 from .config import DEFAULT_CONFIG, ExperimentConfig, MXM_SIZES, \
     TABLE_SCHEMES, TRFD_SIZES
-from .runner import measure_loop, measured_order, order_agreement, \
-    predict_loop, predicted_order
+from .runner import _rank, measure_loop, order_agreement, predict_loop
 
 __all__ = ["OrderRow", "TableResult", "table1", "table2",
            "table_topology"]
@@ -56,16 +55,19 @@ class TableResult:
 
 
 def _order_row(label: str, loop, n_processors: int,
-               config: ExperimentConfig) -> OrderRow:
-    actual, acells = measured_order(loop, n_processors, config,
-                                    TABLE_SCHEMES)
-    predicted, pcells = predicted_order(loop, n_processors, config,
-                                        TABLE_SCHEMES)
+               config: ExperimentConfig,
+               schemes: tuple[str, ...] = TABLE_SCHEMES,
+               topology: Optional[str] = None) -> OrderRow:
+    acells = {s: measure_loop(loop, n_processors, s, config,
+                              topology=topology) for s in schemes}
+    pcells = {s: predict_loop(loop, n_processors, s, config,
+                              topology=topology) for s in schemes}
+    actual, predicted = _rank(acells), _rank(pcells)
     return OrderRow(
         label=label, actual=actual, predicted=predicted,
         agreement=order_agreement(actual, predicted),
-        actual_means={s: acells[s].mean for s in TABLE_SCHEMES},
-        predicted_means={s: pcells[s].mean for s in TABLE_SCHEMES})
+        actual_means={s: acells[s].mean for s in schemes},
+        predicted_means={s: pcells[s].mean for s in schemes})
 
 
 def table1(config: Optional[ExperimentConfig] = None) -> TableResult:
@@ -114,21 +116,9 @@ def table_topology(config: Optional[ExperimentConfig] = None,
     config = config or DEFAULT_CONFIG
     size = size or MxmConfig(240, 200, 200)
     loop = mxm_loop(size, op_seconds=config.mxm_op_seconds)
-    schemes = ("GC", "GD", "LD", "DIFF")
-    rows = []
-    for topology in topologies:
-        acells = {s: measure_loop(loop, n_processors, s, config,
-                                  topology=topology) for s in schemes}
-        pcells = {s: predict_loop(loop, n_processors, s, config,
-                                  topology=topology) for s in schemes}
-        actual = tuple(sorted(schemes, key=lambda s: acells[s].mean))
-        predicted = tuple(sorted(schemes, key=lambda s: pcells[s].mean))
-        rows.append(OrderRow(
-            label=f"P={n_processors} {topology}",
-            actual=actual, predicted=predicted,
-            agreement=order_agreement(actual, predicted),
-            actual_means={s: acells[s].mean for s in schemes},
-            predicted_means={s: pcells[s].mean for s in schemes}))
+    rows = [_order_row(f"P={n_processors} {topology}", loop, n_processors,
+                       config, ("GC", "GD", "LD", "DIFF"), topology)
+            for topology in topologies]
     return TableResult(table_id="table_topology",
                        title="Topologies: actual vs. predicted order",
                        rows=rows)
