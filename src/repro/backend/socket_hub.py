@@ -21,18 +21,10 @@ from ..message.frames import (
 )
 from ..message.messages import Message
 from ..obs.metrics import CounterDict
-from ..protocol import (
-    BalancerProtocol,
-    Done,
-    MessageReceived,
-    PeerDead,
-    PeerJoined,
-    PeerLeft,
-    Start,
-)
+from ..protocol import BalancerProtocol, PeerDead, PeerJoined, PeerLeft
 from ..runtime.assignment import CoverageError
 from .base import DRAIN_GRACE_SECONDS, POLL_SECONDS, BackendError, mp_context
-from .driver import Reporter, RunPlan, Supervisor, WorkerSpec, execute, pairs
+from .driver import Reporter, RunPlan, Supervisor, WorkerSpec, drive, pairs
 from .socket import JoinEvent, KillEvent, LeaveEvent
 from .socket_client import (
     _AbruptStop,
@@ -63,7 +55,9 @@ class _Peer:
 
 class _HubPort(Reporter):
     """The hub-resident balancer's port: instructions leave as MSG
-    frames, records go straight into the hub's ledger."""
+    frames, records go straight into the hub's ledger.  It holds
+    nothing, so an event sent into the balancer's pump runs it to its
+    next wait, or to its end."""
 
     def __init__(self, hub: "_Hub") -> None:
         super().__init__(None, 0.0, hub.plan.recorder)
@@ -104,6 +98,8 @@ class _Hub:
             self.balancer = plan.workers[0].build_balancer(
                 plan.groups, table=plan.table)
         self.port = _HubPort(self)
+        #: The balancer's pump, parked at its wait; ``None`` once done.
+        self._pump = None
 
         self.peers: dict[int, _Peer] = {}
         self.frames = CounterDict()
@@ -131,7 +127,9 @@ class _Hub:
         # timestamp is seconds since here.
         self.ledger.start()
         if self.balancer is not None:
-            self._run_balancer_cmds(self.balancer.on_event(Start()))
+            self._pump = drive(self.balancer, self.port, None,
+                               track="balancer")
+            next(self._pump)
         return self._server.sockets[0].getsockname()[1]
 
     async def close(self) -> None:
@@ -179,15 +177,13 @@ class _Hub:
             self._next_initial += 1
             return self.plan.workers[self._next_initial - 1]
         # Elastic join: new node id, group 0 by convention.
+        gid = 0
+        if self.balancer is not None and gid in self.balancer.groups_done:
+            return FrameType.BYE, None
         node = self._next_node
         self._next_node += 1
-        gid = 0
         if self.balancer is not None:
-            try:
-                self._run_balancer_cmds(
-                    self.balancer.on_event(PeerJoined(node, gid)))
-            except Exception:
-                return FrameType.BYE, None
+            self._feed(PeerJoined(node, gid))
             epoch = self.balancer.group_epoch.get(gid, 0)
             members = sorted(self.balancer.group_active[gid] | {node})
         else:
@@ -290,25 +286,22 @@ class _Hub:
             except FrameError as exc:
                 self._fail(f"undecodable profile from {peer.node}: {exc}")
                 return
-            self._run_balancer_cmds(
-                self.balancer.on_event(MessageReceived(msg)))
+            self._feed(msg)
             return
         target = self.peers.get(dst)
         if target is not None and target.status == "active":
             self._write(target, FrameType.MSG, body)
         # Traffic to terminal/unknown peers is stale; drop it.
 
-    def _run_balancer_cmds(self, cmds) -> None:
-        """The hub is event-driven: it feeds the balancer as frames
-        arrive, so a batch's ``AwaitMessage`` needs no action.  Its port
-        holds nothing, so one step runs the whole batch."""
+    def _feed(self, reply) -> None:
+        """Answer the balancer's wait with ``reply``, a message or a
+        membership event; a finished pump takes nothing more."""
+        if self._pump is None:
+            return
         try:
-            next(execute(cmds, self.port, "balancer"))
-        except StopIteration as ran:
-            if isinstance(ran.value, Done):
-                self.port.finish(ran.value.reason)
-        if self.balancer.all_done:
-            self._check_done()
+            self._pump.send(reply)
+        except StopIteration:
+            self._pump = None
 
     def _on_stat(self, peer: _Peer, body: dict) -> None:
         try:
@@ -345,12 +338,11 @@ class _Hub:
             return
         peer.status = "departed"
         self.left.append(peer.node)
+        self.ledger.pending.discard(peer.node)
         if self.monitor is not None:
             self.monitor.forget(peer.node)
         self._broadcast_death(peer.node, planned=True)
-        if self.balancer is not None:
-            self._run_balancer_cmds(
-                self.balancer.on_event(PeerLeft(peer.node)))
+        self._feed(PeerLeft(peer.node))
         ranges = pairs(body.get("ranges"))
         if ranges:
             self._grant(peer, ranges)
@@ -384,9 +376,7 @@ class _Hub:
             self._fail(
                 f"worker {peer.node} disconnected outside the fault plan")
         self._broadcast_death(peer.node, planned=False)
-        if self.balancer is not None:
-            self._run_balancer_cmds(
-                self.balancer.on_event(PeerDead(peer.node)))
+        self._feed(PeerDead(peer.node))
         self._check_done()
 
     # -- scripted orchestration ------------------------------------------
@@ -443,16 +433,13 @@ class _Hub:
         if self.done.is_set():
             return
         started = self._next_initial >= self.n
-        active = [p for p in self.peers.values() if p.status == "active"]
-        if self.errors or (started and not active and (
-                "balancer" not in self.ledger.pending
-                or self.balancer.all_done)):
+        if self.errors or (started and not self.ledger.pending):
             self._end_run()
             return
         try:
-            covered = bool(started and active and self.ledger.exec_total
-                           >= self.plan.loop.n_iterations
-                           and self.ledger.uncovered() == [])
+            covered = (started and self.ledger.exec_total
+                       >= self.plan.loop.n_iterations
+                       and self.ledger.uncovered() == [])
         except CoverageError as exc:  # a duplicate
             self._fail(str(exc))
             return

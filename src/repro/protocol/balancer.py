@@ -5,10 +5,9 @@ profile boxes, the ready queue, group epochs and active sets, the
 cached-instruction table that recovers lost INSTRUCTIONs, and the probe
 clocks of the pull-based failure detector.  It has no clock, transport,
 or process model, and one way in: :meth:`BalancerProtocol.on_event`,
-fed by :func:`repro.backend.driver.drive` on thread, process and the
-simulator (whose port is
-:class:`~repro.runtime.balancer.CentralBalancer`) and by the socket
-hub's event loop, which runs the commands it returns.
+fed by :func:`repro.backend.driver.drive` on every backend (the
+simulator's port is :class:`~repro.runtime.balancer.CentralBalancer`;
+the socket hub answers the pump's wait from its event loop).
 What only one backend can supply reaches the pump through two optional
 ports, ``None`` everywhere but the simulator: :attr:`select` (the §4.3
 customized selection) and :attr:`claim_orphans` (the fault controller's

@@ -198,19 +198,23 @@ def test_real_backends_keep_the_interpreter_quantum_off_the_critical_path():
 
 
 def test_the_simulated_balancer_is_a_shell_around_on_event():
-    """Source pins for the one pump on the simulator: no module under
-    ``runtime/`` feeds a protocol itself — ``drive()`` is the only
-    caller of ``on_event`` there as everywhere — and the balancer's port
-    keeps no views of protocol state and calls nothing on its
-    ``protocol`` but ``regroup``, which with ``on_event``, the ports and
-    the state attributes is all ``BalancerProtocol`` offers."""
+    """Source pins for the one pump: no module under ``src/repro`` but
+    ``backend/driver.py`` feeds a protocol itself — ``drive()`` is the
+    only caller of ``on_event``, on the simulator and the socket hub as
+    everywhere — and the simulated balancer's port keeps no views of
+    protocol state and calls nothing on its ``protocol`` but
+    ``regroup``, which with ``on_event``, the ports and the state
+    attributes is all ``BalancerProtocol`` offers."""
     import ast
 
     from repro.protocol import BalancerProtocol
 
-    runtime = Path(__file__).resolve().parents[2] / "src/repro/runtime"
-    for path in sorted(runtime.glob("*.py")):
-        assert ".on_event(" not in path.read_text(encoding="utf-8"), path
+    src = Path(__file__).resolve().parents[2] / "src/repro"
+    callers = {path.relative_to(src).as_posix()
+               for path in src.rglob("*.py")
+               if ".on_event(" in path.read_text(encoding="utf-8")}
+    assert callers == {"backend/driver.py"}
+    runtime = src / "runtime"
     tree = ast.parse((runtime / "balancer.py").read_text(encoding="utf-8"))
     decorators = {ast.unparse(d) for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef)
