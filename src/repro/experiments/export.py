@@ -65,10 +65,6 @@ def _kv_column(mapping: dict) -> str:
                     for name, value in sorted(mapping.items()))
 
 
-#: Backwards-compatible alias (the frame ledger predates the helper).
-_frame_column = _kv_column
-
-
 def _run_row(stats: LoopRunStats) -> dict:
     row = {}
     for name in _RUN_FIELDS:

@@ -6,7 +6,6 @@ from .assignment import (
     merge_ranges,
     proportional_block_partition,
 )
-from .arrays import DlbArray
 from .balancer import CentralBalancer
 from .executor import CoverageError, run_application, run_loop, run_loop_stage
 from .node import NodeRuntime
@@ -20,7 +19,6 @@ __all__ = [
     "Assignment",
     "CentralBalancer",
     "CoverageError",
-    "DlbArray",
     "LoopRunStats",
     "LoopSession",
     "NodeRuntime",
